@@ -12,12 +12,16 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
 from .documents import (
     FrameDocument,
     ReportDocument,
+    _expect_list,
+    _parse_entry,
+    _parse_vector_rows,
     canonical_json,
     emit_example,
     load_frame,
@@ -31,7 +35,7 @@ from .fusion import (
     operator_image_report,
     redundancy_at,
 )
-from .numerics import COMPLEX, DEFAULT_TOLERANCE, Tolerance, sample_unit_vectors
+from .numerics import DEFAULT_TOLERANCE, Tolerance, sample_unit_vectors
 from .systems import (
     check_local_additivity,
     parseval_equivalences,
@@ -63,34 +67,25 @@ def _write_or_print(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _load_array(path: str, field: str, expect_matrix: bool):
-    """Read a vector (or square matrix) of entries in the frame's field."""
+def _load_entries(path: str, key: str) -> list:
+    """Read a JSON array, bare or wrapped in an object under ``key``."""
     with open(path, "r", encoding="utf-8") as handle:
         try:
             tree = json.load(handle)
         except json.JSONDecodeError as exc:
             raise ParseError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
     if isinstance(tree, dict):
-        tree = tree.get("rows" if expect_matrix else "vector")
-    if not isinstance(tree, list):
-        raise ParseError(f"{path}: expected an array of entries")
+        tree = tree.get(key)
+    return _expect_list(tree, f"{path}: {key}")
 
-    def entry(value, where):
-        if field == COMPLEX:
-            if not (isinstance(value, list) and len(value) == 2):
-                raise ParseError(f"{path}: {where}: expected an [re, im] pair, got {value!r}")
-            return complex(float(value[0]), float(value[1]))
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ParseError(f"{path}: {where}: expected a number, got {value!r}")
-        return float(value)
 
-    if expect_matrix:
-        rows = [
-            [entry(value, f"rows[{r}][{c}]") for c, value in enumerate(row)]
-            for r, row in enumerate(tree)
-        ]
-        return np.array(rows)
-    return np.array([entry(value, f"[{i}]") for i, value in enumerate(tree)])
+def _load_vector(path: str, field: str) -> np.ndarray:
+    entries = _load_entries(path, "vector")
+    return np.array([_parse_entry(value, field, f"{path}: [{i}]") for i, value in enumerate(entries)])
+
+
+def _load_matrix(path: str, field: str, dimension: int) -> np.ndarray:
+    return np.array(_parse_vector_rows(_load_entries(path, "rows"), field, dimension, f"{path}: rows"))
 
 
 # --- subcommands -------------------------------------------------------------
@@ -121,7 +116,7 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_redundancy(args) -> int:
     frame, _ = load_frame(args.frame)
-    x = _load_array(args.at, frame.field, expect_matrix=False)
+    x = _load_vector(args.at, frame.field)
     value = redundancy_at(frame, x)
     print(canonical_json({"redundancy": value}), end="")
     return 0
@@ -155,43 +150,20 @@ def _cmd_dual(args) -> int:
 def _cmd_verify_dual(args) -> int:
     frame, _ = load_frame(args.frame)
     candidate, _ = load_frame(args.candidate)
-    certificate = verify_alternate_dual(frame, candidate)
-    print(
-        canonical_json(
-            {
-                "residual": certificate.residual,
-                "is_dual": certificate.is_dual,
-                "bessel_bound": certificate.bessel_bound,
-            }
-        ),
-        end="",
-    )
+    print(canonical_json(asdict(verify_alternate_dual(frame, candidate))), end="")
     return 0
 
 
 def _cmd_erasure(args) -> int:
     frame, _ = load_frame(args.frame)
     mode = "exhaustive" if args.exhaustive else ("greedy" if args.greedy else None)
-    certificate = erasure_certificate(frame, args.budget, mode)
-    print(
-        canonical_json(
-            {
-                "budget": certificate.budget,
-                "certified": certificate.certified,
-                "universal": certificate.universal,
-                "weight_rule": certificate.weight_rule,
-                "rule": certificate.rule,
-                "mode": certificate.mode,
-            }
-        ),
-        end="",
-    )
+    print(canonical_json(asdict(erasure_certificate(frame, args.budget, mode))), end="")
     return 0
 
 
 def _cmd_transform(args) -> int:
     frame, _ = load_frame(args.frame)
-    U = _load_array(args.operator, frame.field, expect_matrix=True)
+    U = _load_matrix(args.operator, frame.field, frame.ambient_dim)
     report = operator_image_report(frame, U)
     if args.out:
         _write_or_print(FrameDocument.from_fusion_frame(report.image).to_json_text(), args.out)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -25,15 +25,9 @@ from .errors import (
     ParseError,
     SchemaVersionUnsupported,
 )
-from .fusion import (
-    AnalysisReport,
-    ErasureCertificate,
-    FusionFrame,
-    build_fusion_frame,
-    fusion_frame_operator,
-)
+from .fusion import AnalysisReport, ErasureCertificate, FusionFrame, build_fusion_frame
 from .gallery import example_frame
-from .numerics import COMPLEX, DEFAULT_TOLERANCE, REAL, Tolerance, sample_unit_vectors
+from .numerics import COMPLEX, DEFAULT_TOLERANCE, REAL, Tolerance, quadratic_forms, sample_unit_vectors
 from .systems import FusionFrameSystem, build_system
 
 SCHEMA_VERSION = "ffk/1"
@@ -134,7 +128,7 @@ def _entry_tree(value, field: str):
 def _parse_vector_rows(rows, field: str, dimension: int, path: str) -> tuple:
     rows = _expect_list(rows, path)
     if not rows:
-        raise ParseError(f"{path}: a subspace needs at least one spanning vector")
+        raise ParseError(f"{path}: expected at least one vector")
     parsed = []
     for r, row in enumerate(rows):
         entries = _expect_list(row, f"{path}[{r}]")
@@ -352,16 +346,7 @@ class ReportDocument:
         sampled_checks: dict | None = None,
     ) -> "ReportDocument":
         flags = tuple((name, bool(getattr(report, name))) for name in FLAG_ORDER)
-        erasure_items = None
-        if erasure is not None:
-            erasure_items = (
-                ("budget", erasure.budget),
-                ("certified", erasure.certified),
-                ("universal", erasure.universal),
-                ("weight_rule", erasure.weight_rule),
-                ("rule", erasure.rule),
-                ("mode", erasure.mode),
-            )
+        erasure_items = tuple(asdict(erasure).items()) if erasure is not None else None
         sampled_items = tuple(sampled_checks.items()) if sampled_checks is not None else None
         return cls(
             bounds_lower=report.bounds.lower,
@@ -441,13 +426,9 @@ def sampled_consistency_checks(frame: FusionFrame, seed: int, count: int = 64) -
     """
     rng = np.random.default_rng(seed)
     X = sample_unit_vectors(rng, frame.ambient_dim, count, frame.field)
-    S1 = fusion_frame_operator(frame, normalized=True)
-    quadratic = np.einsum("ij,jk,ik->i", X.conj(), S1, X).real
-    direct = np.zeros(count)
-    for member in frame.members:
-        direct += np.linalg.norm(X @ member.subspace.basis.conj(), axis=1) ** 2
-    S = fusion_frame_operator(frame)
-    energy = np.einsum("ij,jk,ik->i", X.conj(), S, X).real
+    quadratic = quadratic_forms(X, frame.normalized_operator)
+    direct = np.linalg.norm(X @ frame.bases.conj(), axis=1) ** 2
+    energy = quadratic_forms(X, frame.operator)
     low, high = frame._operator_range
     slack = frame.tol.eig_rel * max(1.0, high)
     lower_ok = (not frame.is_frame) or bool(np.all(energy >= low - slack))

@@ -19,19 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BoundViolation, NotADual, NotAFusionFrame, NotUniformWeights
-from .fusion import (
-    FusionFrame,
-    Subspace,
-    WeightedSubspace,
-    frame_bounds,
-    fusion_frame_operator,
-)
-from .numerics import (
-    FrameBounds,
-    hermitian_eigenrange,
-    sample_unit_vectors,
-    solve_hermitian_positive,
-)
+from .fusion import FusionFrame, Subspace, WeightedSubspace, frame_bounds
+from .numerics import FrameBounds, quadratic_forms, sample_unit_vectors, solve_hermitian_positive
 
 
 @dataclass(frozen=True)
@@ -85,17 +74,18 @@ def _require_uniform_one(frame: FusionFrame, what: str) -> None:
         raise NotUniformWeights(f"{what} is stated for families with every weight equal to 1")
 
 
+def _member_of_column(frame: FusionFrame) -> np.ndarray:
+    return np.repeat(np.arange(frame.member_count), frame.dims)
+
+
 def canonical_dual_fusion(frame: FusionFrame) -> FusionFrame:
     """The canonical dual family {(S^-1 W_i, v_i)}."""
     if not frame.is_frame:
         raise NotAFusionFrame("Bessel-only families have no canonical dual")
-    S = fusion_frame_operator(frame)
+    spans = solve_hermitian_positive(frame.operator, frame.bases, frame.tol)
     members = [
-        WeightedSubspace(
-            Subspace.from_span(solve_hermitian_positive(S, m.subspace.basis, frame.tol), frame.tol),
-            m.weight,
-        )
-        for m in frame.members
+        WeightedSubspace(Subspace.from_span(spans[:, start:stop], frame.tol), m.weight)
+        for m, start, stop in zip(frame.members, frame.offsets[:-1], frame.offsets[1:])
     ]
     return FusionFrame(members, frame.tol)
 
@@ -118,12 +108,8 @@ def canonical_ratio_bounds(
     bounds = frame_bounds(frame)
     A, B = bounds.lower, bounds.upper
     dual = canonical_dual_fusion(frame)
-    S1 = fusion_frame_operator(frame, normalized=True)
-    D1 = fusion_frame_operator(dual, normalized=True)
     X = sample_unit_vectors(rng, frame.ambient_dim, samples, frame.field)
-    frame_values = np.einsum("ij,jk,ik->i", X.conj(), S1, X).real
-    dual_values = np.einsum("ij,jk,ik->i", X.conj(), D1, X).real
-    ratios = frame_values / dual_values
+    ratios = quadratic_forms(X, frame.normalized_operator) / quadratic_forms(X, dual.normalized_operator)
     lower, upper = A**3 / B, B**3 / A
     slack = frame.tol.eig_rel * max(1.0, upper)
     holds = bool(lower - slack <= ratios.min() and ratios.max() <= upper + slack)
@@ -146,7 +132,11 @@ def verify_alternate_dual(frame: FusionFrame, candidate: FusionFrame) -> DualCer
 
     The reconstruction operator ``sum_i u_i v_i P_{V_i} S^-1 P_{W_i}``
     is applied to the ambient basis; the residual is the worst column
-    deviation from the identity.  The certificate also reports the
+    deviation from the identity.  With stacked bases ``Q`` (frame) and
+    ``R`` (candidate), synthesis matrix ``T`` of the frame and ``U`` of
+    the candidate, the operator is ``U (M o R* S^-1 T) Q*`` where ``M``
+    keeps the blocks that pair a member with itself, so a single solve
+    against ``T`` serves every member.  The certificate also reports the
     candidate's Bessel bound (largest eigenvalue of its weighted
     operator), which is always finite.
     """
@@ -158,16 +148,11 @@ def verify_alternate_dual(frame: FusionFrame, candidate: FusionFrame) -> DualCer
         raise NotADual(
             f"candidate has {candidate.member_count} members, expected {frame.member_count}"
         )
-    S = fusion_frame_operator(frame)
-    n = frame.ambient_dim
-    reconstruction = np.zeros_like(S)
-    for w_member, v_member in zip(frame.members, candidate.members):
-        inner = solve_hermitian_positive(S, w_member.subspace.projection(), frame.tol)
-        reconstruction += (
-            w_member.weight * v_member.weight * v_member.subspace.projection() @ inner
-        )
-    residual = float(np.linalg.norm(np.eye(n) - reconstruction, axis=0).max())
-    _, bessel = hermitian_eigenrange(fusion_frame_operator(candidate), candidate.tol)
+    inner = candidate.bases.conj().T @ solve_hermitian_positive(frame.operator, frame.synthesis, frame.tol)
+    same_member = np.equal.outer(_member_of_column(candidate), _member_of_column(frame))
+    reconstruction = candidate.synthesis @ np.where(same_member, inner, 0.0) @ frame.bases.conj().T
+    residual = float(np.linalg.norm(np.eye(frame.ambient_dim) - reconstruction, axis=0).max())
+    bessel = candidate._operator_range[1]
     return DualCertificate(
         residual=residual,
         is_dual=residual <= frame.tol.recon_abs,
@@ -203,12 +188,8 @@ def alternate_dual_bounds(
     dual_bounds = frame_bounds(dual)
     slack = frame.tol.eig_rel * max(1.0, floor)
     bounds_hold = dual_bounds.lower >= floor - slack
-    S1 = fusion_frame_operator(frame, normalized=True)
-    D1 = fusion_frame_operator(dual, normalized=True)
     X = sample_unit_vectors(rng, frame.ambient_dim, samples, frame.field)
-    frame_values = np.einsum("ij,jk,ik->i", X.conj(), S1, X).real
-    dual_values = np.einsum("ij,jk,ik->i", X.conj(), D1, X).real
-    ratios = dual_values / frame_values
+    ratios = quadratic_forms(X, dual.normalized_operator) / quadratic_forms(X, frame.normalized_operator)
     lower = 1.0 / inv_norm**2
     upper = certificate.bessel_bound / A
     ratio_slack = frame.tol.eig_rel * max(1.0, abs(upper), abs(lower))

@@ -114,3 +114,7 @@ class UnknownExample(FrameError):
 
 class BoundViolation(FrameError):
     """A strict-mode check observed values outside a claimed interval."""
+
+
+class InvariantViolation(FrameError):
+    """A fact the analysis relies on failed its numerical check."""

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -20,13 +21,13 @@ from .errors import (
     AllColumnsNumericallyZero,
     DimensionMismatch,
     EmptyRemainder,
+    InvariantViolation,
     NonPositiveWeight,
     NotAFusionFrame,
     SingularOperator,
     ZeroSubspace,
 )
 from .numerics import (
-    COMPLEX,
     DEFAULT_TOLERANCE,
     FrameBounds,
     REAL,
@@ -36,6 +37,7 @@ from .numerics import (
     kernel_dimension,
     orthonormalize,
     principal_angles,
+    quadratic_forms,
     sample_unit_vectors,
     _require_finite,
     _require_square,
@@ -112,6 +114,12 @@ class FusionFrame:
     weighted operator has numerically zero smallest eigenvalue is kept
     and tagged Bessel-only (``is_frame`` is ``False``); operations that
     need a positive lower bound raise :class:`NotAFusionFrame` instead.
+
+    The frame owns its operators, all read-only: ``bases`` stacks the
+    members' orthonormal bases (n x m), member ``i`` owning columns
+    ``offsets[i]:offsets[i + 1]``; ``synthesis`` is
+    ``T = [v_1 Q_1 | ... | v_N Q_N]``; ``operator`` is ``S = T T*``; and
+    ``normalized_operator`` is ``S1 = Q Q*``, computed on first use.
     """
 
     def __init__(self, members, tol: Tolerance = DEFAULT_TOLERANCE):
@@ -132,10 +140,18 @@ class FusionFrame:
                 )
         self.members = members
         self.tol = tol
-        low, high = hermitian_eigenrange(_weighted_operator(members, ambient), tol)
+        self._ambient_dim = ambient
+        self.bases = _read_only(np.concatenate([m.subspace.basis for m in members], axis=1))
+        self.offsets = _read_only(np.cumsum([0] + [m.subspace.dim for m in members]))
+        self.synthesis = _read_only(self.bases * np.repeat(self.weights, self.dims))
+        self.operator = _read_only(self.synthesis @ self.synthesis.conj().T)
+        low, high = hermitian_eigenrange(self.operator, tol)
         self._operator_range = (low, high)
         self.is_frame = low > tol.rank_rel * high
-        self._ambient_dim = ambient
+
+    @cached_property
+    def normalized_operator(self) -> np.ndarray:
+        return _read_only(self.bases @ self.bases.conj().T)
 
     @property
     def ambient_dim(self) -> int:
@@ -180,12 +196,9 @@ class AnalysisReport:
     bessel_only: bool
 
 
-def _weighted_operator(members, ambient: int) -> np.ndarray:
-    dtype = np.complex128 if members[0].subspace.field == COMPLEX else np.float64
-    S = np.zeros((ambient, ambient), dtype=dtype)
-    for member in members:
-        S += member.weight**2 * member.subspace.projection()
-    return S
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
 
 
 def build_fusion_frame(spans, ambient_dim: int, tol: Tolerance = DEFAULT_TOLERANCE) -> FusionFrame:
@@ -214,12 +227,7 @@ def build_fusion_frame(spans, ambient_dim: int, tol: Tolerance = DEFAULT_TOLERAN
 
 def fusion_frame_operator(frame: FusionFrame, normalized: bool = False) -> np.ndarray:
     """The operator ``sum_i v_i^2 P_i``; with ``normalized`` the weights drop."""
-    dtype = np.complex128 if frame.field == COMPLEX else np.float64
-    S = np.zeros((frame.ambient_dim, frame.ambient_dim), dtype=dtype)
-    for member in frame.members:
-        scale = 1.0 if normalized else member.weight**2
-        S += scale * member.subspace.projection()
-    return S
+    return frame.normalized_operator if normalized else frame.operator
 
 
 def frame_bounds(frame: FusionFrame) -> FrameBounds:
@@ -235,8 +243,7 @@ def frame_bounds(frame: FusionFrame) -> FrameBounds:
 def redundancy_at(frame: FusionFrame, x) -> float:
     """Pointwise redundancy sum_i ||P_i x||^2 at a unit vector."""
     v = _as_unit_vector(x, frame.ambient_dim)
-    S1 = fusion_frame_operator(frame, normalized=True)
-    return float(np.real(v.conj() @ S1 @ v))
+    return float(np.real(v.conj() @ frame.normalized_operator @ v))
 
 
 def redundancy_range(frame: FusionFrame) -> tuple[float, float]:
@@ -245,14 +252,13 @@ def redundancy_range(frame: FusionFrame) -> tuple[float, float]:
     Defined for Bessel-only families too; there the lower extreme is
     numerically zero.
     """
-    return hermitian_eigenrange(fusion_frame_operator(frame, normalized=True), frame.tol)
+    return hermitian_eigenrange(frame.normalized_operator, frame.tol)
 
 
 def redundancy_samples(frame: FusionFrame, rng: np.random.Generator, count: int) -> np.ndarray:
     """Redundancy values at ``count`` Haar-sampled unit vectors."""
-    S1 = fusion_frame_operator(frame, normalized=True)
     X = sample_unit_vectors(rng, frame.ambient_dim, count, frame.field)
-    return np.einsum("ij,jk,ik->i", X.conj(), S1, X).real
+    return quadratic_forms(X, frame.normalized_operator)
 
 
 def synthesis_matrix(frame: FusionFrame) -> np.ndarray:
@@ -262,13 +268,12 @@ def synthesis_matrix(frame: FusionFrame) -> np.ndarray:
     coefficients to ``sum_i v_i f_i``.  Its kernel dimension is the
     excess of the family.
     """
-    blocks = [member.weight * member.subspace.basis for member in frame.members]
-    return np.concatenate(blocks, axis=1)
+    return frame.synthesis
 
 
 def excess(frame: FusionFrame) -> int:
     """Dimension of the synthesis kernel: local degrees of freedom minus rank."""
-    return kernel_dimension(synthesis_matrix(frame), frame.tol)
+    return kernel_dimension(frame.synthesis, frame.tol)
 
 
 def is_minimal(frame: FusionFrame) -> bool:
@@ -338,7 +343,11 @@ def erase(frame: FusionFrame, indices) -> tuple[FusionFrame, float | None]:
         if a < A:
             guaranteed = A - a
             # Deleting weighted energy a < A cannot push the operator below A - a.
-            assert remaining._operator_range[0] >= guaranteed - frame.tol.eig_rel * max(1.0, A)
+            if remaining._operator_range[0] < guaranteed - frame.tol.eig_rel * max(1.0, A):
+                raise InvariantViolation(
+                    f"remaining lower bound {remaining._operator_range[0]:.6g} is below the "
+                    f"guaranteed floor {guaranteed:.6g}"
+                )
     return remaining, guaranteed
 
 
@@ -414,6 +423,19 @@ def erasure_certificate(
         low, high = hermitian_eigenrange(S, tol)
         return high > 0.0 and low > tol.rank_rel * high
 
+    def greedy_level(pick) -> int:
+        # Extend the removal path by the member whose removal leaves the
+        # largest (pick=max) or smallest (pick=min) lower bound; ties go
+        # to the lowest index.
+        path: list[int] = []
+        for k in range(1, budget + 1):
+            rest = total - sum(terms[j] for j in path)
+            lows = {i: hermitian_eigenrange(rest - terms[i], tol)[0] for i in range(N) if i not in path}
+            path.append(pick(lows, key=lows.get))
+            if not survives(path):
+                return k - 1
+        return budget
+
     certified = 0
     universal = 0
     universal_alive = True
@@ -438,40 +460,8 @@ def erasure_certificate(
                 break  # supersets of failing removals also fail
             certified = k
     else:
-        strong_path: list[int] = []
-        weak_path: list[int] = []
-        weak_alive = True
-        for k in range(1, budget + 1):
-            best = None
-            for i in range(N):
-                if i in strong_path:
-                    continue
-                S = total - sum(terms[j] for j in strong_path) - terms[i]
-                low, _ = hermitian_eigenrange(S, tol)
-                if best is None or low > best[1]:
-                    best = (i, low)
-            candidate = strong_path + [best[0]]
-            if survives(candidate):
-                strong_path = candidate
-                certified = k
-            else:
-                break
-        for k in range(1, budget + 1):
-            if not weak_alive:
-                break
-            worst = None
-            for i in range(N):
-                if i in weak_path:
-                    continue
-                S = total - sum(terms[j] for j in weak_path) - terms[i]
-                low, _ = hermitian_eigenrange(S, tol)
-                if worst is None or low < worst[1]:
-                    worst = (i, low)
-            weak_path = weak_path + [worst[0]]
-            if survives(weak_path):
-                universal = k
-            else:
-                weak_alive = False
+        certified = greedy_level(max)
+        universal = greedy_level(min)
 
     weight_rule = _weight_rule_level(frame.weights**2, A, budget, tol.eig_rel)
     if certified == 0:
@@ -576,15 +566,14 @@ def redundancy_equivalent(
     """
     if a.ambient_dim != b.ambient_dim or a.field != b.field:
         raise DimensionMismatch("families live in different spaces")
-    Sa = fusion_frame_operator(a, normalized=True)
-    Sb = fusion_frame_operator(b, normalized=True)
+    Sa, Sb = a.normalized_operator, b.normalized_operator
     equivalent = bool(np.abs(Sa - Sb).max() <= a.tol.eig_rel)
     if equivalent and samples > 0:
         rng = rng or np.random.default_rng(0)
         X = sample_unit_vectors(rng, a.ambient_dim, samples, a.field)
-        va = np.einsum("ij,jk,ik->i", X.conj(), Sa, X).real
-        vb = np.einsum("ij,jk,ik->i", X.conj(), Sb, X).real
-        assert np.abs(va - vb).max() <= 10 * a.tol.eig_rel
+        gap = np.abs(quadratic_forms(X, Sa) - quadratic_forms(X, Sb)).max()
+        if gap > 10 * a.tol.eig_rel:
+            raise InvariantViolation(f"sampled redundancies of equal operators differ by {gap:.3e}")
     return equivalent
 
 

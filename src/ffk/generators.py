@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NotAFrame
+from .errors import DimensionMismatch, NotAFrame
 from .fusion import FusionFrame, Subspace, WeightedSubspace, union
 from .numerics import COMPLEX, DEFAULT_TOLERANCE, REAL, Tolerance, orthonormalize
 from .systems import FusionFrameSystem, build_system
@@ -42,8 +42,11 @@ def random_fusion_frame(
     n = n or int(rng.integers(2, 9))
     field = field or random_field(rng)
     max_dim = max_dim or min(n, 4)
+    fewest = -(-n // max_dim)  # fewer members of dimension <= max_dim cannot span
+    if (members or 8) < fewest:
+        raise DimensionMismatch(f"{members or 8} members of dimension <= {max_dim} cannot span dimension {n}")
     while True:
-        count = members or int(rng.integers(2, 9))
+        count = members or int(rng.integers(max(2, fewest), 9))
         dims = rng.integers(1, max_dim + 1, size=count)
         while dims.sum() < n:  # otherwise the family cannot span
             dims[rng.integers(count)] = min(max_dim, n)

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     AllColumnsNumericallyZero,
@@ -152,9 +151,10 @@ def solve_hermitian_positive(
 ) -> np.ndarray:
     """Solve ``M X = rhs`` for Hermitian positive definite ``M``.
 
-    Positive definiteness is decided spectrally: the smallest eigenvalue
-    must exceed ``tol.rank_rel`` times the largest.  The solve itself is
-    a Cholesky factorization followed by one step of iterative
+    One eigendecomposition serves both steps.  Positive definiteness is
+    decided spectrally: the smallest eigenvalue must exceed
+    ``tol.rank_rel`` times the largest.  The solve applies the inverse
+    through the eigenbasis, followed by one step of iterative
     refinement, which keeps the residual near machine level even for
     moderately ill-conditioned operators.
     """
@@ -162,18 +162,36 @@ def solve_hermitian_positive(
     B = _require_finite(np.asarray(rhs), "right-hand side")
     if B.shape[0] != H.shape[0]:
         raise DimensionMismatch(f"right-hand side has {B.shape[0]} rows, expected {H.shape[0]}")
-    low, high = hermitian_eigenrange(H, tol)
+    eigenvalues, V = np.linalg.eigh(H)
+    low, high = float(eigenvalues[0]), float(eigenvalues[-1])
     if high <= 0.0 or low <= tol.rank_rel * high:
         raise NotPositiveDefinite(f"spectrum [{low:.3e}, {high:.3e}] fails the positivity cutoff")
-    factor = scipy.linalg.cho_factor(H, check_finite=False)
-    X = scipy.linalg.cho_solve(factor, B, check_finite=False)
-    X = X + scipy.linalg.cho_solve(factor, B - H @ X, check_finite=False)
-    return X
+    scale = eigenvalues.reshape((-1,) + (1,) * (B.ndim - 1))
+
+    def apply_inverse(Y):
+        return V @ ((V.conj().T @ Y) / scale)
+
+    X = apply_inverse(B)
+    return X + apply_inverse(B - H @ X)
 
 
 def principal_angles(basis_a: np.ndarray, basis_b: np.ndarray) -> np.ndarray:
-    """Principal angles between the column spans of two orthonormal bases."""
-    return scipy.linalg.subspace_angles(np.asarray(basis_a), np.asarray(basis_b))
+    """Principal angles between the column spans of two orthonormal bases.
+
+    Cosines come from the singular values of ``Qa* Qb``, sines from those
+    of ``Qb - Qa Qa* Qb`` with ``Qa`` the wider basis.  Each angle is
+    taken from its sine where its squared cosine is at least 1/2, where
+    the arccosine loses precision.  Angles are returned in descending
+    order.
+    """
+    Qa, Qb = np.asarray(basis_a), np.asarray(basis_b)
+    if Qa.shape[1] < Qb.shape[1]:
+        Qa, Qb = Qb, Qa
+    cross = Qa.conj().T @ Qb
+    cosines = np.clip(np.linalg.svd(cross, compute_uv=False), -1.0, 1.0)
+    sines = np.clip(np.linalg.svd(Qb - Qa @ cross, compute_uv=False), -1.0, 1.0)
+    angles = np.where(cosines**2 >= 0.5, np.arcsin(sines[::-1]), np.arccos(cosines))
+    return angles[::-1]
 
 
 def sample_unit_vectors(
@@ -202,8 +220,17 @@ def sample_unit_vectors(
     return X / norms[:, None]
 
 
-def rayleigh_samples(M: np.ndarray, rng: np.random.Generator, count: int) -> np.ndarray:
-    """Rayleigh quotients x* M x of ``count`` sampled unit vectors."""
-    H = symmetrize(_require_finite(M))
-    X = sample_unit_vectors(rng, H.shape[0], count, field_of(H))
-    return np.einsum("ij,jk,ik->i", X.conj(), H, X).real
+QUADRATIC_FORM_BLOCK_ROWS = 2048
+
+
+def quadratic_forms(X: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """Real parts of ``x* M x`` for every row ``x`` of ``X``.
+
+    Rows are processed in fixed blocks so the temporaries stay small
+    however many rows ``X`` has.
+    """
+    values = np.empty(X.shape[0])
+    for start in range(0, X.shape[0], QUADRATIC_FORM_BLOCK_ROWS):
+        block = X[start:start + QUADRATIC_FORM_BLOCK_ROWS]
+        values[start:start + QUADRATIC_FORM_BLOCK_ROWS] = np.sum((block.conj() @ M) * block, axis=1).real
+    return values

@@ -120,7 +120,7 @@ def _as_unit_vector(x, dim: int) -> np.ndarray:
         raise DimensionMismatch(f"expected a vector of dimension {dim}, got shape {v.shape}")
     _require_finite(v, "vector")
     if abs(np.linalg.norm(v) - 1.0) > UNIT_NORM_TOL:
-        raise NotUnitVector(f"||x|| = {np.linalg.norm(v)!r} is not 1 within {UNIT_NORM_TOL}")
+        raise NotUnitVector(f"||x|| = {float(np.linalg.norm(v))!r} is not 1 within {UNIT_NORM_TOL}")
     return v
 
 

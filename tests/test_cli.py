@@ -150,7 +150,18 @@ class TestRedundancy:
         at.write_text("[1.0, 1.0, 0.0, 0.0]", encoding="utf-8")
         code, _, stderr = run("redundancy", frame_file("7.1", 4), "--at", str(at))
         assert code == 1
-        assert json.loads(stderr)["error"]["type"] == "NotUnitVector"
+        error = json.loads(stderr)["error"]
+        assert error["type"] == "NotUnitVector"
+        assert error["message"].startswith("||x|| = 1.4142135623730951 is not 1")
+
+    @pytest.mark.parametrize("first", [["0.44", 0], [True, 0], [1.0], 1.0])
+    def test_malformed_complex_entries_rejected(self, run, frame_file, tmp_path, first):
+        at = tmp_path / "x.json"
+        at.write_text(json.dumps([first] + [[0.0, 0.0]] * 4), encoding="utf-8")
+        code, _, stderr = run("redundancy", frame_file("7.3"), "--at", str(at))
+        assert code == 1
+        assert stderr.count("\n") == 1
+        assert json.loads(stderr)["error"]["type"] == "ParseError"
 
 
 class TestDual:
@@ -249,6 +260,17 @@ class TestTransform:
         assert tree["redundancy_holds"] is True
         assert tree["image_written"] == str(out)
         FrameDocument.from_json_text(out.read_text(encoding="utf-8"))
+
+    @pytest.mark.parametrize(
+        "rows", [[1, 2], [[1.0, 0.0, 0.0], [0.0, 1.0]], [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, True]], []]
+    )
+    def test_malformed_operator_rejected(self, run, frame_file, tmp_path, rows):
+        op = tmp_path / "op.json"
+        op.write_text(json.dumps(rows), encoding="utf-8")
+        code, _, stderr = run("transform", frame_file("7.2", 3), "--operator", str(op))
+        assert code == 1
+        assert stderr.count("\n") == 1
+        assert json.loads(stderr)["error"]["type"] == "ParseError"
 
     def test_singular_operator_rejected(self, run, frame_file, tmp_path):
         op = tmp_path / "op.json"

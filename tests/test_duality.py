@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from ffk import duality
 from ffk.duality import (
     alternate_dual_bounds,
     canonical_dual_fusion,
@@ -188,3 +189,14 @@ class TestAlternateDualBounds:
             pytest.skip("random families happened to be dual")
         with pytest.raises(NotADual):
             alternate_dual_bounds(frame, other, rng)
+
+
+def test_one_solve_per_dual_operation(monkeypatch, rng):
+    calls = []
+    solve = duality.solve_hermitian_positive
+    monkeypatch.setattr(duality, "solve_hermitian_positive", lambda *args: calls.append(args) or solve(*args))
+    frame = random_fusion_frame(rng, n=6, members=5)
+    dual = canonical_dual_fusion(frame)
+    assert len(calls) == 1
+    assert verify_alternate_dual(frame, dual).is_dual
+    assert len(calls) == 2

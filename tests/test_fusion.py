@@ -1,9 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ffk
 from ffk.errors import (
     DimensionMismatch,
     EmptyRemainder,
@@ -206,6 +211,14 @@ class TestConstruction:
     def test_empty_family_rejected(self):
         with pytest.raises(DimensionMismatch):
             FusionFrame([])
+
+    def test_random_family_that_cannot_span_is_rejected(self):
+        with pytest.raises(DimensionMismatch):
+            random_fusion_frame(np.random.default_rng(0), 15, members=3, max_dim=4)
+        with pytest.raises(DimensionMismatch):
+            random_fusion_frame(np.random.default_rng(0), 40)
+        for seed in range(20):
+            assert random_fusion_frame(np.random.default_rng(seed), 15).is_frame
 
     def test_bessel_only_is_tagged_not_raised(self):
         frame = build_fusion_frame([(np.array([[1.0], [0.0]]), 1.0)], 2)
@@ -542,3 +555,45 @@ def test_weight_scaling_never_changes_redundancy_or_excess(n, seed, alpha):
     )
     assert redundancy_equivalent(frame, scaled)
     assert excess(scaled) == excess(frame)
+
+
+CHECKED_FACTS_SCRIPT = """
+import sys
+import numpy as np
+import ffk.fusion as fusion
+from ffk.errors import InvariantViolation
+from ffk.gallery import example_frame
+from ffk.numerics import Tolerance
+
+def outcome(call):
+    try:
+        call()
+    except InvariantViolation:
+        return "raised"
+    return "passed"
+
+# S1 = I + uu* and I + vv* agree entrywise within eig_rel, yet differ by 1 at u.
+n = 64
+u = np.ones(n) / np.sqrt(n)
+v = np.resize([1.0, -1.0], n) / np.sqrt(n)
+tol = Tolerance(eig_rel=0.05)
+a = fusion.build_fusion_frame([(np.eye(n), 1.0), (u[:, None], 1.0)], n, tol)
+b = fusion.build_fusion_frame([(np.eye(n), 1.0), (v[:, None], 1.0)], n, tol)
+fusion.sample_unit_vectors = lambda rng, dim, count, field: u[None, :]
+equivalence = outcome(lambda: fusion.redundancy_equivalent(a, b, samples=1))
+
+# A spectrum that breaks the erasure floor A - a.
+frame = example_frame("7.1-V", 4)
+fusion.hermitian_eigenrange = lambda M, tol=None: (1e-3, 2.0)
+print(sys.flags.optimize, equivalence, outcome(lambda: fusion.erase(frame, [0])))
+"""
+
+
+def test_checked_facts_raise_under_optimize():
+    src = str(Path(ffk.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", CHECKED_FACTS_SCRIPT], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["1", "raised", "raised"]

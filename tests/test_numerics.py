@@ -18,7 +18,7 @@ from ffk.numerics import (
     kernel_dimension,
     orthonormalize,
     principal_angles,
-    rayleigh_samples,
+    quadratic_forms,
     sample_unit_vectors,
     solve_hermitian_positive,
 )
@@ -111,7 +111,7 @@ class TestHermitianEigenrange:
         a = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
         h = a + a.conj().T
         low, high = hermitian_eigenrange(h)
-        quotients = rayleigh_samples(h, rng, 200)
+        quotients = quadratic_forms(sample_unit_vectors(rng, 6, 200, COMPLEX), h)
         assert np.min(quotients) >= low - 1e-3
         assert np.max(quotients) <= high + 1e-3
 
