@@ -5,7 +5,11 @@ For each generated frame the sweep checks:
   * sampled redundancy values stay inside the computed extremes,
   * adjoining an orthonormal fusion basis shifts both extremes by one,
   * the canonical dual satisfies the reconstruction identity,
-  * invertible images respect the conditioning brackets.
+  * invertible images respect the conditioning brackets,
+  * for frames with at most 22 members, the greedy and exhaustive
+    erasure certificates bracket each other soundly: greedy certified
+    <= exhaustive certified, exhaustive universal <= greedy universal,
+    and weight_rule <= certified in both.
 
 Usage:
     python scripts/property_sweep.py [--count 100] [--seed 0] [--field real|complex]
@@ -18,6 +22,8 @@ import numpy as np
 
 from ffk.duality import canonical_dual_fusion, verify_alternate_dual
 from ffk.fusion import (
+    EXHAUSTIVE_MEMBER_LIMIT,
+    erasure_certificate,
     operator_image_report,
     redundancy_range,
     redundancy_samples,
@@ -41,7 +47,7 @@ class SweepConfig:
 
 def run_sweep(config: SweepConfig) -> dict:
     rng = np.random.default_rng(config.seed)
-    tallies = {"containment": 0, "union_shift": 0, "dual": 0, "operator": 0}
+    tallies = {"containment": 0, "union_shift": 0, "dual": 0, "operator": 0, "erasure": 0}
     failures = []
     for index in range(config.count):
         n = int(rng.integers(2, config.max_dim + 1))
@@ -73,6 +79,18 @@ def run_sweep(config: SweepConfig) -> dict:
             tallies["operator"] += 1
         else:
             failures.append((index, "operator"))
+
+        if frame.member_count <= EXHAUSTIVE_MEMBER_LIMIT:
+            greedy = erasure_certificate(frame, mode="greedy")
+            exhaustive = erasure_certificate(frame, mode="exhaustive")
+            if (
+                greedy.certified <= exhaustive.certified
+                and exhaustive.universal <= greedy.universal
+                and all(c.weight_rule <= c.certified for c in (greedy, exhaustive))
+            ):
+                tallies["erasure"] += 1
+            else:
+                failures.append((index, "erasure"))
     return {"tallies": tallies, "failures": failures}
 
 

@@ -304,11 +304,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except FrameError as exc:
-        return _fail(exc)
-    except OSError as exc:
-        return _fail(exc)
-    except ValueError as exc:
+    except (FrameError, OSError, ValueError, MemoryError) as exc:
         return _fail(exc)
 
 

@@ -47,6 +47,7 @@ from .vector_frames import _as_unit_vector
 ORTHONORMALITY_TOL = 1e-10
 SUBSPACE_ANGLE_TOL = 1e-8
 EXHAUSTIVE_MEMBER_LIMIT = 22
+ERASURE_CHUNK_BYTES = 1 << 17  # each (rows, n, n) array of one exhaustive-search chunk
 PROJECTION_CHECK_TOL = 1e-10
 
 
@@ -329,12 +330,13 @@ def erase(frame: FusionFrame, indices) -> tuple[FusionFrame, float | None]:
     when ``a < A``; otherwise ``None``.  The remaining family may be
     Bessel-only, in which case its ``is_frame`` flag is false.
     """
-    J = sorted(set(int(i) for i in indices))
+    removed = {int(i) for i in indices}
+    J = sorted(removed)
     if any(i < 0 or i >= frame.member_count for i in J):
         raise DimensionMismatch(f"erasure indices {J} out of range for {frame.member_count} members")
     if len(J) == frame.member_count:
         raise EmptyRemainder("erasing every member leaves nothing to analyze")
-    keep = [m for i, m in enumerate(frame.members) if i not in set(J)]
+    keep = [m for i, m in enumerate(frame.members) if i not in removed]
     remaining = FusionFrame(keep, frame.tol)
     guaranteed: float | None = None
     if frame.is_frame:
@@ -367,7 +369,9 @@ class ErasureCertificate:
                      certifies ``certified``, "spectral" when only the
                      eigenvalue check does, "none" when nothing is
                      certified
-    ``mode``         "exhaustive" (all subsets enumerated) or "greedy"
+    ``mode``         "exhaustive" (every subset decided in chunks: by its
+                     dimensions, a shifted Cholesky certificate, or
+                     exactly by ``eigvalsh``) or "greedy"
                      (heuristic search; ``certified`` is still a sound
                      witness-backed count, but may be an undercount, and
                      ``universal`` is only an upper-bound estimate)
@@ -397,9 +401,25 @@ def erasure_certificate(
 ) -> ErasureCertificate:
     """Determine how many members can be erased, verified spectrally.
 
-    Exhaustive mode enumerates every subset up to the budget and is
-    limited to families with at most 22 members; greedy mode follows
-    the strongest (respectively weakest) removal path instead.
+    Removing the members ``J`` leaves a fusion frame iff
+    ``S_J = S - sum_{i in J} v_i^2 P_i`` passes ``low > rank_rel * high``
+    on its eigenvalue range.  Exhaustive mode (at most 22 members) decides
+    each level's subsets in ``itertools.combinations`` order, by chunks:
+
+    1. ``sum_{i in J} d_i > sum_i d_i - n`` fails unseen: ``rank S_J < n``.
+    2. With ``H`` the symmetrized ``S_J``, ``t = tr H`` and
+       ``tau = (2 rank_rel + 4 (n+1) n eps) |t|``, one batched Cholesky
+       factorization of ``H - tau I`` certifies the chunk.  Its success
+       (backward error) gives ``lambda_min(H - tau I) >= -(n+1) eps
+       tr(H - tau I)``, so ``t > 0``, ``lambda_min(H) >= tau - (n+1) eps t``
+       and ``lambda_max(H) <= t``: the range passes the test by
+       ``(rank_rel + (4n^2 + 3n - 1) eps) t``, above ``eigvalsh`` roundoff
+       (``p(n) eps t``, ``p`` modest, far below ``4n^2`` and ``rank_rel/eps``).
+    3. Else one batched ``eigvalsh`` of the same ``H`` decides each row bit
+       for bit as the per-subset ``hermitian_eigenrange`` test.
+
+    A level stops once its outcome is settled.  Greedy mode follows the
+    strongest (respectively weakest) removal path instead.
     """
     if not frame.is_frame:
         raise NotAFusionFrame("erasure robustness is defined for fusion frames only")
@@ -413,15 +433,33 @@ def erasure_certificate(
     if mode == "exhaustive" and N > EXHAUSTIVE_MEMBER_LIMIT:
         raise ValueError(f"exhaustive mode supports at most {EXHAUSTIVE_MEMBER_LIMIT} members, got {N}")
 
-    tol = frame.tol
-    terms = [m.weight**2 * m.subspace.projection() for m in frame.members]
+    tol, n, dims = frame.tol, frame.ambient_dim, frame.dims
+    terms = np.stack([m.weight**2 * m.subspace.projection() for m in frame.members])
     total = sum(terms)
     A = frame._operator_range[0]
+    tau_per_trace = 2 * tol.rank_rel + 4 * (n + 1) * n * np.finfo(float).eps
 
-    def survives(removed) -> bool:
-        S = total - sum(terms[i] for i in removed)
-        low, high = hermitian_eigenrange(S, tol)
-        return high > 0.0 and low > tol.rank_rel * high
+    def survivors(J: np.ndarray) -> np.ndarray:
+        # Which removals (rows of J) leave a frame: the three steps above.
+        alive = dims[J].sum(axis=1) <= dims.sum() - n
+        if alive.any():
+            # sum(terms[i] for i in J)'s order; zero signs may differ, which total - H erases.
+            H = terms[J[alive, 0]]
+            for c in range(1, J.shape[1]):
+                H += terms[J[alive, c]]
+            H = _require_finite(np.subtract(total, H, out=H))
+            shifted = np.conjugate(H)  # a new array also when H is real
+            H += shifted.swapaxes(1, 2)
+            H /= 2.0  # the symmetrize() of hermitian_eigenrange, in place
+            np.copyto(shifted, H)
+            tau = tau_per_trace * np.abs(np.trace(H, axis1=1, axis2=2).real)
+            shifted.reshape(len(H), -1)[:, :: n + 1] -= tau[:, None]  # H - tau I
+            try:
+                np.linalg.cholesky(shifted)
+            except np.linalg.LinAlgError:
+                low, high = np.linalg.eigvalsh(H)[:, [0, -1]].T
+                alive[alive] = (high > 0.0) & (low > tol.rank_rel * high)
+        return alive
 
     def greedy_level(pick) -> int:
         # Extend the removal path by the member whose removal leaves the
@@ -432,7 +470,7 @@ def erasure_certificate(
             rest = total - sum(terms[j] for j in path)
             lows = {i: hermitian_eigenrange(rest - terms[i], tol)[0] for i in range(N) if i not in path}
             path.append(pick(lows, key=lows.get))
-            if not survives(path):
+            if not survivors(np.array([path]))[0]:
                 return k - 1
         return budget
 
@@ -440,18 +478,17 @@ def erasure_certificate(
     universal = 0
     universal_alive = True
     if mode == "exhaustive":
+        rows = max(1, ERASURE_CHUNK_BYTES // terms[0].nbytes)
         for k in range(1, budget + 1):
             any_survivor = False
             all_survive = True
-            for J in itertools.combinations(range(N), k):
-                if survives(J):
-                    any_survivor = True
-                    if not universal_alive:
-                        break  # existential answered; universal already settled
-                else:
-                    all_survive = False
-                    if any_survivor and not universal_alive:
-                        break
+            subsets = itertools.combinations(range(N), k)
+            while chunk := list(itertools.islice(subsets, rows)):
+                alive = survivors(np.array(chunk))
+                any_survivor = any_survivor or bool(alive.any())
+                all_survive = all_survive and bool(alive.all())
+                if any_survivor and not (universal_alive and all_survive):
+                    break  # the level's outcome is settled
             if universal_alive and all_survive:
                 universal = k
             if not all_survive:
@@ -562,7 +599,8 @@ def redundancy_equivalent(
     Redundancy functions agree pointwise exactly when the normalized
     operators coincide; that operator test decides the answer.  When
     ``samples`` is positive and the operators agree, sampled values are
-    compared as a consistency check.
+    compared as a consistency check: at unit ``x`` they differ by at most
+    ``||Sa - Sb||_2`` plus the roundoff of the two quadratic forms.
     """
     if a.ambient_dim != b.ambient_dim or a.field != b.field:
         raise DimensionMismatch("families live in different spaces")
@@ -572,8 +610,10 @@ def redundancy_equivalent(
         rng = rng or np.random.default_rng(0)
         X = sample_unit_vectors(rng, a.ambient_dim, samples, a.field)
         gap = np.abs(quadratic_forms(X, Sa) - quadratic_forms(X, Sb)).max()
-        if gap > 10 * a.tol.eig_rel:
-            raise InvariantViolation(f"sampled redundancies of equal operators differ by {gap:.3e}")
+        roundoff = 4 * (a.ambient_dim + 2) * np.finfo(float).eps * (np.linalg.norm(Sa) + np.linalg.norm(Sb))
+        bound = np.linalg.norm(Sa - Sb, 2) + roundoff
+        if gap > bound:
+            raise InvariantViolation(f"sampled redundancies differ by {gap:.3e}, beyond the operator gap {bound:.3e}")
     return equivalent
 
 

@@ -25,6 +25,11 @@ from .fusion import FusionFrame, Subspace, WeightedSubspace
 from .numerics import COMPLEX, DEFAULT_TOLERANCE, REAL, Tolerance
 
 EXAMPLE_NAMES = ("7.1", "7.1-V", "7.2", "7.3")
+# Largest dimension of the scalable presets.  Example 7.1 at dimension n
+# has 2n members: an n x 2n stacked basis and synthesis matrix, an n x n
+# operator, and 2n^2 numbers in its document (`ffk example` at the cap:
+# about 70 MB peak, 3.5 s on 2 vCPUs).  Larger n fails before allocating.
+EXAMPLE_MAX_DIMENSION = 512
 
 
 def _coordinate_subspace(indices, n: int, field: str) -> Subspace:
@@ -38,8 +43,9 @@ def _coordinate_subspace(indices, n: int, field: str) -> Subspace:
 def example_frame(name: str, n: int | None = None, tol: Tolerance = DEFAULT_TOLERANCE) -> FusionFrame:
     """Construct a catalog example.
 
-    ``n`` selects the dimension of the scalable presets (default 4) and
-    must be omitted (or 5) for the fixed preset ``7.3``.
+    ``n`` selects the dimension of the scalable presets (default 4, at
+    most ``EXAMPLE_MAX_DIMENSION``) and must be omitted (or 5) for the
+    fixed preset ``7.3``.
     """
     if name not in EXAMPLE_NAMES:
         raise UnknownExample(f"no example named {name!r}; choose from {', '.join(EXAMPLE_NAMES)}")
@@ -54,8 +60,8 @@ def example_frame(name: str, n: int | None = None, tol: Tolerance = DEFAULT_TOLE
         ]
         return FusionFrame(members, tol)
     n = 4 if n is None else int(n)
-    if n < 2:
-        raise DimensionMismatch(f"example {name} requires dimension n >= 2, got {n}")
+    if not 2 <= n <= EXAMPLE_MAX_DIMENSION:
+        raise DimensionMismatch(f"example {name} requires dimension 2 <= n <= {EXAMPLE_MAX_DIMENSION}, got {n}")
     lines = [_coordinate_subspace([i], n, REAL) for i in range(n)]
     if name == "7.1":
         members = [WeightedSubspace(lines[0], 1.0)] * (n + 1)

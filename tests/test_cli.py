@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from ffk import cli, gallery
 from ffk.cli import main
 from ffk.documents import FrameDocument, canonical_json, emit_example
 from ffk.gallery import example_frame
@@ -67,6 +68,29 @@ class TestExample:
         code, _, stderr = run("example", "--name", "7.3", "-n", "4")
         assert code == 1
         assert json.loads(stderr)["error"]["type"] == "DimensionMismatch"
+
+    @pytest.mark.parametrize("name", ["7.1", "7.1-V", "7.2"])
+    def test_dimension_above_the_cap_fails_before_allocating(self, run, monkeypatch, name):
+        def refuse(*args):
+            raise AssertionError("a member was built above the dimension cap")
+
+        monkeypatch.setattr(gallery, "_coordinate_subspace", refuse)
+        code, stdout, stderr = run("example", "--name", name, "-n", str(gallery.EXAMPLE_MAX_DIMENSION + 1))
+        assert (code, stdout) == (1, "")
+        assert stderr.count("\n") == 1
+        error = json.loads(stderr)["error"]
+        assert error["type"] == "DimensionMismatch"
+        assert str(gallery.EXAMPLE_MAX_DIMENSION) in error["message"]
+
+    def test_memory_error_becomes_json_error(self, run, monkeypatch):
+        def exhausted(name, n):
+            raise MemoryError("cannot allocate the example")
+
+        monkeypatch.setattr(cli, "emit_example", exhausted)
+        code, stdout, stderr = run("example", "--name", "7.2", "-n", "3")
+        assert (code, stdout) == (1, "")
+        assert stderr.count("\n") == 1
+        assert json.loads(stderr) == {"error": {"type": "MemoryError", "message": "cannot allocate the example"}}
 
 
 class TestAnalyze:

@@ -1,9 +1,11 @@
 """Fast paths against the slow references they replaced.
 
 The references assemble operators member by member from n x n
-projections, solve once per member, and run the two separate greedy
-erasure loops; the library builds stacked operators once per frame,
-solves once per dual operation, and shares one greedy helper.
+projections, solve once per member, run the two separate greedy
+erasure loops, and decide each exhaustive erasure subset with its own
+eigvalsh; the library builds stacked operators once per frame, solves
+once per dual operation, shares one greedy helper, and decides
+exhaustive subsets in chunks.
 """
 
 import itertools
@@ -11,9 +13,18 @@ import itertools
 import numpy as np
 import pytest
 
+from ffk import fusion
 from ffk.duality import canonical_dual_fusion, verify_alternate_dual
-from ffk.fusion import erasure_certificate
-from ffk.generators import random_fusion_frame, random_unitary
+from ffk.fusion import (
+    ErasureCertificate,
+    FusionFrame,
+    Subspace,
+    WeightedSubspace,
+    _weight_rule_level,
+    erasure_certificate,
+)
+from ffk.gallery import example_frame
+from ffk.generators import random_fusion_frame, random_subspace, random_unitary
 from ffk.numerics import (
     COMPLEX,
     REAL,
@@ -90,6 +101,65 @@ def reference_greedy_levels(frame, budget):
     return certified, universal
 
 
+def reference_exhaustive_levels(frame, budget):
+    """The exhaustive search as one n x n eigvalsh per removed subset."""
+    N = frame.member_count
+    tol = frame.tol
+    terms = [m.weight**2 * m.subspace.projection() for m in frame.members]
+    total = sum(terms)
+    A = frame._operator_range[0]
+
+    def survives(removed) -> bool:
+        S = total - sum(terms[i] for i in removed)
+        low, high = hermitian_eigenrange(S, tol)
+        return high > 0.0 and low > tol.rank_rel * high
+
+    certified = 0
+    universal = 0
+    universal_alive = True
+    for k in range(1, budget + 1):
+        any_survivor = False
+        all_survive = True
+        for J in itertools.combinations(range(N), k):
+            if survives(J):
+                any_survivor = True
+                if not universal_alive:
+                    break  # existential answered; universal already settled
+            else:
+                all_survive = False
+                if any_survivor and not universal_alive:
+                    break
+        if universal_alive and all_survive:
+            universal = k
+        if not all_survive:
+            universal_alive = False
+        if not any_survivor:
+            break  # supersets of failing removals also fail
+        certified = k
+
+    weight_rule = _weight_rule_level(frame.weights**2, A, budget, tol.eig_rel)
+    if certified == 0:
+        rule = "none"
+    elif weight_rule >= certified:
+        rule = "weight-sum-bound"
+    else:
+        rule = "spectral"
+    return ErasureCertificate(
+        budget=budget,
+        certified=certified,
+        universal=universal,
+        weight_rule=weight_rule,
+        rule=rule,
+        mode="exhaustive",
+    )
+
+
+def assert_exhaustive_matches(frame, budget=None):
+    certificate = erasure_certificate(frame, budget, "exhaustive")
+    assert certificate == reference_exhaustive_levels(frame, certificate.budget)
+    return certificate
+
+
 def largest_angle(Qa, Qb):
     sines = np.linalg.svd(Qb - Qa @ (Qa.conj().T @ Qb), compute_uv=False)
     return float(np.arcsin(min(1.0, sines.max())))
@@ -132,6 +202,64 @@ def test_greedy_erasure_matches_the_two_loops(seed):
     frame = seeded_frame(seed)
     certificate = erasure_certificate(frame, mode="greedy")
     assert (certificate.certified, certificate.universal) == reference_greedy_levels(frame, certificate.budget)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_exhaustive_erasure_matches_per_subset_search(seed):
+    assert_exhaustive_matches(seeded_frame(seed))
+
+
+@pytest.mark.parametrize("name", ["7.1", "7.1-V", "7.2"])
+@pytest.mark.parametrize("n", range(2, 9))
+def test_exhaustive_erasure_matches_on_gallery(name, n):
+    # Coordinate families: removals are exactly singular and lower
+    # bounds tie exactly, so every decision sits on a cutoff.
+    assert_exhaustive_matches(example_frame(name, n))
+
+
+def test_exhaustive_erasure_matches_on_example_7_3():
+    assert_exhaustive_matches(example_frame("7.3"))
+
+
+def test_exhaustive_erasure_first_failure_inside_a_later_chunk():
+    # Planes in the complement of e_0, except two members that also
+    # hold e_0: removing that pair alone fails at level 2.  Put the pair
+    # in the middle of the second chunk of C(22, 2) pairs.
+    n, N = 16, 22
+    rows = fusion.ERASURE_CHUNK_BYTES // (n * n * 8)
+    assert 2 * rows < N * (N - 1) // 2, "the level must span several chunks"
+    pair = next(itertools.islice(itertools.combinations(range(N), 2), rows + rows // 2, None))
+    rng = np.random.default_rng(5)
+    members = []
+    for i in range(N):
+        basis = np.zeros((n, 2))
+        basis[1:] = random_subspace(rng, n - 1, 2, REAL).basis
+        if i in pair:
+            basis[:, 0] = np.eye(n)[0]
+        members.append(WeightedSubspace(Subspace(basis), float(rng.uniform(0.5, 2.0))))
+    frame = FusionFrame(members)
+    certificate = assert_exhaustive_matches(frame, budget=4)
+    assert (certificate.certified, certificate.universal) == (4, 1)
+
+
+@pytest.mark.parametrize("n, ratio", [(3, 0.5), (3, 3.0), (2, 0.75), (2, 1.5)])
+def test_exhaustive_erasure_near_the_cutoff(n, ratio, monkeypatch):
+    # Every line is held twice, the last by a weak and a strong member.
+    # Removing the strong one leaves lambda_min / lambda_max = ratio *
+    # rank_rel, so level 1 is universal iff ratio > 1.  The shifted
+    # Cholesky certificate declines that chunk and the batched eigvalsh
+    # decides it; at n = 2 a shift below rank_rel * tr would certify the
+    # removal at ratio 0.75.
+    c = 2 * ratio * fusion.DEFAULT_TOLERANCE.rank_rel
+    U = random_unitary(np.random.default_rng(11), n, REAL)
+    spans = [(U[:, [i]], 1.0) for i in range(n - 1) for _ in range(2)]
+    frame = fusion.build_fusion_frame(spans + [(U[:, [-1]], np.sqrt(c)), (U[:, [-1]], 1.0)], n)
+    batched = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda H: batched.append(H.ndim == 3) or eigvalsh(H))
+    certificate = assert_exhaustive_matches(frame)
+    assert any(batched)
+    assert certificate.universal == (1 if ratio > 1 else 0)
 
 
 @pytest.mark.parametrize("rows", [1, 2047, 2048, 2049])

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ffk
+from ffk import fusion
 from ffk.errors import (
     DimensionMismatch,
     EmptyRemainder,
@@ -51,7 +52,7 @@ from ffk.generators import (
     random_tight_uniform_fusion_frame,
     random_unitary,
 )
-from ffk.numerics import COMPLEX, REAL
+from ffk.numerics import COMPLEX, REAL, Tolerance
 
 
 def coordinate_vector(i: int, n: int) -> np.ndarray:
@@ -488,6 +489,20 @@ class TestRedundancyEquivalence:
                 random_fusion_frame(rng, n=4, field=REAL),
             )
 
+    def test_sampled_check_allows_the_operator_gap(self, monkeypatch):
+        # S1 = I + uu* and I + vv* agree entrywise within eig_rel = 0.05
+        # but differ by ||uu* - vv*||_2 = 1 at u; the sampled check must
+        # allow that gap rather than raise.
+        n = 64
+        u = np.ones(n) / np.sqrt(n)
+        v = np.resize([1.0, -1.0], n) / np.sqrt(n)
+        tol = Tolerance(eig_rel=0.05)
+        a = build_fusion_frame([(np.eye(n), 1.0), (u[:, None], 1.0)], n, tol)
+        b = build_fusion_frame([(np.eye(n), 1.0), (v[:, None], 1.0)], n, tol)
+        assert redundancy_equivalent(a, b, samples=256, rng=np.random.default_rng(0))
+        monkeypatch.setattr(fusion, "sample_unit_vectors", lambda rng, dim, count, field: u[None, :])
+        assert redundancy_equivalent(a, b, samples=1)
+
 
 class TestProjectionDecomposition:
     def test_identity_splits_into_coordinate_projections(self):
@@ -563,7 +578,6 @@ import numpy as np
 import ffk.fusion as fusion
 from ffk.errors import InvariantViolation
 from ffk.gallery import example_frame
-from ffk.numerics import Tolerance
 
 def outcome(call):
     try:
@@ -572,14 +586,9 @@ def outcome(call):
         return "raised"
     return "passed"
 
-# S1 = I + uu* and I + vv* agree entrywise within eig_rel, yet differ by 1 at u.
-n = 64
-u = np.ones(n) / np.sqrt(n)
-v = np.resize([1.0, -1.0], n) / np.sqrt(n)
-tol = Tolerance(eig_rel=0.05)
-a = fusion.build_fusion_frame([(np.eye(n), 1.0), (u[:, None], 1.0)], n, tol)
-b = fusion.build_fusion_frame([(np.eye(n), 1.0), (v[:, None], 1.0)], n, tol)
-fusion.sample_unit_vectors = lambda rng, dim, count, field: u[None, :]
+# Equal operators whose sampled redundancies (patched) differ by 1.
+a, b = example_frame("7.1-V", 4), example_frame("7.1-V", 4)
+fusion.quadratic_forms = lambda X, M: np.full(len(X), float(M is a.normalized_operator))
 equivalence = outcome(lambda: fusion.redundancy_equivalent(a, b, samples=1))
 
 # A spectrum that breaks the erasure floor A - a.
