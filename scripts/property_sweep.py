@@ -9,20 +9,31 @@ For each generated frame the sweep checks:
   * for frames with at most 22 members, the greedy and exhaustive
     erasure certificates bracket each other soundly: greedy certified
     <= exhaustive certified, exhaustive universal <= greedy universal,
-    and weight_rule <= certified in both.
+    and weight_rule <= certified in both;
+  * on LIBRARY_FRAMES library-shaped frames seeded from ``--seed`` (n
+    64-128, N 40-48, subspace dimensions 3 and 4, real and complex in
+    turn), the greedy certificate's levels equal those of
+    ``reference_greedy_levels`` in ``tests/test_differential.py``, the
+    per-member loop whose picks the pruned search must reproduce.  These
+    take seconds each, too slow for the test suite.  This check imports
+    the test module, so it needs the ``test`` extra (pytest).
 
 Usage:
     python scripts/property_sweep.py [--count 100] [--seed 0] [--field real|complex]
 """
 
 import argparse
+import sys
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from ffk.duality import canonical_dual_fusion, verify_alternate_dual
 from ffk.fusion import (
     EXHAUSTIVE_MEMBER_LIMIT,
+    FusionFrame,
+    WeightedSubspace,
     erasure_certificate,
     operator_image_report,
     redundancy_range,
@@ -33,7 +44,11 @@ from ffk.generators import (
     random_fusion_frame,
     random_invertible,
     random_orthogonal_decomposition,
+    random_subspace,
 )
+from ffk.numerics import COMPLEX, REAL
+
+LIBRARY_FRAMES = 4
 
 
 @dataclass(frozen=True)
@@ -45,9 +60,18 @@ class SweepConfig:
     max_dim: int = 6
 
 
+def library_shaped_frame(rng: np.random.Generator, field: str) -> FusionFrame:
+    n = int(rng.choice([64, 96, 128]))
+    N = int(rng.integers(40, 49))
+    weights = rng.uniform(0.5, 2.0, size=N)
+    return FusionFrame(
+        [WeightedSubspace(random_subspace(rng, n, 3 + i % 2, field), float(w)) for i, w in enumerate(weights)]
+    )
+
+
 def run_sweep(config: SweepConfig) -> dict:
     rng = np.random.default_rng(config.seed)
-    tallies = {"containment": 0, "union_shift": 0, "dual": 0, "operator": 0, "erasure": 0}
+    tallies = {"containment": 0, "union_shift": 0, "dual": 0, "operator": 0, "erasure": 0, "greedy_pick": 0}
     failures = []
     for index in range(config.count):
         n = int(rng.integers(2, config.max_dim + 1))
@@ -91,6 +115,18 @@ def run_sweep(config: SweepConfig) -> dict:
                 tallies["erasure"] += 1
             else:
                 failures.append((index, "erasure"))
+
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+    from test_differential import reference_greedy_levels
+
+    library_rng = np.random.default_rng([config.seed, 1])
+    for index in range(LIBRARY_FRAMES):
+        frame = library_shaped_frame(library_rng, REAL if index % 2 == 0 else COMPLEX)
+        greedy = erasure_certificate(frame, mode="greedy")
+        if (greedy.certified, greedy.universal) == reference_greedy_levels(frame, greedy.budget):
+            tallies["greedy_pick"] += 1
+        else:
+            failures.append((f"library {index}", "greedy_pick"))
     return {"tallies": tallies, "failures": failures}
 
 
@@ -107,7 +143,8 @@ def main() -> int:
     )
     outcome = run_sweep(config)
     for name, passed in outcome["tallies"].items():
-        print(f"{name:12s} {passed}/{config.count}")
+        total = LIBRARY_FRAMES if name == "greedy_pick" else config.count
+        print(f"{name:12s} {passed}/{total}")
     if outcome["failures"]:
         for index, check in outcome["failures"]:
             print(f"FAIL frame {index}: {check}")

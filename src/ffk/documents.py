@@ -228,14 +228,11 @@ class FrameDocument:
     def from_fusion_frame(
         cls, frame: FusionFrame, system: FusionFrameSystem | None = None
     ) -> "FrameDocument":
-        def _scalar(value, field):
-            return complex(value) if field == COMPLEX else float(np.real(value))
+        complex_field = frame.field == COMPLEX
 
         def columns(matrix) -> tuple:
-            return tuple(
-                tuple(_scalar(matrix[r, c], frame.field) for r in range(matrix.shape[0]))
-                for c in range(matrix.shape[1])
-            )
+            values = matrix.astype(np.complex128) if complex_field else np.real(matrix).astype(np.float64)
+            return tuple(map(tuple, values.T.tolist()))
 
         members = tuple(
             DocumentSubspace(m.weight, columns(m.subspace.basis)) for m in frame.members

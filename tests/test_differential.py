@@ -8,6 +8,7 @@ once per dual operation, shares one greedy helper, and decides
 exhaustive subsets in chunks.
 """
 
+import functools
 import itertools
 
 import numpy as np
@@ -28,6 +29,7 @@ from ffk.generators import random_fusion_frame, random_subspace, random_unitary
 from ffk.numerics import (
     COMPLEX,
     REAL,
+    Tolerance,
     hermitian_eigenrange,
     principal_angles,
     quadratic_forms,
@@ -197,11 +199,105 @@ def test_verify_alternate_dual_matches_per_member_solves(seed):
         assert abs(certificate.bessel_bound - bessel) <= 1e-12 * bessel
 
 
-@pytest.mark.parametrize("seed", SEEDS)
-def test_greedy_erasure_matches_the_two_loops(seed):
-    frame = seeded_frame(seed)
+def coordinate_member(n, axes, weight):
+    return WeightedSubspace(Subspace(np.eye(n)[:, axes]), weight)
+
+
+NEAR_TIE_ETAS = (0.0, 2.0**-50, 2.0**-45)
+
+
+def near_tie_frame(eta):
+    """The plane R^2, e_0 with weight 2 and e_1 with weight 1 + eta.
+
+    Removing e_0 or e_1 leaves lambda_min = 1, removing the plane leaves
+    (1 + eta)^2, so the plane (member 0) wins level 1, by a tie at
+    eta = 0 and by less than the test margin for the small eta used.  The
+    test sees e_0 first; the plane must then be evaluated exactly.  The
+    path that starts with e_0 would certify 2 removals instead of 1.
+    """
+    axes_and_weights = (([0, 1], 1.0), ([0], 2.0), ([1], 1.0 + eta))
+    return FusionFrame([coordinate_member(2, axes, weight) for axes, weight in axes_and_weights])
+
+
+def bottom_below_margin_frame():
+    """Eigenvalues (2e-14, 3e-14, 1) under rank_rel = 1e-15.
+
+    Members: e_1 with weight^2 3e-14, e_0 twice with 1e-14, e_2 twice with
+    0.5.  Removing e_1 is the weakest (lambda_min 0) but has no weight on
+    the bottom eigenvector, so an e_0 member is evaluated first, and
+    1e-14 + delta lies above both small eigenvalues: only the rule
+    beta < lambda_1 stops a shifted test, whose weights 1/(lam - beta)
+    would turn negative, from dropping e_1.
+    """
+    small = 1e-14
+    weights = (np.sqrt(3 * small), np.sqrt(small), np.sqrt(small), np.sqrt(0.5), np.sqrt(0.5))
+    members = [coordinate_member(3, [axis], w) for axis, w in zip((1, 0, 0, 2, 2), weights)]
+    return FusionFrame(members, Tolerance(rank_rel=1e-15))
+
+
+def library_scale_frame(seed, n, members, field):
+    return random_fusion_frame(np.random.default_rng(seed), n, members, 4, field)
+
+
+GREEDY_FRAMES = (
+    [pytest.param(functools.partial(seeded_frame, seed), id=str(seed)) for seed in SEEDS]
+    + [
+        pytest.param(functools.partial(example_frame, name, n), id=f"{name}-n{n}")
+        for name in ("7.1", "7.1-V", "7.2")
+        for n in range(2, 9)
+    ]
+    + [
+        pytest.param(functools.partial(library_scale_frame, 1, 64, 40, REAL), id="n64-N40-real"),
+        pytest.param(functools.partial(library_scale_frame, 2, 64, 48, COMPLEX), id="n64-N48-complex"),
+    ]
+    + [pytest.param(functools.partial(near_tie_frame, eta), id=f"near-tie-{eta:g}") for eta in NEAR_TIE_ETAS]
+    + [pytest.param(bottom_below_margin_frame, id="bottom-below-margin")]
+)
+
+
+@pytest.mark.parametrize("make_frame", GREEDY_FRAMES)
+def test_greedy_erasure_matches_the_two_loops(make_frame):
+    # Gallery coordinate families tie exactly at every level; the
+    # library-scale frames run the full budget of the benchmark shapes;
+    # the last four need the margin and the rule beta < lambda_1.
+    frame = make_frame()
     certificate = erasure_certificate(frame, mode="greedy")
     assert (certificate.certified, certificate.universal) == reference_greedy_levels(frame, certificate.budget)
+
+
+@pytest.mark.parametrize("eta", NEAR_TIE_ETAS)
+def test_greedy_erasure_near_tie_goes_to_the_lower_index(eta, monkeypatch):
+    frame = near_tie_frame(eta)
+    seen = []
+    eigenrange = fusion.hermitian_eigenrange
+    monkeypatch.setattr(fusion, "hermitian_eigenrange", lambda M, tol: seen.append(M[0, 0]) or eigenrange(M, tol))
+    certificate = erasure_certificate(frame, mode="greedy")
+    assert certificate.certified == 1
+    # Level 1 of the strongest path evaluates e_0 (leaving S_00 = 1)
+    # first and the plane (leaving S_00 = 4) after it.
+    assert seen[:2] == [1.0, 4.0]
+
+
+def test_greedy_erasure_dimension_exit_before_any_eigenproblem(monkeypatch):
+    # One line per axis: every removal leaves fewer dimensions than n.
+    frame = example_frame("7.2", 6)
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, lambda H: pytest.fail("an eigenproblem was solved"))
+    certificate = erasure_certificate(frame, mode="greedy")
+    assert (certificate.certified, certificate.universal) == (0, 0)
+
+
+def test_greedy_erasure_evaluates_a_third_of_the_loop(monkeypatch):
+    frame = library_scale_frame(2, 64, 48, COMPLEX)
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda H: calls.append(H.shape == (64, 64)) or eigvalsh(H))
+    certificate = erasure_certificate(frame, mode="greedy")
+    # The loop evaluates every remaining member on each level it visits.
+    N = frame.member_count
+    levels = [min(level + 1, certificate.budget) for level in (certificate.certified, certificate.universal)]
+    loop = sum(N - k + 1 for visited in levels for k in range(1, visited + 1))
+    assert 0 < sum(calls) <= loop / 3
 
 
 @pytest.mark.parametrize("seed", SEEDS)

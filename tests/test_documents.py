@@ -6,6 +6,7 @@ import pytest
 from ffk.documents import (
     FLAG_ORDER,
     SCHEMA_VERSION,
+    DocumentSubspace,
     FrameDocument,
     ReportDocument,
     canonical_json,
@@ -19,10 +20,51 @@ from ffk.errors import (
     ParseError,
     SchemaVersionUnsupported,
 )
-from ffk.fusion import classify, erasure_certificate, fusion_frame_operator
+from ffk.fusion import (
+    FusionFrame,
+    Subspace,
+    WeightedSubspace,
+    classify,
+    erasure_certificate,
+    fusion_frame_operator,
+)
 from ffk.gallery import example_frame
 from ffk.generators import random_fusion_frame, random_system
-from ffk.numerics import DEFAULT_TOLERANCE
+from ffk.numerics import COMPLEX, DEFAULT_TOLERANCE, REAL
+from ffk.systems import FusionFrameSystem
+from ffk.vector_frames import VectorFrame
+
+
+def per_entry_document(frame, system=None):
+    """``FrameDocument.from_fusion_frame`` converting one entry at a time."""
+
+    def columns(matrix):
+        def scalar(value):
+            return complex(value) if frame.field == COMPLEX else float(np.real(value))
+
+        return tuple(
+            tuple(scalar(matrix[r, c]) for r in range(matrix.shape[0])) for c in range(matrix.shape[1])
+        )
+
+    local_frames = None if system is None else tuple(columns(local.matrix) for local in system.local_frames)
+    return FrameDocument(
+        field=frame.field,
+        dimension=frame.ambient_dim,
+        subspaces=tuple(DocumentSubspace(m.weight, columns(m.subspace.basis)) for m in frame.members),
+        local_frames=local_frames,
+    )
+
+
+def signed_zero_system(field):
+    """A system whose bases and local frames hold negative zeros."""
+    z = complex(-0.0, -0.0) if field == COMPLEX else -0.0
+    dtype = complex if field == COMPLEX else float
+    bases = [np.array([[1.0], [z], [0.0]], dtype), np.array([[z, 0.0], [1.0, z], [0.0, 1.0]], dtype)]
+    if field == COMPLEX:
+        bases[1][:, 1] *= 1j
+    frame = FusionFrame([WeightedSubspace(Subspace(B), w) for B, w in zip(bases, (0.5, 2.0))])
+    local_frames = [VectorFrame((2.0 * B).T, require_spanning=False) for B in bases]
+    return frame, FusionFrameSystem(frame, local_frames)
 
 
 class TestCanonicalJson:
@@ -141,6 +183,18 @@ class TestFrameDocument:
             fusion_frame_operator(frame),
             atol=1e-12,
         )
+
+    @pytest.mark.parametrize("field", [REAL, COMPLEX])
+    def test_from_fusion_frame_matches_per_entry_conversion(self, field, rng):
+        frame, system = signed_zero_system(field)
+        random_frame = random_fusion_frame(rng, n=4, members=3, field=field)
+        random_local = random_system(rng, random_frame, kind="orthogonal")
+        for case in ((frame, None), (frame, system), (random_frame, random_local)):
+            doc, expected = FrameDocument.from_fusion_frame(*case), per_entry_document(*case)
+            # repr tells -0.0 from 0.0 and complex from float entries.
+            assert repr(doc) == repr(expected)
+            assert doc.to_json_text() == expected.to_json_text()
+        assert "-0.0" in FrameDocument.from_fusion_frame(frame, system).to_json_text()
 
     def test_local_frames_count_mismatch(self):
         tree = json.loads(emit_example("7.2", 3).to_json_text())
