@@ -49,6 +49,7 @@ from ffk.generators import (
 from ffk.numerics import COMPLEX, REAL
 
 LIBRARY_FRAMES = 4
+MAX_DIM = 6  # largest ambient dimension of the sampled frames
 
 
 @dataclass(frozen=True)
@@ -57,7 +58,6 @@ class SweepConfig:
     seed: int = 0
     field: str | None = None
     samples: int = 64
-    max_dim: int = 6
 
 
 def library_shaped_frame(rng: np.random.Generator, field: str) -> FusionFrame:
@@ -74,7 +74,7 @@ def run_sweep(config: SweepConfig) -> dict:
     tallies = {"containment": 0, "union_shift": 0, "dual": 0, "operator": 0, "erasure": 0, "greedy_pick": 0}
     failures = []
     for index in range(config.count):
-        n = int(rng.integers(2, config.max_dim + 1))
+        n = int(rng.integers(2, MAX_DIM + 1))
         frame = random_fusion_frame(rng, n=n, field=config.field)
 
         low, high = redundancy_range(frame)

@@ -21,7 +21,7 @@ from .documents import (
     ReportDocument,
     _expect_list,
     _parse_entry,
-    _parse_vector_rows,
+    _parse_rows,
     canonical_json,
     emit_example,
     load_frame,
@@ -84,10 +84,6 @@ def _load_vector(path: str, field: str) -> np.ndarray:
     return np.array([_parse_entry(value, field, f"{path}: [{i}]") for i, value in enumerate(entries)])
 
 
-def _load_matrix(path: str, field: str, dimension: int) -> np.ndarray:
-    return np.array(_parse_vector_rows(_load_entries(path, "rows"), field, dimension, f"{path}: rows"))
-
-
 # --- subcommands -------------------------------------------------------------
 
 def _cmd_analyze(args) -> int:
@@ -132,7 +128,7 @@ def _cmd_dual(args) -> int:
         summary = {
             "applicable": True,
             "lower": check.lower,
-            "observed": [check.observed[0], check.observed[1]],
+            "observed": check.observed,
             "upper": check.upper,
             "holds": check.holds,
             "samples": check.samples,
@@ -163,7 +159,7 @@ def _cmd_erasure(args) -> int:
 
 def _cmd_transform(args) -> int:
     frame, _ = load_frame(args.frame)
-    U = _load_matrix(args.operator, frame.field, frame.ambient_dim)
+    U = _parse_rows(_load_entries(args.operator, "rows"), frame.field, frame.ambient_dim, f"{args.operator}: rows")
     report = operator_image_report(frame, U)
     if args.out:
         _write_or_print(FrameDocument.from_fusion_frame(report.image).to_json_text(), args.out)
@@ -171,14 +167,11 @@ def _cmd_transform(args) -> int:
         canonical_json(
             {
                 "condition": report.condition,
-                "predicted_bounds": [report.predicted_bounds[0], report.predicted_bounds[1]],
+                "predicted_bounds": report.predicted_bounds,
                 "computed_bounds": [report.computed_bounds.lower, report.computed_bounds.upper],
                 "bounds_hold": report.bounds_hold,
-                "redundancy_brackets": [
-                    [report.redundancy_brackets[0][0], report.redundancy_brackets[0][1]],
-                    [report.redundancy_brackets[1][0], report.redundancy_brackets[1][1]],
-                ],
-                "image_redundancy": [report.image_redundancy[0], report.image_redundancy[1]],
+                "redundancy_brackets": report.redundancy_brackets,
+                "image_redundancy": report.image_redundancy,
                 "redundancy_holds": report.redundancy_holds,
                 "image_written": args.out,
             }

@@ -4,7 +4,10 @@ Frame documents declare a scalar field, an ambient dimension, and one
 entry per weighted subspace whose vectors are coordinate rows spanning
 the subspace (orthonormality is not required; spans are orthonormalized
 on load).  Complex entries are two-element ``[re, im]`` arrays, real
-entries are plain numbers.  Serialization is canonical: fixed key
+entries are plain numbers.  In memory, the vectors of each subspace and
+of each local frame are one read-only ``(count, dimension)`` array of
+the field's dtype, one vector per row; ``_parse_rows`` and ``_rows_tree``
+convert JSON rows to and from it.  Serialization is canonical: fixed key
 order, two-space indentation, and floats printed with 17 significant
 digits so every double round-trips exactly and equal documents emit
 byte-identical text.
@@ -15,16 +18,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass
+from itertools import chain
 
 import numpy as np
 
 from . import __version__
-from .errors import (
-    MemberCountMismatch,
-    NonPositiveWeight,
-    ParseError,
-    SchemaVersionUnsupported,
-)
+from .errors import MemberCountMismatch, NonPositiveWeight, ParseError, SchemaVersionUnsupported
 from .fusion import AnalysisReport, ErasureCertificate, FusionFrame, build_fusion_frame
 from .gallery import example_frame
 from .numerics import COMPLEX, DEFAULT_TOLERANCE, REAL, Tolerance, quadratic_forms, sample_unit_vectors
@@ -35,7 +34,9 @@ SCHEMA_VERSION = "ffk/1"
 
 # --- canonical JSON --------------------------------------------------------
 
-def _format_float(value: float) -> str:
+def _format_number(value) -> str:
+    if not isinstance(value, float):
+        return str(value)
     if not math.isfinite(value):
         raise ValueError(f"cannot serialize non-finite value {value!r}")
     text = format(float(value), ".17g")
@@ -51,19 +52,16 @@ def _render(value, indent: int) -> str:
         return "true" if value else "false"
     if value is None:
         return "null"
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        return _format_float(value)
+    if isinstance(value, (int, float)):
+        return _format_number(value)
     if isinstance(value, str):
         return json.dumps(value)
     if isinstance(value, (list, tuple)):
-        items = list(value)
-        if not items:
+        if not value:
             return "[]"
-        if all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in items):
-            return "[" + ", ".join(_render(x, 0) for x in items) + "]"
-        body = ",\n".join(inner + _render(x, indent + 1) for x in items)
+        if all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in value):
+            return "[" + ", ".join(map(_format_number, value)) + "]"
+        body = ",\n".join(inner + _render(x, indent + 1) for x in value)
         return "[\n" + body + "\n" + pad + "]"
     if isinstance(value, dict):
         if not value:
@@ -98,9 +96,13 @@ def _expect_list(value, path: str) -> list:
 def _expect_number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ParseError(f"{path}: expected a number, got {value!r}")
-    if not math.isfinite(value):
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the range of doubles
+        number = math.inf
+    if not math.isfinite(number):
         raise ParseError(f"{path}: number must be finite, got {value!r}")
-    return float(value)
+    return number
 
 
 def _expect_int(value, path: str) -> int:
@@ -118,38 +120,62 @@ def _parse_entry(entry, field: str, path: str):
     return complex(_expect_number(pair[0], path + "[0]"), _expect_number(pair[1], path + "[1]"))
 
 
-def _entry_tree(value, field: str):
-    if field == REAL:
-        return float(np.real(value))
-    z = complex(value)
-    return [z.real, z.imag]
+def _parse_rows(rows, field: str, dimension: int, path: str) -> np.ndarray:
+    """JSON vector rows as a read-only ``(count, dimension)`` array of the field's dtype.
 
-
-def _parse_vector_rows(rows, field: str, dimension: int, path: str) -> tuple:
+    Well-formed rows take one ``np.array`` call.  Otherwise the rows are
+    walked entry by entry, which raises the first error in document order.
+    """
     rows = _expect_list(rows, path)
     if not rows:
         raise ParseError(f"{path}: expected at least one vector")
-    parsed = []
-    for r, row in enumerate(rows):
-        entries = _expect_list(row, f"{path}[{r}]")
-        if len(entries) != dimension:
-            raise ParseError(
-                f"{path}[{r}]: vector has {len(entries)} entries, expected {dimension}"
-            )
-        parsed.append(
-            tuple(_parse_entry(entry, field, f"{path}[{r}][{e}]") for e, entry in enumerate(entries))
-        )
-    return tuple(parsed)
+    shape = (len(rows), dimension) if field == REAL else (len(rows), dimension, 2)
+    leaves = chain.from_iterable(chain.from_iterable(rows) if field == COMPLEX else rows)
+    try:
+        values = np.array(rows, dtype=np.float64)
+        valid = values.shape == shape and {int, float}.issuperset(map(type, leaves)) and np.isfinite(values).all()
+    except (TypeError, ValueError, OverflowError):
+        valid = False
+    if not valid:
+        for r, row in enumerate(rows):
+            entries = _expect_list(row, f"{path}[{r}]")
+            if len(entries) != dimension:
+                raise ParseError(f"{path}[{r}]: vector has {len(entries)} entries, expected {dimension}")
+            for e, entry in enumerate(entries):
+                _parse_entry(entry, field, f"{path}[{r}][{e}]")
+    if field == COMPLEX:
+        values = values.view(np.complex128).reshape(len(rows), dimension)
+    values.setflags(write=False)
+    return values
+
+
+def _column_rows(matrix: np.ndarray, field: str) -> np.ndarray:
+    """The columns of ``matrix`` as a read-only rows array of the field's dtype."""
+    dtype = np.complex128 if field == COMPLEX else np.float64
+    rows = np.array((matrix if field == COMPLEX else np.real(matrix)).T, dtype=dtype, order="C")
+    rows.setflags(write=False)
+    return rows
+
+
+def _rows_tree(rows: np.ndarray) -> list:
+    """JSON rows of a rows array: plain numbers, or ``[re, im]`` pairs if complex."""
+    if np.iscomplexobj(rows):
+        rows = np.stack((rows.real, rows.imag), axis=-1)
+    return rows.tolist()
 
 
 # --- frame documents --------------------------------------------------------
 
 @dataclass(frozen=True)
 class DocumentSubspace:
-    """One serialized member: a weight and spanning vectors (as rows)."""
+    """One serialized member: a weight and its spanning vectors.
+
+    ``vectors`` is a read-only ``(count, dimension)`` array of the field's
+    dtype (``float64`` or ``complex128``), one spanning vector per row.
+    """
 
     weight: float
-    vectors: tuple
+    vectors: np.ndarray
 
     def __post_init__(self):
         if not math.isfinite(self.weight) or self.weight <= 0.0:
@@ -158,23 +184,20 @@ class DocumentSubspace:
 
 @dataclass(frozen=True)
 class FrameDocument:
-    """Serialized fusion frame (optionally with local frames)."""
+    """Serialized fusion frame (optionally with local frames).
+
+    Each ``local_frames`` entry is, like ``DocumentSubspace.vectors``, a
+    read-only ``(count, dimension)`` array of the field's dtype.  The
+    header (schema version, field, dimension) is checked by
+    ``from_json_text`` before any row is read.
+    """
 
     field: str
     dimension: int
     subspaces: tuple[DocumentSubspace, ...]
-    local_frames: tuple | None = None
-    schema_version: str = SCHEMA_VERSION
+    local_frames: tuple[np.ndarray, ...] | None = None
 
     def __post_init__(self):
-        if self.schema_version != SCHEMA_VERSION:
-            raise SchemaVersionUnsupported(
-                f"schema_version {self.schema_version!r} is not supported (expected {SCHEMA_VERSION!r})"
-            )
-        if self.field not in (REAL, COMPLEX):
-            raise ParseError(f"field: expected 'real' or 'complex', got {self.field!r}")
-        if self.dimension < 1:
-            raise ParseError(f"dimension: must be a positive integer, got {self.dimension!r}")
         if not self.subspaces:
             raise ParseError("subspaces: a frame document needs at least one subspace")
         if self.local_frames is not None and len(self.local_frames) != len(self.subspaces):
@@ -200,76 +223,48 @@ class FrameDocument:
         if field not in (REAL, COMPLEX):
             raise ParseError(f"field: expected 'real' or 'complex', got {field!r}")
         dimension = _expect_int(root.get("dimension"), "dimension")
+        if dimension < 1:
+            raise ParseError(f"dimension: must be a positive integer, got {dimension!r}")
         members = []
         for i, item in enumerate(_expect_list(root.get("subspaces"), "subspaces")):
             entry = _expect_dict(item, f"subspaces[{i}]")
             weight = _expect_number(entry.get("weight"), f"subspaces[{i}].weight")
-            vectors = _parse_vector_rows(
-                entry.get("vectors"), field, dimension, f"subspaces[{i}].vectors"
-            )
+            vectors = _parse_rows(entry.get("vectors"), field, dimension, f"subspaces[{i}].vectors")
             try:
                 members.append(DocumentSubspace(weight, vectors))
             except NonPositiveWeight as exc:
                 raise NonPositiveWeight(f"subspaces[{i}]: {exc}") from exc
-        local_frames = None
-        if "local_frames" in root and root["local_frames"] is not None:
+        local_frames = root.get("local_frames")
+        if local_frames is not None:
             local_frames = tuple(
-                _parse_vector_rows(rows, field, dimension, f"local_frames[{i}]")
-                for i, rows in enumerate(_expect_list(root["local_frames"], "local_frames"))
+                _parse_rows(rows, field, dimension, f"local_frames[{i}]")
+                for i, rows in enumerate(_expect_list(local_frames, "local_frames"))
             )
-        return cls(
-            field=field,
-            dimension=dimension,
-            subspaces=tuple(members),
-            local_frames=local_frames,
-        )
+        return cls(field, dimension, tuple(members), local_frames)
 
     @classmethod
-    def from_fusion_frame(
-        cls, frame: FusionFrame, system: FusionFrameSystem | None = None
-    ) -> "FrameDocument":
-        complex_field = frame.field == COMPLEX
-
-        def columns(matrix) -> tuple:
-            values = matrix.astype(np.complex128) if complex_field else np.real(matrix).astype(np.float64)
-            return tuple(map(tuple, values.T.tolist()))
-
-        members = tuple(
-            DocumentSubspace(m.weight, columns(m.subspace.basis)) for m in frame.members
-        )
+    def from_fusion_frame(cls, frame: FusionFrame, system: FusionFrameSystem | None = None) -> "FrameDocument":
+        field = frame.field
+        members = tuple(DocumentSubspace(m.weight, _column_rows(m.subspace.basis, field)) for m in frame.members)
         local_frames = None
         if system is not None:
-            local_frames = tuple(columns(local.matrix) for local in system.local_frames)
-        return cls(
-            field=frame.field,
-            dimension=frame.ambient_dim,
-            subspaces=members,
-            local_frames=local_frames,
-        )
+            local_frames = tuple(_column_rows(local.matrix, field) for local in system.local_frames)
+        return cls(field, frame.ambient_dim, members, local_frames)
 
     # -- output -----------------------------------------------------------
 
     def to_tree(self) -> dict:
         tree = {
-            "schema_version": self.schema_version,
+            "schema_version": SCHEMA_VERSION,
             "field": self.field,
             "dimension": self.dimension,
             "subspaces": [
-                {
-                    "weight": member.weight,
-                    "vectors": [
-                        [_entry_tree(entry, self.field) for entry in row]
-                        for row in member.vectors
-                    ],
-                }
+                {"weight": member.weight, "vectors": _rows_tree(member.vectors)}
                 for member in self.subspaces
             ],
         }
         if self.local_frames is not None:
-            tree["local_frames"] = [
-                [[_entry_tree(entry, self.field) for entry in row] for row in rows]
-                for rows in self.local_frames
-            ]
+            tree["local_frames"] = [_rows_tree(rows) for rows in self.local_frames]
         return tree
 
     def to_json_text(self) -> str:
@@ -278,18 +273,9 @@ class FrameDocument:
     # -- realization -------------------------------------------------------
 
     def build(self, tol: Tolerance = DEFAULT_TOLERANCE) -> tuple[FusionFrame, FusionFrameSystem | None]:
-        dtype = np.complex128 if self.field == COMPLEX else np.float64
-        spans = [
-            (np.array(member.vectors, dtype=dtype).T, member.weight)
-            for member in self.subspaces
-        ]
+        spans = [(member.vectors.T, member.weight) for member in self.subspaces]
         frame = build_fusion_frame(spans, self.dimension, tol)
-        system = None
-        if self.local_frames is not None:
-            system = build_system(
-                frame,
-                [[np.array(row, dtype=dtype) for row in rows] for rows in self.local_frames],
-            )
+        system = None if self.local_frames is None else build_system(frame, self.local_frames)
         return frame, system
 
 
@@ -348,7 +334,7 @@ class ReportDocument:
         return cls(
             bounds_lower=report.bounds.lower,
             bounds_upper=report.bounds.upper,
-            redundancy=(report.redundancy[0], report.redundancy[1]),
+            redundancy=report.redundancy,
             flags=flags,
             excess=report.excess,
             erasure=erasure_items,
@@ -370,7 +356,12 @@ class ReportDocument:
         root = _expect_dict(tree, "report")
         bounds = _expect_dict(root.get("bounds"), "bounds")
         lower = bounds.get("lower")
-        rng_pair = _expect_list(root.get("redundancy_range"), "redundancy_range")
+        redundancy = tuple(
+            _expect_number(value, f"redundancy_range[{i}]")
+            for i, value in enumerate(_expect_list(root.get("redundancy_range"), "redundancy_range"))
+        )
+        if len(redundancy) != 2:
+            raise ParseError(f"redundancy_range: expected 2 numbers, got {len(redundancy)}")
         flags_dict = _expect_dict(root.get("flags"), "flags")
         erasure = None
         if root.get("erasure") is not None:
@@ -381,10 +372,7 @@ class ReportDocument:
         return cls(
             bounds_lower=None if lower is None else _expect_number(lower, "bounds.lower"),
             bounds_upper=_expect_number(bounds.get("upper"), "bounds.upper"),
-            redundancy=(
-                _expect_number(rng_pair[0], "redundancy_range[0]"),
-                _expect_number(rng_pair[1], "redundancy_range[1]"),
-            ),
+            redundancy=redundancy,
             flags=tuple((name, bool(flags_dict.get(name))) for name in FLAG_ORDER),
             excess=_expect_int(root.get("excess"), "excess"),
             erasure=erasure,
@@ -403,7 +391,7 @@ class ReportDocument:
             "seed": self.seed,
             "tolerances": dict(self.tolerances),
             "bounds": {"lower": self.bounds_lower, "upper": self.bounds_upper},
-            "redundancy_range": [self.redundancy[0], self.redundancy[1]],
+            "redundancy_range": self.redundancy,
             "flags": dict(self.flags),
             "excess": self.excess,
             "erasure": dict(self.erasure) if self.erasure is not None else None,

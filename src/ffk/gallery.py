@@ -28,7 +28,7 @@ EXAMPLE_NAMES = ("7.1", "7.1-V", "7.2", "7.3")
 # Largest dimension of the scalable presets.  Example 7.1 at dimension n
 # has 2n members: an n x 2n stacked basis and synthesis matrix, an n x n
 # operator, and 2n^2 numbers in its document (`ffk example` at the cap:
-# about 70 MB peak, 3.5 s on 2 vCPUs).  Larger n fails before allocating.
+# about 70 MB peak, 0.8 s on 2 vCPUs).  Larger n fails before allocating.
 EXAMPLE_MAX_DIMENSION = 512
 
 

@@ -359,3 +359,61 @@ class TestParserBasics:
         assert stderr.count("\n") == 1
         assert set(json.loads(stderr)) == {"error"}
         assert set(json.loads(stderr)["error"]) == {"type", "message"}
+
+
+HUGE = 10**400  # beyond the range of doubles
+
+
+class TestHugeIntegers:
+    """An integer beyond the double range is a ParseError, not a traceback."""
+
+    def assert_not_finite(self, outcome, where):
+        code, stdout, stderr = outcome
+        assert (code, stdout) == (1, "")
+        assert stderr.count("\n") == 1
+        error = json.loads(stderr)["error"]
+        assert error["type"] == "ParseError"
+        assert error["message"].startswith(f"{where}: number must be finite, got 1000")
+
+    @pytest.mark.parametrize("name", ["7.1", "7.3"])
+    def test_analyze_vector_entry(self, run, frame_file, name):
+        path = frame_file(name, 3 if name == "7.1" else None)
+        with open(path, encoding="utf-8") as handle:
+            tree = json.load(handle)
+        row = tree["subspaces"][0]["vectors"][0]
+        if name == "7.1":
+            row[1] = HUGE
+            where = "subspaces[0].vectors[0][1]"
+        else:
+            row[1] = [0.0, HUGE]
+            where = "subspaces[0].vectors[0][1][1]"
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(tree, handle)
+        self.assert_not_finite(run("analyze", path), where)
+
+    def test_analyze_weight(self, run, frame_file):
+        path = frame_file("7.1", 3)
+        with open(path, encoding="utf-8") as handle:
+            tree = json.load(handle)
+        tree["subspaces"][2]["weight"] = HUGE
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(tree, handle)
+        self.assert_not_finite(run("analyze", path), "subspaces[2].weight")
+
+    @pytest.mark.parametrize("name", ["7.1", "7.3"])
+    def test_redundancy_at_vector(self, run, frame_file, tmp_path, name):
+        at = tmp_path / "x.json"
+        if name == "7.1":
+            at.write_text(json.dumps([1.0, HUGE, 0.0, 0.0]), encoding="utf-8")
+            where = f"{at}: [1]"
+        else:
+            at.write_text(json.dumps([[1.0, 0.0], [HUGE, 0.0]] + [[0.0, 0.0]] * 3), encoding="utf-8")
+            where = f"{at}: [1][0]"
+        path = frame_file(name, 4 if name == "7.1" else None)
+        self.assert_not_finite(run("redundancy", path, "--at", str(at)), where)
+
+    def test_transform_operator_row(self, run, frame_file, tmp_path):
+        op = tmp_path / "op.json"
+        op.write_text(json.dumps({"rows": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, HUGE]]}), encoding="utf-8")
+        outcome = run("transform", frame_file("7.2", 3), "--operator", str(op))
+        self.assert_not_finite(outcome, f"{op}: rows[2][2]")

@@ -2,20 +2,28 @@
 
 The references assemble operators member by member from n x n
 projections, solve once per member, run the two separate greedy
-erasure loops, and decide each exhaustive erasure subset with its own
-eigvalsh; the library builds stacked operators once per frame, solves
-once per dual operation, shares one greedy helper, and decides
-exhaustive subsets in chunks.
+erasure loops, decide each exhaustive erasure subset with its own
+eigvalsh, and convert document rows and render JSON one entry at a
+time; the library builds stacked operators once per frame, solves once
+per dual operation, shares one greedy helper, decides exhaustive subsets
+in chunks, and converts each block of document rows with one array call.
 """
 
 import functools
 import itertools
+import json
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ffk import fusion
+from ffk.documents import FrameDocument, _expect_list, _parse_entry, _parse_rows, canonical_json
 from ffk.duality import canonical_dual_fusion, verify_alternate_dual
+from ffk.errors import ParseError
 from ffk.fusion import (
     ErasureCertificate,
     FusionFrame,
@@ -428,3 +436,228 @@ def test_principal_angles_against_scipy():
     for Qa, Qb in pairs:
         # scipy reports about 1.5e-8 for a shared direction once another angle exceeds pi/4.
         assert np.abs(principal_angles(Qa, Qb) - linalg.subspace_angles(Qa, Qb)).max() <= 1e-7
+
+
+# --- documents: rows converted and rendered one entry at a time ------------
+
+def reference_format_float(value):
+    if not math.isfinite(value):
+        raise ValueError(f"cannot serialize non-finite value {value!r}")
+    text = format(float(value), ".17g")
+    if text.lstrip("-").isdigit():
+        text += ".0"
+    return text
+
+
+def reference_render(value, indent=0):
+    """``canonical_json`` without its final newline, one call per node."""
+    pad = "  " * indent
+    inner = "  " * (indent + 1)
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if value is None:
+        return "null"
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, float):
+        return reference_format_float(value)
+    if isinstance(value, str):
+        return json.dumps(value)
+    if isinstance(value, (list, tuple)):
+        items = list(value)
+        if not items:
+            return "[]"
+        if all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in items):
+            return "[" + ", ".join(reference_render(x, 0) for x in items) + "]"
+        body = ",\n".join(inner + reference_render(x, indent + 1) for x in items)
+        return "[\n" + body + "\n" + pad + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        body = ",\n".join(
+            f"{inner}{json.dumps(str(key))}: {reference_render(item, indent + 1)}" for key, item in value.items()
+        )
+        return "{\n" + body + "\n" + pad + "}"
+    raise TypeError(f"cannot serialize {type(value).__name__}")
+
+
+def reference_entry_tree(value, field):
+    if field == REAL:
+        return float(np.real(value))
+    z = complex(value)
+    return [z.real, z.imag]
+
+
+def reference_parse_vector_rows(rows, field, dimension, path):
+    """Rows as tuples of Python scalars, parsed and checked entry by entry."""
+    rows = _expect_list(rows, path)
+    if not rows:
+        raise ParseError(f"{path}: expected at least one vector")
+    parsed = []
+    for r, row in enumerate(rows):
+        entries = _expect_list(row, f"{path}[{r}]")
+        if len(entries) != dimension:
+            raise ParseError(f"{path}[{r}]: vector has {len(entries)} entries, expected {dimension}")
+        parsed.append(tuple(_parse_entry(entry, field, f"{path}[{r}][{e}]") for e, entry in enumerate(entries)))
+    return tuple(parsed)
+
+
+def reference_rows_array(rows, field, dimension, path):
+    dtype = np.complex128 if field == COMPLEX else np.float64
+    return np.array(reference_parse_vector_rows(rows, field, dimension, path), dtype=dtype)
+
+
+def reference_round_trip(tree):
+    """The canonical text of a document tree, parsed and rendered per entry."""
+    field, dimension = tree["field"], tree["dimension"]
+
+    def rows(value, path):
+        parsed = reference_parse_vector_rows(value, field, dimension, path)
+        return [[reference_entry_tree(z, field) for z in row] for row in parsed]
+
+    out = {
+        "schema_version": tree["schema_version"],
+        "field": field,
+        "dimension": dimension,
+        "subspaces": [
+            {"weight": float(m["weight"]), "vectors": rows(m["vectors"], f"subspaces[{i}].vectors")}
+            for i, m in enumerate(tree["subspaces"])
+        ],
+    }
+    if tree.get("local_frames") is not None:
+        out["local_frames"] = [rows(value, f"local_frames[{i}]") for i, value in enumerate(tree["local_frames"])]
+    return reference_render(out) + "\n"
+
+
+def assert_codec_matches_reference(text):
+    tree = json.loads(text)
+    field, dimension = tree["field"], tree["dimension"]
+    expected = [
+        reference_rows_array(m["vectors"], field, dimension, f"subspaces[{i}].vectors")
+        for i, m in enumerate(tree["subspaces"])
+    ]
+    expected += [
+        reference_rows_array(rows, field, dimension, f"local_frames[{i}]")
+        for i, rows in enumerate(tree.get("local_frames") or ())
+    ]
+    document = FrameDocument.from_json_text(text)
+    arrays = [member.vectors for member in document.subspaces] + list(document.local_frames or ())
+    assert len(arrays) == len(expected)
+    for got, want in zip(arrays, expected):
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert not got.flags.writeable
+        # Bytes tell -0.0 from 0.0.
+        assert got.tobytes() == want.tobytes()
+    assert document.to_json_text() == reference_round_trip(tree)
+
+
+SPECIAL_FLOATS = (-0.0, 0.0, 5e-324, -5e-324, 1e16, 1e17, 1e-7, 0.1, 1.0 / 3.0, -2.5, 1.7976931348623157e308)
+SPECIAL_ENTRIES = SPECIAL_FLOATS + (0, -3, 2**53 + 1, 10**20)
+NUMBERS = st.sampled_from(SPECIAL_FLOATS) | st.floats(allow_nan=False, allow_infinity=False) | st.integers()
+TREES = st.recursive(
+    st.none() | st.booleans() | st.text(max_size=3) | NUMBERS,
+    lambda children: (
+        st.lists(children, max_size=4)
+        | st.lists(children, max_size=4).map(tuple)
+        | st.dictionaries(st.text(max_size=3), children, max_size=4)
+    ),
+    max_leaves=24,
+)
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(TREES | st.lists(st.lists(NUMBERS, min_size=1, max_size=6), max_size=4))
+def test_canonical_json_matches_the_per_node_render(tree):
+    assert canonical_json(tree) == reference_render(tree) + "\n"
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_canonical_json_rejects_non_finite_floats_like_the_reference(value):
+    for tree in (value, [1.0, value], {"a": [[0, value]]}):
+        with pytest.raises(ValueError, match="non-finite"):
+            reference_render(tree)
+        with pytest.raises(ValueError, match="non-finite"):
+            canonical_json(tree)
+
+
+GOLDEN_INPUTS = Path(__file__).resolve().parent / "golden" / "inputs"
+GOLDEN_FRAMES = sorted(
+    path.name for path in GOLDEN_INPUTS.glob("*.json") if not path.name.endswith((".at.json", ".operator.json"))
+)
+
+
+@pytest.mark.parametrize("name", GOLDEN_FRAMES)
+def test_document_rows_match_the_per_entry_codec_on_golden_inputs(name):
+    assert_codec_matches_reference((GOLDEN_INPUTS / name).read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("name", sorted(path.name for path in GOLDEN_INPUTS.glob("*.operator.json")))
+def test_operator_rows_match_the_per_entry_codec_on_golden_inputs(name):
+    frame = json.loads((GOLDEN_INPUTS / name.replace(".operator.json", ".json")).read_text(encoding="utf-8"))
+    rows = json.loads((GOLDEN_INPUTS / name).read_text(encoding="utf-8"))["rows"]
+    args = (rows, frame["field"], frame["dimension"], "rows")
+    got, want = _parse_rows(*args), reference_rows_array(*args)
+    assert got.dtype == want.dtype and not got.flags.writeable
+    assert got.tobytes() == want.tobytes()
+
+
+def seeded_document_tree(seed):
+    """A document tree whose entries mix Gaussian doubles, signed zeros,
+    subnormals, large doubles and JSON integers; every third has local frames."""
+    rng = np.random.default_rng(seed)
+    field = COMPLEX if seed % 2 else REAL
+    n = int(rng.integers(1, 6))
+
+    def number():
+        if rng.random() < 0.4:
+            return SPECIAL_ENTRIES[int(rng.integers(len(SPECIAL_ENTRIES)))]
+        return float(rng.standard_normal())
+
+    def rows():
+        count = int(rng.integers(1, 4))
+        return [[[number(), number()] if field == COMPLEX else number() for _ in range(n)] for _ in range(count)]
+
+    members = int(rng.integers(1, 5))
+    tree = {
+        "schema_version": "ffk/1",
+        "field": field,
+        "dimension": n,
+        "subspaces": [{"weight": float(rng.uniform(0.5, 2.0)), "vectors": rows()} for _ in range(members)],
+    }
+    if seed % 3 == 0:
+        tree["local_frames"] = [rows() for _ in range(members)]
+    return tree
+
+
+@pytest.mark.parametrize("seed", range(100))
+def test_document_rows_match_the_per_entry_codec_on_seeded_documents(seed):
+    assert_codec_matches_reference(json.dumps(seeded_document_tree(seed)))
+
+
+BAD_ENTRIES = (True, "1.0", None, 10**400, -(10**400), float("nan"), float("inf"), [1.0], [], [[1.0]], {"re": 1.0})
+
+
+@pytest.mark.parametrize("seed", range(100))
+def test_parse_rows_raises_the_reference_error(seed):
+    # One or two corruptions: the first in document order must be cited.
+    rng = np.random.default_rng(seed)
+    tree = seeded_document_tree(seed)
+    field, dimension = tree["field"], tree["dimension"]
+    rows = tree["subspaces"][0]["vectors"]
+    for _ in range(int(rng.integers(1, 3))):
+        r, e = int(rng.integers(len(rows))), int(rng.integers(dimension))
+        bad = BAD_ENTRIES[int(rng.integers(len(BAD_ENTRIES)))]
+        kind = int(rng.integers(4))
+        if kind == 0:
+            rows[r] = bad
+        elif kind == 1 and isinstance(rows[r], list) and len(rows[r]) == dimension:
+            rows[r] = rows[r][:-1] if rng.random() < 0.5 else rows[r] + [0.0]
+        elif isinstance(rows[r], list) and len(rows[r]) > e:
+            rows[r][e] = [bad, 0.0] if field == COMPLEX and kind == 2 else bad
+        else:
+            rows[r] = bad
+    with pytest.raises(ParseError) as expected:
+        reference_parse_vector_rows(rows, field, dimension, "v")
+    with pytest.raises(ParseError) as got:
+        _parse_rows(rows, field, dimension, "v")
+    assert str(got.value) == str(expected.value)

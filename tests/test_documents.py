@@ -6,7 +6,6 @@ import pytest
 from ffk.documents import (
     FLAG_ORDER,
     SCHEMA_VERSION,
-    DocumentSubspace,
     FrameDocument,
     ReportDocument,
     canonical_json,
@@ -35,24 +34,31 @@ from ffk.systems import FusionFrameSystem
 from ffk.vector_frames import VectorFrame
 
 
-def per_entry_document(frame, system=None):
-    """``FrameDocument.from_fusion_frame`` converting one entry at a time."""
+def per_entry_rows(matrix, field):
+    """The columns of ``matrix`` as rows of Python scalars, one entry at a time."""
 
-    def columns(matrix):
-        def scalar(value):
-            return complex(value) if frame.field == COMPLEX else float(np.real(value))
+    def scalar(value):
+        return complex(value) if field == COMPLEX else float(np.real(value))
 
-        return tuple(
-            tuple(scalar(matrix[r, c]) for r in range(matrix.shape[0])) for c in range(matrix.shape[1])
-        )
+    return [[scalar(matrix[r, c]) for r in range(matrix.shape[0])] for c in range(matrix.shape[1])]
 
-    local_frames = None if system is None else tuple(columns(local.matrix) for local in system.local_frames)
-    return FrameDocument(
-        field=frame.field,
-        dimension=frame.ambient_dim,
-        subspaces=tuple(DocumentSubspace(m.weight, columns(m.subspace.basis)) for m in frame.members),
-        local_frames=local_frames,
-    )
+
+def per_entry_tree(frame, system=None):
+    """The document tree of a frame, each entry converted on its own."""
+
+    def rows(matrix):
+        entries = per_entry_rows(matrix, frame.field)
+        return [[[z.real, z.imag] if frame.field == COMPLEX else z for z in row] for row in entries]
+
+    tree = {
+        "schema_version": SCHEMA_VERSION,
+        "field": frame.field,
+        "dimension": frame.ambient_dim,
+        "subspaces": [{"weight": m.weight, "vectors": rows(m.subspace.basis)} for m in frame.members],
+    }
+    if system is not None:
+        tree["local_frames"] = [rows(local.matrix) for local in system.local_frames]
+    return tree
 
 
 def signed_zero_system(field):
@@ -147,6 +153,30 @@ class TestFrameDocument:
         with pytest.raises(ParseError, match="field"):
             FrameDocument.from_json_text(canonical_json(tree))
 
+    @pytest.mark.parametrize("dimension", [0, -1])
+    def test_non_positive_dimension_cited_before_any_row(self, dimension):
+        tree = json.loads(emit_example("7.1", 3).to_json_text())
+        tree["dimension"] = dimension
+        with pytest.raises(ParseError, match=rf"^dimension: must be a positive integer, got {dimension}$"):
+            FrameDocument.from_json_text(canonical_json(tree))
+
+    @pytest.mark.parametrize("name", ["7.1", "7.3"])
+    def test_huge_integers_are_not_finite(self, name):
+        tree = json.loads(emit_example(name, 3 if name == "7.1" else None).to_json_text())
+        tree["subspaces"][1]["weight"] = 10**400
+        with pytest.raises(ParseError, match=r"^subspaces\[1\]\.weight: number must be finite, got 1000"):
+            FrameDocument.from_json_text(json.dumps(tree))
+        tree["subspaces"][1]["weight"] = 1.0
+        row = tree["subspaces"][1]["vectors"][0]
+        if name == "7.1":
+            row[2] = -(10**400)
+            where = r"subspaces\[1\]\.vectors\[0\]\[2\]"
+        else:
+            row[2][1] = -(10**400)
+            where = r"subspaces\[1\]\.vectors\[0\]\[2\]\[1\]"
+        with pytest.raises(ParseError, match=rf"^{where}: number must be finite, got -1000"):
+            FrameDocument.from_json_text(json.dumps(tree))
+
     def test_wrong_vector_length_cited(self):
         tree = json.loads(emit_example("7.1", 3).to_json_text())
         tree["subspaces"][0]["vectors"][0] = [1.0, 0.0]  # dimension is 3
@@ -189,11 +219,21 @@ class TestFrameDocument:
         frame, system = signed_zero_system(field)
         random_frame = random_fusion_frame(rng, n=4, members=3, field=field)
         random_local = random_system(rng, random_frame, kind="orthogonal")
+        dtype = np.complex128 if field == COMPLEX else np.float64
         for case in ((frame, None), (frame, system), (random_frame, random_local)):
-            doc, expected = FrameDocument.from_fusion_frame(*case), per_entry_document(*case)
-            # repr tells -0.0 from 0.0 and complex from float entries.
-            assert repr(doc) == repr(expected)
-            assert doc.to_json_text() == expected.to_json_text()
+            doc = FrameDocument.from_fusion_frame(*case)
+            matrices = [m.subspace.basis for m in case[0].members]
+            arrays = [member.vectors for member in doc.subspaces]
+            if case[1] is not None:
+                matrices += [local.matrix for local in case[1].local_frames]
+                arrays += list(doc.local_frames)
+            assert len(arrays) == len(matrices)
+            for array, matrix in zip(arrays, matrices):
+                expected = np.array(per_entry_rows(matrix, field), dtype=dtype)
+                assert array.dtype == dtype and not array.flags.writeable
+                # Bytes tell -0.0 from 0.0.
+                assert array.tobytes() == expected.tobytes()
+            assert doc.to_json_text() == canonical_json(per_entry_tree(*case))
         assert "-0.0" in FrameDocument.from_fusion_frame(frame, system).to_json_text()
 
     def test_local_frames_count_mismatch(self):

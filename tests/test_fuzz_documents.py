@@ -1,0 +1,125 @@
+"""Fuzzing of the document parsers and ``ffk analyze`` with malformed documents.
+
+Each example takes a valid frame or report document and makes one change:
+it replaces one node with a bool, a string, null, a huge integer, NaN,
+Infinity, or a nested or empty list; drops one key or list item; or, for
+frame documents, sets ``dimension`` to 0, -1 or 10**12.  Parsing may fail
+only with a ``FrameError``, and ``ffk analyze`` may only exit with 0, 1 or
+2, writing nothing or one JSON line to stderr.
+"""
+
+import contextlib
+import io
+import json
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ffk.cli import main
+from ffk.documents import FrameDocument, ReportDocument, emit_example, sampled_consistency_checks
+from ffk.errors import FrameError
+from ffk.fusion import build_fusion_frame, classify, erasure_certificate
+from ffk.gallery import example_frame
+from ffk.generators import random_fusion_frame, random_system
+from ffk.numerics import COMPLEX, DEFAULT_TOLERANCE, REAL
+
+REPLACEMENTS = (True, False, "x", None, 10**400, -(10**400), float("nan"), float("inf"), -float("inf"), [[1.0]], [])
+DIMENSIONS = (0, -1, 10**12)
+FUZZ = settings(derandomize=True, database=None, max_examples=120, deadline=None)
+
+
+def frame_trees():
+    """Gallery and seeded documents, real and complex, with and without local frames."""
+    documents = [emit_example("7.1", 3), emit_example("7.2", 2), emit_example("7.3")]
+    for seed, field in ((1, REAL), (2, COMPLEX)):
+        rng = np.random.default_rng(seed)
+        frame = random_fusion_frame(rng, n=3, members=3, max_dim=2, field=field)
+        documents.append(FrameDocument.from_fusion_frame(frame))
+        documents.append(FrameDocument.from_fusion_frame(frame, random_system(rng, frame, "orthogonal")))
+    return [json.loads(document.to_json_text()) for document in documents]
+
+
+def report_trees():
+    frame = example_frame("7.3")
+    reports = [
+        ReportDocument.from_analysis(
+            classify(frame),
+            seed=3,
+            tol=DEFAULT_TOLERANCE,
+            erasure=erasure_certificate(frame, budget=2),
+            sampled_checks=sampled_consistency_checks(frame, 3),
+        ),
+        ReportDocument.from_analysis(
+            classify(build_fusion_frame([(np.array([[1.0], [0.0]]), 1.0)], 2)), seed=0, tol=DEFAULT_TOLERANCE
+        ),
+    ]
+    return [json.loads(report.to_json_text()) for report in reports]
+
+
+FRAME_TREES = frame_trees()
+REPORT_TREES = report_trees()
+
+
+def node_paths(node, prefix=()):
+    yield prefix
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield from node_paths(child, prefix + (key,))
+
+
+@st.composite
+def mutated_text(draw, trees, dimensions=()):
+    tree = json.loads(json.dumps(draw(st.sampled_from(trees))))
+    kind = draw(st.sampled_from(("replace", "drop", "dimension") if dimensions else ("replace", "drop")))
+    if kind == "dimension":
+        tree["dimension"] = draw(st.sampled_from(dimensions))
+        return json.dumps(tree)
+    path = draw(st.sampled_from(list(node_paths(tree))[1:]))
+    parent = tree
+    for key in path[:-1]:
+        parent = parent[key]
+    if kind == "drop":
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = draw(st.sampled_from(REPLACEMENTS))
+    return json.dumps(tree)
+
+
+@FUZZ
+@given(mutated_text(FRAME_TREES, DIMENSIONS))
+def test_frame_parser_raises_only_frame_errors(text):
+    try:
+        FrameDocument.from_json_text(text)
+    except FrameError:
+        pass
+
+
+@FUZZ
+@given(mutated_text(REPORT_TREES))
+def test_report_parser_raises_only_frame_errors(text):
+    try:
+        ReportDocument.from_json_text(text)
+    except FrameError:
+        pass
+
+
+@pytest.fixture(scope="module")
+def document_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "frame.json"
+
+
+@FUZZ
+@given(text=mutated_text(FRAME_TREES, DIMENSIONS))
+def test_analyze_exits_cleanly(document_path, text):
+    document_path.write_text(text, encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["analyze", str(document_path)])
+    assert code in (0, 1, 2)
+    stderr = err.getvalue()
+    if stderr:
+        assert stderr.count("\n") == 1 and stderr.endswith("\n")
+        assert set(json.loads(stderr)["error"]) == {"type", "message"}
+    assert (code == 1) == bool(stderr)
