@@ -35,8 +35,6 @@ from .fusion import (
     excess,
     frame_bounds,
     fusion_frame_operator,
-    is_minimal,
-    max_robust_erasures,
     redundancy_at,
     redundancy_equivalent,
     redundancy_range,
@@ -99,9 +97,7 @@ __all__ = [
     "frame_bounds",
     "frame_operator",
     "fusion_frame_operator",
-    "is_minimal",
     "load_frame",
-    "max_robust_erasures",
     "parseval_equivalences",
     "redundancy_at",
     "redundancy_equivalent",

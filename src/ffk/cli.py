@@ -20,6 +20,7 @@ from .documents import (
     FrameDocument,
     ReportDocument,
     _expect_list,
+    _json_tree,
     _parse_entry,
     _parse_rows,
     canonical_json,
@@ -70,10 +71,7 @@ def _write_or_print(text: str, out: str | None) -> None:
 def _load_entries(path: str, key: str) -> list:
     """Read a JSON array, bare or wrapped in an object under ``key``."""
     with open(path, "r", encoding="utf-8") as handle:
-        try:
-            tree = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
+        tree = _json_tree(handle.read(), f"{path}: ")
     if isinstance(tree, dict):
         tree = tree.get(key)
     return _expect_list(tree, f"{path}: {key}")
@@ -187,19 +185,14 @@ def _cmd_system(args) -> int:
         raise ParseError("the frame document carries no local_frames")
     rng = np.random.default_rng(args.seed)
     X = sample_unit_vectors(rng, frame.ambient_dim, args.samples, frame.field)
-    worst_gap = 0.0
-    orthogonal = True
-    for row in X:
-        check = check_local_additivity(system, row)
-        worst_gap = max(worst_gap, abs(check.fusion_value - check.local_sum))
-        orthogonal = check.orthogonal_locals
+    checks = [check_local_additivity(system, row) for row in X]
     tree = {
         "seed": args.seed,
         "samples": args.samples,
         "additivity": {
-            "orthogonal_locals": orthogonal,
-            "max_gap": worst_gap,
-            "additive": worst_gap <= 1e-9,
+            "orthogonal_locals": checks[-1].orthogonal_locals,
+            "max_gap": max(0.0, *(abs(check.fusion_value - check.local_sum) for check in checks)),
+            "additive": all(check.equal for check in checks),
         },
     }
     try:

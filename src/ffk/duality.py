@@ -70,7 +70,7 @@ class DualBoundsCheck:
 
 
 def _require_uniform_one(frame: FusionFrame, what: str) -> None:
-    if np.abs(frame.weights - 1.0).max() > frame.tol.eig_rel:
+    if not frame.tol.near(frame.weights, 1.0):
         raise NotUniformWeights(f"{what} is stated for families with every weight equal to 1")
 
 
@@ -111,8 +111,7 @@ def canonical_ratio_bounds(
     X = sample_unit_vectors(rng, frame.ambient_dim, samples, frame.field)
     ratios = quadratic_forms(X, frame.normalized_operator) / quadratic_forms(X, dual.normalized_operator)
     lower, upper = A**3 / B, B**3 / A
-    slack = frame.tol.eig_rel * max(1.0, upper)
-    holds = bool(lower - slack <= ratios.min() and ratios.max() <= upper + slack)
+    holds = frame.tol.within(ratios, lower, upper)
     if strict and not holds:
         raise BoundViolation(
             f"observed ratio range [{ratios.min():.6g}, {ratios.max():.6g}] "
@@ -155,7 +154,7 @@ def verify_alternate_dual(frame: FusionFrame, candidate: FusionFrame) -> DualCer
     bessel = candidate._operator_range[1]
     return DualCertificate(
         residual=residual,
-        is_dual=residual <= frame.tol.recon_abs,
+        is_dual=frame.tol.reconstructs(residual),
         bessel_bound=float(bessel),
     )
 
@@ -186,15 +185,13 @@ def alternate_dual_bounds(
     inv_norm = 1.0 / A  # ||S^-1|| for the weighted operator
     floor = 1.0 / (B * inv_norm**2)
     dual_bounds = frame_bounds(dual)
-    slack = frame.tol.eig_rel * max(1.0, floor)
-    bounds_hold = dual_bounds.lower >= floor - slack
+    bounds_hold = frame.tol.within(dual_bounds.lower, floor, np.inf)
     X = sample_unit_vectors(rng, frame.ambient_dim, samples, frame.field)
     ratios = quadratic_forms(X, dual.normalized_operator) / quadratic_forms(X, frame.normalized_operator)
     lower = 1.0 / inv_norm**2
     upper = certificate.bessel_bound / A
-    ratio_slack = frame.tol.eig_rel * max(1.0, abs(upper), abs(lower))
-    ratios_hold = bool(lower - ratio_slack <= ratios.min() and ratios.max() <= upper + ratio_slack)
-    holds = bool(bounds_hold and ratios_hold)
+    ratios_hold = frame.tol.within(ratios, lower, upper)
+    holds = bounds_hold and ratios_hold
     if strict and not holds:
         raise BoundViolation(
             f"dual bounds {dual_bounds} vs floor {floor:.6g}; "
@@ -203,7 +200,7 @@ def alternate_dual_bounds(
     return DualBoundsCheck(
         floor=floor,
         dual_bounds=dual_bounds,
-        bounds_hold=bool(bounds_hold),
+        bounds_hold=bounds_hold,
         lower=lower,
         observed=(float(ratios.min()), float(ratios.max())),
         upper=upper,

@@ -149,7 +149,7 @@ class FusionFrame:
         self.operator = _read_only(self.synthesis @ self.synthesis.conj().T)
         low, high = hermitian_eigenrange(self.operator, tol)
         self._operator_range = (low, high)
-        self.is_frame = low > tol.rank_rel * high
+        self.is_frame = tol.spans(low, high)
 
     @cached_property
     def normalized_operator(self) -> np.ndarray:
@@ -278,11 +278,6 @@ def excess(frame: FusionFrame) -> int:
     return kernel_dimension(frame.synthesis, frame.tol)
 
 
-def is_minimal(frame: FusionFrame) -> bool:
-    """True when the synthesis operator is injective (zero excess)."""
-    return excess(frame) == 0
-
-
 def classify(frame: FusionFrame) -> AnalysisReport:
     """Full structural classification of a weighted subspace family.
 
@@ -295,21 +290,18 @@ def classify(frame: FusionFrame) -> AnalysisReport:
     bounds = FrameBounds(None if bessel_only else low, high)
     r_minus, r_plus = redundancy_range(frame)
     weights = frame.weights
-    tight = (not bessel_only) and (high - low) <= tol.eig_rel * high
-    parseval = tight and abs(high - 1.0) <= tol.eig_rel
-    uniform_weights = (weights.max() - weights.min()) <= tol.eig_rel * weights.max()
-    orthonormal_fusion_basis = parseval and np.abs(weights - 1.0).max() <= tol.eig_rel
+    parseval = tol.parseval(low, high)  # implies a positive lower bound
     excess_value = excess(frame)
     return AnalysisReport(
         bounds=bounds,
         redundancy=(r_minus, r_plus),
-        tight=tight,
+        tight=(not bessel_only) and tol.flat(low, high),
         parseval=parseval,
-        uniform_weights=bool(uniform_weights),
-        orthonormal_fusion_basis=bool(orthonormal_fusion_basis),
+        uniform_weights=tol.flat(weights.min(), weights.max()),
+        orthonormal_fusion_basis=parseval and tol.near(weights, 1.0),
         minimal=excess_value == 0,
         excess=excess_value,
-        uniform_redundancy=(not bessel_only) and (r_plus - r_minus) <= tol.eig_rel * r_plus,
+        uniform_redundancy=(not bessel_only) and tol.flat(r_minus, r_plus),
         bessel_only=bessel_only,
     )
 
@@ -329,7 +321,8 @@ def erase(frame: FusionFrame, indices) -> tuple[FusionFrame, float | None]:
     Returns the remaining family together with the guaranteed lower
     bound ``A - a`` (``a`` the erased weighted energy ``sum v_i^2``)
     when ``a < A``; otherwise ``None``.  The remaining family may be
-    Bessel-only, in which case its ``is_frame`` flag is false.
+    Bessel-only, in which case its ``is_frame`` flag is false.  The floor
+    is checked within ``[A - a, B]``: eigenvalue roundoff scales with ``B``.
     """
     removed = {int(i) for i in indices}
     J = sorted(removed)
@@ -341,12 +334,12 @@ def erase(frame: FusionFrame, indices) -> tuple[FusionFrame, float | None]:
     remaining = FusionFrame(keep, frame.tol)
     guaranteed: float | None = None
     if frame.is_frame:
-        A = frame._operator_range[0]
+        A, B = frame._operator_range
         a = float(sum(frame.members[i].weight ** 2 for i in J))
         if a < A:
             guaranteed = A - a
             # Deleting weighted energy a < A cannot push the operator below A - a.
-            if remaining._operator_range[0] < guaranteed - frame.tol.eig_rel * max(1.0, A):
+            if not frame.tol.within(remaining._operator_range[0], guaranteed, B):
                 raise InvariantViolation(
                     f"remaining lower bound {remaining._operator_range[0]:.6g} is below the "
                     f"guaranteed floor {guaranteed:.6g}"
@@ -406,8 +399,8 @@ def erasure_certificate(
     """Determine how many members can be erased, verified spectrally.
 
     Removing the members ``J`` leaves a fusion frame iff
-    ``S_J = S - sum_{i in J} v_i^2 P_i`` passes ``low > rank_rel * high``
-    on its eigenvalue range.  Exhaustive mode (at most 22 members) decides
+    ``S_J = S - sum_{i in J} v_i^2 P_i`` passes ``Tolerance.spans`` on its
+    eigenvalue range.  Exhaustive mode (at most 22 members) decides
     each level's subsets in ``itertools.combinations`` order, by chunks:
 
     1. ``sum_{i in J} d_i > sum_i d_i - n`` fails unseen: ``rank S_J < n``.
@@ -477,7 +470,7 @@ def erasure_certificate(
                 np.linalg.cholesky(shifted)
             except np.linalg.LinAlgError:
                 low, high = np.linalg.eigvalsh(H)[:, [0, -1]].T
-                alive[alive] = (high > 0.0) & (low > tol.rank_rel * high)
+                alive[alive] = tol.spans(low, high)
         return alive
 
     def greedy_level(strongest: bool) -> int:
@@ -560,11 +553,6 @@ def erasure_certificate(
     )
 
 
-def max_robust_erasures(frame: FusionFrame, budget: int | None = None) -> int:
-    """Largest verified number of erasable members within the budget."""
-    return erasure_certificate(frame, budget).certified
-
-
 def apply_operator(frame: FusionFrame, U: np.ndarray, tol: Tolerance | None = None) -> FusionFrame:
     """Image family {(U W_i, v_i)} under an invertible operator."""
     tol = tol or frame.tol
@@ -574,7 +562,7 @@ def apply_operator(frame: FusionFrame, U: np.ndarray, tol: Tolerance | None = No
     if np.iscomplexobj(M) and frame.field == REAL:
         raise DimensionMismatch("complex operator applied to a real-field family")
     s = np.linalg.svd(M, compute_uv=False)
-    if s[0] == 0.0 or s[-1] <= tol.rank_rel * s[0]:
+    if not tol.spans(s[-1], s[0]):
         raise SingularOperator(f"singular values span [{s[-1]:.3e}, {s[0]:.3e}]")
     members = [
         WeightedSubspace(Subspace.from_span(M @ m.subspace.basis, tol), m.weight)
@@ -612,25 +600,18 @@ def operator_image_report(frame: FusionFrame, U: np.ndarray, tol: Tolerance | No
     k = float(s[0] / s[-1])
     predicted = (bounds.lower / k**2, bounds.upper * k**2)
     image_bounds = frame_bounds(image)
-    slack = tol.eig_rel * max(1.0, predicted[1])
-    bounds_hold = predicted[0] - slack <= image_bounds.lower and image_bounds.upper <= predicted[1] + slack
     r_minus, r_plus = redundancy_range(frame)
     brackets = ((r_minus / k**2, r_minus * k**2), (r_plus / k**2, r_plus * k**2))
     image_r = redundancy_range(image)
-    r_slack = tol.eig_rel * max(1.0, brackets[1][1])
-    redundancy_holds = all(
-        lo - r_slack <= value <= hi + r_slack
-        for (lo, hi), value in zip(brackets, image_r)
-    )
     return OperatorImageReport(
         image=image,
         condition=k,
         predicted_bounds=predicted,
         computed_bounds=image_bounds,
-        bounds_hold=bool(bounds_hold),
+        bounds_hold=tol.within((image_bounds.lower, image_bounds.upper), *predicted),
         redundancy_brackets=brackets,
         image_redundancy=image_r,
-        redundancy_holds=bool(redundancy_holds),
+        redundancy_holds=tol.within(image_r, *np.transpose(brackets)),
     )
 
 
@@ -648,7 +629,7 @@ def redundancy_equivalent(
     if a.ambient_dim != b.ambient_dim or a.field != b.field:
         raise DimensionMismatch("families live in different spaces")
     Sa, Sb = a.normalized_operator, b.normalized_operator
-    equivalent = bool(np.abs(Sa - Sb).max() <= a.tol.eig_rel)
+    equivalent = a.tol.near(Sa, Sb)
     if equivalent and samples > 0:
         rng = rng or np.random.default_rng(0)
         X = sample_unit_vectors(rng, a.ambient_dim, samples, a.field)

@@ -4,8 +4,14 @@ Everything above this module (vector frames, weighted subspace families,
 duality certificates) is phrased in terms of a handful of primitives:
 rank-revealing orthonormalization, Hermitian eigenvalue ranges, kernel
 dimensions, positive definite solves, and Haar sampling on the unit
-sphere.  All cutoffs are relative to the largest singular or eigenvalue
-so the results are invariant under rescaling of the input.
+sphere.  Every cutoff decision in the package is a :class:`Tolerance`
+predicate: ``rank``, ``spans`` and ``negligible`` apply ``rank_rel``;
+``flat``, ``near``, ``parseval`` and ``within`` apply ``eig_rel``;
+``reconstructs`` applies ``recon_abs``.  Scale rule: a cutoff is relative
+to the scale of what it decides (the largest singular or eigenvalue or
+bracket end, a family's largest norm), so results are invariant under
+rescaling; only ``near`` (quantities of scale 1) and ``reconstructs`` are
+absolute.
 """
 
 from __future__ import annotations
@@ -44,6 +50,44 @@ class Tolerance:
             value = getattr(self, name)
             if not (0.0 < value < 1.0):
                 raise ValueError(f"{name} must lie strictly between 0 and 1, got {value!r}")
+
+    def rank(self, s: np.ndarray) -> int:
+        """Numerical rank: how many descending singular values ``s`` exceed ``rank_rel`` times the largest."""
+        return int(np.count_nonzero(s > self.rank_rel * s[0])) if s.size else 0
+
+    def spans(self, low, high):
+        """Whether a PSD spectrum is nonsingular: ``high > 0 and low > rank_rel * high``, elementwise."""
+        return (high > 0.0) & (low > self.rank_rel * high)
+
+    def negligible(self, residual, scale) -> bool:
+        """Whether every ``residual`` is zero for data of size ``scale``: ``<= rank_rel * scale``."""
+        return bool(np.max(residual) <= self.rank_rel * scale)
+
+    def flat(self, low, high) -> bool:
+        """Whether ``[low, high]`` is one value up to ``eig_rel``: ``high - low <= eig_rel * high``."""
+        return bool(high - low <= self.eig_rel * high)
+
+    def near(self, a, b) -> bool:
+        """Whether ``max |a - b| <= eig_rel``, for quantities of scale 1."""
+        return bool(np.max(np.abs(np.subtract(a, b))) <= self.eig_rel)
+
+    def parseval(self, low, high) -> bool:
+        """Whether the spectrum ``[low, high]`` is flat at 1: the Parseval rule."""
+        return self.flat(low, high) and self.near(high, 1.0)
+
+    def within(self, values, lower, upper) -> bool:
+        """Whether values lie in ``[lower, upper]`` (ends may be arrays, one per value) up to a slack.
+
+        The slack is ``eig_rel * max(1, |lower|, |upper|)`` over finite ends; an infinite end bounds nothing.
+        """
+        ends = np.abs(np.append(lower, upper))
+        slack = self.eig_rel * ends[np.isfinite(ends)].max(initial=1.0)
+        values = np.asarray(values)
+        return bool(np.all((lower - slack <= values) & (values <= upper + slack)))
+
+    def reconstructs(self, residual) -> bool:
+        """Whether a reconstruction residual is at most ``recon_abs``."""
+        return bool(residual <= self.recon_abs)
 
 
 DEFAULT_TOLERANCE = Tolerance()
@@ -117,9 +161,9 @@ def orthonormalize(vectors: np.ndarray, tol: Tolerance = DEFAULT_TOLERANCE) -> n
         raise DimensionMismatch(f"expected a nonempty 2-d matrix of column vectors, got shape {A.shape}")
     _require_finite(A, "column matrix")
     U, s, _ = np.linalg.svd(A, full_matrices=False)
-    if s[0] == 0.0:
+    rank = tol.rank(s)
+    if rank == 0:
         raise AllColumnsNumericallyZero("every column is numerically zero")
-    rank = int(np.count_nonzero(s > tol.rank_rel * s[0]))
     return np.ascontiguousarray(U[:, :rank])
 
 
@@ -139,11 +183,7 @@ def kernel_dimension(M: np.ndarray, tol: Tolerance = DEFAULT_TOLERANCE) -> int:
     A = np.asarray(_require_finite(M))
     if A.ndim != 2:
         raise DimensionMismatch(f"expected a 2-d matrix, got shape {A.shape}")
-    s = np.linalg.svd(A, compute_uv=False)
-    columns = A.shape[1]
-    if s.size == 0 or s[0] == 0.0:
-        return columns
-    return columns - int(np.count_nonzero(s > tol.rank_rel * s[0]))
+    return A.shape[1] - tol.rank(np.linalg.svd(A, compute_uv=False))
 
 
 def solve_hermitian_positive(
@@ -152,9 +192,8 @@ def solve_hermitian_positive(
     """Solve ``M X = rhs`` for Hermitian positive definite ``M``.
 
     One eigendecomposition serves both steps.  Positive definiteness is
-    decided spectrally: the smallest eigenvalue must exceed
-    ``tol.rank_rel`` times the largest.  The solve applies the inverse
-    through the eigenbasis, followed by one step of iterative
+    decided spectrally by ``Tolerance.spans``.  The solve applies the
+    inverse through the eigenbasis, followed by one step of iterative
     refinement, which keeps the residual near machine level even for
     moderately ill-conditioned operators.
     """
@@ -164,7 +203,7 @@ def solve_hermitian_positive(
         raise DimensionMismatch(f"right-hand side has {B.shape[0]} rows, expected {H.shape[0]}")
     eigenvalues, V = np.linalg.eigh(H)
     low, high = float(eigenvalues[0]), float(eigenvalues[-1])
-    if high <= 0.0 or low <= tol.rank_rel * high:
+    if not tol.spans(low, high):
         raise NotPositiveDefinite(f"spectrum [{low:.3e}, {high:.3e}] fails the positivity cutoff")
     scale = eigenvalues.reshape((-1,) + (1,) * (B.ndim - 1))
 

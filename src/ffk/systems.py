@@ -22,12 +22,8 @@ from .errors import (
     VectorOutsideSubspace,
 )
 from .fusion import FusionFrame, classify, redundancy_at, redundancy_range
-from .numerics import hermitian_eigenrange
+from .numerics import hermitian_eigenrange, kernel_dimension
 from .vector_frames import VectorFrame, redundancy_function
-
-LOCAL_MEMBERSHIP_TOL = 1e-10
-LOCAL_PARSEVAL_TOL = 1e-10
-LOCAL_ORTHOGONALITY_TOL = 1e-10
 
 
 class FusionFrameSystem:
@@ -48,15 +44,13 @@ class FusionFrameSystem:
                     f"expected {frame.ambient_dim}"
                 )
             basis = member.subspace.basis
-            inside = basis @ (basis.conj().T @ local.matrix)
-            defect = np.linalg.norm(local.matrix - inside, axis=0).max()
-            if defect > LOCAL_MEMBERSHIP_TOL:
+            coordinates = basis.conj().T @ local.matrix
+            defect = np.linalg.norm(local.matrix - basis @ coordinates, axis=0).max()
+            if not frame.tol.negligible(defect, local.norms().max()):
                 raise VectorOutsideSubspace(
                     f"local family {i} leaves its subspace by {defect:.3e}"
                 )
-            local_rank = np.linalg.matrix_rank(
-                basis.conj().T @ local.matrix, tol=frame.tol.rank_rel
-            )
+            local_rank = local.count - kernel_dimension(coordinates, frame.tol)
             if local_rank < member.subspace.dim:
                 raise LocalNotAFrame(
                     f"local family {i} spans {local_rank} of {member.subspace.dim} dimensions"
@@ -90,12 +84,12 @@ def _locals_orthogonal(system: FusionFrameSystem) -> bool:
     for local in system.local_frames:
         gram = local.matrix.conj().T @ local.matrix
         off = gram - np.diag(np.diag(gram))
-        if np.abs(off).max() > LOCAL_ORTHOGONALITY_TOL:
+        if not system.frame.tol.negligible(np.abs(off), np.diag(gram).real.max()):
             return False
     return True
 
 
-def check_local_additivity(system: FusionFrameSystem, x, equality_tol: float = 1e-9) -> LocalAdditivityCheck:
+def check_local_additivity(system: FusionFrameSystem, x) -> LocalAdditivityCheck:
     """Compare fusion redundancy at ``x`` with the sum of local redundancies.
 
     Orthogonal local families (any norms) make the two quantities agree
@@ -108,7 +102,7 @@ def check_local_additivity(system: FusionFrameSystem, x, equality_tol: float = 1
         fusion_value=fusion_value,
         local_sum=local_sum,
         orthogonal_locals=_locals_orthogonal(system),
-        equal=abs(fusion_value - local_sum) <= equality_tol,
+        equal=system.frame.tol.near(fusion_value, local_sum),
     )
 
 
@@ -117,16 +111,15 @@ def _require_local_parseval(system: FusionFrameSystem) -> None:
         defect = np.abs(
             local.matrix @ local.matrix.conj().T - member.subspace.projection()
         ).max()
-        if defect > LOCAL_PARSEVAL_TOL:
+        if not system.frame.tol.negligible(defect, 1.0):
             raise LocalNotParseval(f"local family {i} misses its projection by {defect:.3e}")
 
 
-def _flattened_matrix(system: FusionFrameSystem, weighted: bool) -> np.ndarray:
-    blocks = []
-    for member, local in zip(system.frame.members, system.local_frames):
-        scale = member.weight if weighted else 1.0
-        blocks.append(scale * local.matrix)
-    return np.concatenate(blocks, axis=1)
+def _flat_parseval(system: FusionFrameSystem, weighted: bool) -> bool:
+    """Whether the flattened family {v_i f_ij}, or {f_ij} unweighted, passes the Parseval rule."""
+    scales = [member.weight if weighted else 1.0 for member in system.frame.members]
+    flat = np.concatenate([scale * local.matrix for scale, local in zip(scales, system.local_frames)], axis=1)
+    return system.frame.tol.parseval(*hermitian_eigenrange(flat @ flat.conj().T, system.frame.tol))
 
 
 @dataclass(frozen=True)
@@ -145,15 +138,12 @@ def parseval_equivalences(system: FusionFrameSystem) -> ParsevalEquivalenceCheck
     two flags are computed independently and must agree.
     """
     _require_local_parseval(system)
-    tol = system.frame.tol
-    flat = _flattened_matrix(system, weighted=True)
-    low, high = hermitian_eigenrange(flat @ flat.conj().T, tol)
-    global_parseval = abs(low - 1.0) <= tol.eig_rel and abs(high - 1.0) <= tol.eig_rel
+    global_parseval = _flat_parseval(system, weighted=True)
     fusion_parseval = classify(system.frame).parseval
     return ParsevalEquivalenceCheck(
-        global_parseval=bool(global_parseval),
-        fusion_parseval=bool(fusion_parseval),
-        consistent=bool(global_parseval == fusion_parseval),
+        global_parseval=global_parseval,
+        fusion_parseval=fusion_parseval,
+        consistent=global_parseval == fusion_parseval,
     )
 
 
@@ -175,15 +165,12 @@ def redundancy_one_equivalence(system: FusionFrameSystem) -> RedundancyOneCheck:
     """
     _require_local_parseval(system)
     tol = system.frame.tol
-    if np.abs(system.frame.weights - 1.0).max() > tol.eig_rel:
+    if not tol.near(system.frame.weights, 1.0):
         raise NotUniformWeights("the redundancy-one equivalence is stated for unit weights")
-    flat = _flattened_matrix(system, weighted=False)
-    low, high = hermitian_eigenrange(flat @ flat.conj().T, tol)
-    flat_parseval = abs(low - 1.0) <= tol.eig_rel and abs(high - 1.0) <= tol.eig_rel
-    r_minus, r_plus = redundancy_range(system.frame)
-    fusion_redundancy_one = abs(r_minus - 1.0) <= tol.eig_rel and abs(r_plus - 1.0) <= tol.eig_rel
+    flat_parseval = _flat_parseval(system, weighted=False)
+    fusion_redundancy_one = tol.parseval(*redundancy_range(system.frame))
     return RedundancyOneCheck(
-        flat_parseval=bool(flat_parseval),
-        fusion_redundancy_one=bool(fusion_redundancy_one),
-        consistent=bool(flat_parseval == fusion_redundancy_one),
+        flat_parseval=flat_parseval,
+        fusion_redundancy_one=fusion_redundancy_one,
+        consistent=flat_parseval == fusion_redundancy_one,
     )

@@ -46,15 +46,14 @@ class VectorFrame:
     def __init__(self, vectors, *, require_spanning: bool = True, tol: Tolerance = DEFAULT_TOLERANCE):
         matrix = _as_column_matrix(vectors)
         norms = np.linalg.norm(matrix, axis=0)
-        scale = float(norms.max()) if norms.size else 0.0
-        if scale == 0.0 or np.any(norms <= tol.rank_rel * scale):
+        if not np.all(tol.spans(norms, norms.max())):
             index = int(np.argmin(norms))
             raise ZeroVector(f"vector {index} has numerically zero norm")
         matrix.setflags(write=False)
         self.matrix = matrix
         self.tol = tol
         low, high = hermitian_eigenrange(matrix @ matrix.conj().T, tol)
-        self.is_frame = low > tol.rank_rel * high
+        self.is_frame = tol.spans(low, high)
         if require_spanning and not self.is_frame:
             raise NotAFrame(
                 f"{self.count} vectors do not span dimension {self.ambient_dim} "
@@ -157,8 +156,8 @@ def analyze_vector_frame(frame: VectorFrame) -> VectorFrameReport:
     return VectorFrameReport(
         bounds=FrameBounds(low, high),
         redundancy=vector_redundancy_range(frame),
-        tight=(high - low) <= tol.eig_rel * high,
-        equal_norm=(norms.max() - norms.min()) <= tol.eig_rel * norms.max(),
+        tight=tol.flat(low, high),
+        equal_norm=tol.flat(norms.min(), norms.max()),
     )
 
 
@@ -179,8 +178,7 @@ def dual_residual(frame: VectorFrame, candidate: VectorFrame) -> float:
 
 
 def is_dual_pair(frame: VectorFrame, candidate: VectorFrame, tol: Tolerance | None = None) -> bool:
-    tol = tol or frame.tol
-    return dual_residual(frame, candidate) <= tol.recon_abs
+    return (tol or frame.tol).reconstructs(dual_residual(frame, candidate))
 
 
 def canonical_dual(frame: VectorFrame) -> VectorFrame:
@@ -227,12 +225,12 @@ def check_norm_inequality(frame: VectorFrame, dual: VectorFrame, x) -> tuple[flo
     Returns ``(lhs, rhs, holds)``.
     """
     v = _as_unit_vector(x, frame.ambient_dim)
-    if dual_residual(frame, dual) > frame.tol.recon_abs:
+    if not frame.tol.reconstructs(dual_residual(frame, dual)):
         raise NotADual("candidate fails the reconstruction identity")
     D = solve_hermitian_positive(frame_operator(frame), frame.matrix, frame.tol)
     lhs = float(np.linalg.norm(D.conj().T @ v))
     rhs = float(np.linalg.norm(dual.matrix.conj().T @ v))
-    return lhs, rhs, lhs <= rhs + frame.tol.eig_rel
+    return lhs, rhs, lhs <= rhs or frame.tol.near(lhs, rhs)
 
 
 @dataclass(frozen=True)
@@ -268,6 +266,5 @@ def dual_redundancy_sandwich(frame: VectorFrame) -> SandwichCheck:
     lower, upper = k**-2, k**2
     ratio_minus = d_minus / r_minus
     ratio_plus = d_plus / r_plus
-    slack = tol.eig_rel * max(1.0, upper)
-    holds = all(lower - slack <= r <= upper + slack for r in (ratio_minus, ratio_plus))
+    holds = tol.within((ratio_minus, ratio_plus), lower, upper)
     return SandwichCheck(lower, ratio_minus, ratio_plus, upper, holds)

@@ -342,6 +342,32 @@ class TestSystem:
         assert tree["redundancy_one"]["applicable"] is True
         assert tree["redundancy_one"]["flat_parseval"] is True
 
+    def test_weights_just_off_one_are_consistently_non_parseval(self, run, tmp_path):
+        path = tmp_path / "system.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "schema_version": "ffk/1",
+                    "field": "real",
+                    "dimension": 2,
+                    "subspaces": [
+                        {"weight": 0.9999999996, "vectors": [[1, 0]]},
+                        {"weight": 1.0000000004, "vectors": [[0, 1]]},
+                    ],
+                    "local_frames": [[[1, 0]], [[0, 1]]],
+                }
+            ),
+            encoding="utf-8",
+        )
+        code, stdout, _ = run("system", str(path))
+        assert code == 0
+        assert json.loads(stdout)["parseval_equivalence"] == {
+            "applicable": True,
+            "global_parseval": False,
+            "fusion_parseval": False,
+            "consistent": True,
+        }
+
     def test_document_without_locals_rejected(self, run, frame_file):
         code, _, stderr = run("system", frame_file("7.2", 3))
         assert code == 1
@@ -417,3 +443,29 @@ class TestHugeIntegers:
         op.write_text(json.dumps({"rows": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, HUGE]]}), encoding="utf-8")
         outcome = run("transform", frame_file("7.2", 3), "--operator", str(op))
         self.assert_not_finite(outcome, f"{op}: rows[2][2]")
+
+
+class TestUndecodableJson:
+    """Nesting beyond the recursion limit and over-long integer literals are ParseErrors."""
+
+    TEXTS = {"deep": "[" * 100_000, "long-integer": "[" + "7" * 5000 + "]"}
+
+    def assert_parse_error(self, outcome, prefix=""):
+        code, stdout, stderr = outcome
+        assert (code, stdout) == (1, "")
+        assert stderr.count("\n") == 1
+        error = json.loads(stderr)["error"]
+        assert error["type"] == "ParseError"
+        assert error["message"].startswith(prefix)
+
+    @pytest.mark.parametrize("kind", sorted(TEXTS))
+    def test_analyze(self, run, tmp_path, kind):
+        path = tmp_path / "frame.json"
+        path.write_text(self.TEXTS[kind], encoding="utf-8")
+        self.assert_parse_error(run("analyze", str(path)))
+
+    @pytest.mark.parametrize("kind", sorted(TEXTS))
+    def test_redundancy_at(self, run, frame_file, tmp_path, kind):
+        at = tmp_path / "x.json"
+        at.write_text(self.TEXTS[kind], encoding="utf-8")
+        self.assert_parse_error(run("redundancy", frame_file("7.1", 4), "--at", str(at)), f"{at}: ")

@@ -7,6 +7,8 @@ eigvalsh, and convert document rows and render JSON one entry at a
 time; the library builds stacked operators once per frame, solves once
 per dual operation, shares one greedy helper, decides exhaustive subsets
 in chunks, and converts each block of document rows with one array call.
+The ``Tolerance`` cutoff predicates are checked against the comparisons
+that were written out at each of their call sites.
 """
 
 import functools
@@ -661,3 +663,26 @@ def test_parse_rows_raises_the_reference_error(seed):
     with pytest.raises(ParseError) as got:
         _parse_rows(rows, field, dimension, "v")
     assert str(got.value) == str(expected.value)
+
+
+# --- cutoff predicates --------------------------------------------------------
+
+SPECTRUM_ENDS = st.sampled_from((0.0, 1e-10, 1.0 - 8e-10, 1.0, 1.0 + 8e-10, 4.0, 1e8)) | st.floats(-1.0, 1e12)
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(st.tuples(SPECTRUM_ENDS, SPECTRUM_ENDS).map(sorted), SPECTRUM_ENDS)
+def test_tolerance_predicates_match_the_comparisons_they_replaced(spectrum, value):
+    """Each predicate against the hand-written expression of its call sites, for ``low <= high``."""
+    tol = Tolerance()
+    low, high = spectrum
+    is_frame = low > tol.rank_rel * high
+    assert tol.spans(low, high) == is_frame == (not (high <= 0.0 or low <= tol.rank_rel * high))
+    tight = is_frame and (high - low) <= tol.eig_rel * high
+    assert (is_frame and tol.flat(low, high)) == tight
+    assert tol.parseval(low, high) == (tight and abs(high - 1.0) <= tol.eig_rel)
+    slack = tol.eig_rel * max(1.0, high)
+    assert tol.within(value, -np.inf, high) == (value <= high + slack)
+    if low > 0.0:  # the brackets [lower, upper] of the ratio, image and energy checks
+        assert tol.within(value, low, high) == (low - slack <= value <= high + slack)
+        assert tol.within(value, low, np.inf) == (value >= low - tol.eig_rel * max(1.0, low))

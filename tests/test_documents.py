@@ -250,6 +250,13 @@ class TestFrameDocument:
         assert system is None
 
 
+@pytest.mark.parametrize("document", [FrameDocument, ReportDocument])
+@pytest.mark.parametrize("text", ["[" * 100_000, '{"dimension": ' + "9" * 5000 + "}"], ids=["deep", "long-integer"])
+def test_undecodable_json_is_a_parse_error(document, text):
+    with pytest.raises(ParseError):
+        document.from_json_text(text)
+
+
 class TestReportDocument:
     def build_report(self, with_erasure: bool = True):
         frame = example_frame("7.3")

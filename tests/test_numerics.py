@@ -1,7 +1,13 @@
+import ast
+import io
+import tokenize
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ffk
 from ffk.errors import (
     AllColumnsNumericallyZero,
     NonFiniteEntries,
@@ -40,6 +46,88 @@ class TestTolerance:
     def test_frozen(self):
         with pytest.raises(AttributeError):
             DEFAULT_TOLERANCE.eig_rel = 0.5
+
+
+class TestTolerancePredicates:
+    tol = DEFAULT_TOLERANCE
+
+    def test_rank_counts_values_above_the_relative_cutoff(self):
+        assert self.tol.rank(np.array([2.0, 1e-9, 1e-10, 0.0])) == 2
+        assert self.tol.rank(np.zeros(3)) == 0
+        assert self.tol.rank(np.array([])) == 0
+
+    def test_spans_is_elementwise_and_rejects_a_zero_spectrum(self):
+        low = np.array([2e-10, 1e-10, 0.0])
+        assert self.tol.spans(low, np.ones(3)).tolist() == [True, False, False]
+        assert not self.tol.spans(0.0, 0.0)
+
+    def test_negligible_is_relative_to_the_given_scale(self):
+        assert self.tol.negligible(np.array([1e-3, 0.0]), 1e7)
+        assert not self.tol.negligible(1e-3, 1.0)
+
+    def test_parseval_needs_a_flat_spectrum_not_only_ends_near_one(self):
+        low, high = 1.0 - 8e-10, 1.0 + 8e-10
+        assert self.tol.near(low, 1.0) and self.tol.near(high, 1.0)
+        assert not self.tol.flat(low, high)
+        assert not self.tol.parseval(low, high)
+        assert self.tol.parseval(1.0 - 4e-10, 1.0 + 4e-10)
+
+    def test_within_slack_scales_with_the_largest_finite_end(self):
+        assert self.tol.within(1e8 + 0.05, 1.0, 1e8)
+        assert not self.tol.within(1e8 + 0.2, 1.0, 1e8)
+        assert self.tol.within(0.5 - 9e-10, 0.5, np.inf)
+        assert not self.tol.within(0.5 - 2e-9, 0.5, np.inf)
+        assert self.tol.within([-5.0, 2.0], -np.inf, 2.0)
+        assert self.tol.within([1.0, 10.0], np.array([0.5, 9.0]), np.array([2.0, 11.0]))
+        assert not self.tol.within([1.0, 10.0], np.array([0.5, 10.5]), np.array([2.0, 11.0]))
+
+    def test_reconstructs_is_absolute(self):
+        assert self.tol.reconstructs(1e-8) and not self.tol.reconstructs(2e-8)
+
+
+def _innermost_scopes(tree):
+    """(first line, last line, qualified name) of every function, methods as Class.name."""
+    scopes = []
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if not isinstance(child, ast.ClassDef):
+                    scopes.append((child.lineno, child.end_lineno, prefix + child.name))
+                visit(child, prefix + child.name + ".")
+            else:
+                visit(child, prefix)
+
+    visit(tree, "")
+    return scopes
+
+
+def test_cutoff_policy_stays_in_numerics():
+    """Outside ``numerics``, code names ``eig_rel`` or ``rank_rel`` only where it passes them on.
+
+    Those places are the ``--tol-eig`` plumbing, the tolerance echo in
+    the report, and the erasure search's shift and weight rule; every
+    other cutoff decision calls a ``Tolerance`` predicate.
+    """
+    allowed = {
+        ("cli.py", "_tolerance"),
+        ("documents.py", "ReportDocument.from_analysis"),
+        ("fusion.py", "erasure_certificate"),
+        ("fusion.py", "_weight_rule_level"),
+    }
+    found = set()
+    for path in sorted(Path(ffk.__file__).parent.glob("*.py")):
+        if path.name == "numerics.py":
+            continue
+        source = path.read_text(encoding="utf-8")
+        scopes = _innermost_scopes(ast.parse(source))
+        for token in tokenize.generate_tokens(io.StringIO(source).readline):
+            if token.type == tokenize.NAME and token.string in ("eig_rel", "rank_rel"):
+                line = token.start[0]
+                enclosing = [scope for scope in scopes if scope[0] <= line <= scope[1]]
+                name = max(enclosing)[2] if enclosing else "<module>"
+                found.add((path.name, name))
+    assert found == allowed
 
 
 class TestFrameBounds:

@@ -15,6 +15,7 @@ from ffk.gallery import example_frame
 from ffk.generators import (
     random_fusion_frame,
     random_orthogonal_decomposition,
+    random_local_vectors,
     random_parseval_fusion_frame,
     random_system,
 )
@@ -107,6 +108,22 @@ class TestLocalAdditivity:
         check = check_local_additivity(system, x)
         assert check.orthogonal_locals and check.equal
 
+    @pytest.mark.parametrize("scale", [1e4, 1e7, 1e-11])
+    @pytest.mark.parametrize("kind", ["orthogonal", "generic"])
+    def test_flags_do_not_depend_on_the_scale_of_the_locals(self, scale, kind):
+        """Membership, rank and orthogonality are decided relative to the local family."""
+        for seed in range(50):
+            rng = np.random.default_rng(seed)
+            frame = random_fusion_frame(rng, n=4)
+            locals_ = random_local_vectors(rng, frame, kind)
+            x = sample_unit_vectors(rng, 4, 1, frame.field)[0]
+            flags = []
+            for factor in (1.0, scale):
+                check = check_local_additivity(build_system(frame, [[factor * v for v in vs] for vs in locals_]), x)
+                flags.append((check.orthogonal_locals, check.equal))
+            assert flags[0] == flags[1], seed
+            assert flags[0][0] == (kind == "orthogonal")
+
     def test_slanted_overcomplete_locals_break_additivity(self):
         system = overcomplete_plane_system()
         x = np.array([1.0, 1.0, 0.0]) / math.sqrt(2)
@@ -134,6 +151,13 @@ class TestParsevalEquivalences:
         assert check.global_parseval
         assert check.fusion_parseval
         assert check.consistent
+
+    def test_weights_just_off_one_follow_the_fusion_parseval_rule(self):
+        """Spectrum [1 - 8e-10, 1 + 8e-10]: within eig_rel of 1 but not flat, so not Parseval."""
+        e1, e2 = np.eye(2)
+        frame = build_fusion_frame([(e1[:, None], 0.9999999996), (e2[:, None], 1.0000000004)], 2)
+        check = parseval_equivalences(build_system(frame, [[e1], [e2]]))
+        assert (check.global_parseval, check.fusion_parseval, check.consistent) == (False, False, True)
 
     def test_parseval_locals_required(self, rng):
         frame = random_parseval_fusion_frame(rng, n=4, layers=2)
