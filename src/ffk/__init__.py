@@ -17,7 +17,6 @@ from .vector_frames import (
     canonical_dual,
     check_norm_inequality,
     dual_redundancy_sandwich,
-    frame_operator,
     redundancy_function,
     vector_redundancy_range,
 )
@@ -95,7 +94,6 @@ __all__ = [
     "example_frame",
     "excess",
     "frame_bounds",
-    "frame_operator",
     "fusion_frame_operator",
     "load_frame",
     "parseval_equivalences",

@@ -40,6 +40,7 @@ from .numerics import (
     quadratic_forms,
     sample_unit_vectors,
     symmetrize,
+    _read_only,
     _require_finite,
     _require_square,
 )
@@ -117,7 +118,8 @@ class FusionFrame:
     and tagged Bessel-only (``is_frame`` is ``False``); operations that
     need a positive lower bound raise :class:`NotAFusionFrame` instead.
 
-    The frame owns its operators, all read-only: ``bases`` stacks the
+    The frame owns its operators, all read-only: ``weights`` and ``dims``
+    list the members' weights and dimensions; ``bases`` stacks the
     members' orthonormal bases (n x m), member ``i`` owning columns
     ``offsets[i]:offsets[i + 1]``; ``synthesis`` is
     ``T = [v_1 Q_1 | ... | v_N Q_N]``; ``operator`` is ``S = T T*``; and
@@ -143,8 +145,10 @@ class FusionFrame:
         self.members = members
         self.tol = tol
         self._ambient_dim = ambient
+        self.weights = _read_only(np.array([m.weight for m in members]))
+        self.dims = _read_only(np.array([m.subspace.dim for m in members]))
         self.bases = _read_only(np.concatenate([m.subspace.basis for m in members], axis=1))
-        self.offsets = _read_only(np.cumsum([0] + [m.subspace.dim for m in members]))
+        self.offsets = _read_only(np.cumsum(np.append(0, self.dims)))
         self.synthesis = _read_only(self.bases * np.repeat(self.weights, self.dims))
         self.operator = _read_only(self.synthesis @ self.synthesis.conj().T)
         low, high = hermitian_eigenrange(self.operator, tol)
@@ -167,14 +171,6 @@ class FusionFrame:
     def field(self) -> str:
         return self.members[0].subspace.field
 
-    @property
-    def weights(self) -> np.ndarray:
-        return np.array([m.weight for m in self.members])
-
-    @property
-    def dims(self) -> np.ndarray:
-        return np.array([m.subspace.dim for m in self.members])
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"FusionFrame(members={self.member_count}, ambient={self.ambient_dim}, "
@@ -196,11 +192,6 @@ class AnalysisReport:
     excess: int
     uniform_redundancy: bool
     bessel_only: bool
-
-
-def _read_only(array: np.ndarray) -> np.ndarray:
-    array.setflags(write=False)
-    return array
 
 
 def build_fusion_frame(spans, ambient_dim: int, tol: Tolerance = DEFAULT_TOLERANCE) -> FusionFrame:

@@ -141,6 +141,11 @@ def _require_square(M: np.ndarray, what: str = "matrix") -> np.ndarray:
     return M
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
+
 def symmetrize(M: np.ndarray) -> np.ndarray:
     """Hermitian part (M + M*) / 2 of a square matrix."""
     M = _require_square(M)

@@ -22,12 +22,18 @@ from .errors import (
     VectorOutsideSubspace,
 )
 from .fusion import FusionFrame, classify, redundancy_at, redundancy_range
-from .numerics import hermitian_eigenrange, kernel_dimension
+from .numerics import Tolerance, hermitian_eigenrange, kernel_dimension
 from .vector_frames import VectorFrame, redundancy_function
 
 
 class FusionFrameSystem:
-    """A fusion frame together with one local frame per member."""
+    """A fusion frame together with one local frame per member.
+
+    Construction validates each local family and decides, once, the two
+    local properties the checks below read: ``orthogonal_locals``, whether
+    the vectors of each local family are pairwise orthogonal, and whether
+    each local frame operator equals its subspace's projection (Parseval).
+    """
 
     def __init__(self, frame: FusionFrame, local_frames):
         local_frames = tuple(local_frames)
@@ -46,7 +52,7 @@ class FusionFrameSystem:
             basis = member.subspace.basis
             coordinates = basis.conj().T @ local.matrix
             defect = np.linalg.norm(local.matrix - basis @ coordinates, axis=0).max()
-            if not frame.tol.negligible(defect, local.norms().max()):
+            if not frame.tol.negligible(defect, local.norms.max()):
                 raise VectorOutsideSubspace(
                     f"local family {i} leaves its subspace by {defect:.3e}"
                 )
@@ -57,9 +63,23 @@ class FusionFrameSystem:
                 )
         self.frame = frame
         self.local_frames = local_frames
+        self.orthogonal_locals = all(_orthogonal(local, frame.tol) for local in local_frames)
+        defects = (
+            np.abs(local.operator - member.subspace.projection()).max()
+            for member, local in zip(frame.members, local_frames)
+        )
+        self._nonparseval_local = next(
+            ((i, defect) for i, defect in enumerate(defects) if not frame.tol.negligible(defect, 1.0)), None
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"FusionFrameSystem(members={self.frame.member_count}, ambient={self.frame.ambient_dim})"
+
+
+def _orthogonal(local: VectorFrame, tol: Tolerance) -> bool:
+    gram = local.matrix.conj().T @ local.matrix
+    off = gram - np.diag(np.diag(gram))
+    return tol.negligible(np.abs(off), np.diag(gram).real.max())
 
 
 def build_system(frame: FusionFrame, local_vectors) -> FusionFrameSystem:
@@ -80,15 +100,6 @@ class LocalAdditivityCheck:
     equal: bool
 
 
-def _locals_orthogonal(system: FusionFrameSystem) -> bool:
-    for local in system.local_frames:
-        gram = local.matrix.conj().T @ local.matrix
-        off = gram - np.diag(np.diag(gram))
-        if not system.frame.tol.negligible(np.abs(off), np.diag(gram).real.max()):
-            return False
-    return True
-
-
 def check_local_additivity(system: FusionFrameSystem, x) -> LocalAdditivityCheck:
     """Compare fusion redundancy at ``x`` with the sum of local redundancies.
 
@@ -101,18 +112,15 @@ def check_local_additivity(system: FusionFrameSystem, x) -> LocalAdditivityCheck
     return LocalAdditivityCheck(
         fusion_value=fusion_value,
         local_sum=local_sum,
-        orthogonal_locals=_locals_orthogonal(system),
+        orthogonal_locals=system.orthogonal_locals,
         equal=system.frame.tol.near(fusion_value, local_sum),
     )
 
 
 def _require_local_parseval(system: FusionFrameSystem) -> None:
-    for i, (member, local) in enumerate(zip(system.frame.members, system.local_frames)):
-        defect = np.abs(
-            local.matrix @ local.matrix.conj().T - member.subspace.projection()
-        ).max()
-        if not system.frame.tol.negligible(defect, 1.0):
-            raise LocalNotParseval(f"local family {i} misses its projection by {defect:.3e}")
+    if system._nonparseval_local is not None:
+        i, defect = system._nonparseval_local
+        raise LocalNotParseval(f"local family {i} misses its projection by {defect:.3e}")
 
 
 def _flat_parseval(system: FusionFrameSystem, weighted: bool) -> bool:

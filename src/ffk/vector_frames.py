@@ -10,6 +10,7 @@ linear in the first argument: ``<x, y> = y* x``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -28,6 +29,7 @@ from .numerics import (
     field_of,
     hermitian_eigenrange,
     solve_hermitian_positive,
+    _read_only,
     _require_finite,
 )
 
@@ -41,24 +43,40 @@ class VectorFrame:
     family must span the ambient space (the frame property); pass
     ``require_spanning=False`` for families that are frames only for
     their own span, such as the local families of a fusion frame system.
+
+    The frame owns its derived state, all read-only: ``norms`` holds the
+    column norms, ``operator`` is ``S = Phi Phi*``, and, computed on first
+    use, ``normalized_operator`` is ``sum_i phi_i phi_i* / ||phi_i||^2``
+    and ``dual_matrix`` is ``S^-1 Phi``, the canonical dual's vectors.
     """
 
     def __init__(self, vectors, *, require_spanning: bool = True, tol: Tolerance = DEFAULT_TOLERANCE):
-        matrix = _as_column_matrix(vectors)
-        norms = np.linalg.norm(matrix, axis=0)
+        matrix = _read_only(_as_column_matrix(vectors))
+        norms = _read_only(np.linalg.norm(matrix, axis=0))
         if not np.all(tol.spans(norms, norms.max())):
             index = int(np.argmin(norms))
             raise ZeroVector(f"vector {index} has numerically zero norm")
-        matrix.setflags(write=False)
         self.matrix = matrix
+        self.norms = norms
         self.tol = tol
-        low, high = hermitian_eigenrange(matrix @ matrix.conj().T, tol)
+        self.operator = _read_only(matrix @ matrix.conj().T)
+        low, high = hermitian_eigenrange(self.operator, tol)
+        self._operator_range = (low, high)
         self.is_frame = tol.spans(low, high)
         if require_spanning and not self.is_frame:
             raise NotAFrame(
                 f"{self.count} vectors do not span dimension {self.ambient_dim} "
                 f"(operator spectrum [{low:.3e}, {high:.3e}])"
             )
+
+    @cached_property
+    def normalized_operator(self) -> np.ndarray:
+        unit = self.matrix / self.norms[None, :]
+        return _read_only(unit @ unit.conj().T)
+
+    @cached_property
+    def dual_matrix(self) -> np.ndarray:
+        return _read_only(solve_hermitian_positive(self.operator, self.matrix, self.tol))
 
     @classmethod
     def from_matrix(cls, matrix: np.ndarray, **kwargs) -> "VectorFrame":
@@ -76,13 +94,6 @@ class VectorFrame:
     @property
     def field(self) -> str:
         return field_of(self.matrix)
-
-    @property
-    def vectors(self) -> list[np.ndarray]:
-        return [self.matrix[:, i] for i in range(self.count)]
-
-    def norms(self) -> np.ndarray:
-        return np.linalg.norm(self.matrix, axis=0)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"VectorFrame(count={self.count}, dim={self.ambient_dim}, field={self.field})"
@@ -123,41 +134,28 @@ def _as_unit_vector(x, dim: int) -> np.ndarray:
     return v
 
 
-def frame_operator(frame: VectorFrame) -> np.ndarray:
-    """The frame operator S = sum_i phi_i phi_i*."""
-    return frame.matrix @ frame.matrix.conj().T
-
-
-def normalized_frame_operator(frame: VectorFrame) -> np.ndarray:
-    """sum_i phi_i phi_i* / ||phi_i||^2: the operator behind redundancy."""
-    unit = frame.matrix / frame.norms()[None, :]
-    return unit @ unit.conj().T
-
-
 def redundancy_function(frame: VectorFrame, x) -> float:
     """Pointwise redundancy sum_i |<x, phi_i>|^2 / ||phi_i||^2 at unit x."""
     v = _as_unit_vector(x, frame.ambient_dim)
     coefficients = frame.matrix.conj().T @ v
-    return float(np.sum(np.abs(coefficients) ** 2 / np.linalg.norm(frame.matrix, axis=0) ** 2))
+    return float(np.sum(np.abs(coefficients) ** 2 / frame.norms**2))
 
 
 def vector_redundancy_range(frame: VectorFrame) -> tuple[float, float]:
     """Extremes (R-, R+) of the redundancy function over the unit sphere."""
-    return hermitian_eigenrange(normalized_frame_operator(frame), frame.tol)
+    return hermitian_eigenrange(frame.normalized_operator, frame.tol)
 
 
 def analyze_vector_frame(frame: VectorFrame) -> VectorFrameReport:
     """Bounds, redundancy range, tightness, and equal-norm detection."""
-    tol = frame.tol
-    low, high = hermitian_eigenrange(frame_operator(frame), tol)
     if not frame.is_frame:
         raise NotAFrame("the family does not span its ambient space")
-    norms = frame.norms()
+    low, high = frame._operator_range
     return VectorFrameReport(
         bounds=FrameBounds(low, high),
         redundancy=vector_redundancy_range(frame),
-        tight=tol.flat(low, high),
-        equal_norm=tol.flat(norms.min(), norms.max()),
+        tight=frame.tol.flat(low, high),
+        equal_norm=frame.tol.flat(frame.norms.min(), frame.norms.max()),
     )
 
 
@@ -185,8 +183,7 @@ def canonical_dual(frame: VectorFrame) -> VectorFrame:
     """The canonical dual family S^{-1} phi_i."""
     if not frame.is_frame:
         raise NotAFrame("only spanning families have a canonical dual")
-    dual_matrix = solve_hermitian_positive(frame_operator(frame), frame.matrix, frame.tol)
-    return VectorFrame.from_matrix(dual_matrix, tol=frame.tol)
+    return VectorFrame.from_matrix(frame.dual_matrix, tol=frame.tol)
 
 
 def alternate_dual(frame: VectorFrame, eta) -> VectorFrame:
@@ -210,7 +207,7 @@ def alternate_dual(frame: VectorFrame, eta) -> VectorFrame:
     if np.iscomplexobj(H) and not np.iscomplexobj(frame.matrix):
         raise DimensionMismatch("complex perturbations applied to a real frame")
     H = H.astype(frame.matrix.dtype)
-    D = solve_hermitian_positive(frame_operator(frame), frame.matrix, frame.tol)
+    D = frame.dual_matrix
     gram = frame.matrix.conj().T @ D  # gram[k, i] = <S^{-1} phi_i, phi_k>
     dual_matrix = D + H - H @ gram
     return VectorFrame.from_matrix(dual_matrix, tol=frame.tol)
@@ -222,15 +219,15 @@ def check_norm_inequality(frame: VectorFrame, dual: VectorFrame, x) -> tuple[flo
     For every dual ``psi_i`` and unit ``x`` the canonical coefficient
     sequence has the smaller Euclidean norm:
     ``||(<x, S^{-1} phi_i>)_i||_2 <= ||(<x, psi_i>)_i||_2``.
-    Returns ``(lhs, rhs, holds)``.
+    Returns ``(lhs, rhs, holds)``; ``holds`` allows a slack relative to
+    ``rhs``, since coefficient norms scale inversely with the frame.
     """
     v = _as_unit_vector(x, frame.ambient_dim)
     if not frame.tol.reconstructs(dual_residual(frame, dual)):
         raise NotADual("candidate fails the reconstruction identity")
-    D = solve_hermitian_positive(frame_operator(frame), frame.matrix, frame.tol)
-    lhs = float(np.linalg.norm(D.conj().T @ v))
+    lhs = float(np.linalg.norm(frame.dual_matrix.conj().T @ v))
     rhs = float(np.linalg.norm(dual.matrix.conj().T @ v))
-    return lhs, rhs, lhs <= rhs or frame.tol.near(lhs, rhs)
+    return lhs, rhs, frame.tol.within(lhs, 0.0, rhs)
 
 
 @dataclass(frozen=True)
@@ -258,13 +255,12 @@ def dual_redundancy_sandwich(frame: VectorFrame) -> SandwichCheck:
     """
     if not frame.is_frame:
         raise NotAFrame("only spanning families have a canonical dual")
-    tol = frame.tol
-    low, high = hermitian_eigenrange(frame_operator(frame), tol)
+    low, high = frame._operator_range
     k = high / low
     r_minus, r_plus = vector_redundancy_range(frame)
     d_minus, d_plus = vector_redundancy_range(canonical_dual(frame))
     lower, upper = k**-2, k**2
     ratio_minus = d_minus / r_minus
     ratio_plus = d_plus / r_plus
-    holds = tol.within((ratio_minus, ratio_plus), lower, upper)
+    holds = frame.tol.within((ratio_minus, ratio_plus), lower, upper)
     return SandwichCheck(lower, ratio_minus, ratio_plus, upper, holds)

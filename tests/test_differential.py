@@ -8,9 +8,14 @@ time; the library builds stacked operators once per frame, solves once
 per dual operation, shares one greedy helper, decides exhaustive subsets
 in chunks, and converts each block of document rows with one array call.
 The ``Tolerance`` cutoff predicates are checked against the comparisons
-that were written out at each of their call sites.
+that were written out at each of their call sites.  Vector frames keep
+``S``, the normalized operator and the canonical dual's vectors, and a
+fusion frame system decides its local orthogonality and Parsevality at
+construction; their results must equal, bit for bit, those of the
+per-call computations they replaced.
 """
 
+import dataclasses
 import functools
 import itertools
 import json
@@ -25,7 +30,7 @@ from hypothesis import strategies as st
 from ffk import fusion
 from ffk.documents import FrameDocument, _expect_list, _parse_entry, _parse_rows, canonical_json
 from ffk.duality import canonical_dual_fusion, verify_alternate_dual
-from ffk.errors import ParseError
+from ffk.errors import LocalNotParseval, ParseError
 from ffk.fusion import (
     ErasureCertificate,
     FusionFrame,
@@ -35,15 +40,33 @@ from ffk.fusion import (
     erasure_certificate,
 )
 from ffk.gallery import example_frame
-from ffk.generators import random_fusion_frame, random_subspace, random_unitary
+from ffk.generators import (
+    random_fusion_frame,
+    random_local_vectors,
+    random_subspace,
+    random_unitary,
+    random_vector_frame,
+)
 from ffk.numerics import (
     COMPLEX,
     REAL,
+    FrameBounds,
     Tolerance,
     hermitian_eigenrange,
     principal_angles,
     quadratic_forms,
+    sample_unit_vectors,
     solve_hermitian_positive,
+)
+from ffk.systems import build_system, parseval_equivalences
+from ffk.vector_frames import (
+    SandwichCheck,
+    VectorFrame,
+    VectorFrameReport,
+    alternate_dual,
+    analyze_vector_frame,
+    canonical_dual,
+    dual_redundancy_sandwich,
 )
 
 SEEDS = range(80)
@@ -686,3 +709,118 @@ def test_tolerance_predicates_match_the_comparisons_they_replaced(spectrum, valu
     if low > 0.0:  # the brackets [lower, upper] of the ratio, image and energy checks
         assert tol.within(value, low, high) == (low - slack <= value <= high + slack)
         assert tol.within(value, low, np.inf) == (value >= low - tol.eig_rel * max(1.0, low))
+
+
+# --- vector frames and systems: state computed once per object ---------------
+
+
+def reference_frame_operator(frame):
+    return frame.matrix @ frame.matrix.conj().T
+
+
+def reference_normalized_frame_operator(frame):
+    unit = frame.matrix / np.linalg.norm(frame.matrix, axis=0)[None, :]
+    return unit @ unit.conj().T
+
+
+def reference_dual_matrix(frame):
+    return solve_hermitian_positive(reference_frame_operator(frame), frame.matrix, frame.tol)
+
+
+def reference_analysis(frame):
+    tol = frame.tol
+    low, high = hermitian_eigenrange(reference_frame_operator(frame), tol)
+    norms = np.linalg.norm(frame.matrix, axis=0)
+    return VectorFrameReport(
+        bounds=FrameBounds(low, high),
+        redundancy=hermitian_eigenrange(reference_normalized_frame_operator(frame), tol),
+        tight=tol.flat(low, high),
+        equal_norm=tol.flat(norms.min(), norms.max()),
+    )
+
+
+def reference_sandwich(frame):
+    tol = frame.tol
+    low, high = hermitian_eigenrange(reference_frame_operator(frame), tol)
+    k = high / low
+    r_minus, r_plus = hermitian_eigenrange(reference_normalized_frame_operator(frame), tol)
+    dual = VectorFrame.from_matrix(reference_dual_matrix(frame), tol=tol)
+    d_minus, d_plus = hermitian_eigenrange(reference_normalized_frame_operator(dual), tol)
+    ratio_minus, ratio_plus = d_minus / r_minus, d_plus / r_plus
+    holds = tol.within((ratio_minus, ratio_plus), k**-2, k**2)
+    return SandwichCheck(k**-2, ratio_minus, ratio_plus, k**2, holds)
+
+
+def reference_alternate_dual_matrix(frame, eta):
+    H = np.stack(eta, axis=1).astype(frame.matrix.dtype)
+    D = reference_dual_matrix(frame)
+    return D + H - H @ (frame.matrix.conj().T @ D)
+
+
+def reference_locals_orthogonal(system):
+    for local in system.local_frames:
+        gram = local.matrix.conj().T @ local.matrix
+        off = gram - np.diag(np.diag(gram))
+        if not system.frame.tol.negligible(np.abs(off), np.diag(gram).real.max()):
+            return False
+    return True
+
+
+def reference_local_parseval_failure(system):
+    for i, (member, local) in enumerate(zip(system.frame.members, system.local_frames)):
+        defect = np.abs(local.matrix @ local.matrix.conj().T - member.subspace.projection()).max()
+        if not system.frame.tol.negligible(defect, 1.0):
+            return f"local family {i} misses its projection by {defect:.3e}"
+    return None
+
+
+def exact(value):
+    """The bytes of every number in a result, nested dataclasses and tuples included."""
+    if dataclasses.is_dataclass(value):
+        value = dataclasses.astuple(value)
+    if isinstance(value, tuple):
+        return tuple(exact(item) for item in value)
+    return np.asarray(value).tobytes()
+
+
+@pytest.mark.parametrize("field", [REAL, COMPLEX])
+@pytest.mark.parametrize("seed", range(40))
+def test_vector_frame_state_matches_the_per_call_operators(seed, field):
+    rng = np.random.default_rng(seed)
+    frame = random_vector_frame(rng, field=field)
+    operator = reference_frame_operator(frame)
+    assert frame.operator.tobytes() == operator.tobytes()
+    assert frame.normalized_operator.tobytes() == reference_normalized_frame_operator(frame).tobytes()
+    assert frame.dual_matrix.tobytes() == reference_dual_matrix(frame).tobytes()
+    assert exact(frame._operator_range) == exact(hermitian_eigenrange(operator, frame.tol))
+    for cached in (frame.norms, frame.operator, frame.normalized_operator, frame.dual_matrix):
+        assert not cached.flags.writeable
+    assert frame.dual_matrix is frame.dual_matrix
+
+
+@pytest.mark.parametrize("field", [REAL, COMPLEX])
+@pytest.mark.parametrize("seed", range(40))
+def test_vector_frame_analyses_match_the_per_call_operators(seed, field):
+    rng = np.random.default_rng(seed)
+    frame = random_vector_frame(rng, field=field)
+    eta = list(sample_unit_vectors(rng, frame.ambient_dim, frame.count, field) * rng.uniform(0.1, 3.0))
+    assert exact(analyze_vector_frame(frame)) == exact(reference_analysis(frame))
+    assert exact(dual_redundancy_sandwich(frame)) == exact(reference_sandwich(frame))
+    assert canonical_dual(frame).matrix.tobytes() == reference_dual_matrix(frame).tobytes()
+    assert alternate_dual(frame, eta).matrix.tobytes() == reference_alternate_dual_matrix(frame, eta).tobytes()
+
+
+@pytest.mark.parametrize("scale", [1e-11, 1.0, 1e4, 1e7])
+@pytest.mark.parametrize("kind", ["orthogonal", "parseval", "generic"])
+def test_system_local_flags_match_the_per_check_tests(kind, scale):
+    for seed in range(30):
+        rng = np.random.default_rng(seed)
+        frame = random_fusion_frame(rng, n=4)
+        system = build_system(frame, [[scale * v for v in vs] for vs in random_local_vectors(rng, frame, kind)])
+        assert system.orthogonal_locals == reference_locals_orthogonal(system), seed
+        try:
+            parseval_equivalences(system)
+            failure = None
+        except LocalNotParseval as exc:
+            failure = str(exc)
+        assert failure == reference_local_parseval_failure(system), seed

@@ -124,6 +124,25 @@ class TestLocalAdditivity:
             assert flags[0] == flags[1], seed
             assert flags[0][0] == (kind == "orthogonal")
 
+    def test_no_local_gram_after_construction(self, monkeypatch):
+        """Orthogonality is decided at construction, not once per checked point."""
+        grams = []
+
+        class GramSpy(np.ndarray):
+            def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+                if ufunc is np.matmul and all(np.ndim(a) == 2 for a in inputs):
+                    grams.append(ufunc)
+                return getattr(ufunc, method)(*(np.asarray(a) for a in inputs), **kwargs)
+
+        rng = np.random.default_rng(7)
+        frame = example_frame("7.2", 16)
+        system = random_system(rng, frame, kind="orthogonal")
+        for local in system.local_frames:
+            monkeypatch.setattr(local, "matrix", local.matrix.view(GramSpy))
+        checks = [check_local_additivity(system, x) for x in sample_unit_vectors(rng, 16, 100, frame.field)]
+        assert all(check.orthogonal_locals and check.equal for check in checks)
+        assert grams == []
+
     def test_slanted_overcomplete_locals_break_additivity(self):
         system = overcomplete_plane_system()
         x = np.array([1.0, 1.0, 0.0]) / math.sqrt(2)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ffk import vector_frames
 from ffk.errors import (
     DimensionMismatch,
     NotADual,
@@ -22,9 +23,7 @@ from ffk.vector_frames import (
     check_norm_inequality,
     dual_redundancy_sandwich,
     dual_residual,
-    frame_operator,
     is_dual_pair,
-    normalized_frame_operator,
     redundancy_function,
     vector_redundancy_range,
 )
@@ -77,7 +76,7 @@ class TestConstruction:
 class TestOperatorsAndRedundancy:
     def test_mercedes_frame_operator_is_three_halves_identity(self):
         frame = VectorFrame(MERCEDES)
-        assert np.allclose(frame_operator(frame), 1.5 * np.eye(2), atol=1e-12)
+        assert np.allclose(frame.operator, 1.5 * np.eye(2), atol=1e-12)
 
     def test_mercedes_redundancy_constant(self):
         frame = VectorFrame(MERCEDES)
@@ -98,7 +97,7 @@ class TestOperatorsAndRedundancy:
 
     def test_normalization_ignores_vector_scaling(self):
         frame = VectorFrame([np.array([3.0, 0.0]), np.array([0.0, 0.25])])
-        assert np.allclose(normalized_frame_operator(frame), np.eye(2), atol=1e-12)
+        assert np.allclose(frame.normalized_operator, np.eye(2), atol=1e-12)
 
     def test_redundancy_needs_unit_vector(self):
         frame = VectorFrame(MERCEDES)
@@ -112,6 +111,14 @@ class TestOperatorsAndRedundancy:
             mean = frame.count / frame.ambient_dim
             assert low <= mean + 1e-9
             assert high >= mean - 1e-9
+
+    def test_analysis_reuses_the_frame_operator_spectrum(self, rng, monkeypatch):
+        frame = random_vector_frame(rng, n=5, count=8)
+        calls = []
+        eigenrange = vector_frames.hermitian_eigenrange
+        monkeypatch.setattr(vector_frames, "hermitian_eigenrange", lambda *a: calls.append(a) or eigenrange(*a))
+        analyze_vector_frame(frame)
+        assert len(calls) == 1  # the normalized operator's; S's was taken at construction
 
     def test_analyze_mercedes(self):
         report = analyze_vector_frame(VectorFrame(MERCEDES))
@@ -214,6 +221,27 @@ class TestNormInequality:
             with pytest.raises(NotADual):
                 check_norm_inequality(frame, other, x)
 
+    def test_decided_relative_to_the_coefficient_scale(self):
+        """Coefficient norms scale like 1/scale; an absolute slack misjudged genuine duals at 1e-8."""
+        scale = 1e-8
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            frame = VectorFrame.from_matrix(random_vector_frame(rng, 4, 6, COMPLEX).matrix * scale)
+            eta = [(rng.normal(size=4) + 1j * rng.normal(size=4)) * (1e-9 / scale) for _ in range(6)]
+            dual = alternate_dual(frame, eta)
+            x = sample_unit_vectors(rng, 4, 1, COMPLEX)[0]
+            assert check_norm_inequality(frame, dual, x)[2], seed
+
+    def test_one_solve_for_many_points(self, rng, monkeypatch):
+        frame = random_vector_frame(rng, n=4, count=7)
+        dual = VectorFrame.from_matrix(np.linalg.solve(frame.matrix @ frame.matrix.conj().T, frame.matrix))
+        calls = []
+        solve = vector_frames.solve_hermitian_positive
+        monkeypatch.setattr(vector_frames, "solve_hermitian_positive", lambda *a: calls.append(a) or solve(*a))
+        for x in sample_unit_vectors(rng, 4, 10, frame.field):
+            assert check_norm_inequality(frame, dual, x)[2]
+        assert len(calls) == 1
+
     def test_equal_norm_duals_bound_redundancy_ratio(self, rng):
         """For equal-norm canonical and alternate duals the redundancy of the
         canonical dual is at most (d/c)^2 times the alternate's, where c and d
@@ -226,8 +254,8 @@ class TestNormInequality:
         dual = VectorFrame([a * e1, b * e1, a * e2, b * e2])
         assert is_dual_pair(frame, dual)
         canon = canonical_dual(frame)
-        c = canon.norms()
-        d = dual.norms()
+        c = canon.norms
+        d = dual.norms
         assert np.ptp(c) < 1e-12 and np.ptp(d) < 1e-12
         ratio = (d[0] / c[0]) ** 2
         assert ratio == pytest.approx(1.0 + 4 * t * t, abs=1e-12)
