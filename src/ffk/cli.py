@@ -19,13 +19,11 @@ import numpy as np
 from .documents import (
     FrameDocument,
     ReportDocument,
-    _expect_list,
-    _json_tree,
-    _parse_entry,
-    _parse_rows,
     canonical_json,
     emit_example,
     load_frame,
+    load_operator,
+    load_vector,
     sampled_consistency_checks,
 )
 from .duality import canonical_dual_fusion, canonical_ratio_bounds, verify_alternate_dual
@@ -68,20 +66,6 @@ def _write_or_print(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _load_entries(path: str, key: str) -> list:
-    """Read a JSON array, bare or wrapped in an object under ``key``."""
-    with open(path, "r", encoding="utf-8") as handle:
-        tree = _json_tree(handle.read(), f"{path}: ")
-    if isinstance(tree, dict):
-        tree = tree.get(key)
-    return _expect_list(tree, f"{path}: {key}")
-
-
-def _load_vector(path: str, field: str) -> np.ndarray:
-    entries = _load_entries(path, "vector")
-    return np.array([_parse_entry(value, field, f"{path}: [{i}]") for i, value in enumerate(entries)])
-
-
 # --- subcommands -------------------------------------------------------------
 
 def _cmd_analyze(args) -> int:
@@ -110,7 +94,7 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_redundancy(args) -> int:
     frame, _ = load_frame(args.frame)
-    x = _load_vector(args.at, frame.field)
+    x = load_vector(args.at, frame.field)
     value = redundancy_at(frame, x)
     print(canonical_json({"redundancy": value}), end="")
     return 0
@@ -119,21 +103,12 @@ def _cmd_redundancy(args) -> int:
 def _cmd_dual(args) -> int:
     frame, _ = load_frame(args.frame)
     dual = canonical_dual_fusion(frame)
-    _write_or_print(FrameDocument.from_fusion_frame(dual).to_json_text(), args.out)
-    rng = np.random.default_rng(args.seed)
     try:
-        check = canonical_ratio_bounds(frame, rng, samples=args.samples)
-        summary = {
-            "applicable": True,
-            "lower": check.lower,
-            "observed": check.observed,
-            "upper": check.upper,
-            "holds": check.holds,
-            "samples": check.samples,
-            "seed": args.seed,
-        }
+        check = canonical_ratio_bounds(frame, np.random.default_rng(args.seed), samples=args.samples)
+        summary = {"applicable": True, **asdict(check), "seed": args.seed}
     except NotUniformWeights as exc:
         summary = {"applicable": False, "reason": str(exc)}
+    _write_or_print(FrameDocument.from_fusion_frame(dual).to_json_text(), args.out)
     if args.out:
         sys.stdout.write(canonical_json({"dual_written": args.out, "ratio_bounds": summary}))
     else:
@@ -157,8 +132,7 @@ def _cmd_erasure(args) -> int:
 
 def _cmd_transform(args) -> int:
     frame, _ = load_frame(args.frame)
-    U = _parse_rows(_load_entries(args.operator, "rows"), frame.field, frame.ambient_dim, f"{args.operator}: rows")
-    report = operator_image_report(frame, U)
+    report = operator_image_report(frame, load_operator(args.operator, frame.field, frame.ambient_dim))
     if args.out:
         _write_or_print(FrameDocument.from_fusion_frame(report.image).to_json_text(), args.out)
     print(
@@ -196,23 +170,11 @@ def _cmd_system(args) -> int:
         },
     }
     try:
-        parseval = parseval_equivalences(system)
-        tree["parseval_equivalence"] = {
-            "applicable": True,
-            "global_parseval": parseval.global_parseval,
-            "fusion_parseval": parseval.fusion_parseval,
-            "consistent": parseval.consistent,
-        }
+        tree["parseval_equivalence"] = {"applicable": True, **asdict(parseval_equivalences(system))}
     except LocalNotParseval as exc:
         tree["parseval_equivalence"] = {"applicable": False, "reason": str(exc)}
     try:
-        ones = redundancy_one_equivalence(system)
-        tree["redundancy_one"] = {
-            "applicable": True,
-            "flat_parseval": ones.flat_parseval,
-            "fusion_redundancy_one": ones.fusion_redundancy_one,
-            "consistent": ones.consistent,
-        }
+        tree["redundancy_one"] = {"applicable": True, **asdict(redundancy_one_equivalence(system))}
     except (LocalNotParseval, NotUniformWeights) as exc:
         tree["redundancy_one"] = {"applicable": False, "reason": str(exc)}
     print(canonical_json(tree), end="")

@@ -302,6 +302,26 @@ def load_frame(path, tol: Tolerance = DEFAULT_TOLERANCE) -> tuple[FusionFrame, F
     return FrameDocument.from_json_text(text).build(tol)
 
 
+def _load_entries(path, key: str) -> list:
+    """Read a JSON array, bare or wrapped in an object under ``key``."""
+    with open(path, "r", encoding="utf-8") as handle:
+        tree = _json_tree(handle.read(), f"{path}: ")
+    if isinstance(tree, dict):
+        tree = tree.get(key)
+    return _expect_list(tree, f"{path}: {key}")
+
+
+def load_vector(path, field: str) -> np.ndarray:
+    """Read a vector of the field's entries: a JSON array, bare or as ``{"vector": [...]}``."""
+    entries = _load_entries(path, "vector")
+    return np.array([_parse_entry(value, field, f"{path}: [{i}]") for i, value in enumerate(entries)])
+
+
+def load_operator(path, field: str, dimension: int) -> np.ndarray:
+    """Read a matrix's rows, each of ``dimension`` entries: a JSON array, bare or as ``{"rows": [...]}``."""
+    return _parse_rows(_load_entries(path, "rows"), field, dimension, f"{path}: rows")
+
+
 def emit_example(name: str, n: int | None = None) -> FrameDocument:
     """Serialize a catalog example as a frame document."""
     return FrameDocument.from_fusion_frame(example_frame(name, n))

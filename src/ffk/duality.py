@@ -8,8 +8,8 @@ identity ``x = sum_i u_i v_i P_{V_i} S^{-1} P_{W_i} x``.
 The ratio checks in this module compare pointwise redundancies of a
 frame and a dual against claimed multiplicative brackets.  Those
 brackets are reported as observations: sampled sweeps can and do land
-outside them for well-conditioned tight families, so violations raise
-only in strict mode and are otherwise left to the caller to log.
+outside them for well-conditioned tight families, so a violation is a
+``holds: false`` for the caller to log, never an exception.
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BoundViolation, NotADual, NotAFusionFrame, NotUniformWeights
-from .fusion import FusionFrame, Subspace, WeightedSubspace, frame_bounds
+from .errors import NotADual, NotAFusionFrame, NotUniformWeights
+from .fusion import FusionFrame, frame_bounds
 from .numerics import FrameBounds, quadratic_forms, sample_unit_vectors, solve_hermitian_positive
 
 
@@ -79,49 +79,32 @@ def _member_of_column(frame: FusionFrame) -> np.ndarray:
 
 
 def canonical_dual_fusion(frame: FusionFrame) -> FusionFrame:
-    """The canonical dual family {(S^-1 W_i, v_i)}."""
+    """The canonical dual family {(S^-1 W_i, v_i)}, computed once per frame."""
     if not frame.is_frame:
         raise NotAFusionFrame("Bessel-only families have no canonical dual")
-    spans = solve_hermitian_positive(frame.operator, frame.bases, frame.tol)
-    members = [
-        WeightedSubspace(Subspace.from_span(spans[:, start:stop], frame.tol), m.weight)
-        for m, start, stop in zip(frame.members, frame.offsets[:-1], frame.offsets[1:])
-    ]
-    return FusionFrame(members, frame.tol)
+    return frame.canonical_dual
 
 
-def canonical_ratio_bounds(
-    frame: FusionFrame,
-    rng: np.random.Generator,
-    samples: int = 1000,
-    strict: bool = False,
-) -> RatioBoundsCheck:
+def canonical_ratio_bounds(frame: FusionFrame, rng: np.random.Generator, samples: int = 1000) -> RatioBoundsCheck:
     """Sweep the pointwise ratio R_frame / R_dual against [A^3/B, B^3/A].
 
     Stated for families with unit weights.  The bracket is a claimed
     one: tight non-Parseval families provably sit at ratio 1 while the
     bracket degenerates to {A^2}, so ``holds`` is an observation, not an
-    invariant.  With ``strict`` a violation raises
-    :class:`BoundViolation`.
+    invariant.
     """
     _require_uniform_one(frame, "the canonical ratio bracket")
     bounds = frame_bounds(frame)
     A, B = bounds.lower, bounds.upper
-    dual = canonical_dual_fusion(frame)
+    dual = frame.canonical_dual
     X = sample_unit_vectors(rng, frame.ambient_dim, samples, frame.field)
     ratios = quadratic_forms(X, frame.normalized_operator) / quadratic_forms(X, dual.normalized_operator)
     lower, upper = A**3 / B, B**3 / A
-    holds = frame.tol.within(ratios, lower, upper)
-    if strict and not holds:
-        raise BoundViolation(
-            f"observed ratio range [{ratios.min():.6g}, {ratios.max():.6g}] "
-            f"escapes [{lower:.6g}, {upper:.6g}]"
-        )
     return RatioBoundsCheck(
         lower=lower,
         observed=(float(ratios.min()), float(ratios.max())),
         upper=upper,
-        holds=holds,
+        holds=frame.tol.within(ratios, lower, upper),
         samples=samples,
     )
 
@@ -160,11 +143,7 @@ def verify_alternate_dual(frame: FusionFrame, candidate: FusionFrame) -> DualCer
 
 
 def alternate_dual_bounds(
-    frame: FusionFrame,
-    dual: FusionFrame,
-    rng: np.random.Generator,
-    samples: int = 1000,
-    strict: bool = False,
+    frame: FusionFrame, dual: FusionFrame, rng: np.random.Generator, samples: int = 1000
 ) -> DualBoundsCheck:
     """Check a verified dual's bounds and redundancy ratio brackets.
 
@@ -173,7 +152,7 @@ def alternate_dual_bounds(
     ratio R_dual / R_frame is swept against the claimed bracket
     ``[1 / ||S^-1||^2, C / A]`` (``C`` the dual's Bessel bound), which
     degenerates for tight non-Parseval self-dual families; containment
-    is therefore reported, and raises only in strict mode.
+    is therefore reported.
     """
     certificate = verify_alternate_dual(frame, dual)
     if not certificate.is_dual:
@@ -191,12 +170,6 @@ def alternate_dual_bounds(
     lower = 1.0 / inv_norm**2
     upper = certificate.bessel_bound / A
     ratios_hold = frame.tol.within(ratios, lower, upper)
-    holds = bounds_hold and ratios_hold
-    if strict and not holds:
-        raise BoundViolation(
-            f"dual bounds {dual_bounds} vs floor {floor:.6g}; "
-            f"ratio range [{ratios.min():.6g}, {ratios.max():.6g}] vs [{lower:.6g}, {upper:.6g}]"
-        )
     return DualBoundsCheck(
         floor=floor,
         dual_bounds=dual_bounds,
@@ -205,5 +178,5 @@ def alternate_dual_bounds(
         observed=(float(ratios.min()), float(ratios.max())),
         upper=upper,
         ratios_hold=ratios_hold,
-        holds=holds,
+        holds=bounds_hold and ratios_hold,
     )

@@ -112,9 +112,5 @@ class UnknownExample(FrameError):
     """No built-in example carries the requested name."""
 
 
-class BoundViolation(FrameError):
-    """A strict-mode check observed values outside a claimed interval."""
-
-
 class InvariantViolation(FrameError):
     """A fact the analysis relies on failed its numerical check."""

@@ -39,6 +39,7 @@ from .numerics import (
     principal_angles,
     quadratic_forms,
     sample_unit_vectors,
+    solve_hermitian_positive,
     symmetrize,
     _read_only,
     _require_finite,
@@ -122,8 +123,9 @@ class FusionFrame:
     list the members' weights and dimensions; ``bases`` stacks the
     members' orthonormal bases (n x m), member ``i`` owning columns
     ``offsets[i]:offsets[i + 1]``; ``synthesis`` is
-    ``T = [v_1 Q_1 | ... | v_N Q_N]``; ``operator`` is ``S = T T*``; and
-    ``normalized_operator`` is ``S1 = Q Q*``, computed on first use.
+    ``T = [v_1 Q_1 | ... | v_N Q_N]``; ``operator`` is ``S = T T*``; and,
+    computed on first use, ``normalized_operator`` is ``S1 = Q Q*`` and
+    ``canonical_dual`` the family ``{(S^-1 W_i, v_i)}``.
     """
 
     def __init__(self, members, tol: Tolerance = DEFAULT_TOLERANCE):
@@ -158,6 +160,16 @@ class FusionFrame:
     @cached_property
     def normalized_operator(self) -> np.ndarray:
         return _read_only(self.bases @ self.bases.conj().T)
+
+    @cached_property
+    def canonical_dual(self) -> "FusionFrame":
+        """The canonical dual family, from one solve against the stacked bases; needs ``is_frame``."""
+        spans = solve_hermitian_positive(self.operator, self.bases, self.tol)
+        members = [
+            WeightedSubspace(Subspace.from_span(spans[:, start:stop], self.tol), m.weight)
+            for m, start, stop in zip(self.members, self.offsets[:-1], self.offsets[1:])
+        ]
+        return FusionFrame(members, self.tol)
 
     @property
     def ambient_dim(self) -> int:
@@ -544,9 +556,9 @@ def erasure_certificate(
     )
 
 
-def apply_operator(frame: FusionFrame, U: np.ndarray, tol: Tolerance | None = None) -> FusionFrame:
+def apply_operator(frame: FusionFrame, U: np.ndarray) -> FusionFrame:
     """Image family {(U W_i, v_i)} under an invertible operator."""
-    tol = tol or frame.tol
+    tol = frame.tol
     M = _require_square(_require_finite(np.asarray(U), "operator"), "operator")
     if M.shape[0] != frame.ambient_dim:
         raise DimensionMismatch(f"operator is {M.shape[0]} x {M.shape[0]}, ambient dimension is {frame.ambient_dim}")
@@ -582,10 +594,10 @@ class OperatorImageReport:
     redundancy_holds: bool
 
 
-def operator_image_report(frame: FusionFrame, U: np.ndarray, tol: Tolerance | None = None) -> OperatorImageReport:
+def operator_image_report(frame: FusionFrame, U: np.ndarray) -> OperatorImageReport:
     """Apply an invertible operator and check the conditioning brackets."""
-    tol = tol or frame.tol
-    image = apply_operator(frame, U, tol)
+    tol = frame.tol
+    image = apply_operator(frame, U)
     bounds = frame_bounds(frame)
     s = np.linalg.svd(np.asarray(U), compute_uv=False)
     k = float(s[0] / s[-1])
@@ -632,12 +644,12 @@ def redundancy_equivalent(
     return equivalent
 
 
-def subspaces_equal(a: Subspace, b: Subspace, angle_tol: float = SUBSPACE_ANGLE_TOL) -> bool:
-    """Subspace equality via principal angles."""
+def subspaces_equal(a: Subspace, b: Subspace) -> bool:
+    """Subspace equality via principal angles, each at most ``SUBSPACE_ANGLE_TOL``."""
     if a.ambient_dim != b.ambient_dim or a.dim != b.dim:
         return False
     angles = principal_angles(a.basis, b.basis)
-    return bool(angles.size == 0 or angles.max() <= angle_tol)
+    return bool(angles.size == 0 or angles.max() <= SUBSPACE_ANGLE_TOL)
 
 
 @dataclass(frozen=True)

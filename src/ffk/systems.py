@@ -21,7 +21,7 @@ from .errors import (
     NotUniformWeights,
     VectorOutsideSubspace,
 )
-from .fusion import FusionFrame, classify, redundancy_at, redundancy_range
+from .fusion import FusionFrame, redundancy_at, redundancy_range
 from .numerics import Tolerance, hermitian_eigenrange, kernel_dimension
 from .vector_frames import VectorFrame, redundancy_function
 
@@ -147,7 +147,7 @@ def parseval_equivalences(system: FusionFrameSystem) -> ParsevalEquivalenceCheck
     """
     _require_local_parseval(system)
     global_parseval = _flat_parseval(system, weighted=True)
-    fusion_parseval = classify(system.frame).parseval
+    fusion_parseval = system.frame.tol.parseval(*system.frame._operator_range)
     return ParsevalEquivalenceCheck(
         global_parseval=global_parseval,
         fusion_parseval=fusion_parseval,

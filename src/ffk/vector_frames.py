@@ -175,8 +175,8 @@ def dual_residual(frame: VectorFrame, candidate: VectorFrame) -> float:
     return float(np.linalg.norm(defect, axis=0).max())
 
 
-def is_dual_pair(frame: VectorFrame, candidate: VectorFrame, tol: Tolerance | None = None) -> bool:
-    return (tol or frame.tol).reconstructs(dual_residual(frame, candidate))
+def is_dual_pair(frame: VectorFrame, candidate: VectorFrame) -> bool:
+    return frame.tol.reconstructs(dual_residual(frame, candidate))
 
 
 def canonical_dual(frame: VectorFrame) -> VectorFrame:

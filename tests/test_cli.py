@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from ffk import cli, gallery
+from ffk import cli, duality, fusion, gallery
 from ffk.cli import main
 from ffk.documents import FrameDocument, canonical_json, emit_example
 from ffk.gallery import example_frame
@@ -212,6 +212,28 @@ class TestDual:
         assert summary["seed"] == 5
         assert summary["samples"] == 64
         FrameDocument.from_json_text(out.read_text(encoding="utf-8"))
+
+    def test_one_canonical_dual_solve(self, run, frame_file, monkeypatch):
+        # The ratio sweep must reuse the dual the command writes: count the solves of both modules.
+        calls = []
+        solve = duality.solve_hermitian_positive
+        for module in (fusion, duality):
+            monkeypatch.setattr(module, "solve_hermitian_positive", lambda *args: calls.append(args) or solve(*args))
+        code, _, stderr = run("dual", frame_file("7.1-V", 4), "--canonical", "--samples", "64")
+        assert code == 0
+        assert json.loads(stderr)["ratio_bounds"]["applicable"] is True
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+    def test_failed_ratio_check_writes_nothing(self, run, frame_file, tmp_path, to_file):
+        out = tmp_path / "dual.json"
+        argv = ["dual", frame_file("7.1-V", 4), "--canonical", "--samples", "0"]
+        code, stdout, stderr = run(*argv, *(["--out", str(out)] if to_file else []))
+        assert code == 1
+        assert stdout == ""
+        assert len(stderr.splitlines()) == 1
+        assert json.loads(stderr)["error"]["type"] == "DimensionMismatch"
+        assert not out.exists()
 
     def test_canonical_flag_required(self, frame_file):
         with pytest.raises(SystemExit):

@@ -11,6 +11,8 @@ from ffk.documents import (
     canonical_json,
     emit_example,
     load_frame,
+    load_operator,
+    load_vector,
     sampled_consistency_checks,
 )
 from ffk.errors import (
@@ -255,6 +257,40 @@ class TestFrameDocument:
 def test_undecodable_json_is_a_parse_error(document, text):
     with pytest.raises(ParseError):
         document.from_json_text(text)
+
+
+class TestVectorAndOperatorReaders:
+    def write(self, tmp_path, tree):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(tree), encoding="utf-8")
+        return str(path)
+
+    def test_bare_and_wrapped_vectors(self, tmp_path):
+        assert load_vector(self.write(tmp_path, [0.6, 0.8]), "real").tolist() == [0.6, 0.8]
+        x = load_vector(self.write(tmp_path, {"vector": [[0.0, 1.0], [1, 0]]}), "complex")
+        assert x.tolist() == [1j, 1 + 0j]
+
+    def test_bare_and_wrapped_operators(self, tmp_path):
+        rows = [[2.0, 0.0], [0.0, 1.0]]
+        for tree in (rows, {"rows": rows}):
+            U = load_operator(self.write(tmp_path, tree), "real", 2)
+            assert U.tolist() == rows and not U.flags.writeable
+
+    @pytest.mark.parametrize(
+        "read, tree, message",
+        [
+            (lambda p: load_vector(p, "real"), {"vec": [1.0]}, "{p}: vector: expected an array, got NoneType"),
+            (lambda p: load_vector(p, "complex"), [[1, 0], 1.0], "{p}: [1]: expected an array, got float"),
+            (lambda p: load_operator(p, "real", 2), {"rows": [[1.0]]}, "{p}: rows[0]: vector has 1 entries, expected 2"),
+            (lambda p: load_operator(p, "real", 2), "I", "{p}: rows: expected an array, got str"),
+        ],
+        ids=["vector-key", "vector-entry", "operator-row", "operator-type"],
+    )
+    def test_errors_cite_the_file(self, tmp_path, read, tree, message):
+        path = self.write(tmp_path, tree)
+        with pytest.raises(ParseError) as caught:
+            read(path)
+        assert str(caught.value) == message.format(p=path)
 
 
 class TestReportDocument:

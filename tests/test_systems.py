@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from ffk import fusion, systems
 from ffk.errors import (
     LocalNotAFrame,
     LocalNotParseval,
@@ -194,6 +195,17 @@ class TestParsevalEquivalences:
             frame = random_fusion_frame(rng, n=4)
             system = random_system(rng, frame, kind="parseval")
             assert parseval_equivalences(system).consistent
+
+    def test_no_kernel_dimension_after_construction(self, rng, monkeypatch):
+        # The fusion Parseval flag needs the frame's stored spectrum only, not its excess.
+        frame = random_parseval_fusion_frame(rng, n=5, layers=2)
+        system = build_system(frame, basis_locals(frame))
+        calls = []
+        for module in (fusion, systems):
+            real = module.kernel_dimension
+            monkeypatch.setattr(module, "kernel_dimension", lambda *args, real=real: calls.append(args) or real(*args))
+        assert parseval_equivalences(system).fusion_parseval
+        assert calls == []
 
 
 class TestRedundancyOneEquivalence:
