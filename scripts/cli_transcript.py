@@ -3,9 +3,10 @@
 
 Runs every case of ``tests/golden/cases.json`` through ``ffk.cli.main``
 in process, plus each ``dual`` and ``transform`` case once more with
-``--out``, inside a temporary copy of ``tests/golden/inputs``.  For each
-run it writes one JSON line to OUT: argv, exit code, stdout, stderr and
-the text of the ``--out`` file (``null`` when none was written).  The
+``--out`` and each ``analyze`` case once more with ``--report``, inside a
+temporary copy of ``tests/golden/inputs``.  For each run it writes one
+JSON line to OUT: argv, exit code, stdout, stderr and the text of the
+``--out`` or ``--report`` file (``null`` when none was written).  The
 temporary directory's path is replaced by ``<tmp>``, so two source trees
 give the same file exactly when their CLI output is byte-identical:
 
@@ -28,6 +29,7 @@ from ffk import cli
 
 GOLDEN = Path(__file__).resolve().parent.parent / "tests" / "golden"
 OUT_NAME = "written.json"
+FILE_OPTIONS = {"dual": "--out", "transform": "--out", "analyze": "--report"}
 
 
 def _record(argv: list[str], workdir: Path) -> dict:
@@ -45,7 +47,7 @@ def _record(argv: list[str], workdir: Path) -> dict:
 
 
 def transcript(cases: list[dict]) -> list[dict]:
-    """One record per golden case, then one per ``--out`` run of a dual or transform case."""
+    """One record per golden case, then one per ``--out`` or ``--report`` run of a case that writes a file."""
     start = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         workdir = Path(tmp).resolve()
@@ -54,9 +56,9 @@ def transcript(cases: list[dict]) -> list[dict]:
         try:
             records = [_record(case["argv"], workdir) for case in cases]
             records += [
-                _record(case["argv"] + ["--out", OUT_NAME], workdir)
+                _record(case["argv"] + [FILE_OPTIONS[case["argv"][0]], OUT_NAME], workdir)
                 for case in cases
-                if case["argv"][0] in ("dual", "transform")
+                if case["argv"][0] in FILE_OPTIONS
             ]
         finally:
             os.chdir(start)

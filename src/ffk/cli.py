@@ -85,10 +85,9 @@ def _cmd_analyze(args) -> int:
         sampled_checks=sampled_consistency_checks(frame, args.seed),
     )
     text = document.to_json_text()
+    if args.report:  # first, so that a report that cannot be written leaves stdout empty
+        _write_or_print(text, args.report)
     sys.stdout.write(text)
-    if args.report:
-        with open(args.report, "w", encoding="utf-8") as handle:
-            handle.write(text)
     return 2 if report.bessel_only else 0
 
 

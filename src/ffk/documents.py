@@ -30,6 +30,7 @@ from .numerics import COMPLEX, DEFAULT_TOLERANCE, REAL, Tolerance, quadratic_for
 from .systems import FusionFrameSystem, build_system
 
 SCHEMA_VERSION = "ffk/1"
+SAMPLED_CHECK_COUNT = 64  # unit vectors per report's sampled checks
 
 
 # --- canonical JSON --------------------------------------------------------
@@ -434,21 +435,21 @@ class ReportDocument:
         return canonical_json(self.to_tree())
 
 
-def sampled_consistency_checks(frame: FusionFrame, seed: int, count: int = 64) -> dict:
+def sampled_consistency_checks(frame: FusionFrame, seed: int) -> dict:
     """Seeded spot checks recorded in analysis reports.
 
     Compares the quadratic-form redundancy against the direct projection
-    sum at sampled unit vectors, and verifies the weighted energy lands
-    inside the computed bounds.
+    sum at ``SAMPLED_CHECK_COUNT`` sampled unit vectors, and verifies the
+    weighted energy lands inside the computed bounds.
     """
     rng = np.random.default_rng(seed)
-    X = sample_unit_vectors(rng, frame.ambient_dim, count, frame.field)
+    X = sample_unit_vectors(rng, frame.ambient_dim, SAMPLED_CHECK_COUNT, frame.field)
     quadratic = quadratic_forms(X, frame.normalized_operator)
     direct = np.linalg.norm(X @ frame.bases.conj(), axis=1) ** 2
     energy = quadratic_forms(X, frame.operator)
     low, high = frame._operator_range
     return {
-        "samples": count,
+        "samples": SAMPLED_CHECK_COUNT,
         "max_rayleigh_deviation": float(np.abs(quadratic - direct).max()),
         "energy_bounds_ok": frame.tol.within(energy, low if frame.is_frame else -np.inf, high),
     }

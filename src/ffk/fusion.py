@@ -51,7 +51,6 @@ ORTHONORMALITY_TOL = 1e-10
 SUBSPACE_ANGLE_TOL = 1e-8
 EXHAUSTIVE_MEMBER_LIMIT = 22
 ERASURE_CHUNK_BYTES = 1 << 17  # each (rows, n, n) array of one exhaustive-search chunk
-PROJECTION_CHECK_TOL = 1e-10
 
 
 class Subspace:
@@ -366,13 +365,8 @@ class ErasureCertificate:
                      certifies ``certified``, "spectral" when only the
                      eigenvalue check does, "none" when nothing is
                      certified
-    ``mode``         "exhaustive" (every subset decided in chunks: by its
-                     dimensions, a shifted Cholesky certificate, or
-                     exactly by ``eigvalsh``) or "greedy"
-                     (heuristic search along one removal path, each pick
-                     a per-member ``eigvalsh`` loop's, with ``eigvalsh``
-                     only where a shifted d x d Schur test cannot rule a
-                     member out; ``certified`` is still a sound
+    ``mode``         "exhaustive" (every subset decided) or "greedy" (one
+                     removal path per level: ``certified`` is still a sound
                      witness-backed count, but may be an undercount, and
                      ``universal`` is only an upper-bound estimate)
     """
@@ -396,35 +390,80 @@ def _weight_rule_level(weights_sq: np.ndarray, lower_bound: float, budget: int, 
     return level
 
 
-def erasure_certificate(
-    frame: FusionFrame, budget: int | None = None, mode: str | None = None
-) -> ErasureCertificate:
-    """Determine how many members can be erased, verified spectrally.
+def _frames_left(frame: FusionFrame, H: np.ndarray) -> np.ndarray:
+    """Which remaining operators ``H``, a ``(k, n, n)`` stack it overwrites, leave a frame.
 
-    Removing the members ``J`` leaves a fusion frame iff
-    ``S_J = S - sum_{i in J} v_i^2 P_i`` passes ``Tolerance.spans`` on its
-    eigenvalue range.  Exhaustive mode (at most 22 members) decides
-    each level's subsets in ``itertools.combinations`` order, by chunks:
+    With ``H`` symmetrized, ``t = tr H`` and
+    ``tau = (2 rank_rel + 4 (n+1) n eps) |t|``, one batched Cholesky
+    factorization of ``H - tau I`` certifies the stack.  Its success
+    (backward error) gives ``lambda_min(H - tau I) >= -(n+1) eps
+    tr(H - tau I)``, so ``t > 0``, ``lambda_min(H) >= tau - (n+1) eps t``
+    and ``lambda_max(H) <= t``: the range passes the test by
+    ``(rank_rel + (4n^2 + 3n - 1) eps) t``, above ``eigvalsh`` roundoff
+    (``p(n) eps t``, ``p`` modest, far below ``4n^2`` and ``rank_rel/eps``).
+    Else one batched ``eigvalsh`` of the same ``H`` decides each row bit
+    for bit as the per-subset ``hermitian_eigenrange`` test.
+    """
+    n = frame.ambient_dim
+    shifted = np.conjugate(_require_finite(H))  # a new array also when H is real
+    H += shifted.swapaxes(1, 2)
+    H /= 2.0  # the symmetrize() of hermitian_eigenrange, in place
+    np.copyto(shifted, H)
+    tau = (2 * frame.tol.rank_rel + 4 * (n + 1) * n * np.finfo(float).eps) * np.abs(H.trace(axis1=1, axis2=2).real)
+    shifted.reshape(len(H), -1)[:, :: n + 1] -= tau[:, None]  # H - tau I
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        low, high = np.linalg.eigvalsh(H)[:, [0, -1]].T
+        return frame.tol.spans(low, high)
+    return np.ones(len(H), bool)
 
-    1. ``sum_{i in J} d_i > sum_i d_i - n`` fails unseen: ``rank S_J < n``.
-    2. With ``H`` the symmetrized ``S_J``, ``t = tr H`` and
-       ``tau = (2 rank_rel + 4 (n+1) n eps) |t|``, one batched Cholesky
-       factorization of ``H - tau I`` certifies the chunk.  Its success
-       (backward error) gives ``lambda_min(H - tau I) >= -(n+1) eps
-       tr(H - tau I)``, so ``t > 0``, ``lambda_min(H) >= tau - (n+1) eps t``
-       and ``lambda_max(H) <= t``: the range passes the test by
-       ``(rank_rel + (4n^2 + 3n - 1) eps) t``, above ``eigvalsh`` roundoff
-       (``p(n) eps t``, ``p`` modest, far below ``4n^2`` and ``rank_rel/eps``).
-    3. Else one batched ``eigvalsh`` of the same ``H`` decides each row bit
-       for bit as the per-subset ``hermitian_eigenrange`` test.
 
-    A level stops once its outcome is settled.  Greedy mode instead extends
-    one path by the member whose removal leaves the largest (``certified``)
-    or smallest (``universal``) lower bound, ties to the lowest index.  Per
-    level, ``R = U diag(lam) U*`` is the symmetrized rest and
-    ``C_i = U* v_i Q_i``; for ``beta < lam_1``, ``lambda_min(R - v_i^2 P_i)
-    > beta`` iff ``lambda_max(C_i* (lam - beta)^-1 C_i) < 1`` (Schur
-    complement).  After each exact ``eigvalsh``, one batched d x d test at
+def _exhaustive_levels(frame: FusionFrame, budget: int) -> tuple[int, int]:
+    """``certified`` and ``universal`` from every removal of up to ``budget`` members.
+
+    Each level's subsets are decided in ``itertools.combinations`` order, by
+    chunks: ``sum_{i in J} d_i > sum_i d_i - n`` fails unseen (``rank S_J < n``),
+    and :func:`_frames_left` decides the rest.  A level stops once its outcome
+    is settled.
+    """
+    N, n, dims = frame.member_count, frame.ambient_dim, frame.dims
+    terms = np.stack([m.weight**2 * m.subspace.projection() for m in frame.members])
+    total = sum(terms)
+    rows = max(1, ERASURE_CHUNK_BYTES // terms[0].nbytes)
+    certified = universal = 0
+    for k in range(1, budget + 1):
+        some, every = False, universal == k - 1  # some removal survives; every one does, while that matters
+        subsets = itertools.combinations(range(N), k)
+        while (every or not some) and (chunk := list(itertools.islice(subsets, rows))):
+            J = np.array(chunk)
+            alive = dims[J].sum(axis=1) <= dims.sum() - n
+            if alive.any():
+                # sum(terms[i] for i in J)'s order; zero signs may differ, which total - H erases.
+                H = terms[J[alive, 0]]
+                for c in range(1, k):
+                    H += terms[J[alive, c]]
+                alive[alive] = _frames_left(frame, np.subtract(total, H, out=H))
+            some = some or bool(alive.any())
+            every = every and bool(alive.all())
+        if not some:
+            break  # supersets of failing removals also fail
+        certified = k
+        if every:
+            universal = k
+    return certified, universal
+
+
+def _greedy_levels(frame: FusionFrame, budget: int) -> tuple[int, int]:
+    """``certified`` and ``universal`` along one removal path each.
+
+    Each path extends by the member whose removal leaves the largest
+    (``certified``) or smallest (``universal``) lower bound, ties to the
+    lowest index.  Per level, ``R = U diag(lam) U*`` is the symmetrized
+    rest and ``C_i = U* v_i Q_i``; for ``beta < lam_1``,
+    ``lambda_min(R - v_i^2 P_i) > beta`` iff
+    ``lambda_max(C_i* (lam - beta)^-1 C_i) < 1`` (Schur complement).
+    After each exact ``eigvalsh``, one batched d x d test at
     ``beta = best -/+ delta``, ``delta = 32 (n+1)^2 eps s``, ``s = max|lam|``,
     drops the members it puts at or below (above) ``beta``.  With
     ``v_i^2 <= s`` and LAPACK backward errors ``p(n) eps`` (``p <= n^2``),
@@ -436,56 +475,21 @@ def erasure_certificate(
     a dropped member's ``eigvalsh`` value is strictly worse than ``best``
     and the pick is the full per-member loop's, bit for bit.
     """
-    if not frame.is_frame:
-        raise NotAFusionFrame("erasure robustness is defined for fusion frames only")
-    N = frame.member_count
-    budget = N - 1 if budget is None else int(budget)
-    budget = max(0, min(budget, N - 1))
-    if mode is None:
-        mode = "exhaustive" if N <= EXHAUSTIVE_MEMBER_LIMIT else "greedy"
-    if mode not in ("exhaustive", "greedy"):
-        raise ValueError(f"unknown erasure search mode {mode!r}")
-    if mode == "exhaustive" and N > EXHAUSTIVE_MEMBER_LIMIT:
-        raise ValueError(f"exhaustive mode supports at most {EXHAUSTIVE_MEMBER_LIMIT} members, got {N}")
-
-    tol, n, dims = frame.tol, frame.ambient_dim, frame.dims
+    tol, N, n, dims = frame.tol, frame.member_count, frame.ambient_dim, frame.dims
     terms = np.stack([m.weight**2 * m.subspace.projection() for m in frame.members])
-    total = sum(terms)
-    A = frame._operator_range[0]
-    tau_per_trace = 2 * tol.rank_rel + 4 * (n + 1) * n * np.finfo(float).eps
-
-    def survivors(J: np.ndarray) -> np.ndarray:
-        # Which removals (rows of J) leave a frame: the three steps above.
-        alive = dims[J].sum(axis=1) <= dims.sum() - n
-        if alive.any():
-            # sum(terms[i] for i in J)'s order; zero signs may differ, which total - H erases.
-            H = terms[J[alive, 0]]
-            for c in range(1, J.shape[1]):
-                H += terms[J[alive, c]]
-            H = _require_finite(np.subtract(total, H, out=H))
-            shifted = np.conjugate(H)  # a new array also when H is real
-            H += shifted.swapaxes(1, 2)
-            H /= 2.0  # the symmetrize() of hermitian_eigenrange, in place
-            np.copyto(shifted, H)
-            tau = tau_per_trace * np.abs(np.trace(H, axis1=1, axis2=2).real)
-            shifted.reshape(len(H), -1)[:, :: n + 1] -= tau[:, None]  # H - tau I
-            try:
-                np.linalg.cholesky(shifted)
-            except np.linalg.LinAlgError:
-                low, high = np.linalg.eigvalsh(H)[:, [0, -1]].T
-                alive[alive] = tol.spans(low, high)
-        return alive
-
-    def greedy_level(strongest: bool) -> int:
-        # One step per level along the path the docstring describes; the
-        # members the shifted test drops never reach eigvalsh.
+    total = sum(terms)  # starts from 0: no -0.0, so total - removed matches total - H in zero signs too
+    blocks = np.zeros((N, n, dims.max()), frame.synthesis.dtype)  # v_i Q_i, zero-padded
+    for i in range(N):
+        blocks[i, :, : dims[i]] = frame.synthesis[:, frame.offsets[i] : frame.offsets[i + 1]]
+    levels = [0, 0]  # certified, universal
+    for side, strongest in enumerate((True, False)):
         path: list[int] = []
         removed = 0  # sum(terms[j] for j in path), same rounding; rest -= terms[j] differs
         for k in range(1, budget + 1):
             rest = total - removed
             cand = np.setdiff1d(np.arange(N), path)
             if (dims[path].sum() + dims[cand] > dims.sum() - n).all():
-                return k - 1  # every removal fails on its dimensions
+                break  # every removal fails on its dimensions
             lam, U = np.linalg.eigh(symmetrize(_require_finite(rest)))
             C = U.conj().T @ blocks[cand]
             delta = 32 * (n + 1) ** 2 * np.finfo(float).eps * np.abs(lam).max()
@@ -506,54 +510,44 @@ def erasure_certificate(
                     unseen[rows[g >= 1.0 if strongest else g < 1.0]] = False
             path.append(int(cand[np.flatnonzero(lows == best)[0]]))
             removed = removed + terms[path[-1]]
-            if not survivors(np.array([path]))[0]:
-                return k - 1
-        return budget
+            if dims[path].sum() > dims.sum() - n or not _frames_left(frame, (total - removed)[None])[0]:
+                break
+            levels[side] = k
+    return levels[0], levels[1]
 
-    certified = 0
-    universal = 0
-    universal_alive = True
-    if mode == "exhaustive":
-        rows = max(1, ERASURE_CHUNK_BYTES // terms[0].nbytes)
-        for k in range(1, budget + 1):
-            any_survivor = False
-            all_survive = True
-            subsets = itertools.combinations(range(N), k)
-            while chunk := list(itertools.islice(subsets, rows)):
-                alive = survivors(np.array(chunk))
-                any_survivor = any_survivor or bool(alive.any())
-                all_survive = all_survive and bool(alive.all())
-                if any_survivor and not (universal_alive and all_survive):
-                    break  # the level's outcome is settled
-            if universal_alive and all_survive:
-                universal = k
-            if not all_survive:
-                universal_alive = False
-            if not any_survivor:
-                break  # supersets of failing removals also fail
-            certified = k
-    else:
-        blocks = np.zeros((N, n, dims.max()), frame.synthesis.dtype)  # v_i Q_i, zero-padded
-        for i in range(N):
-            blocks[i, :, : dims[i]] = frame.synthesis[:, frame.offsets[i] : frame.offsets[i + 1]]
-        certified = greedy_level(True)
-        universal = greedy_level(False)
 
-    weight_rule = _weight_rule_level(frame.weights**2, A, budget, tol.eig_rel)
+def erasure_certificate(
+    frame: FusionFrame, budget: int | None = None, mode: str | None = None
+) -> ErasureCertificate:
+    """Determine how many members can be erased, verified spectrally.
+
+    Removing the members ``J`` leaves a fusion frame iff
+    ``S_J = S - sum_{i in J} v_i^2 P_i`` passes ``Tolerance.spans`` on its
+    eigenvalue range.  Exhaustive mode (at most 22 members) decides every
+    subset (:func:`_exhaustive_levels`); greedy mode follows one removal
+    path per level (:func:`_greedy_levels`).
+    """
+    if not frame.is_frame:
+        raise NotAFusionFrame("erasure robustness is defined for fusion frames only")
+    N = frame.member_count
+    budget = N - 1 if budget is None else int(budget)
+    budget = max(0, min(budget, N - 1))
+    if mode is None:
+        mode = "exhaustive" if N <= EXHAUSTIVE_MEMBER_LIMIT else "greedy"
+    if mode not in ("exhaustive", "greedy"):
+        raise ValueError(f"unknown erasure search mode {mode!r}")
+    if mode == "exhaustive" and N > EXHAUSTIVE_MEMBER_LIMIT:
+        raise ValueError(f"exhaustive mode supports at most {EXHAUSTIVE_MEMBER_LIMIT} members, got {N}")
+    search = _exhaustive_levels if mode == "exhaustive" else _greedy_levels
+    certified, universal = search(frame, budget)
+    weight_rule = _weight_rule_level(frame.weights**2, frame._operator_range[0], budget, frame.tol.eig_rel)
     if certified == 0:
         rule = "none"
     elif weight_rule >= certified:
         rule = "weight-sum-bound"
     else:
         rule = "spectral"
-    return ErasureCertificate(
-        budget=budget,
-        certified=certified,
-        universal=universal,
-        weight_rule=weight_rule,
-        rule=rule,
-        mode=mode,
-    )
+    return ErasureCertificate(budget, certified, universal, weight_rule, rule, mode)
 
 
 def apply_operator(frame: FusionFrame, U: np.ndarray) -> FusionFrame:
@@ -677,14 +671,15 @@ def verify_projection_decomposition(T: np.ndarray, projections) -> ProjectionDec
     for i, P in enumerate(mats):
         if P.shape != T.shape:
             raise DimensionMismatch(f"projection {i} has shape {P.shape}, expected {T.shape}")
+    tol = DEFAULT_TOLERANCE
     valid = True
     ranks = []
     for P in mats:
-        hermitian = np.abs(P - P.conj().T).max() <= PROJECTION_CHECK_TOL
-        idempotent = np.abs(P @ P - P).max() <= PROJECTION_CHECK_TOL
+        hermitian = tol.negligible(np.abs(P - P.conj().T), 1)
+        idempotent = tol.negligible(np.abs(P @ P - P), 1)
         trace = float(np.real(np.trace(P)))
         rank = round(trace)
-        valid = valid and hermitian and idempotent and abs(trace - rank) <= PROJECTION_CHECK_TOL * max(1, P.shape[0])
+        valid = valid and hermitian and idempotent and tol.negligible(abs(trace - rank), max(1, P.shape[0]))
         ranks.append(rank)
     common_rank = ranks[0] if valid and len(set(ranks)) == 1 else None
     sum_residual = float(np.abs(T - sum(mats)).max())
@@ -693,8 +688,8 @@ def verify_projection_decomposition(T: np.ndarray, projections) -> ProjectionDec
     is_decomposition = (
         valid
         and common_rank is not None
-        and sum_residual <= PROJECTION_CHECK_TOL
-        and trace_residual <= PROJECTION_CHECK_TOL * max(1, T.shape[0] * len(mats))
+        and tol.negligible(sum_residual, 1)
+        and tol.negligible(trace_residual, max(1, T.shape[0] * len(mats)))
     )
     return ProjectionDecompositionCheck(
         is_decomposition=bool(is_decomposition),

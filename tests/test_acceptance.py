@@ -152,7 +152,7 @@ def test_05_random_frame_property_battery(scoreboard):
         rng = np.random.default_rng(2024)
         for _ in range(200):
             frame = random_fusion_frame(rng, n=int(rng.integers(2, 6)))
-            checks = sampled_consistency_checks(frame, seed=int(rng.integers(2**31)), count=32)
+            checks = sampled_consistency_checks(frame, seed=int(rng.integers(2**31)))
             assert checks["max_rayleigh_deviation"] <= 1e-10
             assert checks["energy_bounds_ok"]
             low, high = redundancy_range(frame)

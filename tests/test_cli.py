@@ -124,6 +124,15 @@ class TestAnalyze:
         assert code == 0
         assert report_path.read_text(encoding="utf-8") == stdout
 
+    def test_unwritable_report_prints_nothing(self, run, frame_file, tmp_path):
+        report_path = tmp_path / "missing-dir" / "report.json"
+        code, stdout, stderr = run("analyze", frame_file("7.3"), "--report", str(report_path))
+        assert code == 1
+        assert stdout == ""
+        assert len(stderr.splitlines()) == 1
+        assert json.loads(stderr)["error"]["type"] == "FileNotFoundError"
+        assert not report_path.exists()
+
     def test_seed_recorded(self, run, frame_file):
         _, stdout, _ = run("analyze", frame_file("7.1-V", 4), "--seed", "42")
         assert json.loads(stdout)["seed"] == 42

@@ -5,6 +5,7 @@ import pytest
 
 from ffk.documents import (
     FLAG_ORDER,
+    SAMPLED_CHECK_COUNT,
     SCHEMA_VERSION,
     FrameDocument,
     ReportDocument,
@@ -355,8 +356,8 @@ class TestReportDocument:
 class TestSampledChecks:
     def test_quadratic_form_matches_projection_sum(self, rng):
         frame = random_fusion_frame(rng, n=4)
-        outcome = sampled_consistency_checks(frame, seed=3, count=32)
-        assert outcome["samples"] == 32
+        outcome = sampled_consistency_checks(frame, seed=3)
+        assert outcome["samples"] == SAMPLED_CHECK_COUNT
         assert outcome["max_rayleigh_deviation"] <= 1e-10
         assert outcome["energy_bounds_ok"]
 

@@ -429,6 +429,25 @@ class TestErasure:
         assert greedy.certified <= exhaustive.certified
         assert greedy.certified == 2
 
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ValueError, match="unknown erasure search mode"):
+            erasure_certificate(example_frame("7.3"), budget=1, mode="random")
+
+    def test_exhaustive_mode_rejects_too_many_members(self):
+        frame = example_frame("7.2", 23)
+        assert frame.member_count == 23
+        with pytest.raises(ValueError, match="at most 22 members"):
+            erasure_certificate(frame, budget=1, mode="exhaustive")
+
+    @pytest.mark.parametrize("mode", ["exhaustive", "greedy"])
+    @pytest.mark.parametrize("budget, expected", [(None, 3), (-2, 0), (0, 0), (2, 2), (3, 3), (9, 3)])
+    def test_budget_is_clamped_to_the_members(self, mode, budget, expected):
+        cert = erasure_certificate(example_frame("7.3"), budget, mode)
+        assert cert.budget == expected
+        assert cert.mode == mode
+        if expected == 0:
+            assert (cert.certified, cert.universal, cert.weight_rule, cert.rule) == (0, 0, 0, "none")
+
     def test_certificate_requires_frame(self):
         bessel = build_fusion_frame([(np.array([[1.0], [0.0]]), 1.0)], 2)
         with pytest.raises(NotAFusionFrame):

@@ -113,6 +113,7 @@ def test_cutoff_policy_stays_in_numerics():
         ("cli.py", "_tolerance"),
         ("documents.py", "ReportDocument.from_analysis"),
         ("fusion.py", "erasure_certificate"),
+        ("fusion.py", "_frames_left"),
         ("fusion.py", "_weight_rule_level"),
     }
     found = set()
