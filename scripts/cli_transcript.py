@@ -2,13 +2,16 @@
 """Record the exact CLI behaviour on the golden cases, for byte comparison.
 
 Runs every case of ``tests/golden/cases.json`` through ``ffk.cli.main``
-in process, plus each ``dual`` and ``transform`` case once more with
-``--out`` and each ``analyze`` case once more with ``--report``, inside a
-temporary copy of ``tests/golden/inputs``.  For each run it writes one
-JSON line to OUT: argv, exit code, stdout, stderr and the text of the
-``--out`` or ``--report`` file (``null`` when none was written).  The
-temporary directory's path is replaced by ``<tmp>``, so two source trees
-give the same file exactly when their CLI output is byte-identical:
+in process, then ``ffk example`` for each of the four presets at its
+default size and for ``7.1``, ``7.1-V`` and ``7.2`` at ``-n 16``.  Each
+``dual``, ``transform`` and ``example`` run is made once more with
+``--out`` and each ``analyze`` run once more with ``--report``, all
+inside a temporary copy of ``tests/golden/inputs`` (219 runs).  For each
+run it writes one JSON line to OUT: argv, exit code, stdout, stderr and
+the text of the ``--out`` or ``--report`` file (``null`` when none was
+written).  The temporary directory's path is replaced by ``<tmp>``, so
+two source trees give the same file exactly when their CLI output is
+byte-identical:
 
     PYTHONPATH=src python scripts/cli_transcript.py before.jsonl
     cmp before.jsonl after.jsonl
@@ -29,7 +32,10 @@ from ffk import cli
 
 GOLDEN = Path(__file__).resolve().parent.parent / "tests" / "golden"
 OUT_NAME = "written.json"
-FILE_OPTIONS = {"dual": "--out", "transform": "--out", "analyze": "--report"}
+FILE_OPTIONS = {"dual": "--out", "transform": "--out", "example": "--out", "analyze": "--report"}
+EXAMPLE_RUNS = [["example", "--name", name] for name in ("7.1", "7.1-V", "7.2", "7.3")] + [
+    ["example", "--name", name, "-n", "16"] for name in ("7.1", "7.1-V", "7.2")
+]
 
 
 def _record(argv: list[str], workdir: Path) -> dict:
@@ -47,18 +53,17 @@ def _record(argv: list[str], workdir: Path) -> dict:
 
 
 def transcript(cases: list[dict]) -> list[dict]:
-    """One record per golden case, then one per ``--out`` or ``--report`` run of a case that writes a file."""
+    """One record per golden case and example run, then one per ``--out`` or ``--report`` rerun of those."""
+    runs = [case["argv"] for case in cases] + EXAMPLE_RUNS
     start = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         workdir = Path(tmp).resolve()
         shutil.copytree(GOLDEN / "inputs", workdir / "inputs")
         os.chdir(workdir)
         try:
-            records = [_record(case["argv"], workdir) for case in cases]
+            records = [_record(argv, workdir) for argv in runs]
             records += [
-                _record(case["argv"] + [FILE_OPTIONS[case["argv"][0]], OUT_NAME], workdir)
-                for case in cases
-                if case["argv"][0] in FILE_OPTIONS
+                _record(argv + [FILE_OPTIONS[argv[0]], OUT_NAME], workdir) for argv in runs if argv[0] in FILE_OPTIONS
             ]
         finally:
             os.chdir(start)

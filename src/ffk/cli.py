@@ -52,10 +52,7 @@ def _fail(exc: Exception) -> int:
 
 
 def _tolerance(args) -> Tolerance:
-    eig_rel = getattr(args, "tol_eig", None)
-    if eig_rel is None:
-        return DEFAULT_TOLERANCE
-    return Tolerance(eig_rel=eig_rel)
+    return DEFAULT_TOLERANCE if args.tol_eig is None else Tolerance(eig_rel=args.tol_eig)
 
 
 def _write_or_print(text: str, out: str | None) -> None:
@@ -163,7 +160,7 @@ def _cmd_system(args) -> int:
         "seed": args.seed,
         "samples": args.samples,
         "additivity": {
-            "orthogonal_locals": checks[-1].orthogonal_locals,
+            "orthogonal_locals": system.orthogonal_locals,
             "max_gap": max(0.0, *(abs(check.fusion_value - check.local_sum) for check in checks)),
             "additive": all(check.equal for check in checks),
         },

@@ -26,7 +26,7 @@ from . import __version__
 from .errors import MemberCountMismatch, NonPositiveWeight, ParseError, SchemaVersionUnsupported
 from .fusion import AnalysisReport, ErasureCertificate, FusionFrame, build_fusion_frame
 from .gallery import example_frame
-from .numerics import COMPLEX, DEFAULT_TOLERANCE, REAL, Tolerance, quadratic_forms, sample_unit_vectors
+from .numerics import COMPLEX, DEFAULT_TOLERANCE, REAL, Tolerance, _read_only, quadratic_forms, sample_unit_vectors
 from .systems import FusionFrameSystem, build_system
 
 SCHEMA_VERSION = "ffk/1"
@@ -166,16 +166,13 @@ def _parse_rows(rows, field: str, dimension: int, path: str) -> np.ndarray:
                 _parse_entry(entry, field, f"{path}[{r}][{e}]")
     if field == COMPLEX:
         values = values.view(np.complex128).reshape(len(rows), dimension)
-    values.setflags(write=False)
-    return values
+    return _read_only(values)
 
 
 def _column_rows(matrix: np.ndarray, field: str) -> np.ndarray:
     """The columns of ``matrix`` as a read-only rows array of the field's dtype."""
     dtype = np.complex128 if field == COMPLEX else np.float64
-    rows = np.array((matrix if field == COMPLEX else np.real(matrix)).T, dtype=dtype, order="C")
-    rows.setflags(write=False)
-    return rows
+    return _read_only(np.array((matrix if field == COMPLEX else np.real(matrix)).T, dtype=dtype, order="C"))
 
 
 def _rows_tree(rows: np.ndarray) -> list:
@@ -343,18 +340,9 @@ FLAG_ORDER = (
 
 @dataclass(frozen=True)
 class ReportDocument:
-    """Serialized analysis outcome, mirroring the in-memory report."""
+    """Serialized analysis outcome: the report's JSON tree, keys in canonical order."""
 
-    bounds_lower: float | None
-    bounds_upper: float
-    redundancy: tuple[float, float]
-    flags: tuple[tuple[str, bool], ...]
-    excess: int
-    erasure: tuple | None
-    seed: int
-    tolerances: tuple[tuple[str, float], ...]
-    sampled_checks: tuple | None
-    tool_version: str = __version__
+    tree: dict
 
     @classmethod
     def from_analysis(
@@ -365,74 +353,62 @@ class ReportDocument:
         erasure: ErasureCertificate | None = None,
         sampled_checks: dict | None = None,
     ) -> "ReportDocument":
-        flags = tuple((name, bool(getattr(report, name))) for name in FLAG_ORDER)
-        erasure_items = tuple(asdict(erasure).items()) if erasure is not None else None
-        sampled_items = tuple(sampled_checks.items()) if sampled_checks is not None else None
         return cls(
-            bounds_lower=report.bounds.lower,
-            bounds_upper=report.bounds.upper,
-            redundancy=report.redundancy,
-            flags=flags,
-            excess=report.excess,
-            erasure=erasure_items,
-            seed=seed,
-            tolerances=(
-                ("rank_rel", tol.rank_rel),
-                ("eig_rel", tol.eig_rel),
-                ("recon_abs", tol.recon_abs),
-            ),
-            sampled_checks=sampled_items,
+            {
+                "tool_version": __version__,
+                "seed": seed,
+                "tolerances": {"rank_rel": tol.rank_rel, "eig_rel": tol.eig_rel, "recon_abs": tol.recon_abs},
+                "bounds": {"lower": report.bounds.lower, "upper": report.bounds.upper},
+                "redundancy_range": report.redundancy,
+                "flags": {name: bool(getattr(report, name)) for name in FLAG_ORDER},
+                "excess": report.excess,
+                "erasure": asdict(erasure) if erasure is not None else None,
+                "sampled_checks": dict(sampled_checks) if sampled_checks is not None else None,
+            }
         )
 
     @classmethod
     def from_json_text(cls, text: str) -> "ReportDocument":
         root = _expect_dict(_json_tree(text), "report")
         bounds = _expect_dict(root.get("bounds"), "bounds")
-        lower = bounds.get("lower")
         redundancy = tuple(
             _expect_number(value, f"redundancy_range[{i}]")
             for i, value in enumerate(_expect_list(root.get("redundancy_range"), "redundancy_range"))
         )
         if len(redundancy) != 2:
             raise ParseError(f"redundancy_range: expected 2 numbers, got {len(redundancy)}")
-        flags_dict = _expect_dict(root.get("flags"), "flags")
-        erasure = None
-        if root.get("erasure") is not None:
-            erasure = tuple(_expect_dict(root["erasure"], "erasure").items())
-        sampled = None
-        if root.get("sampled_checks") is not None:
-            sampled = tuple(_expect_dict(root["sampled_checks"], "sampled_checks").items())
+        flags = _expect_dict(root.get("flags"), "flags")
+        erasure, sampled = root.get("erasure"), root.get("sampled_checks")
+        erasure = None if erasure is None else _expect_dict(erasure, "erasure")
+        sampled = None if sampled is None else _expect_dict(sampled, "sampled_checks")
+        lower = None if bounds.get("lower") is None else _expect_number(bounds["lower"], "bounds.lower")
+        upper = _expect_number(bounds.get("upper"), "bounds.upper")
+        excess = _expect_int(root.get("excess"), "excess")
+        seed = _expect_int(root.get("seed"), "seed")
+        tolerances = {
+            name: _expect_number(value, f"tolerances.{name}")
+            for name, value in _expect_dict(root.get("tolerances"), "tolerances").items()
+        }
         return cls(
-            bounds_lower=None if lower is None else _expect_number(lower, "bounds.lower"),
-            bounds_upper=_expect_number(bounds.get("upper"), "bounds.upper"),
-            redundancy=redundancy,
-            flags=tuple((name, bool(flags_dict.get(name))) for name in FLAG_ORDER),
-            excess=_expect_int(root.get("excess"), "excess"),
-            erasure=erasure,
-            seed=_expect_int(root.get("seed"), "seed"),
-            tolerances=tuple(
-                (name, _expect_number(value, f"tolerances.{name}"))
-                for name, value in _expect_dict(root.get("tolerances"), "tolerances").items()
-            ),
-            sampled_checks=sampled,
-            tool_version=str(root.get("tool_version")),
+            {
+                "tool_version": str(root.get("tool_version")),
+                "seed": seed,
+                "tolerances": tolerances,
+                "bounds": {"lower": lower, "upper": upper},
+                "redundancy_range": redundancy,
+                "flags": {name: bool(flags.get(name)) for name in FLAG_ORDER},
+                "excess": excess,
+                "erasure": erasure,
+                "sampled_checks": sampled,
+            }
         )
 
     def to_tree(self) -> dict:
-        return {
-            "tool_version": self.tool_version,
-            "seed": self.seed,
-            "tolerances": dict(self.tolerances),
-            "bounds": {"lower": self.bounds_lower, "upper": self.bounds_upper},
-            "redundancy_range": self.redundancy,
-            "flags": dict(self.flags),
-            "excess": self.excess,
-            "erasure": dict(self.erasure) if self.erasure is not None else None,
-            "sampled_checks": dict(self.sampled_checks) if self.sampled_checks is not None else None,
-        }
+        """The stored tree itself, not a copy."""
+        return self.tree
 
     def to_json_text(self) -> str:
-        return canonical_json(self.to_tree())
+        return canonical_json(self.tree)
 
 
 def sampled_consistency_checks(frame: FusionFrame, seed: int) -> dict:

@@ -64,9 +64,7 @@ class Subspace:
         gram_defect = np.abs(B.conj().T @ B - np.eye(B.shape[1])).max()
         if gram_defect > ORTHONORMALITY_TOL:
             raise DimensionMismatch(f"basis columns are not orthonormal (defect {gram_defect:.3e})")
-        B = B.astype(np.complex128 if np.iscomplexobj(B) else np.float64)
-        B.setflags(write=False)
-        self.basis = B
+        self.basis = _read_only(B.astype(np.complex128 if np.iscomplexobj(B) else np.float64))
 
     @classmethod
     def from_span(cls, vectors: np.ndarray, tol: Tolerance = DEFAULT_TOLERANCE) -> "Subspace":
@@ -164,11 +162,8 @@ class FusionFrame:
     def canonical_dual(self) -> "FusionFrame":
         """The canonical dual family, from one solve against the stacked bases; needs ``is_frame``."""
         spans = solve_hermitian_positive(self.operator, self.bases, self.tol)
-        members = [
-            WeightedSubspace(Subspace.from_span(spans[:, start:stop], self.tol), m.weight)
-            for m, start, stop in zip(self.members, self.offsets[:-1], self.offsets[1:])
-        ]
-        return FusionFrame(members, self.tol)
+        columns = zip(self.members, self.offsets[:-1], self.offsets[1:])
+        return build_fusion_frame([(spans[:, a:b], m.weight) for m, a, b in columns], self.ambient_dim, self.tol)
 
     @property
     def ambient_dim(self) -> int:
@@ -561,11 +556,7 @@ def apply_operator(frame: FusionFrame, U: np.ndarray) -> FusionFrame:
     s = np.linalg.svd(M, compute_uv=False)
     if not tol.spans(s[-1], s[0]):
         raise SingularOperator(f"singular values span [{s[-1]:.3e}, {s[0]:.3e}]")
-    members = [
-        WeightedSubspace(Subspace.from_span(M @ m.subspace.basis, tol), m.weight)
-        for m in frame.members
-    ]
-    return FusionFrame(members, tol)
+    return build_fusion_frame([(M @ m.subspace.basis, m.weight) for m in frame.members], frame.ambient_dim, tol)
 
 
 @dataclass(frozen=True)

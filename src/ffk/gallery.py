@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, UnknownExample
 from .fusion import FusionFrame, Subspace, WeightedSubspace
-from .numerics import COMPLEX, DEFAULT_TOLERANCE, REAL, Tolerance
+from .numerics import COMPLEX, REAL
 
 EXAMPLE_NAMES = ("7.1", "7.1-V", "7.2", "7.3")
 # Largest dimension of the scalable presets.  Example 7.1 at dimension n
@@ -40,7 +40,7 @@ def _coordinate_subspace(indices, n: int, field: str) -> Subspace:
     return Subspace(basis)
 
 
-def example_frame(name: str, n: int | None = None, tol: Tolerance = DEFAULT_TOLERANCE) -> FusionFrame:
+def example_frame(name: str, n: int | None = None) -> FusionFrame:
     """Construct a catalog example.
 
     ``n`` selects the dimension of the scalable presets (default 4, at
@@ -58,7 +58,7 @@ def example_frame(name: str, n: int | None = None, tol: Tolerance = DEFAULT_TOLE
             WeightedSubspace(_coordinate_subspace(idx, 5, COMPLEX), w)
             for idx, w in zip(spans, (weights[0], weights[1], weights[0], weights[1]))
         ]
-        return FusionFrame(members, tol)
+        return FusionFrame(members)
     n = 4 if n is None else int(n)
     if not 2 <= n <= EXAMPLE_MAX_DIMENSION:
         raise DimensionMismatch(f"example {name} requires dimension 2 <= n <= {EXAMPLE_MAX_DIMENSION}, got {n}")
@@ -70,4 +70,4 @@ def example_frame(name: str, n: int | None = None, tol: Tolerance = DEFAULT_TOLE
         members = [WeightedSubspace(lines[i], 1.0) for i in range(n) for _ in range(2)]
     else:  # "7.2"
         members = [WeightedSubspace(lines[i], 1.0) for i in range(n)]
-    return FusionFrame(members, tol)
+    return FusionFrame(members)

@@ -10,7 +10,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, NotAFrame
 from .fusion import FusionFrame, Subspace, WeightedSubspace, union
-from .numerics import COMPLEX, DEFAULT_TOLERANCE, REAL, Tolerance, orthonormalize
+from .numerics import COMPLEX, REAL, orthonormalize
 from .systems import FusionFrameSystem, build_system
 from .vector_frames import VectorFrame
 
@@ -36,7 +36,6 @@ def random_fusion_frame(
     members: int | None = None,
     max_dim: int | None = None,
     field: str | None = None,
-    tol: Tolerance = DEFAULT_TOLERANCE,
 ) -> FusionFrame:
     """A random weighted subspace family that spans (retries otherwise)."""
     n = n or int(rng.integers(2, 9))
@@ -52,22 +51,14 @@ def random_fusion_frame(
             dims[rng.integers(count)] = min(max_dim, n)
         weights = rng.uniform(0.3, 2.0, size=count)
         frame = FusionFrame(
-            [
-                WeightedSubspace(random_subspace(rng, n, int(d), field), float(w))
-                for d, w in zip(dims, weights)
-            ],
-            tol,
+            [WeightedSubspace(random_subspace(rng, n, int(d), field), float(w)) for d, w in zip(dims, weights)]
         )
         if frame.is_frame:
             return frame
 
 
 def random_vector_frame(
-    rng: np.random.Generator,
-    n: int | None = None,
-    count: int | None = None,
-    field: str | None = None,
-    tol: Tolerance = DEFAULT_TOLERANCE,
+    rng: np.random.Generator, n: int | None = None, count: int | None = None, field: str | None = None
 ) -> VectorFrame:
     n = n or int(rng.integers(2, 7))
     field = field or random_field(rng)
@@ -75,7 +66,7 @@ def random_vector_frame(
     while True:
         frame_matrix = _gaussian(rng, (n, count), field)
         try:
-            return VectorFrame.from_matrix(frame_matrix, tol=tol)
+            return VectorFrame.from_matrix(frame_matrix)
         except NotAFrame:
             continue
 
@@ -86,19 +77,12 @@ def _invsqrt_psd(S: np.ndarray) -> np.ndarray:
 
 
 def random_tight_vector_frame(
-    rng: np.random.Generator,
-    n: int | None = None,
-    count: int | None = None,
-    field: str | None = None,
-    bound: float | None = None,
-    tol: Tolerance = DEFAULT_TOLERANCE,
+    rng: np.random.Generator, n: int | None = None, count: int | None = None, bound: float | None = None
 ) -> VectorFrame:
     """A tight frame with the requested bound, by whitening a random frame."""
-    base = random_vector_frame(rng, n, count, field, tol)
+    base = random_vector_frame(rng, n, count)
     bound = bound if bound is not None else float(rng.uniform(0.5, 3.0))
-    S = base.matrix @ base.matrix.conj().T
-    matrix = np.sqrt(bound) * (_invsqrt_psd(S) @ base.matrix)
-    return VectorFrame.from_matrix(matrix, tol=tol)
+    return VectorFrame.from_matrix(np.sqrt(bound) * (_invsqrt_psd(base.operator) @ base.matrix))
 
 
 def random_unitary(rng: np.random.Generator, n: int, field: str = COMPLEX) -> np.ndarray:
@@ -122,12 +106,7 @@ def random_invertible(
 
 
 def random_orthogonal_decomposition(
-    rng: np.random.Generator,
-    n: int,
-    parts: int | None = None,
-    field: str = COMPLEX,
-    weights: np.ndarray | None = None,
-    tol: Tolerance = DEFAULT_TOLERANCE,
+    rng: np.random.Generator, n: int, parts: int | None = None, field: str = COMPLEX
 ) -> FusionFrame:
     """Random orthogonal direct sum of the ambient space (unit weights).
 
@@ -138,41 +117,26 @@ def random_orthogonal_decomposition(
     U = random_unitary(rng, n, field)
     cuts = np.sort(rng.choice(np.arange(1, n), size=parts - 1, replace=False)) if parts > 1 else np.array([], dtype=int)
     pieces = np.split(np.arange(n), cuts)
-    if weights is None:
-        weights = np.ones(len(pieces))
-    members = [
-        WeightedSubspace(Subspace(np.ascontiguousarray(U[:, piece])), float(w))
-        for piece, w in zip(pieces, weights)
-    ]
-    return FusionFrame(members, tol)
+    return FusionFrame([WeightedSubspace(Subspace(np.ascontiguousarray(U[:, piece])), 1.0) for piece in pieces])
 
 
-def random_parseval_fusion_frame(
-    rng: np.random.Generator, n: int, field: str = COMPLEX, layers: int = 2, tol: Tolerance = DEFAULT_TOLERANCE
-) -> FusionFrame:
-    """Overlay of random orthogonal decompositions scaled to Parseval.
+def random_tight_uniform_fusion_frame(rng: np.random.Generator, n: int, layers: int = 2) -> FusionFrame:
+    """Union of ``layers`` complex orthonormal fusion bases: layers-tight, unit weights."""
+    frame = random_orthogonal_decomposition(rng, n)
+    for _ in range(layers - 1):
+        frame = union(frame, random_orthogonal_decomposition(rng, n))
+    return frame
 
-    ``layers`` decompositions with all weights ``1/sqrt(layers)`` sum to
-    the identity; with ``layers=1`` this is an orthonormal fusion basis.
+
+def random_parseval_fusion_frame(rng: np.random.Generator, n: int, layers: int = 2) -> FusionFrame:
+    """``random_tight_uniform_fusion_frame`` with all weights ``1/sqrt(layers)``: Parseval.
+
+    The ``layers`` decompositions so weighted sum to the identity; with
+    ``layers=1`` this is an orthonormal fusion basis.
     """
     scale = 1.0 / np.sqrt(layers)
-    overlay = random_orthogonal_decomposition(rng, n, None, field, tol=tol)
-    members = [WeightedSubspace(m.subspace, scale) for m in overlay.members]
-    frame = FusionFrame(members, tol)
-    for _ in range(layers - 1):
-        layer = random_orthogonal_decomposition(rng, n, None, field, tol=tol)
-        frame = union(frame, FusionFrame([WeightedSubspace(m.subspace, scale) for m in layer.members], tol))
-    return frame
-
-
-def random_tight_uniform_fusion_frame(
-    rng: np.random.Generator, n: int, layers: int = 2, field: str = COMPLEX, tol: Tolerance = DEFAULT_TOLERANCE
-) -> FusionFrame:
-    """Union of ``layers`` orthonormal fusion bases: layers-tight, unit weights."""
-    frame = random_orthogonal_decomposition(rng, n, None, field, tol=tol)
-    for _ in range(layers - 1):
-        frame = union(frame, random_orthogonal_decomposition(rng, n, None, field, tol=tol))
-    return frame
+    tight = random_tight_uniform_fusion_frame(rng, n, layers)
+    return FusionFrame([WeightedSubspace(m.subspace, scale) for m in tight.members])
 
 
 def random_local_vectors(

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,6 +36,12 @@ from ffk.generators import random_fusion_frame, random_system
 from ffk.numerics import COMPLEX, DEFAULT_TOLERANCE, REAL
 from ffk.systems import FusionFrameSystem
 from ffk.vector_frames import VectorFrame
+
+GOLDEN_REPORTS = [
+    case
+    for case in json.loads((Path(__file__).resolve().parent / "golden" / "cases.json").read_text(encoding="utf-8"))
+    if case["argv"][0] == "analyze"
+]
 
 
 def per_entry_rows(matrix, field):
@@ -321,18 +328,12 @@ class TestReportDocument:
 
     def test_flags_cover_the_fixed_order(self):
         doc = self.build_report()
-        assert tuple(name for name, _ in doc.flags) == FLAG_ORDER
+        assert tuple(doc.to_tree()["flags"]) == FLAG_ORDER
 
     def test_roundtrip_preserves_content(self):
         doc = self.build_report()
         back = ReportDocument.from_json_text(doc.to_json_text())
-        assert back.bounds_lower == doc.bounds_lower
-        assert back.bounds_upper == doc.bounds_upper
-        assert back.redundancy == doc.redundancy
-        assert back.flags == doc.flags
-        assert back.excess == doc.excess
-        assert dict(back.erasure) == dict(doc.erasure)
-        assert back.seed == doc.seed
+        assert back == doc
         assert back.to_json_text() == doc.to_json_text()
 
     def test_seed_is_recorded(self):
@@ -351,6 +352,11 @@ class TestReportDocument:
             classify(frame), seed=0, tol=DEFAULT_TOLERANCE
         )
         assert '"lower": null' in doc.to_json_text()
+
+    @pytest.mark.parametrize("case", GOLDEN_REPORTS, ids=[" ".join(case["argv"]) for case in GOLDEN_REPORTS])
+    def test_golden_report_text_roundtrips(self, case):
+        text = case["stdout"]
+        assert ReportDocument.from_json_text(text).to_json_text() == text
 
 
 class TestSampledChecks:
