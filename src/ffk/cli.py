@@ -247,7 +247,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        # Overflow and invalid values end in NonFiniteEntries or a ValueError, so numpy need not warn too.
+        with np.errstate(all="ignore"):
+            return args.handler(args)
     except (FrameError, OSError, ValueError, MemoryError) as exc:
         return _fail(exc)
 

@@ -36,7 +36,6 @@ from .numerics import (
     hermitian_eigenrange,
     kernel_dimension,
     orthonormalize,
-    principal_angles,
     quadratic_forms,
     sample_unit_vectors,
     solve_hermitian_positive,
@@ -630,11 +629,14 @@ def redundancy_equivalent(
 
 
 def subspaces_equal(a: Subspace, b: Subspace) -> bool:
-    """Subspace equality via principal angles, each at most ``SUBSPACE_ANGLE_TOL``."""
+    """Subspace equality: the largest principal angle ``theta_max`` is at most ``SUBSPACE_ANGLE_TOL``.
+
+    For equal dimensions ``||P_a - P_b||_2 = sin(theta_max)``, and sine increases on ``[0, pi/2]``,
+    so the test ``||P_a - P_b||_2 <= sin(SUBSPACE_ANGLE_TOL)`` is the same condition.
+    """
     if a.ambient_dim != b.ambient_dim or a.dim != b.dim:
         return False
-    angles = principal_angles(a.basis, b.basis)
-    return bool(angles.size == 0 or angles.max() <= SUBSPACE_ANGLE_TOL)
+    return bool(np.linalg.norm(a.projection() - b.projection(), 2) <= np.sin(SUBSPACE_ANGLE_TOL))
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, NotAFrame
 from .fusion import FusionFrame, Subspace, WeightedSubspace, union
-from .numerics import COMPLEX, REAL, orthonormalize
+from .numerics import COMPLEX, REAL, gaussian, orthonormalize
 from .systems import FusionFrameSystem, build_system
 from .vector_frames import VectorFrame
 
@@ -19,15 +19,8 @@ def random_field(rng: np.random.Generator) -> str:
     return REAL if rng.integers(2) == 0 else COMPLEX
 
 
-def _gaussian(rng: np.random.Generator, shape, field: str) -> np.ndarray:
-    G = rng.standard_normal(shape)
-    if field == COMPLEX:
-        G = G + 1j * rng.standard_normal(shape)
-    return G
-
-
 def random_subspace(rng: np.random.Generator, n: int, d: int, field: str = COMPLEX) -> Subspace:
-    return Subspace(orthonormalize(_gaussian(rng, (n, d), field)))
+    return Subspace(orthonormalize(gaussian(rng, (n, d), field)))
 
 
 def random_fusion_frame(
@@ -64,7 +57,7 @@ def random_vector_frame(
     field = field or random_field(rng)
     count = count or int(rng.integers(n, 2 * n + 3))
     while True:
-        frame_matrix = _gaussian(rng, (n, count), field)
+        frame_matrix = gaussian(rng, (n, count), field)
         try:
             return VectorFrame.from_matrix(frame_matrix)
         except NotAFrame:
@@ -86,7 +79,7 @@ def random_tight_vector_frame(
 
 
 def random_unitary(rng: np.random.Generator, n: int, field: str = COMPLEX) -> np.ndarray:
-    Q, R = np.linalg.qr(_gaussian(rng, (n, n), field))
+    Q, R = np.linalg.qr(gaussian(rng, (n, n), field))
     d = np.diag(R)
     return Q * (d / np.abs(d))
 
@@ -97,7 +90,7 @@ def random_invertible(
     """An invertible operator, optionally with a prescribed condition number."""
     if condition is None:
         while True:
-            M = _gaussian(rng, (n, n), field)
+            M = gaussian(rng, (n, n), field)
             s = np.linalg.svd(M, compute_uv=False)
             if s[-1] > 1e-6 * s[0]:
                 return M
@@ -159,11 +152,11 @@ def random_local_vectors(
             local = Q @ (rotation * scales)
         elif kind == "parseval":
             m = int(rng.integers(d, d + 3))
-            C = _gaussian(rng, (d, m), field)
+            C = gaussian(rng, (d, m), field)
             local = Q @ (_invsqrt_psd(C @ C.conj().T) @ C)
         elif kind == "generic":
             m = int(rng.integers(d + 1, d + 4))
-            C = _gaussian(rng, (d, m), field)
+            C = gaussian(rng, (d, m), field)
             local = Q @ C
         else:
             raise ValueError(f"unknown local family kind {kind!r}")

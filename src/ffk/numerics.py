@@ -3,15 +3,15 @@
 Everything above this module (vector frames, weighted subspace families,
 duality certificates) is phrased in terms of a handful of primitives:
 rank-revealing orthonormalization, Hermitian eigenvalue ranges, kernel
-dimensions, positive definite solves, and Haar sampling on the unit
-sphere.  Every cutoff decision in the package is a :class:`Tolerance`
-predicate: ``rank``, ``spans`` and ``negligible`` apply ``rank_rel``;
-``flat``, ``near``, ``parseval`` and ``within`` apply ``eig_rel``;
-``reconstructs`` applies ``recon_abs``.  Scale rule: a cutoff is relative
-to the scale of what it decides (the largest singular or eigenvalue or
-bracket end, a family's largest norm), so results are invariant under
-rescaling; only ``near`` (quantities of scale 1) and ``reconstructs`` are
-absolute.
+dimensions, positive definite solves, Gaussian draws, and Haar sampling
+on the unit sphere.  Every cutoff decision in the package is a
+:class:`Tolerance` predicate: ``rank``, ``spans`` and ``negligible``
+apply ``rank_rel``; ``flat``, ``near``, ``parseval`` and ``within``
+apply ``eig_rel``; ``reconstructs`` applies ``recon_abs``.  Scale rule:
+a cutoff is relative to the scale of what it decides (the largest
+singular or eigenvalue or bracket end, a family's largest norm), so
+results are invariant under rescaling; only ``near`` (quantities of
+scale 1) and ``reconstructs`` are absolute.
 """
 
 from __future__ import annotations
@@ -219,47 +219,27 @@ def solve_hermitian_positive(
     return X + apply_inverse(B - H @ X)
 
 
-def principal_angles(basis_a: np.ndarray, basis_b: np.ndarray) -> np.ndarray:
-    """Principal angles between the column spans of two orthonormal bases.
-
-    Cosines come from the singular values of ``Qa* Qb``, sines from those
-    of ``Qb - Qa Qa* Qb`` with ``Qa`` the wider basis.  Each angle is
-    taken from its sine where its squared cosine is at least 1/2, where
-    the arccosine loses precision.  Angles are returned in descending
-    order.
-    """
-    Qa, Qb = np.asarray(basis_a), np.asarray(basis_b)
-    if Qa.shape[1] < Qb.shape[1]:
-        Qa, Qb = Qb, Qa
-    cross = Qa.conj().T @ Qb
-    cosines = np.clip(np.linalg.svd(cross, compute_uv=False), -1.0, 1.0)
-    sines = np.clip(np.linalg.svd(Qb - Qa @ cross, compute_uv=False), -1.0, 1.0)
-    angles = np.where(cosines**2 >= 0.5, np.arcsin(sines[::-1]), np.arccos(cosines))
-    return angles[::-1]
+def gaussian(rng: np.random.Generator, shape, field: str) -> np.ndarray:
+    """Standard normal entries of ``shape``; for the complex field a second draw gives the imaginary parts."""
+    G = rng.standard_normal(shape)
+    if field == COMPLEX:
+        G = G + 1j * rng.standard_normal(shape)
+    elif field != REAL:
+        raise ValueError(f"unknown field {field!r}")
+    return G
 
 
 def sample_unit_vectors(
     rng: np.random.Generator, dim: int, count: int = 1, field: str = COMPLEX
 ) -> np.ndarray:
-    """Draw ``count`` Haar-uniform unit vectors in dimension ``dim``.
-
-    Normalized i.i.d. Gaussian coordinates; for the complex field real
-    and imaginary parts are drawn independently.  Returns an array of
-    shape ``(count, dim)``.
-    """
+    """``count`` Haar-uniform unit vectors in dimension ``dim``: rows of :func:`gaussian`, normalized."""
     if dim < 1 or count < 1:
         raise DimensionMismatch(f"need dim >= 1 and count >= 1, got {dim}, {count}")
-    X = rng.standard_normal((count, dim))
-    if field == COMPLEX:
-        X = X + 1j * rng.standard_normal((count, dim))
-    elif field != REAL:
-        raise ValueError(f"unknown field {field!r}")
+    X = gaussian(rng, (count, dim), field)
     norms = np.linalg.norm(X, axis=1)
     while np.any(norms < 1e-12):  # astronomically unlikely, but stay total
         bad = norms < 1e-12
-        X[bad] = rng.standard_normal((int(bad.sum()), dim))
-        if field == COMPLEX:
-            X[bad] = X[bad] + 1j * rng.standard_normal((int(bad.sum()), dim))
+        X[bad] = gaussian(rng, (int(bad.sum()), dim), field)
         norms = np.linalg.norm(X, axis=1)
     return X / norms[:, None]
 

@@ -52,7 +52,7 @@ class VectorFrame:
 
     def __init__(self, vectors, *, require_spanning: bool = True, tol: Tolerance = DEFAULT_TOLERANCE):
         matrix = _read_only(_as_column_matrix(vectors))
-        norms = _read_only(np.linalg.norm(matrix, axis=0))
+        norms = _read_only(_require_finite(np.linalg.norm(matrix, axis=0), "frame vector norms"))
         if not np.all(tol.spans(norms, norms.max())):
             index = int(np.argmin(norms))
             raise ZeroVector(f"vector {index} has numerically zero norm")

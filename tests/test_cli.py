@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ffk
 from ffk import cli, duality, fusion, gallery
 from ffk.cli import main
 from ffk.documents import FrameDocument, canonical_json, emit_example
@@ -500,3 +505,47 @@ class TestUndecodableJson:
         at = tmp_path / "x.json"
         at.write_text(self.TEXTS[kind], encoding="utf-8")
         self.assert_parse_error(run("redundancy", frame_file("7.1", 4), "--at", str(at)), f"{at}: ")
+
+
+class TestOverflow:
+    """Values that overflow inside numpy end in one JSON line on stderr, with no numpy warning before it."""
+
+    DOCUMENTS = {  # (weight of member 0, local vector of member 0)
+        "weight": (1e308, [1.0, 0.0]),
+        "local-vector": (1.0, [1e300, 0.0]),
+    }
+    ARGV = {
+        "analyze": ["{frame}"],
+        "redundancy": ["{frame}", "--at", "{at}"],
+        "dual": ["{frame}", "--canonical"],
+        "verify-dual": ["{frame}", "{frame}"],
+        "erasure": ["{frame}"],
+        "transform": ["{frame}", "--operator", "{operator}"],
+        "system": ["{frame}"],
+    }
+
+    @pytest.mark.parametrize(
+        "command, document", [(command, "weight") for command in ARGV] + [("system", "local-vector")]
+    )
+    def test_one_json_line_on_stderr(self, tmp_path, command, document):
+        weight, local = self.DOCUMENTS[document]
+        tree = {
+            "schema_version": "ffk/1",
+            "field": "real",
+            "dimension": 2,
+            "subspaces": [{"weight": weight, "vectors": [[1.0, 0.0]]}, {"weight": 1.0, "vectors": [[0.0, 1.0]]}],
+            "local_frames": [[local], [[0.0, 1.0]]],
+        }
+        paths = {"frame": tmp_path / "frame.json", "at": tmp_path / "x.json", "operator": tmp_path / "op.json"}
+        paths["frame"].write_text(json.dumps(tree), encoding="utf-8")
+        paths["at"].write_text("[1.0, 0.0]", encoding="utf-8")
+        paths["operator"].write_text(json.dumps({"rows": [[1.0, 0.0], [0.0, 1.0]]}), encoding="utf-8")
+        argv = [command] + [arg.format(**paths) for arg in self.ARGV[command]]
+        src = str(Path(ffk.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        result = subprocess.run(
+            [sys.executable, "-m", "ffk.cli", *argv], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert (result.returncode, result.stdout) == (1, "")
+        assert result.stderr.count("\n") == 1
+        assert json.loads(result.stderr)["error"]["type"] == "NonFiniteEntries"

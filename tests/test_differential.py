@@ -53,7 +53,6 @@ from ffk.numerics import (
     FrameBounds,
     Tolerance,
     hermitian_eigenrange,
-    principal_angles,
     quadratic_forms,
     sample_unit_vectors,
     solve_hermitian_positive,
@@ -437,30 +436,21 @@ def known_angle_pair(angles, extra, field):
 
 @pytest.mark.parametrize("field", [REAL, COMPLEX])
 @pytest.mark.parametrize("extra", [0, 2])
-def test_principal_angles_on_constructed_pairs(field, extra):
-    angles = [0.0, 1e-9, 1e-4, np.pi / 4 - 1e-3, np.pi / 4 + 1e-3, np.pi / 2]
-    Qa, Qb = known_angle_pair(angles, extra, field)
-    expected = np.sort(angles)[::-1]
-    for a, b in ((Qa, Qb), (Qb, Qa)):
-        got = principal_angles(a, b)
-        assert got.shape == expected.shape
-        assert np.abs(got - expected).max() <= 1e-12
-
-
-def test_principal_angles_against_scipy():
-    linalg = pytest.importorskip("scipy.linalg")
-    rng = np.random.default_rng(3)
-    pairs = []
-    for n, da, db, field in itertools.product((4, 7), (1, 2, 3), (1, 3), (REAL, COMPLEX)):
-        A, B = rng.standard_normal((n, da)), rng.standard_normal((n, db))
-        if field == COMPLEX:
-            A, B = A + 1j * rng.standard_normal((n, da)), B + 1j * rng.standard_normal((n, db))
-        Qa, Qb = np.linalg.qr(A)[0], np.linalg.qr(B)[0]
-        pairs.append((Qa, Qb))
-    pairs += [known_angle_pair([0.0, 1.2], 1, field) for field in (REAL, COMPLEX)]
-    for Qa, Qb in pairs:
-        # scipy reports about 1.5e-8 for a shared direction once another angle exceeds pi/4.
-        assert np.abs(principal_angles(Qa, Qb) - linalg.subspace_angles(Qa, Qb)).max() <= 1e-7
+def test_subspaces_equal_on_constructed_pairs(field, extra):
+    """Equal exactly when the largest principal angle is at most ``SUBSPACE_ANGLE_TOL`` (1e-8)."""
+    rng = np.random.default_rng(extra)
+    for largest in (0.0, 1e-9, 0.9e-8, 1.1e-8, 1e-6, np.pi / 4, np.pi / 2):
+        angles = [0.0, largest / 2, largest]
+        Qa, Qb = known_angle_pair(angles, extra, field)
+        a = Subspace(Qa[:, : len(angles)])
+        b = Subspace(Qb @ random_unitary(rng, len(angles), field))  # another basis of the same span
+        expected = largest <= fusion.SUBSPACE_ANGLE_TOL
+        assert fusion.subspaces_equal(a, b) == expected
+        assert fusion.subspaces_equal(b, a) == expected
+        nested = [(Subspace(Qb[:, :1]), a)] + ([(a, Subspace(Qa))] if extra else [])
+        for smaller, larger in nested:  # the first inside the second, of lower dimension
+            assert not fusion.subspaces_equal(smaller, larger)
+            assert not fusion.subspaces_equal(larger, smaller)
 
 
 # --- documents: rows converted and rendered one entry at a time ------------

@@ -2,15 +2,17 @@
 
 Each example takes a valid frame or report document and makes one change:
 it replaces one node with a bool, a string, null, a huge integer, NaN,
-Infinity, or a nested or empty list; drops one key or list item; or, for
-frame documents, sets ``dimension`` to 0, -1 or 10**12.  Parsing may fail
-only with a ``FrameError``, and ``ffk analyze`` may only exit with 0, 1 or
-2, writing nothing or one JSON line to stderr.
+Infinity, a float near the overflow or underflow limit, or a nested or
+empty list; drops one key or list item; or, for frame documents, sets
+``dimension`` to 0, -1 or 10**12.  Parsing may fail only with a
+``FrameError``, and ``ffk analyze`` may only exit with 0, 1 or 2, writing
+nothing or one JSON line to stderr and raising no ``RuntimeWarning``.
 """
 
 import contextlib
 import io
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -25,7 +27,10 @@ from ffk.gallery import example_frame
 from ffk.generators import random_fusion_frame, random_system
 from ffk.numerics import COMPLEX, DEFAULT_TOLERANCE, REAL
 
-REPLACEMENTS = (True, False, "x", None, 10**400, -(10**400), float("nan"), float("inf"), -float("inf"), [[1.0]], [])
+REPLACEMENTS = (
+    True, False, "x", None, 10**400, -(10**400), float("nan"), float("inf"), -float("inf"), 1e308, -1e308, 1e-320,
+    [[1.0]], [],
+)
 DIMENSIONS = (0, -1, 10**12)
 FUZZ = settings(derandomize=True, database=None, max_examples=120, deadline=None)
 
@@ -115,7 +120,8 @@ def document_path(tmp_path_factory):
 def test_analyze_exits_cleanly(document_path, text):
     document_path.write_text(text, encoding="utf-8")
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("error", RuntimeWarning)
         code = main(["analyze", str(document_path)])
     assert code in (0, 1, 2)
     stderr = err.getvalue()

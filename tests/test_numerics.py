@@ -20,10 +20,10 @@ from ffk.numerics import (
     REAL,
     FrameBounds,
     Tolerance,
+    gaussian,
     hermitian_eigenrange,
     kernel_dimension,
     orthonormalize,
-    principal_angles,
     quadratic_forms,
     sample_unit_vectors,
     solve_hermitian_positive,
@@ -175,8 +175,8 @@ class TestOrthonormalize:
         m = rng.normal(size=(5, 3)) + 1j * rng.normal(size=(5, 3))
         q = orthonormalize(m)
         assert q.shape == (5, 3)
-        angles = principal_angles(q, orthonormalize(m @ rng.normal(size=(3, 3))))
-        assert np.max(angles) < 1e-8
+        again = orthonormalize(m @ rng.normal(size=(3, 3)))
+        assert np.linalg.norm(q @ q.conj().T - again @ again.conj().T, 2) < 1e-8
 
     def test_near_dependent_column_dropped_by_relative_cutoff(self):
         base = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
@@ -266,6 +266,19 @@ class TestSampling:
         b = sample_unit_vectors(np.random.default_rng(7), 4, 6, COMPLEX)
         assert np.array_equal(a, b)
 
+    def test_gaussian_draws_real_parts_then_imaginary_parts(self):
+        reference = np.random.default_rng(5)
+        real = reference.standard_normal((3, 2))
+        expected = real + 1j * reference.standard_normal((3, 2))
+        assert np.array_equal(gaussian(np.random.default_rng(5), (3, 2), REAL), real)
+        assert np.array_equal(gaussian(np.random.default_rng(5), (3, 2), COMPLEX), expected)
+
+    def test_unknown_field_rejected(self, rng):
+        with pytest.raises(ValueError, match="unknown field"):
+            gaussian(rng, (2, 3), "quaternion")
+        with pytest.raises(ValueError, match="unknown field"):
+            sample_unit_vectors(rng, 3, 2, "quaternion")
+
 
 @settings(deadline=None, max_examples=40)
 @given(
@@ -291,4 +304,4 @@ def test_orthonormalize_is_projection_stable(dim, count, seed):
     q = orthonormalize(m)
     again = orthonormalize(q)
     assert q.shape == again.shape
-    assert np.max(principal_angles(q, again)) < 1e-10
+    assert np.linalg.norm(q @ q.conj().T - again @ again.conj().T, 2) < 1e-10

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from ffk import vector_frames
 from ffk.errors import (
     DimensionMismatch,
+    NonFiniteEntries,
     NotADual,
     NotAFrame,
     NotUnitVector,
@@ -57,6 +58,10 @@ class TestConstruction:
     def test_zero_vector_rejected(self):
         with pytest.raises(ZeroVector):
             VectorFrame([np.array([1.0, 0.0]), np.array([0.0, 0.0])])
+
+    def test_overflowing_norm_is_not_a_zero_vector(self):
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteEntries, match="norms"):
+            VectorFrame([[1e300, 0.0], [0.0, 1.0]])
 
     def test_mixed_dimensions_rejected(self):
         with pytest.raises(DimensionMismatch):
