@@ -49,7 +49,7 @@ from .vector_frames import _as_unit_vector
 ORTHONORMALITY_TOL = 1e-10
 SUBSPACE_ANGLE_TOL = 1e-8
 EXHAUSTIVE_MEMBER_LIMIT = 22
-ERASURE_CHUNK_BYTES = 1 << 17  # each (rows, n, n) array of one exhaustive-search chunk
+ERASURE_CHUNK_BYTES = 1 << 17  # each (rows, s, s) stack of one exhaustive-search chunk: s = k d_max for G_JJ, n for S_J
 
 
 class Subspace:
@@ -148,7 +148,8 @@ class FusionFrame:
         self.bases = _read_only(np.concatenate([m.subspace.basis for m in members], axis=1))
         self.offsets = _read_only(np.cumsum(np.append(0, self.dims)))
         self.synthesis = _read_only(self.bases * np.repeat(self.weights, self.dims))
-        self.operator = _read_only(self.synthesis @ self.synthesis.conj().T)
+        label = f"frame operator (largest weight {self.weights.max():.3g})"
+        self.operator = _read_only(_require_finite(self.synthesis @ self.synthesis.conj().T, label))
         low, high = hermitian_eigenrange(self.operator, tol)
         self._operator_range = (low, high)
         self.is_frame = tol.spans(low, high)
@@ -413,31 +414,141 @@ def _frames_left(frame: FusionFrame, H: np.ndarray) -> np.ndarray:
     return np.ones(len(H), bool)
 
 
+def _gram_cutoff(frame: FusionFrame) -> np.ndarray | None:
+    """``c I - G`` of :func:`_exhaustive_levels`, or ``None`` when ``c <= 0``.
+
+    ``G = T* S^-1 T`` is formed through the Cholesky factor of ``S``, each
+    member owning ``d_max`` columns, zero past its own ``d_i``.
+    """
+    N, n, dims = frame.member_count, frame.ambient_dim, frame.dims
+    width, m = dims.max(), dims.sum()
+    A, B = frame._operator_range
+    eps_t = np.finfo(float).eps * frame.operator.trace().real
+    e1 = 4 * (n * n + m + N + 8) * eps_t
+    e2 = 8 * (2 * n * n + (N * width + 1) ** 2 + m + n + 1) * eps_t / A
+    c = 1.0 - (frame.tol.floor(B) + e1) / A - e2
+    if c <= 0.0:
+        return None
+    T = np.zeros((n, N, width), frame.synthesis.dtype)
+    for i in range(N):
+        T[:, i, : dims[i]] = frame.synthesis[:, frame.offsets[i] : frame.offsets[i + 1]]
+    Y = np.linalg.solve(np.linalg.cholesky(frame.operator), T.reshape(n, -1))
+    G = _require_finite(symmetrize(Y.conj().T @ Y), "Gram matrix")
+    return c * np.eye(len(G)) - G
+
+
+def _gram_survivors(shifted: np.ndarray, width: int, J: np.ndarray) -> np.ndarray:
+    """Which removals ``J`` (rows of member indices) their ``c I - G_JJ`` blocks of ``shifted`` certify.
+
+    One batched Cholesky certifies every row; when it declines, one batched
+    ``eigvalsh`` certifies the rows with ``lambda_max(G_JJ) < c``.
+    """
+    idx = (J[:, :, None] * width + np.arange(width)).reshape(len(J), -1)
+    blocks = np.take(shifted, idx[:, :, None] * len(shifted) + idx[:, None, :])
+    try:
+        np.linalg.cholesky(blocks)
+    except np.linalg.LinAlgError:
+        return np.linalg.eigvalsh(blocks)[:, 0] > 0.0
+    return np.ones(len(J), bool)
+
+
+def _exact_frames_left(frame: FusionFrame, terms: np.ndarray, total: np.ndarray, J: np.ndarray) -> np.ndarray:
+    """:func:`_frames_left` on ``S_J = total - sum_{i in J} terms[i]`` for each row of ``J``, by chunks."""
+    rows = max(1, ERASURE_CHUNK_BYTES // terms[0].nbytes)
+    left = np.empty(len(J), bool)
+    for start in range(0, len(J), rows):
+        part = J[start : start + rows]
+        # sum(terms[i] for i in J)'s order; zero signs may differ, which total - H erases.
+        H = terms[part[:, 0]]
+        for c in range(1, J.shape[1]):
+            H += terms[part[:, c]]
+        left[start : start + rows] = _frames_left(frame, np.subtract(total, H, out=H))
+    return left
+
+
+def _subset_chunks(N: int, k: int, rows: int):
+    """``itertools.combinations(range(N), k)`` as arrays of at most ``rows`` rows."""
+    indices = itertools.chain.from_iterable(itertools.combinations(range(N), k))
+    while len(J := np.fromiter(itertools.islice(indices, rows * k), np.intp).reshape(-1, k)):
+        yield J
+
+
 def _exhaustive_levels(frame: FusionFrame, budget: int) -> tuple[int, int]:
     """``certified`` and ``universal`` from every removal of up to ``budget`` members.
 
     Each level's subsets are decided in ``itertools.combinations`` order, by
-    chunks: ``sum_{i in J} d_i > sum_i d_i - n`` fails unseen (``rank S_J < n``),
-    and :func:`_frames_left` decides the rest.  A level stops once its outcome
-    is settled.
+    chunks, and a level stops once its outcome is settled.
+    ``sum_{i in J} d_i > sum_i d_i - n`` fails unseen (``rank S_J < n``).
+    A level whose ``k`` smallest ``d_i`` already exceed that bound ends the
+    search without enumerating it.
+    The rest are decided on ``G = T* S^-1 T``, the projection onto the
+    range of ``T*``, formed once with ``d_max`` columns per member (a zero
+    column of ``T`` adds a row and column of ``c I`` to ``c I - G_JJ``,
+    which changes no decision).  ``S_J = S^1/2 (I - X X*) S^1/2`` with
+    ``X = S^-1/2 T_J`` and ``X* X = G_JJ``, so with
+    ``g = lambda_max(G_JJ) <= 1``:
+    ``lambda_min(S_J) >= A (1 - g)`` and ``lambda_max(S_J) <= B``.
+
+    Errors, with ``t = tr S``, ``m = sum_i d_i``, ``w = N d_max``, LAPACK
+    backward errors ``p(s) eps`` with ``p <= s^2`` on ``s``-square problems,
+    ``e_1 = 4 (n^2 + m + N + 8) eps t`` and
+    ``e_2 = 8 (2 n^2 + (w + 1)^2 + m + n + 1) eps t / A``:
+
+    - The reference's ``eigvalsh`` range of the assembled ``S_J``, and the
+      computed ``(A, B)``, lie within ``e_1 / 4`` of the exact ranges of
+      ``S_J = sum_{i not in J} T_i T_i*`` and ``S = T T*``.  Forming
+      ``v_i^2 Q_i Q_i*``, its three sums and ``T`` cost
+      ``(N + d_max + 5) eps t`` in Frobenius norm, ``T T*`` costs
+      ``m eps t``, and ``eigvalsh`` ``n^2 eps t``.
+    - The computed ``G`` lies within ``e_2 / 4`` of the exact one.  ``c > 0``
+      gives ``e_1 < A``, so ``A`` is within a factor 4/3 of the exact
+      ``lambda_min(S)``, and ``t >= n lambda_min(S)``.  The factor ``L L*``
+      is within ``(m + n + 1) eps t`` of ``T T*``, which moves ``G`` by that
+      over ``lambda_min(S)``.  The solve ``(L + dL) y = T e_j``, with
+      ``||dL|| <= n^2 eps ||L||``, moves ``L^-1 T`` (Frobenius norm
+      ``sqrt n``) by ``n^2 eps sqrt(n t / lambda_min(S))`` and ``G`` by
+      twice that.  ``Y* Y`` adds ``n^2 eps``.
+    - A Cholesky success on ``c I - G_JJ``, of size ``s = k d_max <= w``,
+      gives ``lambda_max(G_JJ) <= c + (s + 1) s eps`` (the backward error
+      of :func:`_frames_left`), and a positive ``eigvalsh`` of it gives
+      ``lambda_max(G_JJ) <= c + (s + 1)^2 eps``: below ``e_2 / 4``.
+
+    So a certified block has ``g <= c + e_2 / 2``.  With
+    ``c = 1 - (rank_rel B + e_1) / A - e_2``, ``lambda_min(S_J) >=
+    (A - e_1/4)(1 - c - e_2/2) >= rank_rel B + 3 e_1/4 + A e_2/2``, so the
+    reference's ``low >= rank_rel B + e_1/2 + A e_2/2`` exceeds
+    ``rank_rel high`` (``high <= B + e_1/2``): the removal survives.
+
+    One batched Cholesky of ``c I - G_JJ`` certifies a whole chunk
+    (:func:`_gram_survivors`); the rows it leaves uncertified are assembled
+    and decided by :func:`_frames_left`, which also decides every row when
+    ``c <= 0`` (``B / A`` near ``1 / rank_rel``).  ``A > e_1`` is far above
+    the backward error of the Cholesky factorization of ``S``, which
+    therefore succeeds.
     """
     N, n, dims = frame.member_count, frame.ambient_dim, frame.dims
-    terms = np.stack([m.weight**2 * m.subspace.projection() for m in frame.members])
-    total = sum(terms)
-    rows = max(1, ERASURE_CHUNK_BYTES // terms[0].nbytes)
+    shifted, width = _gram_cutoff(frame), dims.max()
+    terms = total = None  # built when some row reaches the exact path
+    smallest = np.cumsum(np.sort(dims))
     certified = universal = 0
     for k in range(1, budget + 1):
+        if smallest[k - 1] > dims.sum() - n:
+            break  # every removal of k members fails on its dimensions
+        side = n if shifted is None else k * width
+        rows = max(1, ERASURE_CHUNK_BYTES // (side * side * frame.synthesis.itemsize))
         some, every = False, universal == k - 1  # some removal survives; every one does, while that matters
-        subsets = itertools.combinations(range(N), k)
-        while (every or not some) and (chunk := list(itertools.islice(subsets, rows))):
-            J = np.array(chunk)
-            alive = dims[J].sum(axis=1) <= dims.sum() - n
-            if alive.any():
-                # sum(terms[i] for i in J)'s order; zero signs may differ, which total - H erases.
-                H = terms[J[alive, 0]]
-                for c in range(1, k):
-                    H += terms[J[alive, c]]
-                alive[alive] = _frames_left(frame, np.subtract(total, H, out=H))
+        chunks = _subset_chunks(N, k, rows)
+        while (every or not some) and (J := next(chunks, None)) is not None:
+            alive = np.zeros(len(J), bool)
+            undecided = dims[J].sum(axis=1) <= dims.sum() - n  # rows the dimension test does not fail
+            if shifted is not None and undecided.any():
+                alive[undecided] = _gram_survivors(shifted, width, J[undecided])
+                undecided &= ~alive
+            if undecided.any():
+                if terms is None:
+                    terms = np.stack([m.weight**2 * m.subspace.projection() for m in frame.members])
+                    total = sum(terms)
+                alive[undecided] = _exact_frames_left(frame, terms, total, J[undecided])
             some = some or bool(alive.any())
             every = every and bool(alive.all())
         if not some:
@@ -518,8 +629,11 @@ def erasure_certificate(
     Removing the members ``J`` leaves a fusion frame iff
     ``S_J = S - sum_{i in J} v_i^2 P_i`` passes ``Tolerance.spans`` on its
     eigenvalue range.  Exhaustive mode (at most 22 members) decides every
-    subset (:func:`_exhaustive_levels`); greedy mode follows one removal
-    path per level (:func:`_greedy_levels`).
+    subset with that same outcome, from the block ``G_JJ`` of the Gram
+    matrix ``G = T* S^-1 T`` (``S_J`` is invertible iff
+    ``lambda_max(G_JJ) < 1``) and, for removals that block does not
+    certify, from ``S_J`` itself (:func:`_exhaustive_levels`); greedy mode
+    follows one removal path per level (:func:`_greedy_levels`).
     """
     if not frame.is_frame:
         raise NotAFusionFrame("erasure robustness is defined for fusion frames only")

@@ -5,12 +5,12 @@ duality certificates) is phrased in terms of a handful of primitives:
 rank-revealing orthonormalization, Hermitian eigenvalue ranges, kernel
 dimensions, positive definite solves, Gaussian draws, and Haar sampling
 on the unit sphere.  Every cutoff decision in the package is a
-:class:`Tolerance` predicate: ``rank``, ``spans`` and ``negligible``
-apply ``rank_rel``; ``flat``, ``near``, ``parseval`` and ``within``
-apply ``eig_rel``; ``reconstructs`` applies ``recon_abs``.  Scale rule:
-a cutoff is relative to the scale of what it decides (the largest
-singular or eigenvalue or bracket end, a family's largest norm), so
-results are invariant under rescaling; only ``near`` (quantities of
+:class:`Tolerance` predicate: ``rank``, ``spans`` (through ``floor``)
+and ``negligible`` apply ``rank_rel``; ``flat``, ``near``, ``parseval``
+and ``within`` apply ``eig_rel``; ``reconstructs`` applies ``recon_abs``.
+Scale rule: a cutoff is relative to the scale of what it decides (the
+largest singular or eigenvalue or bracket end, a family's largest norm),
+so results are invariant under rescaling; only ``near`` (quantities of
 scale 1) and ``reconstructs`` are absolute.
 """
 
@@ -55,9 +55,13 @@ class Tolerance:
         """Numerical rank: how many descending singular values ``s`` exceed ``rank_rel`` times the largest."""
         return int(np.count_nonzero(s > self.rank_rel * s[0])) if s.size else 0
 
+    def floor(self, high):
+        """What ``low`` must exceed for ``spans(low, high)``: ``rank_rel * high``, elementwise."""
+        return self.rank_rel * high
+
     def spans(self, low, high):
-        """Whether a PSD spectrum is nonsingular: ``high > 0 and low > rank_rel * high``, elementwise."""
-        return (high > 0.0) & (low > self.rank_rel * high)
+        """Whether a PSD spectrum is nonsingular: ``high > 0 and low > floor(high)``, elementwise."""
+        return (high > 0.0) & (low > self.floor(high))
 
     def negligible(self, residual, scale) -> bool:
         """Whether every ``residual`` is zero for data of size ``scale``: ``<= rank_rel * scale``."""

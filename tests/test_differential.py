@@ -6,7 +6,8 @@ erasure loops, decide each exhaustive erasure subset with its own
 eigvalsh, and convert document rows and render JSON one entry at a
 time; the library builds stacked operators once per frame, solves once
 per dual operation, shares one greedy helper, decides exhaustive subsets
-in chunks, and converts each block of document rows with one array call.
+in chunks on blocks of one Gram matrix, and converts each block of
+document rows with one array call.
 The ``Tolerance`` cutoff predicates are checked against the comparisons
 that were written out at each of their call sites.  Vector frames keep
 ``S``, the normalized operator and the canonical dual's vectors, and a
@@ -350,18 +351,19 @@ def test_exhaustive_erasure_matches_on_example_7_3():
 
 
 def test_exhaustive_erasure_first_failure_inside_a_later_chunk():
-    # Planes in the complement of e_0, except two members that also
-    # hold e_0: removing that pair alone fails at level 2.  Put the pair
+    # 8-dimensional members in the complement of e_0, except two that
+    # also hold e_0: removing that pair alone fails at level 2.  Level k
+    # is decided in chunks of (k d_max)^2-square Gram blocks; put the pair
     # in the middle of the second chunk of C(22, 2) pairs.
-    n, N = 16, 22
-    rows = fusion.ERASURE_CHUNK_BYTES // (n * n * 8)
+    n, N, d = 16, 22, 8
+    rows = fusion.ERASURE_CHUNK_BYTES // ((2 * d) ** 2 * 8)
     assert 2 * rows < N * (N - 1) // 2, "the level must span several chunks"
     pair = next(itertools.islice(itertools.combinations(range(N), 2), rows + rows // 2, None))
     rng = np.random.default_rng(5)
     members = []
     for i in range(N):
-        basis = np.zeros((n, 2))
-        basis[1:] = random_subspace(rng, n - 1, 2, REAL).basis
+        basis = np.zeros((n, d))
+        basis[1:] = random_subspace(rng, n - 1, d, REAL).basis
         if i in pair:
             basis[:, 0] = np.eye(n)[0]
         members.append(WeightedSubspace(Subspace(basis), float(rng.uniform(0.5, 2.0))))
@@ -370,24 +372,123 @@ def test_exhaustive_erasure_first_failure_inside_a_later_chunk():
     assert (certificate.certified, certificate.universal) == (4, 1)
 
 
+def weak_last_axis_frame(rng, n, ratio, field=REAL, heavy=(1.0, 1.0)):
+    """Lines held twice along the first n - 1 axes of a random basis, the last by a weak and a strong member.
+
+    The doubled axes carry weights drawn from ``heavy``, the strong member weight 1, so its axis holds the
+    smallest eigenvalue of ``S`` and removing it leaves ``lambda_min / lambda_max = ratio * rank_rel``.
+    There ``A (1 - lambda_max(G_JJ)) = lambda_min(S_J)``: the Gram bound is tight.
+    """
+    U = random_unitary(rng, n, field)
+    spans = [(U[:, [i]], rng.uniform(*heavy)) for i in range(n - 1) for _ in range(2)]
+    B = max(spans[2 * i][1] ** 2 + spans[2 * i + 1][1] ** 2 for i in range(n - 1))
+    weak = ratio * fusion.DEFAULT_TOLERANCE.rank_rel * B
+    return fusion.build_fusion_frame(spans + [(U[:, [-1]], np.sqrt(weak)), (U[:, [-1]], 1.0)], n)
+
+
+def spy_exact_path(monkeypatch):
+    """The n x n stacks that reach :func:`fusion._frames_left`, one per call, copied before it overwrites them."""
+    seen = []
+    frames_left = fusion._frames_left
+    monkeypatch.setattr(fusion, "_frames_left", lambda frame, H: seen.append(H.copy()) or frames_left(frame, H))
+    return seen
+
+
 @pytest.mark.parametrize("n, ratio", [(3, 0.5), (3, 3.0), (2, 0.75), (2, 1.5)])
 def test_exhaustive_erasure_near_the_cutoff(n, ratio, monkeypatch):
     # Every line is held twice, the last by a weak and a strong member.
     # Removing the strong one leaves lambda_min / lambda_max = ratio *
-    # rank_rel, so level 1 is universal iff ratio > 1.  The shifted
-    # Cholesky certificate declines that chunk and the batched eigvalsh
-    # decides it; at n = 2 a shift below rank_rel * tr would certify the
-    # removal at ratio 0.75.
-    c = 2 * ratio * fusion.DEFAULT_TOLERANCE.rank_rel
-    U = random_unitary(np.random.default_rng(11), n, REAL)
-    spans = [(U[:, [i]], 1.0) for i in range(n - 1) for _ in range(2)]
-    frame = fusion.build_fusion_frame(spans + [(U[:, [-1]], np.sqrt(c)), (U[:, [-1]], 1.0)], n)
-    batched = []
-    eigvalsh = np.linalg.eigvalsh
-    monkeypatch.setattr(np.linalg, "eigvalsh", lambda H: batched.append(H.ndim == 3) or eigvalsh(H))
+    # rank_rel, so level 1 is universal iff ratio > 1.  Above 1 the Gram
+    # certificate decides that level; below, the strong member's removal
+    # is left uncertified and the exact n x n path decides it (at n = 2 a
+    # shift below rank_rel * tr would certify ratio 0.75).
+    frame = weak_last_axis_frame(np.random.default_rng(11), n, ratio)
+    seen = spy_exact_path(monkeypatch)
     certificate = assert_exhaustive_matches(frame)
-    assert any(batched)
     assert certificate.universal == (1 if ratio > 1 else 0)
+    seen.clear()
+    assert fusion._exhaustive_levels(frame, 1) == ((1, 1) if ratio > 1 else (1, 0))
+    assert bool(seen) == (ratio < 1)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_exhaustive_erasure_just_inside_the_gram_certificate(seed, monkeypatch):
+    # ratio 1.1-1.5, just above the Gram cutoff c: every single removal
+    # survives and is certified on its Gram block, so level 1 decides no
+    # n x n operator.
+    rng = np.random.default_rng(seed)
+    field = (REAL, COMPLEX)[seed % 2]
+    frame = weak_last_axis_frame(rng, int(rng.integers(3, 6)), rng.uniform(1.1, 1.5), field, (1.0, 2.0))
+    seen = spy_exact_path(monkeypatch)
+    certificate = assert_exhaustive_matches(frame)
+    assert certificate.universal == 1 and certificate.certified >= 2
+    seen.clear()
+    assert fusion._exhaustive_levels(frame, 1) == (1, 1)
+    assert not seen
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_exhaustive_erasure_below_the_gram_certificate(seed, monkeypatch):
+    # ratio 0.6-0.95: removing the strong member but not the weak one is
+    # left uncertified by its Gram block and reaches the exact path.
+    rng = np.random.default_rng(100 + seed)
+    field = (REAL, COMPLEX)[seed % 2]
+    frame = weak_last_axis_frame(rng, int(rng.integers(3, 6)), rng.uniform(0.6, 0.95), field, (1.0, 2.0))
+    seen = spy_exact_path(monkeypatch)
+    certificate = assert_exhaustive_matches(frame)
+    assert certificate.universal == 0 and certificate.certified >= 2
+    assert seen
+
+
+@pytest.mark.parametrize("field", [REAL, COMPLEX])
+@pytest.mark.parametrize("rows", [1, 2, 3])
+def test_exhaustive_erasure_exact_path_in_several_chunks(rows, field, monkeypatch):
+    # A rotated orthonormal basis of C^5 with its last line held twice:
+    # removing any of the first four lines empties an axis (lambda_max(G_JJ)
+    # = 1), so one Gram chunk of level 1 leaves four rows to the exact path,
+    # which assembles them `rows` n x n operators at a time.
+    n = 5
+    U = random_unitary(np.random.default_rng(17), n, field)
+    frame = fusion.build_fusion_frame([(U[:, [i]], 1.0 + i / 4) for i in range(n)] + [(U[:, [-1]], 0.5)], n)
+    monkeypatch.setattr(fusion, "ERASURE_CHUNK_BYTES", rows * n * n * frame.synthesis.itemsize)
+    seen = spy_exact_path(monkeypatch)
+    certificate = assert_exhaustive_matches(frame)
+    assert (certificate.certified, certificate.universal) == (1, 0)
+    assert [len(H) for H in seen] == [rows] * (4 // rows) + [4 % rows] * (4 % rows > 0)
+
+
+def test_exhaustive_erasure_without_a_gram_cutoff(monkeypatch):
+    # Two axes held twice and the third by a weak line alone: B / A within
+    # 0.01% of 1 / rank_rel leaves no cutoff c > 0, so the exact path
+    # decides every removal the dimension test leaves.
+    U = random_unitary(np.random.default_rng(3), 3, REAL)
+    weak = 2.0002 * fusion.DEFAULT_TOLERANCE.rank_rel
+    spans = [(U[:, [i]], 1.0) for i in range(2) for _ in range(2)] + [(U[:, [2]], np.sqrt(weak))]
+    frame = fusion.build_fusion_frame(spans, 3)
+    assert frame.is_frame and fusion._gram_cutoff(frame) is None
+    seen = spy_exact_path(monkeypatch)
+    certificate = assert_exhaustive_matches(frame)
+    assert sum(map(len, seen)) == 5 + 10  # every single removal and every pair; triples fail on their dimensions
+    assert (certificate.certified, certificate.universal) == (2, 0)
+
+
+def benchmark_shape_frame(seed, n, dims, field):
+    rng = np.random.default_rng(seed)
+    return FusionFrame(
+        [WeightedSubspace(random_subspace(rng, n, d, field), float(rng.uniform(0.5, 2.0))) for d in dims]
+    )
+
+
+@pytest.mark.parametrize(
+    "n, dims, budget, field",
+    [(8, (2,) * 18, 5, COMPLEX), (12, (1, 2) * 8, None, REAL)],
+    ids=["n8-N18-b5-complex", "n12-N16-full-real"],
+)
+def test_exhaustive_erasure_matches_on_the_benchmark_shapes(n, dims, budget, field):
+    # The first has sum_{i in J} d_i > n, so G_JJ is larger than S_J; the
+    # second alternates lines and planes up to the dimension cutoff.
+    certificate = assert_exhaustive_matches(benchmark_shape_frame(7, n, dims, field), budget)
+    assert certificate.certified >= 5
 
 
 @pytest.mark.parametrize("rows", [1, 2047, 2048, 2049])
@@ -690,6 +791,7 @@ def test_tolerance_predicates_match_the_comparisons_they_replaced(spectrum, valu
     tol = Tolerance()
     low, high = spectrum
     is_frame = low > tol.rank_rel * high
+    assert tol.floor(high) == tol.rank_rel * high
     assert tol.spans(low, high) == is_frame == (not (high <= 0.0 or low <= tol.rank_rel * high))
     tight = is_frame and (high - low) <= tol.eig_rel * high
     assert (is_frame and tol.flat(low, high)) == tight
