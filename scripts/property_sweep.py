@@ -10,13 +10,16 @@ For each generated frame the sweep checks:
     erasure certificates bracket each other soundly: greedy certified
     <= exhaustive certified, exhaustive universal <= greedy universal,
     and weight_rule <= certified in both;
+  * for frames with at most REFERENCE_MEMBER_LIMIT members, the
+    exhaustive certificate equals that of ``reference_exhaustive_levels``
+    in ``tests/test_differential.py``, one eigvalsh per removed subset;
   * on LIBRARY_FRAMES library-shaped frames seeded from ``--seed`` (n
     64-128, N 40-48, subspace dimensions 3 and 4, real and complex in
     turn), the greedy certificate's levels equal those of
     ``reference_greedy_levels`` in ``tests/test_differential.py``, the
     per-member loop whose picks the pruned search must reproduce.  These
-    take seconds each, too slow for the test suite.  This check imports
-    the test module, so it needs the ``test`` extra (pytest).
+    take seconds each, too slow for the test suite.  These two checks
+    import the test module, so they need the ``test`` extra (pytest).
 
 Usage:
     python scripts/property_sweep.py [--count 100] [--seed 0] [--field real|complex]
@@ -49,6 +52,7 @@ from ffk.generators import (
 from ffk.numerics import COMPLEX, REAL
 
 LIBRARY_FRAMES = 4
+REFERENCE_MEMBER_LIMIT = 12  # the exhaustive reference runs one n x n eigvalsh per subset
 MAX_DIM = 6  # largest ambient dimension of the sampled frames
 
 
@@ -71,8 +75,10 @@ def library_shaped_frame(rng: np.random.Generator, field: str) -> FusionFrame:
 
 def run_sweep(config: SweepConfig) -> dict:
     rng = np.random.default_rng(config.seed)
-    tallies = {"containment": 0, "union_shift": 0, "dual": 0, "operator": 0, "erasure": 0, "greedy_pick": 0}
+    checks = ("containment", "union_shift", "dual", "operator", "erasure", "exhaustive_reference", "greedy_pick")
+    tallies = dict.fromkeys(checks, 0)
     failures = []
+    small = []  # (index, frame, exhaustive certificate) of frames the exhaustive reference can afford
     for index in range(config.count):
         n = int(rng.integers(2, MAX_DIM + 1))
         frame = random_fusion_frame(rng, n=n, field=config.field)
@@ -115,9 +121,17 @@ def run_sweep(config: SweepConfig) -> dict:
                 tallies["erasure"] += 1
             else:
                 failures.append((index, "erasure"))
+            if frame.member_count <= REFERENCE_MEMBER_LIMIT:
+                small.append((index, frame, exhaustive))
 
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
-    from test_differential import reference_greedy_levels
+    from test_differential import reference_exhaustive_levels, reference_greedy_levels
+
+    for index, frame, exhaustive in small:
+        if exhaustive == reference_exhaustive_levels(frame, exhaustive.budget):
+            tallies["exhaustive_reference"] += 1
+        else:
+            failures.append((index, "exhaustive_reference"))
 
     library_rng = np.random.default_rng([config.seed, 1])
     for index in range(LIBRARY_FRAMES):
@@ -127,7 +141,7 @@ def run_sweep(config: SweepConfig) -> dict:
             tallies["greedy_pick"] += 1
         else:
             failures.append((f"library {index}", "greedy_pick"))
-    return {"tallies": tallies, "failures": failures}
+    return {"tallies": tallies, "reference_frames": len(small), "failures": failures}
 
 
 def main() -> int:
@@ -142,9 +156,9 @@ def main() -> int:
         count=args.count, seed=args.seed, field=args.field, samples=args.samples
     )
     outcome = run_sweep(config)
+    totals = {"exhaustive_reference": outcome["reference_frames"], "greedy_pick": LIBRARY_FRAMES}
     for name, passed in outcome["tallies"].items():
-        total = LIBRARY_FRAMES if name == "greedy_pick" else config.count
-        print(f"{name:12s} {passed}/{total}")
+        print(f"{name:12s} {passed}/{totals.get(name, config.count)}")
     if outcome["failures"]:
         for index, check in outcome["failures"]:
             print(f"FAIL frame {index}: {check}")

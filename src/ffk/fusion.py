@@ -525,22 +525,47 @@ def _exhaustive_levels(frame: FusionFrame, budget: int) -> tuple[int, int]:
     ``c <= 0`` (``B / A`` near ``1 / rank_rel``).  ``A > e_1`` is far above
     the backward error of the Cholesky factorization of ``S``, which
     therefore succeeds.
+
+    The search starts from the top: ``top`` is the largest level up to
+    ``budget`` whose ``top`` largest ``d_i`` pass the dimension test, so
+    every removal of at most ``top`` members passes it.  When ``top >= 2``,
+    level ``top`` is first passed to :func:`_gram_survivors` chunk by chunk,
+    and the first chunk it does not wholly certify ends that pass; the
+    search then runs level by level from 1 as described above, having
+    spent at most part of one level.  When every row is certified, every
+    ``J' ⊂ J`` of a certified ``J`` has ``lambda_max(G_J'J') <= g <= c +
+    e_2 / 2`` (Cauchy interlacing: ``G_J'J'`` is a principal submatrix of
+    ``G_JJ``), so the chain above holds for ``S_J'`` as for ``S_J``: the
+    reference's ``low`` exceeds ``rank_rel high``, and ``J'`` survives
+    both there and in the level-by-level search, whose uncertified rows
+    take the reference's decision.  So levels ``1`` to ``top`` are
+    universal, and the search goes on from ``top + 1``.  This needs
+    Gram-certified rows: the test ``low > rank_rel high`` on ``S_J`` alone
+    is not closed under subsets, since ``lambda_max(S_J')`` can grow
+    faster than ``lambda_min(S_J')``.
     """
     N, n, dims = frame.member_count, frame.ambient_dim, frame.dims
     shifted, width = _gram_cutoff(frame), dims.max()
     terms = total = None  # built when some row reaches the exact path
-    smallest = np.cumsum(np.sort(dims))
-    certified = universal = 0
-    for k in range(1, budget + 1):
-        if smallest[k - 1] > dims.sum() - n:
-            break  # every removal of k members fails on its dimensions
+    spare = dims.sum() - n  # removing more dimensions leaves rank S_J < n
+    smallest, largest = np.cumsum(np.sort(dims)), np.cumsum(np.sort(dims)[::-1])
+    top = min(budget, int((largest <= spare).sum()))
+
+    def chunks_of(k):
         side = n if shifted is None else k * width
-        rows = max(1, ERASURE_CHUNK_BYTES // (side * side * frame.synthesis.itemsize))
+        return _subset_chunks(N, k, max(1, ERASURE_CHUNK_BYTES // (side * side * frame.synthesis.itemsize)))
+
+    certified = universal = 0
+    if shifted is not None and top >= 2 and all(_gram_survivors(shifted, width, J).all() for J in chunks_of(top)):
+        certified = universal = top  # every smaller removal is a subset of a certified one
+    for k in range(certified + 1, budget + 1):
+        if smallest[k - 1] > spare:
+            break  # every removal of k members fails on its dimensions
         some, every = False, universal == k - 1  # some removal survives; every one does, while that matters
-        chunks = _subset_chunks(N, k, rows)
+        chunks = chunks_of(k)
         while (every or not some) and (J := next(chunks, None)) is not None:
             alive = np.zeros(len(J), bool)
-            undecided = dims[J].sum(axis=1) <= dims.sum() - n  # rows the dimension test does not fail
+            undecided = dims[J].sum(axis=1) <= spare  # rows the dimension test does not fail
             if shifted is not None and undecided.any():
                 alive[undecided] = _gram_survivors(shifted, width, J[undecided])
                 undecided &= ~alive

@@ -143,8 +143,11 @@ def reference_exhaustive_levels(frame, budget):
     terms = [m.weight**2 * m.subspace.projection() for m in frame.members]
     total = sum(terms)
     A = frame._operator_range[0]
+    spare = sum(m.subspace.dim for m in frame.members) - frame.ambient_dim
 
     def survives(removed) -> bool:
+        if sum(frame.members[i].subspace.dim for i in removed) > spare:
+            return False  # rank S_J < n exactly; the roundoff of assembling S_J could still pass spans
         S = total - sum(terms[i] for i in removed)
         low, high = hermitian_eigenrange(S, tol)
         return high > 0.0 and low > tol.rank_rel * high
@@ -418,7 +421,7 @@ def test_exhaustive_erasure_just_inside_the_gram_certificate(seed, monkeypatch):
     # n x n operator.
     rng = np.random.default_rng(seed)
     field = (REAL, COMPLEX)[seed % 2]
-    frame = weak_last_axis_frame(rng, int(rng.integers(3, 6)), rng.uniform(1.1, 1.5), field, (1.0, 2.0))
+    frame = weak_last_axis_frame(rng, int(rng.integers(2, 6)), rng.uniform(1.1, 1.5), field, (1.0, 2.0))
     seen = spy_exact_path(monkeypatch)
     certificate = assert_exhaustive_matches(frame)
     assert certificate.universal == 1 and certificate.certified >= 2
@@ -433,7 +436,7 @@ def test_exhaustive_erasure_below_the_gram_certificate(seed, monkeypatch):
     # left uncertified by its Gram block and reaches the exact path.
     rng = np.random.default_rng(100 + seed)
     field = (REAL, COMPLEX)[seed % 2]
-    frame = weak_last_axis_frame(rng, int(rng.integers(3, 6)), rng.uniform(0.6, 0.95), field, (1.0, 2.0))
+    frame = weak_last_axis_frame(rng, int(rng.integers(2, 6)), rng.uniform(0.6, 0.95), field, (1.0, 2.0))
     seen = spy_exact_path(monkeypatch)
     certificate = assert_exhaustive_matches(frame)
     assert certificate.universal == 0 and certificate.certified >= 2
@@ -479,16 +482,67 @@ def benchmark_shape_frame(seed, n, dims, field):
     )
 
 
+def spy_gram_levels(monkeypatch):
+    """The level ``J.shape[1]`` of each chunk that reaches :func:`fusion._gram_survivors`, one per call."""
+    levels = []
+    gram_survivors = fusion._gram_survivors
+
+    def spy(shifted, width, J):
+        levels.append(J.shape[1])
+        return gram_survivors(shifted, width, J)
+
+    monkeypatch.setattr(fusion, "_gram_survivors", spy)
+    return levels
+
+
 @pytest.mark.parametrize(
-    "n, dims, budget, field",
-    [(8, (2,) * 18, 5, COMPLEX), (12, (1, 2) * 8, None, REAL)],
+    "n, dims, budget, field, gram_levels",
+    [(8, (2,) * 18, 5, COMPLEX, {5}), (12, (1, 2) * 8, None, REAL, set(range(6, 11)))],
     ids=["n8-N18-b5-complex", "n12-N16-full-real"],
 )
-def test_exhaustive_erasure_matches_on_the_benchmark_shapes(n, dims, budget, field):
+def test_exhaustive_erasure_matches_on_the_benchmark_shapes(n, dims, budget, field, gram_levels, monkeypatch):
     # The first has sum_{i in J} d_i > n, so G_JJ is larger than S_J; the
-    # second alternates lines and planes up to the dimension cutoff.
+    # second alternates lines and planes up to the dimension cutoff.  Each
+    # certifies its top level (5; 6, where the six planes fill the 12 spare
+    # dimensions) on Gram blocks, which settles every level below it.
+    levels = spy_gram_levels(monkeypatch)
     certificate = assert_exhaustive_matches(benchmark_shape_frame(7, n, dims, field), budget)
     assert certificate.certified >= 5
+    assert set(levels) == gram_levels
+
+
+@pytest.mark.parametrize("field", [REAL, COMPLEX])
+def test_exhaustive_erasure_top_level_fails_at_its_last_removal(field, monkeypatch):
+    # n + 2 lines in R^n or C^n: the first n in the complement of e_0, the
+    # last two, members N - 2 and N - 1, alone holding e_0.  Removing those
+    # two is the one failing pair and the last of level 2 (the top level), so
+    # the first pass at level 2 runs through every chunk and the search then
+    # starts again from level 1.
+    n, rows = 5, 4
+    rng = np.random.default_rng(23)
+    spans = []
+    for i in range(n + 2):
+        line = random_subspace(rng, n, 1, field).basis.copy()
+        if i < n:
+            line[0] = 0.0
+        spans.append((line, float(rng.uniform(0.5, 2.0))))
+    frame = fusion.build_fusion_frame(spans, n)
+    monkeypatch.setattr(fusion, "ERASURE_CHUNK_BYTES", rows * 2 * 2 * frame.synthesis.itemsize)
+    levels = spy_gram_levels(monkeypatch)
+    certificate = assert_exhaustive_matches(frame)
+    assert (certificate.certified, certificate.universal) == (2, 1)
+    chunks = -(-math.comb(n + 2, 2) // rows)
+    assert levels[: chunks + 1] == [2] * chunks + [1]
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_exhaustive_erasure_top_level_fails_at_its_first_chunk(n, monkeypatch):
+    # Gallery 7.1-V holds each axis twice: the first removal of level n
+    # empties axis 0, so the first pass stops after one chunk.
+    levels = spy_gram_levels(monkeypatch)
+    certificate = assert_exhaustive_matches(example_frame("7.1-V", n))
+    assert (certificate.certified, certificate.universal) == (n, 1)
+    assert levels[:2] == [n, 1]
 
 
 @pytest.mark.parametrize("rows", [1, 2047, 2048, 2049])
