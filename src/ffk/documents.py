@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass
+from functools import lru_cache
 from itertools import chain
 
 import numpy as np
@@ -50,6 +51,26 @@ def _all_numbers(items) -> bool:
     return all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in items)
 
 
+@lru_cache(maxsize=256)
+def _float_template(lengths: tuple, separator: str) -> str:
+    return separator.join("[" + ", ".join(["%.17g"] * k) + "]" for k in lengths)
+
+
+def _float_lists(lists, separator: str) -> str | None:
+    """Number lists joined by ``separator``, printed by one ``%.17g`` template, or ``None``.
+
+    The template prints each entry as :func:`_format_number` would when the
+    entries are floats and each printed entry holds a ``.``; an entry
+    without one is integral below 1e17 (which needs ``.0``), at least 1e17,
+    or not finite, and then ``None`` leaves the lists to the per-entry path.
+    """
+    entries = tuple(chain.from_iterable(lists))
+    if set(map(type, entries)) != {float}:
+        return None
+    text = _float_template(tuple(map(len, lists)), separator) % entries
+    return text if text.count(".") == len(entries) else None
+
+
 def _render(value, indent: int) -> str:
     pad = "  " * indent
     inner = "  " * (indent + 1)
@@ -64,12 +85,17 @@ def _render(value, indent: int) -> str:
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
+        if (row := _float_lists((value,), "")) is not None:
+            return row
         if _all_numbers(value):
             return "[" + ", ".join(map(_format_number, value)) + "]"
-        if all(isinstance(x, (list, tuple)) for x in value) and _all_numbers(chain.from_iterable(value)):
-            # a row of number lists, such as complex [re, im] pairs: one join for the row
-            body = (",\n" + inner).join("[" + ", ".join(map(_format_number, x)) + "]" for x in value)
-            return "[\n" + inner + body + "\n" + pad + "]"
+        if all(isinstance(x, (list, tuple)) for x in value):
+            # a row of number lists, such as complex [re, im] pairs: one template, or one join, for the row
+            body = _float_lists(value, ",\n" + inner)
+            if body is None and _all_numbers(chain.from_iterable(value)):
+                body = (",\n" + inner).join("[" + ", ".join(map(_format_number, x)) + "]" for x in value)
+            if body is not None:
+                return "[\n" + inner + body + "\n" + pad + "]"
         body = ",\n".join(inner + _render(x, indent + 1) for x in value)
         return "[\n" + body + "\n" + pad + "]"
     if isinstance(value, dict):

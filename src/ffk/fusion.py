@@ -271,7 +271,14 @@ def synthesis_matrix(frame: FusionFrame) -> np.ndarray:
 
 
 def excess(frame: FusionFrame) -> int:
-    """Dimension of the synthesis kernel: local degrees of freedom minus rank."""
+    """Dimension of the synthesis kernel: local degrees of freedom minus rank.
+
+    A fusion frame has rank ``n`` without an SVD: ``spans`` puts
+    ``s_min / s_max`` of ``T`` near ``sqrt(lambda_min / lambda_max) >
+    sqrt(rank_rel)``, far above the rank cutoff ``rank_rel``.
+    """
+    if frame.is_frame:
+        return int(frame.dims.sum()) - frame.ambient_dim
     return kernel_dimension(frame.synthesis, frame.tol)
 
 
@@ -414,6 +421,15 @@ def _frames_left(frame: FusionFrame, H: np.ndarray) -> np.ndarray:
     return np.ones(len(H), bool)
 
 
+def _padded_synthesis(frame: FusionFrame) -> np.ndarray:
+    """``T`` as an ``(n, N, d_max)`` array: member ``i``'s ``v_i Q_i``, zero past its own ``d_i`` columns."""
+    dims = frame.dims
+    T = np.zeros((frame.ambient_dim, frame.member_count, dims.max()), frame.synthesis.dtype)
+    for i in range(frame.member_count):
+        T[:, i, : dims[i]] = frame.synthesis[:, frame.offsets[i] : frame.offsets[i + 1]]
+    return T
+
+
 def _gram_cutoff(frame: FusionFrame) -> np.ndarray | None:
     """``c I - G`` of :func:`_exhaustive_levels`, or ``None`` when ``c <= 0``.
 
@@ -429,10 +445,7 @@ def _gram_cutoff(frame: FusionFrame) -> np.ndarray | None:
     c = 1.0 - (frame.tol.floor(B) + e1) / A - e2
     if c <= 0.0:
         return None
-    T = np.zeros((n, N, width), frame.synthesis.dtype)
-    for i in range(N):
-        T[:, i, : dims[i]] = frame.synthesis[:, frame.offsets[i] : frame.offsets[i + 1]]
-    Y = np.linalg.solve(np.linalg.cholesky(frame.operator), T.reshape(n, -1))
+    Y = np.linalg.solve(np.linalg.cholesky(frame.operator), _padded_synthesis(frame).reshape(n, -1))
     G = _require_finite(symmetrize(Y.conj().T @ Y), "Gram matrix")
     return c * np.eye(len(G)) - G
 
@@ -531,8 +544,9 @@ def _exhaustive_levels(frame: FusionFrame, budget: int) -> tuple[int, int]:
     every removal of at most ``top`` members passes it.  When ``top >= 2``,
     level ``top`` is first passed to :func:`_gram_survivors` chunk by chunk,
     and the first chunk it does not wholly certify ends that pass; the
-    search then runs level by level from 1 as described above, having
-    spent at most part of one level.  When every row is certified, every
+    search then runs level by level from 1 as described above, reusing
+    that pass's answers when it reaches level ``top`` (so no row is
+    decided twice).  When every row is certified, every
     ``J' ⊂ J`` of a certified ``J`` has ``lambda_max(G_J'J') <= g <= c +
     e_2 / 2`` (Cauchy interlacing: ``G_J'J'`` is a principal submatrix of
     ``G_JJ``), so the chain above holds for ``S_J'`` as for ``S_J``: the
@@ -556,18 +570,25 @@ def _exhaustive_levels(frame: FusionFrame, budget: int) -> tuple[int, int]:
         return _subset_chunks(N, k, max(1, ERASURE_CHUNK_BYTES // (side * side * frame.synthesis.itemsize)))
 
     certified = universal = 0
-    if shifted is not None and top >= 2 and all(_gram_survivors(shifted, width, J).all() for J in chunks_of(top)):
-        certified = universal = top  # every smaller removal is a subset of a certified one
+    first_pass = []  # level top's Gram answers, chunk by chunk, up to the first chunk not wholly certified
+    if shifted is not None and top >= 2:
+        for J in chunks_of(top):
+            first_pass.append(_gram_survivors(shifted, width, J))
+            if not first_pass[-1].all():
+                break
+        else:
+            certified = universal = top  # every smaller removal is a subset of a certified one
     for k in range(certified + 1, budget + 1):
         if smallest[k - 1] > spare:
             break  # every removal of k members fails on its dimensions
         some, every = False, universal == k - 1  # some removal survives; every one does, while that matters
-        chunks = chunks_of(k)
+        chunks, known = chunks_of(k), iter(first_pass if k == top else ())
         while (every or not some) and (J := next(chunks, None)) is not None:
             alive = np.zeros(len(J), bool)
             undecided = dims[J].sum(axis=1) <= spare  # rows the dimension test does not fail
             if shifted is not None and undecided.any():
-                alive[undecided] = _gram_survivors(shifted, width, J[undecided])
+                gram = next(known, None)  # at level top every row passes the dimension test
+                alive[undecided] = _gram_survivors(shifted, width, J[undecided]) if gram is None else gram
                 undecided &= ~alive
             if undecided.any():
                 if terms is None:
@@ -584,34 +605,99 @@ def _exhaustive_levels(frame: FusionFrame, budget: int) -> tuple[int, int]:
     return certified, universal
 
 
+def _secular_bracket(C: np.ndarray, lam: np.ndarray, delta: float) -> tuple[float, float] | None:
+    """Test points ``lo < hi <= lam_1``, ``hi - lo <= delta``, with ``g(lo) < 1 <= g(hi)``, or ``None``.
+
+    ``g(beta) = lambda_max(C* (lam - beta)^-1 C)``; ``hi = lam_1`` stands
+    for the interlacing end.  Newton steps on ``1 - 1/g`` start from
+    ``lam_1 - max(|c_1|^2, delta)``; once a step from a point with
+    ``g >= 1`` is below ``delta``, the next test is ``delta`` below that
+    point, and a step that leaves ``(lo, hi)`` is replaced by bisection.
+    """
+    Ch = C.conj().T
+    lo, hi = -np.inf, lam[0]
+    x = lam[0] - max(np.vdot(C[0], C[0]).real, delta)
+    for _ in range(64):
+        w, V = np.linalg.eigh((Ch / (lam - x)) @ C)
+        g = w[-1]
+        if g >= 1.0:
+            hi = x
+        else:
+            lo = x
+        if hi - lo <= delta:
+            return lo, hi
+        y = (C @ V[:, -1]) / (lam - x)
+        x -= g * (g - 1.0) / np.vdot(y, y).real  # Newton on 1 - 1/g
+        if g >= 1.0 and hi - x < delta:
+            x = hi - delta
+        if not lo < x < hi:
+            x = hi - delta if lo == -np.inf else (lo + hi) / 2.0
+    return None
+
+
 def _greedy_levels(frame: FusionFrame, budget: int) -> tuple[int, int]:
     """``certified`` and ``universal`` along one removal path each.
 
     Each path extends by the member whose removal leaves the largest
     (``certified``) or smallest (``universal``) lower bound, ties to the
-    lowest index.  Per level, ``R = U diag(lam) U*`` is the symmetrized
-    rest and ``C_i = U* v_i Q_i``; for ``beta < lam_1``,
-    ``lambda_min(R - v_i^2 P_i) > beta`` iff
-    ``lambda_max(C_i* (lam - beta)^-1 C_i) < 1`` (Schur complement).
-    After each exact ``eigvalsh``, one batched d x d test at
-    ``beta = best -/+ delta``, ``delta = 32 (n+1)^2 eps s``, ``s = max|lam|``,
-    drops the members it puts at or below (above) ``beta``.  With
-    ``v_i^2 <= s`` and LAPACK backward errors ``p(n) eps`` (``p <= n^2``),
-    the errors are: ``eigh``, ``(5p + 5n^2 + 4n) eps s`` on the matrix the
-    test decides; the test, a relative ``rho <= (2 (n+4) d + p(d)) eps`` on
-    ``lambda_max`` (its weights ``1/(lam_k - beta)`` are positive), as if
-    ``lam - beta`` moved by ``2.1 rho s``; the exact ``eigvalsh``,
-    ``(p + 2 sqrt(n)) eps s``.  Their sum is below ``18 (n+1)^2 eps s``, so
-    a dropped member's ``eigvalsh`` value is strictly worse than ``best``
-    and the pick is the full per-member loop's, bit for bit.
+    lowest index: member ``i``'s value ``x_i`` is the ``eigvalsh`` minimum
+    of ``rest - terms[i]`` that the full per-member loop compares.  Per
+    level, ``R = U diag(lam) U*`` is the symmetrized rest (one ``eigh``,
+    shared by both paths at level 1) and ``C_i = U* v_i Q_i``; for
+    ``beta < lam_1``, ``lambda_min(R - v_i^2 P_i) > beta`` iff
+    ``g_i(beta) = lambda_max(C_i* (lam - beta)^-1 C_i) < 1`` (Schur
+    complement; ``g_i(beta) = 1`` is the low-rank secular equation of
+    Golub, 1973).  With ``s = max|lam|``, ``v_i^2 <= s`` and LAPACK
+    backward errors ``p(n) eps`` (``p <= n^2``), the errors are: ``eigh``,
+    ``(5p + 5n^2 + 4n) eps s`` on the matrix the test decides; the test, a
+    relative ``rho <= (2 (n+4) d + p(d)) eps`` on ``lambda_max`` (its
+    weights ``1/(lam_k - beta)`` are positive), as if ``lam - beta`` moved
+    by ``2.1 rho s``; the exact ``eigvalsh``, ``(p + 2 sqrt(n)) eps s``.
+    Their sum is below ``18 (n+1)^2 eps s < delta = 32 (n+1)^2 eps s``.  So
+    a test at ``beta < lam_1`` that finds ``g_i >= 1`` gives
+    ``x_i < beta + delta``, one that finds ``g_i < 1`` gives
+    ``x_i > beta - delta``, and interlacing gives ``x_i < lam_1 + delta``.
+
+    Brackets: ``1/g_i`` is concave below ``lam_1`` (a minimum over unit
+    ``u`` of parallel sums of the affine ``(lam_k - beta) / |(C_i u)_k|^2``),
+    so Newton on ``1 - 1/g_i`` from ``lam_1 - |c_{i,1}|^2`` (at least
+    ``delta`` below ``lam_1``), where ``g_i >= 1``, descends to the root
+    from above.  Test points ``lo < hi``, ``hi - lo <= delta``, with
+    ``g_i(lo) < 1 <= g_i(hi)`` (:func:`_secular_bracket`) put ``x_i`` in
+    ``(lo - delta, hi + delta)``; if 64 tests do not close a bracket,
+    ``x_i`` is evaluated exactly.  Members are taken front-runner first
+    (the least or most weight on the bottom eigenvector, then the smallest
+    or largest ``g``).  Each front-runner is bracketed, and one batched
+    test at ``beta = bound -/+ delta``, ``bound`` the best certified end so
+    far (the largest lower or the smallest upper end), drops every member
+    it puts below (above) ``bound``, which bounds that member's ``x_i`` on
+    that side.  Once every member is bracketed or dropped, the best end's
+    member is the pick unless another interval reaches that end; then the
+    members whose intervals reach it are evaluated exactly, and the best
+    value wins, ties to the lowest index.  Every other member's ``x_i`` is
+    strictly worse, so the pick is the full loop's, bit for bit.
+
+    Frames left: the full loop then decides ``spans`` on ``rest' = total -
+    (removed + terms[p])``, which differs from ``rest - terms[p]`` by at
+    most ``4.01 eps t`` in norm, ``t = tr total`` (four roundings of
+    entries of matrices below ``total``).  With ``m = delta + 9 eps t``,
+    its ``eigvalsh`` ``low`` is within ``m`` of ``x_p`` (two ``eigvalsh``
+    errors and that difference), and its ``high`` is below ``lam_n + m``
+    and, by interlacing (``terms[p]`` has rank ``d_p <= d_max``), above
+    ``lam_{n - d_max} - m``.  So a certified lower end
+    ``L > floor(lam_n + m) + m`` passes the pick; upper ends
+    ``U <= floor(lam_{n - d_max} - m) - m`` on every member that reaches the
+    best end stop the path there, whichever of them the full loop picks;
+    otherwise :func:`_frames_left` decides.
     """
     tol, N, n, dims = frame.tol, frame.member_count, frame.ambient_dim, frame.dims
+    eps = np.finfo(float).eps
     terms = np.stack([m.weight**2 * m.subspace.projection() for m in frame.members])
     total = sum(terms)  # starts from 0: no -0.0, so total - removed matches total - H in zero signs too
-    blocks = np.zeros((N, n, dims.max()), frame.synthesis.dtype)  # v_i Q_i, zero-padded
-    for i in range(N):
-        blocks[i, :, : dims[i]] = frame.synthesis[:, frame.offsets[i] : frame.offsets[i + 1]]
+    slack = 9 * eps * total.trace().real
+    blocks, width = _padded_synthesis(frame), dims.max()
     levels = [0, 0]  # certified, universal
+    first = None  # level 1's (lam, C), the same for both paths
     for side, strongest in enumerate((True, False)):
         path: list[int] = []
         removed = 0  # sum(terms[j] for j in path), same rounding; rest -= terms[j] differs
@@ -620,27 +706,49 @@ def _greedy_levels(frame: FusionFrame, budget: int) -> tuple[int, int]:
             cand = np.setdiff1d(np.arange(N), path)
             if (dims[path].sum() + dims[cand] > dims.sum() - n).all():
                 break  # every removal fails on its dimensions
-            lam, U = np.linalg.eigh(symmetrize(_require_finite(rest)))
-            C = U.conj().T @ blocks[cand]
-            delta = 32 * (n + 1) ** 2 * np.finfo(float).eps * np.abs(lam).max()
-            lows = np.full(len(cand), np.nan)  # stays nan unless evaluated
-            unseen = np.ones(len(cand), bool)  # neither evaluated nor dropped
+            if k == 1 and first is not None:
+                lam, C = first
+            else:
+                lam, U = np.linalg.eigh(symmetrize(_require_finite(rest)))
+                C = (U.conj().T @ blocks[:, cand].reshape(n, -1)).reshape(n, len(cand), width).swapaxes(0, 1)
+                if k == 1:
+                    first = lam, C
+            delta = 32 * (n + 1) ** 2 * eps * np.abs(lam).max()
+            lows = np.full(len(cand), -np.inf)  # certified: lows <= x_i <= highs
+            highs = np.full(len(cand), np.inf)
+            unseen = np.ones(len(cand), bool)  # neither bracketed nor dropped
             score = np.linalg.norm(C[:, 0], axis=1)  # larger: likely a smaller lambda_min
             while unseen.any():
                 rows = np.flatnonzero(unseen)
                 j = rows[np.argmin(score[rows]) if strongest else np.argmax(score[rows])]
-                lows[j] = hermitian_eigenrange(rest - terms[cand[j]], tol)[0]
                 unseen[j] = False
-                best = np.nanmax(lows) if strongest else np.nanmin(lows)
-                beta = best - delta if strongest else best + delta
+                bracket = _secular_bracket(C[j], lam, delta)
+                if bracket is not None:  # else x_i stays unbounded, so the near-tie step evaluates it
+                    lows[j], highs[j] = bracket[0] - delta, bracket[1] + delta
+                bound = lows.max() if strongest else highs.min()
+                beta = bound - delta if strongest else bound + delta
                 rows = np.flatnonzero(unseen)
                 if rows.size and beta < lam[0]:
                     G = (C[rows].conj().swapaxes(1, 2) / (lam - beta)) @ C[rows]
                     score[rows] = g = np.linalg.eigvalsh(G)[:, -1]
-                    unseen[rows[g >= 1.0 if strongest else g < 1.0]] = False
-            path.append(int(cand[np.flatnonzero(lows == best)[0]]))
+                    dropped = rows[g >= 1.0 if strongest else g < 1.0]
+                    unseen[dropped] = False
+                    # x_i < bound (> bound): at most the next double below (at least the next above)
+                    (highs if strongest else lows)[dropped] = np.nextafter(bound, -np.inf if strongest else np.inf)
+            margin = delta + slack
+            best = np.argmax(lows) if strongest else np.argmin(highs)
+            reach = np.flatnonzero(highs >= lows[best] if strongest else lows <= highs[best])
+            if width < n and (highs[reach] <= tol.floor(lam[n - 1 - width] - margin) - margin).all():
+                break  # whichever of them the full loop picks leaves no frame
+            if len(reach) > 1:  # a near tie: the full loop's exact values decide
+                for j in reach[lows[reach] < highs[reach]]:
+                    lows[j] = highs[j] = hermitian_eigenrange(rest - terms[cand[j]], tol)[0]
+                best = reach[np.argmax(lows[reach]) if strongest else np.argmin(highs[reach])]
+            path.append(int(cand[best]))
             removed = removed + terms[path[-1]]
-            if dims[path].sum() > dims.sum() - n or not _frames_left(frame, (total - removed)[None])[0]:
+            if dims[path].sum() > dims.sum() - n:
+                break
+            if lows[best] - margin <= tol.floor(lam[-1] + margin) and not _frames_left(frame, (total - removed)[None])[0]:
                 break
             levels[side] = k
     return levels[0], levels[1]

@@ -39,6 +39,7 @@ from ffk.fusion import (
     WeightedSubspace,
     _weight_rule_level,
     erasure_certificate,
+    excess,
 )
 from ffk.gallery import example_frame
 from ffk.generators import (
@@ -54,6 +55,7 @@ from ffk.numerics import (
     FrameBounds,
     Tolerance,
     hermitian_eigenrange,
+    kernel_dimension,
     quadratic_forms,
     sample_unit_vectors,
     solve_hermitian_positive,
@@ -100,8 +102,11 @@ def reference_greedy_levels(frame, budget):
     N = frame.member_count
     terms = [m.weight**2 * m.subspace.projection() for m in frame.members]
     total = sum(terms)
+    spare = sum(m.subspace.dim for m in frame.members) - frame.ambient_dim
 
     def survives(removed):
+        if sum(frame.members[i].subspace.dim for i in removed) > spare:
+            return False  # rank S_J < n exactly; the roundoff of assembling S_J could still pass spans
         low, high = hermitian_eigenrange(total - sum(terms[i] for i in removed), tol)
         return high > 0.0 and low > tol.rank_rel * high
 
@@ -235,6 +240,14 @@ def test_verify_alternate_dual_matches_per_member_solves(seed):
         assert abs(certificate.bessel_bound - bessel) <= 1e-12 * bessel
 
 
+@pytest.mark.parametrize("field", [REAL, COMPLEX])
+@pytest.mark.parametrize("seed", range(40))
+def test_excess_of_a_frame_matches_the_kernel_dimension(seed, field):
+    frame = random_fusion_frame(np.random.default_rng(seed), field=field)
+    assert frame.is_frame
+    assert excess(frame) == kernel_dimension(frame.synthesis, frame.tol)
+
+
 def coordinate_member(n, axes, weight):
     return WeightedSubspace(Subspace(np.eye(n)[:, axes]), weight)
 
@@ -301,17 +314,49 @@ def test_greedy_erasure_matches_the_two_loops(make_frame):
     assert (certificate.certified, certificate.universal) == reference_greedy_levels(frame, certificate.budget)
 
 
-@pytest.mark.parametrize("eta", NEAR_TIE_ETAS)
-def test_greedy_erasure_near_tie_goes_to_the_lower_index(eta, monkeypatch):
-    frame = near_tie_frame(eta)
+def spy_exact_evaluations(monkeypatch):
+    """The ``[0, 0]`` entries of the n x n operators the greedy search evaluates exactly."""
     seen = []
     eigenrange = fusion.hermitian_eigenrange
     monkeypatch.setattr(fusion, "hermitian_eigenrange", lambda M, tol: seen.append(M[0, 0]) or eigenrange(M, tol))
+    return seen
+
+
+@pytest.mark.parametrize("eta", NEAR_TIE_ETAS)
+def test_greedy_erasure_near_tie_goes_to_the_lower_index(eta, monkeypatch):
+    frame = near_tie_frame(eta)
+    seen = spy_exact_evaluations(monkeypatch)
     certificate = erasure_certificate(frame, mode="greedy")
     assert certificate.certified == 1
-    # Level 1 of the strongest path evaluates e_0 (leaving S_00 = 1)
-    # first and the plane (leaving S_00 = 4) after it.
-    assert seen[:2] == [1.0, 4.0]
+    # The three brackets of level 1 of the strongest path overlap, so all
+    # three members are evaluated exactly, in index order: the plane
+    # (leaving S_00 = 4), e_0 (leaving S_00 = 1) and e_1 (leaving S_00 = 5).
+    assert seen[:3] == [4.0, 1.0, 5.0]
+
+
+@pytest.mark.parametrize("eta", (2.0**-40, 2.0**-35))
+def test_greedy_erasure_brackets_separate_a_gap_of_a_few_delta(eta, monkeypatch):
+    # The plane wins level 1 by 2 eta + eta^2, 5.7 and 180 times delta.
+    frame = near_tie_frame(eta)
+    seen = spy_exact_evaluations(monkeypatch)
+    certificate = erasure_certificate(frame, mode="greedy")
+    assert (certificate.certified, certificate.universal) == reference_greedy_levels(frame, certificate.budget)
+    # Only the weakest path's exact tie between e_0 and e_1 is evaluated.
+    assert seen == [1.0, 5.0]
+
+
+@pytest.mark.parametrize("seed", (28, 96, 126, 137, 235))
+def test_greedy_erasure_matches_with_weights_over_six_decades(seed):
+    # Each path here reaches a removal with rank S_J < n whose assembled
+    # operator passes spans by roundoff; both searches fail it on its dimensions.
+    rng = np.random.default_rng(seed)
+    members = [
+        WeightedSubspace(random_subspace(rng, 3, int(rng.integers(1, 4)), REAL), 10 ** rng.uniform(-3, 3))
+        for _ in range(8)
+    ]
+    frame = FusionFrame(members)
+    certificate = erasure_certificate(frame, mode="greedy")
+    assert (certificate.certified, certificate.universal) == reference_greedy_levels(frame, certificate.budget)
 
 
 def test_greedy_erasure_dimension_exit_before_any_eigenproblem(monkeypatch):
@@ -323,17 +368,19 @@ def test_greedy_erasure_dimension_exit_before_any_eigenproblem(monkeypatch):
     assert (certificate.certified, certificate.universal) == (0, 0)
 
 
-def test_greedy_erasure_evaluates_a_third_of_the_loop(monkeypatch):
-    frame = library_scale_frame(2, 64, 48, COMPLEX)
-    calls = []
-    eigvalsh = np.linalg.eigvalsh
-    monkeypatch.setattr(np.linalg, "eigvalsh", lambda H: calls.append(H.shape == (64, 64)) or eigvalsh(H))
+@pytest.mark.parametrize("seed, members, field", [(1, 40, REAL), (2, 48, COMPLEX)])
+def test_greedy_erasure_picks_without_exact_evaluations(seed, members, field, monkeypatch):
+    frame = library_scale_frame(seed, 64, members, field)
+    exact, checks = [], []
+    eigvalsh, frames_left = np.linalg.eigvalsh, fusion._frames_left
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda H: exact.append(H.shape == (64, 64)) or eigvalsh(H))
+    monkeypatch.setattr(fusion, "_frames_left", lambda frame, H: checks.append(len(H)) or frames_left(frame, H))
     certificate = erasure_certificate(frame, mode="greedy")
-    # The loop evaluates every remaining member on each level it visits.
-    N = frame.member_count
-    levels = [min(level + 1, certificate.budget) for level in (certificate.certified, certificate.universal)]
-    loop = sum(N - k + 1 for visited in levels for k in range(1, visited + 1))
-    assert 0 < sum(calls) <= loop / 3
+    # Each pick comes from its level's eigh and d x d brackets, and its
+    # certified lower end decides the frames-left check.
+    assert certificate.certified > 1
+    assert not any(exact)
+    assert len(checks) <= 2
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -545,6 +592,19 @@ def test_exhaustive_erasure_top_level_fails_at_its_first_chunk(n, monkeypatch):
     assert levels[:2] == [n, 1]
 
 
+def test_exhaustive_erasure_decides_each_top_level_row_once(monkeypatch):
+    # Gallery 7.1-V at n = 6: the first pass declines its first level-6
+    # chunk, 455 rows; the level-by-level search reuses those answers.
+    shapes = []
+    gram_survivors = fusion._gram_survivors
+    monkeypatch.setattr(
+        fusion, "_gram_survivors", lambda shifted, width, J: shapes.append(J.shape) or gram_survivors(shifted, width, J)
+    )
+    certificate = assert_exhaustive_matches(example_frame("7.1-V", 6))
+    assert (certificate.certified, certificate.universal) == (6, 1)
+    assert [rows for rows, k in shapes if k == 6] == [455]
+
+
 @pytest.mark.parametrize("rows", [1, 2047, 2048, 2049])
 @pytest.mark.parametrize("field", [REAL, COMPLEX])
 def test_quadratic_forms_match_einsum(rows, field):
@@ -741,9 +801,26 @@ def test_canonical_json_matches_the_per_node_render(tree):
     assert canonical_json(tree) == reference_render(tree) + "\n"
 
 
+# Entries that one "%.17g" template per row must not print, or must print
+# as _format_number does: integral floats (which need ".0"), signed zeros,
+# values near 1e16 and 1e17, subnormals, ints and bools.
+ROW_ENTRIES = (
+    2.0, -3.0, 0.0, -0.0, 1e16, 1e16 + 2.0, 9.999999999999998e16, 1e17, -1.2e17, 1e17 + 0.5,
+    123456789.125, 5e-324, -2.2250738585072014e-308, 1e-5, 0.1, 7, -1, 10**17, 10**20, True, False,
+)
+
+
+@pytest.mark.parametrize("entry", ROW_ENTRIES, ids=repr)
+def test_float_rows_match_the_per_node_render(entry):
+    row = [0.1, entry, -2.5]
+    pairs = [[0.1, -2.5], [entry, 1e-300], [1.0 / 3.0, 0.75]]
+    for tree in (row, pairs, [row, row], {"vectors": [pairs, pairs]}, {"weight": entry, "vectors": [[entry]]}):
+        assert canonical_json(tree) == reference_render(tree) + "\n"
+
+
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
 def test_canonical_json_rejects_non_finite_floats_like_the_reference(value):
-    for tree in (value, [1.0, value], {"a": [[0, value]]}):
+    for tree in (value, [1.0, value], {"a": [[0, value]]}, [[0.5, 0.25], [value, 0.5]], [[0.5, value]]):
         with pytest.raises(ValueError, match="non-finite"):
             reference_render(tree)
         with pytest.raises(ValueError, match="non-finite"):
