@@ -18,8 +18,15 @@ For each generated frame the sweep checks:
     turn), the greedy certificate's levels equal those of
     ``reference_greedy_levels`` in ``tests/test_differential.py``, the
     per-member loop whose picks the pruned search must reproduce.  These
-    take seconds each, too slow for the test suite.  These two checks
-    import the test module, so they need the ``test`` extra (pytest).
+    take seconds each, too slow for the test suite;
+  * on the same library-shaped frames, ``redundancy_samples`` (sphere
+    weights against the spectrum of S1) keeps the law of
+    ``reference_redundancy_samples`` (quadratic forms of S1 at Haar unit
+    vectors): the two-sample Kolmogorov-Smirnov distance between
+    SAMPLING_LAW_SAMPLES independent draws of each is below
+    SAMPLING_LAW_KS_LIMIT.
+The last three checks import the test module, so they need the ``test``
+extra (pytest).
 
 Usage:
     python scripts/property_sweep.py [--count 100] [--seed 0] [--field real|complex]
@@ -54,6 +61,8 @@ from ffk.numerics import COMPLEX, REAL
 LIBRARY_FRAMES = 4
 REFERENCE_MEMBER_LIMIT = 12  # the exhaustive reference runs one n x n eigvalsh per subset
 MAX_DIM = 6  # largest ambient dimension of the sampled frames
+SAMPLING_LAW_SAMPLES = 20_000
+SAMPLING_LAW_KS_LIMIT = 0.02  # exceeded by chance with probability about 7e-4 at this sample size
 
 
 @dataclass(frozen=True)
@@ -75,7 +84,10 @@ def library_shaped_frame(rng: np.random.Generator, field: str) -> FusionFrame:
 
 def run_sweep(config: SweepConfig) -> dict:
     rng = np.random.default_rng(config.seed)
-    checks = ("containment", "union_shift", "dual", "operator", "erasure", "exhaustive_reference", "greedy_pick")
+    checks = (
+        "containment", "union_shift", "dual", "operator", "erasure",
+        "exhaustive_reference", "greedy_pick", "sampling_law",
+    )
     tallies = dict.fromkeys(checks, 0)
     failures = []
     small = []  # (index, frame, exhaustive certificate) of frames the exhaustive reference can afford
@@ -125,7 +137,12 @@ def run_sweep(config: SweepConfig) -> dict:
                 small.append((index, frame, exhaustive))
 
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
-    from test_differential import reference_exhaustive_levels, reference_greedy_levels
+    from test_differential import (
+        ks_distance,
+        reference_exhaustive_levels,
+        reference_greedy_levels,
+        reference_redundancy_samples,
+    )
 
     for index, frame, exhaustive in small:
         if exhaustive == reference_exhaustive_levels(frame, exhaustive.budget):
@@ -141,6 +158,14 @@ def run_sweep(config: SweepConfig) -> dict:
             tallies["greedy_pick"] += 1
         else:
             failures.append((f"library {index}", "greedy_pick"))
+        values = redundancy_samples(frame, np.random.default_rng([config.seed, 2, index]), SAMPLING_LAW_SAMPLES)
+        reference = reference_redundancy_samples(
+            frame, np.random.default_rng([config.seed, 3, index]), SAMPLING_LAW_SAMPLES
+        )
+        if ks_distance(values, reference) < SAMPLING_LAW_KS_LIMIT:
+            tallies["sampling_law"] += 1
+        else:
+            failures.append((f"library {index}", "sampling_law"))
     return {"tallies": tallies, "reference_frames": len(small), "failures": failures}
 
 
@@ -156,7 +181,11 @@ def main() -> int:
         count=args.count, seed=args.seed, field=args.field, samples=args.samples
     )
     outcome = run_sweep(config)
-    totals = {"exhaustive_reference": outcome["reference_frames"], "greedy_pick": LIBRARY_FRAMES}
+    totals = {
+        "exhaustive_reference": outcome["reference_frames"],
+        "greedy_pick": LIBRARY_FRAMES,
+        "sampling_law": LIBRARY_FRAMES,
+    }
     for name, passed in outcome["tallies"].items():
         print(f"{name:12s} {passed}/{totals.get(name, config.count)}")
     if outcome["failures"]:

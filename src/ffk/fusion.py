@@ -39,6 +39,7 @@ from .numerics import (
     quadratic_forms,
     sample_unit_vectors,
     solve_hermitian_positive,
+    sphere_weights,
     symmetrize,
     _read_only,
     _require_finite,
@@ -120,7 +121,8 @@ class FusionFrame:
     members' orthonormal bases (n x m), member ``i`` owning columns
     ``offsets[i]:offsets[i + 1]``; ``synthesis`` is
     ``T = [v_1 Q_1 | ... | v_N Q_N]``; ``operator`` is ``S = T T*``; and,
-    computed on first use, ``normalized_operator`` is ``S1 = Q Q*`` and
+    computed on first use, ``normalized_operator`` is ``S1 = Q Q*``,
+    ``normalized_spectrum`` its ascending eigenvalues and
     ``canonical_dual`` the family ``{(S^-1 W_i, v_i)}``.
     """
 
@@ -157,6 +159,10 @@ class FusionFrame:
     @cached_property
     def normalized_operator(self) -> np.ndarray:
         return _read_only(self.bases @ self.bases.conj().T)
+
+    @cached_property
+    def normalized_spectrum(self) -> np.ndarray:
+        return _read_only(np.linalg.eigvalsh(symmetrize(self.normalized_operator)))
 
     @cached_property
     def canonical_dual(self) -> "FusionFrame":
@@ -251,13 +257,28 @@ def redundancy_range(frame: FusionFrame) -> tuple[float, float]:
     Defined for Bessel-only families too; there the lower extreme is
     numerically zero.
     """
-    return hermitian_eigenrange(frame.normalized_operator, frame.tol)
+    spectrum = frame.normalized_spectrum
+    return float(spectrum[0]), float(spectrum[-1])
 
 
 def redundancy_samples(frame: FusionFrame, rng: np.random.Generator, count: int) -> np.ndarray:
-    """Redundancy values at ``count`` Haar-sampled unit vectors."""
-    X = sample_unit_vectors(rng, frame.ambient_dim, count, frame.field)
-    return quadratic_forms(X, frame.normalized_operator)
+    """Redundancy values at ``count`` Haar-sampled unit vectors, from the spectrum of ``S1``.
+
+    Write ``S1 = V diag(lambda) V*``.  At ``x = V y`` the redundancy is
+    ``R(x) = sum_k lambda_k |y_k|^2``, and Haar measure on the sphere is
+    invariant under the unitary ``V``, so ``y`` is Haar-distributed when
+    ``x`` is: the law of ``R`` depends on the spectrum alone.  The squared
+    moduli ``w_k = |y_k|^2`` of a Haar unit vector are normalized
+    independent Gamma variables: ``chi^2_1 = Gamma(1/2)`` over the reals,
+    so ``w`` is Dirichlet(1/2, ..., 1/2), and ``|a + ib|^2 = 2 Exp(1) =
+    2 Gamma(1)`` over the complex numbers, so ``w`` is Dirichlet(1, ..., 1).
+    Each value is ``w . lambda`` for one row ``w`` of :func:`sphere_weights`,
+    which is ``R`` at the Haar point ``V y`` with ``y = sqrt(w)`` times
+    independent uniform signs or phases; ``R`` does not see them, so they
+    are not drawn.  After the draw the work is O(count n), on the cached
+    ``normalized_spectrum``.
+    """
+    return sphere_weights(rng, frame.ambient_dim, count, frame.field) @ frame.normalized_spectrum
 
 
 def synthesis_matrix(frame: FusionFrame) -> np.ndarray:

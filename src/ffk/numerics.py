@@ -4,10 +4,12 @@ Everything above this module (vector frames, weighted subspace families,
 duality certificates) is phrased in terms of a handful of primitives:
 rank-revealing orthonormalization, Hermitian eigenvalue ranges, kernel
 dimensions, positive definite solves, Gaussian draws, and Haar sampling
-on the unit sphere.  Every cutoff decision in the package is a
-:class:`Tolerance` predicate: ``rank``, ``spans`` (through ``floor``)
-and ``negligible`` apply ``rank_rel``; ``flat``, ``near``, ``parseval``
-and ``within`` apply ``eig_rel``; ``reconstructs`` applies ``recon_abs``.
+on the unit sphere: unit vectors, and sphere weights (the squared moduli
+of a Haar unit vector's coordinates).  Every cutoff decision in the
+package is a :class:`Tolerance` predicate: ``rank``, ``spans`` (through
+``floor``) and ``negligible`` apply ``rank_rel``; ``flat``, ``near``,
+``parseval`` and ``within`` apply ``eig_rel``; ``reconstructs`` applies
+``recon_abs``.
 Scale rule: a cutoff is relative to the scale of what it decides (the
 largest singular or eigenvalue or bracket end, a family's largest norm),
 so results are invariant under rescaling; only ``near`` (quantities of
@@ -246,6 +248,36 @@ def sample_unit_vectors(
         X[bad] = gaussian(rng, (int(bad.sum()), dim), field)
         norms = np.linalg.norm(X, axis=1)
     return X / norms[:, None]
+
+
+def sphere_weights(
+    rng: np.random.Generator, dim: int, count: int = 1, field: str = COMPLEX
+) -> np.ndarray:
+    """Squared moduli ``|x_k|^2`` of ``count`` Haar-uniform unit vectors in dimension ``dim``, one row each.
+
+    Real field: the squares of the :func:`gaussian` draws that
+    :func:`sample_unit_vectors` makes, normalized per row, so the rows
+    follow Dirichlet(1/2, ..., 1/2).  Complex field: ``|a + ib|^2`` of a
+    standard complex normal is ``2 Exp(1)``, so the rows are standard
+    exponential draws, normalized per row, and follow Dirichlet(1, ..., 1);
+    that takes half the variates of the complex Gaussian draw.
+    """
+    if dim < 1 or count < 1:
+        raise DimensionMismatch(f"need dim >= 1 and count >= 1, got {dim}, {count}")
+    if field == COMPLEX:
+        def draw(rows):
+            return rng.standard_exponential((rows, dim))
+    else:
+        def draw(rows):
+            return np.square(gaussian(rng, (rows, dim), field))
+    W = draw(count)
+    sums = W.sum(axis=1)
+    while np.any(sums < 1e-24):  # the squared norm cutoff of sample_unit_vectors
+        bad = sums < 1e-24
+        W[bad] = draw(int(bad.sum()))
+        sums = W.sum(axis=1)
+    W /= sums[:, None]
+    return W
 
 
 QUADRATIC_FORM_BLOCK_ROWS = 2048

@@ -7,7 +7,10 @@ eigvalsh, and convert document rows and render JSON one entry at a
 time; the library builds stacked operators once per frame, solves once
 per dual operation, shares one greedy helper, decides exhaustive subsets
 in chunks on blocks of one Gram matrix, and converts each block of
-document rows with one array call.
+document rows with one array call.  Redundancy samples come from sphere
+weights and the cached spectrum of ``S1``, not from quadratic forms of
+``S1`` at sampled vectors; they keep the law of the reference, not its
+values.
 The ``Tolerance`` cutoff predicates are checked against the comparisons
 that were written out at each of their call sites.  Vector frames keep
 ``S``, the normalized operator and the canonical dual's vectors, and a
@@ -31,7 +34,7 @@ from hypothesis import strategies as st
 from ffk import fusion
 from ffk.documents import FrameDocument, _expect_list, _parse_entry, _parse_rows, canonical_json
 from ffk.duality import canonical_dual_fusion, verify_alternate_dual
-from ffk.errors import LocalNotParseval, ParseError
+from ffk.errors import DimensionMismatch, LocalNotParseval, ParseError
 from ffk.fusion import (
     ErasureCertificate,
     FusionFrame,
@@ -40,6 +43,9 @@ from ffk.fusion import (
     _weight_rule_level,
     erasure_certificate,
     excess,
+    redundancy_at,
+    redundancy_range,
+    redundancy_samples,
 )
 from ffk.gallery import example_frame
 from ffk.generators import (
@@ -59,6 +65,7 @@ from ffk.numerics import (
     quadratic_forms,
     sample_unit_vectors,
     solve_hermitian_positive,
+    sphere_weights,
 )
 from ffk.systems import build_system, parseval_equivalences
 from ffk.vector_frames import (
@@ -619,6 +626,73 @@ def test_quadratic_forms_match_einsum(rows, field):
     values = quadratic_forms(X, M)
     assert values.shape == (rows,)
     assert np.abs(values - reference).max() <= 1e-12 * np.abs(reference).max()
+
+
+def reference_redundancy_samples(frame, rng, count):
+    """Quadratic forms of ``S1`` at ``count`` Haar unit vectors: O(count n^2) after the draw."""
+    X = sample_unit_vectors(rng, frame.ambient_dim, count, frame.field)
+    return quadratic_forms(X, frame.normalized_operator)
+
+
+def ks_distance(a, b):
+    """Two-sample Kolmogorov-Smirnov distance: the largest gap between the empirical CDFs."""
+    a, b = np.sort(a), np.sort(b)
+    points = np.concatenate([a, b])
+    cdf_a = np.searchsorted(a, points, side="right") / a.size
+    cdf_b = np.searchsorted(b, points, side="right") / b.size
+    return float(np.abs(cdf_a - cdf_b).max())
+
+
+def law_frame(seed):
+    rng = np.random.default_rng(seed)
+    return random_fusion_frame(rng, n=int(rng.integers(2, 17)), field=(REAL, COMPLEX)[seed % 2])
+
+
+@pytest.mark.parametrize("count", [1, 7, 300])
+@pytest.mark.parametrize("seed", range(12))
+def test_redundancy_samples_are_redundancies_at_rotated_sphere_points(seed, count):
+    frame = law_frame(seed)
+    weights = sphere_weights(np.random.default_rng(seed), frame.ambient_dim, count, frame.field)
+    values = redundancy_samples(frame, np.random.default_rng(seed), count)
+    eigenvalues, V = np.linalg.eigh(frame.normalized_operator)
+    expected = [redundancy_at(frame, V @ np.sqrt(w)) for w in weights]
+    assert values.shape == (count,)
+    assert np.abs(values - expected).max() <= 1e-12 * eigenvalues[-1]
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_redundancy_samples_keep_the_law_of_the_quadratic_forms(seed):
+    frame = law_frame(seed)
+    values = redundancy_samples(frame, np.random.default_rng([seed, 1]), 20_000)
+    reference = reference_redundancy_samples(frame, np.random.default_rng([seed, 2]), 20_000)
+    assert ks_distance(values, reference) < 0.02
+
+
+@pytest.mark.parametrize("n", [2, 5, 16])
+def test_redundancy_samples_of_a_parseval_family_are_one(n):
+    values = redundancy_samples(example_frame("7.2", n), np.random.default_rng(n), 500)
+    assert np.abs(values - 1.0).max() <= 1e-12
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_normalized_spectrum_ends_are_the_eigenrange(seed):
+    frame = seeded_frame(seed)
+    spectrum = frame.normalized_spectrum
+    expected = hermitian_eigenrange(frame.normalized_operator)
+    assert (spectrum[0], spectrum[-1]) == expected
+    assert redundancy_range(frame) == expected
+    assert not spectrum.flags.writeable
+
+
+@pytest.mark.parametrize("count", [0, -3])
+def test_redundancy_samples_reject_bad_counts_like_the_reference(count):
+    frame = seeded_frame(0)
+    message = f"need dim >= 1 and count >= 1, got {frame.ambient_dim}, {count}"
+    with pytest.raises(DimensionMismatch) as expected:
+        reference_redundancy_samples(frame, np.random.default_rng(0), count)
+    assert str(expected.value) == message
+    with pytest.raises(DimensionMismatch, match=message):
+        redundancy_samples(frame, np.random.default_rng(0), count)
 
 
 @pytest.mark.parametrize("field", [REAL, COMPLEX])

@@ -243,6 +243,19 @@ class TestRedundancy:
         assert values.min() >= low - 1e-9
         assert values.max() <= high + 1e-9
 
+    def test_spectrum_of_s1_is_decomposed_once(self, rng, monkeypatch):
+        frame = random_fusion_frame(rng, n=5)
+        shapes = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda M: shapes.append(M.shape) or eigvalsh(M))
+        report = classify(frame)
+        values = redundancy_samples(frame, rng, 50)
+        assert classify(frame).redundancy == report.redundancy == redundancy_range(frame)
+        redundancy_samples(frame, rng, 50)
+        assert shapes == [(5, 5)]
+        assert values.min() >= report.redundancy[0] - 1e-12
+        assert values.max() <= report.redundancy[1] + 1e-12
+
     def test_range_brackets_member_count(self, rng):
         frame = random_fusion_frame(rng)
         low, high = redundancy_range(frame)

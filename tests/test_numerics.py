@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 import ffk
 from ffk.errors import (
     AllColumnsNumericallyZero,
+    DimensionMismatch,
     NonFiniteEntries,
     NotPositiveDefinite,
     NotSquare,
@@ -27,6 +28,7 @@ from ffk.numerics import (
     quadratic_forms,
     sample_unit_vectors,
     solve_hermitian_positive,
+    sphere_weights,
 )
 
 
@@ -278,6 +280,71 @@ class TestSampling:
             gaussian(rng, (2, 3), "quaternion")
         with pytest.raises(ValueError, match="unknown field"):
             sample_unit_vectors(rng, 3, 2, "quaternion")
+
+
+class TestSphereWeights:
+    @pytest.mark.parametrize("field", [REAL, COMPLEX])
+    @pytest.mark.parametrize("dim", [1, 2, 7, 128])
+    def test_rows_lie_on_the_simplex(self, rng, field, dim):
+        weights = sphere_weights(rng, dim, 300, field)
+        assert weights.shape == (300, dim)
+        assert weights.dtype == np.float64
+        assert np.all(weights >= 0.0)
+        assert np.abs(weights.sum(axis=1) - 1.0).max() <= 4 * dim * np.finfo(float).eps
+
+    @pytest.mark.parametrize("dim", [1, 3, 16])
+    def test_real_rows_are_the_squared_unit_vectors(self, dim):
+        weights = sphere_weights(np.random.default_rng(dim), dim, 200, REAL)
+        vectors = sample_unit_vectors(np.random.default_rng(dim), dim, 200, REAL)
+        assert np.abs(weights - vectors**2).max() <= 1e-15
+
+    @pytest.mark.parametrize("field, alpha", [(REAL, 0.5), (COMPLEX, 1.0)])
+    @pytest.mark.parametrize("dim", [2, 5, 32])
+    def test_coordinate_means_are_one_over_dim(self, field, alpha, dim):
+        count = 20_000
+        weights = sphere_weights(np.random.default_rng(11), dim, count, field)
+        # Dirichlet(alpha, ..., alpha) in dim coordinates: each has mean 1/dim.
+        variance = (1.0 / dim) * (1.0 - 1.0 / dim) / (dim * alpha + 1.0)
+        sigma = np.sqrt(variance / count)
+        assert np.abs(weights.mean(axis=0) - 1.0 / dim).max() <= 5 * sigma
+
+    def test_complex_rows_are_normalized_exponential_draws(self):
+        draws = np.random.default_rng(4).standard_exponential((6, 3))
+        expected = draws / draws.sum(axis=1, keepdims=True)
+        assert np.abs(sphere_weights(np.random.default_rng(4), 3, 6, COMPLEX) - expected).max() <= 1e-15
+
+    @pytest.mark.parametrize("field", [REAL, COMPLEX])
+    def test_rows_summing_below_the_cutoff_are_redrawn(self, field):
+        class ZeroFirstRow:
+            """A generator whose first draw has an all-zero first row; later draws are all ones."""
+
+            def __init__(self):
+                self.calls = []
+
+            def draw(self, shape):
+                values = np.ones(shape)
+                if not self.calls:
+                    values[0] = 0.0
+                self.calls.append(shape)
+                return values
+
+            standard_normal = standard_exponential = draw
+
+        rng = ZeroFirstRow()
+        weights = sphere_weights(rng, 3, 4, field)
+        assert np.array_equal(weights, np.full((4, 3), 1.0 / 3.0))
+        assert rng.calls == [(4, 3), (1, 3)]
+
+    @pytest.mark.parametrize(
+        "dim, count, field", [(0, 3, REAL), (-1, 3, COMPLEX), (3, 0, REAL), (3, -2, COMPLEX), (3, 2, "quaternion")]
+    )
+    def test_bad_arguments_raise_like_sample_unit_vectors(self, dim, count, field):
+        with pytest.raises((DimensionMismatch, ValueError)) as expected:
+            sample_unit_vectors(np.random.default_rng(0), dim, count, field)
+        with pytest.raises(type(expected.value)) as raised:
+            sphere_weights(np.random.default_rng(0), dim, count, field)
+        assert type(raised.value) is type(expected.value)
+        assert str(raised.value) == str(expected.value)
 
 
 @settings(deadline=None, max_examples=40)
