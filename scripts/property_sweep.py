@@ -13,6 +13,12 @@ For each generated frame the sweep checks:
   * for frames with at most REFERENCE_MEMBER_LIMIT members, the
     exhaustive certificate equals that of ``reference_exhaustive_levels``
     in ``tests/test_differential.py``, one eigvalsh per removed subset;
+  * both erasure checks also run on NEAR_CUTOFF_FRAMES frames whose
+    removals sit near the ``spans`` cutoff, seeded from ``--seed``: in
+    turn ``weak_last_axis_frame`` of the test module (its strong
+    member's removal leaves lambda_min / lambda_max = ratio * rank_rel,
+    ratio 0.5-3) and ``weak_lines_frame`` (2-4 weak lines whose weights
+    put lambda_min / lambda_max of S at 1-3 times rank_rel);
   * on LIBRARY_FRAMES library-shaped frames seeded from ``--seed`` (n
     64-128, N 40-48, subspace dimensions 3 and 4, real and complex in
     turn), the greedy certificate's levels equal those of
@@ -25,8 +31,8 @@ For each generated frame the sweep checks:
     vectors): the two-sample Kolmogorov-Smirnov distance between
     SAMPLING_LAW_SAMPLES independent draws of each is below
     SAMPLING_LAW_KS_LIMIT.
-The last three checks import the test module, so they need the ``test``
-extra (pytest).
+The near-cutoff frames and the last three checks import the test module,
+so they need the ``test`` extra (pytest).
 
 Usage:
     python scripts/property_sweep.py [--count 100] [--seed 0] [--field real|complex]
@@ -42,6 +48,7 @@ import numpy as np
 from ffk.duality import canonical_dual_fusion, verify_alternate_dual
 from ffk.fusion import (
     EXHAUSTIVE_MEMBER_LIMIT,
+    ErasureCertificate,
     FusionFrame,
     WeightedSubspace,
     erasure_certificate,
@@ -56,9 +63,10 @@ from ffk.generators import (
     random_orthogonal_decomposition,
     random_subspace,
 )
-from ffk.numerics import COMPLEX, REAL
+from ffk.numerics import COMPLEX, DEFAULT_TOLERANCE, REAL
 
 LIBRARY_FRAMES = 4
+NEAR_CUTOFF_FRAMES = 24
 REFERENCE_MEMBER_LIMIT = 12  # the exhaustive reference runs one n x n eigvalsh per subset
 MAX_DIM = 6  # largest ambient dimension of the sampled frames
 SAMPLING_LAW_SAMPLES = 20_000
@@ -80,6 +88,18 @@ def library_shaped_frame(rng: np.random.Generator, field: str) -> FusionFrame:
     return FusionFrame(
         [WeightedSubspace(random_subspace(rng, n, 3 + i % 2, field), float(w)) for i, w in enumerate(weights)]
     )
+
+
+def erasure_brackets(frame: FusionFrame) -> tuple[bool, ErasureCertificate]:
+    """Whether the greedy and exhaustive certificates bracket each other soundly, and the exhaustive one."""
+    greedy = erasure_certificate(frame, mode="greedy")
+    exhaustive = erasure_certificate(frame, mode="exhaustive")
+    sound = (
+        greedy.certified <= exhaustive.certified
+        and exhaustive.universal <= greedy.universal
+        and all(c.weight_rule <= c.certified for c in (greedy, exhaustive))
+    )
+    return sound, exhaustive
 
 
 def run_sweep(config: SweepConfig) -> dict:
@@ -123,13 +143,8 @@ def run_sweep(config: SweepConfig) -> dict:
             failures.append((index, "operator"))
 
         if frame.member_count <= EXHAUSTIVE_MEMBER_LIMIT:
-            greedy = erasure_certificate(frame, mode="greedy")
-            exhaustive = erasure_certificate(frame, mode="exhaustive")
-            if (
-                greedy.certified <= exhaustive.certified
-                and exhaustive.universal <= greedy.universal
-                and all(c.weight_rule <= c.certified for c in (greedy, exhaustive))
-            ):
+            sound, exhaustive = erasure_brackets(frame)
+            if sound:
                 tallies["erasure"] += 1
             else:
                 failures.append((index, "erasure"))
@@ -142,7 +157,25 @@ def run_sweep(config: SweepConfig) -> dict:
         reference_exhaustive_levels,
         reference_greedy_levels,
         reference_redundancy_samples,
+        weak_last_axis_frame,
+        weak_lines_frame,
     )
+
+    near_rng = np.random.default_rng([config.seed, 4])
+    for index in range(NEAR_CUTOFF_FRAMES):
+        if index % 2 == 0:
+            field = config.field or (REAL, COMPLEX)[index // 2 % 2]
+            n, ratio = int(near_rng.integers(2, 6)), near_rng.uniform(0.5, 3.0)
+            frame = weak_last_axis_frame(near_rng, n, ratio, field, (1.0, 2.0))
+        else:
+            copies = int(near_rng.integers(2, 5))
+            frame = weak_lines_frame(np.sqrt(near_rng.uniform(1.0, 3.0) * DEFAULT_TOLERANCE.rank_rel / copies), copies)
+        sound, exhaustive = erasure_brackets(frame)
+        if sound:
+            tallies["erasure"] += 1
+        else:
+            failures.append((f"near-cutoff {index}", "erasure"))
+        small.append((f"near-cutoff {index}", frame, exhaustive))
 
     for index, frame, exhaustive in small:
         if exhaustive == reference_exhaustive_levels(frame, exhaustive.budget):
@@ -182,6 +215,7 @@ def main() -> int:
     )
     outcome = run_sweep(config)
     totals = {
+        "erasure": config.count + NEAR_CUTOFF_FRAMES,
         "exhaustive_reference": outcome["reference_frames"],
         "greedy_pick": LIBRARY_FRAMES,
         "sampling_law": LIBRARY_FRAMES,

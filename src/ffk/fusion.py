@@ -382,8 +382,9 @@ class ErasureCertificate:
     ``universal``    largest k <= budget for which *every* k-subset
                      removal leaves a fusion frame
     ``weight_rule``  largest k <= budget certified by the weight-sum
-                     rule alone: some k-subset has erased energy
-                     ``sum v_i^2`` strictly below the lower bound
+                     rule alone: ``spans`` holds on ``[A - a - e_1/2,
+                     B + e_1/2]``, ``a`` the k smallest ``v_i^2`` summed
+                     (at most ``certified``: :func:`_weight_rule_level`)
     ``rule``         "weight-sum-bound" when the weight rule already
                      certifies ``certified``, "spectral" when only the
                      eigenvalue check does, "none" when nothing is
@@ -402,44 +403,37 @@ class ErasureCertificate:
     mode: str
 
 
-def _weight_rule_level(weights_sq: np.ndarray, lower_bound: float, budget: int, eig_rel: float) -> int:
-    ordered = np.sort(weights_sq)
-    level = 0
-    for k in range(1, budget + 1):
-        if ordered[:k].sum() < lower_bound * (1.0 - eig_rel):
-            level = k
-        else:
-            break
-    return level
+def _weight_rule_level(frame: FusionFrame, budget: int) -> int:
+    """Largest ``k <= budget`` with ``spans(A - a_k - e_1/2, B + e_1/2)``: the weight-sum rule.
+
+    ``a_k`` sums the ``k`` smallest ``v_i^2``, ``e_1`` is :func:`_range_error`,
+    and removing ``J`` leaves ``S - a I <= S_J <= S``, ``a = sum_{i in J} v_i^2``.
+    Exhaustive: the reference's range of ``S_J``, ``J`` the ``k`` smallest
+    weights, lies in ``[A - a_k - e_1/2, B + e_1/2]`` (it is within ``e_1/4``
+    of exact, as is ``(A, B)``), and the exact ``lambda_min > 0`` passes the
+    dimension test: levels up to ``k`` have a survivor.  Greedy: ``j - 1``
+    removals leave one of the ``j`` smallest weights, whose removal keeps
+    ``lambda_min >= A - a_j`` by induction, as does the pick, which leaves
+    the largest ``lambda_min``.  In floating point each later level may lose
+    two ``eigvalsh`` errors there, which the margin covers only at level 1
+    in the worst-case model of :func:`_exhaustive_levels`.
+    """
+    A, B = frame._operator_range
+    margin = _range_error(frame) / 2
+    erased = np.cumsum(np.sort(frame.weights**2))[:budget]
+    return int(frame.tol.spans(A - erased - margin, B + margin).sum())  # a prefix of levels: a_k grows
 
 
 def _frames_left(frame: FusionFrame, H: np.ndarray) -> np.ndarray:
     """Which remaining operators ``H``, a ``(k, n, n)`` stack it overwrites, leave a frame.
 
-    With ``H`` symmetrized, ``t = tr H`` and
-    ``tau = (2 rank_rel + 4 (n+1) n eps) |t|``, one batched Cholesky
-    factorization of ``H - tau I`` certifies the stack.  Its success
-    (backward error) gives ``lambda_min(H - tau I) >= -(n+1) eps
-    tr(H - tau I)``, so ``t > 0``, ``lambda_min(H) >= tau - (n+1) eps t``
-    and ``lambda_max(H) <= t``: the range passes the test by
-    ``(rank_rel + (4n^2 + 3n - 1) eps) t``, above ``eigvalsh`` roundoff
-    (``p(n) eps t``, ``p`` modest, far below ``4n^2`` and ``rank_rel/eps``).
-    Else one batched ``eigvalsh`` of the same ``H`` decides each row bit
+    One batched ``eigvalsh`` of the symmetrized ``H`` decides each row bit
     for bit as the per-subset ``hermitian_eigenrange`` test.
     """
-    n = frame.ambient_dim
-    shifted = np.conjugate(_require_finite(H))  # a new array also when H is real
-    H += shifted.swapaxes(1, 2)
+    H += np.conjugate(_require_finite(H)).swapaxes(1, 2)  # a new array also when H is real
     H /= 2.0  # the symmetrize() of hermitian_eigenrange, in place
-    np.copyto(shifted, H)
-    tau = (2 * frame.tol.rank_rel + 4 * (n + 1) * n * np.finfo(float).eps) * np.abs(H.trace(axis1=1, axis2=2).real)
-    shifted.reshape(len(H), -1)[:, :: n + 1] -= tau[:, None]  # H - tau I
-    try:
-        np.linalg.cholesky(shifted)
-    except np.linalg.LinAlgError:
-        low, high = np.linalg.eigvalsh(H)[:, [0, -1]].T
-        return frame.tol.spans(low, high)
-    return np.ones(len(H), bool)
+    low, high = np.linalg.eigvalsh(H)[:, [0, -1]].T
+    return frame.tol.spans(low, high)
 
 
 def _padded_synthesis(frame: FusionFrame) -> np.ndarray:
@@ -449,6 +443,12 @@ def _padded_synthesis(frame: FusionFrame) -> np.ndarray:
     for i in range(frame.member_count):
         T[:, i, : dims[i]] = frame.synthesis[:, frame.offsets[i] : frame.offsets[i + 1]]
     return T
+
+
+def _range_error(frame: FusionFrame) -> float:
+    """``e_1 = 4 (n^2 + m + N + 8) eps tr S`` of :func:`_exhaustive_levels`; computed ranges lie within ``e_1/4``."""
+    n, m, N = frame.ambient_dim, frame.dims.sum(), frame.member_count
+    return 4 * (n * n + m + N + 8) * (np.finfo(float).eps * frame.operator.trace().real)
 
 
 def _gram_cutoff(frame: FusionFrame) -> np.ndarray | None:
@@ -461,9 +461,8 @@ def _gram_cutoff(frame: FusionFrame) -> np.ndarray | None:
     width, m = dims.max(), dims.sum()
     A, B = frame._operator_range
     eps_t = np.finfo(float).eps * frame.operator.trace().real
-    e1 = 4 * (n * n + m + N + 8) * eps_t
     e2 = 8 * (2 * n * n + (N * width + 1) ** 2 + m + n + 1) * eps_t / A
-    c = 1.0 - (frame.tol.floor(B) + e1) / A - e2
+    c = 1.0 - (frame.tol.floor(B) + _range_error(frame)) / A - e2
     if c <= 0.0:
         return None
     Y = np.linalg.solve(np.linalg.cholesky(frame.operator), _padded_synthesis(frame).reshape(n, -1))
@@ -474,8 +473,9 @@ def _gram_cutoff(frame: FusionFrame) -> np.ndarray | None:
 def _gram_survivors(shifted: np.ndarray, width: int, J: np.ndarray) -> np.ndarray:
     """Which removals ``J`` (rows of member indices) their ``c I - G_JJ`` blocks of ``shifted`` certify.
 
-    One batched Cholesky certifies every row; when it declines, one batched
-    ``eigvalsh`` certifies the rows with ``lambda_max(G_JJ) < c``.
+    One batched Cholesky certifies every row (its backward error on an
+    ``s``-square block gives ``lambda_max(G_JJ) <= c + (s + 1) s eps``); when it
+    declines, one batched ``eigvalsh`` certifies the rows with ``lambda_max(G_JJ) < c``.
     """
     idx = (J[:, :, None] * width + np.arange(width)).reshape(len(J), -1)
     blocks = np.take(shifted, idx[:, :, None] * len(shifted) + idx[:, None, :])
@@ -543,9 +543,8 @@ def _exhaustive_levels(frame: FusionFrame, budget: int) -> tuple[int, int]:
       ``sqrt n``) by ``n^2 eps sqrt(n t / lambda_min(S))`` and ``G`` by
       twice that.  ``Y* Y`` adds ``n^2 eps``.
     - A Cholesky success on ``c I - G_JJ``, of size ``s = k d_max <= w``,
-      gives ``lambda_max(G_JJ) <= c + (s + 1) s eps`` (the backward error
-      of :func:`_frames_left`), and a positive ``eigvalsh`` of it gives
-      ``lambda_max(G_JJ) <= c + (s + 1)^2 eps``: below ``e_2 / 4``.
+      or a positive ``eigvalsh`` of it, gives ``lambda_max(G_JJ) <= c +
+      (s + 1)^2 eps`` (:func:`_gram_survivors`): below ``e_2 / 4``.
 
     So a certified block has ``g <= c + e_2 / 2``.  With
     ``c = 1 - (rank_rel B + e_1) / A - e_2``, ``lambda_min(S_J) >=
@@ -802,7 +801,7 @@ def erasure_certificate(
         raise ValueError(f"exhaustive mode supports at most {EXHAUSTIVE_MEMBER_LIMIT} members, got {N}")
     search = _exhaustive_levels if mode == "exhaustive" else _greedy_levels
     certified, universal = search(frame, budget)
-    weight_rule = _weight_rule_level(frame.weights**2, frame._operator_range[0], budget, frame.tol.eig_rel)
+    weight_rule = _weight_rule_level(frame, budget)
     if certified == 0:
         rule = "none"
     elif weight_rule >= certified:

@@ -32,6 +32,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ffk import fusion
+from ffk.cli import main
 from ffk.documents import FrameDocument, _expect_list, _parse_entry, _parse_rows, canonical_json
 from ffk.duality import canonical_dual_fusion, verify_alternate_dual
 from ffk.errors import DimensionMismatch, LocalNotParseval, ParseError
@@ -154,7 +155,6 @@ def reference_exhaustive_levels(frame, budget):
     tol = frame.tol
     terms = [m.weight**2 * m.subspace.projection() for m in frame.members]
     total = sum(terms)
-    A = frame._operator_range[0]
     spare = sum(m.subspace.dim for m in frame.members) - frame.ambient_dim
 
     def survives(removed) -> bool:
@@ -187,7 +187,7 @@ def reference_exhaustive_levels(frame, budget):
             break  # supersets of failing removals also fail
         certified = k
 
-    weight_rule = _weight_rule_level(frame.weights**2, A, budget, tol.eig_rel)
+    weight_rule = _weight_rule_level(frame, budget)
     if certified == 0:
         rule = "none"
     elif weight_rule >= certified:
@@ -390,6 +390,24 @@ def test_greedy_erasure_picks_without_exact_evaluations(seed, members, field, mo
     assert len(checks) <= 2
 
 
+@pytest.mark.parametrize("every", [1, 2])
+@pytest.mark.parametrize("seed", range(20))
+def test_greedy_erasure_without_closed_brackets(seed, every, monkeypatch):
+    # A bracket that does not close leaves that member's x_i unbounded on
+    # both sides, so the near-tie step evaluates it exactly.
+    calls = itertools.count()
+    bracket = fusion._secular_bracket
+    monkeypatch.setattr(
+        fusion, "_secular_bracket", lambda C, lam, delta: None if next(calls) % every == 0 else bracket(C, lam, delta)
+    )
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 13))
+    frame = random_fusion_frame(rng, n=n, members=n + 2, max_dim=2, field=(REAL, COMPLEX)[seed % 2])
+    budget = frame.member_count - 1
+    assert fusion._greedy_levels(frame, budget) == reference_greedy_levels(frame, budget)
+    assert next(calls) > 0
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_exhaustive_erasure_matches_per_subset_search(seed):
     assert_exhaustive_matches(seeded_frame(seed))
@@ -527,6 +545,39 @@ def test_exhaustive_erasure_without_a_gram_cutoff(monkeypatch):
     certificate = assert_exhaustive_matches(frame)
     assert sum(map(len, seen)) == 5 + 10  # every single removal and every pair; triples fail on their dimensions
     assert (certificate.certified, certificate.universal) == (2, 0)
+
+
+def weak_lines_frame(weight, copies=3):
+    """One line of weight 1 on ``e_0`` and ``copies`` lines of ``weight`` on ``e_1``: ``S = diag(1, copies weight^2)``."""
+    e = np.eye(2)
+    return fusion.build_fusion_frame([(e[:, [0]], 1.0)] + [(e[:, [1]], weight)] * copies, 2)
+
+
+@pytest.mark.parametrize("mode", ["exhaustive", "greedy"])
+def test_weight_rule_needs_the_spans_cutoff(mode, monkeypatch):
+    # S = diag(1, 1.2675e-10) is a frame, but each removal leaves
+    # lambda_min / lambda_max <= 8.5e-11 < rank_rel; the three weak lines
+    # erase a_1 = 4.2e-11 and a_2 = 8.5e-11, both below A.
+    frame = weak_lines_frame(6.5e-6)
+    seen = spy_exact_path(monkeypatch)
+    certificate = erasure_certificate(frame, mode=mode)
+    assert (certificate.certified, certificate.universal, certificate.weight_rule, certificate.rule) == (0, 0, 0, "none")
+    if mode == "exhaustive":
+        assert certificate == reference_exhaustive_levels(frame, certificate.budget)
+        # No Gram block certifies a removal; the four single removals fail
+        # on the exact path, and then so do all their supersets.
+        assert [len(H) for H in seen] == [4]
+    else:
+        assert (certificate.certified, certificate.universal) == reference_greedy_levels(frame, certificate.budget)
+
+
+@pytest.mark.parametrize("argv", [["erasure", "--exhaustive"], ["erasure", "--greedy"], ["analyze"]])
+def test_weight_rule_needs_the_spans_cutoff_in_the_cli(argv, tmp_path, capsys):
+    path = tmp_path / "weak.json"
+    path.write_text(FrameDocument.from_fusion_frame(weak_lines_frame(6.5e-6), None).to_json_text(), encoding="utf-8")
+    assert main([argv[0], str(path), *argv[1:]]) == 0
+    tree = json.loads(capsys.readouterr().out)
+    assert (tree["erasure"] if argv == ["analyze"] else tree)["weight_rule"] == 0
 
 
 def benchmark_shape_frame(seed, n, dims, field):

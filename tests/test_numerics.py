@@ -107,16 +107,12 @@ def _innermost_scopes(tree):
 def test_cutoff_policy_stays_in_numerics():
     """Outside ``numerics``, code names ``eig_rel`` or ``rank_rel`` only where it passes them on.
 
-    Those places are the ``--tol-eig`` plumbing, the tolerance echo in
-    the report, and the erasure search's shift and weight rule; every
-    other cutoff decision calls a ``Tolerance`` predicate.
+    Those places are the ``--tol-eig`` plumbing and the tolerance echo in
+    the report; every other cutoff decision calls a ``Tolerance`` predicate.
     """
     allowed = {
         ("cli.py", "_tolerance"),
         ("documents.py", "ReportDocument.from_analysis"),
-        ("fusion.py", "erasure_certificate"),
-        ("fusion.py", "_frames_left"),
-        ("fusion.py", "_weight_rule_level"),
     }
     found = set()
     for path in sorted(Path(ffk.__file__).parent.glob("*.py")):
