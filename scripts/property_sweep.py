@@ -30,8 +30,13 @@ For each generated frame the sweep checks:
     ``reference_redundancy_samples`` (quadratic forms of S1 at Haar unit
     vectors): the two-sample Kolmogorov-Smirnov distance between
     SAMPLING_LAW_SAMPLES independent draws of each is below
-    SAMPLING_LAW_KS_LIMIT.
-The near-cutoff frames and the last three checks import the test module,
+    SAMPLING_LAW_KS_LIMIT;
+  * on each generated frame with every weight set to 1 and its canonical
+    dual, ``alternate_dual_bounds``' exact ``observed`` range contains
+    ``reference_sampled_ratio`` (R_dual / R_frame at
+    ALTERNATE_RATIO_SAMPLES Haar unit vectors), and ``ratios_hold`` is
+    the claimed bracket's containment of ``reference_pencil``'s extremes.
+The near-cutoff frames and the last four checks import the test module,
 so they need the ``test`` extra (pytest).
 
 Usage:
@@ -45,7 +50,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ffk.duality import canonical_dual_fusion, verify_alternate_dual
+from ffk.duality import alternate_dual_bounds, canonical_dual_fusion, verify_alternate_dual
 from ffk.fusion import (
     EXHAUSTIVE_MEMBER_LIMIT,
     ErasureCertificate,
@@ -71,6 +76,7 @@ REFERENCE_MEMBER_LIMIT = 12  # the exhaustive reference runs one n x n eigvalsh 
 MAX_DIM = 6  # largest ambient dimension of the sampled frames
 SAMPLING_LAW_SAMPLES = 20_000
 SAMPLING_LAW_KS_LIMIT = 0.02  # exceeded by chance with probability about 7e-4 at this sample size
+ALTERNATE_RATIO_SAMPLES = 1000
 
 
 @dataclass(frozen=True)
@@ -106,11 +112,12 @@ def run_sweep(config: SweepConfig) -> dict:
     rng = np.random.default_rng(config.seed)
     checks = (
         "containment", "union_shift", "dual", "operator", "erasure",
-        "exhaustive_reference", "greedy_pick", "sampling_law",
+        "exhaustive_reference", "greedy_pick", "sampling_law", "alternate_ratio",
     )
     tallies = dict.fromkeys(checks, 0)
     failures = []
     small = []  # (index, frame, exhaustive certificate) of frames the exhaustive reference can afford
+    unit_weight = []  # (index, frame with every weight 1)
     for index in range(config.count):
         n = int(rng.integers(2, MAX_DIM + 1))
         frame = random_fusion_frame(rng, n=n, field=config.field)
@@ -150,13 +157,16 @@ def run_sweep(config: SweepConfig) -> dict:
                 failures.append((index, "erasure"))
             if frame.member_count <= REFERENCE_MEMBER_LIMIT:
                 small.append((index, frame, exhaustive))
+        unit_weight.append((index, FusionFrame([WeightedSubspace(m.subspace, 1.0) for m in frame.members], frame.tol)))
 
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
     from test_differential import (
         ks_distance,
         reference_exhaustive_levels,
         reference_greedy_levels,
+        reference_pencil,
         reference_redundancy_samples,
+        reference_sampled_ratio,
         weak_last_axis_frame,
         weak_lines_frame,
     )
@@ -182,6 +192,17 @@ def run_sweep(config: SweepConfig) -> dict:
             tallies["exhaustive_reference"] += 1
         else:
             failures.append((index, "exhaustive_reference"))
+
+    ratio_rng = np.random.default_rng([config.seed, 5])
+    for index, frame in unit_weight:
+        dual = canonical_dual_fusion(frame)
+        check = alternate_dual_bounds(frame, dual)
+        sampled = reference_sampled_ratio(frame, dual, ratio_rng, ALTERNATE_RATIO_SAMPLES)
+        exact_rule = frame.tol.within(reference_pencil(frame, dual)[0], check.lower, check.upper)
+        if frame.tol.within(sampled, *check.observed) and check.ratios_hold == exact_rule:
+            tallies["alternate_ratio"] += 1
+        else:
+            failures.append((index, "alternate_ratio"))
 
     library_rng = np.random.default_rng([config.seed, 1])
     for index in range(LIBRARY_FRAMES):

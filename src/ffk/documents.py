@@ -90,11 +90,8 @@ def _render(value, indent: int) -> str:
         if _all_numbers(value):
             return "[" + ", ".join(map(_format_number, value)) + "]"
         if all(isinstance(x, (list, tuple)) for x in value):
-            # a row of number lists, such as complex [re, im] pairs: one template, or one join, for the row
-            body = _float_lists(value, ",\n" + inner)
-            if body is None and _all_numbers(chain.from_iterable(value)):
-                body = (",\n" + inner).join("[" + ", ".join(map(_format_number, x)) + "]" for x in value)
-            if body is not None:
+            # a row of number lists, such as complex [re, im] pairs: one template for the row
+            if (body := _float_lists(value, ",\n" + inner)) is not None:
                 return "[\n" + inner + body + "\n" + pad + "]"
         body = ",\n".join(inner + _render(x, indent + 1) for x in value)
         return "[\n" + body + "\n" + pad + "]"

@@ -6,10 +6,10 @@ weighted Bessel family ``{(V_i, u_i)}`` satisfying the reconstruction
 identity ``x = sum_i u_i v_i P_{V_i} S^{-1} P_{W_i} x``.
 
 The ratio checks in this module compare pointwise redundancies of a
-frame and a dual against claimed multiplicative brackets.  Those
-brackets are reported as observations: sampled sweeps can and do land
-outside them for well-conditioned tight families, so a violation is a
-``holds: false`` for the caller to log, never an exception.
+frame and a dual against claimed multiplicative brackets, which exact
+extremes do leave (tight families among others): a violation is a
+``holds: false`` to log, never an exception.  :func:`alternate_dual_bounds`
+decides on exact extremes, :func:`canonical_ratio_bounds` on samples.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotADual, NotAFusionFrame, NotUniformWeights
+from .errors import NotADual, NotAFusionFrame, NotPositiveDefinite, NotUniformWeights
 from .fusion import FusionFrame, frame_bounds
 from .numerics import FrameBounds, quadratic_forms, sample_unit_vectors, solve_hermitian_positive
 
@@ -54,9 +54,10 @@ class DualBoundsCheck:
 
     ``floor`` is the guaranteed lower frame bound of the dual,
     ``dual_bounds`` its computed bounds, and ``bounds_hold`` whether the
-    guarantee is met.  ``lower``/``upper`` bracket the pointwise
-    redundancy ratio dual/frame with sampled ``observed`` extremes;
-    ``ratios_hold`` records containment and ``holds`` conjoins both.
+    guarantee is met.  ``observed`` holds the exact (min, max) of the
+    pointwise redundancy ratio dual/frame over the unit sphere;
+    ``ratios_hold`` records whether it lies in the claimed ``[lower,
+    upper]`` up to eigenvalue slack, and ``holds`` conjoins both.
     """
 
     floor: float
@@ -86,12 +87,15 @@ def canonical_dual_fusion(frame: FusionFrame) -> FusionFrame:
 
 
 def canonical_ratio_bounds(frame: FusionFrame, rng: np.random.Generator, samples: int = 1000) -> RatioBoundsCheck:
-    """Sweep the pointwise ratio R_frame / R_dual against [A^3/B, B^3/A].
+    """Sweep the pointwise ratio R_frame / R_dual against the claimed bracket [A^3/B, B^3/A].
 
-    Stated for families with unit weights.  The bracket is a claimed
-    one: tight non-Parseval families provably sit at ratio 1 while the
-    bracket degenerates to {A^2}, so ``holds`` is an observation, not an
-    invariant.
+    Stated for families with unit weights.  The bracket is a claim: tight
+    non-Parseval families sit at ratio 1 while it degenerates to {A^2}, and
+    exact extremes leave it on generic frames too, so ``holds`` is an
+    observation.  What follows is ``[(A/B)^2, (B/A)^2]``: Gavruta's ``P_W U*
+    P_{UW} = P_W U*`` for ``U = S^-1``, and its mirror for ``U^-1``, give
+    ``A^2 <S^-1 x, x> <= R_dual(x) <= B^2 <S^-1 x, x>``, with ``<S^-1 x, x>``
+    in ``[1/B, 1/A]`` and ``R_frame(x)`` in ``[A, B]``.
     """
     _require_uniform_one(frame, "the canonical ratio bracket")
     bounds = frame_bounds(frame)
@@ -142,40 +146,50 @@ def verify_alternate_dual(frame: FusionFrame, candidate: FusionFrame) -> DualCer
     )
 
 
-def alternate_dual_bounds(
-    frame: FusionFrame, dual: FusionFrame, rng: np.random.Generator, samples: int = 1000
-) -> DualBoundsCheck:
-    """Check a verified dual's bounds and redundancy ratio brackets.
+def alternate_dual_bounds(frame: FusionFrame, dual: FusionFrame) -> DualBoundsCheck:
+    """Check a verified dual's bounds and its exact redundancy ratio extremes.
 
-    The dual's lower frame bound is guaranteed to be at least
-    ``1 / (B ||S^-1||^2)``; that check is an invariant.  The pointwise
-    ratio R_dual / R_frame is swept against the claimed bracket
-    ``[1 / ||S^-1||^2, C / A]`` (``C`` the dual's Bessel bound), which
-    degenerates for tight non-Parseval self-dual families; containment
-    is therefore reported.
+    The dual's lower frame bound is at least ``floor = 1 / (B ||S^-1||^2)``,
+    an invariant: the adjoint of the reconstruction identity is ``x =
+    sum_i u_i v_i P_{W_i} S^-1 P_{V_i} x``, so by Cauchy-Schwarz ``||x||^2
+    <= ||S^-1|| (sum_i u_i^2 ||P_{V_i} x||^2)^(1/2) (B ||x||^2)^(1/2)``.
+    With unit weights ``R_dual / R_frame`` is a quotient of Hermitian forms
+    whose extremes (Courant-Fischer) are the extreme eigenvalues of ``L^-1
+    S1_dual L^-*`` for any ``S1_frame = L L*``: here ``L = R*`` from the QR
+    factor ``Q* = Z R`` of the stacked bases, and they are the squared
+    singular values of ``L^-1 Q_dual``, so roundoff grows with ``sqrt(cond
+    S1)``, not ``cond S1``.  The bracket ``[1 / ||S^-1||^2, C / A]`` (``C``
+    the dual's Bessel bound) is a claim: its upper end holds, as ``R_dual
+    <= C`` and ``R_frame >= A``, but the floor gives only ``A^2 / B^2`` for
+    the lower one, and on tight families with ``A > 1`` the claimed lower
+    end exceeds the upper one; containment is reported.
     """
     certificate = verify_alternate_dual(frame, dual)
     if not certificate.is_dual:
         raise NotADual(f"reconstruction residual {certificate.residual:.3e} exceeds tolerance")
     _require_uniform_one(frame, "the dual ratio bracket")
     _require_uniform_one(dual, "the dual ratio bracket")
-    bounds = frame_bounds(frame)
-    A, B = bounds.lower, bounds.upper
+    A, B = frame._operator_range  # a frame: verify_alternate_dual checked
     inv_norm = 1.0 / A  # ||S^-1|| for the weighted operator
     floor = 1.0 / (B * inv_norm**2)
     dual_bounds = frame_bounds(dual)
     bounds_hold = frame.tol.within(dual_bounds.lower, floor, np.inf)
-    X = sample_unit_vectors(rng, frame.ambient_dim, samples, frame.field)
-    ratios = quadratic_forms(X, dual.normalized_operator) / quadratic_forms(X, frame.normalized_operator)
+    R = np.linalg.qr(frame.bases.conj().T, mode="r")  # S1_frame = Q Q* = R* R
+    try:
+        scaled = np.linalg.solve(R.conj().T, dual.bases)  # L^-1 Q_dual
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefinite("the frame's S1 is singular") from exc
+    ratios = np.linalg.svd(scaled, compute_uv=False) ** 2
+    observed = (float(ratios[-1]), float(ratios[0]))
     lower = 1.0 / inv_norm**2
     upper = certificate.bessel_bound / A
-    ratios_hold = frame.tol.within(ratios, lower, upper)
+    ratios_hold = frame.tol.within(observed, lower, upper)
     return DualBoundsCheck(
         floor=floor,
         dual_bounds=dual_bounds,
         bounds_hold=bounds_hold,
         lower=lower,
-        observed=(float(ratios.min()), float(ratios.max())),
+        observed=observed,
         upper=upper,
         ratios_hold=ratios_hold,
         holds=bounds_hold and ratios_hold,

@@ -10,7 +10,9 @@ in chunks on blocks of one Gram matrix, and converts each block of
 document rows with one array call.  Redundancy samples come from sphere
 weights and the cached spectrum of ``S1``, not from quadratic forms of
 ``S1`` at sampled vectors; they keep the law of the reference, not its
-values.
+values.  The redundancy ratio of a dual pair is reported as its exact
+extremes and redundancy equivalence is decided on the operators alone;
+the sampled sweeps they replaced must stay inside those answers.
 The ``Tolerance`` cutoff predicates are checked against the comparisons
 that were written out at each of their call sites.  Vector frames keep
 ``S``, the normalized operator and the canonical dual's vectors, and a
@@ -34,8 +36,8 @@ from hypothesis import strategies as st
 from ffk import fusion
 from ffk.cli import main
 from ffk.documents import FrameDocument, _expect_list, _parse_entry, _parse_rows, canonical_json
-from ffk.duality import canonical_dual_fusion, verify_alternate_dual
-from ffk.errors import DimensionMismatch, LocalNotParseval, ParseError
+from ffk.duality import alternate_dual_bounds, canonical_dual_fusion, verify_alternate_dual
+from ffk.errors import DimensionMismatch, LocalNotParseval, NotADual, ParseError
 from ffk.fusion import (
     ErasureCertificate,
     FusionFrame,
@@ -45,6 +47,7 @@ from ffk.fusion import (
     erasure_certificate,
     excess,
     redundancy_at,
+    redundancy_equivalent,
     redundancy_range,
     redundancy_samples,
 )
@@ -744,6 +747,100 @@ def test_redundancy_samples_reject_bad_counts_like_the_reference(count):
     assert str(expected.value) == message
     with pytest.raises(DimensionMismatch, match=message):
         redundancy_samples(frame, np.random.default_rng(0), count)
+
+
+def unit_weight_frame(seed):
+    """A random fusion frame of dimension 2-16, the field alternating with the seed, every weight 1."""
+    rng = np.random.default_rng(seed)
+    frame = random_fusion_frame(rng, n=int(rng.integers(2, 17)), field=(REAL, COMPLEX)[seed % 2])
+    return FusionFrame([WeightedSubspace(m.subspace, 1.0) for m in frame.members], frame.tol)
+
+
+def near_singular_unit_weight_frame(seed, eta):
+    """:func:`unit_weight_frame` with every subspace squeezed by ``eta`` along one random direction."""
+    frame = unit_weight_frame(seed)
+    U = random_unitary(np.random.default_rng([seed, 1]), frame.ambient_dim, frame.field)
+    squeeze = (U * np.append(np.ones(frame.ambient_dim - 1), eta)) @ U.conj().T
+    members = [WeightedSubspace(Subspace.from_span(squeeze @ m.subspace.basis), 1.0) for m in frame.members]
+    return FusionFrame(members, frame.tol)
+
+
+def reference_redundancy(frame, x):
+    """``sum_i ||P_i x||^2 = ||Q* x||^2`` at a unit ``x``: a sum of squares, accurate where ``x* S1 x`` is small."""
+    return float(np.sum(np.abs(frame.bases.conj().T @ x) ** 2))
+
+
+def reference_pencil(frame, dual):
+    """Extremes of ``R_dual / R_frame`` and unit vectors attaining them, from the SVD of the frame's stacked bases.
+
+    ``Q = U diag(sigma) V*`` gives ``S1_frame = L L*`` with ``L = U
+    diag(sigma)``; the pencil's eigenvalues are the squared singular values
+    of ``L^-1 Q_dual = W diag(s) Z*``, and its eigenvectors are ``L^-* W``.
+    """
+    U, sigma, _ = np.linalg.svd(frame.bases, full_matrices=False)
+    W, s, _ = np.linalg.svd((U.conj().T @ dual.bases) / sigma[:, None], full_matrices=False)
+    X = U @ (W / sigma[:, None])
+    X /= np.linalg.norm(X, axis=0)
+    return (s[-1] ** 2, s[0] ** 2), X[:, -1], X[:, 0]
+
+
+def reference_sampled_ratio(frame, dual, rng, count):
+    """The sweep ``alternate_dual_bounds`` replaced: ``R_dual / R_frame`` at ``count`` Haar unit vectors."""
+    X = sample_unit_vectors(rng, frame.ambient_dim, count, frame.field)
+    return quadratic_forms(X, dual.normalized_operator) / quadratic_forms(X, frame.normalized_operator)
+
+
+def reference_sampled_equivalence_gap(a, b, X):
+    """The check ``redundancy_equivalent`` dropped: the largest gap between the redundancies of ``a`` and ``b`` at
+    the unit rows of ``X``, and the bound it must respect, ``||Sa - Sb||_2`` plus the roundoff of two quadratic forms."""
+    Sa, Sb = a.normalized_operator, b.normalized_operator
+    gap = np.abs(quadratic_forms(X, Sa) - quadratic_forms(X, Sb)).max()
+    roundoff = 4 * (a.ambient_dim + 2) * np.finfo(float).eps * (np.linalg.norm(Sa) + np.linalg.norm(Sb))
+    return gap, np.linalg.norm(Sa - Sb, 2) + roundoff
+
+
+def assert_ratio_extremes_match(frame, dual, seed):
+    check = alternate_dual_bounds(frame, dual)
+    ends, x_low, x_high = reference_pencil(frame, dual)
+    slack = 1e-12 * np.abs(ends).max()
+    assert np.abs(np.subtract(check.observed, ends)).max() <= slack
+    attained = [reference_redundancy(dual, x) / reference_redundancy(frame, x) for x in (x_low, x_high)]
+    assert np.abs(np.subtract(check.observed, attained)).max() <= slack
+    assert frame.tol.within(reference_sampled_ratio(frame, dual, np.random.default_rng(seed), 1000), *check.observed)
+    assert check.ratios_hold == frame.tol.within(ends, check.lower, check.upper)
+
+
+@pytest.mark.parametrize("seed", range(300))
+def test_dual_ratio_extremes_are_the_pencil_extremes(seed):
+    frame = unit_weight_frame(seed)
+    assert_ratio_extremes_match(frame, canonical_dual_fusion(frame), seed)
+
+
+@pytest.mark.parametrize("eta", [1e-1, 1e-2, 1e-3])
+@pytest.mark.parametrize("seed", range(12))
+def test_dual_ratio_extremes_on_near_singular_frames(seed, eta):
+    # S1's condition number reaches about 7e5; where the canonical dual fails
+    # its reconstruction check the answer is NotADual, never a numpy error.
+    frame = near_singular_unit_weight_frame(seed, eta)
+    dual = canonical_dual_fusion(frame)
+    if verify_alternate_dual(frame, dual).is_dual:
+        assert_ratio_extremes_match(frame, dual, seed)
+    else:
+        with pytest.raises(NotADual):
+            alternate_dual_bounds(frame, dual)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_equivalent_families_keep_sampled_redundancies_within_the_operator_gap(seed):
+    rng = np.random.default_rng(seed)
+    frame = random_fusion_frame(rng, n=int(rng.integers(2, 17)))
+    order = rng.permutation(frame.member_count)
+    weights = rng.uniform(0.2, 5.0, frame.member_count)
+    permuted = FusionFrame([WeightedSubspace(frame.members[i].subspace, w) for i, w in zip(order, weights)], frame.tol)
+    assert redundancy_equivalent(frame, permuted)
+    X = sample_unit_vectors(rng, frame.ambient_dim, 256, frame.field)
+    gap, bound = reference_sampled_equivalence_gap(frame, permuted, X)
+    assert gap <= bound
 
 
 @pytest.mark.parametrize("field", [REAL, COMPLEX])

@@ -13,6 +13,7 @@ from ffk.duality import (
 from ffk.errors import (
     NotADual,
     NotAFusionFrame,
+    NotPositiveDefinite,
     NotUniformWeights,
 )
 from ffk.fusion import (
@@ -29,6 +30,7 @@ from ffk.generators import (
     random_tight_uniform_fusion_frame,
 )
 from ffk.numerics import REAL
+from test_differential import reference_pencil, unit_weight_frame
 
 
 def with_unit_weights(frame: FusionFrame) -> FusionFrame:
@@ -136,6 +138,20 @@ class TestCanonicalRatioBounds:
         assert check.observed[0] == pytest.approx(1.0, abs=1e-9)
         assert not check.holds
 
+    def test_exact_extremes_leave_the_claimed_bracket(self):
+        # The sample misses what the exact range of R_frame / R_dual shows:
+        # its minimum lies below A^3/B.  The range stays in [(A/B)^2, (B/A)^2].
+        frame = unit_weight_frame(213)
+        A, B = frame_bounds(frame).lower, frame_bounds(frame).upper
+        check = canonical_ratio_bounds(frame, np.random.default_rng(0), samples=1000)
+        assert (check.lower, check.upper, check.holds) == (pytest.approx(A**3 / B), pytest.approx(B**3 / A), True)
+        assert check.observed == pytest.approx((0.4717688284234134, 2.0030674926237477), rel=1e-9)
+        (dual_low, dual_high), _, _ = reference_pencil(frame, canonical_dual_fusion(frame))
+        low, high = 1 / dual_high, 1 / dual_low  # the range of R_frame / R_dual
+        assert low == pytest.approx(0.39351485020963534, rel=1e-9) and low < check.lower
+        assert frame.tol.within((low, high), (A / B) ** 2, (B / A) ** 2)
+        assert frame.tol.within(check.observed, low, high)
+
 
 class TestAlternateDualBounds:
     def test_floor_invariant_on_generic_unit_weight_frames(self, rng):
@@ -145,7 +161,7 @@ class TestAlternateDualBounds:
             if not frame.is_frame:
                 continue
             dual = canonical_dual_fusion(frame)
-            check = alternate_dual_bounds(frame, dual, rng, samples=300)
+            check = alternate_dual_bounds(frame, dual)
             assert check.bounds_hold
             bounds = frame_bounds(frame)
             assert check.floor == pytest.approx(
@@ -156,14 +172,14 @@ class TestAlternateDualBounds:
 
     def test_orthonormal_fusion_basis_self_dual_holds_everywhere(self, rng):
         frame = random_orthogonal_decomposition(rng, 4, parts=2)
-        check = alternate_dual_bounds(frame, frame, rng, samples=200)
+        check = alternate_dual_bounds(frame, frame)
         assert check.holds
         assert check.bounds_hold and check.ratios_hold
         assert check.floor == pytest.approx(1.0, abs=1e-9)
 
     def test_tight_self_dual_ratio_bracket_degenerates(self, rng):
         frame = random_tight_uniform_fusion_frame(rng, n=4, layers=2)
-        check = alternate_dual_bounds(frame, frame, rng, samples=200)
+        check = alternate_dual_bounds(frame, frame)
         assert check.bounds_hold
         assert not check.ratios_hold
         assert not check.holds
@@ -171,13 +187,35 @@ class TestAlternateDualBounds:
         assert check.upper == pytest.approx(1.0, abs=1e-8)
         assert check.observed[0] == pytest.approx(1.0, abs=1e-8)
 
+    def test_exact_extremes_leave_the_claimed_lower_end(self):
+        # [1/||S^-1||^2, C/A] is a claim: the exact minimum of R_dual / R_frame
+        # falls below A^2 on this non-tight frame, while the derived upper end
+        # C/A and lower end A^2/B^2 hold.
+        frame = with_unit_weights(random_fusion_frame(np.random.default_rng(0), n=4, field=REAL))
+        check = alternate_dual_bounds(frame, canonical_dual_fusion(frame))
+        A, B = frame_bounds(frame).lower, frame_bounds(frame).upper
+        assert check.lower == pytest.approx(A**2) and check.observed[0] < check.lower / 2
+        assert (A / B) ** 2 <= check.observed[0] <= check.observed[1] <= check.upper
+        assert check.bounds_hold and not check.ratios_hold
+
+    def test_singular_factor_is_a_frame_error(self, monkeypatch):
+        frame = unit_weight_frame(0)
+        dual = canonical_dual_fusion(frame)
+
+        def singular(*args):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        with pytest.raises(NotPositiveDefinite):
+            alternate_dual_bounds(frame, dual)
+
     def test_non_dual_rejected(self, rng):
         frame = with_unit_weights(random_fusion_frame(rng, n=4, members=5, field=REAL))
         other = with_unit_weights(random_fusion_frame(rng, n=4, members=5, field=REAL))
         if verify_alternate_dual(frame, other).is_dual:
             pytest.skip("random families happened to be dual")
         with pytest.raises(NotADual):
-            alternate_dual_bounds(frame, other, rng)
+            alternate_dual_bounds(frame, other)
 
 
 def test_one_solve_per_dual_operation(monkeypatch, rng):
