@@ -5,7 +5,8 @@ For each generated frame the sweep checks:
   * sampled redundancy values stay inside the computed extremes,
   * adjoining an orthonormal fusion basis shifts both extremes by one,
   * the canonical dual satisfies the reconstruction identity,
-  * invertible images respect the conditioning brackets,
+  * invertible images, of condition log-uniform in [1, 100], respect the
+    conditioning brackets,
   * for frames with at most 22 members, the greedy and exhaustive
     erasure certificates bracket each other soundly: greedy certified
     <= exhaustive certified, exhaustive universal <= greedy universal,
@@ -142,7 +143,7 @@ def run_sweep(config: SweepConfig) -> dict:
         else:
             failures.append((index, "dual"))
 
-        operator = random_invertible(rng, n, frame.field, condition=float(rng.uniform(1, 10)))
+        operator = random_invertible(rng, n, frame.field, condition=float(10 ** rng.uniform(0, 2)))
         outcome = operator_image_report(frame, operator)
         if outcome.bounds_hold and outcome.redundancy_holds:
             tallies["operator"] += 1

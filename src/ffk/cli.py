@@ -1,10 +1,11 @@
 """Command-line driver.
 
 Subcommands operate on frame documents (see :mod:`ffk.documents`) and
-print canonical JSON to stdout.  Failures are reported as a one-line
-JSON object on stderr with exit code 1; ``analyze`` exits with code 2
-when the family is Bessel-only (an upper bound exists but no positive
-lower one).
+print canonical JSON to stdout.  Failures, usage errors included, are
+reported as a one-line JSON object on stderr with exit code 1;
+``analyze`` exits with code 2 when the family is Bessel-only (an upper
+bound exists but no positive lower one).  The analysis tolerances are
+the defaults and the report echoes them.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .fusion import (
     operator_image_report,
     redundancy_at,
 )
-from .numerics import DEFAULT_TOLERANCE, Tolerance, sample_unit_vectors
+from .numerics import sample_unit_vectors
 from .systems import (
     check_local_additivity,
     parseval_equivalences,
@@ -51,10 +52,6 @@ def _fail(exc: Exception) -> int:
     return 1
 
 
-def _tolerance(args) -> Tolerance:
-    return DEFAULT_TOLERANCE if args.tol_eig is None else Tolerance(eig_rel=args.tol_eig)
-
-
 def _write_or_print(text: str, out: str | None) -> None:
     if out:
         with open(out, "w", encoding="utf-8") as handle:
@@ -66,8 +63,7 @@ def _write_or_print(text: str, out: str | None) -> None:
 # --- subcommands -------------------------------------------------------------
 
 def _cmd_analyze(args) -> int:
-    tol = _tolerance(args)
-    frame, _ = load_frame(args.frame, tol)
+    frame, _ = load_frame(args.frame)
     report = classify(frame)
     erasure = None
     if frame.is_frame and frame.member_count <= ANALYZE_ERASURE_MEMBER_LIMIT:
@@ -77,7 +73,7 @@ def _cmd_analyze(args) -> int:
     document = ReportDocument.from_analysis(
         report,
         seed=args.seed,
-        tol=tol,
+        tol=frame.tol,
         erasure=erasure,
         sampled_checks=sampled_consistency_checks(frame, args.seed),
     )
@@ -183,8 +179,15 @@ def _cmd_example(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors end like every other failure: one JSON line on stderr, exit 1."""
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ffk",
         description="Analyze finite fusion frames: bounds, redundancy, duals, erasures.",
     )
@@ -194,7 +197,6 @@ def _build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("frame")
     analyze.add_argument("--report", help="also write the report to this path")
     analyze.add_argument("--seed", type=int, default=0)
-    analyze.add_argument("--tol-eig", type=float, dest="tol_eig", default=None)
     analyze.set_defaults(handler=_cmd_analyze)
 
     redundancy = sub.add_parser("redundancy", help="pointwise redundancy at a unit vector")
@@ -245,8 +247,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         # Overflow and invalid values end in NonFiniteEntries or a ValueError, so numpy need not warn too.
         with np.errstate(all="ignore"):
             return args.handler(args)

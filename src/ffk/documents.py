@@ -10,7 +10,8 @@ the field's dtype, one vector per row; ``_parse_rows`` and ``_rows_tree``
 convert JSON rows to and from it.  Serialization is canonical: fixed key
 order, two-space indentation, and floats printed with 17 significant
 digits so every double round-trips exactly and equal documents emit
-byte-identical text.
+byte-identical text.  Report documents are write-only: ``ffk analyze``
+renders them, and nothing reads one back.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from . import __version__
 from .errors import MemberCountMismatch, NonPositiveWeight, ParseError, SchemaVersionUnsupported
 from .fusion import AnalysisReport, ErasureCertificate, FusionFrame, build_fusion_frame
 from .gallery import example_frame
-from .numerics import COMPLEX, DEFAULT_TOLERANCE, REAL, Tolerance, _read_only, quadratic_forms, sample_unit_vectors
+from .numerics import COMPLEX, REAL, Tolerance, _read_only, quadratic_forms, sample_unit_vectors
 from .systems import FusionFrameSystem, build_system
 
 SCHEMA_VERSION = "ffk/1"
@@ -309,18 +310,18 @@ class FrameDocument:
 
     # -- realization -------------------------------------------------------
 
-    def build(self, tol: Tolerance = DEFAULT_TOLERANCE) -> tuple[FusionFrame, FusionFrameSystem | None]:
+    def build(self) -> tuple[FusionFrame, FusionFrameSystem | None]:
         spans = [(member.vectors.T, member.weight) for member in self.subspaces]
-        frame = build_fusion_frame(spans, self.dimension, tol)
+        frame = build_fusion_frame(spans, self.dimension)
         system = None if self.local_frames is None else build_system(frame, self.local_frames)
         return frame, system
 
 
-def load_frame(path, tol: Tolerance = DEFAULT_TOLERANCE) -> tuple[FusionFrame, FusionFrameSystem | None]:
+def load_frame(path) -> tuple[FusionFrame, FusionFrameSystem | None]:
     """Read a frame document and realize it (frame plus optional system)."""
     with open(path, "r", encoding="utf-8") as handle:
         text = handle.read()
-    return FrameDocument.from_json_text(text).build(tol)
+    return FrameDocument.from_json_text(text).build()
 
 
 def _load_entries(path, key: str) -> list:
@@ -389,46 +390,6 @@ class ReportDocument:
                 "sampled_checks": dict(sampled_checks) if sampled_checks is not None else None,
             }
         )
-
-    @classmethod
-    def from_json_text(cls, text: str) -> "ReportDocument":
-        root = _expect_dict(_json_tree(text), "report")
-        bounds = _expect_dict(root.get("bounds"), "bounds")
-        redundancy = tuple(
-            _expect_number(value, f"redundancy_range[{i}]")
-            for i, value in enumerate(_expect_list(root.get("redundancy_range"), "redundancy_range"))
-        )
-        if len(redundancy) != 2:
-            raise ParseError(f"redundancy_range: expected 2 numbers, got {len(redundancy)}")
-        flags = _expect_dict(root.get("flags"), "flags")
-        erasure, sampled = root.get("erasure"), root.get("sampled_checks")
-        erasure = None if erasure is None else _expect_dict(erasure, "erasure")
-        sampled = None if sampled is None else _expect_dict(sampled, "sampled_checks")
-        lower = None if bounds.get("lower") is None else _expect_number(bounds["lower"], "bounds.lower")
-        upper = _expect_number(bounds.get("upper"), "bounds.upper")
-        excess = _expect_int(root.get("excess"), "excess")
-        seed = _expect_int(root.get("seed"), "seed")
-        tolerances = {
-            name: _expect_number(value, f"tolerances.{name}")
-            for name, value in _expect_dict(root.get("tolerances"), "tolerances").items()
-        }
-        return cls(
-            {
-                "tool_version": str(root.get("tool_version")),
-                "seed": seed,
-                "tolerances": tolerances,
-                "bounds": {"lower": lower, "upper": upper},
-                "redundancy_range": redundancy,
-                "flags": {name: bool(flags.get(name)) for name in FLAG_ORDER},
-                "excess": excess,
-                "erasure": erasure,
-                "sampled_checks": sampled,
-            }
-        )
-
-    def to_tree(self) -> dict:
-        """The stored tree itself, not a copy."""
-        return self.tree
 
     def to_json_text(self) -> str:
         return canonical_json(self.tree)

@@ -45,7 +45,6 @@ from .numerics import (
 )
 from .vector_frames import _as_unit_vector
 
-ORTHONORMALITY_TOL = 1e-10
 SUBSPACE_ANGLE_TOL = 1e-8
 EXHAUSTIVE_MEMBER_LIMIT = 22
 ERASURE_CHUNK_BYTES = 1 << 17  # each (rows, s, s) stack of one exhaustive-search chunk: s = k d_max for G_JJ, n for S_J
@@ -60,7 +59,7 @@ class Subspace:
             raise DimensionMismatch(f"basis must be n x d with 1 <= d <= n, got shape {B.shape}")
         _require_finite(B, "basis")
         gram_defect = np.abs(B.conj().T @ B - np.eye(B.shape[1])).max()
-        if gram_defect > ORTHONORMALITY_TOL:
+        if not DEFAULT_TOLERANCE.negligible(gram_defect, 1.0):
             raise DimensionMismatch(f"basis columns are not orthonormal (defect {gram_defect:.3e})")
         self.basis = _read_only(B.astype(np.complex128 if np.iscomplexobj(B) else np.float64))
 
@@ -835,7 +834,13 @@ class OperatorImageReport:
     The invertible image of a fusion frame has bounds within the
     conditioning bracket ``[A / k^2, B k^2]`` with ``k = ||U|| ||U^-1||``,
     and each redundancy extreme moves by at most a factor ``k^2`` in
-    either direction.
+    either direction.  Both follow from ``P_W U* P_UW = P_W U*``
+    (Gavruta, 2007): ``||P_W U* x|| <= ||U|| ||P_UW x||``, and for ``U^-1``,
+    which maps ``UW`` onto ``W``, ``||P_UW x|| <= ||U^-1|| ||P_W U* x||``.
+    With ``y = U* x``, ``||x|| / ||U^-1|| <= ||y|| <= ||U|| ||x||``, so the
+    weighted sums over the members give ``A / k^2 <= A' <= B' <= B k^2``,
+    and the unweighted ones put ``R'(x)`` within a factor ``k^2`` of
+    ``R(y / ||y||)``, where ``y / ||y||`` covers the unit sphere.
     """
 
     image: FusionFrame

@@ -9,7 +9,8 @@ of a Haar unit vector's coordinates).  Every cutoff decision in the
 package is a :class:`Tolerance` predicate: ``rank``, ``spans`` (through
 ``floor``) and ``negligible`` apply ``rank_rel``; ``flat``, ``near``,
 ``parseval`` and ``within`` apply ``eig_rel``; ``reconstructs`` applies
-``recon_abs``.
+``recon_abs``.  Orthonormal bases and unit vectors are checked by
+``DEFAULT_TOLERANCE.negligible`` at scale 1.
 Scale rule: a cutoff is relative to the scale of what it decides (the
 largest singular or eigenvalue or bracket end, a family's largest norm),
 so results are invariant under rescaling; only ``near`` (quantities of
@@ -119,13 +120,6 @@ class FrameBounds:
                 raise ValueError(f"lower bound must be positive and finite, got {self.lower!r}")
             if self.lower > self.upper:
                 raise ValueError(f"bounds out of order: {self.lower!r} > {self.upper!r}")
-
-    @property
-    def ratio(self) -> float:
-        """Condition ratio upper/lower; requires a positive lower bound."""
-        if self.lower is None:
-            raise ValueError("Bessel-only bounds have no condition ratio")
-        return self.upper / self.lower
 
 
 def field_of(array: np.ndarray) -> str:

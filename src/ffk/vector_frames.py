@@ -33,8 +33,6 @@ from .numerics import (
     _require_finite,
 )
 
-UNIT_NORM_TOL = 1e-10
-
 
 class VectorFrame:
     """A finite family of nonzero vectors in a fixed ambient space.
@@ -129,8 +127,8 @@ def _as_unit_vector(x, dim: int) -> np.ndarray:
     if v.shape != (dim,):
         raise DimensionMismatch(f"expected a vector of dimension {dim}, got shape {v.shape}")
     _require_finite(v, "vector")
-    if abs(np.linalg.norm(v) - 1.0) > UNIT_NORM_TOL:
-        raise NotUnitVector(f"||x|| = {float(np.linalg.norm(v))!r} is not 1 within {UNIT_NORM_TOL}")
+    if not DEFAULT_TOLERANCE.negligible(abs(np.linalg.norm(v) - 1.0), 1.0):
+        raise NotUnitVector(f"||x|| = {float(np.linalg.norm(v))!r} is not 1 within {DEFAULT_TOLERANCE.floor(1.0)}")
     return v
 
 
@@ -251,7 +249,10 @@ def dual_redundancy_sandwich(frame: VectorFrame) -> SandwichCheck:
 
     With ``k`` the condition ratio of the frame operator, each extreme
     of the canonical dual's redundancy lies within a factor ``k^2`` of
-    the corresponding extreme for the frame itself.
+    the corresponding extreme for the frame itself.  The dual's lines are
+    ``S^-1 W_i`` for the frame's lines ``W_i``, so this is the rank-one case
+    of :class:`ffk.fusion.OperatorImageReport`'s bracket with ``U = S^-1``,
+    whose ``||U|| ||U^-1||`` is ``B / A``.
     """
     if not frame.is_frame:
         raise NotAFrame("only spanning families have a canonical dual")

@@ -26,6 +26,15 @@ def run(capsys):
     return _run
 
 
+def assert_usage_error(outcome):
+    """A usage error ends like any failure: exit 1, nothing on stdout, one JSON line on stderr."""
+    code, stdout, stderr = outcome
+    assert (code, stdout) == (1, "")
+    assert stderr.count("\n") == 1
+    error = json.loads(stderr)["error"]
+    assert error["type"] == "ValueError" and error["message"].startswith("ffk")
+
+
 @pytest.fixture
 def frame_file(tmp_path):
     def _write(name, n=None, filename="frame.json"):
@@ -142,10 +151,6 @@ class TestAnalyze:
         _, stdout, _ = run("analyze", frame_file("7.1-V", 4), "--seed", "42")
         assert json.loads(stdout)["seed"] == 42
 
-    def test_tolerance_override_recorded(self, run, frame_file):
-        _, stdout, _ = run("analyze", frame_file("7.2", 3), "--tol-eig", "1e-6")
-        assert json.loads(stdout)["tolerances"]["eig_rel"] == pytest.approx(1e-6)
-
     def test_bessel_only_exits_two(self, run, bessel_file):
         code, stdout, _ = run("analyze", bessel_file)
         assert code == 2
@@ -249,9 +254,8 @@ class TestDual:
         assert json.loads(stderr)["error"]["type"] == "DimensionMismatch"
         assert not out.exists()
 
-    def test_canonical_flag_required(self, frame_file):
-        with pytest.raises(SystemExit):
-            main(["dual", frame_file("7.3")])
+    def test_canonical_flag_required(self, run, frame_file):
+        assert_usage_error(run("dual", frame_file("7.3")))
 
 
 class TestVerifyDual:
@@ -295,9 +299,8 @@ class TestErasure:
         assert code == 0
         assert json.loads(stdout)["mode"] == "greedy"
 
-    def test_modes_are_mutually_exclusive(self, frame_file):
-        with pytest.raises(SystemExit):
-            main(["erasure", frame_file("7.3"), "--exhaustive", "--greedy"])
+    def test_modes_are_mutually_exclusive(self, run, frame_file):
+        assert_usage_error(run("erasure", frame_file("7.3"), "--exhaustive", "--greedy"))
 
     def test_bessel_only_rejected(self, run, bessel_file):
         code, _, stderr = run("erasure", bessel_file, "--budget", "1")
@@ -411,9 +414,18 @@ class TestSystem:
 
 
 class TestParserBasics:
-    def test_no_arguments_is_a_usage_error(self):
-        with pytest.raises(SystemExit):
-            main([])
+    def test_no_arguments_is_a_usage_error(self, run):
+        assert_usage_error(run())
+
+    @pytest.mark.parametrize("argv", [["analyze"], ["analyze", "f", "--tol-eig", "1e-6"]], ids=["no-frame", "tol-eig"])
+    def test_bad_arguments_are_usage_errors(self, run, argv):
+        assert_usage_error(run(*argv))
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as caught:
+            main(["analyze", "--help"])
+        assert caught.value.code == 0
+        assert "--seed" in capsys.readouterr().out
 
     def test_stderr_errors_are_single_line_json(self, run):
         code, _, stderr = run("example", "--name", "8.1")

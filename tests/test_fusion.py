@@ -48,8 +48,10 @@ from ffk.generators import (
     random_subspace,
     random_tight_uniform_fusion_frame,
     random_unitary,
+    random_vector_frame,
 )
 from ffk.numerics import COMPLEX, REAL, Tolerance, sample_unit_vectors
+from ffk.vector_frames import canonical_dual, dual_redundancy_sandwich, vector_redundancy_range
 from test_differential import reference_sampled_equivalence_gap
 
 
@@ -508,6 +510,26 @@ class TestOperatorImages:
             report = operator_image_report(frame, op)
             assert report.bounds_hold
             assert report.redundancy_holds
+
+    @pytest.mark.parametrize("seed", range(300))
+    def test_derived_brackets_hold_on_seeded_sweep(self, seed):
+        """The ``k^2`` brackets of ``OperatorImageReport``, and of its rank-one case ``U = S^-1``, hold."""
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 9))
+        frame = random_fusion_frame(rng, n=n)
+        report = operator_image_report(frame, random_invertible(rng, n, frame.field, condition=10 ** rng.uniform(0, 3)))
+        assert report.bounds_hold and report.redundancy_holds
+        assert dual_redundancy_sandwich(random_vector_frame(rng, n=n)).holds
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_canonical_dual_lines_are_the_image_under_the_inverse_operator(self, seed):
+        """``dual_redundancy_sandwich`` is ``operator_image_report`` on the frame's lines with ``U = S^-1``."""
+        vectors = random_vector_frame(np.random.default_rng(seed))
+        lines = build_fusion_frame([(column[:, None], 1.0) for column in vectors.matrix.T], vectors.ambient_dim)
+        report = operator_image_report(lines, np.linalg.inv(vectors.operator))
+        check = dual_redundancy_sandwich(vectors)
+        assert report.condition == pytest.approx(check.upper**0.5, rel=1e-9)
+        assert report.image_redundancy == pytest.approx(vector_redundancy_range(canonical_dual(vectors)), rel=1e-9)
 
     def test_singular_operator_rejected(self, rng):
         frame = random_fusion_frame(rng, n=3)

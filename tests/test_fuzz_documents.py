@@ -1,12 +1,12 @@
-"""Fuzzing of the document parsers and ``ffk analyze`` with malformed documents.
+"""Fuzzing of the frame document parser and ``ffk analyze`` with malformed documents.
 
-Each example takes a valid frame or report document and makes one change:
+Each example takes a valid frame document and makes one change:
 it replaces one node with a bool, a string, null, a huge integer, NaN,
 Infinity, a float near the overflow or underflow limit, or a nested or
-empty list; drops one key or list item; or, for frame documents, sets
-``dimension`` to 0, -1 or 10**12.  Parsing may fail only with a
-``FrameError``, and ``ffk analyze`` may only exit with 0, 1 or 2, writing
-nothing or one JSON line to stderr and raising no ``RuntimeWarning``.
+empty list; drops one key or list item; or sets ``dimension`` to 0, -1
+or 10**12.  Parsing may fail only with a ``FrameError``, and ``ffk
+analyze`` may only exit with 0, 1 or 2, writing nothing or one JSON line
+to stderr and raising no ``RuntimeWarning``.
 """
 
 import contextlib
@@ -20,12 +20,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ffk.cli import main
-from ffk.documents import FrameDocument, ReportDocument, emit_example, sampled_consistency_checks
+from ffk.documents import FrameDocument, emit_example
 from ffk.errors import FrameError
-from ffk.fusion import build_fusion_frame, classify, erasure_certificate
-from ffk.gallery import example_frame
 from ffk.generators import random_fusion_frame, random_system
-from ffk.numerics import COMPLEX, DEFAULT_TOLERANCE, REAL
+from ffk.numerics import COMPLEX, REAL
 
 REPLACEMENTS = (
     True, False, "x", None, 10**400, -(10**400), float("nan"), float("inf"), -float("inf"), 1e308, -1e308, 1e-320,
@@ -46,25 +44,7 @@ def frame_trees():
     return [json.loads(document.to_json_text()) for document in documents]
 
 
-def report_trees():
-    frame = example_frame("7.3")
-    reports = [
-        ReportDocument.from_analysis(
-            classify(frame),
-            seed=3,
-            tol=DEFAULT_TOLERANCE,
-            erasure=erasure_certificate(frame, budget=2),
-            sampled_checks=sampled_consistency_checks(frame, 3),
-        ),
-        ReportDocument.from_analysis(
-            classify(build_fusion_frame([(np.array([[1.0], [0.0]]), 1.0)], 2)), seed=0, tol=DEFAULT_TOLERANCE
-        ),
-    ]
-    return [json.loads(report.to_json_text()) for report in reports]
-
-
 FRAME_TREES = frame_trees()
-REPORT_TREES = report_trees()
 
 
 def node_paths(node, prefix=()):
@@ -75,11 +55,11 @@ def node_paths(node, prefix=()):
 
 
 @st.composite
-def mutated_text(draw, trees, dimensions=()):
-    tree = json.loads(json.dumps(draw(st.sampled_from(trees))))
-    kind = draw(st.sampled_from(("replace", "drop", "dimension") if dimensions else ("replace", "drop")))
+def mutated_text(draw):
+    tree = json.loads(json.dumps(draw(st.sampled_from(FRAME_TREES))))
+    kind = draw(st.sampled_from(("replace", "drop", "dimension")))
     if kind == "dimension":
-        tree["dimension"] = draw(st.sampled_from(dimensions))
+        tree["dimension"] = draw(st.sampled_from(DIMENSIONS))
         return json.dumps(tree)
     path = draw(st.sampled_from(list(node_paths(tree))[1:]))
     parent = tree
@@ -93,19 +73,10 @@ def mutated_text(draw, trees, dimensions=()):
 
 
 @FUZZ
-@given(mutated_text(FRAME_TREES, DIMENSIONS))
+@given(mutated_text())
 def test_frame_parser_raises_only_frame_errors(text):
     try:
         FrameDocument.from_json_text(text)
-    except FrameError:
-        pass
-
-
-@FUZZ
-@given(mutated_text(REPORT_TREES))
-def test_report_parser_raises_only_frame_errors(text):
-    try:
-        ReportDocument.from_json_text(text)
     except FrameError:
         pass
 
@@ -116,7 +87,7 @@ def document_path(tmp_path_factory):
 
 
 @FUZZ
-@given(text=mutated_text(FRAME_TREES, DIMENSIONS))
+@given(text=mutated_text())
 def test_analyze_exits_cleanly(document_path, text):
     document_path.write_text(text, encoding="utf-8")
     out, err = io.StringIO(), io.StringIO()

@@ -20,12 +20,22 @@ import numpy as np
 import pytest
 
 from ffk.cli import main
+from ffk.documents import canonical_json
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 CASES = json.loads((GOLDEN / "cases.json").read_text(encoding="utf-8"))
 FLOAT_TOL = 1e-12
 ANGLE_TOL = 1e-12
 NUMBER = re.compile(r"-?\d+(?:\.\d+)?(?:e[-+]?\d+)?")
+# Canonical JSON texts of the golden cases, by "<argv> <stream>".  An exit-1 stderr is a json.dumps
+# error line, not canonical JSON; analyze reports are checked in test_documents.py's TestReportDocument.
+CANONICAL_TEXTS = {
+    f"{' '.join(case['argv'])} {stream}": case[stream]
+    for case in CASES
+    if case["argv"][0] != "analyze"
+    for stream in ("stdout", "stderr")
+    if case[stream] and case["exit"] != 1
+}
 
 
 def _close(a: float, b: float) -> bool:
@@ -96,3 +106,9 @@ def test_cli_output_matches_golden(case, capsys, monkeypatch):
     assert code == case["exit"]
     _same_stream(captured.out, case["stdout"], "stdout")
     _same_stream(captured.err, case["stderr"], "stderr")
+
+
+@pytest.mark.parametrize("where", CANONICAL_TEXTS)
+def test_renderer_is_a_fixed_point_on_golden_text(where):
+    text = CANONICAL_TEXTS[where]
+    assert canonical_json(json.loads(text)) == text

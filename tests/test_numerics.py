@@ -105,13 +105,11 @@ def _innermost_scopes(tree):
 
 
 def test_cutoff_policy_stays_in_numerics():
-    """Outside ``numerics``, code names ``eig_rel`` or ``rank_rel`` only where it passes them on.
+    """Outside ``numerics``, code names ``eig_rel`` or ``rank_rel`` only to echo them in the report.
 
-    Those places are the ``--tol-eig`` plumbing and the tolerance echo in
-    the report; every other cutoff decision calls a ``Tolerance`` predicate.
+    Every cutoff decision calls a ``Tolerance`` predicate.
     """
     allowed = {
-        ("cli.py", "_tolerance"),
         ("documents.py", "ReportDocument.from_analysis"),
     }
     found = set()
@@ -130,14 +128,8 @@ def test_cutoff_policy_stays_in_numerics():
 
 
 class TestFrameBounds:
-    def test_ratio(self):
-        assert FrameBounds(lower=2.0, upper=8.0).ratio == 4.0
-
     def test_bessel_only_has_no_ratio(self):
-        bounds = FrameBounds(lower=None, upper=3.0)
-        assert bounds.lower is None
-        with pytest.raises(ValueError):
-            bounds.ratio
+        assert FrameBounds(lower=None, upper=3.0).lower is None
 
 
 class TestOrthonormalize:
