@@ -12,6 +12,7 @@ the eigenvalue range of that operator.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -45,7 +46,6 @@ from .numerics import (
 )
 from .vector_frames import _as_unit_vector
 
-SUBSPACE_ANGLE_TOL = 1e-8
 EXHAUSTIVE_MEMBER_LIMIT = 22
 ERASURE_CHUNK_BYTES = 1 << 17  # each (rows, s, s) stack of one exhaustive-search chunk: s = k d_max for G_JJ, n for S_J
 
@@ -338,7 +338,7 @@ def union(a: FusionFrame, b: FusionFrame) -> FusionFrame:
 
 
 def erase(frame: FusionFrame, indices) -> tuple[FusionFrame, float | None]:
-    """Remove the members at the given positions (0-based).
+    """Remove the members at the given integer positions (0-based).
 
     Returns the remaining family and the guaranteed lower bound ``A - a``
     (``a = sum v_i^2`` erased) when the weight rule :func:`_weight_rule`
@@ -346,7 +346,10 @@ def erase(frame: FusionFrame, indices) -> tuple[FusionFrame, float | None]:
     (``is_frame`` false).  The floor is checked within ``[A - a, B]``:
     eigenvalue roundoff scales with ``B``.
     """
-    removed = {int(i) for i in indices}
+    try:
+        removed = {operator.index(i) for i in indices}
+    except TypeError as exc:
+        raise DimensionMismatch(f"erasure indices must be integers: {exc}") from None
     J = sorted(removed)
     if any(i < 0 or i >= frame.member_count for i in J):
         raise DimensionMismatch(f"erasure indices {J} out of range for {frame.member_count} members")
@@ -468,7 +471,7 @@ def _gram_cutoff(frame: FusionFrame) -> np.ndarray | None:
     if c <= 0.0:
         return None
     Y = np.linalg.solve(np.linalg.cholesky(frame.operator), _padded_synthesis(frame).reshape(n, -1))
-    G = _require_finite(symmetrize(Y.conj().T @ Y), "Gram matrix")
+    G = symmetrize(Y.conj().T @ Y)
     return c * np.eye(len(G)) - G
 
 
@@ -731,7 +734,7 @@ def _greedy_levels(frame: FusionFrame, budget: int) -> tuple[int, int]:
             if k == 1 and first is not None:
                 lam, C = first
             else:
-                lam, U = np.linalg.eigh(symmetrize(_require_finite(rest)))
+                lam, U = np.linalg.eigh(symmetrize(rest))
                 C = (U.conj().T @ blocks[:, cand].reshape(n, -1)).reshape(n, len(cand), width).swapaxes(0, 1)
                 if k == 1:
                     first = lam, C
@@ -793,8 +796,10 @@ def erasure_certificate(
     if not frame.is_frame:
         raise NotAFusionFrame("erasure robustness is defined for fusion frames only")
     N = frame.member_count
-    budget = N - 1 if budget is None else int(budget)
-    budget = max(0, min(budget, N - 1))
+    try:
+        budget = max(0, min(N - 1 if budget is None else operator.index(budget), N - 1))
+    except TypeError as exc:
+        raise ValueError(f"erasure budget must be an integer: {exc}") from None
     if mode is None:
         mode = "exhaustive" if N <= EXHAUSTIVE_MEMBER_LIMIT else "greedy"
     if mode not in ("exhaustive", "greedy"):
@@ -887,17 +892,6 @@ def redundancy_equivalent(a: FusionFrame, b: FusionFrame) -> bool:
     if a.ambient_dim != b.ambient_dim or a.field != b.field:
         raise DimensionMismatch("families live in different spaces")
     return a.tol.near(a.normalized_operator, b.normalized_operator)
-
-
-def subspaces_equal(a: Subspace, b: Subspace) -> bool:
-    """Subspace equality: the largest principal angle ``theta_max`` is at most ``SUBSPACE_ANGLE_TOL``.
-
-    For equal dimensions ``||P_a - P_b||_2 = sin(theta_max)``, and sine increases on ``[0, pi/2]``,
-    so the test ``||P_a - P_b||_2 <= sin(SUBSPACE_ANGLE_TOL)`` is the same condition.
-    """
-    if a.ambient_dim != b.ambient_dim or a.dim != b.dim:
-        return False
-    return bool(np.linalg.norm(a.projection() - b.projection(), 2) <= np.sin(SUBSPACE_ANGLE_TOL))
 
 
 @dataclass(frozen=True)

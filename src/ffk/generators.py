@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotAFrame
+from .errors import DimensionMismatch
 from .fusion import FusionFrame, Subspace, WeightedSubspace, union
 from .numerics import COMPLEX, REAL, gaussian, orthonormalize
 from .systems import FusionFrameSystem, build_system
@@ -57,11 +57,9 @@ def random_vector_frame(
     field = field or random_field(rng)
     count = count or int(rng.integers(n, 2 * n + 3))
     while True:
-        frame_matrix = gaussian(rng, (n, count), field)
-        try:
-            return VectorFrame.from_matrix(frame_matrix)
-        except NotAFrame:
-            continue
+        frame = VectorFrame.from_matrix(gaussian(rng, (n, count), field))
+        if frame.is_frame:
+            return frame
 
 
 def _invsqrt_psd(S: np.ndarray) -> np.ndarray:

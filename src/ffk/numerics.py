@@ -105,16 +105,17 @@ class FrameBounds:
     """Two-sided energy bounds (lower, upper) of a frame inequality.
 
     ``lower`` is ``None`` for Bessel-only families, which admit an upper
-    bound but no positive lower one.  When present the bounds satisfy
-    ``0 < lower <= upper < inf``.
+    bound but no positive lower one; their ``upper`` may be 0, for a family
+    whose operator is zero in floating point.  When present the bounds
+    satisfy ``0 < lower <= upper < inf``.
     """
 
     lower: float | None
     upper: float
 
     def __post_init__(self):
-        if not np.isfinite(self.upper) or self.upper <= 0.0:
-            raise ValueError(f"upper bound must be positive and finite, got {self.upper!r}")
+        if not np.isfinite(self.upper) or self.upper < 0.0:
+            raise ValueError(f"upper bound must be nonnegative and finite, got {self.upper!r}")
         if self.lower is not None:
             if not np.isfinite(self.lower) or self.lower <= 0.0:
                 raise ValueError(f"lower bound must be positive and finite, got {self.lower!r}")
@@ -147,9 +148,9 @@ def _read_only(array: np.ndarray) -> np.ndarray:
 
 
 def symmetrize(M: np.ndarray) -> np.ndarray:
-    """Hermitian part (M + M*) / 2 of a square matrix."""
+    """Hermitian part (M + M*) / 2 of a square matrix; raises :class:`NonFiniteEntries` unless it is finite."""
     M = _require_square(M)
-    return (M + M.conj().T) / 2.0
+    return _require_finite((M + M.conj().T) / 2.0)
 
 
 def orthonormalize(vectors: np.ndarray, tol: Tolerance = DEFAULT_TOLERANCE) -> np.ndarray:
@@ -178,7 +179,7 @@ def hermitian_eigenrange(M: np.ndarray, tol: Tolerance = DEFAULT_TOLERANCE) -> t
     The input is symmetrized before the decomposition, so tiny
     asymmetries from accumulated roundoff are harmless.
     """
-    H = symmetrize(_require_finite(M))
+    H = symmetrize(M)
     eigenvalues = np.linalg.eigvalsh(H)
     return float(eigenvalues[0]), float(eigenvalues[-1])
 
@@ -202,7 +203,7 @@ def solve_hermitian_positive(
     refinement, which keeps the residual near machine level even for
     moderately ill-conditioned operators.
     """
-    H = symmetrize(_require_finite(M))
+    H = symmetrize(M)
     B = _require_finite(np.asarray(rhs), "right-hand side")
     if B.shape[0] != H.shape[0]:
         raise DimensionMismatch(f"right-hand side has {B.shape[0]} rows, expected {H.shape[0]}")

@@ -84,10 +84,7 @@ def _orthogonal(local: VectorFrame, tol: Tolerance) -> bool:
 
 def build_system(frame: FusionFrame, local_vectors) -> FusionFrameSystem:
     """Assemble a system from per-member lists of local vectors."""
-    locals_ = [
-        VectorFrame(vectors, require_spanning=False, tol=frame.tol) for vectors in local_vectors
-    ]
-    return FusionFrameSystem(frame, locals_)
+    return FusionFrameSystem(frame, [VectorFrame(vectors, tol=frame.tol) for vectors in local_vectors])
 
 
 @dataclass(frozen=True)

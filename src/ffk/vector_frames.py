@@ -1,7 +1,10 @@
 """Classical vector frames: operators, redundancy, and dual families.
 
 A frame here is a finite family of nonzero vectors spanning its ambient
-space.  The pointwise redundancy of the family at a unit vector ``x`` is
+space.  A family that does not span still constructs, tagged ``is_frame``
+false, and every operation that needs a frame refuses it with
+:class:`NotAFrame`, the policy of :class:`ffk.fusion.FusionFrame`.  The
+pointwise redundancy of the family at a unit vector ``x`` is
 the norm-insensitive energy ``sum_i |<x, phi_i>|^2 / ||phi_i||^2``, the
 Rayleigh quotient of the normalized frame operator.  Inner products are
 linear in the first argument: ``<x, y> = y* x``.
@@ -37,10 +40,12 @@ from .numerics import (
 class VectorFrame:
     """A finite family of nonzero vectors in a fixed ambient space.
 
-    Vectors are stored as the columns of ``matrix``.  By default the
-    family must span the ambient space (the frame property); pass
-    ``require_spanning=False`` for families that are frames only for
-    their own span, such as the local families of a fusion frame system.
+    Vectors are stored as the columns of ``matrix``.  Construction never
+    fails on a span deficiency: ``is_frame`` tells whether the family spans
+    the ambient space (the frame property), and the operations that need
+    a frame raise :class:`NotAFrame` when it does not.  So a family that is
+    a frame only for its own span, such as a local family of a fusion frame
+    system, is still a ``VectorFrame``.
 
     The frame owns its derived state, all read-only: ``norms`` holds the
     column norms, ``operator`` is ``S = Phi Phi*``, and, computed on first
@@ -48,7 +53,7 @@ class VectorFrame:
     and ``dual_matrix`` is ``S^-1 Phi``, the canonical dual's vectors.
     """
 
-    def __init__(self, vectors, *, require_spanning: bool = True, tol: Tolerance = DEFAULT_TOLERANCE):
+    def __init__(self, vectors, *, tol: Tolerance = DEFAULT_TOLERANCE):
         matrix = _read_only(_as_column_matrix(vectors))
         norms = _read_only(_require_finite(np.linalg.norm(matrix, axis=0), "frame vector norms"))
         if not np.all(tol.spans(norms, norms.max())):
@@ -61,11 +66,6 @@ class VectorFrame:
         low, high = hermitian_eigenrange(self.operator, tol)
         self._operator_range = (low, high)
         self.is_frame = tol.spans(low, high)
-        if require_spanning and not self.is_frame:
-            raise NotAFrame(
-                f"{self.count} vectors do not span dimension {self.ambient_dim} "
-                f"(operator spectrum [{low:.3e}, {high:.3e}])"
-            )
 
     @cached_property
     def normalized_operator(self) -> np.ndarray:
@@ -173,12 +173,8 @@ def dual_residual(frame: VectorFrame, candidate: VectorFrame) -> float:
     return float(np.linalg.norm(defect, axis=0).max())
 
 
-def is_dual_pair(frame: VectorFrame, candidate: VectorFrame) -> bool:
-    return frame.tol.reconstructs(dual_residual(frame, candidate))
-
-
 def canonical_dual(frame: VectorFrame) -> VectorFrame:
-    """The canonical dual family S^{-1} phi_i."""
+    """The canonical dual family S^{-1} phi_i, tagged like any :class:`VectorFrame`."""
     if not frame.is_frame:
         raise NotAFrame("only spanning families have a canonical dual")
     return VectorFrame.from_matrix(frame.dual_matrix, tol=frame.tol)
@@ -190,7 +186,8 @@ def alternate_dual(frame: VectorFrame, eta) -> VectorFrame:
     Every dual of a frame arises, for some choice of vectors ``eta_i``,
     as ``psi_i = S^{-1} phi_i + eta_i - sum_k <S^{-1} phi_i, phi_k> eta_k``.
     With all ``eta_i = 0`` this is the canonical dual; perturbations are
-    projected so the reconstruction identity survives exactly.
+    projected so the reconstruction identity survives exactly.  The
+    result is tagged like any :class:`VectorFrame`.
     """
     if not frame.is_frame:
         raise NotAFrame("only spanning families have duals")
@@ -220,6 +217,8 @@ def check_norm_inequality(frame: VectorFrame, dual: VectorFrame, x) -> tuple[flo
     Returns ``(lhs, rhs, holds)``; ``holds`` allows a slack relative to
     ``rhs``, since coefficient norms scale inversely with the frame.
     """
+    if not frame.is_frame:
+        raise NotAFrame("only spanning families have duals")
     v = _as_unit_vector(x, frame.ambient_dim)
     if not frame.tol.reconstructs(dual_residual(frame, dual)):
         raise NotADual("candidate fails the reconstruction identity")

@@ -524,6 +524,7 @@ class TestOverflow:
 
     DOCUMENTS = {  # (weight of member 0, local vector of member 0)
         "weight": (1e308, [1.0, 0.0]),
+        "squared-weight": (1e154, [1.0, 0.0]),  # S is finite; its Hermitian part S + S* overflows
         "local-vector": (1.0, [1e300, 0.0]),
     }
     ARGV = {
@@ -537,7 +538,9 @@ class TestOverflow:
     }
 
     @pytest.mark.parametrize(
-        "command, document", [(command, "weight") for command in ARGV] + [("system", "local-vector")]
+        "command, document",
+        [(command, document) for command in ARGV for document in ("weight", "squared-weight")]
+        + [("system", "local-vector")],
     )
     def test_one_json_line_on_stderr(self, tmp_path, command, document):
         weight, local = self.DOCUMENTS[document]
@@ -564,3 +567,21 @@ class TestOverflow:
         assert error["type"] == "NonFiniteEntries"
         if document == "weight":  # S = T T* overflows; the message names it and the weight
             assert error["message"].startswith("frame operator (largest weight 1e+308)")
+
+
+def test_operator_underflowing_to_zero_is_bessel_only(tmp_path, run):
+    """Weights whose squares underflow give ``S = 0``: a Bessel-only family with upper bound 0.0, exit 2."""
+    tree = {
+        "schema_version": "ffk/1",
+        "field": "real",
+        "dimension": 2,
+        "subspaces": [{"weight": 1e-200, "vectors": [[1.0, 0.0]]}, {"weight": 1e-200, "vectors": [[0.0, 1.0]]}],
+    }
+    path = tmp_path / "frame.json"
+    path.write_text(json.dumps(tree), encoding="utf-8")
+    code, stdout, stderr = run("analyze", str(path))
+    assert (code, stderr) == (2, "")
+    report = json.loads(stdout)
+    assert report["bounds"] == {"lower": None, "upper": 0.0}
+    assert report["redundancy_range"] == [1.0, 1.0]
+    assert report["flags"]["bessel_only"]

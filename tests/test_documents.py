@@ -79,7 +79,7 @@ def signed_zero_system(field):
     if field == COMPLEX:
         bases[1][:, 1] *= 1j
     frame = FusionFrame([WeightedSubspace(Subspace(B), w) for B, w in zip(bases, (0.5, 2.0))])
-    local_frames = [VectorFrame((2.0 * B).T, require_spanning=False) for B in bases]
+    local_frames = [VectorFrame((2.0 * B).T) for B in bases]
     return frame, FusionFrameSystem(frame, local_frames)
 
 

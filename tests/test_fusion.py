@@ -35,7 +35,6 @@ from ffk.fusion import (
     redundancy_equivalent,
     redundancy_range,
     redundancy_samples,
-    subspaces_equal,
     synthesis_matrix,
     union,
     verify_projection_decomposition,
@@ -52,7 +51,7 @@ from ffk.generators import (
 )
 from ffk.numerics import COMPLEX, REAL, Tolerance, sample_unit_vectors
 from ffk.vector_frames import canonical_dual, dual_redundancy_sandwich, vector_redundancy_range
-from test_differential import reference_sampled_equivalence_gap
+from test_differential import projection_gap, reference_sampled_equivalence_gap
 
 
 def coordinate_vector(i: int, n: int) -> np.ndarray:
@@ -96,8 +95,8 @@ class TestSubspace:
         s = random_subspace(rng, 5, 2)
         mixing = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         t = Subspace.from_span(s.basis @ mixing)
-        assert subspaces_equal(s, t)
-        assert not subspaces_equal(s, random_subspace(rng, 5, 2))
+        assert projection_gap(s, t) <= 1e-8
+        assert projection_gap(s, random_subspace(rng, 5, 2)) > 1e-8
 
     def test_nonpositive_weight_rejected(self, rng):
         s = random_subspace(rng, 3, 1)
@@ -457,6 +456,18 @@ class TestErasure:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="unknown erasure search mode"):
             erasure_certificate(example_frame("7.3"), budget=1, mode="random")
+
+    def test_indices_and_budget_must_be_integers(self):
+        frame = example_frame("7.3")
+        for indices in ([1.9], ["2"]):
+            with pytest.raises(DimensionMismatch, match="integers"):
+                erase(frame, indices)
+        for budget in ("2", 2.5):
+            with pytest.raises(ValueError, match="must be an integer"):
+                erasure_certificate(frame, budget=budget)
+        remaining, guaranteed = erase(frame, [np.int64(0), np.intp(2)])
+        assert remaining.member_count == 2 and guaranteed == erase(frame, [0, 2])[1]
+        assert erasure_certificate(frame, budget=np.int64(2)) == erasure_certificate(frame, budget=2)
 
     def test_exhaustive_mode_rejects_too_many_members(self):
         frame = example_frame("7.2", 23)

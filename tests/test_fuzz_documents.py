@@ -2,11 +2,12 @@
 
 Each example takes a valid frame document and makes one change:
 it replaces one node with a bool, a string, null, a huge integer, NaN,
-Infinity, a float near the overflow or underflow limit, or a nested or
-empty list; drops one key or list item; or sets ``dimension`` to 0, -1
-or 10**12.  Parsing may fail only with a ``FrameError``, and ``ffk
-analyze`` may only exit with 0, 1 or 2, writing nothing or one JSON line
-to stderr and raising no ``RuntimeWarning``.
+Infinity, a float near the overflow or underflow limit, a weight whose
+square overflows or underflows, or a nested or empty list; drops one key
+or list item; or sets ``dimension`` to 0, -1 or 10**12.  Parsing may fail
+only with a ``FrameError``, and ``ffk analyze`` may only exit with 0, 1
+or 2, writing nothing or one JSON line to stderr that names a
+``FrameError``, and raising no ``RuntimeWarning``.
 """
 
 import contextlib
@@ -19,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ffk import errors
 from ffk.cli import main
 from ffk.documents import FrameDocument, emit_example
 from ffk.errors import FrameError
@@ -27,8 +29,9 @@ from ffk.numerics import COMPLEX, REAL
 
 REPLACEMENTS = (
     True, False, "x", None, 10**400, -(10**400), float("nan"), float("inf"), -float("inf"), 1e308, -1e308, 1e-320,
-    [[1.0]], [],
+    1e154, 1e-200, [[1.0]], [],
 )
+FRAME_ERRORS = {name for name, cls in vars(errors).items() if isinstance(cls, type) and issubclass(cls, FrameError)}
 DIMENSIONS = (0, -1, 10**12)
 FUZZ = settings(derandomize=True, database=None, max_examples=120, deadline=None)
 
@@ -98,5 +101,7 @@ def test_analyze_exits_cleanly(document_path, text):
     stderr = err.getvalue()
     if stderr:
         assert stderr.count("\n") == 1 and stderr.endswith("\n")
-        assert set(json.loads(stderr)["error"]) == {"type", "message"}
+        error = json.loads(stderr)["error"]
+        assert set(error) == {"type", "message"}
+        assert error["type"] in FRAME_ERRORS
     assert (code == 1) == bool(stderr)

@@ -131,6 +131,12 @@ class TestFrameBounds:
     def test_bessel_only_has_no_ratio(self):
         assert FrameBounds(lower=None, upper=3.0).lower is None
 
+    def test_only_a_bessel_only_upper_bound_may_be_zero(self):
+        assert FrameBounds(lower=None, upper=0.0).upper == 0.0
+        for lower, upper in [(1.0, 0.0), (None, -1.0), (None, np.inf), (2.0, 1.0), (0.0, 1.0)]:
+            with pytest.raises(ValueError):
+                FrameBounds(lower, upper)
+
 
 class TestOrthonormalize:
     def test_identity_columns_stay_identity(self):
@@ -197,6 +203,13 @@ class TestHermitianEigenrange:
     def test_non_square_rejected(self):
         with pytest.raises(NotSquare):
             hermitian_eigenrange(np.ones((2, 3)))
+
+    @pytest.mark.parametrize("function", [hermitian_eigenrange, lambda M: solve_hermitian_positive(M, np.ones(2))])
+    def test_overflowing_hermitian_part_rejected(self, function):
+        """A finite matrix whose ``M + M*`` overflows fails as non-finite, with the label of a NaN input."""
+        for M in (np.array([[1e308, 0.0], [0.0, 1.0]]), np.array([[np.nan, 0.0], [0.0, 1.0]])):
+            with np.errstate(over="ignore"), pytest.raises(NonFiniteEntries, match="^matrix contains"):
+                function(M)
 
 
 class TestKernelDimension:

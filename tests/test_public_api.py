@@ -31,3 +31,32 @@ def test_imports_are_stdlib_numpy_or_ffk():
                 continue
             stray += [f"{path.name}: {name}" for name in names if name.split(".")[0] not in allowed]
     assert stray == []
+
+
+def test_every_function_has_a_caller():
+    """Each public module-level function of ``src/ffk`` is exported or named by the code that runs the package.
+
+    A function counts as used when ``ffk.__all__`` lists it or when ``src/ffk``, ``scripts/``,
+    ``perfbench/`` or ``tests/golden/make_golden.py`` names it: as a name, an attribute or an
+    imported name.  ``generators.py`` is exempt: it holds seeded constructions for tests and scripts.
+    """
+    root = Path(__file__).resolve().parents[1]
+    package = root / "src" / "ffk"
+    callers = [*package.glob("*.py"), *(root / "scripts").glob("*.py"), *(root / "perfbench").glob("*.py")]
+    named = set(ffk.__all__)
+    for path in callers + [root / "tests" / "golden" / "make_golden.py"]:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias):
+                named.add(node.name)
+    unused = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "generators.py":
+            continue
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_") and node.name not in named:
+                unused.append(f"{path.name}:{node.name}")
+    assert unused == []

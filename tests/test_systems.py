@@ -81,7 +81,7 @@ class TestConstruction:
 
     def test_local_in_wrong_ambient_dimension(self):
         frame = example_frame("7.2", 3)
-        bad = VectorFrame([np.array([1.0, 0.0])], require_spanning=False)
+        bad = VectorFrame([np.array([1.0, 0.0])])
         with pytest.raises(MemberCountMismatch):
             FusionFrameSystem(frame, [bad] * frame.member_count)
 

@@ -24,7 +24,6 @@ from ffk.vector_frames import (
     check_norm_inequality,
     dual_redundancy_sandwich,
     dual_residual,
-    is_dual_pair,
     redundancy_function,
     vector_redundancy_range,
 )
@@ -67,15 +66,21 @@ class TestConstruction:
         with pytest.raises(DimensionMismatch):
             VectorFrame([np.array([1.0, 0.0]), np.array([1.0, 0.0, 0.0])])
 
-    def test_non_spanning_rejected_by_default(self):
-        with pytest.raises(NotAFrame):
-            VectorFrame([np.array([1.0, 0.0]), np.array([2.0, 0.0])])
-
-    def test_non_spanning_allowed_when_requested(self):
-        frame = VectorFrame(
-            [np.array([1.0, 0.0]), np.array([2.0, 0.0])], require_spanning=False
-        )
+    def test_non_spanning_family_is_tagged_and_refused_by_frame_operations(self):
+        frame = VectorFrame([np.array([1.0, 0.0]), np.array([2.0, 0.0])])
         assert not frame.is_frame
+        assert redundancy_function(frame, np.array([0.6, 0.8])) == pytest.approx(0.72, abs=1e-12)
+        assert vector_redundancy_range(frame) == pytest.approx((0.0, 2.0), abs=1e-12)
+        operations = [
+            analyze_vector_frame,
+            canonical_dual,
+            lambda f: alternate_dual(f, [np.zeros(2)] * 2),
+            lambda f: check_norm_inequality(f, f, np.array([1.0, 0.0])),
+            dual_redundancy_sandwich,
+        ]
+        for operation in operations:
+            with pytest.raises(NotAFrame):
+                operation(frame)
 
 
 class TestOperatorsAndRedundancy:
@@ -144,12 +149,12 @@ class TestCanonicalDual:
             frame = random_vector_frame(rng)
             dual = canonical_dual(frame)
             assert dual_residual(frame, dual) <= 1e-10
-            assert is_dual_pair(frame, dual)
+            assert frame.tol.reconstructs(dual_residual(frame, dual))
 
     def test_duality_is_symmetric(self, rng):
         frame = random_vector_frame(rng, n=4, count=7)
         dual = canonical_dual(frame)
-        assert is_dual_pair(dual, frame)
+        assert frame.tol.reconstructs(dual_residual(dual, frame))
 
     def test_tight_dual_is_scaled_frame(self, rng):
         for _ in range(10):
@@ -257,7 +262,7 @@ class TestNormInequality:
         t = 0.3
         a, b = 0.5 + t * 1j, 0.5 - t * 1j
         dual = VectorFrame([a * e1, b * e1, a * e2, b * e2])
-        assert is_dual_pair(frame, dual)
+        assert frame.tol.reconstructs(dual_residual(frame, dual))
         canon = canonical_dual(frame)
         c = canon.norms
         d = dual.norms
