@@ -158,7 +158,7 @@ def run_sweep(config: SweepConfig) -> dict:
                 failures.append((index, "erasure"))
             if frame.member_count <= REFERENCE_MEMBER_LIMIT:
                 small.append((index, frame, exhaustive))
-        unit_weight.append((index, FusionFrame([WeightedSubspace(m.subspace, 1.0) for m in frame.members], frame.tol)))
+        unit_weight.append((index, FusionFrame([WeightedSubspace(m.subspace, 1.0) for m in frame.members])))
 
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
     from test_differential import (

@@ -32,7 +32,6 @@ from .numerics import (
     DEFAULT_TOLERANCE,
     FrameBounds,
     REAL,
-    Tolerance,
     field_of,
     hermitian_eigenrange,
     kernel_dimension,
@@ -64,10 +63,10 @@ class Subspace:
         self.basis = _read_only(B.astype(np.complex128 if np.iscomplexobj(B) else np.float64))
 
     @classmethod
-    def from_span(cls, vectors: np.ndarray, tol: Tolerance = DEFAULT_TOLERANCE) -> "Subspace":
+    def from_span(cls, vectors: np.ndarray) -> "Subspace":
         """Subspace spanned by arbitrary column vectors (orthonormalized)."""
         try:
-            return cls(orthonormalize(vectors, tol))
+            return cls(orthonormalize(vectors))
         except AllColumnsNumericallyZero as exc:
             raise ZeroSubspace(str(exc)) from exc
 
@@ -112,6 +111,7 @@ class FusionFrame:
     weighted operator has numerically zero smallest eigenvalue is kept
     and tagged Bessel-only (``is_frame`` is ``False``); operations that
     need a positive lower bound raise :class:`NotAFusionFrame` instead.
+    Every cutoff reads ``tol``, the class attribute ``DEFAULT_TOLERANCE``.
 
     The frame owns its operators, all read-only: ``weights`` and ``dims``
     list the members' weights and dimensions; ``bases`` stacks the
@@ -123,7 +123,9 @@ class FusionFrame:
     ``canonical_dual`` the family ``{(S^-1 W_i, v_i)}``.
     """
 
-    def __init__(self, members, tol: Tolerance = DEFAULT_TOLERANCE):
+    tol = DEFAULT_TOLERANCE
+
+    def __init__(self, members):
         members = tuple(members)
         if not members:
             raise DimensionMismatch("a fusion frame needs at least one member")
@@ -140,7 +142,6 @@ class FusionFrame:
                     f"member {i} lives in dimension {member.subspace.ambient_dim}, expected {ambient}"
                 )
         self.members = members
-        self.tol = tol
         self._ambient_dim = ambient
         self.weights = _read_only(np.array([m.weight for m in members]))
         self.dims = _read_only(np.array([m.subspace.dim for m in members]))
@@ -149,9 +150,8 @@ class FusionFrame:
         self.synthesis = _read_only(self.bases * np.repeat(self.weights, self.dims))
         label = f"frame operator (largest weight {self.weights.max():.3g})"
         self.operator = _read_only(_require_finite(self.synthesis @ self.synthesis.conj().T, label))
-        low, high = hermitian_eigenrange(self.operator, tol)
-        self._operator_range = (low, high)
-        self.is_frame = tol.spans(low, high)
+        self._operator_range = hermitian_eigenrange(self.operator)
+        self.is_frame = self.tol.spans(*self._operator_range)
 
     @cached_property
     def normalized_operator(self) -> np.ndarray:
@@ -166,7 +166,7 @@ class FusionFrame:
         """The canonical dual family, from one solve against the stacked bases; needs ``is_frame``."""
         spans = solve_hermitian_positive(self.operator, self.bases, self.tol)
         columns = zip(self.members, self.offsets[:-1], self.offsets[1:])
-        return build_fusion_frame([(spans[:, a:b], m.weight) for m, a, b in columns], self.ambient_dim, self.tol)
+        return build_fusion_frame([(spans[:, a:b], m.weight) for m, a, b in columns], self.ambient_dim)
 
     @property
     def ambient_dim(self) -> int:
@@ -203,7 +203,7 @@ class AnalysisReport:
     bessel_only: bool
 
 
-def build_fusion_frame(spans, ambient_dim: int, tol: Tolerance = DEFAULT_TOLERANCE) -> FusionFrame:
+def build_fusion_frame(spans, ambient_dim: int) -> FusionFrame:
     """Assemble a fusion frame from raw (span matrix, weight) pairs.
 
     Span matrices hold generating vectors as columns; each is
@@ -217,14 +217,14 @@ def build_fusion_frame(spans, ambient_dim: int, tol: Tolerance = DEFAULT_TOLERAN
                 f"member {i}: span matrix has shape {V.shape}, expected {ambient_dim} rows"
             )
         try:
-            subspace = Subspace.from_span(V, tol)
+            subspace = Subspace.from_span(V)
         except ZeroSubspace as exc:
             raise ZeroSubspace(f"member {i}: {exc}") from exc
         try:
             members.append(WeightedSubspace(subspace, weight))
         except NonPositiveWeight as exc:
             raise NonPositiveWeight(f"member {i}: {exc}") from exc
-    return FusionFrame(members, tol)
+    return FusionFrame(members)
 
 
 def fusion_frame_operator(frame: FusionFrame, normalized: bool = False) -> np.ndarray:
@@ -306,24 +306,23 @@ def classify(frame: FusionFrame) -> AnalysisReport:
     Bessel-only families are classified too: their report has no lower
     bound and all frame-dependent flags are false.
     """
-    tol = frame.tol
     low, high = frame._operator_range
     bessel_only = not frame.is_frame
     bounds = FrameBounds(None if bessel_only else low, high)
     r_minus, r_plus = redundancy_range(frame)
     weights = frame.weights
-    parseval = tol.parseval(low, high)  # implies a positive lower bound
+    parseval = frame.tol.parseval(low, high)  # implies a positive lower bound
     excess_value = excess(frame)
     return AnalysisReport(
         bounds=bounds,
         redundancy=(r_minus, r_plus),
-        tight=(not bessel_only) and tol.flat(low, high),
+        tight=(not bessel_only) and frame.tol.flat(low, high),
         parseval=parseval,
-        uniform_weights=tol.flat(weights.min(), weights.max()),
-        orthonormal_fusion_basis=parseval and tol.near(weights, 1.0),
+        uniform_weights=frame.tol.flat(weights.min(), weights.max()),
+        orthonormal_fusion_basis=parseval and frame.tol.near(weights, 1.0),
         minimal=excess_value == 0,
         excess=excess_value,
-        uniform_redundancy=(not bessel_only) and tol.flat(r_minus, r_plus),
+        uniform_redundancy=(not bessel_only) and frame.tol.flat(r_minus, r_plus),
         bessel_only=bessel_only,
     )
 
@@ -334,7 +333,7 @@ def union(a: FusionFrame, b: FusionFrame) -> FusionFrame:
         raise DimensionMismatch(f"ambient dimensions differ: {a.ambient_dim} vs {b.ambient_dim}")
     if a.field != b.field:
         raise DimensionMismatch(f"scalar fields differ: {a.field} vs {b.field}")
-    return FusionFrame(a.members + b.members, a.tol)
+    return FusionFrame(a.members + b.members)
 
 
 def erase(frame: FusionFrame, indices) -> tuple[FusionFrame, float | None]:
@@ -356,7 +355,7 @@ def erase(frame: FusionFrame, indices) -> tuple[FusionFrame, float | None]:
     if len(J) == frame.member_count:
         raise EmptyRemainder("erasing every member leaves nothing to analyze")
     keep = [m for i, m in enumerate(frame.members) if i not in removed]
-    remaining = FusionFrame(keep, frame.tol)
+    remaining = FusionFrame(keep)
     guaranteed: float | None = None
     if frame.is_frame:
         A, B = frame._operator_range
@@ -491,6 +490,11 @@ def _gram_survivors(shifted: np.ndarray, width: int, J: np.ndarray) -> np.ndarra
     return np.ones(len(J), bool)
 
 
+def _member_terms(frame: FusionFrame) -> tuple[np.ndarray, np.ndarray]:
+    terms = np.stack([m.weight**2 * m.subspace.projection() for m in frame.members])
+    return terms, sum(terms)  # starts from 0: no -0.0, so total - removed matches total - H in zero signs too
+
+
 def _exact_frames_left(frame: FusionFrame, terms: np.ndarray, total: np.ndarray, J: np.ndarray) -> np.ndarray:
     """:func:`_frames_left` on ``S_J = total - sum_{i in J} terms[i]`` for each row of ``J``, by chunks."""
     rows = max(1, ERASURE_CHUNK_BYTES // terms[0].nbytes)
@@ -617,8 +621,7 @@ def _exhaustive_levels(frame: FusionFrame, budget: int) -> tuple[int, int]:
                 undecided &= ~alive
             if undecided.any():
                 if terms is None:
-                    terms = np.stack([m.weight**2 * m.subspace.projection() for m in frame.members])
-                    total = sum(terms)
+                    terms, total = _member_terms(frame)
                 alive[undecided] = _exact_frames_left(frame, terms, total, J[undecided])
             some = some or bool(alive.any())
             every = every and bool(alive.all())
@@ -717,8 +720,7 @@ def _greedy_levels(frame: FusionFrame, budget: int) -> tuple[int, int]:
     """
     tol, N, n, dims = frame.tol, frame.member_count, frame.ambient_dim, frame.dims
     eps = np.finfo(float).eps
-    terms = np.stack([m.weight**2 * m.subspace.projection() for m in frame.members])
-    total = sum(terms)  # starts from 0: no -0.0, so total - removed matches total - H in zero signs too
+    terms, total = _member_terms(frame)
     slack = 9 * eps * total.trace().real
     blocks, width = _padded_synthesis(frame), dims.max()
     levels = [0, 0]  # certified, universal
@@ -767,7 +769,7 @@ def _greedy_levels(frame: FusionFrame, budget: int) -> tuple[int, int]:
                 break  # whichever of them the full loop picks leaves no frame
             if len(reach) > 1:  # a near tie: the full loop's exact values decide
                 for j in reach[lows[reach] < highs[reach]]:
-                    lows[j] = highs[j] = hermitian_eigenrange(rest - terms[cand[j]], tol)[0]
+                    lows[j] = highs[j] = hermitian_eigenrange(rest - terms[cand[j]])[0]
                 best = reach[np.argmax(lows[reach]) if strongest else np.argmin(highs[reach])]
             path.append(int(cand[best]))
             removed = removed + terms[path[-1]]
@@ -820,16 +822,15 @@ def erasure_certificate(
 
 def apply_operator(frame: FusionFrame, U: np.ndarray) -> FusionFrame:
     """Image family {(U W_i, v_i)} under an invertible operator."""
-    tol = frame.tol
     M = _require_square(_require_finite(np.asarray(U), "operator"), "operator")
     if M.shape[0] != frame.ambient_dim:
         raise DimensionMismatch(f"operator is {M.shape[0]} x {M.shape[0]}, ambient dimension is {frame.ambient_dim}")
     if np.iscomplexobj(M) and frame.field == REAL:
         raise DimensionMismatch("complex operator applied to a real-field family")
     s = np.linalg.svd(M, compute_uv=False)
-    if not tol.spans(s[-1], s[0]):
+    if not frame.tol.spans(s[-1], s[0]):
         raise SingularOperator(f"singular values span [{s[-1]:.3e}, {s[0]:.3e}]")
-    return build_fusion_frame([(M @ m.subspace.basis, m.weight) for m in frame.members], frame.ambient_dim, tol)
+    return build_fusion_frame([(M @ m.subspace.basis, m.weight) for m in frame.members], frame.ambient_dim)
 
 
 @dataclass(frozen=True)
@@ -860,7 +861,6 @@ class OperatorImageReport:
 
 def operator_image_report(frame: FusionFrame, U: np.ndarray) -> OperatorImageReport:
     """Apply an invertible operator and check the conditioning brackets."""
-    tol = frame.tol
     image = apply_operator(frame, U)
     bounds = frame_bounds(frame)
     s = np.linalg.svd(np.asarray(U), compute_uv=False)
@@ -875,10 +875,10 @@ def operator_image_report(frame: FusionFrame, U: np.ndarray) -> OperatorImageRep
         condition=k,
         predicted_bounds=predicted,
         computed_bounds=image_bounds,
-        bounds_hold=tol.within((image_bounds.lower, image_bounds.upper), *predicted),
+        bounds_hold=frame.tol.within((image_bounds.lower, image_bounds.upper), *predicted),
         redundancy_brackets=brackets,
         image_redundancy=image_r,
-        redundancy_holds=tol.within(image_r, *np.transpose(brackets)),
+        redundancy_holds=frame.tol.within(image_r, *np.transpose(brackets)),
     )
 
 

@@ -6,11 +6,11 @@ rank-revealing orthonormalization, Hermitian eigenvalue ranges, kernel
 dimensions, positive definite solves, Gaussian draws, and Haar sampling
 on the unit sphere: unit vectors, and sphere weights (the squared moduli
 of a Haar unit vector's coordinates).  Every cutoff decision in the
-package is a :class:`Tolerance` predicate: ``rank``, ``spans`` (through
-``floor``) and ``negligible`` apply ``rank_rel``; ``flat``, ``near``,
-``parseval`` and ``within`` apply ``eig_rel``; ``reconstructs`` applies
-``recon_abs``.  Orthonormal bases and unit vectors are checked by
-``DEFAULT_TOLERANCE.negligible`` at scale 1.
+package is a predicate of the one :class:`Tolerance`, ``DEFAULT_TOLERANCE``
+(``frame.tol``, and the primitives' ``tol`` default): ``rank``, ``spans``
+(through ``floor``) and ``negligible`` apply ``rank_rel``; ``flat``,
+``near``, ``parseval`` and ``within`` apply ``eig_rel``; ``reconstructs``
+applies ``recon_abs``; unit vectors and bases are checked at scale 1.
 Scale rule: a cutoff is relative to the scale of what it decides (the
 largest singular or eigenvalue or bracket end, a family's largest norm),
 so results are invariant under rescaling; only ``near`` (quantities of

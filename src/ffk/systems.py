@@ -84,7 +84,7 @@ def _orthogonal(local: VectorFrame, tol: Tolerance) -> bool:
 
 def build_system(frame: FusionFrame, local_vectors) -> FusionFrameSystem:
     """Assemble a system from per-member lists of local vectors."""
-    return FusionFrameSystem(frame, [VectorFrame(vectors, tol=frame.tol) for vectors in local_vectors])
+    return FusionFrameSystem(frame, [VectorFrame(vectors) for vectors in local_vectors])
 
 
 @dataclass(frozen=True)
@@ -124,7 +124,7 @@ def _flat_parseval(system: FusionFrameSystem, weighted: bool) -> bool:
     """Whether the flattened family {v_i f_ij}, or {f_ij} unweighted, passes the Parseval rule."""
     scales = [member.weight if weighted else 1.0 for member in system.frame.members]
     flat = np.concatenate([scale * local.matrix for scale, local in zip(scales, system.local_frames)], axis=1)
-    return system.frame.tol.parseval(*hermitian_eigenrange(flat @ flat.conj().T, system.frame.tol))
+    return system.frame.tol.parseval(*hermitian_eigenrange(flat @ flat.conj().T))
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,6 @@ from .errors import (
 from .numerics import (
     DEFAULT_TOLERANCE,
     FrameBounds,
-    Tolerance,
     field_of,
     hermitian_eigenrange,
     solve_hermitian_positive,
@@ -51,21 +50,22 @@ class VectorFrame:
     column norms, ``operator`` is ``S = Phi Phi*``, and, computed on first
     use, ``normalized_operator`` is ``sum_i phi_i phi_i* / ||phi_i||^2``
     and ``dual_matrix`` is ``S^-1 Phi``, the canonical dual's vectors.
+    Every cutoff reads ``tol``, the class attribute ``DEFAULT_TOLERANCE``.
     """
 
-    def __init__(self, vectors, *, tol: Tolerance = DEFAULT_TOLERANCE):
+    tol = DEFAULT_TOLERANCE
+
+    def __init__(self, vectors):
         matrix = _read_only(_as_column_matrix(vectors))
         norms = _read_only(_require_finite(np.linalg.norm(matrix, axis=0), "frame vector norms"))
-        if not np.all(tol.spans(norms, norms.max())):
+        if not np.all(self.tol.spans(norms, norms.max())):
             index = int(np.argmin(norms))
             raise ZeroVector(f"vector {index} has numerically zero norm")
         self.matrix = matrix
         self.norms = norms
-        self.tol = tol
         self.operator = _read_only(matrix @ matrix.conj().T)
-        low, high = hermitian_eigenrange(self.operator, tol)
-        self._operator_range = (low, high)
-        self.is_frame = tol.spans(low, high)
+        self._operator_range = hermitian_eigenrange(self.operator)
+        self.is_frame = self.tol.spans(*self._operator_range)
 
     @cached_property
     def normalized_operator(self) -> np.ndarray:
@@ -77,9 +77,9 @@ class VectorFrame:
         return _read_only(solve_hermitian_positive(self.operator, self.matrix, self.tol))
 
     @classmethod
-    def from_matrix(cls, matrix: np.ndarray, **kwargs) -> "VectorFrame":
+    def from_matrix(cls, matrix: np.ndarray) -> "VectorFrame":
         """Build from an ``n x N`` matrix whose columns are the vectors."""
-        return cls(np.asarray(matrix).T, **kwargs)
+        return cls(np.asarray(matrix).T)
 
     @property
     def ambient_dim(self) -> int:
@@ -141,7 +141,7 @@ def redundancy_function(frame: VectorFrame, x) -> float:
 
 def vector_redundancy_range(frame: VectorFrame) -> tuple[float, float]:
     """Extremes (R-, R+) of the redundancy function over the unit sphere."""
-    return hermitian_eigenrange(frame.normalized_operator, frame.tol)
+    return hermitian_eigenrange(frame.normalized_operator)
 
 
 def analyze_vector_frame(frame: VectorFrame) -> VectorFrameReport:
@@ -177,7 +177,7 @@ def canonical_dual(frame: VectorFrame) -> VectorFrame:
     """The canonical dual family S^{-1} phi_i, tagged like any :class:`VectorFrame`."""
     if not frame.is_frame:
         raise NotAFrame("only spanning families have a canonical dual")
-    return VectorFrame.from_matrix(frame.dual_matrix, tol=frame.tol)
+    return VectorFrame.from_matrix(frame.dual_matrix)
 
 
 def alternate_dual(frame: VectorFrame, eta) -> VectorFrame:
@@ -205,7 +205,7 @@ def alternate_dual(frame: VectorFrame, eta) -> VectorFrame:
     D = frame.dual_matrix
     gram = frame.matrix.conj().T @ D  # gram[k, i] = <S^{-1} phi_i, phi_k>
     dual_matrix = D + H - H @ gram
-    return VectorFrame.from_matrix(dual_matrix, tol=frame.tol)
+    return VectorFrame.from_matrix(dual_matrix)
 
 
 def check_norm_inequality(frame: VectorFrame, dual: VectorFrame, x) -> tuple[float, float, bool]:

@@ -179,14 +179,10 @@ def test_05_random_frame_property_battery(scoreboard):
                 [
                     WeightedSubspace(m.subspace, float(rng.uniform(0.2, 5.0)) * m.weight)
                     for m in frame.members
-                ],
-                frame.tol,
+                ]
             )
             assert redundancy_equivalent(frame, scaled)
-            permuted = FusionFrame(
-                [frame.members[i] for i in rng.permutation(frame.member_count)],
-                frame.tol,
-            )
+            permuted = FusionFrame([frame.members[i] for i in rng.permutation(frame.member_count)])
             assert redundancy_equivalent(frame, permuted)
 
         for _ in range(100):
@@ -210,10 +206,7 @@ def test_06_excess_is_a_structural_invariant(scoreboard):
             unitary_image = apply_operator(frame, random_unitary(rng, n, frame.field))
             assert excess(unitary_image) == reference
             for alpha in (0.5, 3.0):
-                scaled = FusionFrame(
-                    [WeightedSubspace(m.subspace, alpha * m.weight) for m in frame.members],
-                    frame.tol,
-                )
+                scaled = FusionFrame([WeightedSubspace(m.subspace, alpha * m.weight) for m in frame.members])
                 assert excess(scaled) == reference
         for _ in range(20):
             decomposition = random_orthogonal_decomposition(rng, int(rng.integers(2, 7)))
@@ -226,7 +219,7 @@ def test_06_excess_is_a_structural_invariant(scoreboard):
                 block = np.zeros((total, basis.shape[1]), dtype=basis.dtype)
                 block[offset : offset + basis.shape[0]] = basis
                 members.append(WeightedSubspace(Subspace(block), member.weight))
-            return FusionFrame(members, frame.tol)
+            return FusionFrame(members)
 
         for _ in range(10):
             a = random_fusion_frame(rng, n=3, field="complex")
@@ -257,7 +250,7 @@ def test_07_vector_frame_dual_battery(scoreboard):
                 continue
             found += 1
             for c in (1.0 / a, 1.0 / b, 2.0 / (a + b)):
-                candidate = VectorFrame.from_matrix(c * frame.matrix, tol=frame.tol)
+                candidate = VectorFrame.from_matrix(c * frame.matrix)
                 assert dual_residual(frame, candidate) > frame.tol.recon_abs
 
         for _ in range(100):

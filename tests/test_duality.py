@@ -33,9 +33,7 @@ from test_differential import projection_gap, reference_pencil, unit_weight_fram
 
 
 def with_unit_weights(frame: FusionFrame) -> FusionFrame:
-    return FusionFrame(
-        [WeightedSubspace(m.subspace, 1.0) for m in frame.members], frame.tol
-    )
+    return FusionFrame([WeightedSubspace(m.subspace, 1.0) for m in frame.members])
 
 
 def forty_five_degree_lines() -> FusionFrame:

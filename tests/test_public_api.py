@@ -1,8 +1,11 @@
 """The package's exports resolve, and the package imports only what ``pyproject.toml`` declares."""
 
 import ast
+import inspect
 import sys
 from pathlib import Path
+
+import numpy as np
 
 import ffk
 
@@ -60,3 +63,27 @@ def test_every_function_has_a_caller():
             if isinstance(node, ast.FunctionDef) and not node.name.startswith("_") and node.name not in named:
                 unused.append(f"{path.name}:{node.name}")
     assert unused == []
+
+
+def test_every_frame_has_the_package_tolerance():
+    """No constructor takes a tolerance, and every frame, derived ones included, reads ``DEFAULT_TOLERANCE``."""
+    constructors = (
+        ffk.FusionFrame, ffk.build_fusion_frame, ffk.Subspace.from_span, ffk.VectorFrame, ffk.VectorFrame.from_matrix
+    )
+    assert [f.__qualname__ for f in constructors if "tol" in inspect.signature(f).parameters] == []
+    assert ffk.FusionFrame.tol is ffk.VectorFrame.tol is ffk.DEFAULT_TOLERANCE
+    e = np.eye(3)
+    frame = ffk.build_fusion_frame([(e[:, :2], 1.0), (e[:, 1:], 2.0)], 3)
+    vectors = ffk.VectorFrame.from_matrix(np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]]))
+    frames = [
+        frame,
+        ffk.union(frame, frame),
+        ffk.erase(frame, [0])[0],
+        ffk.canonical_dual_fusion(frame),
+        ffk.apply_operator(frame, 2.0 * e),
+        *ffk.build_system(frame, [[e[0], e[1]], [e[1], e[2]]]).local_frames,
+        vectors,
+        ffk.canonical_dual(vectors),
+        ffk.alternate_dual(vectors, 0.1 * np.arange(6.0).reshape(3, 2)),
+    ]
+    assert [i for i, f in enumerate(frames) if f.tol is not ffk.DEFAULT_TOLERANCE or "tol" in vars(f)] == []

@@ -170,7 +170,7 @@ class TestCanonicalDual:
             if b / a < 1.05:
                 continue
             for c in (1.0 / a, 1.0 / b, 2.0 / (a + b)):
-                candidate = VectorFrame.from_matrix(c * frame.matrix, tol=frame.tol)
+                candidate = VectorFrame.from_matrix(c * frame.matrix)
                 assert dual_residual(frame, candidate) > 1e-6
 
 
