@@ -18,7 +18,6 @@ from .vector_frames import (
     check_norm_inequality,
     dual_redundancy_sandwich,
     redundancy_function,
-    vector_redundancy_range,
 )
 from .fusion import (
     AnalysisReport,
@@ -104,7 +103,6 @@ __all__ = [
     "redundancy_range",
     "synthesis_matrix",
     "union",
-    "vector_redundancy_range",
     "verify_alternate_dual",
     "verify_projection_decomposition",
 ]

@@ -39,11 +39,11 @@ from .numerics import (
     solve_hermitian_positive,
     sphere_weights,
     symmetrize,
+    _as_unit_vector,
     _read_only,
     _require_finite,
     _require_square,
 )
-from .vector_frames import _as_unit_vector
 
 EXHAUSTIVE_MEMBER_LIMIT = 22
 ERASURE_CHUNK_BYTES = 1 << 17  # each (rows, s, s) stack of one exhaustive-search chunk: s = k d_max for G_JJ, n for S_J
@@ -120,7 +120,9 @@ class FusionFrame:
     ``T = [v_1 Q_1 | ... | v_N Q_N]``; ``operator`` is ``S = T T*``; and,
     computed on first use, ``normalized_operator`` is ``S1 = Q Q*``,
     ``normalized_spectrum`` its ascending eigenvalues and
-    ``canonical_dual`` the family ``{(S^-1 W_i, v_i)}``.
+    ``canonical_dual`` the family ``{(S^-1 W_i, v_i)}``.  Everything past
+    member validation is one assembly step on the stacked form, which
+    :class:`ffk.vector_frames.VectorFrame`, the rank-one case, shares.
     """
 
     tol = DEFAULT_TOLERANCE
@@ -142,14 +144,18 @@ class FusionFrame:
                     f"member {i} lives in dimension {member.subspace.ambient_dim}, expected {ambient}"
                 )
         self.members = members
-        self._ambient_dim = ambient
-        self.weights = _read_only(np.array([m.weight for m in members]))
-        self.dims = _read_only(np.array([m.subspace.dim for m in members]))
-        self.bases = _read_only(np.concatenate([m.subspace.basis for m in members], axis=1))
-        self.offsets = _read_only(np.cumsum(np.append(0, self.dims)))
-        self.synthesis = _read_only(self.bases * np.repeat(self.weights, self.dims))
-        label = f"frame operator (largest weight {self.weights.max():.3g})"
-        self.operator = _read_only(_require_finite(self.synthesis @ self.synthesis.conj().T, label))
+        weights = np.array([m.weight for m in members])
+        dims = np.array([m.subspace.dim for m in members])
+        bases = np.concatenate([m.subspace.basis for m in members], axis=1)
+        self._assemble(bases, weights, dims, bases * np.repeat(weights, dims))
+
+    def _assemble(self, bases, weights, dims, synthesis):
+        """Own the stacked form and derive ``S = T T*``, its range and ``is_frame`` from ``T = synthesis``."""
+        self.bases, self.weights, self.dims = _read_only(bases), _read_only(weights), _read_only(dims)
+        self.offsets = _read_only(np.cumsum(np.append(0, dims)))
+        self.synthesis = _read_only(synthesis)
+        label = f"frame operator (largest weight {weights.max():.3g})"
+        self.operator = _read_only(_require_finite(synthesis @ synthesis.conj().T, label))
         self._operator_range = hermitian_eigenrange(self.operator)
         self.is_frame = self.tol.spans(*self._operator_range)
 
@@ -165,24 +171,24 @@ class FusionFrame:
     def canonical_dual(self) -> "FusionFrame":
         """The canonical dual family, from one solve against the stacked bases; needs ``is_frame``."""
         spans = solve_hermitian_positive(self.operator, self.bases, self.tol)
-        columns = zip(self.members, self.offsets[:-1], self.offsets[1:])
-        return build_fusion_frame([(spans[:, a:b], m.weight) for m, a, b in columns], self.ambient_dim)
+        columns = zip(self.weights, self.offsets[:-1], self.offsets[1:])
+        return build_fusion_frame([(spans[:, a:b], w) for w, a, b in columns], self.ambient_dim)
 
     @property
     def ambient_dim(self) -> int:
-        return self._ambient_dim
+        return self.bases.shape[0]
 
     @property
     def member_count(self) -> int:
-        return len(self.members)
+        return len(self.weights)
 
     @property
     def field(self) -> str:
-        return self.members[0].subspace.field
+        return field_of(self.bases)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"FusionFrame(members={self.member_count}, ambient={self.ambient_dim}, "
+            f"{type(self).__name__}(members={self.member_count}, ambient={self.ambient_dim}, "
             f"field={self.field}, is_frame={self.is_frame})"
         )
 

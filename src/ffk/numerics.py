@@ -29,6 +29,7 @@ from .errors import (
     NonFiniteEntries,
     NotPositiveDefinite,
     NotSquare,
+    NotUnitVector,
 )
 
 REAL = "real"
@@ -145,6 +146,16 @@ def _require_square(M: np.ndarray, what: str = "matrix") -> np.ndarray:
 def _read_only(array: np.ndarray) -> np.ndarray:
     array.setflags(write=False)
     return array
+
+
+def _as_unit_vector(x, dim: int) -> np.ndarray:
+    v = np.asarray(x)
+    if v.shape != (dim,):
+        raise DimensionMismatch(f"expected a vector of dimension {dim}, got shape {v.shape}")
+    _require_finite(v, "vector")
+    if not DEFAULT_TOLERANCE.negligible(abs(np.linalg.norm(v) - 1.0), 1.0):
+        raise NotUnitVector(f"||x|| = {float(np.linalg.norm(v))!r} is not 1 within {DEFAULT_TOLERANCE.floor(1.0)}")
+    return v
 
 
 def symmetrize(M: np.ndarray) -> np.ndarray:

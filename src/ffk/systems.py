@@ -52,7 +52,7 @@ class FusionFrameSystem:
             basis = member.subspace.basis
             coordinates = basis.conj().T @ local.matrix
             defect = np.linalg.norm(local.matrix - basis @ coordinates, axis=0).max()
-            if not frame.tol.negligible(defect, local.norms.max()):
+            if not frame.tol.negligible(defect, local.weights.max()):
                 raise VectorOutsideSubspace(
                     f"local family {i} leaves its subspace by {defect:.3e}"
                 )

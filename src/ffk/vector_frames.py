@@ -1,12 +1,17 @@
-"""Classical vector frames: operators, redundancy, and dual families.
+"""Classical vector frames: the rank-one fusion frames, and their dual families.
 
 A frame here is a finite family of nonzero vectors spanning its ambient
-space.  A family that does not span still constructs, tagged ``is_frame``
-false, and every operation that needs a frame refuses it with
-:class:`NotAFrame`, the policy of :class:`ffk.fusion.FusionFrame`.  The
-pointwise redundancy of the family at a unit vector ``x`` is
-the norm-insensitive energy ``sum_i |<x, phi_i>|^2 / ||phi_i||^2``, the
-Rayleigh quotient of the normalized frame operator.  Inner products are
+space.  The family ``{phi_i}`` is the fusion frame of the lines
+``span phi_i`` weighted by ``||phi_i||``: both have ``S = Phi Phi*``,
+the normalized operator ``sum_i phi_i phi_i* / ||phi_i||^2`` and the
+pointwise redundancy ``sum_i |<x, phi_i>|^2 / ||phi_i||^2`` at a unit
+vector ``x``, its Rayleigh quotient.  So :class:`VectorFrame` is a
+:class:`ffk.fusion.FusionFrame`, and every fusion analysis (bounds,
+redundancy range, classification, excess, erasures) applies to it
+unchanged; this module adds what only vectors have: the matrix ``Phi``,
+duals and the coefficient-norm checks.  A family that does not span
+still constructs, tagged ``is_frame`` false, and every operation that
+needs a frame refuses it with :class:`NotAFrame`.  Inner products are
 linear in the first argument: ``<x, y> = y* x``.
 """
 
@@ -21,22 +26,20 @@ from .errors import (
     DimensionMismatch,
     NotADual,
     NotAFrame,
-    NotUnitVector,
     WrongEtaCount,
     ZeroVector,
 )
+from .fusion import FusionFrame, Subspace, WeightedSubspace, redundancy_range
 from .numerics import (
-    DEFAULT_TOLERANCE,
     FrameBounds,
-    field_of,
-    hermitian_eigenrange,
     solve_hermitian_positive,
+    _as_unit_vector,
     _read_only,
     _require_finite,
 )
 
 
-class VectorFrame:
+class VectorFrame(FusionFrame):
     """A finite family of nonzero vectors in a fixed ambient space.
 
     Vectors are stored as the columns of ``matrix``.  Construction never
@@ -46,31 +49,27 @@ class VectorFrame:
     a frame only for its own span, such as a local family of a fusion frame
     system, is still a ``VectorFrame``.
 
-    The frame owns its derived state, all read-only: ``norms`` holds the
-    column norms, ``operator`` is ``S = Phi Phi*``, and, computed on first
-    use, ``normalized_operator`` is ``sum_i phi_i phi_i* / ||phi_i||^2``
-    and ``dual_matrix`` is ``S^-1 Phi``, the canonical dual's vectors.
-    Every cutoff reads ``tol``, the class attribute ``DEFAULT_TOLERANCE``.
+    As a fusion frame its ``bases`` are the unit vectors ``phi_i / ||phi_i||``,
+    its ``weights`` the norms ``||phi_i||``, every member of dimension one,
+    and its ``synthesis`` is ``matrix`` itself, so ``operator`` is
+    ``S = Phi Phi*``.  ``members``, the weighted lines, is built on first
+    read, as is ``dual_matrix``, ``S^-1 Phi``, the canonical dual's vectors.
     """
 
-    tol = DEFAULT_TOLERANCE
+    count = FusionFrame.member_count  # member_count by its vector name
 
     def __init__(self, vectors):
-        matrix = _read_only(_as_column_matrix(vectors))
-        norms = _read_only(_require_finite(np.linalg.norm(matrix, axis=0), "frame vector norms"))
+        matrix = _as_column_matrix(vectors)
+        norms = _require_finite(np.linalg.norm(matrix, axis=0), "frame vector norms")
         if not np.all(self.tol.spans(norms, norms.max())):
             index = int(np.argmin(norms))
             raise ZeroVector(f"vector {index} has numerically zero norm")
-        self.matrix = matrix
-        self.norms = norms
-        self.operator = _read_only(matrix @ matrix.conj().T)
-        self._operator_range = hermitian_eigenrange(self.operator)
-        self.is_frame = self.tol.spans(*self._operator_range)
+        self._assemble(matrix / norms[None, :], norms, np.ones(len(norms), int), matrix)
+        self.matrix = self.synthesis
 
     @cached_property
-    def normalized_operator(self) -> np.ndarray:
-        unit = self.matrix / self.norms[None, :]
-        return _read_only(unit @ unit.conj().T)
+    def members(self) -> tuple[WeightedSubspace, ...]:
+        return tuple(WeightedSubspace(Subspace(self.bases[:, [i]]), w) for i, w in enumerate(self.weights))
 
     @cached_property
     def dual_matrix(self) -> np.ndarray:
@@ -80,21 +79,6 @@ class VectorFrame:
     def from_matrix(cls, matrix: np.ndarray) -> "VectorFrame":
         """Build from an ``n x N`` matrix whose columns are the vectors."""
         return cls(np.asarray(matrix).T)
-
-    @property
-    def ambient_dim(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def count(self) -> int:
-        return self.matrix.shape[1]
-
-    @property
-    def field(self) -> str:
-        return field_of(self.matrix)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"VectorFrame(count={self.count}, dim={self.ambient_dim}, field={self.field})"
 
 
 @dataclass(frozen=True)
@@ -122,26 +106,18 @@ def _as_column_matrix(vectors) -> np.ndarray:
     return _require_finite(matrix.astype(dtype), "frame vectors")
 
 
-def _as_unit_vector(x, dim: int) -> np.ndarray:
-    v = np.asarray(x)
-    if v.shape != (dim,):
-        raise DimensionMismatch(f"expected a vector of dimension {dim}, got shape {v.shape}")
-    _require_finite(v, "vector")
-    if not DEFAULT_TOLERANCE.negligible(abs(np.linalg.norm(v) - 1.0), 1.0):
-        raise NotUnitVector(f"||x|| = {float(np.linalg.norm(v))!r} is not 1 within {DEFAULT_TOLERANCE.floor(1.0)}")
-    return v
-
-
 def redundancy_function(frame: VectorFrame, x) -> float:
-    """Pointwise redundancy sum_i |<x, phi_i>|^2 / ||phi_i||^2 at unit x."""
+    """Pointwise redundancy sum_i |<x, phi_i>|^2 / ||phi_i||^2 at unit x.
+
+    This is :func:`ffk.fusion.redundancy_at` of the frame's lines, up to
+    roundoff, but summed vector by vector: ``ffk system`` prints the gap
+    between the fusion redundancy and the sum of these values as
+    ``max_gap`` (1.3322676295501878e-15 on the orthogonal real golden
+    system), and ``x* S1 x`` rounds differently in the last bit.
+    """
     v = _as_unit_vector(x, frame.ambient_dim)
     coefficients = frame.matrix.conj().T @ v
-    return float(np.sum(np.abs(coefficients) ** 2 / frame.norms**2))
-
-
-def vector_redundancy_range(frame: VectorFrame) -> tuple[float, float]:
-    """Extremes (R-, R+) of the redundancy function over the unit sphere."""
-    return hermitian_eigenrange(frame.normalized_operator)
+    return float(np.sum(np.abs(coefficients) ** 2 / frame.weights**2))
 
 
 def analyze_vector_frame(frame: VectorFrame) -> VectorFrameReport:
@@ -151,9 +127,9 @@ def analyze_vector_frame(frame: VectorFrame) -> VectorFrameReport:
     low, high = frame._operator_range
     return VectorFrameReport(
         bounds=FrameBounds(low, high),
-        redundancy=vector_redundancy_range(frame),
+        redundancy=redundancy_range(frame),
         tight=frame.tol.flat(low, high),
-        equal_norm=frame.tol.flat(frame.norms.min(), frame.norms.max()),
+        equal_norm=frame.tol.flat(frame.weights.min(), frame.weights.max()),
     )
 
 
@@ -257,8 +233,8 @@ def dual_redundancy_sandwich(frame: VectorFrame) -> SandwichCheck:
         raise NotAFrame("only spanning families have a canonical dual")
     low, high = frame._operator_range
     k = high / low
-    r_minus, r_plus = vector_redundancy_range(frame)
-    d_minus, d_plus = vector_redundancy_range(canonical_dual(frame))
+    r_minus, r_plus = redundancy_range(frame)
+    d_minus, d_plus = redundancy_range(canonical_dual(frame))
     lower, upper = k**-2, k**2
     ratio_minus = d_minus / r_minus
     ratio_plus = d_plus / r_plus

@@ -51,7 +51,6 @@ from ffk.vector_frames import (
     dual_redundancy_sandwich,
     dual_residual,
     redundancy_function,
-    vector_redundancy_range,
 )
 from ffk.documents import sampled_consistency_checks
 
@@ -323,6 +322,6 @@ def test_10_singleton_fusion_redundancy_matches_vector_redundancy(scoreboard):
                     redundancy_at(fusion, x) - redundancy_function(vector_frame, x)
                 ) <= 1e-12
             fusion_extremes = redundancy_range(fusion)
-            vector_extremes = vector_redundancy_range(vector_frame)
+            vector_extremes = redundancy_range(vector_frame)
             assert abs(fusion_extremes[0] - vector_extremes[0]) <= 1e-12
             assert abs(fusion_extremes[1] - vector_extremes[1]) <= 1e-12

@@ -18,7 +18,9 @@ that were written out at each of their call sites.  Vector frames keep
 ``S``, the normalized operator and the canonical dual's vectors, and a
 fusion frame system decides its local orthogonality and Parsevality at
 construction; their results must equal, bit for bit, those of the
-per-call computations they replaced.
+per-call computations they replaced.  A vector frame is the fusion frame
+of its lines, so the fusion analyses of it must give its vector analyses
+and the erasure certificate of its lines built one by one.
 """
 
 import dataclasses
@@ -44,6 +46,8 @@ from ffk.fusion import (
     Subspace,
     WeightedSubspace,
     _weight_rule_level,
+    build_fusion_frame,
+    classify,
     erasure_certificate,
     excess,
     redundancy_at,
@@ -1213,7 +1217,7 @@ def test_vector_frame_state_matches_the_per_call_operators(seed, field):
     assert frame.normalized_operator.tobytes() == reference_normalized_frame_operator(frame).tobytes()
     assert frame.dual_matrix.tobytes() == reference_dual_matrix(frame).tobytes()
     assert exact(frame._operator_range) == exact(hermitian_eigenrange(operator, frame.tol))
-    for cached in (frame.norms, frame.operator, frame.normalized_operator, frame.dual_matrix):
+    for cached in (frame.weights, frame.operator, frame.normalized_operator, frame.dual_matrix):
         assert not cached.flags.writeable
     assert frame.dual_matrix is frame.dual_matrix
 
@@ -1228,6 +1232,19 @@ def test_vector_frame_analyses_match_the_per_call_operators(seed, field):
     assert exact(dual_redundancy_sandwich(frame)) == exact(reference_sandwich(frame))
     assert canonical_dual(frame).matrix.tobytes() == reference_dual_matrix(frame).tobytes()
     assert alternate_dual(frame, eta).matrix.tobytes() == reference_alternate_dual_matrix(frame, eta).tobytes()
+
+
+@pytest.mark.parametrize("field", [REAL, COMPLEX])
+@pytest.mark.parametrize("seed", range(40))
+def test_fusion_analyses_of_a_vector_frame_are_its_vector_analyses(seed, field):
+    """A vector frame is the fusion frame of its lines weighted by the norms: the fusion analyses apply as they stand."""
+    frame = random_vector_frame(np.random.default_rng(seed), field=field)
+    report, reference = classify(frame), reference_analysis(frame)
+    assert exact((report.bounds, report.redundancy)) == exact((reference.bounds, reference.redundancy))
+    assert report.uniform_weights == reference.equal_norm
+    assert excess(frame) == frame.count - frame.ambient_dim
+    lines = build_fusion_frame([(phi[:, None], np.linalg.norm(phi)) for phi in frame.matrix.T], frame.ambient_dim)
+    assert erasure_certificate(frame, 2) == erasure_certificate(lines, 2)
 
 
 @pytest.mark.parametrize("scale", [1e-11, 1.0, 1e4, 1e7])

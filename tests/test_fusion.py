@@ -50,7 +50,7 @@ from ffk.generators import (
     random_vector_frame,
 )
 from ffk.numerics import COMPLEX, REAL, Tolerance, sample_unit_vectors
-from ffk.vector_frames import canonical_dual, dual_redundancy_sandwich, vector_redundancy_range
+from ffk.vector_frames import canonical_dual, dual_redundancy_sandwich
 from test_differential import projection_gap, reference_sampled_equivalence_gap
 
 
@@ -531,7 +531,7 @@ class TestOperatorImages:
         report = operator_image_report(lines, np.linalg.inv(vectors.operator))
         check = dual_redundancy_sandwich(vectors)
         assert report.condition == pytest.approx(check.upper**0.5, rel=1e-9)
-        assert report.image_redundancy == pytest.approx(vector_redundancy_range(canonical_dual(vectors)), rel=1e-9)
+        assert report.image_redundancy == pytest.approx(redundancy_range(canonical_dual(vectors)), rel=1e-9)
 
     def test_singular_operator_rejected(self, rng):
         frame = random_fusion_frame(rng, n=3)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ffk import vector_frames
+from ffk.documents import FrameDocument
 from ffk.errors import (
     DimensionMismatch,
     NonFiniteEntries,
@@ -14,6 +15,7 @@ from ffk.errors import (
     WrongEtaCount,
     ZeroVector,
 )
+from ffk.fusion import FusionFrame, Subspace, erase, redundancy_at, redundancy_range, union
 from ffk.generators import random_tight_vector_frame, random_vector_frame
 from ffk.numerics import COMPLEX, REAL, sample_unit_vectors
 from ffk.vector_frames import (
@@ -25,7 +27,6 @@ from ffk.vector_frames import (
     dual_redundancy_sandwich,
     dual_residual,
     redundancy_function,
-    vector_redundancy_range,
 )
 
 MERCEDES = [
@@ -62,15 +63,36 @@ class TestConstruction:
         with np.errstate(over="ignore"), pytest.raises(NonFiniteEntries, match="norms"):
             VectorFrame([[1e300, 0.0], [0.0, 1.0]])
 
+    def test_overflowing_operator_names_the_frame_operator(self):
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteEntries, match="^frame operator"):
+            VectorFrame([[1e154, 0.0], [1e154, 0.0]])
+
     def test_mixed_dimensions_rejected(self):
         with pytest.raises(DimensionMismatch):
             VectorFrame([np.array([1.0, 0.0]), np.array([1.0, 0.0, 0.0])])
+
+    def test_is_the_fusion_frame_of_its_lines_built_on_first_read(self, rng, monkeypatch):
+        calls = []
+        init = Subspace.__init__
+        monkeypatch.setattr(Subspace, "__init__", lambda self, basis: calls.append(basis) or init(self, basis))
+        frame = random_vector_frame(rng, n=4, count=7)
+        assert isinstance(frame, FusionFrame) and calls == []
+        lines = frame.members
+        assert len(calls) == frame.count and frame.members is lines
+        assert [m.subspace.dim for m in lines] == [1] * frame.count
+        assert [m.weight for m in lines] == list(frame.weights)
+        assert frame.tol.near(sum(m.subspace.projection() for m in lines), frame.normalized_operator)
+        remaining, _ = erase(frame, [0])
+        assert remaining.member_count == frame.count - 1
+        assert union(frame, frame).member_count == 2 * frame.count
+        document = FrameDocument.from_fusion_frame(frame)
+        assert (document.field, document.dimension, len(document.subspaces)) == (frame.field, 4, frame.count)
 
     def test_non_spanning_family_is_tagged_and_refused_by_frame_operations(self):
         frame = VectorFrame([np.array([1.0, 0.0]), np.array([2.0, 0.0])])
         assert not frame.is_frame
         assert redundancy_function(frame, np.array([0.6, 0.8])) == pytest.approx(0.72, abs=1e-12)
-        assert vector_redundancy_range(frame) == pytest.approx((0.0, 2.0), abs=1e-12)
+        assert redundancy_range(frame) == pytest.approx((0.0, 2.0), abs=1e-12)
         operations = [
             analyze_vector_frame,
             canonical_dual,
@@ -90,7 +112,7 @@ class TestOperatorsAndRedundancy:
 
     def test_mercedes_redundancy_constant(self):
         frame = VectorFrame(MERCEDES)
-        low, high = vector_redundancy_range(frame)
+        low, high = redundancy_range(frame)
         assert abs(low - 1.5) < 1e-12
         assert abs(high - 1.5) < 1e-12
         assert abs(redundancy_function(frame, np.array([1.0, 0.0])) - 1.5) < 1e-12
@@ -103,11 +125,17 @@ class TestOperatorsAndRedundancy:
         assert abs(redundancy_function(frame, np.array([0.0, 1.0])) - 1.0) < 1e-12
         diag = np.array([1.0, 1.0]) / math.sqrt(2)
         assert abs(redundancy_function(frame, diag) - 1.5) < 1e-12
-        assert vector_redundancy_range(frame) == pytest.approx((1.0, 2.0), abs=1e-12)
+        assert redundancy_range(frame) == pytest.approx((1.0, 2.0), abs=1e-12)
 
     def test_normalization_ignores_vector_scaling(self):
         frame = VectorFrame([np.array([3.0, 0.0]), np.array([0.0, 0.25])])
         assert np.allclose(frame.normalized_operator, np.eye(2), atol=1e-12)
+
+    def test_redundancy_function_is_redundancy_at_up_to_roundoff(self, rng):
+        for _ in range(20):
+            frame = random_vector_frame(rng)
+            for x in sample_unit_vectors(rng, frame.ambient_dim, 10, frame.field):
+                assert frame.tol.near(redundancy_function(frame, x), redundancy_at(frame, x))
 
     def test_redundancy_needs_unit_vector(self):
         frame = VectorFrame(MERCEDES)
@@ -117,7 +145,7 @@ class TestOperatorsAndRedundancy:
     def test_mean_redundancy_is_count_over_dimension(self, rng):
         for _ in range(20):
             frame = random_vector_frame(rng)
-            low, high = vector_redundancy_range(frame)
+            low, high = redundancy_range(frame)
             mean = frame.count / frame.ambient_dim
             assert low <= mean + 1e-9
             assert high >= mean - 1e-9
@@ -125,8 +153,8 @@ class TestOperatorsAndRedundancy:
     def test_analysis_reuses_the_frame_operator_spectrum(self, rng, monkeypatch):
         frame = random_vector_frame(rng, n=5, count=8)
         calls = []
-        eigenrange = vector_frames.hermitian_eigenrange
-        monkeypatch.setattr(vector_frames, "hermitian_eigenrange", lambda *a: calls.append(a) or eigenrange(*a))
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda *a: calls.append(a) or eigvalsh(*a))
         analyze_vector_frame(frame)
         assert len(calls) == 1  # the normalized operator's; S's was taken at construction
 
@@ -264,8 +292,8 @@ class TestNormInequality:
         dual = VectorFrame([a * e1, b * e1, a * e2, b * e2])
         assert frame.tol.reconstructs(dual_residual(frame, dual))
         canon = canonical_dual(frame)
-        c = canon.norms
-        d = dual.norms
+        c = canon.weights
+        d = dual.weights
         assert np.ptp(c) < 1e-12 and np.ptp(d) < 1e-12
         ratio = (d[0] / c[0]) ** 2
         assert ratio == pytest.approx(1.0 + 4 * t * t, abs=1e-12)
@@ -307,7 +335,7 @@ class TestSandwich:
 def test_redundancy_range_brackets_every_sample(n, extra, seed):
     gen = np.random.default_rng(seed)
     frame = random_vector_frame(gen, n=n, count=n + extra)
-    low, high = vector_redundancy_range(frame)
+    low, high = redundancy_range(frame)
     for x in sample_unit_vectors(gen, n, 16, frame.field):
         value = redundancy_function(frame, x)
         assert low - 1e-9 <= value <= high + 1e-9
