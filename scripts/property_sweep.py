@@ -4,7 +4,9 @@
 For each generated frame the sweep checks:
   * sampled redundancy values stay inside the computed extremes,
   * adjoining an orthonormal fusion basis shifts both extremes by one,
-  * the canonical dual satisfies the reconstruction identity,
+  * the canonical dual satisfies the reconstruction identity, here and
+    on the near-cutoff and library-shaped frames below, so the round
+    trip is checked up to the rank cutoff,
   * invertible images, of condition log-uniform in [1, 100], respect the
     conditioning brackets,
   * for frames with at most 22 members, the greedy and exhaustive
@@ -109,6 +111,14 @@ def erasure_brackets(frame: FusionFrame) -> tuple[bool, ErasureCertificate]:
     return sound, exhaustive
 
 
+def check_dual(frame: FusionFrame, index, tallies: dict, failures: list) -> None:
+    """Tally whether the frame's canonical dual passes ``verify_alternate_dual``."""
+    if verify_alternate_dual(frame, canonical_dual_fusion(frame)).is_dual:
+        tallies["dual"] += 1
+    else:
+        failures.append((index, "dual"))
+
+
 def run_sweep(config: SweepConfig) -> dict:
     rng = np.random.default_rng(config.seed)
     checks = (
@@ -137,11 +147,7 @@ def run_sweep(config: SweepConfig) -> dict:
         else:
             failures.append((index, "union_shift"))
 
-        certificate = verify_alternate_dual(frame, canonical_dual_fusion(frame))
-        if certificate.is_dual:
-            tallies["dual"] += 1
-        else:
-            failures.append((index, "dual"))
+        check_dual(frame, index, tallies, failures)
 
         operator = random_invertible(rng, n, frame.field, condition=float(10 ** rng.uniform(0, 2)))
         outcome = operator_image_report(frame, operator)
@@ -181,6 +187,7 @@ def run_sweep(config: SweepConfig) -> dict:
         else:
             copies = int(near_rng.integers(2, 5))
             frame = weak_lines_frame(np.sqrt(near_rng.uniform(1.0, 3.0) * DEFAULT_TOLERANCE.rank_rel / copies), copies)
+        check_dual(frame, f"near-cutoff {index}", tallies, failures)
         sound, exhaustive = erasure_brackets(frame)
         if sound:
             tallies["erasure"] += 1
@@ -208,6 +215,7 @@ def run_sweep(config: SweepConfig) -> dict:
     library_rng = np.random.default_rng([config.seed, 1])
     for index in range(LIBRARY_FRAMES):
         frame = library_shaped_frame(library_rng, REAL if index % 2 == 0 else COMPLEX)
+        check_dual(frame, f"library {index}", tallies, failures)
         greedy = erasure_certificate(frame, mode="greedy")
         if (greedy.certified, greedy.universal) == reference_greedy_levels(frame, greedy.budget):
             tallies["greedy_pick"] += 1
@@ -237,6 +245,7 @@ def main() -> int:
     )
     outcome = run_sweep(config)
     totals = {
+        "dual": config.count + NEAR_CUTOFF_FRAMES + LIBRARY_FRAMES,
         "erasure": config.count + NEAR_CUTOFF_FRAMES,
         "exhaustive_reference": outcome["reference_frames"],
         "greedy_pick": LIBRARY_FRAMES,

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import NotADual, NotAFusionFrame, NotPositiveDefinite, NotUniformWeights
 from .fusion import FusionFrame, frame_bounds
-from .numerics import FrameBounds, quadratic_forms, sample_unit_vectors, solve_hermitian_positive
+from .numerics import FrameBounds, quadratic_forms, sample_unit_vectors
 
 
 @dataclass(frozen=True)
@@ -121,10 +121,10 @@ def verify_alternate_dual(frame: FusionFrame, candidate: FusionFrame) -> DualCer
     deviation from the identity.  With stacked bases ``Q`` (frame) and
     ``R`` (candidate), synthesis matrix ``T`` of the frame and ``U`` of
     the candidate, the operator is ``U (M o R* S^-1 T) Q*`` where ``M``
-    keeps the blocks that pair a member with itself, so a single solve
-    against ``T`` serves every member.  The certificate also reports the
-    candidate's Bessel bound (largest eigenvalue of its weighted
-    operator), which is always finite.
+    keeps the blocks that pair a member with itself, so the frame's one
+    ``S^-1 T``, which its canonical dual reads too, serves every member.
+    The certificate also reports the candidate's Bessel bound (largest
+    eigenvalue of its weighted operator), which is always finite.
     """
     if not frame.is_frame:
         raise NotAFusionFrame("duals are defined against a fusion frame")
@@ -134,15 +134,14 @@ def verify_alternate_dual(frame: FusionFrame, candidate: FusionFrame) -> DualCer
         raise NotADual(
             f"candidate has {candidate.member_count} members, expected {frame.member_count}"
         )
-    inner = candidate.bases.conj().T @ solve_hermitian_positive(frame.operator, frame.synthesis, frame.tol)
+    inner = candidate.bases.conj().T @ frame.dual_synthesis
     same_member = np.equal.outer(_member_of_column(candidate), _member_of_column(frame))
     reconstruction = candidate.synthesis @ np.where(same_member, inner, 0.0) @ frame.bases.conj().T
     residual = float(np.linalg.norm(np.eye(frame.ambient_dim) - reconstruction, axis=0).max())
-    bessel = candidate._operator_range[1]
     return DualCertificate(
         residual=residual,
         is_dual=frame.tol.reconstructs(residual),
-        bessel_bound=float(bessel),
+        bessel_bound=float(candidate._operator_range[1]),
     )
 
 

@@ -25,6 +25,7 @@ from .errors import (
     InvariantViolation,
     NonPositiveWeight,
     NotAFusionFrame,
+    NotPositiveDefinite,
     SingularOperator,
     ZeroSubspace,
 )
@@ -36,7 +37,6 @@ from .numerics import (
     hermitian_eigenrange,
     kernel_dimension,
     orthonormalize,
-    solve_hermitian_positive,
     sphere_weights,
     symmetrize,
     _as_unit_vector,
@@ -119,9 +119,11 @@ class FusionFrame:
     ``offsets[i]:offsets[i + 1]``; ``synthesis`` is
     ``T = [v_1 Q_1 | ... | v_N Q_N]``; ``operator`` is ``S = T T*``; and,
     computed on first use, ``normalized_operator`` is ``S1 = Q Q*``,
-    ``normalized_spectrum`` its ascending eigenvalues and
-    ``canonical_dual`` the family ``{(S^-1 W_i, v_i)}``.  Everything past
-    member validation is one assembly step on the stacked form, which
+    ``normalized_spectrum`` its ascending eigenvalues, ``dual_synthesis``
+    ``S^-1 T``, from one QR factor of ``T*`` for frames only (``is_frame``
+    is the one positivity decision), and ``canonical_dual`` the family
+    ``{(S^-1 W_i, v_i)}``.  Everything past member validation is one
+    assembly step on the stacked form, which
     :class:`ffk.vector_frames.VectorFrame`, the rank-one case, shares.
     """
 
@@ -168,11 +170,22 @@ class FusionFrame:
         return _read_only(np.linalg.eigvalsh(symmetrize(self.normalized_operator)))
 
     @cached_property
+    def _synthesis_factor(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(Z, S^-1 T)`` from the QR ``T* = Z R``: ``S = R* R``, ``S^-1 T = R^-1 Z*``, ``T* S^-1 T = Z Z*``."""
+        if not self.is_frame:
+            raise NotPositiveDefinite("spectrum [{:.3e}, {:.3e}] fails is_frame".format(*self._operator_range))
+        Z, R = np.linalg.qr(self.synthesis.conj().T)
+        return _read_only(Z), _read_only(np.linalg.solve(R, Z.conj().T))
+
+    @property
+    def dual_synthesis(self) -> np.ndarray:
+        return self._synthesis_factor[1]
+
+    @cached_property
     def canonical_dual(self) -> "FusionFrame":
-        """The canonical dual family, from one solve against the stacked bases; needs ``is_frame``."""
-        spans = solve_hermitian_positive(self.operator, self.bases, self.tol)
+        """The canonical dual family, the member blocks ``v_i S^-1 Q_i`` of ``S^-1 T``; needs ``is_frame``."""
         columns = zip(self.weights, self.offsets[:-1], self.offsets[1:])
-        return build_fusion_frame([(spans[:, a:b], w) for w, a, b in columns], self.ambient_dim)
+        return build_fusion_frame([(self.dual_synthesis[:, a:b], w) for w, a, b in columns], self.ambient_dim)
 
     @property
     def ambient_dim(self) -> int:

@@ -3,14 +3,15 @@
 Everything above this module (vector frames, weighted subspace families,
 duality certificates) is phrased in terms of a handful of primitives:
 rank-revealing orthonormalization, Hermitian eigenvalue ranges, kernel
-dimensions, positive definite solves, Gaussian draws, and Haar sampling
-on the unit sphere: unit vectors, and sphere weights (the squared moduli
-of a Haar unit vector's coordinates).  Every cutoff decision in the
-package is a predicate of the one :class:`Tolerance`, ``DEFAULT_TOLERANCE``
-(``frame.tol``, and the primitives' ``tol`` default): ``rank``, ``spans``
-(through ``floor``) and ``negligible`` apply ``rank_rel``; ``flat``,
-``near``, ``parseval`` and ``within`` apply ``eig_rel``; ``reconstructs``
-applies ``recon_abs``; unit vectors and bases are checked at scale 1.
+dimensions, Gaussian draws, and Haar sampling on the unit sphere: unit
+vectors, and sphere weights (the squared moduli of a Haar unit vector's
+coordinates).  Frames invert ``S`` through one QR factor of ``T*``, not
+a solve here.  Every cutoff decision in the package is a predicate of the
+one :class:`Tolerance`, ``DEFAULT_TOLERANCE`` (``frame.tol``, and the
+primitives' ``tol`` default): ``rank``, ``spans`` (through ``floor``)
+and ``negligible`` apply ``rank_rel``; ``flat``, ``near``, ``parseval``
+and ``within`` apply ``eig_rel``; ``reconstructs`` applies
+``recon_abs``; unit vectors and bases are checked at scale 1.
 Scale rule: a cutoff is relative to the scale of what it decides (the
 largest singular or eigenvalue or bracket end, a family's largest norm),
 so results are invariant under rescaling; only ``near`` (quantities of
@@ -206,13 +207,11 @@ def kernel_dimension(M: np.ndarray, tol: Tolerance = DEFAULT_TOLERANCE) -> int:
 def solve_hermitian_positive(
     M: np.ndarray, rhs: np.ndarray, tol: Tolerance = DEFAULT_TOLERANCE
 ) -> np.ndarray:
-    """Solve ``M X = rhs`` for Hermitian positive definite ``M``.
+    """Solve ``M X = rhs`` for Hermitian positive definite ``M``, decided by ``Tolerance.spans``.
 
-    One eigendecomposition serves both steps.  Positive definiteness is
-    decided spectrally by ``Tolerance.spans``.  The solve applies the
-    inverse through the eigenbasis, followed by one step of iterative
-    refinement, which keeps the residual near machine level even for
-    moderately ill-conditioned operators.
+    One eigendecomposition decides and inverts, and one refinement step
+    follows; the error still grows like ``cond(M) eps``, so frames invert
+    ``S`` through the QR factor of ``T*`` instead (:class:`ffk.fusion.FusionFrame`).
     """
     H = symmetrize(M)
     B = _require_finite(np.asarray(rhs), "right-hand side")

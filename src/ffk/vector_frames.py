@@ -32,9 +32,7 @@ from .errors import (
 from .fusion import FusionFrame, Subspace, WeightedSubspace, redundancy_range
 from .numerics import (
     FrameBounds,
-    solve_hermitian_positive,
     _as_unit_vector,
-    _read_only,
     _require_finite,
 )
 
@@ -52,11 +50,15 @@ class VectorFrame(FusionFrame):
     As a fusion frame its ``bases`` are the unit vectors ``phi_i / ||phi_i||``,
     its ``weights`` the norms ``||phi_i||``, every member of dimension one,
     and its ``synthesis`` is ``matrix`` itself, so ``operator`` is
-    ``S = Phi Phi*``.  ``members``, the weighted lines, is built on first
-    read, as is ``dual_matrix``, ``S^-1 Phi``, the canonical dual's vectors.
+    ``S = Phi Phi*`` and ``dual_matrix`` is ``dual_synthesis``, ``S^-1 Phi``.
+    ``members``, the weighted lines, is built on first read.  Two canonical
+    duals read the columns of ``dual_matrix``: ``frame.canonical_dual`` is
+    the fusion frame ``{(S^-1 span phi_i, ||phi_i||)}``, and
+    :func:`canonical_dual` the vectors ``{S^-1 phi_i}``, on the same lines.
     """
 
     count = FusionFrame.member_count  # member_count by its vector name
+    dual_matrix = FusionFrame.dual_synthesis  # S^-1 Phi: T = Phi
 
     def __init__(self, vectors):
         matrix = _as_column_matrix(vectors)
@@ -70,10 +72,6 @@ class VectorFrame(FusionFrame):
     @cached_property
     def members(self) -> tuple[WeightedSubspace, ...]:
         return tuple(WeightedSubspace(Subspace(self.bases[:, [i]]), w) for i, w in enumerate(self.weights))
-
-    @cached_property
-    def dual_matrix(self) -> np.ndarray:
-        return _read_only(solve_hermitian_positive(self.operator, self.matrix, self.tol))
 
     @classmethod
     def from_matrix(cls, matrix: np.ndarray) -> "VectorFrame":
@@ -178,10 +176,8 @@ def alternate_dual(frame: VectorFrame, eta) -> VectorFrame:
     if np.iscomplexobj(H) and not np.iscomplexobj(frame.matrix):
         raise DimensionMismatch("complex perturbations applied to a real frame")
     H = H.astype(frame.matrix.dtype)
-    D = frame.dual_matrix
-    gram = frame.matrix.conj().T @ D  # gram[k, i] = <S^{-1} phi_i, phi_k>
-    dual_matrix = D + H - H @ gram
-    return VectorFrame.from_matrix(dual_matrix)
+    Z, D = frame._synthesis_factor  # Z Z* = Phi* S^-1 Phi projects onto the range of Phi*
+    return VectorFrame.from_matrix(D + H - (H @ Z) @ Z.conj().T)
 
 
 def check_norm_inequality(frame: VectorFrame, dual: VectorFrame, x) -> tuple[float, float, bool]:
@@ -229,12 +225,10 @@ def dual_redundancy_sandwich(frame: VectorFrame) -> SandwichCheck:
     of :class:`ffk.fusion.OperatorImageReport`'s bracket with ``U = S^-1``,
     whose ``||U|| ||U^-1||`` is ``B / A``.
     """
-    if not frame.is_frame:
-        raise NotAFrame("only spanning families have a canonical dual")
+    d_minus, d_plus = redundancy_range(canonical_dual(frame))  # raises NotAFrame first
     low, high = frame._operator_range
     k = high / low
     r_minus, r_plus = redundancy_range(frame)
-    d_minus, d_plus = redundancy_range(canonical_dual(frame))
     lower, upper = k**-2, k**2
     ratio_minus = d_minus / r_minus
     ratio_plus = d_plus / r_plus

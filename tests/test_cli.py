@@ -8,12 +8,13 @@ import numpy as np
 import pytest
 
 import ffk
-from ffk import cli, duality, fusion, gallery
+from ffk import cli, gallery
 from ffk.cli import main
 from ffk.documents import FrameDocument, canonical_json, emit_example
 from ffk.gallery import example_frame
 from ffk.generators import random_system
 from ffk.systems import build_system
+from test_differential import near_singular_unit_weight_frame
 
 
 @pytest.fixture
@@ -232,16 +233,25 @@ class TestDual:
         assert summary["samples"] == 64
         FrameDocument.from_json_text(out.read_text(encoding="utf-8"))
 
-    def test_one_canonical_dual_solve(self, run, frame_file, monkeypatch):
-        # The ratio sweep must reuse the dual the command writes: count the solves of both modules.
-        calls = []
-        solve = duality.solve_hermitian_positive
-        for module in (fusion, duality):
-            monkeypatch.setattr(module, "solve_hermitian_positive", lambda *args: calls.append(args) or solve(*args))
-        code, _, stderr = run("dual", frame_file("7.1-V", 4), "--canonical", "--samples", "64")
+    def test_one_canonical_dual_factorization(self, run, frame_file, monkeypatch):
+        # The ratio sweep must reuse the dual the command writes: count the QR factorizations of T*.
+        path, calls, qr = frame_file("7.1-V", 4), [], np.linalg.qr
+        monkeypatch.setattr(np.linalg, "qr", lambda *args, **kwargs: calls.append(args) or qr(*args, **kwargs))
+        code, _, stderr = run("dual", path, "--canonical", "--samples", "64")
         assert code == 0
         assert json.loads(stderr)["ratio_bounds"]["applicable"] is True
         assert len(calls) == 1
+
+    def test_canonical_dual_round_trip_near_the_cutoff(self, run, tmp_path):
+        # B / A is about 7e8, inside is_frame's 1e10: the dual the command
+        # writes must pass verify-dual, which an S^-1 solve losing cond(S) eps
+        # failed with a residual of about 1e-4.
+        path, out = tmp_path / "frame.json", tmp_path / "d.json"
+        path.write_text(FrameDocument.from_fusion_frame(near_singular_unit_weight_frame(3, 1e-4)).to_json_text())
+        assert run("dual", str(path), "--canonical", "--out", str(out))[0] == 0
+        code, stdout, _ = run("verify-dual", str(path), str(out))
+        assert code == 0
+        assert json.loads(stdout)["is_dual"] is True
 
     @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
     def test_failed_ratio_check_writes_nothing(self, run, frame_file, tmp_path, to_file):

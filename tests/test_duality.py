@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from ffk import duality, fusion
 from ffk.duality import (
     alternate_dual_bounds,
     canonical_dual_fusion,
@@ -215,14 +214,11 @@ class TestAlternateDualBounds:
             alternate_dual_bounds(frame, other)
 
 
-def test_one_solve_per_dual_operation(monkeypatch, rng):
-    # The canonical dual solves in fusion (FusionFrame.canonical_dual), the verification in duality.
-    calls = []
-    solve = duality.solve_hermitian_positive
-    for module in (fusion, duality):
-        monkeypatch.setattr(module, "solve_hermitian_positive", lambda *args: calls.append(args) or solve(*args))
-    frame = random_fusion_frame(rng, n=6, members=5)
+def test_one_factorization_for_the_dual_and_its_verification(monkeypatch, rng):
+    # The canonical dual and the verification both read the frame's one QR factor of T*.
+    frame, calls, qr = random_fusion_frame(rng, n=6, members=5), [], np.linalg.qr
+    monkeypatch.setattr(np.linalg, "qr", lambda *args, **kwargs: calls.append(args) or qr(*args, **kwargs))
     dual = canonical_dual_fusion(frame)
     assert len(calls) == 1
     assert verify_alternate_dual(frame, dual).is_dual
-    assert len(calls) == 2
+    assert len(calls) == 1
