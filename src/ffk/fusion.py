@@ -46,7 +46,9 @@ from .numerics import (
 )
 
 EXHAUSTIVE_MEMBER_LIMIT = 22
-ERASURE_CHUNK_BYTES = 1 << 17  # each (rows, s, s) stack of one exhaustive-search chunk: s = k d_max for G_JJ, n for S_J
+# Working-block budget: each (rows, s, s) stack of one exhaustive-search chunk (s = k d_max
+# for G_JJ, n for S_J), and each block of sphere weights that redundancy sampling draws.
+CHUNK_BYTES = 1 << 17
 
 
 class Subspace:
@@ -293,8 +295,26 @@ def redundancy_samples(frame: FusionFrame, rng: np.random.Generator, count: int)
     independent uniform signs or phases; ``R`` does not see them, so they
     are not drawn.  After the draw the work is O(count n), on the cached
     ``normalized_spectrum``.
+
+    The weights are drawn in blocks of ``rows`` rows, the largest power of
+    two with ``8 n rows <= CHUNK_BYTES`` (at least one), into one ``count``
+    vector, so memory is O(count + block) however large ``count`` is.
+    Each block continues the stream of ``rng`` and redraws its own rows
+    summing below 1e-24, so when nothing is redrawn the values equal the
+    one-shot ``sphere_weights(rng, n, count, field) @ normalized_spectrum``
+    bit for bit wherever BLAS groups the rows of that product alike.  Its
+    kernels take rows in small power-of-two groups, which blocks of
+    ``rows`` rows keep; a one-row product takes another kernel, so the last
+    block takes a lone last row.  A multithreaded BLAS may split the
+    one-shot's rows elsewhere (``count = 20001`` on two threads).
     """
-    return sphere_weights(rng, frame.ambient_dim, count, frame.field) @ frame.normalized_spectrum
+    n, spectrum = frame.ambient_dim, frame.normalized_spectrum
+    rows = 1 << (max(1, CHUNK_BYTES // (8 * n)).bit_length() - 1)
+    values = np.empty(max(count, 0))
+    starts = range(0, max(count - 1, 1), rows)  # count < 1 reaches sphere_weights, which raises before any draw
+    for start, stop in zip(starts, [*starts[1:], count]):
+        values[start:stop] = sphere_weights(rng, n, stop - start, frame.field) @ spectrum
+    return values
 
 
 def synthesis_matrix(frame: FusionFrame) -> np.ndarray:
@@ -509,14 +529,19 @@ def _gram_survivors(shifted: np.ndarray, width: int, J: np.ndarray) -> np.ndarra
     return np.ones(len(J), bool)
 
 
+def _member_term(member: WeightedSubspace) -> np.ndarray:
+    """``v_i^2 P_i``, member ``i``'s term of ``S``."""
+    return member.weight**2 * member.subspace.projection()
+
+
 def _member_terms(frame: FusionFrame) -> tuple[np.ndarray, np.ndarray]:
-    terms = np.stack([m.weight**2 * m.subspace.projection() for m in frame.members])
+    terms = np.stack([_member_term(m) for m in frame.members])
     return terms, sum(terms)  # starts from 0: no -0.0, so total - removed matches total - H in zero signs too
 
 
 def _exact_frames_left(frame: FusionFrame, terms: np.ndarray, total: np.ndarray, J: np.ndarray) -> np.ndarray:
     """:func:`_frames_left` on ``S_J = total - sum_{i in J} terms[i]`` for each row of ``J``, by chunks."""
-    rows = max(1, ERASURE_CHUNK_BYTES // terms[0].nbytes)
+    rows = max(1, CHUNK_BYTES // terms[0].nbytes)
     left = np.empty(len(J), bool)
     for start in range(0, len(J), rows):
         part = J[start : start + rows]
@@ -615,7 +640,7 @@ def _exhaustive_levels(frame: FusionFrame, budget: int) -> tuple[int, int]:
 
     def chunks_of(k):
         side = n if shifted is None else k * width
-        return _subset_chunks(N, k, max(1, ERASURE_CHUNK_BYTES // (side * side * frame.synthesis.itemsize)))
+        return _subset_chunks(N, k, max(1, CHUNK_BYTES // (side * side * frame.synthesis.itemsize)))
 
     certified = universal = 0
     first_pass = []  # level top's Gram answers, chunk by chunk, up to the first chunk not wholly certified
@@ -736,10 +761,17 @@ def _greedy_levels(frame: FusionFrame, budget: int) -> tuple[int, int]:
     ``U <= floor(lam_{n - d_max} - m) - m`` on every member that reaches the
     best end stop the path there, whichever of them the full loop picks;
     otherwise :func:`_frames_left` decides.
+
+    Memory: ``terms[i] = v_i^2 P_i`` is built when it is needed, by
+    :func:`_member_terms`' own expression: ``total`` member by member in
+    ``sum(terms)`` order, ``terms[p]`` for each pick and ``terms[i]`` for
+    each near-tie evaluation.  So ``total``, ``removed`` and ``rest -
+    terms[i]`` keep the stack's bits, and the search holds O(n^2 + N n
+    d_max) entries, never the N x n x n stack.
     """
     tol, N, n, dims = frame.tol, frame.member_count, frame.ambient_dim, frame.dims
     eps = np.finfo(float).eps
-    terms, total = _member_terms(frame)
+    total = sum(map(_member_term, frame.members))  # _member_terms' total, one term alive at a time
     slack = 9 * eps * total.trace().real
     blocks, width = _padded_synthesis(frame), dims.max()
     levels = [0, 0]  # certified, universal
@@ -788,10 +820,10 @@ def _greedy_levels(frame: FusionFrame, budget: int) -> tuple[int, int]:
                 break  # whichever of them the full loop picks leaves no frame
             if len(reach) > 1:  # a near tie: the full loop's exact values decide
                 for j in reach[lows[reach] < highs[reach]]:
-                    lows[j] = highs[j] = hermitian_eigenrange(rest - terms[cand[j]])[0]
+                    lows[j] = highs[j] = hermitian_eigenrange(rest - _member_term(frame.members[cand[j]]))[0]
                 best = reach[np.argmax(lows[reach]) if strongest else np.argmin(highs[reach])]
             path.append(int(cand[best]))
-            removed = removed + terms[path[-1]]
+            removed = removed + _member_term(frame.members[path[-1]])
             if dims[path].sum() > dims.sum() - n:
                 break
             if lows[best] - margin <= tol.floor(lam[-1] + margin) and not _frames_left(frame, (total - removed)[None])[0]:

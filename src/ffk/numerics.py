@@ -265,7 +265,11 @@ def sphere_weights(
     follow Dirichlet(1/2, ..., 1/2).  Complex field: ``|a + ib|^2`` of a
     standard complex normal is ``2 Exp(1)``, so the rows are standard
     exponential draws, normalized per row, and follow Dirichlet(1, ..., 1);
-    that takes half the variates of the complex Gaussian draw.
+    that takes half the variates of the complex Gaussian draw.  Rows are
+    drawn in order, so calls for ``a`` and then ``b`` rows give the rows of
+    one call for ``a + b`` unless a row summing below 1e-24 is redrawn:
+    that redraw follows its own call's rows.  ``redundancy_samples`` draws
+    in such blocks.
     """
     if dim < 1 or count < 1:
         raise DimensionMismatch(f"need dim >= 1 and count >= 1, got {dim}, {count}")

@@ -10,7 +10,8 @@ in chunks on blocks of one Gram matrix, and converts each block of
 document rows with one array call.  Redundancy samples come from sphere
 weights and the cached spectrum of ``S1``, not from quadratic forms of
 ``S1`` at sampled vectors; they keep the law of the reference, not its
-values.  The redundancy ratio of a dual pair is reported as its exact
+values.  Drawn in blocks, they equal the one-shot draw of all sphere
+weights bit for bit.  The redundancy ratio of a dual pair is reported as its exact
 extremes and redundancy equivalence is decided on the operators alone;
 the sampled sweeps they replaced must stay inside those answers.
 The ``Tolerance`` cutoff predicates are checked against the comparisons
@@ -31,6 +32,10 @@ import functools
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -450,7 +455,7 @@ def test_exhaustive_erasure_first_failure_inside_a_later_chunk():
     # is decided in chunks of (k d_max)^2-square Gram blocks; put the pair
     # in the middle of the second chunk of C(22, 2) pairs.
     n, N, d = 16, 22, 8
-    rows = fusion.ERASURE_CHUNK_BYTES // ((2 * d) ** 2 * 8)
+    rows = fusion.CHUNK_BYTES // ((2 * d) ** 2 * 8)
     assert 2 * rows < N * (N - 1) // 2, "the level must span several chunks"
     pair = next(itertools.islice(itertools.combinations(range(N), 2), rows + rows // 2, None))
     rng = np.random.default_rng(5)
@@ -544,7 +549,7 @@ def test_exhaustive_erasure_exact_path_in_several_chunks(rows, field, monkeypatc
     n = 5
     U = random_unitary(np.random.default_rng(17), n, field)
     frame = fusion.build_fusion_frame([(U[:, [i]], 1.0 + i / 4) for i in range(n)] + [(U[:, [-1]], 0.5)], n)
-    monkeypatch.setattr(fusion, "ERASURE_CHUNK_BYTES", rows * n * n * frame.synthesis.itemsize)
+    monkeypatch.setattr(fusion, "CHUNK_BYTES", rows * n * n * frame.synthesis.itemsize)
     seen = spy_exact_path(monkeypatch)
     certificate = assert_exhaustive_matches(frame)
     assert (certificate.certified, certificate.universal) == (1, 0)
@@ -651,7 +656,7 @@ def test_exhaustive_erasure_top_level_fails_at_its_last_removal(field, monkeypat
             line[0] = 0.0
         spans.append((line, float(rng.uniform(0.5, 2.0))))
     frame = fusion.build_fusion_frame(spans, n)
-    monkeypatch.setattr(fusion, "ERASURE_CHUNK_BYTES", rows * 2 * 2 * frame.synthesis.itemsize)
+    monkeypatch.setattr(fusion, "CHUNK_BYTES", rows * 2 * 2 * frame.synthesis.itemsize)
     levels = spy_gram_levels(monkeypatch)
     certificate = assert_exhaustive_matches(frame)
     assert (certificate.certified, certificate.universal) == (2, 1)
@@ -763,6 +768,76 @@ def test_redundancy_samples_reject_bad_counts_like_the_reference(count):
     assert str(expected.value) == message
     with pytest.raises(DimensionMismatch, match=message):
         redundancy_samples(frame, np.random.default_rng(0), count)
+
+
+def reference_one_shot_samples(frame, rng, count):
+    """``redundancy_samples`` before it drew in blocks: one ``count`` x n draw of sphere weights."""
+    return sphere_weights(rng, frame.ambient_dim, count, frame.field) @ frame.normalized_spectrum
+
+
+def sample_block_rows(n):
+    """Rows per block of ``redundancy_samples``: the largest power of two with ``8 n rows <= CHUNK_BYTES``."""
+    return 1 << (max(1, fusion.CHUNK_BYTES // (8 * n)).bit_length() - 1)
+
+
+BLOCKED_SAMPLES_SCRIPT = """
+import json
+import numpy as np
+from ffk.generators import random_fusion_frame
+from ffk.fusion import redundancy_samples
+from test_differential import reference_one_shot_samples, sample_block_rows
+
+differ = []
+for n in (1, 5, 64, 96, 128):
+    for field in ("real", "complex"):
+        frame = random_fusion_frame(np.random.default_rng(n), n, max(2, n // 2), None, field)
+        rows = sample_block_rows(n)
+        for count in (1, rows - 1, rows, rows + 1, 3 * rows + 7):
+            one_shot = reference_one_shot_samples(frame, np.random.default_rng([n, count]), count)
+            blocked = redundancy_samples(frame, np.random.default_rng([n, count]), count)
+            if blocked.tobytes() != one_shot.tobytes():
+                differ.append([n, field, count])
+print(json.dumps(differ))
+"""
+
+
+def test_redundancy_samples_equal_the_one_shot_draw():
+    # A one-shot product's bits depend on where a multithreaded BLAS splits
+    # its rows, so both run with one BLAS thread, in a fresh process.  At
+    # n = 96, 8 n does not divide CHUNK_BYTES: blocks of 170 rows would
+    # split the small groups in which BLAS multiplies rows.
+    tests, src = Path(__file__).resolve().parent, Path(fusion.__file__).resolve().parents[1]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), str(tests), os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", BLOCKED_SAMPLES_SCRIPT], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout) == []
+
+
+def traced_peak(call):
+    """Peak bytes that ``tracemalloc`` sees while ``call()`` runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("field", [REAL, COMPLEX])
+def test_redundancy_samples_hold_one_block_at_a_time(field):
+    # The one-shot draw held 24.9 MiB (complex) and 48.8 MiB (real).
+    frame = library_scale_frame(1, 64, 40, field)
+    assert traced_peak(lambda: redundancy_samples(frame, np.random.default_rng(0), 50_000)) < 2 * 2**20
+
+
+def test_greedy_erasure_holds_no_member_stack():
+    frame = library_scale_frame(2, 64, 48, COMPLEX)
+    stack = frame.member_count * frame.ambient_dim**2 * np.dtype(complex).itemsize  # N x n x n: 3.0 MiB
+    erasure_certificate(seeded_frame(0), mode="greedy")  # first calls of some numpy routines import modules
+    assert traced_peak(lambda: erasure_certificate(frame, mode="greedy")) < stack
 
 
 def unit_weight_frame(seed):
