@@ -479,13 +479,13 @@ def _frames_left(frame: FusionFrame, H: np.ndarray) -> np.ndarray:
     return frame.tol.spans(low, high)
 
 
-def _padded_synthesis(frame: FusionFrame) -> np.ndarray:
-    """``T`` as an ``(n, N, d_max)`` array: member ``i``'s ``v_i Q_i``, zero past its own ``d_i`` columns."""
+def _padded(frame: FusionFrame, X: np.ndarray) -> np.ndarray:
+    """``X``, ``rows x m``, as a ``(rows, N, d_max)`` array: member ``i``'s columns, zero past its own ``d_i``."""
     dims = frame.dims
-    T = np.zeros((frame.ambient_dim, frame.member_count, dims.max()), frame.synthesis.dtype)
+    padded = np.zeros((len(X), frame.member_count, dims.max()), X.dtype)
     for i in range(frame.member_count):
-        T[:, i, : dims[i]] = frame.synthesis[:, frame.offsets[i] : frame.offsets[i + 1]]
-    return T
+        padded[:, i, : dims[i]] = X[:, frame.offsets[i] : frame.offsets[i + 1]]
+    return padded
 
 
 def _range_error(frame: FusionFrame) -> float:
@@ -494,21 +494,20 @@ def _range_error(frame: FusionFrame) -> float:
     return 4 * (n * n + m + N + 8) * (np.finfo(float).eps * frame.operator.trace().real)
 
 
-def _gram_cutoff(frame: FusionFrame) -> np.ndarray | None:
-    """``c I - G`` of :func:`_exhaustive_levels`, or ``None`` when ``c <= 0``.
+def _gram_error(frame: FusionFrame) -> float:
+    """``e_2 = 16 (m n + n^2 + (w + 1)^2) eps sqrt(t/A)`` of :func:`_exhaustive_levels`; ``G`` lies within ``e_2/4``."""
+    n, m, w = frame.ambient_dim, frame.dims.sum(), frame.member_count * frame.dims.max()
+    t_over_a = frame.operator.trace().real / frame._operator_range[0]
+    return 16 * (m * n + n * n + (w + 1) ** 2) * np.finfo(float).eps * np.sqrt(t_over_a)
 
-    ``G = T* S^-1 T`` is formed through the Cholesky factor of ``S``, each
-    member owning ``d_max`` columns, zero past its own ``d_i``.
-    """
-    N, n, dims = frame.member_count, frame.ambient_dim, frame.dims
-    width, m = dims.max(), dims.sum()
+
+def _gram_cutoff(frame: FusionFrame) -> np.ndarray | None:
+    """``c I - G`` of :func:`_exhaustive_levels`, ``G = Z Z*`` from :func:`_padded` ``Z*``; ``None`` if ``c <= 0``."""
     A, B = frame._operator_range
-    eps_t = np.finfo(float).eps * frame.operator.trace().real
-    e2 = 8 * (2 * n * n + (N * width + 1) ** 2 + m + n + 1) * eps_t / A
-    c = 1.0 - (frame.tol.floor(B) + _range_error(frame)) / A - e2
+    c = 1.0 - (frame.tol.floor(B) + _range_error(frame)) / A - _gram_error(frame)
     if c <= 0.0:
         return None
-    Y = np.linalg.solve(np.linalg.cholesky(frame.operator), _padded_synthesis(frame).reshape(n, -1))
+    Y = _padded(frame, frame._synthesis_factor[0].conj().T).reshape(frame.ambient_dim, -1)
     G = symmetrize(Y.conj().T @ Y)
     return c * np.eye(len(G)) - G
 
@@ -516,9 +515,11 @@ def _gram_cutoff(frame: FusionFrame) -> np.ndarray | None:
 def _gram_survivors(shifted: np.ndarray, width: int, J: np.ndarray) -> np.ndarray:
     """Which removals ``J`` (rows of member indices) their ``c I - G_JJ`` blocks of ``shifted`` certify.
 
-    One batched Cholesky certifies every row (its backward error on an
-    ``s``-square block gives ``lambda_max(G_JJ) <= c + (s + 1) s eps``); when it
-    declines, one batched ``eigvalsh`` certifies the rows with ``lambda_max(G_JJ) < c``.
+    One batched Cholesky certifies every row; when it declines, one batched
+    ``eigvalsh`` certifies the rows it finds positive.  Either gives
+    ``lambda_max(G_JJ) <= c + (s + 1)^2 eps`` on an ``s``-square block: the
+    Cholesky backward error is ``(s + 1) s eps``, that of ``eigvalsh``
+    ``s^2 eps``, and rounding ``c - G_ii`` adds ``eps``.
     """
     idx = (J[:, :, None] * width + np.arange(width)).reshape(len(J), -1)
     blocks = np.take(shifted, idx[:, :, None] * len(shifted) + idx[:, None, :])
@@ -577,9 +578,10 @@ def _exhaustive_levels(frame: FusionFrame, budget: int) -> tuple[int, int]:
     ``lambda_min(S_J) >= A (1 - g)`` and ``lambda_max(S_J) <= B``.
 
     Errors, with ``t = tr S``, ``m = sum_i d_i``, ``w = N d_max``, LAPACK
-    backward errors ``p(s) eps`` with ``p <= s^2`` on ``s``-square problems,
+    backward errors ``p eps`` with ``p <= s^2`` on ``s``-square problems
+    and ``p <= m n`` on the ``m x n`` QR,
     ``e_1 = 4 (n^2 + m + N + 8) eps t`` and
-    ``e_2 = 8 (2 n^2 + (w + 1)^2 + m + n + 1) eps t / A``:
+    ``e_2 = 16 (m n + n^2 + (w + 1)^2) eps sqrt(t / A)``:
 
     - The reference's ``eigvalsh`` range of the assembled ``S_J``, and the
       computed ``(A, B)``, lie within ``e_1 / 4`` of the exact ranges of
@@ -587,14 +589,18 @@ def _exhaustive_levels(frame: FusionFrame, budget: int) -> tuple[int, int]:
       ``v_i^2 Q_i Q_i*``, its three sums and ``T`` cost
       ``(N + d_max + 5) eps t`` in Frobenius norm, ``T T*`` costs
       ``m eps t``, and ``eigvalsh`` ``n^2 eps t``.
-    - The computed ``G`` lies within ``e_2 / 4`` of the exact one.  ``c > 0``
-      gives ``e_1 < A``, so ``A`` is within a factor 4/3 of the exact
-      ``lambda_min(S)``, and ``t >= n lambda_min(S)``.  The factor ``L L*``
-      is within ``(m + n + 1) eps t`` of ``T T*``, which moves ``G`` by that
-      over ``lambda_min(S)``.  The solve ``(L + dL) y = T e_j``, with
-      ``||dL|| <= n^2 eps ||L||``, moves ``L^-1 T`` (Frobenius norm
-      ``sqrt n``) by ``n^2 eps sqrt(n t / lambda_min(S))`` and ``G`` by
-      twice that.  ``Y* Y`` adds ``n^2 eps``.
+    - The computed ``G = Z Z*``, from the frame's QR factor ``T* = Z R``,
+      lies within ``e_2 / 4`` of the exact one.  ``c > 0`` gives ``e_1 < A``
+      and ``e_2 < 1``, so ``sigma_n(T)^2 = lambda_min(S) >= 3A/4`` and
+      ``sqrt(t / A) >= 0.86``.  Householder QR (Higham, *Accuracy and
+      Stability*, Thm 19.4) gives an orthonormal ``Z'`` with ``T* + dT* =
+      Z' R``, ``||dT||_F <= m n eps sqrt t`` and ``||Z - Z'||_F <= m n eps``.
+      ``Z' Z'*`` projects onto the range of ``T* + dT*``, within ``||dT|| /
+      (sigma_n(T) - ||dT||) <= 1.25 m n eps sqrt(t / A)`` of ``G``, as
+      ``||dT|| <= e_2 sqrt(A) / 16``.  ``Z`` for ``Z'`` adds ``2.01 m n
+      eps``, ``Y* Y`` ``n^2 eps`` and ``symmetrize`` ``sqrt(n) eps``: in all
+      below ``4 (m n + n^2) eps sqrt(t / A)``, so ``e_2`` grows like
+      ``sqrt(t / A)``, not ``t / A``.
     - A Cholesky success on ``c I - G_JJ``, of size ``s = k d_max <= w``,
       or a positive ``eigvalsh`` of it, gives ``lambda_max(G_JJ) <= c +
       (s + 1)^2 eps`` (:func:`_gram_survivors`): below ``e_2 / 4``.
@@ -608,9 +614,7 @@ def _exhaustive_levels(frame: FusionFrame, budget: int) -> tuple[int, int]:
     One batched Cholesky of ``c I - G_JJ`` certifies a whole chunk
     (:func:`_gram_survivors`); the rows it leaves uncertified are assembled
     and decided by :func:`_frames_left`, which also decides every row when
-    ``c <= 0`` (``B / A`` near ``1 / rank_rel``).  ``A > e_1`` is far above
-    the backward error of the Cholesky factorization of ``S``, which
-    therefore succeeds.
+    ``c <= 0`` (``B / A`` near ``1 / rank_rel``).
 
     The search starts from the top: ``top`` is the largest level up to
     ``budget`` whose ``top`` largest ``d_i`` pass the dimension test, so
@@ -773,7 +777,7 @@ def _greedy_levels(frame: FusionFrame, budget: int) -> tuple[int, int]:
     eps = np.finfo(float).eps
     total = sum(map(_member_term, frame.members))  # _member_terms' total, one term alive at a time
     slack = 9 * eps * total.trace().real
-    blocks, width = _padded_synthesis(frame), dims.max()
+    blocks, width = _padded(frame, frame.synthesis), dims.max()
     levels = [0, 0]  # certified, universal
     first = None  # level 1's (lam, C), the same for both paths
     for side, strongest in enumerate((True, False)):

@@ -29,7 +29,7 @@ from .errors import (
     WrongEtaCount,
     ZeroVector,
 )
-from .fusion import FusionFrame, Subspace, WeightedSubspace, redundancy_range
+from .fusion import FusionFrame, Subspace, WeightedSubspace, classify, redundancy_range
 from .numerics import (
     FrameBounds,
     _as_unit_vector,
@@ -119,16 +119,11 @@ def redundancy_function(frame: VectorFrame, x) -> float:
 
 
 def analyze_vector_frame(frame: VectorFrame) -> VectorFrameReport:
-    """Bounds, redundancy range, tightness, and equal-norm detection."""
+    """Bounds, redundancy range, tightness, and equal-norm detection: :func:`classify`'s, for a frame."""
     if not frame.is_frame:
         raise NotAFrame("the family does not span its ambient space")
-    low, high = frame._operator_range
-    return VectorFrameReport(
-        bounds=FrameBounds(low, high),
-        redundancy=redundancy_range(frame),
-        tight=frame.tol.flat(low, high),
-        equal_norm=frame.tol.flat(frame.weights.min(), frame.weights.max()),
-    )
+    r = classify(frame)
+    return VectorFrameReport(r.bounds, r.redundancy, r.tight, r.uniform_weights)
 
 
 def dual_residual(frame: VectorFrame, candidate: VectorFrame) -> float:

@@ -4,10 +4,11 @@ The references assemble operators member by member from n x n
 projections, solve once per member, run the two separate greedy
 erasure loops, decide each exhaustive erasure subset with its own
 eigvalsh, and convert document rows and render JSON one entry at a
-time; the library builds stacked operators once per frame, solves once
-per dual operation, shares one greedy helper, decides exhaustive subsets
-in chunks on blocks of one Gram matrix, and converts each block of
-document rows with one array call.  Redundancy samples come from sphere
+time; the library builds stacked operators once per frame, reads every
+``S^-1``, the Gram matrix too, from one QR factor per frame, shares one
+greedy helper, decides exhaustive subsets in chunks on blocks of one
+Gram matrix, and converts each block of document rows with one array
+call.  Redundancy samples come from sphere
 weights and the cached spectrum of ``S1``, not from quadratic forms of
 ``S1`` at sampled vectors; they keep the law of the reference, not its
 values.  Drawn in blocks, they equal the one-shot draw of all sphere
@@ -19,12 +20,15 @@ that were written out at each of their call sites.  Vector frames keep
 ``S`` and the normalized operator, and a fusion frame system decides its
 local orthogonality and Parsevality at construction; their results must
 equal, bit for bit, those of the per-call computations they replaced.
-Every ``S^-1`` reads one QR factor of ``T*``; the duals it gives must stay
-within ``(B / A) eps`` of the eigendecomposition solve it replaced, whose
-own error grows like that, and must pass the reconstruction check on
-frames whose ``B / A`` nears the rank cutoff.  A vector frame is the
-fusion frame of its lines, so the fusion analyses of it must give its
-vector analyses and the erasure certificate of its lines built one by one.
+Every ``S^-1`` reads one QR factor ``T* = Z R``; the duals it gives must
+stay within ``(B / A) eps`` of the eigendecomposition solve it replaced,
+whose own error grows like that, and must pass the reconstruction check
+on frames whose ``B / A`` nears the rank cutoff.  The exhaustive search's
+Gram matrix ``G = Z Z*`` must stay as close to the Cholesky form it
+replaced, and within its derived error of a 40-digit ``G``.  A vector
+frame is the fusion frame of its lines, so the fusion analyses of it must
+give its vector analyses and the erasure certificate of its lines built
+one by one.
 """
 
 import dataclasses
@@ -83,6 +87,7 @@ from ffk.numerics import (
     sample_unit_vectors,
     solve_hermitian_positive,
     sphere_weights,
+    symmetrize,
 )
 from ffk.systems import build_system, parseval_equivalences
 from ffk.vector_frames import (
@@ -685,6 +690,64 @@ def test_exhaustive_erasure_decides_each_top_level_row_once(monkeypatch):
     certificate = assert_exhaustive_matches(example_frame("7.1-V", 6))
     assert (certificate.certified, certificate.universal) == (6, 1)
     assert [rows for rows, k in shapes if k == 6] == [455]
+
+
+def reference_gram(frame):
+    """``G = T* S^-1 T`` as ``Y* Y``, ``Y = L^-1 T`` for the Cholesky factor ``S = L L*``, on the padded ``T``."""
+    T = fusion._padded(frame, frame.synthesis).reshape(frame.ambient_dim, -1)
+    Y = np.linalg.solve(np.linalg.cholesky(frame.operator), T)
+    return symmetrize(Y.conj().T @ Y)
+
+
+def computed_gram(frame, monkeypatch):
+    """The ``G`` that :func:`fusion._gram_cutoff` forms, caught at its ``symmetrize``."""
+    seen = []
+    monkeypatch.setattr(fusion, "symmetrize", lambda M: seen.append(symmetrize(M)) or seen[-1])
+    shifted = fusion._gram_cutoff(frame)
+    assert shifted is not None
+    return seen[-1]
+
+
+@pytest.mark.parametrize("field", [REAL, COMPLEX])
+@pytest.mark.parametrize("seed", range(40))
+def test_gram_matrix_matches_the_cholesky_form(seed, field, monkeypatch):
+    frame = random_fusion_frame(np.random.default_rng(seed), field=field)
+    assert_within_conditioning(computed_gram(frame, monkeypatch), reference_gram(frame), frame)
+
+
+def conditioned_fusion_frame(rng, field, condition):
+    """The lines of :func:`conditioned_vector_frame` and two planes of squared weight ``0.01 / condition``.
+
+    ``S`` moves by at most ``0.02 / condition``, so ``B / A`` stays within 2% of ``condition``, and the
+    lines are padded to the planes' two columns.
+    """
+    vectors = conditioned_vector_frame(rng, field, condition).matrix
+    n = len(vectors)
+    spans = [(phi[:, None], np.linalg.norm(phi)) for phi in vectors.T]
+    spans += [(random_subspace(rng, n, 2, field).basis, math.sqrt(0.01 / condition)) for _ in range(2)]
+    return build_fusion_frame(spans, n)
+
+
+def exact_gram_error(frame, G):
+    """``max |G - T* S^-1 T|`` over the entries, the exact ``G`` in 40-digit arithmetic on the padded ``T``."""
+    mpmath = pytest.importorskip("mpmath")
+    T = fusion._padded(frame, frame.synthesis).reshape(frame.ambient_dim, -1)
+    with mpmath.workdps(40):
+        Tm = mpmath.matrix([[mpmath.mpc(complex(x)) for x in row] for row in T])
+        exact = Tm.H * mpmath.inverse(Tm * Tm.H) * Tm
+        return max(float(abs(exact[i, j] - mpmath.mpc(complex(G[i, j])))) for i in range(len(G)) for j in range(len(G)))
+
+
+@pytest.mark.parametrize("decades", range(9))
+@pytest.mark.parametrize("field", [REAL, COMPLEX])
+@pytest.mark.parametrize("seed", range(3))
+def test_gram_matrix_is_within_its_derived_error(seed, field, decades, monkeypatch):
+    # e_2 / 4 of _exhaustive_levels bounds the computed G's error; it
+    # grows like sqrt(t / A), the roundoff of the QR factor of T*.
+    frame = conditioned_fusion_frame(np.random.default_rng([seed, decades]), field, 10.0**decades)
+    low, high = frame._operator_range
+    assert frame.dims.max() == 2 and abs(math.log10(high / low) - decades) < 0.01
+    assert exact_gram_error(frame, computed_gram(frame, monkeypatch)) <= fusion._gram_error(frame) / 4
 
 
 @pytest.mark.parametrize("rows", [1, 2047, 2048, 2049])

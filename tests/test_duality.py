@@ -19,6 +19,7 @@ from ffk.fusion import (
     FusionFrame,
     WeightedSubspace,
     build_fusion_frame,
+    erasure_certificate,
     frame_bounds,
 )
 from ffk.gallery import example_frame
@@ -215,10 +216,19 @@ class TestAlternateDualBounds:
 
 
 def test_one_factorization_for_the_dual_and_its_verification(monkeypatch, rng):
-    # The canonical dual and the verification both read the frame's one QR factor of T*.
-    frame, calls, qr = random_fusion_frame(rng, n=6, members=5), [], np.linalg.qr
-    monkeypatch.setattr(np.linalg, "qr", lambda *args, **kwargs: calls.append(args) or qr(*args, **kwargs))
+    # The exhaustive erasure search's Gram matrix, the canonical dual and the
+    # verification all read the frame's one QR factor of T*; only the Gram
+    # blocks' batched (3-D) Cholesky remains.
+    frame, calls = random_fusion_frame(rng, n=6, members=5), []
+
+    def spy(name):
+        spied = getattr(np.linalg, name)
+        return lambda a, *args, **kwargs: calls.append((name, np.ndim(a))) or spied(a, *args, **kwargs)
+
+    for name in ("qr", "cholesky"):
+        monkeypatch.setattr(np.linalg, name, spy(name))
+    erasure_certificate(frame, mode="exhaustive")
+    assert calls[0] == ("qr", 2) and ("cholesky", 3) in calls
     dual = canonical_dual_fusion(frame)
-    assert len(calls) == 1
     assert verify_alternate_dual(frame, dual).is_dual
-    assert len(calls) == 1
+    assert [call for call in calls if call[1] == 2] == [("qr", 2)]
