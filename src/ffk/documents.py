@@ -283,7 +283,8 @@ class FrameDocument:
     @classmethod
     def from_fusion_frame(cls, frame: FusionFrame, system: FusionFrameSystem | None = None) -> "FrameDocument":
         field = frame.field
-        members = tuple(DocumentSubspace(m.weight, _column_rows(m.subspace.basis, field)) for m in frame.members)
+        blocks = zip(frame._blocks(frame.bases), frame.weights.tolist())
+        members = tuple(DocumentSubspace(w, _column_rows(B, field)) for B, w in blocks)
         local_frames = None
         if system is not None:
             local_frames = tuple(_column_rows(local.matrix, field) for local in system.local_frames)

@@ -100,10 +100,14 @@ class WeightedSubspace:
     weight: float
 
     def __post_init__(self):
-        w = float(self.weight)
-        if not np.isfinite(w) or w <= 0.0:
-            raise NonPositiveWeight(f"weight must be strictly positive, got {self.weight!r}")
-        object.__setattr__(self, "weight", w)
+        object.__setattr__(self, "weight", _positive_weight(self.weight))
+
+
+def _positive_weight(weight, where: str = "") -> float:
+    w = float(weight)
+    if not np.isfinite(w) or w <= 0.0:
+        raise NonPositiveWeight(f"{where}weight must be strictly positive, got {weight!r}")
+    return w
 
 
 class FusionFrame:
@@ -115,46 +119,46 @@ class FusionFrame:
     need a positive lower bound raise :class:`NotAFusionFrame` instead.
     Every cutoff reads ``tol``, the class attribute ``DEFAULT_TOLERANCE``.
 
-    The frame owns its operators, all read-only: ``weights`` and ``dims``
-    list the members' weights and dimensions; ``bases`` stacks the
-    members' orthonormal bases (n x m), member ``i`` owning columns
-    ``offsets[i]:offsets[i + 1]``; ``synthesis`` is
-    ``T = [v_1 Q_1 | ... | v_N Q_N]``; ``operator`` is ``S = T T*``; and,
-    computed on first use, ``normalized_operator`` is ``S1 = Q Q*``,
+    The frame is its stacked form, all read-only: ``weights``, ``dims`` and
+    ``bases``, the members' orthonormal bases (n x m), member ``i`` owning
+    columns ``offsets[i]:offsets[i + 1]``.  The constructor keeps only that
+    form of its members; documents, duals, images, erasures and unions
+    build it directly.  From it derive ``synthesis``
+    ``T = [v_1 Q_1 | ... | v_N Q_N]``, ``operator`` ``S = T T*`` and, on
+    first use, ``members`` as objects, ``normalized_operator`` ``S1 = Q Q*``,
     ``normalized_spectrum`` its ascending eigenvalues, ``dual_synthesis``
     ``S^-1 T``, from one QR factor of ``T*`` for frames only (``is_frame``
     is the one positivity decision), and ``canonical_dual`` the family
-    ``{(S^-1 W_i, v_i)}``.  Everything past member validation is one
-    assembly step on the stacked form, which
-    :class:`ffk.vector_frames.VectorFrame`, the rank-one case, shares.
+    ``{(S^-1 W_i, v_i)}``.  :class:`ffk.vector_frames.VectorFrame`, the
+    rank-one case, shares that assembly.
     """
 
     tol = DEFAULT_TOLERANCE
 
     def __init__(self, members):
         members = tuple(members)
-        if not members:
-            raise DimensionMismatch("a fusion frame needs at least one member")
         for i, member in enumerate(members):
             if not isinstance(member, WeightedSubspace):
                 raise DimensionMismatch(f"member {i} is not a WeightedSubspace")
-        ambient = members[0].subspace.ambient_dim
-        fields = {m.subspace.field for m in members}
-        if len(fields) > 1:
-            raise DimensionMismatch("members mix real and complex scalar fields")
-        for i, member in enumerate(members):
-            if member.subspace.ambient_dim != ambient:
-                raise DimensionMismatch(
-                    f"member {i} lives in dimension {member.subspace.ambient_dim}, expected {ambient}"
-                )
-        self.members = members
-        weights = np.array([m.weight for m in members])
-        dims = np.array([m.subspace.dim for m in members])
-        bases = np.concatenate([m.subspace.basis for m in members], axis=1)
-        self._assemble(bases, weights, dims, bases * np.repeat(weights, dims))
+        self._stack([m.subspace.basis for m in members], [m.weight for m in members])
 
-    def _assemble(self, bases, weights, dims, synthesis):
-        """Own the stacked form and derive ``S = T T*``, its range and ``is_frame`` from ``T = synthesis``."""
+    def _stack(self, bases: list, weights) -> "FusionFrame":
+        """Check members' orthonormal ``bases`` and their ``weights`` as one family, then assemble them stacked."""
+        if not bases:
+            raise DimensionMismatch("a fusion frame needs at least one member")
+        if len({field_of(B) for B in bases}) > 1:
+            raise DimensionMismatch("members mix real and complex scalar fields")
+        for i, B in enumerate(bases):
+            if len(B) != len(bases[0]):
+                raise DimensionMismatch(f"member {i} lives in dimension {len(B)}, expected {len(bases[0])}")
+        stacked = np.concatenate(bases, axis=1, dtype=np.complex128 if np.iscomplexobj(bases[0]) else np.float64)
+        self._assemble(stacked, np.array(weights, float), np.array([B.shape[1] for B in bases]))
+        return self
+
+    def _assemble(self, bases, weights, dims, synthesis=None):
+        """Own the stacked form; derive ``T = synthesis`` (or ``v_i Q_i``), ``S = T T*``, its range and ``is_frame``."""
+        if synthesis is None:
+            synthesis = bases * np.repeat(weights, dims)
         self.bases, self.weights, self.dims = _read_only(bases), _read_only(weights), _read_only(dims)
         self.offsets = _read_only(np.cumsum(np.append(0, dims)))
         self.synthesis = _read_only(synthesis)
@@ -162,6 +166,14 @@ class FusionFrame:
         self.operator = _read_only(_require_finite(synthesis @ synthesis.conj().T, label))
         self._operator_range = hermitian_eigenrange(self.operator)
         self.is_frame = self.tol.spans(*self._operator_range)
+
+    def _blocks(self, X: np.ndarray) -> list[np.ndarray]:
+        """Member ``i``'s columns ``offsets[i]:offsets[i + 1]`` of an ``n x m`` matrix ``X``, for each ``i``."""
+        return [X[:, a:b] for a, b in zip(self.offsets[:-1], self.offsets[1:])]
+
+    @cached_property
+    def members(self) -> tuple[WeightedSubspace, ...]:
+        return tuple(WeightedSubspace(Subspace(B), w) for B, w in zip(self._blocks(self.bases), self.weights.tolist()))
 
     @cached_property
     def normalized_operator(self) -> np.ndarray:
@@ -186,8 +198,7 @@ class FusionFrame:
     @cached_property
     def canonical_dual(self) -> "FusionFrame":
         """The canonical dual family, the member blocks ``v_i S^-1 Q_i`` of ``S^-1 T``; needs ``is_frame``."""
-        columns = zip(self.weights, self.offsets[:-1], self.offsets[1:])
-        return build_fusion_frame([(self.dual_synthesis[:, a:b], w) for w, a, b in columns], self.ambient_dim)
+        return build_fusion_frame(zip(self._blocks(self.dual_synthesis), self.weights), self.ambient_dim)
 
     @property
     def ambient_dim(self) -> int:
@@ -228,9 +239,10 @@ def build_fusion_frame(spans, ambient_dim: int) -> FusionFrame:
     """Assemble a fusion frame from raw (span matrix, weight) pairs.
 
     Span matrices hold generating vectors as columns; each is
-    orthonormalized, so redundant generators are harmless.
+    orthonormalized, so redundant generators are harmless.  The stacked
+    form is built directly, with the checks of :class:`FusionFrame`.
     """
-    members = []
+    bases, weights = [], []
     for i, (vectors, weight) in enumerate(spans):
         V = np.asarray(vectors)
         if V.ndim != 2 or V.shape[0] != ambient_dim:
@@ -238,14 +250,16 @@ def build_fusion_frame(spans, ambient_dim: int) -> FusionFrame:
                 f"member {i}: span matrix has shape {V.shape}, expected {ambient_dim} rows"
             )
         try:
-            subspace = Subspace.from_span(V)
-        except ZeroSubspace as exc:
+            bases.append(orthonormalize(V))
+        except AllColumnsNumericallyZero as exc:
             raise ZeroSubspace(f"member {i}: {exc}") from exc
-        try:
-            members.append(WeightedSubspace(subspace, weight))
-        except NonPositiveWeight as exc:
-            raise NonPositiveWeight(f"member {i}: {exc}") from exc
-    return FusionFrame(members)
+        weights.append(_positive_weight(weight, f"member {i}: "))
+    return _stacked_frame(bases, weights)
+
+
+def _stacked_frame(bases: list, weights) -> FusionFrame:
+    """The fusion frame of members' orthonormal ``bases`` and ``weights``, built without member objects."""
+    return object.__new__(FusionFrame)._stack(bases, weights)
 
 
 def fusion_frame_operator(frame: FusionFrame, normalized: bool = False) -> np.ndarray:
@@ -305,8 +319,10 @@ def redundancy_samples(frame: FusionFrame, rng: np.random.Generator, count: int)
     bit for bit wherever BLAS groups the rows of that product alike.  Its
     kernels take rows in small power-of-two groups, which blocks of
     ``rows`` rows keep; a one-row product takes another kernel, so the last
-    block takes a lone last row.  A multithreaded BLAS may split the
-    one-shot's rows elsewhere (``count = 20001`` on two threads).
+    block takes a lone last row.  The seeded values' last bits also depend
+    on the BLAS thread count: a thread whose share of a block's rows does
+    not start on a multiple of four rounds them differently, and the
+    one-shot's rows split elsewhere (``count = 20001`` on two threads).
     """
     n, spectrum = frame.ambient_dim, frame.normalized_spectrum
     rows = 1 << (max(1, CHUNK_BYTES // (8 * n)).bit_length() - 1)
@@ -372,7 +388,7 @@ def union(a: FusionFrame, b: FusionFrame) -> FusionFrame:
         raise DimensionMismatch(f"ambient dimensions differ: {a.ambient_dim} vs {b.ambient_dim}")
     if a.field != b.field:
         raise DimensionMismatch(f"scalar fields differ: {a.field} vs {b.field}")
-    return FusionFrame(a.members + b.members)
+    return _stacked_frame(a._blocks(a.bases) + b._blocks(b.bases), np.concatenate([a.weights, b.weights]))
 
 
 def erase(frame: FusionFrame, indices) -> tuple[FusionFrame, float | None]:
@@ -393,12 +409,12 @@ def erase(frame: FusionFrame, indices) -> tuple[FusionFrame, float | None]:
         raise DimensionMismatch(f"erasure indices {J} out of range for {frame.member_count} members")
     if len(J) == frame.member_count:
         raise EmptyRemainder("erasing every member leaves nothing to analyze")
-    keep = [m for i, m in enumerate(frame.members) if i not in removed]
-    remaining = FusionFrame(keep)
+    blocks = frame._blocks(frame.bases)
+    remaining = _stacked_frame([B for i, B in enumerate(blocks) if i not in removed], np.delete(frame.weights, J))
     guaranteed: float | None = None
     if frame.is_frame:
         A, B = frame._operator_range
-        a = float(sum(frame.members[i].weight ** 2 for i in J))
+        a = float(sum(w**2 for w in frame.weights[J].tolist()))
         if _weight_rule(frame, a):
             guaranteed = A - a
             # Deleting weighted energy a cannot push the operator below A - a.
@@ -481,17 +497,16 @@ def _frames_left(frame: FusionFrame, H: np.ndarray) -> np.ndarray:
 
 def _padded(frame: FusionFrame, X: np.ndarray) -> np.ndarray:
     """``X``, ``rows x m``, as a ``(rows, N, d_max)`` array: member ``i``'s columns, zero past its own ``d_i``."""
-    dims = frame.dims
-    padded = np.zeros((len(X), frame.member_count, dims.max()), X.dtype)
-    for i in range(frame.member_count):
-        padded[:, i, : dims[i]] = X[:, frame.offsets[i] : frame.offsets[i + 1]]
+    padded = np.zeros((len(X), frame.member_count, frame.dims.max()), X.dtype)
+    for i, block in enumerate(frame._blocks(X)):
+        padded[:, i, : block.shape[1]] = block
     return padded
 
 
 def _range_error(frame: FusionFrame) -> float:
-    """``e_1 = 4 (n^2 + m + N + 8) eps tr S`` of :func:`_exhaustive_levels`; computed ranges lie within ``e_1/4``."""
-    n, m, N = frame.ambient_dim, frame.dims.sum(), frame.member_count
-    return 4 * (n * n + m + N + 8) * (np.finfo(float).eps * frame.operator.trace().real)
+    """``e_1 = 4 (n^2 + 2 m + 8) eps tr S`` of :func:`_exhaustive_levels`; computed ranges lie within ``e_1/4``."""
+    n, m = frame.ambient_dim, frame.dims.sum()
+    return 4 * (n * n + 2 * m + 8) * (np.finfo(float).eps * frame.operator.trace().real)
 
 
 def _gram_error(frame: FusionFrame) -> float:
@@ -521,7 +536,7 @@ def _gram_survivors(shifted: np.ndarray, width: int, J: np.ndarray) -> np.ndarra
     Cholesky backward error is ``(s + 1) s eps``, that of ``eigvalsh``
     ``s^2 eps``, and rounding ``c - G_ii`` adds ``eps``.
     """
-    idx = (J[:, :, None] * width + np.arange(width)).reshape(len(J), -1)
+    idx = _padded_columns(J, width)
     blocks = np.take(shifted, idx[:, :, None] * len(shifted) + idx[:, None, :])
     try:
         np.linalg.cholesky(blocks)
@@ -530,27 +545,23 @@ def _gram_survivors(shifted: np.ndarray, width: int, J: np.ndarray) -> np.ndarra
     return np.ones(len(J), bool)
 
 
-def _member_term(member: WeightedSubspace) -> np.ndarray:
-    """``v_i^2 P_i``, member ``i``'s term of ``S``."""
-    return member.weight**2 * member.subspace.projection()
+def _padded_columns(J: np.ndarray, width: int) -> np.ndarray:
+    """The columns of the members in each row of ``J`` in a :func:`_padded` ``rows x N d_max`` matrix, row by row."""
+    return (J[:, :, None] * width + np.arange(width)).reshape(len(J), -1)
 
 
-def _member_terms(frame: FusionFrame) -> tuple[np.ndarray, np.ndarray]:
-    terms = np.stack([_member_term(m) for m in frame.members])
-    return terms, sum(terms)  # starts from 0: no -0.0, so total - removed matches total - H in zero signs too
+def _exact_frames_left(frame: FusionFrame, padded: np.ndarray, J: np.ndarray) -> np.ndarray:
+    """:func:`_frames_left` on ``S_J = S - Y_J Y_J*`` for each row of ``J``, by chunks within ``CHUNK_BYTES``.
 
-
-def _exact_frames_left(frame: FusionFrame, terms: np.ndarray, total: np.ndarray, J: np.ndarray) -> np.ndarray:
-    """:func:`_frames_left` on ``S_J = total - sum_{i in J} terms[i]`` for each row of ``J``, by chunks."""
-    rows = max(1, CHUNK_BYTES // terms[0].nbytes)
+    ``Y_J`` holds the columns of ``J``'s members in ``padded``, the :func:`_padded` ``T`` as ``n x N d_max``.
+    """
+    n, width = frame.ambient_dim, frame.dims.max()
+    rows = max(1, CHUNK_BYTES // (n * max(n, J.shape[1] * width) * padded.itemsize))
     left = np.empty(len(J), bool)
     for start in range(0, len(J), rows):
-        part = J[start : start + rows]
-        # sum(terms[i] for i in J)'s order; zero signs may differ, which total - H erases.
-        H = terms[part[:, 0]]
-        for c in range(1, J.shape[1]):
-            H += terms[part[:, c]]
-        left[start : start + rows] = _frames_left(frame, np.subtract(total, H, out=H))
+        Y = padded[:, _padded_columns(J[start : start + rows], width)].swapaxes(0, 1)
+        H = Y @ Y.conj().swapaxes(1, 2)
+        left[start : start + rows] = _frames_left(frame, np.subtract(frame.operator, H, out=H))
     return left
 
 
@@ -580,15 +591,18 @@ def _exhaustive_levels(frame: FusionFrame, budget: int) -> tuple[int, int]:
     Errors, with ``t = tr S``, ``m = sum_i d_i``, ``w = N d_max``, LAPACK
     backward errors ``p eps`` with ``p <= s^2`` on ``s``-square problems
     and ``p <= m n`` on the ``m x n`` QR,
-    ``e_1 = 4 (n^2 + m + N + 8) eps t`` and
+    ``e_1 = 4 (n^2 + 2 m + 8) eps t`` and
     ``e_2 = 16 (m n + n^2 + (w + 1)^2) eps sqrt(t / A)``:
 
-    - The reference's ``eigvalsh`` range of the assembled ``S_J``, and the
-      computed ``(A, B)``, lie within ``e_1 / 4`` of the exact ranges of
-      ``S_J = sum_{i not in J} T_i T_i*`` and ``S = T T*``.  Forming
-      ``v_i^2 Q_i Q_i*``, its three sums and ``T`` cost
-      ``(N + d_max + 5) eps t`` in Frobenius norm, ``T T*`` costs
-      ``m eps t``, and ``eigvalsh`` ``n^2 eps t``.
+    - The ``eigvalsh`` range of the assembled ``S_J = S - Y_J Y_J*``, and
+      the computed ``(A, B)``, lie within ``e_1 / 4`` of the exact ranges of
+      ``S_J = sum_{i not in J} T_i T_i*`` and ``S = T T*``.  In Frobenius
+      norm: rounding ``T`` costs ``2.01 eps t``, ``T T*`` ``m eps t``,
+      ``Y_J Y_J*`` (at most ``m - n`` nonzero terms per entry once the
+      dimension test passes) ``(m - n) eps t``, subtracting and symmetrizing
+      ``2 eps t``, and ``eigvalsh`` ``n^2 eps t``.  The member sum
+      ``sum_{i not in J} v_i^2 Q_i Q_i*`` costs ``(N + d_max + 5) eps t`` and
+      ``eigvalsh``, also within ``e_1 / 4``.
     - The computed ``G = Z Z*``, from the frame's QR factor ``T* = Z R``,
       lies within ``e_2 / 4`` of the exact one.  ``c > 0`` gives ``e_1 < A``
       and ``e_2 < 1``, so ``sigma_n(T)^2 = lambda_min(S) >= 3A/4`` and
@@ -613,8 +627,9 @@ def _exhaustive_levels(frame: FusionFrame, budget: int) -> tuple[int, int]:
 
     One batched Cholesky of ``c I - G_JJ`` certifies a whole chunk
     (:func:`_gram_survivors`); the rows it leaves uncertified are assembled
-    and decided by :func:`_frames_left`, which also decides every row when
-    ``c <= 0`` (``B / A`` near ``1 / rank_rel``).
+    as ``S - Y_J Y_J*`` from the padded synthesis and decided by
+    :func:`_frames_left`, which also decides every row when ``c <= 0``
+    (``B / A`` near ``1 / rank_rel``).
 
     The search starts from the top: ``top`` is the largest level up to
     ``budget`` whose ``top`` largest ``d_i`` pass the dimension test, so
@@ -637,7 +652,7 @@ def _exhaustive_levels(frame: FusionFrame, budget: int) -> tuple[int, int]:
     """
     N, n, dims = frame.member_count, frame.ambient_dim, frame.dims
     shifted, width = _gram_cutoff(frame), dims.max()
-    terms = total = None  # built when some row reaches the exact path
+    padded = _padded(frame, frame.synthesis).reshape(n, -1)  # Y_J of the exact path
     spare = dims.sum() - n  # removing more dimensions leaves rank S_J < n
     smallest, largest = np.cumsum(np.sort(dims)), np.cumsum(np.sort(dims)[::-1])
     top = min(budget, int((largest <= spare).sum()))
@@ -668,9 +683,7 @@ def _exhaustive_levels(frame: FusionFrame, budget: int) -> tuple[int, int]:
                 alive[undecided] = _gram_survivors(shifted, width, J[undecided]) if gram is None else gram
                 undecided &= ~alive
             if undecided.any():
-                if terms is None:
-                    terms, total = _member_terms(frame)
-                alive[undecided] = _exact_frames_left(frame, terms, total, J[undecided])
+                alive[undecided] = _exact_frames_left(frame, padded, J[undecided])
             some = some or bool(alive.any())
             every = every and bool(alive.all())
         if not some:
@@ -717,10 +730,11 @@ def _greedy_levels(frame: FusionFrame, budget: int) -> tuple[int, int]:
     Each path extends by the member whose removal leaves the largest
     (``certified``) or smallest (``universal``) lower bound, ties to the
     lowest index: member ``i``'s value ``x_i`` is the ``eigvalsh`` minimum
-    of ``rest - terms[i]`` that the full per-member loop compares.  Per
-    level, ``R = U diag(lam) U*`` is the symmetrized rest (one ``eigh``,
-    shared by both paths at level 1) and ``C_i = U* v_i Q_i``; for
-    ``beta < lam_1``, ``lambda_min(R - v_i^2 P_i) > beta`` iff
+    of ``rest - T_i T_i*`` (``T_i = v_i Q_i``, its synthesis columns; ``rest
+    = S - sum_{p in path} T_p T_p*``) that the full per-member loop compares.
+    Per level, ``R = U diag(lam) U*`` is the symmetrized rest (one
+    ``eigh``, shared by both paths at level 1) and ``C_i = U* T_i``; for
+    ``beta < lam_1``, ``lambda_min(R - T_i T_i*) > beta`` iff
     ``g_i(beta) = lambda_max(C_i* (lam - beta)^-1 C_i) < 1`` (Schur
     complement; ``g_i(beta) = 1`` is the low-rank secular equation of
     Golub, 1973).  With ``s = max|lam|``, ``v_i^2 <= s`` and LAPACK
@@ -728,8 +742,9 @@ def _greedy_levels(frame: FusionFrame, budget: int) -> tuple[int, int]:
     ``(5p + 5n^2 + 4n) eps s`` on the matrix the test decides; the test, a
     relative ``rho <= (2 (n+4) d + p(d)) eps`` on ``lambda_max`` (its
     weights ``1/(lam_k - beta)`` are positive), as if ``lam - beta`` moved
-    by ``2.1 rho s``; the exact ``eigvalsh``, ``(p + 2 sqrt(n)) eps s``.
-    Their sum is below ``18 (n+1)^2 eps s < delta = 32 (n+1)^2 eps s``.  So
+    by ``2.1 rho s``; forming ``rest - T_i T_i*``, ``(d^2 + sqrt(n) + 1) eps
+    s``; the exact ``eigvalsh``, ``(p + 2 sqrt(n)) eps s``.  Their sum is
+    below ``19 (n+1)^2 eps s < delta = 32 (n+1)^2 eps s``.  So
     a test at ``beta < lam_1`` that finds ``g_i >= 1`` gives
     ``x_i < beta + delta``, one that finds ``g_i < 1`` gives
     ``x_i > beta - delta``, and interlacing gives ``x_i < lam_1 + delta``.
@@ -753,38 +768,35 @@ def _greedy_levels(frame: FusionFrame, budget: int) -> tuple[int, int]:
     value wins, ties to the lowest index.  Every other member's ``x_i`` is
     strictly worse, so the pick is the full loop's, bit for bit.
 
-    Frames left: the full loop then decides ``spans`` on ``rest' = total -
-    (removed + terms[p])``, which differs from ``rest - terms[p]`` by at
-    most ``4.01 eps t`` in norm, ``t = tr total`` (four roundings of
-    entries of matrices below ``total``).  With ``m = delta + 9 eps t``,
-    its ``eigvalsh`` ``low`` is within ``m`` of ``x_p`` (two ``eigvalsh``
-    errors and that difference), and its ``high`` is below ``lam_n + m``
-    and, by interlacing (``terms[p]`` has rank ``d_p <= d_max``), above
-    ``lam_{n - d_max} - m``.  So a certified lower end
-    ``L > floor(lam_n + m) + m`` passes the pick; upper ends
-    ``U <= floor(lam_{n - d_max} - m) - m`` on every member that reaches the
-    best end stop the path there, whichever of them the full loop picks;
-    otherwise :func:`_frames_left` decides.
+    Frames left: the full loop then decides ``spans`` on ``rest - T_p
+    T_p*``, the next level's ``rest``, whose ``eigvalsh`` ``low`` is ``x_p``
+    itself.  Its ``high`` is below ``lam_n + delta`` and, by interlacing
+    (``T_p T_p*`` has rank ``d_p <= d_max``), above ``lam_{n - d_max} -
+    delta``: the ``eigh`` and ``eigvalsh`` errors and forming it stay below
+    ``delta``.  So a certified lower end ``L > floor(lam_n + delta)`` passes
+    the pick; upper ends ``U <= floor(lam_{n - d_max} - delta)`` on every
+    member that reaches the best end stop the path there, whichever of them
+    the full loop picks; otherwise :func:`_frames_left` decides.
 
-    Memory: ``terms[i] = v_i^2 P_i`` is built when it is needed, by
-    :func:`_member_terms`' own expression: ``total`` member by member in
-    ``sum(terms)`` order, ``terms[p]`` for each pick and ``terms[i]`` for
-    each near-tie evaluation.  So ``total``, ``removed`` and ``rest -
-    terms[i]`` keep the stack's bits, and the search holds O(n^2 + N n
-    d_max) entries, never the N x n x n stack.
+    Memory and time: each pick updates ``rest`` by one ``n x d_p`` product,
+    and each near-tie evaluation forms its ``rest - T_i T_i*`` the same way,
+    so a level forms no ``n x m`` product, and the search holds O(n^2 + N n
+    d_max) entries, never the N x n x n stack of the member terms.
     """
     tol, N, n, dims = frame.tol, frame.member_count, frame.ambient_dim, frame.dims
     eps = np.finfo(float).eps
-    total = sum(map(_member_term, frame.members))  # _member_terms' total, one term alive at a time
-    slack = 9 * eps * total.trace().real
     blocks, width = _padded(frame, frame.synthesis), dims.max()
+    T = frame._blocks(frame.synthesis)  # member i's synthesis columns T_i
+
+    def less(rest, i):  # rest - T_i T_i*: member i removed
+        return rest - T[i] @ T[i].conj().T
+
     levels = [0, 0]  # certified, universal
     first = None  # level 1's (lam, C), the same for both paths
     for side, strongest in enumerate((True, False)):
         path: list[int] = []
-        removed = 0  # sum(terms[j] for j in path), same rounding; rest -= terms[j] differs
+        rest = frame.operator
         for k in range(1, budget + 1):
-            rest = total - removed
             cand = np.setdiff1d(np.arange(N), path)
             if (dims[path].sum() + dims[cand] > dims.sum() - n).all():
                 break  # every removal fails on its dimensions
@@ -817,20 +829,19 @@ def _greedy_levels(frame: FusionFrame, budget: int) -> tuple[int, int]:
                     unseen[dropped] = False
                     # x_i < bound (> bound): at most the next double below (at least the next above)
                     (highs if strongest else lows)[dropped] = np.nextafter(bound, -np.inf if strongest else np.inf)
-            margin = delta + slack
             best = np.argmax(lows) if strongest else np.argmin(highs)
             reach = np.flatnonzero(highs >= lows[best] if strongest else lows <= highs[best])
-            if width < n and (highs[reach] <= tol.floor(lam[n - 1 - width] - margin) - margin).all():
+            if width < n and (highs[reach] <= tol.floor(lam[n - 1 - width] - delta)).all():
                 break  # whichever of them the full loop picks leaves no frame
             if len(reach) > 1:  # a near tie: the full loop's exact values decide
                 for j in reach[lows[reach] < highs[reach]]:
-                    lows[j] = highs[j] = hermitian_eigenrange(rest - _member_term(frame.members[cand[j]]))[0]
+                    lows[j] = highs[j] = hermitian_eigenrange(less(rest, cand[j]))[0]
                 best = reach[np.argmax(lows[reach]) if strongest else np.argmin(highs[reach])]
             path.append(int(cand[best]))
-            removed = removed + _member_term(frame.members[path[-1]])
+            rest = less(rest, path[-1])
             if dims[path].sum() > dims.sum() - n:
                 break
-            if lows[best] - margin <= tol.floor(lam[-1] + margin) and not _frames_left(frame, (total - removed)[None])[0]:
+            if lows[best] <= tol.floor(lam[-1] + delta) and not _frames_left(frame, rest[None].copy())[0]:
                 break
             levels[side] = k
     return levels[0], levels[1]
@@ -841,9 +852,10 @@ def erasure_certificate(
 ) -> ErasureCertificate:
     """Determine how many members can be erased, verified spectrally.
 
-    Removing the members ``J`` leaves a fusion frame iff
-    ``S_J = S - sum_{i in J} v_i^2 P_i`` passes ``Tolerance.spans`` on its
-    eigenvalue range.  Exhaustive mode (at most 22 members) decides every
+    Removing the members ``J`` leaves a fusion frame iff ``S_J = S - T_J
+    T_J*``, from the frame's ``S`` and synthesis columns ``T_J`` (``T_J T_J*
+    = sum_{i in J} v_i^2 P_i``), passes ``Tolerance.spans`` on its range.
+    Exhaustive mode (at most 22 members) decides every
     subset with that same outcome, from the block ``G_JJ`` of the Gram
     matrix ``G = T* S^-1 T`` (``S_J`` is invertible iff
     ``lambda_max(G_JJ) < 1``) and, for removals that block does not
@@ -885,7 +897,8 @@ def apply_operator(frame: FusionFrame, U: np.ndarray) -> FusionFrame:
     s = np.linalg.svd(M, compute_uv=False)
     if not frame.tol.spans(s[-1], s[0]):
         raise SingularOperator(f"singular values span [{s[-1]:.3e}, {s[0]:.3e}]")
-    return build_fusion_frame([(M @ m.subspace.basis, m.weight) for m in frame.members], frame.ambient_dim)
+    images = [(M @ B, w) for B, w in zip(frame._blocks(frame.bases), frame.weights)]  # one product per member
+    return build_fusion_frame(images, frame.ambient_dim)
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ import math
 import numpy as np
 
 from .errors import DimensionMismatch, UnknownExample
-from .fusion import FusionFrame, Subspace, WeightedSubspace
+from .fusion import FusionFrame, _stacked_frame
 from .numerics import COMPLEX, REAL
 
 EXAMPLE_NAMES = ("7.1", "7.1-V", "7.2", "7.3")
@@ -32,12 +32,11 @@ EXAMPLE_NAMES = ("7.1", "7.1-V", "7.2", "7.3")
 EXAMPLE_MAX_DIMENSION = 512
 
 
-def _coordinate_subspace(indices, n: int, field: str) -> Subspace:
-    dtype = np.complex128 if field == COMPLEX else np.float64
-    basis = np.zeros((n, len(indices)), dtype=dtype)
-    for column, index in enumerate(indices):
-        basis[index, column] = 1.0
-    return Subspace(basis)
+def _coordinate_subspace(indices, n: int, field: str) -> np.ndarray:
+    """The orthonormal basis of the coordinate axes ``indices``, one column each."""
+    basis = np.zeros((n, len(indices)), dtype=np.complex128 if field == COMPLEX else np.float64)
+    basis[indices, np.arange(len(indices))] = 1.0
+    return basis
 
 
 def example_frame(name: str, n: int | None = None) -> FusionFrame:
@@ -54,20 +53,14 @@ def example_frame(name: str, n: int | None = None) -> FusionFrame:
             raise DimensionMismatch("example 7.3 is fixed in dimension 5")
         spans = ([0, 1, 2], [1, 2, 3], [3, 4], [0, 4])
         weights = (math.sqrt(2.0 / 3.0), 2.0 * math.sqrt(3.0) / 3.0) * 2
-        members = [
-            WeightedSubspace(_coordinate_subspace(idx, 5, COMPLEX), w)
-            for idx, w in zip(spans, (weights[0], weights[1], weights[0], weights[1]))
-        ]
-        return FusionFrame(members)
+        return _stacked_frame([_coordinate_subspace(idx, 5, COMPLEX) for idx in spans], weights)
     n = 4 if n is None else int(n)
     if not 2 <= n <= EXAMPLE_MAX_DIMENSION:
         raise DimensionMismatch(f"example {name} requires dimension 2 <= n <= {EXAMPLE_MAX_DIMENSION}, got {n}")
-    lines = [_coordinate_subspace([i], n, REAL) for i in range(n)]
     if name == "7.1":
-        members = [WeightedSubspace(lines[0], 1.0)] * (n + 1)
-        members += [WeightedSubspace(lines[i], 1.0) for i in range(1, n)]
+        axes = [0] * (n + 1) + list(range(1, n))
     elif name == "7.1-V":
-        members = [WeightedSubspace(lines[i], 1.0) for i in range(n) for _ in range(2)]
+        axes = [i for i in range(n) for _ in range(2)]
     else:  # "7.2"
-        members = [WeightedSubspace(lines[i], 1.0) for i in range(n)]
-    return FusionFrame(members)
+        axes = list(range(n))
+    return _stacked_frame([_coordinate_subspace([i], n, REAL) for i in axes], [1.0] * len(axes))

@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionMismatch
-from .fusion import FusionFrame, Subspace, WeightedSubspace, union
+from .fusion import FusionFrame, Subspace, WeightedSubspace, _stacked_frame, union
 from .numerics import COMPLEX, REAL, gaussian, orthonormalize
 from .systems import FusionFrameSystem, build_system
 from .vector_frames import VectorFrame
@@ -127,7 +127,7 @@ def random_parseval_fusion_frame(rng: np.random.Generator, n: int, layers: int =
     """
     scale = 1.0 / np.sqrt(layers)
     tight = random_tight_uniform_fusion_frame(rng, n, layers)
-    return FusionFrame([WeightedSubspace(m.subspace, scale) for m in tight.members])
+    return _stacked_frame(tight._blocks(tight.bases), [scale] * tight.member_count)
 
 
 def random_local_vectors(
@@ -140,10 +140,9 @@ def random_local_vectors(
     ``generic``     overcomplete Gaussian families inside each subspace
     """
     locals_ = []
-    for member in frame.members:
-        Q = member.subspace.basis
-        d = member.subspace.dim
-        field = member.subspace.field
+    field = frame.field
+    for Q in frame._blocks(frame.bases):
+        d = Q.shape[1]
         if kind == "orthogonal":
             rotation = random_unitary(rng, d, field) if d > 1 else np.ones((1, 1))
             scales = rng.uniform(0.5, 2.0, size=d)

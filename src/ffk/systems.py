@@ -41,7 +41,8 @@ class FusionFrameSystem:
             raise MemberCountMismatch(
                 f"{len(local_frames)} local frames for {frame.member_count} members"
             )
-        for i, (member, local) in enumerate(zip(frame.members, local_frames)):
+        bases = [np.ascontiguousarray(B) for B in frame._blocks(frame.bases)]  # strided: basis* @ M gets other bits
+        for i, (basis, local) in enumerate(zip(bases, local_frames)):
             if not isinstance(local, VectorFrame):
                 raise MemberCountMismatch(f"local family {i} is not a VectorFrame")
             if local.ambient_dim != frame.ambient_dim:
@@ -49,7 +50,6 @@ class FusionFrameSystem:
                     f"local family {i} lives in dimension {local.ambient_dim}, "
                     f"expected {frame.ambient_dim}"
                 )
-            basis = member.subspace.basis
             coordinates = basis.conj().T @ local.matrix
             defect = np.linalg.norm(local.matrix - basis @ coordinates, axis=0).max()
             if not frame.tol.negligible(defect, local.weights.max()):
@@ -57,16 +57,15 @@ class FusionFrameSystem:
                     f"local family {i} leaves its subspace by {defect:.3e}"
                 )
             local_rank = local.count - kernel_dimension(coordinates, frame.tol)
-            if local_rank < member.subspace.dim:
+            if local_rank < basis.shape[1]:
                 raise LocalNotAFrame(
-                    f"local family {i} spans {local_rank} of {member.subspace.dim} dimensions"
+                    f"local family {i} spans {local_rank} of {basis.shape[1]} dimensions"
                 )
         self.frame = frame
         self.local_frames = local_frames
         self.orthogonal_locals = all(_orthogonal(local, frame.tol) for local in local_frames)
         defects = (
-            np.abs(local.operator - member.subspace.projection()).max()
-            for member, local in zip(frame.members, local_frames)
+            np.abs(local.operator - basis @ basis.conj().T).max() for basis, local in zip(bases, local_frames)
         )
         self._nonparseval_local = next(
             ((i, defect) for i, defect in enumerate(defects) if not frame.tol.negligible(defect, 1.0)), None
@@ -122,7 +121,7 @@ def _require_local_parseval(system: FusionFrameSystem) -> None:
 
 def _flat_parseval(system: FusionFrameSystem, weighted: bool) -> bool:
     """Whether the flattened family {v_i f_ij}, or {f_ij} unweighted, passes the Parseval rule."""
-    scales = [member.weight if weighted else 1.0 for member in system.frame.members]
+    scales = system.frame.weights if weighted else np.ones(system.frame.member_count)
     flat = np.concatenate([scale * local.matrix for scale, local in zip(scales, system.local_frames)], axis=1)
     return system.frame.tol.parseval(*hermitian_eigenrange(flat @ flat.conj().T))
 

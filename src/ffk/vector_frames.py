@@ -18,7 +18,6 @@ linear in the first argument: ``<x, y> = y* x``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -29,7 +28,7 @@ from .errors import (
     WrongEtaCount,
     ZeroVector,
 )
-from .fusion import FusionFrame, Subspace, WeightedSubspace, classify, redundancy_range
+from .fusion import FusionFrame, classify, redundancy_range
 from .numerics import (
     FrameBounds,
     _as_unit_vector,
@@ -51,10 +50,9 @@ class VectorFrame(FusionFrame):
     its ``weights`` the norms ``||phi_i||``, every member of dimension one,
     and its ``synthesis`` is ``matrix`` itself, so ``operator`` is
     ``S = Phi Phi*`` and ``dual_matrix`` is ``dual_synthesis``, ``S^-1 Phi``.
-    ``members``, the weighted lines, is built on first read.  Two canonical
-    duals read the columns of ``dual_matrix``: ``frame.canonical_dual`` is
-    the fusion frame ``{(S^-1 span phi_i, ||phi_i||)}``, and
-    :func:`canonical_dual` the vectors ``{S^-1 phi_i}``, on the same lines.
+    Two canonical duals read the columns of ``dual_matrix``: the fusion frame
+    ``frame.canonical_dual`` ``{(S^-1 span phi_i, ||phi_i||)}``, and
+    :func:`canonical_dual`'s vectors ``{S^-1 phi_i}``, on the same lines.
     """
 
     count = FusionFrame.member_count  # member_count by its vector name
@@ -68,10 +66,6 @@ class VectorFrame(FusionFrame):
             raise ZeroVector(f"vector {index} has numerically zero norm")
         self._assemble(matrix / norms[None, :], norms, np.ones(len(norms), int), matrix)
         self.matrix = self.synthesis
-
-    @cached_property
-    def members(self) -> tuple[WeightedSubspace, ...]:
-        return tuple(WeightedSubspace(Subspace(self.bases[:, [i]]), w) for i, w in enumerate(self.weights))
 
     @classmethod
     def from_matrix(cls, matrix: np.ndarray) -> "VectorFrame":

@@ -28,7 +28,9 @@ Gram matrix ``G = Z Z*`` must stay as close to the Cholesky form it
 replaced, and within its derived error of a 40-digit ``G``.  A vector
 frame is the fusion frame of its lines, so the fusion analyses of it must
 give its vector analyses and the erasure certificate of its lines built
-one by one.
+one by one.  The erasure searches decide their exact rows on ``S - T_J
+T_J*`` from the frame's own ``S`` and ``T``; each decision must equal the
+``is_frame`` of the frame ``erase`` returns, near the cutoff too.
 """
 
 import dataclasses
@@ -576,6 +578,78 @@ def test_exhaustive_erasure_without_a_gram_cutoff(monkeypatch):
     assert (certificate.certified, certificate.universal) == (2, 0)
 
 
+def squeezed_frame(seed):
+    """Subspaces of the complement of a unit vector ``u``, one plane through ``u``, and a weak line on ``u``.
+
+    The line's squared weight is 0.9-1.1 times ``rank_rel`` times the largest
+    eigenvalue of the complement's members, so removing the plane squeezes
+    ``u`` to within 10% of the spans cutoff.
+    """
+    rng = np.random.default_rng([seed, 26])
+    n, field = int(rng.integers(3, 7)), (REAL, COMPLEX)[seed % 2]
+    U = random_unitary(rng, n, field)
+    u, complement = U[:, -1:], U[:, :-1]
+    spans = [
+        (complement @ random_subspace(rng, n - 1, int(rng.integers(1, 3)), field).basis, rng.uniform(1.0, 2.0))
+        for _ in range(n + 1)
+    ]
+    plane = np.hstack([u, complement @ random_subspace(rng, n - 1, 1, field).basis])
+    top = np.linalg.eigvalsh(sum(w**2 * B @ B.conj().T for B, w in spans))[-1]
+    weak = rng.uniform(0.9, 1.1) * fusion.DEFAULT_TOLERANCE.rank_rel * top
+    return fusion.build_fusion_frame(spans + [(plane, 1.0), (u, np.sqrt(weak))], n)
+
+
+def spy_exact_decisions(monkeypatch):
+    """Each operator :func:`fusion._frames_left` decides, copied before it is overwritten, with its decision."""
+    seen = []
+    frames_left = fusion._frames_left
+
+    def spy(frame, H):
+        operators = H.copy()
+        left = frames_left(frame, H)
+        seen.extend(zip(operators, left))
+        return left
+
+    monkeypatch.setattr(fusion, "_frames_left", spy)
+    return seen
+
+
+def removals_of(frame, operators):
+    """For each operator, the removal ``J`` whose ``S - T_J T_J*`` it is: the nearest over every proper subset."""
+    N = frame.member_count
+    subsets = [J for k in range(1, N) for J in itertools.combinations(range(N), k)]
+    masks = np.zeros((len(subsets), N))
+    for row, J in enumerate(subsets):
+        masks[row, list(J)] = 1.0
+    terms = np.stack([T @ T.conj().T for T in frame._blocks(frame.synthesis)]).reshape(N, -1)
+    remaining = frame.operator.reshape(-1) - masks @ terms
+    removals = []
+    for H in operators:
+        gaps = np.abs(remaining - H.reshape(-1)).max(axis=1)
+        assert gaps.min() <= 1e-12 * frame.operator.trace().real  # a match up to roundoff, not a nearest guess
+        removals.append(subsets[int(np.argmin(gaps))])
+    return removals
+
+
+@pytest.mark.parametrize("mode, near_cutoff", [("exhaustive", 20), ("greedy", 5)])
+def test_exact_erasure_decisions_match_the_erased_frame(mode, near_cutoff, monkeypatch):
+    # Every decision of the exact path on S - T_J T_J* is the is_frame of the
+    # frame erase() returns, whose S is T_keep T_keep*; the squeezed frames
+    # put 57 exhaustive and 10 greedy decisions within 10% of the spans cutoff.
+    seen = spy_exact_decisions(monkeypatch)
+    near = 0
+    for seed in range(12):
+        frame = squeezed_frame(seed)
+        seen.clear()
+        erasure_certificate(frame, mode=mode)
+        for J, (_, left) in zip(removals_of(frame, [H for H, _ in seen]), seen):
+            remaining = fusion.erase(frame, J)[0]
+            assert left == remaining.is_frame
+            low, high = remaining._operator_range
+            near += abs(low / (frame.tol.rank_rel * high) - 1.0) <= 0.1
+    assert near >= near_cutoff
+
+
 def weak_lines_frame(weight, copies=3):
     """One line of weight 1 on ``e_0`` and ``copies`` lines of ``weight`` on ``e_1``: ``S = diag(1, copies weight^2)``."""
     e = np.eye(2)
@@ -901,6 +975,31 @@ def test_greedy_erasure_holds_no_member_stack():
     stack = frame.member_count * frame.ambient_dim**2 * np.dtype(complex).itemsize  # N x n x n: 3.0 MiB
     erasure_certificate(seeded_frame(0), mode="greedy")  # first calls of some numpy routines import modules
     assert traced_peak(lambda: erasure_certificate(frame, mode="greedy")) < stack
+
+
+def all_exact_frame(field):
+    """n = 128 and 12 members with no Gram cutoff (``c <= 0``), so every removal the dimension test leaves is exact.
+
+    Blocks of 16 axes of a random basis cover all but its last axis once,
+    three random 16-dimensional subspaces of their span add redundancy, and
+    a weak line on the last axis puts ``B / A`` near ``1 / rank_rel``.
+    """
+    rng = np.random.default_rng(26)
+    n = 128
+    U = random_unitary(rng, n, field)
+    spans = [(U[:, a : min(a + 16, n - 1)], 1.0) for a in range(0, n - 1, 16)]
+    spans += [(U[:, :-1] @ random_subspace(rng, n - 1, 16, field).basis, 1.0) for _ in range(3)]
+    return fusion.build_fusion_frame(spans + [(U[:, -1:], np.sqrt(12 * fusion.DEFAULT_TOLERANCE.rank_rel))], n)
+
+
+@pytest.mark.parametrize("field", [REAL, COMPLEX])
+def test_exhaustive_erasure_exact_path_holds_no_member_stack(field):
+    frame = all_exact_frame(field)
+    assert frame.member_count == 12 and fusion._gram_cutoff(frame) is None
+    stack = frame.member_count * frame.ambient_dim**2 * frame.synthesis.itemsize  # N x n x n: 1.5 or 3.0 MiB
+    assert erasure_certificate(frame, 3, "exhaustive").certified == 3
+    erasure_certificate(seeded_frame(0), mode="exhaustive")  # first calls of some numpy routines import modules
+    assert traced_peak(lambda: erasure_certificate(frame, 3, "exhaustive")) < stack
 
 
 def unit_weight_frame(seed):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ffk
+from ffk.documents import FrameDocument
 from ffk.errors import (
     DimensionMismatch,
     EmptyRemainder,
@@ -45,6 +46,7 @@ from ffk.generators import (
     random_invertible,
     random_orthogonal_decomposition,
     random_subspace,
+    random_system,
     random_tight_uniform_fusion_frame,
     random_unitary,
     random_vector_frame,
@@ -670,3 +672,23 @@ def test_checked_facts_raise_under_optimize():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.split() == ["1", "raised"]
+
+
+def test_library_paths_construct_no_subspace(monkeypatch):
+    # The stacked form is the only form: documents, erasure, unions, images
+    # and duals never build member objects, so nothing reads ``members``.
+    rng = np.random.default_rng(26)
+    frame = random_fusion_frame(rng, n=4, members=6)
+    other = random_fusion_frame(rng, n=4, members=3, field=frame.field)
+    text = FrameDocument.from_fusion_frame(frame, random_system(rng, frame, "parseval")).to_json_text()
+    U = random_invertible(rng, 4, frame.field)
+    monkeypatch.setattr(Subspace, "__init__", lambda self, basis: pytest.fail("a Subspace was constructed"))
+    built, system = FrameDocument.from_json_text(text).build()
+    assert system is not None and built.is_frame
+    for mode in ("exhaustive", "greedy"):
+        erasure_certificate(built, mode=mode)
+    assert erase(built, [0, 2])[0].member_count == 4
+    assert union(built, other).member_count == 9
+    assert built.canonical_dual.member_count == 6
+    assert apply_operator(built, U).member_count == 6
+    FrameDocument.from_fusion_frame(built, system).to_json_text()
