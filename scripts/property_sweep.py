@@ -9,6 +9,13 @@ For each generated frame the sweep checks:
     trip is checked up to the rank cutoff,
   * invertible images, of condition log-uniform in [1, 100], respect the
     conditioning brackets,
+  * over every swept frame, the near-cutoff and library-shaped ones
+    below included, an ``orthogonal`` and a ``parseval`` system
+    (``random_system``, seeded from ``--seed``): the orthogonal one has
+    ``orthogonal_locals``, each system whose local families are
+    orthogonal is additive at SYSTEM_POINTS sampled unit vectors
+    (``check_local_additivity``), and the Parseval one's
+    ``parseval_equivalences`` is consistent;
   * for frames with at most 22 members, the greedy and exhaustive
     erasure certificates bracket each other soundly: greedy certified
     <= exhaustive certified, exhaustive universal <= greedy universal,
@@ -70,8 +77,10 @@ from ffk.generators import (
     random_invertible,
     random_orthogonal_decomposition,
     random_subspace,
+    random_system,
 )
-from ffk.numerics import COMPLEX, DEFAULT_TOLERANCE, REAL
+from ffk.numerics import COMPLEX, DEFAULT_TOLERANCE, REAL, sample_unit_vectors
+from ffk.systems import check_local_additivity, parseval_equivalences
 
 LIBRARY_FRAMES = 4
 NEAR_CUTOFF_FRAMES = 24
@@ -80,6 +89,7 @@ MAX_DIM = 6  # largest ambient dimension of the sampled frames
 SAMPLING_LAW_SAMPLES = 20_000
 SAMPLING_LAW_KS_LIMIT = 0.02  # exceeded by chance with probability about 7e-4 at this sample size
 ALTERNATE_RATIO_SAMPLES = 1000
+SYSTEM_POINTS = 8  # sampled unit vectors per system's additivity check
 
 
 @dataclass(frozen=True)
@@ -119,12 +129,29 @@ def check_dual(frame: FusionFrame, index, tallies: dict, failures: list) -> None
         failures.append((index, "dual"))
 
 
+def check_systems(frame: FusionFrame, rng: np.random.Generator, index, tallies: dict, failures: list) -> None:
+    """Tally whether an orthogonal and a Parseval system over the frame pass the system checks."""
+    orthogonal, parseval = random_system(rng, frame, "orthogonal"), random_system(rng, frame, "parseval")
+    X = sample_unit_vectors(rng, frame.ambient_dim, SYSTEM_POINTS, frame.field)
+    additive = all(
+        check_local_additivity(system, x).equal
+        for system in (orthogonal, parseval)
+        if system.orthogonal_locals
+        for x in X
+    )
+    if orthogonal.orthogonal_locals and additive and parseval_equivalences(parseval).consistent:
+        tallies["systems"] += 1
+    else:
+        failures.append((index, "systems"))
+
+
 def run_sweep(config: SweepConfig) -> dict:
     rng = np.random.default_rng(config.seed)
     checks = (
         "containment", "union_shift", "dual", "operator", "erasure",
-        "exhaustive_reference", "greedy_pick", "sampling_law", "alternate_ratio",
+        "exhaustive_reference", "greedy_pick", "sampling_law", "alternate_ratio", "systems",
     )
+    system_rng = np.random.default_rng([config.seed, 6])
     tallies = dict.fromkeys(checks, 0)
     failures = []
     small = []  # (index, frame, exhaustive certificate) of frames the exhaustive reference can afford
@@ -148,6 +175,7 @@ def run_sweep(config: SweepConfig) -> dict:
             failures.append((index, "union_shift"))
 
         check_dual(frame, index, tallies, failures)
+        check_systems(frame, system_rng, index, tallies, failures)
 
         operator = random_invertible(rng, n, frame.field, condition=float(10 ** rng.uniform(0, 2)))
         outcome = operator_image_report(frame, operator)
@@ -188,6 +216,7 @@ def run_sweep(config: SweepConfig) -> dict:
             copies = int(near_rng.integers(2, 5))
             frame = weak_lines_frame(np.sqrt(near_rng.uniform(1.0, 3.0) * DEFAULT_TOLERANCE.rank_rel / copies), copies)
         check_dual(frame, f"near-cutoff {index}", tallies, failures)
+        check_systems(frame, system_rng, f"near-cutoff {index}", tallies, failures)
         sound, exhaustive = erasure_brackets(frame)
         if sound:
             tallies["erasure"] += 1
@@ -216,6 +245,7 @@ def run_sweep(config: SweepConfig) -> dict:
     for index in range(LIBRARY_FRAMES):
         frame = library_shaped_frame(library_rng, REAL if index % 2 == 0 else COMPLEX)
         check_dual(frame, f"library {index}", tallies, failures)
+        check_systems(frame, system_rng, f"library {index}", tallies, failures)
         greedy = erasure_certificate(frame, mode="greedy")
         if (greedy.certified, greedy.universal) == reference_greedy_levels(frame, greedy.budget):
             tallies["greedy_pick"] += 1
@@ -246,6 +276,7 @@ def main() -> int:
     outcome = run_sweep(config)
     totals = {
         "dual": config.count + NEAR_CUTOFF_FRAMES + LIBRARY_FRAMES,
+        "systems": config.count + NEAR_CUTOFF_FRAMES + LIBRARY_FRAMES,
         "erasure": config.count + NEAR_CUTOFF_FRAMES,
         "exhaustive_reference": outcome["reference_frames"],
         "greedy_pick": LIBRARY_FRAMES,

@@ -17,7 +17,6 @@ from .vector_frames import (
     canonical_dual,
     check_norm_inequality,
     dual_redundancy_sandwich,
-    redundancy_function,
 )
 from .fusion import (
     AnalysisReport,
@@ -98,7 +97,6 @@ __all__ = [
     "parseval_equivalences",
     "redundancy_at",
     "redundancy_equivalent",
-    "redundancy_function",
     "redundancy_one_equivalence",
     "redundancy_range",
     "synthesis_matrix",

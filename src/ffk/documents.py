@@ -25,8 +25,8 @@ from itertools import chain
 import numpy as np
 
 from . import __version__
-from .errors import MemberCountMismatch, NonPositiveWeight, ParseError, SchemaVersionUnsupported
-from .fusion import AnalysisReport, ErasureCertificate, FusionFrame, build_fusion_frame
+from .errors import MemberCountMismatch, ParseError, SchemaVersionUnsupported
+from .fusion import AnalysisReport, ErasureCertificate, FusionFrame, _positive_weight, build_fusion_frame
 from .gallery import example_frame
 from .numerics import COMPLEX, REAL, Tolerance, _read_only, quadratic_forms, sample_unit_vectors
 from .systems import FusionFrameSystem, build_system
@@ -220,8 +220,7 @@ class DocumentSubspace:
     vectors: np.ndarray
 
     def __post_init__(self):
-        if not math.isfinite(self.weight) or self.weight <= 0.0:
-            raise NonPositiveWeight(f"weight must be strictly positive, got {self.weight!r}")
+        object.__setattr__(self, "weight", _positive_weight(self.weight))
 
 
 @dataclass(frozen=True)
@@ -268,10 +267,7 @@ class FrameDocument:
             entry = _expect_dict(item, f"subspaces[{i}]")
             weight = _expect_number(entry.get("weight"), f"subspaces[{i}].weight")
             vectors = _parse_rows(entry.get("vectors"), field, dimension, f"subspaces[{i}].vectors")
-            try:
-                members.append(DocumentSubspace(weight, vectors))
-            except NonPositiveWeight as exc:
-                raise NonPositiveWeight(f"subspaces[{i}]: {exc}") from exc
+            members.append(DocumentSubspace(_positive_weight(weight, f"subspaces[{i}]: "), vectors))
         local_frames = root.get("local_frames")
         if local_frames is not None:
             local_frames = tuple(
@@ -287,7 +283,7 @@ class FrameDocument:
         members = tuple(DocumentSubspace(w, _column_rows(B, field)) for B, w in blocks)
         local_frames = None
         if system is not None:
-            local_frames = tuple(_column_rows(local.matrix, field) for local in system.local_frames)
+            local_frames = tuple(_column_rows(L, field) for L in system._local_blocks(system.local_synthesis))
         return cls(field, frame.ambient_dim, members, local_frames)
 
     # -- output -----------------------------------------------------------

@@ -31,6 +31,7 @@ from .errors import (
     NotPositiveDefinite,
     NotSquare,
     NotUnitVector,
+    ZeroVector,
 )
 
 REAL = "real"
@@ -157,6 +158,30 @@ def _as_unit_vector(x, dim: int) -> np.ndarray:
     if not DEFAULT_TOLERANCE.negligible(abs(np.linalg.norm(v) - 1.0), 1.0):
         raise NotUnitVector(f"||x|| = {float(np.linalg.norm(v))!r} is not 1 within {DEFAULT_TOLERANCE.floor(1.0)}")
     return v
+
+
+def _as_vector_columns(vectors, where: str = "") -> tuple[np.ndarray, np.ndarray]:
+    """Nonzero 1-d vectors of one shape as the columns of a finite matrix, with their norms.
+
+    The matrix is ``complex128`` if any vector is complex, else ``float64``.
+    A norm at or below ``floor`` of the largest is zero.  Errors begin with ``where``.
+    """
+    rows = [np.asarray(v) for v in vectors]
+    if not rows:
+        raise DimensionMismatch(f"{where}a frame needs at least one vector")
+    dim = rows[0].shape
+    if len(dim) != 1 or dim[0] < 1:
+        raise DimensionMismatch(f"{where}frame vectors must be 1-d, got shape {dim}")
+    for i, row in enumerate(rows):
+        if row.shape != dim:
+            raise DimensionMismatch(f"{where}vector {i} has shape {row.shape}, expected {dim}")
+    matrix = np.stack(rows, axis=1)
+    dtype = np.complex128 if np.iscomplexobj(matrix) else np.float64
+    matrix = _require_finite(matrix.astype(dtype), f"{where}frame vectors")
+    norms = _require_finite(np.linalg.norm(matrix, axis=0), f"{where}frame vector norms")
+    if not np.all(DEFAULT_TOLERANCE.spans(norms, norms.max())):
+        raise ZeroVector(f"{where}vector {int(np.argmin(norms))} has numerically zero norm")
+    return matrix, norms
 
 
 def symmetrize(M: np.ndarray) -> np.ndarray:

@@ -21,19 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    NotADual,
-    NotAFrame,
-    WrongEtaCount,
-    ZeroVector,
-)
+from .errors import DimensionMismatch, NotADual, NotAFrame, WrongEtaCount
 from .fusion import FusionFrame, classify, redundancy_range
-from .numerics import (
-    FrameBounds,
-    _as_unit_vector,
-    _require_finite,
-)
+from .numerics import FrameBounds, _as_unit_vector, _as_vector_columns, _require_finite
 
 
 class VectorFrame(FusionFrame):
@@ -43,8 +33,7 @@ class VectorFrame(FusionFrame):
     fails on a span deficiency: ``is_frame`` tells whether the family spans
     the ambient space (the frame property), and the operations that need
     a frame raise :class:`NotAFrame` when it does not.  So a family that is
-    a frame only for its own span, such as a local family of a fusion frame
-    system, is still a ``VectorFrame``.
+    a frame only for its own span is still a ``VectorFrame``.
 
     As a fusion frame its ``bases`` are the unit vectors ``phi_i / ||phi_i||``,
     its ``weights`` the norms ``||phi_i||``, every member of dimension one,
@@ -59,11 +48,7 @@ class VectorFrame(FusionFrame):
     dual_matrix = FusionFrame.dual_synthesis  # S^-1 Phi: T = Phi
 
     def __init__(self, vectors):
-        matrix = _as_column_matrix(vectors)
-        norms = _require_finite(np.linalg.norm(matrix, axis=0), "frame vector norms")
-        if not np.all(self.tol.spans(norms, norms.max())):
-            index = int(np.argmin(norms))
-            raise ZeroVector(f"vector {index} has numerically zero norm")
+        matrix, norms = _as_vector_columns(vectors)
         self._assemble(matrix / norms[None, :], norms, np.ones(len(norms), int), matrix)
         self.matrix = self.synthesis
 
@@ -81,35 +66,6 @@ class VectorFrameReport:
     redundancy: tuple[float, float]
     tight: bool
     equal_norm: bool
-
-
-def _as_column_matrix(vectors) -> np.ndarray:
-    rows = [np.asarray(v) for v in vectors]
-    if not rows:
-        raise DimensionMismatch("a frame needs at least one vector")
-    dim = rows[0].shape
-    if len(dim) != 1 or dim[0] < 1:
-        raise DimensionMismatch(f"frame vectors must be 1-d, got shape {dim}")
-    for i, row in enumerate(rows):
-        if row.shape != dim:
-            raise DimensionMismatch(f"vector {i} has shape {row.shape}, expected {dim}")
-    matrix = np.stack(rows, axis=1)
-    dtype = np.complex128 if np.iscomplexobj(matrix) else np.float64
-    return _require_finite(matrix.astype(dtype), "frame vectors")
-
-
-def redundancy_function(frame: VectorFrame, x) -> float:
-    """Pointwise redundancy sum_i |<x, phi_i>|^2 / ||phi_i||^2 at unit x.
-
-    This is :func:`ffk.fusion.redundancy_at` of the frame's lines, up to
-    roundoff, but summed vector by vector: ``ffk system`` prints the gap
-    between the fusion redundancy and the sum of these values as
-    ``max_gap`` (1.3322676295501878e-15 on the orthogonal real golden
-    system), and ``x* S1 x`` rounds differently in the last bit.
-    """
-    v = _as_unit_vector(x, frame.ambient_dim)
-    coefficients = frame.matrix.conj().T @ v
-    return float(np.sum(np.abs(coefficients) ** 2 / frame.weights**2))
 
 
 def analyze_vector_frame(frame: VectorFrame) -> VectorFrameReport:

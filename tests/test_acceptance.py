@@ -50,7 +50,6 @@ from ffk.vector_frames import (
     check_norm_inequality,
     dual_redundancy_sandwich,
     dual_residual,
-    redundancy_function,
 )
 from ffk.documents import sampled_consistency_checks
 
@@ -319,7 +318,7 @@ def test_10_singleton_fusion_redundancy_matches_vector_redundancy(scoreboard):
             fusion = build_fusion_frame(spans, vector_frame.ambient_dim)
             for x in sample_unit_vectors(rng, vector_frame.ambient_dim, 10, vector_frame.field):
                 assert abs(
-                    redundancy_at(fusion, x) - redundancy_function(vector_frame, x)
+                    redundancy_at(fusion, x) - redundancy_at(vector_frame, x)
                 ) <= 1e-12
             fusion_extremes = redundancy_range(fusion)
             vector_extremes = redundancy_range(vector_frame)

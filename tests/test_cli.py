@@ -422,6 +422,22 @@ class TestSystem:
         assert code == 1
         assert json.loads(stderr)["error"]["type"] == "ParseError"
 
+    def test_zero_local_vector_names_its_family(self, run, tmp_path):
+        path = tmp_path / "system.json"
+        tree = {
+            "schema_version": "ffk/1",
+            "field": "real",
+            "dimension": 2,
+            "subspaces": [{"weight": 1.0, "vectors": [[1, 0]]}, {"weight": 1.0, "vectors": [[0, 1]]}],
+            "local_frames": [[[1, 0]], [[0, 1], [0, 0]]],
+        }
+        path.write_text(json.dumps(tree), encoding="utf-8")
+        assert run("system", str(path)) == (
+            1,
+            "",
+            '{"error": {"type": "ZeroVector", "message": "local family 1: vector 1 has numerically zero norm"}}\n',
+        )
+
 
 class TestParserBasics:
     def test_no_arguments_is_a_usage_error(self, run):

@@ -91,7 +91,7 @@ from ffk.numerics import (
     sphere_weights,
     symmetrize,
 )
-from ffk.systems import build_system, parseval_equivalences
+from ffk.systems import build_system, check_local_additivity, parseval_equivalences
 from ffk.vector_frames import (
     SandwichCheck,
     VectorFrame,
@@ -1453,18 +1453,30 @@ def reference_alternate_dual_matrix(frame, eta):
     return D + H - H @ (frame.matrix.conj().T @ D)
 
 
+def reference_local_families(system):
+    """Each local family's vectors as its own contiguous ``n x k`` matrix."""
+    offsets = system.local_offsets
+    return [np.ascontiguousarray(system.local_synthesis[:, a:b]) for a, b in zip(offsets[:-1], offsets[1:])]
+
+
 def reference_locals_orthogonal(system):
-    for local in system.local_frames:
-        gram = local.matrix.conj().T @ local.matrix
+    for local in reference_local_families(system):
+        gram = local.conj().T @ local
         off = gram - np.diag(np.diag(gram))
         if not system.frame.tol.negligible(np.abs(off), np.diag(gram).real.max()):
             return False
     return True
 
 
+def reference_vector_redundancy(vectors, x):
+    """``sum_j |<x, f_j>|^2 / ||f_j||^2`` over the columns ``f_j`` of ``vectors``, summed vector by vector."""
+    coefficients = vectors.conj().T @ x
+    return float(np.sum(np.abs(coefficients) ** 2 / np.linalg.norm(vectors, axis=0) ** 2))
+
+
 def reference_local_parseval_failure(system):
-    for i, (member, local) in enumerate(zip(system.frame.members, system.local_frames)):
-        defect = np.abs(local.matrix @ local.matrix.conj().T - member.subspace.projection()).max()
+    for i, (member, local) in enumerate(zip(system.frame.members, reference_local_families(system))):
+        defect = np.abs(local @ local.conj().T - member.subspace.projection()).max()
         if not system.frame.tol.negligible(defect, 1.0):
             return f"local family {i} misses its projection by {defect:.3e}"
     return None
@@ -1539,7 +1551,8 @@ def test_system_local_flags_match_the_per_check_tests(kind, scale):
     for seed in range(30):
         rng = np.random.default_rng(seed)
         frame = random_fusion_frame(rng, n=4)
-        system = build_system(frame, [[scale * v for v in vs] for vs in random_local_vectors(rng, frame, kind)])
+        families = [[scale * v for v in vs] for vs in random_local_vectors(rng, frame, kind)]
+        system = build_system(frame, families)
         assert system.orthogonal_locals == reference_locals_orthogonal(system), seed
         try:
             parseval_equivalences(system)
@@ -1547,3 +1560,7 @@ def test_system_local_flags_match_the_per_check_tests(kind, scale):
         except LocalNotParseval as exc:
             failure = str(exc)
         assert failure == reference_local_parseval_failure(system), seed
+        for x in sample_unit_vectors(rng, frame.ambient_dim, 3, frame.field):
+            check = check_local_additivity(system, x)
+            local_sum = sum(reference_vector_redundancy(np.stack(vs, axis=1), x) for vs in families)
+            assert exact((check.fusion_value, check.local_sum)) == exact((redundancy_at(frame, x), local_sum)), seed

@@ -35,7 +35,6 @@ from ffk.gallery import example_frame
 from ffk.generators import random_fusion_frame, random_system
 from ffk.numerics import COMPLEX, DEFAULT_TOLERANCE, REAL
 from ffk.systems import FusionFrameSystem
-from ffk.vector_frames import VectorFrame
 
 GOLDEN_REPORTS = [
     case
@@ -67,7 +66,8 @@ def per_entry_tree(frame, system=None):
         "subspaces": [{"weight": m.weight, "vectors": rows(m.subspace.basis)} for m in frame.members],
     }
     if system is not None:
-        tree["local_frames"] = [rows(local.matrix) for local in system.local_frames]
+        offsets = system.local_offsets
+        tree["local_frames"] = [rows(system.local_synthesis[:, a:b]) for a, b in zip(offsets[:-1], offsets[1:])]
     return tree
 
 
@@ -79,8 +79,7 @@ def signed_zero_system(field):
     if field == COMPLEX:
         bases[1][:, 1] *= 1j
     frame = FusionFrame([WeightedSubspace(Subspace(B), w) for B, w in zip(bases, (0.5, 2.0))])
-    local_frames = [VectorFrame((2.0 * B).T) for B in bases]
-    return frame, FusionFrameSystem(frame, local_frames)
+    return frame, FusionFrameSystem(frame, [(2.0 * B).T for B in bases])
 
 
 class TestCanonicalJson:
@@ -235,7 +234,8 @@ class TestFrameDocument:
             matrices = [m.subspace.basis for m in case[0].members]
             arrays = [member.vectors for member in doc.subspaces]
             if case[1] is not None:
-                matrices += [local.matrix for local in case[1].local_frames]
+                offsets = case[1].local_offsets
+                matrices += [case[1].local_synthesis[:, a:b] for a, b in zip(offsets[:-1], offsets[1:])]
                 arrays += list(doc.local_frames)
             assert len(arrays) == len(matrices)
             for array, matrix in zip(arrays, matrices):

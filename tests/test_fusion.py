@@ -15,6 +15,7 @@ from ffk.errors import (
     EmptyRemainder,
     NonPositiveWeight,
     NotAFusionFrame,
+    NotUniformWeights,
     SingularOperator,
     UnknownExample,
     ZeroSubspace,
@@ -52,7 +53,8 @@ from ffk.generators import (
     random_vector_frame,
 )
 from ffk.numerics import COMPLEX, REAL, Tolerance, sample_unit_vectors
-from ffk.vector_frames import canonical_dual, dual_redundancy_sandwich
+from ffk.systems import check_local_additivity, parseval_equivalences, redundancy_one_equivalence
+from ffk.vector_frames import VectorFrame, canonical_dual, dual_redundancy_sandwich
 from test_differential import projection_gap, reference_sampled_equivalence_gap
 
 
@@ -675,16 +677,32 @@ def test_checked_facts_raise_under_optimize():
 
 
 def test_library_paths_construct_no_subspace(monkeypatch):
-    # The stacked form is the only form: documents, erasure, unions, images
-    # and duals never build member objects, so nothing reads ``members``.
+    # The stacked form is the only form: documents, erasure, unions, images,
+    # duals and systems never build member objects, so nothing reads
+    # ``members``, and a system holds its local families as stacked arrays,
+    # so building one from a document takes the frame's one eigvalsh.
     rng = np.random.default_rng(26)
     frame = random_fusion_frame(rng, n=4, members=6)
     other = random_fusion_frame(rng, n=4, members=3, field=frame.field)
     text = FrameDocument.from_fusion_frame(frame, random_system(rng, frame, "parseval")).to_json_text()
+    unit = random_orthogonal_decomposition(rng, 4, parts=3, field=frame.field)
+    unit_text = FrameDocument.from_fusion_frame(unit, random_system(rng, unit, "parseval")).to_json_text()
     U = random_invertible(rng, 4, frame.field)
+    x = sample_unit_vectors(rng, 4, 1, frame.field)[0]
     monkeypatch.setattr(Subspace, "__init__", lambda self, basis: pytest.fail("a Subspace was constructed"))
+    monkeypatch.setattr(VectorFrame, "__init__", lambda self, vectors: pytest.fail("a VectorFrame was constructed"))
+    eigvalsh, calls = np.linalg.eigvalsh, []
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda *args, **kwargs: calls.append(args) or eigvalsh(*args, **kwargs))
     built, system = FrameDocument.from_json_text(text).build()
+    assert len(calls) == 1  # the frame's S: no local family solves an eigenproblem
+    _, unit_system = FrameDocument.from_json_text(unit_text).build()
+    assert len(calls) == 2
     assert system is not None and built.is_frame
+    assert check_local_additivity(system, x).fusion_value == redundancy_at(built, x)
+    assert parseval_equivalences(system).consistent
+    with pytest.raises(NotUniformWeights):
+        redundancy_one_equivalence(system)
+    assert redundancy_one_equivalence(unit_system).consistent
     for mode in ("exhaustive", "greedy"):
         erasure_certificate(built, mode=mode)
     assert erase(built, [0, 2])[0].member_count == 4

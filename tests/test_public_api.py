@@ -81,7 +81,7 @@ def test_every_frame_has_the_package_tolerance():
         ffk.erase(frame, [0])[0],
         ffk.canonical_dual_fusion(frame),
         ffk.apply_operator(frame, 2.0 * e),
-        *ffk.build_system(frame, [[e[0], e[1]], [e[1], e[2]]]).local_frames,
+        ffk.build_system(frame, [[e[0], e[1]], [e[1], e[2]]]).frame,
         vectors,
         ffk.canonical_dual(vectors),
         ffk.alternate_dual(vectors, 0.1 * np.arange(6.0).reshape(3, 2)),

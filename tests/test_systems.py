@@ -5,11 +5,13 @@ import pytest
 
 from ffk import fusion, systems
 from ffk.errors import (
+    DimensionMismatch,
     LocalNotAFrame,
     LocalNotParseval,
     MemberCountMismatch,
     NotUniformWeights,
     VectorOutsideSubspace,
+    ZeroVector,
 )
 from ffk.fusion import build_fusion_frame, fusion_frame_operator
 from ffk.gallery import example_frame
@@ -28,7 +30,6 @@ from ffk.systems import (
     parseval_equivalences,
     redundancy_one_equivalence,
 )
-from ffk.vector_frames import VectorFrame
 
 
 def basis_locals(frame):
@@ -55,7 +56,9 @@ class TestConstruction:
     def test_happy_path(self):
         frame = example_frame("7.2", 3)
         system = build_system(frame, basis_locals(frame))
-        assert len(system.local_frames) == frame.member_count
+        assert system.local_offsets.tolist() == [0, *np.cumsum(frame.dims)]
+        assert system.local_synthesis.tobytes() == frame.bases.tobytes()
+        assert system.local_norms.tolist() == [1.0] * frame.ambient_dim
 
     def test_wrong_local_count(self):
         frame = example_frame("7.2", 3)
@@ -81,9 +84,26 @@ class TestConstruction:
 
     def test_local_in_wrong_ambient_dimension(self):
         frame = example_frame("7.2", 3)
-        bad = VectorFrame([np.array([1.0, 0.0])])
-        with pytest.raises(MemberCountMismatch):
+        bad = [np.array([1.0, 0.0])]
+        with pytest.raises(MemberCountMismatch, match="local family 0 lives in dimension 2, expected 3"):
             FusionFrameSystem(frame, [bad] * frame.member_count)
+
+    def test_complex_local_family_in_a_real_frame_is_refused(self):
+        frame = example_frame("7.2", 2)
+        with pytest.raises(DimensionMismatch, match="local family 0 is complex in a real frame"):
+            build_system(frame, [[np.array([1j, 0])], [np.array([0, 1.0])]])
+
+    def test_real_local_family_in_a_complex_frame_takes_its_dtype(self):
+        e1, e2 = np.eye(2)
+        frame = build_fusion_frame([(e1[:, None] * 1j, 1.0), (e2[:, None] + 0j, 1.0)], 2)
+        system = build_system(frame, [[e1], [1j * e2]])
+        assert system.local_synthesis.dtype == np.complex128
+        assert parseval_equivalences(system).consistent
+
+    def test_zero_local_vector_names_its_family(self):
+        frame = example_frame("7.2", 2)
+        with pytest.raises(ZeroVector, match="^local family 1: vector 1 has numerically zero norm$"):
+            build_system(frame, [[np.array([1.0, 0.0])], [np.array([0.0, 1.0]), np.zeros(2)]])
 
 
 class TestLocalAdditivity:
@@ -138,8 +158,7 @@ class TestLocalAdditivity:
         rng = np.random.default_rng(7)
         frame = example_frame("7.2", 16)
         system = random_system(rng, frame, kind="orthogonal")
-        for local in system.local_frames:
-            monkeypatch.setattr(local, "matrix", local.matrix.view(GramSpy))
+        monkeypatch.setattr(system, "local_synthesis", system.local_synthesis.view(GramSpy))
         checks = [check_local_additivity(system, x) for x in sample_unit_vectors(rng, 16, 100, frame.field)]
         assert all(check.orthogonal_locals and check.equal for check in checks)
         assert grams == []
@@ -247,10 +266,11 @@ class TestFlattenedOperator:
         """With Parseval locals {v_i f_ij} has the fusion frame operator."""
         frame = random_fusion_frame(rng, n=4, field=COMPLEX)
         system = random_system(rng, frame, kind="parseval")
+        offsets = system.local_offsets
         flat = np.concatenate(
             [
-                member.weight * local.matrix
-                for member, local in zip(frame.members, system.local_frames)
+                member.weight * system.local_synthesis[:, a:b]
+                for member, a, b in zip(frame.members, offsets[:-1], offsets[1:])
             ],
             axis=1,
         )
