@@ -65,7 +65,6 @@ from ffk.fusion import (
     EXHAUSTIVE_MEMBER_LIMIT,
     ErasureCertificate,
     FusionFrame,
-    WeightedSubspace,
     erasure_certificate,
     operator_image_report,
     redundancy_range,
@@ -104,9 +103,7 @@ def library_shaped_frame(rng: np.random.Generator, field: str) -> FusionFrame:
     n = int(rng.choice([64, 96, 128]))
     N = int(rng.integers(40, 49))
     weights = rng.uniform(0.5, 2.0, size=N)
-    return FusionFrame(
-        [WeightedSubspace(random_subspace(rng, n, 3 + i % 2, field), float(w)) for i, w in enumerate(weights)]
-    )
+    return FusionFrame([random_subspace(rng, n, 3 + i % 2, field).basis for i in range(N)], weights)
 
 
 def erasure_brackets(frame: FusionFrame) -> tuple[bool, ErasureCertificate]:
@@ -192,7 +189,7 @@ def run_sweep(config: SweepConfig) -> dict:
                 failures.append((index, "erasure"))
             if frame.member_count <= REFERENCE_MEMBER_LIMIT:
                 small.append((index, frame, exhaustive))
-        unit_weight.append((index, FusionFrame([WeightedSubspace(m.subspace, 1.0) for m in frame.members])))
+        unit_weight.append((index, FusionFrame([m.subspace.basis for m in frame.members], np.ones(frame.member_count))))
 
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
     from test_differential import (

@@ -28,7 +28,7 @@ from . import __version__
 from .errors import MemberCountMismatch, ParseError, SchemaVersionUnsupported
 from .fusion import AnalysisReport, ErasureCertificate, FusionFrame, _positive_weight, build_fusion_frame
 from .gallery import example_frame
-from .numerics import COMPLEX, REAL, Tolerance, _read_only, quadratic_forms, sample_unit_vectors
+from .numerics import COMPLEX, REAL, Tolerance, _column_blocks, _read_only, quadratic_forms, sample_unit_vectors
 from .systems import FusionFrameSystem, build_system
 
 SCHEMA_VERSION = "ffk/1"
@@ -219,9 +219,6 @@ class DocumentSubspace:
     weight: float
     vectors: np.ndarray
 
-    def __post_init__(self):
-        object.__setattr__(self, "weight", _positive_weight(self.weight))
-
 
 @dataclass(frozen=True)
 class FrameDocument:
@@ -279,11 +276,12 @@ class FrameDocument:
     @classmethod
     def from_fusion_frame(cls, frame: FusionFrame, system: FusionFrameSystem | None = None) -> "FrameDocument":
         field = frame.field
-        blocks = zip(frame._blocks(frame.bases), frame.weights.tolist())
+        blocks = zip(_column_blocks(frame.bases, frame.offsets), frame.weights.tolist())
         members = tuple(DocumentSubspace(w, _column_rows(B, field)) for B, w in blocks)
         local_frames = None
         if system is not None:
-            local_frames = tuple(_column_rows(L, field) for L in system._local_blocks(system.local_synthesis))
+            blocks = _column_blocks(system.local_synthesis, system.local_offsets)
+            local_frames = tuple(_column_rows(L, field) for L in blocks)
         return cls(field, frame.ambient_dim, members, local_frames)
 
     # -- output -----------------------------------------------------------

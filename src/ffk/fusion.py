@@ -40,6 +40,8 @@ from .numerics import (
     sphere_weights,
     symmetrize,
     _as_unit_vector,
+    _column_blocks,
+    _orthonormal_basis,
     _read_only,
     _require_finite,
     _require_square,
@@ -52,17 +54,10 @@ CHUNK_BYTES = 1 << 17
 
 
 class Subspace:
-    """A nonzero subspace, stored as an orthonormal basis of columns."""
+    """A nonzero subspace, stored as an orthonormal basis of columns; frames hold only the stacked bases."""
 
     def __init__(self, basis: np.ndarray):
-        B = np.asarray(basis)
-        if B.ndim != 2 or not (1 <= B.shape[1] <= B.shape[0]):
-            raise DimensionMismatch(f"basis must be n x d with 1 <= d <= n, got shape {B.shape}")
-        _require_finite(B, "basis")
-        gram_defect = np.abs(B.conj().T @ B - np.eye(B.shape[1])).max()
-        if not DEFAULT_TOLERANCE.negligible(gram_defect, 1.0):
-            raise DimensionMismatch(f"basis columns are not orthonormal (defect {gram_defect:.3e})")
-        self.basis = _read_only(B.astype(np.complex128 if np.iscomplexobj(B) else np.float64))
+        self.basis = _read_only(_orthonormal_basis(basis))
 
     @classmethod
     def from_span(cls, vectors: np.ndarray) -> "Subspace":
@@ -94,13 +89,10 @@ class Subspace:
 
 @dataclass(frozen=True)
 class WeightedSubspace:
-    """One fusion frame member: a subspace with a positive weight."""
+    """One fusion frame member as :attr:`FusionFrame.members` shows it: its subspace and its weight."""
 
     subspace: Subspace
     weight: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "weight", _positive_weight(self.weight))
 
 
 def _positive_weight(weight, where: str = "") -> float:
@@ -119,14 +111,16 @@ class FusionFrame:
     need a positive lower bound raise :class:`NotAFusionFrame` instead.
     Every cutoff reads ``tol``, the class attribute ``DEFAULT_TOLERANCE``.
 
-    The frame is its stacked form, all read-only: ``weights``, ``dims`` and
-    ``bases``, the members' orthonormal bases (n x m), member ``i`` owning
-    columns ``offsets[i]:offsets[i + 1]``.  The constructor keeps only that
-    form of its members; documents, duals, images, erasures and unions
-    build it directly.  From it derive ``synthesis``
+    ``FusionFrame(bases, weights)``, per member an n x d_i matrix with
+    orthonormal columns and a positive weight, checked once (an error about
+    one member begins ``member i: ``), is the one way to build a family.
+    The frame keeps only its stacked form, all read-only: ``weights``,
+    ``dims`` and ``bases`` (n x m), member ``i`` owning columns
+    ``offsets[i]:offsets[i + 1]``.  From it derive ``synthesis``
     ``T = [v_1 Q_1 | ... | v_N Q_N]``, ``operator`` ``S = T T*`` and, on
-    first use, ``members`` as objects, ``normalized_operator`` ``S1 = Q Q*``,
-    ``normalized_spectrum`` its ascending eigenvalues, ``dual_synthesis``
+    first use, ``members`` (a view as :class:`WeightedSubspace` objects),
+    ``normalized_operator`` ``S1 = Q Q*``, ``normalized_spectrum`` its
+    ascending eigenvalues, ``dual_synthesis``
     ``S^-1 T``, from one QR factor of ``T*`` for frames only (``is_frame``
     is the one positivity decision), and ``canonical_dual`` the family
     ``{(S^-1 W_i, v_i)}``.  :class:`ffk.vector_frames.VectorFrame`, the
@@ -135,25 +129,20 @@ class FusionFrame:
 
     tol = DEFAULT_TOLERANCE
 
-    def __init__(self, members):
-        members = tuple(members)
-        for i, member in enumerate(members):
-            if not isinstance(member, WeightedSubspace):
-                raise DimensionMismatch(f"member {i} is not a WeightedSubspace")
-        self._stack([m.subspace.basis for m in members], [m.weight for m in members])
-
-    def _stack(self, bases: list, weights) -> "FusionFrame":
-        """Check members' orthonormal ``bases`` and their ``weights`` as one family, then assemble them stacked."""
+    def __init__(self, bases, weights):
+        bases, weights = list(bases), list(weights)
+        if len(bases) != len(weights):
+            raise DimensionMismatch(f"{len(bases)} bases for {len(weights)} weights")
         if not bases:
             raise DimensionMismatch("a fusion frame needs at least one member")
-        if len({field_of(B) for B in bases}) > 1:
+        bases = [_orthonormal_basis(B, f"member {i}: ") for i, B in enumerate(bases)]
+        if len({B.dtype for B in bases}) > 1:
             raise DimensionMismatch("members mix real and complex scalar fields")
         for i, B in enumerate(bases):
             if len(B) != len(bases[0]):
                 raise DimensionMismatch(f"member {i} lives in dimension {len(B)}, expected {len(bases[0])}")
-        stacked = np.concatenate(bases, axis=1, dtype=np.complex128 if np.iscomplexobj(bases[0]) else np.float64)
-        self._assemble(stacked, np.array(weights, float), np.array([B.shape[1] for B in bases]))
-        return self
+        weights = [_positive_weight(w, f"member {i}: ") for i, w in enumerate(weights)]
+        self._assemble(np.concatenate(bases, axis=1), np.array(weights), np.array([B.shape[1] for B in bases]))
 
     def _assemble(self, bases, weights, dims, synthesis=None):
         """Own the stacked form; derive ``T = synthesis`` (or ``v_i Q_i``), ``S = T T*``, its range and ``is_frame``."""
@@ -167,13 +156,10 @@ class FusionFrame:
         self._operator_range = hermitian_eigenrange(self.operator)
         self.is_frame = self.tol.spans(*self._operator_range)
 
-    def _blocks(self, X: np.ndarray) -> list[np.ndarray]:
-        """Member ``i``'s columns ``offsets[i]:offsets[i + 1]`` of an ``n x m`` matrix ``X``, for each ``i``."""
-        return [X[:, a:b] for a, b in zip(self.offsets[:-1], self.offsets[1:])]
-
     @cached_property
     def members(self) -> tuple[WeightedSubspace, ...]:
-        return tuple(WeightedSubspace(Subspace(B), w) for B, w in zip(self._blocks(self.bases), self.weights.tolist()))
+        blocks = _column_blocks(self.bases, self.offsets)
+        return tuple(WeightedSubspace(Subspace(B), w) for B, w in zip(blocks, self.weights.tolist()))
 
     @cached_property
     def normalized_operator(self) -> np.ndarray:
@@ -198,7 +184,8 @@ class FusionFrame:
     @cached_property
     def canonical_dual(self) -> "FusionFrame":
         """The canonical dual family, the member blocks ``v_i S^-1 Q_i`` of ``S^-1 T``; needs ``is_frame``."""
-        return build_fusion_frame(zip(self._blocks(self.dual_synthesis), self.weights), self.ambient_dim)
+        blocks = _column_blocks(self.dual_synthesis, self.offsets)
+        return build_fusion_frame(zip(blocks, self.weights), self.ambient_dim)
 
     @property
     def ambient_dim(self) -> int:
@@ -239,8 +226,8 @@ def build_fusion_frame(spans, ambient_dim: int) -> FusionFrame:
     """Assemble a fusion frame from raw (span matrix, weight) pairs.
 
     Span matrices hold generating vectors as columns; each is
-    orthonormalized, so redundant generators are harmless.  The stacked
-    form is built directly, with the checks of :class:`FusionFrame`.
+    orthonormalized, so redundant generators are harmless; the bases and
+    the weights go to :class:`FusionFrame`, which checks them.
     """
     bases, weights = [], []
     for i, (vectors, weight) in enumerate(spans):
@@ -253,13 +240,8 @@ def build_fusion_frame(spans, ambient_dim: int) -> FusionFrame:
             bases.append(orthonormalize(V))
         except AllColumnsNumericallyZero as exc:
             raise ZeroSubspace(f"member {i}: {exc}") from exc
-        weights.append(_positive_weight(weight, f"member {i}: "))
-    return _stacked_frame(bases, weights)
-
-
-def _stacked_frame(bases: list, weights) -> FusionFrame:
-    """The fusion frame of members' orthonormal ``bases`` and ``weights``, built without member objects."""
-    return object.__new__(FusionFrame)._stack(bases, weights)
+        weights.append(weight)
+    return FusionFrame(bases, weights)
 
 
 def fusion_frame_operator(frame: FusionFrame, normalized: bool = False) -> np.ndarray:
@@ -388,7 +370,8 @@ def union(a: FusionFrame, b: FusionFrame) -> FusionFrame:
         raise DimensionMismatch(f"ambient dimensions differ: {a.ambient_dim} vs {b.ambient_dim}")
     if a.field != b.field:
         raise DimensionMismatch(f"scalar fields differ: {a.field} vs {b.field}")
-    return _stacked_frame(a._blocks(a.bases) + b._blocks(b.bases), np.concatenate([a.weights, b.weights]))
+    blocks = _column_blocks(a.bases, a.offsets) + _column_blocks(b.bases, b.offsets)
+    return FusionFrame(blocks, np.concatenate([a.weights, b.weights]))
 
 
 def erase(frame: FusionFrame, indices) -> tuple[FusionFrame, float | None]:
@@ -409,8 +392,8 @@ def erase(frame: FusionFrame, indices) -> tuple[FusionFrame, float | None]:
         raise DimensionMismatch(f"erasure indices {J} out of range for {frame.member_count} members")
     if len(J) == frame.member_count:
         raise EmptyRemainder("erasing every member leaves nothing to analyze")
-    blocks = frame._blocks(frame.bases)
-    remaining = _stacked_frame([B for i, B in enumerate(blocks) if i not in removed], np.delete(frame.weights, J))
+    blocks = _column_blocks(frame.bases, frame.offsets)
+    remaining = FusionFrame([B for i, B in enumerate(blocks) if i not in removed], np.delete(frame.weights, J))
     guaranteed: float | None = None
     if frame.is_frame:
         A, B = frame._operator_range
@@ -498,7 +481,7 @@ def _frames_left(frame: FusionFrame, H: np.ndarray) -> np.ndarray:
 def _padded(frame: FusionFrame, X: np.ndarray) -> np.ndarray:
     """``X``, ``rows x m``, as a ``(rows, N, d_max)`` array: member ``i``'s columns, zero past its own ``d_i``."""
     padded = np.zeros((len(X), frame.member_count, frame.dims.max()), X.dtype)
-    for i, block in enumerate(frame._blocks(X)):
+    for i, block in enumerate(_column_blocks(X, frame.offsets)):
         padded[:, i, : block.shape[1]] = block
     return padded
 
@@ -786,7 +769,7 @@ def _greedy_levels(frame: FusionFrame, budget: int) -> tuple[int, int]:
     tol, N, n, dims = frame.tol, frame.member_count, frame.ambient_dim, frame.dims
     eps = np.finfo(float).eps
     blocks, width = _padded(frame, frame.synthesis), dims.max()
-    T = frame._blocks(frame.synthesis)  # member i's synthesis columns T_i
+    T = _column_blocks(frame.synthesis, frame.offsets)  # member i's synthesis columns T_i
 
     def less(rest, i):  # rest - T_i T_i*: member i removed
         return rest - T[i] @ T[i].conj().T
@@ -889,6 +872,11 @@ def erasure_certificate(
 
 def apply_operator(frame: FusionFrame, U: np.ndarray) -> FusionFrame:
     """Image family {(U W_i, v_i)} under an invertible operator."""
+    return _image(frame, U)[0]
+
+
+def _image(frame: FusionFrame, U: np.ndarray) -> tuple[FusionFrame, np.ndarray]:
+    """:func:`apply_operator`'s image and the descending singular values of ``U``, from its one SVD."""
     M = _require_square(_require_finite(np.asarray(U), "operator"), "operator")
     if M.shape[0] != frame.ambient_dim:
         raise DimensionMismatch(f"operator is {M.shape[0]} x {M.shape[0]}, ambient dimension is {frame.ambient_dim}")
@@ -897,8 +885,8 @@ def apply_operator(frame: FusionFrame, U: np.ndarray) -> FusionFrame:
     s = np.linalg.svd(M, compute_uv=False)
     if not frame.tol.spans(s[-1], s[0]):
         raise SingularOperator(f"singular values span [{s[-1]:.3e}, {s[0]:.3e}]")
-    images = [(M @ B, w) for B, w in zip(frame._blocks(frame.bases), frame.weights)]  # one product per member
-    return build_fusion_frame(images, frame.ambient_dim)
+    images = [(M @ B, w) for B, w in zip(_column_blocks(frame.bases, frame.offsets), frame.weights)]  # per member
+    return build_fusion_frame(images, frame.ambient_dim), s
 
 
 @dataclass(frozen=True)
@@ -929,9 +917,8 @@ class OperatorImageReport:
 
 def operator_image_report(frame: FusionFrame, U: np.ndarray) -> OperatorImageReport:
     """Apply an invertible operator and check the conditioning brackets."""
-    image = apply_operator(frame, U)
+    image, s = _image(frame, U)
     bounds = frame_bounds(frame)
-    s = np.linalg.svd(np.asarray(U), compute_uv=False)
     k = float(s[0] / s[-1])
     predicted = (bounds.lower / k**2, bounds.upper * k**2)
     image_bounds = frame_bounds(image)

@@ -21,7 +21,7 @@ import math
 import numpy as np
 
 from .errors import DimensionMismatch, UnknownExample
-from .fusion import FusionFrame, _stacked_frame
+from .fusion import FusionFrame
 from .numerics import COMPLEX, REAL
 
 EXAMPLE_NAMES = ("7.1", "7.1-V", "7.2", "7.3")
@@ -53,7 +53,7 @@ def example_frame(name: str, n: int | None = None) -> FusionFrame:
             raise DimensionMismatch("example 7.3 is fixed in dimension 5")
         spans = ([0, 1, 2], [1, 2, 3], [3, 4], [0, 4])
         weights = (math.sqrt(2.0 / 3.0), 2.0 * math.sqrt(3.0) / 3.0) * 2
-        return _stacked_frame([_coordinate_subspace(idx, 5, COMPLEX) for idx in spans], weights)
+        return FusionFrame([_coordinate_subspace(idx, 5, COMPLEX) for idx in spans], weights)
     n = 4 if n is None else int(n)
     if not 2 <= n <= EXAMPLE_MAX_DIMENSION:
         raise DimensionMismatch(f"example {name} requires dimension 2 <= n <= {EXAMPLE_MAX_DIMENSION}, got {n}")
@@ -63,4 +63,4 @@ def example_frame(name: str, n: int | None = None) -> FusionFrame:
         axes = [i for i in range(n) for _ in range(2)]
     else:  # "7.2"
         axes = list(range(n))
-    return _stacked_frame([_coordinate_subspace([i], n, REAL) for i in axes], [1.0] * len(axes))
+    return FusionFrame([_coordinate_subspace([i], n, REAL) for i in axes], [1.0] * len(axes))

@@ -9,8 +9,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionMismatch
-from .fusion import FusionFrame, Subspace, WeightedSubspace, _stacked_frame, union
-from .numerics import COMPLEX, REAL, gaussian, orthonormalize
+from .fusion import FusionFrame, Subspace, union
+from .numerics import COMPLEX, REAL, _column_blocks, gaussian, orthonormalize
 from .systems import FusionFrameSystem, build_system
 from .vector_frames import VectorFrame
 
@@ -43,9 +43,7 @@ def random_fusion_frame(
         while dims.sum() < n:  # otherwise the family cannot span
             dims[rng.integers(count)] = min(max_dim, n)
         weights = rng.uniform(0.3, 2.0, size=count)
-        frame = FusionFrame(
-            [WeightedSubspace(random_subspace(rng, n, int(d), field), float(w)) for d, w in zip(dims, weights)]
-        )
+        frame = FusionFrame([random_subspace(rng, n, int(d), field).basis for d in dims], weights)
         if frame.is_frame:
             return frame
 
@@ -108,7 +106,7 @@ def random_orthogonal_decomposition(
     U = random_unitary(rng, n, field)
     cuts = np.sort(rng.choice(np.arange(1, n), size=parts - 1, replace=False)) if parts > 1 else np.array([], dtype=int)
     pieces = np.split(np.arange(n), cuts)
-    return FusionFrame([WeightedSubspace(Subspace(np.ascontiguousarray(U[:, piece])), 1.0) for piece in pieces])
+    return FusionFrame([U[:, piece] for piece in pieces], [1.0] * len(pieces))
 
 
 def random_tight_uniform_fusion_frame(rng: np.random.Generator, n: int, layers: int = 2) -> FusionFrame:
@@ -127,7 +125,7 @@ def random_parseval_fusion_frame(rng: np.random.Generator, n: int, layers: int =
     """
     scale = 1.0 / np.sqrt(layers)
     tight = random_tight_uniform_fusion_frame(rng, n, layers)
-    return _stacked_frame(tight._blocks(tight.bases), [scale] * tight.member_count)
+    return FusionFrame(_column_blocks(tight.bases, tight.offsets), [scale] * tight.member_count)
 
 
 def random_local_vectors(
@@ -141,7 +139,7 @@ def random_local_vectors(
     """
     locals_ = []
     field = frame.field
-    for Q in frame._blocks(frame.bases):
+    for Q in _column_blocks(frame.bases, frame.offsets):
         d = Q.shape[1]
         if kind == "orthogonal":
             rotation = random_unitary(rng, d, field) if d > 1 else np.ones((1, 1))

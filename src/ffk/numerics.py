@@ -184,6 +184,23 @@ def _as_vector_columns(vectors, where: str = "") -> tuple[np.ndarray, np.ndarray
     return matrix, norms
 
 
+def _orthonormal_basis(basis, where: str = "") -> np.ndarray:
+    """A new ``complex128`` or ``float64`` copy of a finite n x d basis (1 <= d <= n), orthonormal at scale 1."""
+    B = np.asarray(basis)
+    if B.ndim != 2 or not (1 <= B.shape[1] <= B.shape[0]):
+        raise DimensionMismatch(f"{where}basis must be n x d with 1 <= d <= n, got shape {B.shape}")
+    _require_finite(B, f"{where}basis")
+    gram_defect = np.abs(B.conj().T @ B - np.eye(B.shape[1])).max()
+    if not DEFAULT_TOLERANCE.negligible(gram_defect, 1.0):
+        raise DimensionMismatch(f"{where}basis columns are not orthonormal (defect {gram_defect:.3e})")
+    return B.astype(np.complex128 if np.iscomplexobj(B) else np.float64)
+
+
+def _column_blocks(X: np.ndarray, offsets: np.ndarray) -> list[np.ndarray]:
+    """The last-axis slices ``X[..., offsets[i]:offsets[i + 1]]`` of ``X``, for each ``i``."""
+    return [X[..., a:b] for a, b in zip(offsets[:-1], offsets[1:])]
+
+
 def symmetrize(M: np.ndarray) -> np.ndarray:
     """Hermitian part (M + M*) / 2 of a square matrix; raises :class:`NonFiniteEntries` unless it is finite."""
     M = _require_square(M)

@@ -27,6 +27,7 @@ from .numerics import (
     Tolerance,
     _as_unit_vector,
     _as_vector_columns,
+    _column_blocks,
     _read_only,
     _require_finite,
     hermitian_eigenrange,
@@ -50,13 +51,14 @@ class FusionFrameSystem:
         families = tuple(local_vectors)
         if len(families) != frame.member_count:
             raise MemberCountMismatch(f"{len(families)} local frames for {frame.member_count} members")
-        bases = [np.ascontiguousarray(B) for B in frame._blocks(frame.bases)]  # strided: basis* @ M gets other bits
+        blocks = _column_blocks(frame.bases, frame.offsets)
+        bases = [np.ascontiguousarray(B) for B in blocks]  # strided: basis* @ M gets other bits
         columns, norms, defects = [], [], []
         orthogonal = True
         for i, (basis, vectors) in enumerate(zip(bases, families)):
             local, local_norms = _as_vector_columns(vectors, f"local family {i}: ")
             if len(local) != len(basis):
-                raise MemberCountMismatch(f"local family {i} lives in dimension {len(local)}, expected {len(basis)}")
+                raise DimensionMismatch(f"local family {i} lives in dimension {len(local)}, expected {len(basis)}")
             if not np.can_cast(local.dtype, frame.bases.dtype):
                 raise DimensionMismatch(f"local family {i} is complex in a real frame")
             local = local.astype(frame.bases.dtype, copy=False)
@@ -80,10 +82,6 @@ class FusionFrameSystem:
         self._nonparseval_local = next(
             ((i, defect) for i, defect in enumerate(defects) if not frame.tol.negligible(defect, 1.0)), None
         )
-
-    def _local_blocks(self, X: np.ndarray) -> list[np.ndarray]:
-        """Family ``i``'s last-axis entries ``local_offsets[i]:local_offsets[i + 1]`` of ``X``, for each ``i``."""
-        return [X[..., a:b] for a, b in zip(self.local_offsets[:-1], self.local_offsets[1:])]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"FusionFrameSystem(members={self.frame.member_count}, ambient={self.frame.ambient_dim})"
@@ -133,7 +131,8 @@ def _local_redundancy_sum(system: FusionFrameSystem, v: np.ndarray) -> float:
     order is fixed: vector by vector within each family's block, copied to
     a contiguous matrix, then family by family.
     """
-    blocks = zip(system._local_blocks(system.local_synthesis), system._local_blocks(system.local_norms))
+    offsets = system.local_offsets
+    blocks = zip(_column_blocks(system.local_synthesis, offsets), _column_blocks(system.local_norms, offsets))
     return float(sum(float(np.sum(np.abs(local.copy().conj().T @ v) ** 2 / norms**2)) for local, norms in blocks))
 
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from ffk.cli import main
 from ffk.documents import FrameDocument, canonical_json, emit_example
-from ffk.fusion import FusionFrame, WeightedSubspace
+from ffk.fusion import FusionFrame
 from ffk.generators import (
     random_fusion_frame,
     random_invertible,
@@ -59,8 +59,9 @@ def _frames():
         documents[f"r{seed}-{field}-n{n}"] = FrameDocument.from_fusion_frame(frame)
     rng = np.random.default_rng(7)
     for n, dims, field in ((6, (2, 2), REAL), (5, (1, 2, 1), COMPLEX)):
-        members = [WeightedSubspace(random_subspace(rng, n, d, field), 1.0 + 0.5 * i) for i, d in enumerate(dims)]
-        documents[f"bessel-{field}-n{n}"] = FrameDocument.from_fusion_frame(FusionFrame(members))
+        weights = [1.0 + 0.5 * i for i in range(len(dims))]
+        frame = FusionFrame([random_subspace(rng, n, d, field).basis for d in dims], weights)
+        documents[f"bessel-{field}-n{n}"] = FrameDocument.from_fusion_frame(frame)
     return documents
 
 

@@ -14,8 +14,6 @@ import pytest
 
 from ffk.fusion import (
     FusionFrame,
-    Subspace,
-    WeightedSubspace,
     apply_operator,
     build_fusion_frame,
     classify,
@@ -173,14 +171,11 @@ def test_05_random_frame_property_battery(scoreboard):
             n = int(rng.integers(2, 6))
             frame = random_fusion_frame(rng, n=n)
             # Redundancy depends on the subspaces alone; reweighting is invisible.
-            scaled = FusionFrame(
-                [
-                    WeightedSubspace(m.subspace, float(rng.uniform(0.2, 5.0)) * m.weight)
-                    for m in frame.members
-                ]
-            )
+            bases = [m.subspace.basis for m in frame.members]
+            scaled = FusionFrame(bases, [float(rng.uniform(0.2, 5.0)) * w for w in frame.weights])
             assert redundancy_equivalent(frame, scaled)
-            permuted = FusionFrame([frame.members[i] for i in rng.permutation(frame.member_count)])
+            order = rng.permutation(frame.member_count)
+            permuted = FusionFrame([bases[i] for i in order], frame.weights[order])
             assert redundancy_equivalent(frame, permuted)
 
         for _ in range(100):
@@ -204,20 +199,20 @@ def test_06_excess_is_a_structural_invariant(scoreboard):
             unitary_image = apply_operator(frame, random_unitary(rng, n, frame.field))
             assert excess(unitary_image) == reference
             for alpha in (0.5, 3.0):
-                scaled = FusionFrame([WeightedSubspace(m.subspace, alpha * m.weight) for m in frame.members])
+                scaled = FusionFrame([m.subspace.basis for m in frame.members], alpha * frame.weights)
                 assert excess(scaled) == reference
         for _ in range(20):
             decomposition = random_orthogonal_decomposition(rng, int(rng.integers(2, 7)))
             assert excess(decomposition) == 0
 
         def lift(frame: FusionFrame, total: int, offset: int) -> FusionFrame:
-            members = []
+            blocks = []
             for member in frame.members:
                 basis = member.subspace.basis
                 block = np.zeros((total, basis.shape[1]), dtype=basis.dtype)
                 block[offset : offset + basis.shape[0]] = basis
-                members.append(WeightedSubspace(Subspace(block), member.weight))
-            return FusionFrame(members)
+                blocks.append(block)
+            return FusionFrame(blocks, frame.weights)
 
         for _ in range(10):
             a = random_fusion_frame(rng, n=3, field="complex")

@@ -58,7 +58,6 @@ from ffk.fusion import (
     ErasureCertificate,
     FusionFrame,
     Subspace,
-    WeightedSubspace,
     _weight_rule_level,
     build_fusion_frame,
     classify,
@@ -82,6 +81,7 @@ from ffk.numerics import (
     REAL,
     FrameBounds,
     Tolerance,
+    _column_blocks,
     gaussian,
     hermitian_eigenrange,
     kernel_dimension,
@@ -284,10 +284,6 @@ def test_excess_of_a_frame_matches_the_kernel_dimension(seed, field):
     assert excess(frame) == kernel_dimension(frame.synthesis, frame.tol)
 
 
-def coordinate_member(n, axes, weight):
-    return WeightedSubspace(Subspace(np.eye(n)[:, axes]), weight)
-
-
 NEAR_TIE_ETAS = (0.0, 2.0**-50, 2.0**-45)
 
 
@@ -300,8 +296,7 @@ def near_tie_frame(eta):
     test sees e_0 first; the plane must then be evaluated exactly.  The
     path that starts with e_0 would certify 2 removals instead of 1.
     """
-    axes_and_weights = (([0, 1], 1.0), ([0], 2.0), ([1], 1.0 + eta))
-    return FusionFrame([coordinate_member(2, axes, weight) for axes, weight in axes_and_weights])
+    return FusionFrame([np.eye(2)[:, axes] for axes in ([0, 1], [0], [1])], (1.0, 2.0, 1.0 + eta))
 
 
 def bottom_below_margin_frame():
@@ -316,8 +311,7 @@ def bottom_below_margin_frame():
     """
     small = 1e-14
     weights = (np.sqrt(3 * small), np.sqrt(small), np.sqrt(small), np.sqrt(0.5), np.sqrt(0.5))
-    members = [coordinate_member(3, [axis], w) for axis, w in zip((1, 0, 0, 2, 2), weights)]
-    return FusionFrame(members)
+    return FusionFrame([np.eye(3)[:, [axis]] for axis in (1, 0, 0, 2, 2)], weights)
 
 
 def library_scale_frame(seed, n, members, field):
@@ -389,10 +383,9 @@ def test_greedy_erasure_matches_with_weights_over_six_decades(seed):
     # operator passes spans by roundoff; both searches fail it on its dimensions.
     rng = np.random.default_rng(seed)
     members = [
-        WeightedSubspace(random_subspace(rng, 3, int(rng.integers(1, 4)), REAL), 10 ** rng.uniform(-3, 3))
-        for _ in range(8)
+        (random_subspace(rng, 3, int(rng.integers(1, 4)), REAL).basis, 10 ** rng.uniform(-3, 3)) for _ in range(8)
     ]
-    frame = FusionFrame(members)
+    frame = FusionFrame(*zip(*members))  # bases and weights, drawn member by member
     certificate = erasure_certificate(frame, mode="greedy")
     assert (certificate.certified, certificate.universal) == reference_greedy_levels(frame, certificate.budget)
 
@@ -466,14 +459,15 @@ def test_exhaustive_erasure_first_failure_inside_a_later_chunk():
     assert 2 * rows < N * (N - 1) // 2, "the level must span several chunks"
     pair = next(itertools.islice(itertools.combinations(range(N), 2), rows + rows // 2, None))
     rng = np.random.default_rng(5)
-    members = []
+    bases, weights = [], []
     for i in range(N):
         basis = np.zeros((n, d))
         basis[1:] = random_subspace(rng, n - 1, d, REAL).basis
         if i in pair:
             basis[:, 0] = np.eye(n)[0]
-        members.append(WeightedSubspace(Subspace(basis), float(rng.uniform(0.5, 2.0))))
-    frame = FusionFrame(members)
+        bases.append(basis)
+        weights.append(float(rng.uniform(0.5, 2.0)))
+    frame = FusionFrame(bases, weights)
     certificate = assert_exhaustive_matches(frame, budget=4)
     assert (certificate.certified, certificate.universal) == (4, 1)
 
@@ -621,7 +615,7 @@ def removals_of(frame, operators):
     masks = np.zeros((len(subsets), N))
     for row, J in enumerate(subsets):
         masks[row, list(J)] = 1.0
-    terms = np.stack([T @ T.conj().T for T in frame._blocks(frame.synthesis)]).reshape(N, -1)
+    terms = np.stack([T @ T.conj().T for T in _column_blocks(frame.synthesis, frame.offsets)]).reshape(N, -1)
     remaining = frame.operator.reshape(-1) - masks @ terms
     removals = []
     for H in operators:
@@ -685,9 +679,8 @@ def test_weight_rule_needs_the_spans_cutoff_in_the_cli(argv, tmp_path, capsys):
 
 def benchmark_shape_frame(seed, n, dims, field):
     rng = np.random.default_rng(seed)
-    return FusionFrame(
-        [WeightedSubspace(random_subspace(rng, n, d, field), float(rng.uniform(0.5, 2.0))) for d in dims]
-    )
+    members = [(random_subspace(rng, n, d, field).basis, float(rng.uniform(0.5, 2.0))) for d in dims]
+    return FusionFrame(*zip(*members))
 
 
 def spy_gram_levels(monkeypatch):
@@ -1006,7 +999,7 @@ def unit_weight_frame(seed):
     """A random fusion frame of dimension 2-16, the field alternating with the seed, every weight 1."""
     rng = np.random.default_rng(seed)
     frame = random_fusion_frame(rng, n=int(rng.integers(2, 17)), field=(REAL, COMPLEX)[seed % 2])
-    return FusionFrame([WeightedSubspace(m.subspace, 1.0) for m in frame.members])
+    return FusionFrame([m.subspace.basis for m in frame.members], np.ones(frame.member_count))
 
 
 def near_singular_unit_weight_frame(seed, eta):
@@ -1014,8 +1007,8 @@ def near_singular_unit_weight_frame(seed, eta):
     frame = unit_weight_frame(seed)
     U = random_unitary(np.random.default_rng([seed, 1]), frame.ambient_dim, frame.field)
     squeeze = (U * np.append(np.ones(frame.ambient_dim - 1), eta)) @ U.conj().T
-    members = [WeightedSubspace(Subspace.from_span(squeeze @ m.subspace.basis), 1.0) for m in frame.members]
-    return FusionFrame(members)
+    bases = [Subspace.from_span(squeeze @ m.subspace.basis).basis for m in frame.members]
+    return FusionFrame(bases, np.ones(frame.member_count))
 
 
 def reference_redundancy(frame, x):
@@ -1119,7 +1112,7 @@ def test_equivalent_families_keep_sampled_redundancies_within_the_operator_gap(s
     frame = random_fusion_frame(rng, n=int(rng.integers(2, 17)))
     order = rng.permutation(frame.member_count)
     weights = rng.uniform(0.2, 5.0, frame.member_count)
-    permuted = FusionFrame([WeightedSubspace(frame.members[i].subspace, w) for i, w in zip(order, weights)])
+    permuted = FusionFrame([frame.members[i].subspace.basis for i in order], weights)
     assert redundancy_equivalent(frame, permuted)
     X = sample_unit_vectors(rng, frame.ambient_dim, 256, frame.field)
     gap, bound = reference_sampled_equivalence_gap(frame, permuted, X)

@@ -25,8 +25,6 @@ from ffk.errors import (
 )
 from ffk.fusion import (
     FusionFrame,
-    Subspace,
-    WeightedSubspace,
     classify,
     erasure_certificate,
     fusion_frame_operator,
@@ -78,7 +76,7 @@ def signed_zero_system(field):
     bases = [np.array([[1.0], [z], [0.0]], dtype), np.array([[z, 0.0], [1.0, z], [0.0, 1.0]], dtype)]
     if field == COMPLEX:
         bases[1][:, 1] *= 1j
-    frame = FusionFrame([WeightedSubspace(Subspace(B), w) for B, w in zip(bases, (0.5, 2.0))])
+    frame = FusionFrame(bases, (0.5, 2.0))
     return frame, FusionFrameSystem(frame, [(2.0 * B).T for B in bases])
 
 

@@ -17,7 +17,6 @@ from ffk.errors import (
 )
 from ffk.fusion import (
     FusionFrame,
-    WeightedSubspace,
     build_fusion_frame,
     erasure_certificate,
     frame_bounds,
@@ -33,7 +32,7 @@ from test_differential import projection_gap, reference_pencil, unit_weight_fram
 
 
 def with_unit_weights(frame: FusionFrame) -> FusionFrame:
-    return FusionFrame([WeightedSubspace(m.subspace, 1.0) for m in frame.members])
+    return FusionFrame([m.subspace.basis for m in frame.members], np.ones(frame.member_count))
 
 
 def forty_five_degree_lines() -> FusionFrame:

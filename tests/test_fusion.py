@@ -13,6 +13,7 @@ from ffk.documents import FrameDocument
 from ffk.errors import (
     DimensionMismatch,
     EmptyRemainder,
+    NonFiniteEntries,
     NonPositiveWeight,
     NotAFusionFrame,
     NotUniformWeights,
@@ -23,7 +24,6 @@ from ffk.errors import (
 from ffk.fusion import (
     FusionFrame,
     Subspace,
-    WeightedSubspace,
     apply_operator,
     build_fusion_frame,
     classify,
@@ -66,13 +66,13 @@ def coordinate_vector(i: int, n: int) -> np.ndarray:
 
 def embed_blockwise(frame: FusionFrame, total: int, offset: int) -> FusionFrame:
     """Lift a frame into a larger ambient space as a block at ``offset``."""
-    members = []
+    bases = []
     for member in frame.members:
         basis = member.subspace.basis
         lifted = np.zeros((total, basis.shape[1]), dtype=basis.dtype)
         lifted[offset : offset + basis.shape[0], :] = basis
-        members.append(WeightedSubspace(Subspace(lifted), member.weight))
-    return FusionFrame(members)
+        bases.append(lifted)
+    return FusionFrame(bases, frame.weights)
 
 
 class TestSubspace:
@@ -101,13 +101,6 @@ class TestSubspace:
         t = Subspace.from_span(s.basis @ mixing)
         assert projection_gap(s, t) <= 1e-8
         assert projection_gap(s, random_subspace(rng, 5, 2)) > 1e-8
-
-    def test_nonpositive_weight_rejected(self, rng):
-        s = random_subspace(rng, 3, 1)
-        with pytest.raises(NonPositiveWeight):
-            WeightedSubspace(s, 0.0)
-        with pytest.raises(NonPositiveWeight):
-            WeightedSubspace(s, -2.0)
 
 
 class TestGalleryOracles:
@@ -200,21 +193,49 @@ class TestConstruction:
         with pytest.raises(NonPositiveWeight, match="member 0"):
             build_fusion_frame([(np.array([[1.0], [0.0]]), -1.0)], 2)
 
+    def test_bases_and_weights_build_the_stacked_form(self, rng):
+        Q1, Q2 = random_subspace(rng, 4, 1).basis, random_subspace(rng, 4, 3).basis
+        frame = FusionFrame([Q1, Q2], [0.5, 2.0])
+        assert frame.weights.tolist() == [0.5, 2.0]
+        assert frame.dims.tolist() == [1, 3] and frame.offsets.tolist() == [0, 1, 4]
+        assert frame.bases.tobytes() == np.concatenate([Q1, Q2], axis=1).tobytes()
+        assert frame.is_frame and frame.field == COMPLEX
+        views = [(m.subspace.basis.tobytes(), m.weight) for m in frame.members]
+        assert views == [(Q1.tobytes(), 0.5), (Q2.tobytes(), 2.0)]
+
+    def test_nonpositive_weight_rejected(self, rng):
+        bases = [random_subspace(rng, 3, 1).basis, random_subspace(rng, 3, 2).basis]
+        for weight in (0.0, -2.0, float("nan"), float("inf")):
+            with pytest.raises(NonPositiveWeight, match=r"^member 1: weight must be strictly positive"):
+                FusionFrame(bases, [1.0, weight])
+
+    def test_non_orthonormal_basis_names_its_member(self):
+        with pytest.raises(DimensionMismatch, match=r"^member 1: basis columns are not orthonormal"):
+            FusionFrame([np.eye(2)[:, :1], np.array([[1.0], [1.0]])], [1.0, 1.0])
+
+    def test_non_finite_basis_names_its_member(self):
+        with pytest.raises(NonFiniteEntries, match=r"^member 0: basis contains NaN or infinite entries$"):
+            FusionFrame([np.array([[np.nan], [1.0]]), np.eye(2)], [1.0, 1.0])
+
+    def test_basis_of_the_wrong_shape_names_its_member(self):
+        with pytest.raises(DimensionMismatch, match=r"^member 0: basis must be n x d"):
+            FusionFrame([np.array([1.0, 0.0])], [1.0])
+
+    def test_count_mismatch_rejected(self):
+        with pytest.raises(DimensionMismatch, match="^2 bases for 1 weights$"):
+            FusionFrame([np.eye(2)[:, :1], np.eye(2)[:, 1:]], [1.0])
+
     def test_mixed_ambient_dimensions_rejected(self, rng):
-        a = WeightedSubspace(random_subspace(rng, 3, 1), 1.0)
-        b = WeightedSubspace(random_subspace(rng, 4, 1), 1.0)
-        with pytest.raises(DimensionMismatch):
-            FusionFrame([a, b])
+        with pytest.raises(DimensionMismatch, match="^member 1 lives in dimension 4, expected 3$"):
+            FusionFrame([random_subspace(rng, 3, 1).basis, random_subspace(rng, 4, 1).basis], [1.0, 1.0])
 
     def test_mixed_fields_rejected(self, rng):
-        a = WeightedSubspace(random_subspace(rng, 3, 1, REAL), 1.0)
-        b = WeightedSubspace(random_subspace(rng, 3, 1, COMPLEX), 1.0)
-        with pytest.raises(DimensionMismatch):
-            FusionFrame([a, b])
+        with pytest.raises(DimensionMismatch, match="mix real and complex"):
+            FusionFrame([random_subspace(rng, 3, 1, field).basis for field in (REAL, COMPLEX)], [1.0, 1.0])
 
     def test_empty_family_rejected(self):
-        with pytest.raises(DimensionMismatch):
-            FusionFrame([])
+        with pytest.raises(DimensionMismatch, match="at least one member"):
+            FusionFrame([], [])
 
     def test_random_family_that_cannot_span_is_rejected(self):
         with pytest.raises(DimensionMismatch):
@@ -277,7 +298,7 @@ class TestRedundancy:
 
     def test_redundancy_ignores_weights(self, rng):
         frame = random_fusion_frame(rng, n=4, members=5)
-        scaled = FusionFrame([WeightedSubspace(m.subspace, 3.0 * m.weight) for m in frame.members])
+        scaled = FusionFrame([m.subspace.basis for m in frame.members], 3.0 * frame.weights)
         assert redundancy_equivalent(frame, scaled)
 
 
@@ -313,7 +334,7 @@ class TestExcessAndMinimality:
     def test_excess_invariant_under_weight_scaling(self, rng):
         frame = random_fusion_frame(rng, n=4)
         for alpha in (0.5, 3.0):
-            scaled = FusionFrame([WeightedSubspace(m.subspace, alpha * m.weight) for m in frame.members])
+            scaled = FusionFrame([m.subspace.basis for m in frame.members], alpha * frame.weights)
             assert excess(scaled) == excess(frame)
 
     def test_excess_adds_over_orthogonal_direct_sums(self, rng):
@@ -376,7 +397,7 @@ class TestErasure:
             U = random_unitary(np.random.default_rng(seed), 6, REAL)
             columns = [U[:, :1], U[:, :1]] + [U[:, j : j + 1] for j in range(1, 6)]
             weights = [1.0, 1e-3] + [1e4] * 5
-            frame = FusionFrame([WeightedSubspace(Subspace(c), w) for c, w in zip(columns, weights)])
+            frame = FusionFrame(columns, weights)
             remaining, guaranteed = erase(frame, [1])
             assert remaining.is_frame and guaranteed == pytest.approx(1.0, abs=1e-6)
 
@@ -537,6 +558,13 @@ class TestOperatorImages:
         assert report.condition == pytest.approx(check.upper**0.5, rel=1e-9)
         assert report.image_redundancy == pytest.approx(redundancy_range(canonical_dual(vectors)), rel=1e-9)
 
+    def test_one_svd_of_the_operator(self, monkeypatch):
+        svd, shapes = np.linalg.svd, []
+        monkeypatch.setattr(np.linalg, "svd", lambda M, *a, **kw: shapes.append(np.shape(M)) or svd(M, *a, **kw))
+        report = operator_image_report(example_frame("7.2", 3), 2.0 * np.eye(3))
+        assert shapes.count((3, 3)) == 1
+        assert report.condition == 1.0 and report.bounds_hold
+
     def test_singular_operator_rejected(self, rng):
         frame = random_fusion_frame(rng, n=3)
         with pytest.raises(SingularOperator):
@@ -551,7 +579,8 @@ class TestOperatorImages:
 class TestRedundancyEquivalence:
     def test_permutation_invariance(self, rng):
         frame = random_fusion_frame(rng, n=4, members=5)
-        permuted = FusionFrame([frame.members[i] for i in rng.permutation(5)])
+        order = rng.permutation(5)
+        permuted = FusionFrame([frame.members[i].subspace.basis for i in order], frame.weights[order])
         assert redundancy_equivalent(frame, permuted)
 
     def test_distinct_families_detected(self):
@@ -641,7 +670,7 @@ def test_sampled_redundancy_always_inside_range(n, members, seed):
 def test_weight_scaling_never_changes_redundancy_or_excess(n, seed, alpha):
     gen = np.random.default_rng(seed)
     frame = random_fusion_frame(gen, n=n)
-    scaled = FusionFrame([WeightedSubspace(m.subspace, alpha * m.weight) for m in frame.members])
+    scaled = FusionFrame([m.subspace.basis for m in frame.members], alpha * frame.weights)
     assert redundancy_equivalent(frame, scaled)
     assert excess(scaled) == excess(frame)
 

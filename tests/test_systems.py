@@ -85,7 +85,7 @@ class TestConstruction:
     def test_local_in_wrong_ambient_dimension(self):
         frame = example_frame("7.2", 3)
         bad = [np.array([1.0, 0.0])]
-        with pytest.raises(MemberCountMismatch, match="local family 0 lives in dimension 2, expected 3"):
+        with pytest.raises(DimensionMismatch, match="local family 0 lives in dimension 2, expected 3"):
             FusionFrameSystem(frame, [bad] * frame.member_count)
 
     def test_complex_local_family_in_a_real_frame_is_refused(self):
