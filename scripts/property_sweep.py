@@ -23,6 +23,13 @@ For each generated frame the sweep checks:
   * for frames with at most REFERENCE_MEMBER_LIMIT members, the
     exhaustive certificate equals that of ``reference_exhaustive_levels``
     in ``tests/test_differential.py``, one eigvalsh per removed subset;
+    ``merged_cover`` tallies those whose top level the unions of merged
+    member groups certified (``spy_top_passes`` of the test module), and
+    the sweep fails if there are none;
+  * both erasure checks also run on MERGED_FRAMES mixed-dimension frames
+    seeded from ``--seed`` (n 3-6, 10-12 members of dimension 1-3, real
+    and complex in turn), whose full budgets mostly pack into merged
+    groups;
   * both erasure checks also run on NEAR_CUTOFF_FRAMES frames whose
     removals sit near the ``spans`` cutoff, seeded from ``--seed``: in
     turn ``weak_last_axis_frame`` of the test module (its strong
@@ -82,6 +89,7 @@ from ffk.numerics import COMPLEX, DEFAULT_TOLERANCE, REAL, sample_unit_vectors
 from ffk.systems import check_local_additivity, parseval_equivalences
 
 LIBRARY_FRAMES = 4
+MERGED_FRAMES = 4
 NEAR_CUTOFF_FRAMES = 24
 REFERENCE_MEMBER_LIMIT = 12  # the exhaustive reference runs one n x n eigvalsh per subset
 MAX_DIM = 6  # largest ambient dimension of the sampled frames
@@ -146,7 +154,7 @@ def run_sweep(config: SweepConfig) -> dict:
     rng = np.random.default_rng(config.seed)
     checks = (
         "containment", "union_shift", "dual", "operator", "erasure",
-        "exhaustive_reference", "greedy_pick", "sampling_law", "alternate_ratio", "systems",
+        "exhaustive_reference", "merged_cover", "greedy_pick", "sampling_law", "alternate_ratio", "systems",
     )
     system_rng = np.random.default_rng([config.seed, 6])
     tallies = dict.fromkeys(checks, 0)
@@ -191,7 +199,19 @@ def run_sweep(config: SweepConfig) -> dict:
                 small.append((index, frame, exhaustive))
         unit_weight.append((index, FusionFrame([m.subspace.basis for m in frame.members], np.ones(frame.member_count))))
 
+    merged_rng = np.random.default_rng([config.seed, 7])
+    for index in range(MERGED_FRAMES):
+        n, members = int(merged_rng.integers(3, 7)), int(merged_rng.integers(10, 13))
+        frame = random_fusion_frame(merged_rng, n, members, 3, config.field or (REAL, COMPLEX)[index % 2])
+        sound, exhaustive = erasure_brackets(frame)
+        if sound:
+            tallies["erasure"] += 1
+        else:
+            failures.append((f"merged {index}", "erasure"))
+        small.append((f"merged {index}", frame, exhaustive))
+
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+    import pytest
     from test_differential import (
         ks_distance,
         reference_exhaustive_levels,
@@ -199,6 +219,7 @@ def run_sweep(config: SweepConfig) -> dict:
         reference_pencil,
         reference_redundancy_samples,
         reference_sampled_ratio,
+        spy_top_passes,
         weak_last_axis_frame,
         weak_lines_frame,
     )
@@ -221,11 +242,18 @@ def run_sweep(config: SweepConfig) -> dict:
             failures.append((f"near-cutoff {index}", "erasure"))
         small.append((f"near-cutoff {index}", frame, exhaustive))
 
-    for index, frame, exhaustive in small:
-        if exhaustive == reference_exhaustive_levels(frame, exhaustive.budget):
-            tallies["exhaustive_reference"] += 1
-        else:
-            failures.append((index, "exhaustive_reference"))
+    with pytest.MonkeyPatch.context() as patch:
+        passes = spy_top_passes(patch)
+        for index, frame, exhaustive in small:
+            passes.clear()
+            again = erasure_certificate(frame, exhaustive.budget, "exhaustive")  # its top passes, seen
+            if again == exhaustive == reference_exhaustive_levels(frame, exhaustive.budget):
+                tallies["exhaustive_reference"] += 1
+                tallies["merged_cover"] += (True, True) in passes
+            else:
+                failures.append((index, "exhaustive_reference"))
+    if not tallies["merged_cover"]:
+        failures.append(("all", "merged_cover"))
 
     ratio_rng = np.random.default_rng([config.seed, 5])
     for index, frame in unit_weight:
@@ -274,8 +302,9 @@ def main() -> int:
     totals = {
         "dual": config.count + NEAR_CUTOFF_FRAMES + LIBRARY_FRAMES,
         "systems": config.count + NEAR_CUTOFF_FRAMES + LIBRARY_FRAMES,
-        "erasure": config.count + NEAR_CUTOFF_FRAMES,
+        "erasure": config.count + NEAR_CUTOFF_FRAMES + MERGED_FRAMES,
         "exhaustive_reference": outcome["reference_frames"],
+        "merged_cover": outcome["reference_frames"],
         "greedy_pick": LIBRARY_FRAMES,
         "sampling_law": LIBRARY_FRAMES,
     }

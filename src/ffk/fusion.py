@@ -12,6 +12,7 @@ the eigenvalue range of that operator.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property
@@ -48,8 +49,9 @@ from .numerics import (
 )
 
 EXHAUSTIVE_MEMBER_LIMIT = 22
-# Working-block budget: each (rows, s, s) stack of one exhaustive-search chunk (s = k d_max
-# for G_JJ, n for S_J), and each block of sphere weights that redundancy sampling draws.
+# Working-block budget: each (rows, s, s) stack of one exhaustive-search chunk (s = |J| d_max for
+# G_JJ, J a removal or a union of member groups; n for S_J), and each block of sphere weights that
+# redundancy sampling draws.
 CHUNK_BYTES = 1 << 17
 
 
@@ -555,6 +557,60 @@ def _subset_chunks(N: int, k: int, rows: int):
         yield J
 
 
+def _member_groups(dims: np.ndarray, top: int, spare: int) -> np.ndarray:
+    """Each member's group, packed first-fit decreasing into groups of at most ``spare // top`` dimensions.
+
+    For a level ``top >= 2`` whose ``top`` largest ``d_i`` sum to at most
+    ``spare``.  A member above that capacity is a group of its own.  Every
+    member is its own group, in member order, unless the packing merges
+    some, its ``top`` largest groups hold at most ``spare`` dimensions, and
+    the ``C(g, top)`` unions ``K`` of ``top`` of its ``g`` groups have
+    ``sum_K |K|^2 <= C(N, top) top^2 / 2``.  So any union of ``top``
+    groups passes the dimension test either way.
+    """
+    N, capacity = len(dims), spare // top
+    label, loads = np.empty(N, np.intp), []
+    for i in sorted(range(N), key=lambda i: -dims[i]):
+        label[i] = next((j for j, load in enumerate(loads) if load + dims[i] <= capacity), len(loads))
+        if label[i] == len(loads):
+            loads.append(0)
+        loads[label[i]] += dims[i]
+    counts = np.bincount(label)
+    g, squares = len(counts), int(counts @ counts)
+    volume = math.comb(g - 1, top - 1) * squares + math.comb(g - 2, top - 2) * (N * N - squares)
+    if g == N or sum(sorted(loads)[-top:]) > spare or 2 * volume > math.comb(N, top) * top * top:
+        return np.arange(N)
+    return label
+
+
+def _union_chunks(label: np.ndarray, k: int, rows: int):
+    """The unions of ``k`` groups (member ``i`` in group ``label[i]``) as rows of member indices.
+
+    The groups' ``k``-subsets in :func:`_subset_chunks` order and chunks,
+    one array per union size in each chunk, so with one member per group in
+    member order these are :func:`_subset_chunks`' own chunks.
+    """
+    g = label.max() + 1
+    for C in _subset_chunks(g, k, rows):
+        inside = np.zeros((len(C), g), bool)
+        inside[np.arange(len(C))[:, None], C] = True
+        union = inside[:, label]
+        sizes = union.sum(axis=1)
+        for size in range(sizes.min(), sizes.max() + 1):
+            if (same := sizes == size).any():
+                yield np.nonzero(union[same])[1].reshape(-1, size)
+
+
+def _top_pass(shifted: np.ndarray, width: int, label: np.ndarray, top: int, rows: int) -> list[np.ndarray]:
+    """:func:`_gram_survivors` on each :func:`_union_chunks` array, up to the first one it does not wholly certify."""
+    answers = []
+    for J in _union_chunks(label, top, rows):
+        answers.append(_gram_survivors(shifted, width, J))
+        if not answers[-1].all():
+            break
+    return answers
+
+
 def _exhaustive_levels(frame: FusionFrame, budget: int) -> tuple[int, int]:
     """``certified`` and ``universal`` from every removal of up to ``budget`` members.
 
@@ -598,9 +654,10 @@ def _exhaustive_levels(frame: FusionFrame, budget: int) -> tuple[int, int]:
       eps``, ``Y* Y`` ``n^2 eps`` and ``symmetrize`` ``sqrt(n) eps``: in all
       below ``4 (m n + n^2) eps sqrt(t / A)``, so ``e_2`` grows like
       ``sqrt(t / A)``, not ``t / A``.
-    - A Cholesky success on ``c I - G_JJ``, of size ``s = k d_max <= w``,
-      or a positive ``eigvalsh`` of it, gives ``lambda_max(G_JJ) <= c +
-      (s + 1)^2 eps`` (:func:`_gram_survivors`): below ``e_2 / 4``.
+    - A Cholesky success on ``c I - G_JJ``, of size ``s = |J| d_max <= w``
+      (``J`` a removal or a union of groups below), or a positive
+      ``eigvalsh`` of it, gives ``lambda_max(G_JJ) <= c + (s + 1)^2 eps``
+      (:func:`_gram_survivors`): below ``e_2 / 4``.
 
     So a certified block has ``g <= c + e_2 / 2``.  With
     ``c = 1 - (rank_rel B + e_1) / A - e_2``, ``lambda_min(S_J) >=
@@ -617,47 +674,60 @@ def _exhaustive_levels(frame: FusionFrame, budget: int) -> tuple[int, int]:
     The search starts from the top: ``top`` is the largest level up to
     ``budget`` whose ``top`` largest ``d_i`` pass the dimension test, so
     every removal of at most ``top`` members passes it.  When ``top >= 2``,
-    level ``top`` is first passed to :func:`_gram_survivors` chunk by chunk,
-    and the first chunk it does not wholly certify ends that pass; the
-    search then runs level by level from 1 as described above, reusing
-    that pass's answers when it reaches level ``top`` (so no row is
-    decided twice).  When every row is certified, every
-    ``J' ⊂ J`` of a certified ``J`` has ``lambda_max(G_J'J') <= g <= c +
-    e_2 / 2`` (Cauchy interlacing: ``G_J'J'`` is a principal submatrix of
-    ``G_JJ``), so the chain above holds for ``S_J'`` as for ``S_J``: the
-    reference's ``low`` exceeds ``rank_rel high``, and ``J'`` survives
-    both there and in the level-by-level search, whose uncertified rows
-    take the reference's decision.  So levels ``1`` to ``top`` are
-    universal, and the search goes on from ``top + 1``.  This needs
-    Gram-certified rows: the test ``low > rank_rel high`` on ``S_J`` alone
-    is not closed under subsets, since ``lambda_max(S_J')`` can grow
-    faster than ``lambda_min(S_J')``.
+    :func:`_member_groups` packs the members first-fit decreasing into
+    ``h`` groups of at most ``spare // top`` dimensions (``spare = m -
+    n``), so any union of ``top`` groups passes the dimension test, and
+    ``h > top``, as such a union holds at most ``spare < m`` dimensions.
+    A removal of ``top`` members touches at most ``top`` groups, so it
+    lies in some union ``K`` of ``top`` groups (pigeonhole), and Cauchy
+    interlacing (``G_JJ`` is a principal submatrix of ``G_KK``) gives
+    ``lambda_max(G_JJ) <= lambda_max(G_KK)``.  So one Gram block per
+    union, ``C(h, top)`` of them, can stand for the ``C(N, top)``
+    removals: they are passed to :func:`_gram_survivors` chunk by chunk
+    (:func:`_top_pass`), and the first chunk it does not wholly certify
+    ends that pass.  Groups are merged only when the unions' blocks hold
+    at most half the entries of the removals' blocks, ``sum_K |K|^2 <=
+    C(N, top) top^2 / 2``; when a merged pass ends early, the pass runs
+    again on single members, the removals themselves, so a frame that no
+    merged union certifies pays at most 1.5 times that pass.  If that pass also ends early, the
+    search runs level by level from 1 as described above, reusing its
+    answers when it reaches level ``top`` (so no removal is decided
+    twice).  When every block of a pass is certified, every ``J' ⊂ K``
+    of a certified ``K`` has ``lambda_max(G_J'J') <= g <= c + e_2 / 2``
+    (interlacing again), so the chain above holds for ``S_J'`` as for
+    ``S_K``: the reference's ``low`` exceeds ``rank_rel high``, and
+    ``J'`` survives both there and in the level-by-level search, whose
+    uncertified rows take the reference's decision.  So levels ``1`` to
+    ``top`` are universal, and the search goes on from ``top + 1``.
+    This needs Gram-certified blocks: the test ``low > rank_rel high`` on
+    ``S_J`` alone is not closed under subsets, since ``lambda_max(S_J')``
+    can grow faster than ``lambda_min(S_J')``.
     """
     N, n, dims = frame.member_count, frame.ambient_dim, frame.dims
     shifted, width = _gram_cutoff(frame), dims.max()
-    padded = _padded(frame, frame.synthesis).reshape(n, -1)  # Y_J of the exact path
+    padded = None  # Y_J of the exact path, built when a row first needs it
     spare = dims.sum() - n  # removing more dimensions leaves rank S_J < n
     smallest, largest = np.cumsum(np.sort(dims)), np.cumsum(np.sort(dims)[::-1])
     top = min(budget, int((largest <= spare).sum()))
 
-    def chunks_of(k):
-        side = n if shifted is None else k * width
-        return _subset_chunks(N, k, max(1, CHUNK_BYTES // (side * side * frame.synthesis.itemsize)))
+    def rows_of(members):  # rows per chunk of blocks of that many members
+        side = n if shifted is None else members * width
+        return max(1, CHUNK_BYTES // (side * side * frame.synthesis.itemsize))
 
     certified = universal = 0
-    first_pass = []  # level top's Gram answers, chunk by chunk, up to the first chunk not wholly certified
+    first_pass = []  # level top's Gram answers on single members, when that pass ran and did not certify it
     if shifted is not None and top >= 2:
-        for J in chunks_of(top):
-            first_pass.append(_gram_survivors(shifted, width, J))
-            if not first_pass[-1].all():
+        groups = _member_groups(dims, top, spare)
+        for label in (groups, np.arange(N)) if groups.max() < N - 1 else (groups,):
+            first_pass = _top_pass(shifted, width, label, top, rows_of(np.sort(np.bincount(label))[-top:].sum()))
+            if first_pass[-1].all():
+                certified = universal = top  # every removal of top members is a subset of a certified union
                 break
-        else:
-            certified = universal = top  # every smaller removal is a subset of a certified one
     for k in range(certified + 1, budget + 1):
         if smallest[k - 1] > spare:
             break  # every removal of k members fails on its dimensions
         some, every = False, universal == k - 1  # some removal survives; every one does, while that matters
-        chunks, known = chunks_of(k), iter(first_pass if k == top else ())
+        chunks, known = _subset_chunks(N, k, rows_of(k)), iter(first_pass if k == top else ())
         while (every or not some) and (J := next(chunks, None)) is not None:
             alive = np.zeros(len(J), bool)
             undecided = dims[J].sum(axis=1) <= spare  # rows the dimension test does not fail
@@ -666,6 +736,8 @@ def _exhaustive_levels(frame: FusionFrame, budget: int) -> tuple[int, int]:
                 alive[undecided] = _gram_survivors(shifted, width, J[undecided]) if gram is None else gram
                 undecided &= ~alive
             if undecided.any():
+                if padded is None:
+                    padded = _padded(frame, frame.synthesis).reshape(n, -1)
                 alive[undecided] = _exact_frames_left(frame, padded, J[undecided])
             some = some or bool(alive.any())
             every = every and bool(alive.all())
@@ -842,8 +914,11 @@ def erasure_certificate(
     subset with that same outcome, from the block ``G_JJ`` of the Gram
     matrix ``G = T* S^-1 T`` (``S_J`` is invertible iff
     ``lambda_max(G_JJ) < 1``) and, for removals that block does not
-    certify, from ``S_J`` itself (:func:`_exhaustive_levels`); greedy mode
-    follows one removal path per level (:func:`_greedy_levels`).
+    certify, from ``S_J`` itself (:func:`_exhaustive_levels`).  Its top
+    level, the largest whose removals all keep enough dimensions, is
+    first tried on the blocks of unions of member groups: a certified
+    union certifies every removal inside it, and every smaller one.
+    Greedy mode follows one removal path per level (:func:`_greedy_levels`).
     """
     if not frame.is_frame:
         raise NotAFusionFrame("erasure robustness is defined for fusion frames only")

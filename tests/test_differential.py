@@ -46,7 +46,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ffk import fusion
@@ -572,8 +572,10 @@ def test_exhaustive_erasure_without_a_gram_cutoff(monkeypatch):
     assert (certificate.certified, certificate.universal) == (2, 0)
 
 
-def squeezed_frame(seed):
+def squeezed_frame(seed, count=None):
     """Subspaces of the complement of a unit vector ``u``, one plane through ``u``, and a weak line on ``u``.
+
+    ``count`` subspaces of the complement, ``n + 1`` by default.
 
     The line's squared weight is 0.9-1.1 times ``rank_rel`` times the largest
     eigenvalue of the complement's members, so removing the plane squeezes
@@ -585,7 +587,7 @@ def squeezed_frame(seed):
     u, complement = U[:, -1:], U[:, :-1]
     spans = [
         (complement @ random_subspace(rng, n - 1, int(rng.integers(1, 3)), field).basis, rng.uniform(1.0, 2.0))
-        for _ in range(n + 1)
+        for _ in range(count or n + 1)
     ]
     plane = np.hstack([u, complement @ random_subspace(rng, n - 1, 1, field).basis])
     top = np.linalg.eigvalsh(sum(w**2 * B @ B.conj().T for B, w in spans))[-1]
@@ -698,18 +700,42 @@ def spy_gram_levels(monkeypatch):
 
 @pytest.mark.parametrize(
     "n, dims, budget, field, gram_levels",
-    [(8, (2,) * 18, 5, COMPLEX, {5}), (12, (1, 2) * 8, None, REAL, set(range(6, 11)))],
+    [(8, (2,) * 18, 5, COMPLEX, {10}), (12, (1, 2) * 8, None, REAL, set(range(6, 11)))],
     ids=["n8-N18-b5-complex", "n12-N16-full-real"],
 )
 def test_exhaustive_erasure_matches_on_the_benchmark_shapes(n, dims, budget, field, gram_levels, monkeypatch):
     # The first has sum_{i in J} d_i > n, so G_JJ is larger than S_J; the
     # second alternates lines and planes up to the dimension cutoff.  Each
     # certifies its top level (5; 6, where the six planes fill the 12 spare
-    # dimensions) on Gram blocks, which settles every level below it.
+    # dimensions) on the Gram blocks of unions of member groups, which
+    # settles every level below it: the first packs its 18 planes in pairs
+    # (capacity 28 // 5 = 5 dimensions), so no block of level 5 itself is
+    # formed; the second packs each plane alone and the lines in pairs
+    # (capacity 2), unions of 6 to 10 members, and levels 7 to 10 go
+    # removal by removal.
     levels = spy_gram_levels(monkeypatch)
     certificate = assert_exhaustive_matches(benchmark_shape_frame(7, n, dims, field), budget)
     assert certificate.certified >= 5
     assert set(levels) == gram_levels
+
+
+def spy_gram_shapes(monkeypatch):
+    """The shape of each ``J`` that reaches :func:`fusion._gram_survivors`, one per call."""
+    shapes = []
+    gram_survivors = fusion._gram_survivors
+    monkeypatch.setattr(
+        fusion, "_gram_survivors", lambda shifted, width, J: shapes.append(J.shape) or gram_survivors(shifted, width, J)
+    )
+    return shapes
+
+
+def test_exhaustive_erasure_top_level_on_unions_of_plane_pairs(monkeypatch):
+    # 18 planes in C^8, budget 5: nine pairs, so C(9, 5) = 126 union blocks
+    # of 10 members stand for the C(18, 5) = 8568 removals of 5.
+    shapes = spy_gram_shapes(monkeypatch)
+    certificate = assert_exhaustive_matches(benchmark_shape_frame(7, 8, (2,) * 18, COMPLEX), 5)
+    assert (certificate.certified, certificate.universal) == (5, 5)
+    assert {k for _, k in shapes} == {10} and sum(rows for rows, _ in shapes) == math.comb(9, 5)
 
 
 @pytest.mark.parametrize("field", [REAL, COMPLEX])
@@ -757,6 +783,155 @@ def test_exhaustive_erasure_decides_each_top_level_row_once(monkeypatch):
     certificate = assert_exhaustive_matches(example_frame("7.1-V", 6))
     assert (certificate.certified, certificate.universal) == (6, 1)
     assert [rows for rows, k in shapes if k == 6] == [455]
+
+
+@st.composite
+def packings(draw):
+    """Member dimensions, a level ``2 <= top < N`` and ``spare`` from the ``top`` largest dimensions to ``m - 1``."""
+    dims = np.array(draw(st.lists(st.integers(1, 4), min_size=3, max_size=10)))
+    top = draw(st.integers(2, len(dims) - 1))
+    spare = draw(st.integers(int(np.sort(dims)[::-1][:top].sum()), int(dims.sum()) - 1))
+    return dims, top, spare
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(packings())
+@example((np.ones(10, int), 3, 8))  # five pairs of lines
+@example((np.array([4] + [1] * 12), 3, 8))  # the 4-space above the capacity 2 alone, six pairs of lines
+@example((np.array([3] + [1] * 8), 2, 5))  # pairs would not halve the blocks at level 2: singletons
+@example((np.array([2, 1, 1, 1, 1]), 2, 3))  # capacity 1
+def test_member_groups_cover_every_removal_of_top_members(packing):
+    dims, top, spare = packing
+    N = len(dims)
+    label = fusion._member_groups(dims, top, spare)
+    g = label.max() + 1
+    assert label.shape == (N,) and np.bincount(label).min() >= 1  # the groups partition the members
+    assert np.sort(np.bincount(label, weights=dims))[::-1][:top].sum() <= spare  # so does every union of top
+    assert g > top
+    for J in itertools.combinations(range(N), top):
+        assert len(set(label[list(J)])) <= top  # so J lies in a union of top groups
+    unions = {tuple(np.flatnonzero(np.isin(label, C))) for C in itertools.combinations(range(g), top)}
+    rows = [tuple(J) for chunk in fusion._union_chunks(label, top, 3) for J in chunk.tolist()]
+    assert sorted(rows) == sorted(unions) and len(rows) == math.comb(g, top)
+    if g == N:  # one member per group, in member order: the chunks of the removals themselves
+        assert (label == np.arange(N)).all()
+        assert rows == list(itertools.combinations(range(N), top))
+    if spare // top == 1:
+        assert g == N
+
+
+@pytest.mark.parametrize(
+    "dims, top, spare, label",
+    [
+        ((2,) * 18, 5, 28, np.repeat(np.arange(9), 2)),  # 126 unions of 10 members for 8568 removals
+        ((4,) + (1,) * 12, 3, 8, np.repeat(np.arange(7), 2)[1:]),  # the 4-space alone, the lines in pairs
+        ((3,) + (1,) * 8, 2, 5, np.arange(9)),  # pairs hold 132 / 144 of the entries at level 2, not half
+        ((1,) * 12, 4, 8, np.repeat(np.arange(6), 2)),  # 15 unions of 8 lines: 960 / 7920 of the entries
+    ],
+)
+def test_member_groups_merge_only_to_halve_the_blocks(dims, top, spare, label):
+    assert (fusion._member_groups(np.array(dims), top, spare) == label).all()
+
+
+def spy_top_passes(monkeypatch):
+    """Per :func:`fusion._top_pass` call: whether its groups merge members, and whether it certified every union."""
+    passes = []
+    top_pass = fusion._top_pass
+
+    def spy(shifted, width, label, top, rows):
+        answers = top_pass(shifted, width, label, top, rows)
+        passes.append((bool(label.max() < len(label) - 1), bool(answers[-1].all())))
+        return answers
+
+    monkeypatch.setattr(fusion, "_top_pass", spy)
+    return passes
+
+
+def erasure_shape_frame(seed, index, n, N, pattern):
+    """A frame of one erasure benchmark shape, its field alternating with ``index``."""
+    return benchmark_shape_frame(seed, n, [pattern[i % len(pattern)] for i in range(N)], (REAL, COMPLEX)[index % 2])
+
+
+ERASURE_SHAPES = (  # (n, N, dimension pattern, budget) of the erasure benchmark but its largest, n16-N22-b5
+    (8, 16, (2,), 4),
+    (8, 18, (2,), 5),
+    (12, 18, (2,), 4),
+    (12, 20, (2,), 5),
+    (16, 20, (2,), 4),
+    (16, 22, (2,), 4),
+    (12, 16, (1, 2), None),
+)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("index", range(len(ERASURE_SHAPES)))
+def test_exhaustive_erasure_matches_on_the_erasure_benchmark_shapes(index, seed, monkeypatch):
+    # Each packs its top level into merged groups, whose unions certify it.
+    n, N, pattern, budget = ERASURE_SHAPES[index]
+    frame = erasure_shape_frame(seed, index, n, N, pattern)
+    passes = spy_top_passes(monkeypatch)
+    assert_exhaustive_matches(frame, budget)
+    assert passes == [(True, True)]
+
+
+def top_level(frame, budget):
+    """``top`` and ``spare`` as :func:`fusion._exhaustive_levels` computes them."""
+    spare = int(frame.dims.sum()) - frame.ambient_dim
+    return min(budget, int((np.cumsum(np.sort(frame.dims)[::-1]) <= spare).sum())), spare
+
+
+def merged_budgets(frame):
+    """The budgets whose top level :func:`fusion._member_groups` packs into merged groups."""
+    return [
+        budget
+        for budget, (top, spare) in ((b, top_level(frame, b)) for b in range(2, frame.member_count))
+        if top >= 2 and fusion._member_groups(frame.dims, top, spare).max() < frame.member_count - 1
+    ]
+
+
+def test_exhaustive_erasure_merged_union_fails_where_every_removal_survives(monkeypatch):
+    # Twelve lines in R^3, budget 3: members 0-3 alone hold e_0, the rest
+    # lie in its complement.  Capacity 9 // 3 = 3 packs (0, 1, 2), (3, 4,
+    # 5), (6, 7, 8), (9, 10, 11); the first union, members 0-8, empties
+    # e_0, so the merged pass ends there, and the pass on single removals
+    # certifies all C(12, 3) of them, as each keeps one of members 0-3.
+    rng = np.random.default_rng(31)
+    spans = []
+    for i in range(12):
+        line = random_subspace(rng, 3, 1, REAL).basis.copy()
+        if i >= 4:
+            line[0] = 0.0
+        spans.append((line / np.linalg.norm(line), float(rng.uniform(0.5, 2.0))))
+    frame = build_fusion_frame(spans, 3)
+    assert (fusion._member_groups(frame.dims, 3, 9) == np.repeat(np.arange(4), 3)).all()
+    shapes, passes = spy_gram_shapes(monkeypatch), spy_top_passes(monkeypatch)
+    certificate = assert_exhaustive_matches(frame, 3)
+    assert (certificate.certified, certificate.universal) == (3, 3)
+    assert passes == [(True, False), (False, True)]
+    assert shapes == [(4, 9), (math.comb(12, 3), 3)]
+
+
+@pytest.mark.parametrize("seed", range(12))
+@pytest.mark.parametrize("family", ["squeezed", "mixed"])
+def test_exhaustive_erasure_on_merged_groups(family, seed, monkeypatch):
+    # Squeezed frames with 6-10 subspaces of the complement: a union or a
+    # removal that holds the plane leaves u to the weak line, so both the
+    # merged pass and the pass on single removals end early, and the
+    # search goes level by level.  Mixed frames: 10-14 members of dimension
+    # 1-3 in R^3-R^6 or C^3-C^6.  Each at a budget that merges, drawn per seed.
+    if family == "squeezed":
+        rng = np.random.default_rng([seed, 32])
+        frame = squeezed_frame(seed, 2 * (seed % 4 + 3) + 4)
+    else:
+        rng = np.random.default_rng([seed, 31])
+        n = int(rng.integers(3, 7))
+        frame = random_fusion_frame(rng, n, int(rng.integers(10, 15)), 3, (REAL, COMPLEX)[seed % 2])
+    budget = int(rng.choice(merged_budgets(frame)))
+    passes = spy_top_passes(monkeypatch)
+    assert_exhaustive_matches(frame, budget)
+    assert passes[0][0]  # unions of merged groups came first
+    if family == "squeezed":
+        assert passes == [(True, False), (False, False)]
 
 
 def reference_gram(frame):
@@ -993,6 +1168,17 @@ def test_exhaustive_erasure_exact_path_holds_no_member_stack(field):
     assert erasure_certificate(frame, 3, "exhaustive").certified == 3
     erasure_certificate(seeded_frame(0), mode="exhaustive")  # first calls of some numpy routines import modules
     assert traced_peak(lambda: erasure_certificate(frame, 3, "exhaustive")) < stack
+
+
+def test_exhaustive_erasure_merged_pass_holds_one_chunk_at_a_time(monkeypatch):
+    # 22 planes in C^16, budget 5: 462 union blocks of 20 x 20, 2.8 MiB at
+    # once; by chunks, the Cholesky stacks stay within CHUNK_BYTES.
+    frame = benchmark_shape_frame(1, 16, (2,) * 22, COMPLEX)
+    assert erasure_certificate(frame, 5, "exhaustive").universal == 5  # also caches S's range and QR factor
+    shapes = spy_gram_shapes(monkeypatch)
+    peak = traced_peak(lambda: erasure_certificate(frame, 5, "exhaustive"))
+    assert {k for _, k in shapes} == {10} and sum(rows for rows, _ in shapes) == math.comb(11, 5)
+    assert peak < 4 * fusion.CHUNK_BYTES
 
 
 def unit_weight_frame(seed):
