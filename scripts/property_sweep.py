@@ -85,7 +85,7 @@ from ffk.generators import (
     random_subspace,
     random_system,
 )
-from ffk.numerics import COMPLEX, DEFAULT_TOLERANCE, REAL, sample_unit_vectors
+from ffk.numerics import COMPLEX, DEFAULT_TOLERANCE, REAL, _column_blocks, sample_unit_vectors
 from ffk.systems import check_local_additivity, parseval_equivalences
 
 LIBRARY_FRAMES = 4
@@ -111,7 +111,7 @@ def library_shaped_frame(rng: np.random.Generator, field: str) -> FusionFrame:
     n = int(rng.choice([64, 96, 128]))
     N = int(rng.integers(40, 49))
     weights = rng.uniform(0.5, 2.0, size=N)
-    return FusionFrame([random_subspace(rng, n, 3 + i % 2, field).basis for i in range(N)], weights)
+    return FusionFrame([random_subspace(rng, n, 3 + i % 2, field) for i in range(N)], weights)
 
 
 def erasure_brackets(frame: FusionFrame) -> tuple[bool, ErasureCertificate]:
@@ -197,7 +197,8 @@ def run_sweep(config: SweepConfig) -> dict:
                 failures.append((index, "erasure"))
             if frame.member_count <= REFERENCE_MEMBER_LIMIT:
                 small.append((index, frame, exhaustive))
-        unit_weight.append((index, FusionFrame([m.subspace.basis for m in frame.members], np.ones(frame.member_count))))
+        unit = FusionFrame(_column_blocks(frame.bases, frame.offsets), np.ones(frame.member_count))
+        unit_weight.append((index, unit))
 
     merged_rng = np.random.default_rng([config.seed, 7])
     for index in range(MERGED_FRAMES):

@@ -22,8 +22,6 @@ from .fusion import (
     AnalysisReport,
     ErasureCertificate,
     FusionFrame,
-    Subspace,
-    WeightedSubspace,
     apply_operator,
     build_fusion_frame,
     classify,
@@ -68,11 +66,9 @@ __all__ = [
     "FusionFrame",
     "FusionFrameSystem",
     "ReportDocument",
-    "Subspace",
     "Tolerance",
     "VectorFrame",
     "VectorFrameReport",
-    "WeightedSubspace",
     "alternate_dual",
     "alternate_dual_bounds",
     "analyze_vector_frame",

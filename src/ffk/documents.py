@@ -209,38 +209,31 @@ def _rows_tree(rows: np.ndarray) -> list:
 # --- frame documents --------------------------------------------------------
 
 @dataclass(frozen=True)
-class DocumentSubspace:
-    """One serialized member: a weight and its spanning vectors.
-
-    ``vectors`` is a read-only ``(count, dimension)`` array of the field's
-    dtype (``float64`` or ``complex128``), one spanning vector per row.
-    """
-
-    weight: float
-    vectors: np.ndarray
-
-
-@dataclass(frozen=True)
 class FrameDocument:
     """Serialized fusion frame (optionally with local frames).
 
-    Each ``local_frames`` entry is, like ``DocumentSubspace.vectors``, a
-    read-only ``(count, dimension)`` array of the field's dtype.  The
-    header (schema version, field, dimension) is checked by
-    ``from_json_text`` before any row is read.
+    Members are two parallel tuples, as :class:`FusionFrame` takes its bases
+    and weights: ``vectors[i]`` spans member ``i``, of weight ``weights[i]``.  Each
+    ``vectors`` and ``local_frames`` entry is a read-only ``(count,
+    dimension)`` array of the field's dtype (``float64`` or ``complex128``),
+    one vector per row.  The header (schema version, field, dimension) is
+    checked by ``from_json_text`` before any row is read.
     """
 
     field: str
     dimension: int
-    subspaces: tuple[DocumentSubspace, ...]
+    vectors: tuple[np.ndarray, ...]
+    weights: tuple[float, ...]
     local_frames: tuple[np.ndarray, ...] | None = None
 
     def __post_init__(self):
-        if not self.subspaces:
+        if not self.vectors:
             raise ParseError("subspaces: a frame document needs at least one subspace")
-        if self.local_frames is not None and len(self.local_frames) != len(self.subspaces):
+        if len(self.weights) != len(self.vectors):
+            raise MemberCountMismatch(f"{len(self.weights)} weights for {len(self.vectors)} subspaces")
+        if self.local_frames is not None and len(self.local_frames) != len(self.vectors):
             raise MemberCountMismatch(
-                f"local_frames has {len(self.local_frames)} entries for {len(self.subspaces)} subspaces"
+                f"local_frames has {len(self.local_frames)} entries for {len(self.vectors)} subspaces"
             )
 
     # -- construction ---------------------------------------------------
@@ -259,30 +252,29 @@ class FrameDocument:
         dimension = _expect_int(root.get("dimension"), "dimension")
         if dimension < 1:
             raise ParseError(f"dimension: must be a positive integer, got {dimension!r}")
-        members = []
+        vectors, weights = [], []
         for i, item in enumerate(_expect_list(root.get("subspaces"), "subspaces")):
             entry = _expect_dict(item, f"subspaces[{i}]")
             weight = _expect_number(entry.get("weight"), f"subspaces[{i}].weight")
-            vectors = _parse_rows(entry.get("vectors"), field, dimension, f"subspaces[{i}].vectors")
-            members.append(DocumentSubspace(_positive_weight(weight, f"subspaces[{i}]: "), vectors))
+            vectors.append(_parse_rows(entry.get("vectors"), field, dimension, f"subspaces[{i}].vectors"))
+            weights.append(_positive_weight(weight, f"subspaces[{i}]: "))
         local_frames = root.get("local_frames")
         if local_frames is not None:
             local_frames = tuple(
                 _parse_rows(rows, field, dimension, f"local_frames[{i}]")
                 for i, rows in enumerate(_expect_list(local_frames, "local_frames"))
             )
-        return cls(field, dimension, tuple(members), local_frames)
+        return cls(field, dimension, tuple(vectors), tuple(weights), local_frames)
 
     @classmethod
     def from_fusion_frame(cls, frame: FusionFrame, system: FusionFrameSystem | None = None) -> "FrameDocument":
         field = frame.field
-        blocks = zip(_column_blocks(frame.bases, frame.offsets), frame.weights.tolist())
-        members = tuple(DocumentSubspace(w, _column_rows(B, field)) for B, w in blocks)
+        vectors = tuple(_column_rows(B, field) for B in _column_blocks(frame.bases, frame.offsets))
         local_frames = None
         if system is not None:
             blocks = _column_blocks(system.local_synthesis, system.local_offsets)
             local_frames = tuple(_column_rows(L, field) for L in blocks)
-        return cls(field, frame.ambient_dim, members, local_frames)
+        return cls(field, frame.ambient_dim, vectors, tuple(frame.weights.tolist()), local_frames)
 
     # -- output -----------------------------------------------------------
 
@@ -291,10 +283,7 @@ class FrameDocument:
             "schema_version": SCHEMA_VERSION,
             "field": self.field,
             "dimension": self.dimension,
-            "subspaces": [
-                {"weight": member.weight, "vectors": _rows_tree(member.vectors)}
-                for member in self.subspaces
-            ],
+            "subspaces": [{"weight": w, "vectors": _rows_tree(V)} for V, w in zip(self.vectors, self.weights)],
         }
         if self.local_frames is not None:
             tree["local_frames"] = [_rows_tree(rows) for rows in self.local_frames]
@@ -306,8 +295,7 @@ class FrameDocument:
     # -- realization -------------------------------------------------------
 
     def build(self) -> tuple[FusionFrame, FusionFrameSystem | None]:
-        spans = [(member.vectors.T, member.weight) for member in self.subspaces]
-        frame = build_fusion_frame(spans, self.dimension)
+        frame = build_fusion_frame(zip([V.T for V in self.vectors], self.weights), self.dimension)
         system = None if self.local_frames is None else build_system(frame, self.local_frames)
         return frame, system
 

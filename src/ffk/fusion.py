@@ -51,50 +51,23 @@ from .numerics import (
 EXHAUSTIVE_MEMBER_LIMIT = 22
 # Working-block budget: each (rows, s, s) stack of one exhaustive-search chunk (s = |J| d_max for
 # G_JJ, J a removal or a union of member groups; n for S_J), and each block of sphere weights that
-# redundancy sampling draws.
+# redundancy sampling draws.  A Gram chunk holds three such arrays at once: its blocks, the flat
+# intp gather index of as many entries, and Cholesky's output, so about 2-3 times the budget.
 CHUNK_BYTES = 1 << 17
 
 
 class Subspace:
-    """A nonzero subspace, stored as an orthonormal basis of columns; frames hold only the stacked bases."""
+    """One member's orthonormal basis: a read-only view of its block of ``FusionFrame.bases``."""
 
     def __init__(self, basis: np.ndarray):
-        self.basis = _read_only(_orthonormal_basis(basis))
-
-    @classmethod
-    def from_span(cls, vectors: np.ndarray) -> "Subspace":
-        """Subspace spanned by arbitrary column vectors (orthonormalized)."""
-        try:
-            return cls(orthonormalize(vectors))
-        except AllColumnsNumericallyZero as exc:
-            raise ZeroSubspace(str(exc)) from exc
-
-    @property
-    def ambient_dim(self) -> int:
-        return self.basis.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.basis.shape[1]
-
-    @property
-    def field(self) -> str:
-        return field_of(self.basis)
-
-    def projection(self) -> np.ndarray:
-        """The orthogonal projection onto the subspace."""
-        return self.basis @ self.basis.conj().T
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Subspace(dim={self.dim}, ambient={self.ambient_dim}, field={self.field})"
+        self.basis = basis
 
 
-@dataclass(frozen=True)
 class WeightedSubspace:
-    """One fusion frame member as :attr:`FusionFrame.members` shows it: its subspace and its weight."""
+    """One member of a :class:`FusionFrame` as its ``members`` view shows it: its subspace and its weight."""
 
-    subspace: Subspace
-    weight: float
+    def __init__(self, subspace: Subspace, weight: float):
+        self.subspace, self.weight = subspace, weight
 
 
 def _positive_weight(weight, where: str = "") -> float:
@@ -120,13 +93,14 @@ class FusionFrame:
     ``dims`` and ``bases`` (n x m), member ``i`` owning columns
     ``offsets[i]:offsets[i + 1]``.  From it derive ``synthesis``
     ``T = [v_1 Q_1 | ... | v_N Q_N]``, ``operator`` ``S = T T*`` and, on
-    first use, ``members`` (a view as :class:`WeightedSubspace` objects),
-    ``normalized_operator`` ``S1 = Q Q*``, ``normalized_spectrum`` its
+    first use, ``normalized_operator`` ``S1 = Q Q*``, ``normalized_spectrum`` its
     ascending eigenvalues, ``dual_synthesis``
     ``S^-1 T``, from one QR factor of ``T*`` for frames only (``is_frame``
     is the one positivity decision), and ``canonical_dual`` the family
     ``{(S^-1 W_i, v_i)}``.  :class:`ffk.vector_frames.VectorFrame`, the
-    rank-one case, shares that assembly.
+    rank-one case, shares that assembly.  ``members`` shows the member
+    blocks as :class:`WeightedSubspace` objects for the benchmark's probe,
+    its one reader; the package and its tests read the stacked form.
     """
 
     tol = DEFAULT_TOLERANCE
@@ -160,6 +134,7 @@ class FusionFrame:
 
     @cached_property
     def members(self) -> tuple[WeightedSubspace, ...]:
+        """Each member's read-only block of ``bases`` and its weight; nothing is copied or checked again."""
         blocks = _column_blocks(self.bases, self.offsets)
         return tuple(WeightedSubspace(Subspace(B), w) for B, w in zip(blocks, self.weights.tolist()))
 
@@ -615,7 +590,9 @@ def _exhaustive_levels(frame: FusionFrame, budget: int) -> tuple[int, int]:
     """``certified`` and ``universal`` from every removal of up to ``budget`` members.
 
     Each level's subsets are decided in ``itertools.combinations`` order, by
-    chunks, and a level stops once its outcome is settled.
+    chunks, and a level stops once its outcome is settled; a level above
+    ``top`` (below), whose ``k`` largest ``d_i`` fail the dimension test,
+    stops at its first survivor.
     ``sum_{i in J} d_i > sum_i d_i - n`` fails unseen (``rank S_J < n``).
     A level whose ``k`` smallest ``d_i`` already exceed that bound ends the
     search without enumerating it.
@@ -726,7 +703,8 @@ def _exhaustive_levels(frame: FusionFrame, budget: int) -> tuple[int, int]:
     for k in range(certified + 1, budget + 1):
         if smallest[k - 1] > spare:
             break  # every removal of k members fails on its dimensions
-        some, every = False, universal == k - 1  # some removal survives; every one does, while that matters
+        # some removal survives; every one does, while that matters: not above top, where the k largest fail
+        some, every = False, universal == k - 1 and largest[k - 1] <= spare
         chunks, known = _subset_chunks(N, k, rows_of(k)), iter(first_pass if k == top else ())
         while (every or not some) and (J := next(chunks, None)) is not None:
             alive = np.zeros(len(J), bool)

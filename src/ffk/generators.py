@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionMismatch
-from .fusion import FusionFrame, Subspace, union
+from .fusion import FusionFrame, union
 from .numerics import COMPLEX, REAL, _column_blocks, gaussian, orthonormalize
 from .systems import FusionFrameSystem, build_system
 from .vector_frames import VectorFrame
@@ -19,8 +19,9 @@ def random_field(rng: np.random.Generator) -> str:
     return REAL if rng.integers(2) == 0 else COMPLEX
 
 
-def random_subspace(rng: np.random.Generator, n: int, d: int, field: str = COMPLEX) -> Subspace:
-    return Subspace(orthonormalize(gaussian(rng, (n, d), field)))
+def random_subspace(rng: np.random.Generator, n: int, d: int, field: str = COMPLEX) -> np.ndarray:
+    """An n x d orthonormal basis of a random d-dimensional subspace."""
+    return orthonormalize(gaussian(rng, (n, d), field))
 
 
 def random_fusion_frame(
@@ -43,7 +44,7 @@ def random_fusion_frame(
         while dims.sum() < n:  # otherwise the family cannot span
             dims[rng.integers(count)] = min(max_dim, n)
         weights = rng.uniform(0.3, 2.0, size=count)
-        frame = FusionFrame([random_subspace(rng, n, int(d), field).basis for d in dims], weights)
+        frame = FusionFrame([random_subspace(rng, n, int(d), field) for d in dims], weights)
         if frame.is_frame:
             return frame
 

@@ -60,7 +60,7 @@ def _frames():
     rng = np.random.default_rng(7)
     for n, dims, field in ((6, (2, 2), REAL), (5, (1, 2, 1), COMPLEX)):
         weights = [1.0 + 0.5 * i for i in range(len(dims))]
-        frame = FusionFrame([random_subspace(rng, n, d, field).basis for d in dims], weights)
+        frame = FusionFrame([random_subspace(rng, n, d, field) for d in dims], weights)
         documents[f"bessel-{field}-n{n}"] = FrameDocument.from_fusion_frame(frame)
     return documents
 

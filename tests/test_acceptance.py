@@ -50,6 +50,7 @@ from ffk.vector_frames import (
     dual_residual,
 )
 from ffk.documents import sampled_consistency_checks
+from test_differential import reference_member_bases
 
 
 @pytest.fixture
@@ -171,7 +172,7 @@ def test_05_random_frame_property_battery(scoreboard):
             n = int(rng.integers(2, 6))
             frame = random_fusion_frame(rng, n=n)
             # Redundancy depends on the subspaces alone; reweighting is invisible.
-            bases = [m.subspace.basis for m in frame.members]
+            bases = reference_member_bases(frame)
             scaled = FusionFrame(bases, [float(rng.uniform(0.2, 5.0)) * w for w in frame.weights])
             assert redundancy_equivalent(frame, scaled)
             order = rng.permutation(frame.member_count)
@@ -199,7 +200,7 @@ def test_06_excess_is_a_structural_invariant(scoreboard):
             unitary_image = apply_operator(frame, random_unitary(rng, n, frame.field))
             assert excess(unitary_image) == reference
             for alpha in (0.5, 3.0):
-                scaled = FusionFrame([m.subspace.basis for m in frame.members], alpha * frame.weights)
+                scaled = FusionFrame(reference_member_bases(frame), alpha * frame.weights)
                 assert excess(scaled) == reference
         for _ in range(20):
             decomposition = random_orthogonal_decomposition(rng, int(rng.integers(2, 7)))
@@ -207,8 +208,7 @@ def test_06_excess_is_a_structural_invariant(scoreboard):
 
         def lift(frame: FusionFrame, total: int, offset: int) -> FusionFrame:
             blocks = []
-            for member in frame.members:
-                basis = member.subspace.basis
+            for basis in reference_member_bases(frame):
                 block = np.zeros((total, basis.shape[1]), dtype=basis.dtype)
                 block[offset : offset + basis.shape[0]] = basis
                 blocks.append(block)

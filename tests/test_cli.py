@@ -14,7 +14,7 @@ from ffk.documents import FrameDocument, canonical_json, emit_example
 from ffk.gallery import example_frame
 from ffk.generators import random_system
 from ffk.systems import build_system
-from test_differential import near_singular_unit_weight_frame
+from test_differential import near_singular_unit_weight_frame, reference_member_bases
 
 
 @pytest.fixture
@@ -373,10 +373,7 @@ class TestSystem:
 
     def test_parseval_locals_enable_equivalences(self, run, tmp_path):
         frame = example_frame("7.2", 4)
-        locals_ = [
-            [member.subspace.basis[:, j] for j in range(member.subspace.dim)]
-            for member in frame.members
-        ]
+        locals_ = [list(basis.T) for basis in reference_member_bases(frame)]
         system = build_system(frame, locals_)
         path = tmp_path / "system.json"
         path.write_text(
@@ -611,3 +608,18 @@ def test_operator_underflowing_to_zero_is_bessel_only(tmp_path, run):
     assert report["bounds"] == {"lower": None, "upper": 0.0}
     assert report["redundancy_range"] == [1.0, 1.0]
     assert report["flags"]["bessel_only"]
+
+
+def test_analyze_gallery_script_prints_one_row_per_example_and_dimension():
+    """``scripts/analyze_gallery.py`` runs to the end: a header, a rule, then one row per example and dimension."""
+    root = Path(__file__).resolve().parents[1]
+    src = str(Path(ffk.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = [sys.executable, str(root / "scripts" / "analyze_gallery.py"), "--dims", "2", "4", "--budget", "2"]
+    result = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
+    assert (result.returncode, result.stderr) == (0, "")
+    header, rule, *rows = result.stdout.splitlines()
+    assert header.split()[:3] == ["example", "n", "members"] and set(rule.replace(" ", "")) == {"-"}
+    dims = {name: (2, 4) for name in gallery.EXAMPLE_NAMES} | {"7.3": (example_frame("7.3").ambient_dim,)}
+    expected = [(name, str(n)) for name in gallery.EXAMPLE_NAMES for n in dims[name]]
+    assert [tuple(row.split()[:2]) for row in rows] == expected

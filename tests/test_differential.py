@@ -57,7 +57,6 @@ from ffk.errors import DimensionMismatch, LocalNotParseval, NotADual, ParseError
 from ffk.fusion import (
     ErasureCertificate,
     FusionFrame,
-    Subspace,
     _weight_rule_level,
     build_fusion_frame,
     classify,
@@ -85,6 +84,7 @@ from ffk.numerics import (
     gaussian,
     hermitian_eigenrange,
     kernel_dimension,
+    orthonormalize,
     quadratic_forms,
     sample_unit_vectors,
     solve_hermitian_positive,
@@ -110,42 +110,62 @@ def seeded_frame(seed):
     return random_fusion_frame(np.random.default_rng(seed))
 
 
+def reference_member_bases(frame):
+    """Member ``i``'s orthonormal basis, the columns ``offsets[i]:offsets[i + 1]`` of ``frame.bases``."""
+    return [frame.bases[:, a:b] for a, b in zip(frame.offsets[:-1], frame.offsets[1:])]
+
+
+def projection(basis):
+    """The orthogonal projection ``Q Q*`` onto the span of the orthonormal columns of ``Q``."""
+    return basis @ basis.conj().T
+
+
 def reference_operator(frame, normalized=False):
-    return sum((1.0 if normalized else m.weight**2) * m.subspace.projection() for m in frame.members)
+    bases = reference_member_bases(frame)
+    return sum((1.0 if normalized else w**2) * projection(B) for B, w in zip(bases, frame.weights.tolist()))
 
 
 def projection_gap(a, b):
-    """``||P_a - P_b||_2`` of two subspaces: for equal dimensions, the sine of their largest principal angle."""
-    return np.linalg.norm(a.projection() - b.projection(), 2)
+    """``||P_a - P_b||_2`` of the spans of two bases: for equal dimensions, the sine of their largest principal angle."""
+    return np.linalg.norm(projection(a) - projection(b), 2)
 
 
 def reference_canonical_dual_spans(frame):
     S = reference_operator(frame)
-    return [np.linalg.solve(S, m.subspace.basis) for m in frame.members]
+    return [np.linalg.solve(S, B) for B in reference_member_bases(frame)]
 
 
 def reference_dual_residual(frame, candidate):
     S = reference_operator(frame)
     reconstruction = np.zeros_like(S)
-    for w_member, v_member in zip(frame.members, candidate.members):
-        inner = np.linalg.solve(S, w_member.subspace.projection())
-        reconstruction += w_member.weight * v_member.weight * v_member.subspace.projection() @ inner
+    pairs = zip(reference_member_bases(frame), reference_member_bases(candidate))
+    for (W, V), w, v in zip(pairs, frame.weights.tolist(), candidate.weights.tolist()):
+        inner = np.linalg.solve(S, projection(W))
+        reconstruction += w * v * projection(V) @ inner
     return float(np.linalg.norm(np.eye(frame.ambient_dim) - reconstruction, axis=0).max())
+
+
+def reference_removals(frame):
+    """The terms ``v_i^2 P_i``, their sum ``S``, and whether removing a tuple of members leaves a frame."""
+    bases = reference_member_bases(frame)
+    terms = [w**2 * projection(B) for B, w in zip(bases, frame.weights.tolist())]
+    total = sum(terms)
+    spare = sum(B.shape[1] for B in bases) - frame.ambient_dim
+
+    def survives(removed):
+        if sum(bases[i].shape[1] for i in removed) > spare:
+            return False  # rank S_J < n exactly; the roundoff of assembling S_J could still pass spans
+        low, high = hermitian_eigenrange(total - sum(terms[i] for i in removed), frame.tol)
+        return high > 0.0 and low > frame.tol.rank_rel * high
+
+    return terms, total, survives
 
 
 def reference_greedy_levels(frame, budget):
     """The strongest-path and weakest-path loops, as two separate searches."""
     tol = frame.tol
     N = frame.member_count
-    terms = [m.weight**2 * m.subspace.projection() for m in frame.members]
-    total = sum(terms)
-    spare = sum(m.subspace.dim for m in frame.members) - frame.ambient_dim
-
-    def survives(removed):
-        if sum(frame.members[i].subspace.dim for i in removed) > spare:
-            return False  # rank S_J < n exactly; the roundoff of assembling S_J could still pass spans
-        low, high = hermitian_eigenrange(total - sum(terms[i] for i in removed), tol)
-        return high > 0.0 and low > tol.rank_rel * high
+    terms, total, survives = reference_removals(frame)
 
     certified = universal = 0
     strong_path = []
@@ -181,17 +201,7 @@ def reference_greedy_levels(frame, budget):
 def reference_exhaustive_levels(frame, budget):
     """The exhaustive search as one n x n eigvalsh per removed subset."""
     N = frame.member_count
-    tol = frame.tol
-    terms = [m.weight**2 * m.subspace.projection() for m in frame.members]
-    total = sum(terms)
-    spare = sum(m.subspace.dim for m in frame.members) - frame.ambient_dim
-
-    def survives(removed) -> bool:
-        if sum(frame.members[i].subspace.dim for i in removed) > spare:
-            return False  # rank S_J < n exactly; the roundoff of assembling S_J could still pass spans
-        S = total - sum(terms[i] for i in removed)
-        low, high = hermitian_eigenrange(S, tol)
-        return high > 0.0 and low > tol.rank_rel * high
+    _, _, survives = reference_removals(frame)
 
     certified = 0
     universal = 0
@@ -259,10 +269,10 @@ def test_stacked_operators_match_member_sums(seed):
 def test_canonical_dual_matches_per_member_solves(seed):
     frame = seeded_frame(seed)
     dual = canonical_dual_fusion(frame)
-    for member, member_frame, span in zip(dual.members, frame.members, reference_canonical_dual_spans(frame)):
-        assert member.weight == member_frame.weight
+    assert dual.weights.tolist() == frame.weights.tolist()
+    for basis, span in zip(reference_member_bases(dual), reference_canonical_dual_spans(frame)):
         reference, _ = np.linalg.qr(span)
-        assert largest_angle(reference, member.subspace.basis) <= 1e-10
+        assert largest_angle(reference, basis) <= 1e-10
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -383,7 +393,7 @@ def test_greedy_erasure_matches_with_weights_over_six_decades(seed):
     # operator passes spans by roundoff; both searches fail it on its dimensions.
     rng = np.random.default_rng(seed)
     members = [
-        (random_subspace(rng, 3, int(rng.integers(1, 4)), REAL).basis, 10 ** rng.uniform(-3, 3)) for _ in range(8)
+        (random_subspace(rng, 3, int(rng.integers(1, 4)), REAL), 10 ** rng.uniform(-3, 3)) for _ in range(8)
     ]
     frame = FusionFrame(*zip(*members))  # bases and weights, drawn member by member
     certificate = erasure_certificate(frame, mode="greedy")
@@ -462,7 +472,7 @@ def test_exhaustive_erasure_first_failure_inside_a_later_chunk():
     bases, weights = [], []
     for i in range(N):
         basis = np.zeros((n, d))
-        basis[1:] = random_subspace(rng, n - 1, d, REAL).basis
+        basis[1:] = random_subspace(rng, n - 1, d, REAL)
         if i in pair:
             basis[:, 0] = np.eye(n)[0]
         bases.append(basis)
@@ -586,10 +596,10 @@ def squeezed_frame(seed, count=None):
     U = random_unitary(rng, n, field)
     u, complement = U[:, -1:], U[:, :-1]
     spans = [
-        (complement @ random_subspace(rng, n - 1, int(rng.integers(1, 3)), field).basis, rng.uniform(1.0, 2.0))
+        (complement @ random_subspace(rng, n - 1, int(rng.integers(1, 3)), field), rng.uniform(1.0, 2.0))
         for _ in range(count or n + 1)
     ]
-    plane = np.hstack([u, complement @ random_subspace(rng, n - 1, 1, field).basis])
+    plane = np.hstack([u, complement @ random_subspace(rng, n - 1, 1, field)])
     top = np.linalg.eigvalsh(sum(w**2 * B @ B.conj().T for B, w in spans))[-1]
     weak = rng.uniform(0.9, 1.1) * fusion.DEFAULT_TOLERANCE.rank_rel * top
     return fusion.build_fusion_frame(spans + [(plane, 1.0), (u, np.sqrt(weak))], n)
@@ -681,7 +691,7 @@ def test_weight_rule_needs_the_spans_cutoff_in_the_cli(argv, tmp_path, capsys):
 
 def benchmark_shape_frame(seed, n, dims, field):
     rng = np.random.default_rng(seed)
-    members = [(random_subspace(rng, n, d, field).basis, float(rng.uniform(0.5, 2.0))) for d in dims]
+    members = [(random_subspace(rng, n, d, field), float(rng.uniform(0.5, 2.0))) for d in dims]
     return FusionFrame(*zip(*members))
 
 
@@ -749,7 +759,7 @@ def test_exhaustive_erasure_top_level_fails_at_its_last_removal(field, monkeypat
     rng = np.random.default_rng(23)
     spans = []
     for i in range(n + 2):
-        line = random_subspace(rng, n, 1, field).basis.copy()
+        line = random_subspace(rng, n, 1, field)
         if i < n:
             line[0] = 0.0
         spans.append((line, float(rng.uniform(0.5, 2.0))))
@@ -880,6 +890,40 @@ def top_level(frame, budget):
     return min(budget, int((np.cumsum(np.sort(frame.dims)[::-1]) <= spare).sum())), spare
 
 
+def spy_level_chunks(monkeypatch):
+    """``(k, chunks)`` per :func:`fusion._subset_chunks` call: the chunks of ``k``-subsets the search took from it."""
+    calls = []
+    subset_chunks = fusion._subset_chunks
+
+    def spy(N, k, rows):
+        calls.append((k, chunks := []))
+        for J in subset_chunks(N, k, rows):
+            chunks.append(J)
+            yield J
+
+    monkeypatch.setattr(fusion, "_subset_chunks", spy)
+    return calls
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_exhaustive_erasure_levels_above_top_stop_at_their_first_survivor(seed, monkeypatch):
+    # The erasure benchmark's n12-N16 shape: above its top level the k
+    # largest dimensions exceed the spare ones, so some removal of k fails
+    # unseen, and a level is settled by its first survivor in
+    # combinations order.  The search takes chunks up to the one holding it.
+    n, N, pattern, budget = ERASURE_SHAPES[6]
+    frame = erasure_shape_frame(seed, 6, n, N, pattern)
+    calls = spy_level_chunks(monkeypatch)
+    certificate = assert_exhaustive_matches(frame, budget)
+    top, _ = top_level(frame, certificate.budget)
+    _, _, survives = reference_removals(frame)
+    above = [(k, chunks) for k, chunks in calls if k > top]
+    assert [k for k, _ in above] == list(range(top + 1, certificate.certified + 1))
+    for k, chunks in above:
+        first = next(i for i, J in enumerate(itertools.combinations(range(N), k)) if survives(J))
+        assert len(chunks) == first // len(chunks[0]) + 1
+
+
 def merged_budgets(frame):
     """The budgets whose top level :func:`fusion._member_groups` packs into merged groups."""
     return [
@@ -898,7 +942,7 @@ def test_exhaustive_erasure_merged_union_fails_where_every_removal_survives(monk
     rng = np.random.default_rng(31)
     spans = []
     for i in range(12):
-        line = random_subspace(rng, 3, 1, REAL).basis.copy()
+        line = random_subspace(rng, 3, 1, REAL)
         if i >= 4:
             line[0] = 0.0
         spans.append((line / np.linalg.norm(line), float(rng.uniform(0.5, 2.0))))
@@ -966,7 +1010,7 @@ def conditioned_fusion_frame(rng, field, condition):
     vectors = conditioned_vector_frame(rng, field, condition).matrix
     n = len(vectors)
     spans = [(phi[:, None], np.linalg.norm(phi)) for phi in vectors.T]
-    spans += [(random_subspace(rng, n, 2, field).basis, math.sqrt(0.01 / condition)) for _ in range(2)]
+    spans += [(random_subspace(rng, n, 2, field), math.sqrt(0.01 / condition)) for _ in range(2)]
     return build_fusion_frame(spans, n)
 
 
@@ -1156,7 +1200,7 @@ def all_exact_frame(field):
     n = 128
     U = random_unitary(rng, n, field)
     spans = [(U[:, a : min(a + 16, n - 1)], 1.0) for a in range(0, n - 1, 16)]
-    spans += [(U[:, :-1] @ random_subspace(rng, n - 1, 16, field).basis, 1.0) for _ in range(3)]
+    spans += [(U[:, :-1] @ random_subspace(rng, n - 1, 16, field), 1.0) for _ in range(3)]
     return fusion.build_fusion_frame(spans + [(U[:, -1:], np.sqrt(12 * fusion.DEFAULT_TOLERANCE.rank_rel))], n)
 
 
@@ -1185,7 +1229,7 @@ def unit_weight_frame(seed):
     """A random fusion frame of dimension 2-16, the field alternating with the seed, every weight 1."""
     rng = np.random.default_rng(seed)
     frame = random_fusion_frame(rng, n=int(rng.integers(2, 17)), field=(REAL, COMPLEX)[seed % 2])
-    return FusionFrame([m.subspace.basis for m in frame.members], np.ones(frame.member_count))
+    return FusionFrame(reference_member_bases(frame), np.ones(frame.member_count))
 
 
 def near_singular_unit_weight_frame(seed, eta):
@@ -1193,7 +1237,7 @@ def near_singular_unit_weight_frame(seed, eta):
     frame = unit_weight_frame(seed)
     U = random_unitary(np.random.default_rng([seed, 1]), frame.ambient_dim, frame.field)
     squeeze = (U * np.append(np.ones(frame.ambient_dim - 1), eta)) @ U.conj().T
-    bases = [Subspace.from_span(squeeze @ m.subspace.basis).basis for m in frame.members]
+    bases = [orthonormalize(squeeze @ B) for B in reference_member_bases(frame)]
     return FusionFrame(bases, np.ones(frame.member_count))
 
 
@@ -1298,7 +1342,8 @@ def test_equivalent_families_keep_sampled_redundancies_within_the_operator_gap(s
     frame = random_fusion_frame(rng, n=int(rng.integers(2, 17)))
     order = rng.permutation(frame.member_count)
     weights = rng.uniform(0.2, 5.0, frame.member_count)
-    permuted = FusionFrame([frame.members[i].subspace.basis for i in order], weights)
+    bases = reference_member_bases(frame)
+    permuted = FusionFrame([bases[i] for i in order], weights)
     assert redundancy_equivalent(frame, permuted)
     X = sample_unit_vectors(rng, frame.ambient_dim, 256, frame.field)
     gap, bound = reference_sampled_equivalence_gap(frame, permuted, X)
@@ -1423,7 +1468,7 @@ def assert_codec_matches_reference(text):
         for i, rows in enumerate(tree.get("local_frames") or ())
     ]
     document = FrameDocument.from_json_text(text)
-    arrays = [member.vectors for member in document.subspaces] + list(document.local_frames or ())
+    arrays = list(document.vectors) + list(document.local_frames or ())
     assert len(arrays) == len(expected)
     for got, want in zip(arrays, expected):
         assert (got.dtype, got.shape) == (want.dtype, want.shape)
@@ -1654,8 +1699,8 @@ def reference_vector_redundancy(vectors, x):
 
 
 def reference_local_parseval_failure(system):
-    for i, (member, local) in enumerate(zip(system.frame.members, reference_local_families(system))):
-        defect = np.abs(local @ local.conj().T - member.subspace.projection()).max()
+    for i, (basis, local) in enumerate(zip(reference_member_bases(system.frame), reference_local_families(system))):
+        defect = np.abs(local @ local.conj().T - projection(basis)).max()
         if not system.frame.tol.negligible(defect, 1.0):
             return f"local family {i} misses its projection by {defect:.3e}"
     return None

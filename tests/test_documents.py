@@ -33,6 +33,7 @@ from ffk.gallery import example_frame
 from ffk.generators import random_fusion_frame, random_system
 from ffk.numerics import COMPLEX, DEFAULT_TOLERANCE, REAL
 from ffk.systems import FusionFrameSystem
+from test_differential import reference_member_bases
 
 GOLDEN_REPORTS = [
     case
@@ -61,7 +62,9 @@ def per_entry_tree(frame, system=None):
         "schema_version": SCHEMA_VERSION,
         "field": frame.field,
         "dimension": frame.ambient_dim,
-        "subspaces": [{"weight": m.weight, "vectors": rows(m.subspace.basis)} for m in frame.members],
+        "subspaces": [
+            {"weight": w, "vectors": rows(B)} for B, w in zip(reference_member_bases(frame), frame.weights.tolist())
+        ],
     }
     if system is not None:
         offsets = system.local_offsets
@@ -229,8 +232,8 @@ class TestFrameDocument:
         dtype = np.complex128 if field == COMPLEX else np.float64
         for case in ((frame, None), (frame, system), (random_frame, random_local)):
             doc = FrameDocument.from_fusion_frame(*case)
-            matrices = [m.subspace.basis for m in case[0].members]
-            arrays = [member.vectors for member in doc.subspaces]
+            matrices = reference_member_bases(case[0])
+            arrays = list(doc.vectors)
             if case[1] is not None:
                 offsets = case[1].local_offsets
                 matrices += [case[1].local_synthesis[:, a:b] for a, b in zip(offsets[:-1], offsets[1:])]
@@ -249,6 +252,11 @@ class TestFrameDocument:
         tree["local_frames"] = [[[1.0, 0.0, 0.0]]]
         with pytest.raises(MemberCountMismatch):
             FrameDocument.from_json_text(canonical_json(tree))
+
+    def test_weights_count_mismatch(self):
+        document = emit_example("7.2", 3)
+        with pytest.raises(MemberCountMismatch, match="^2 weights for 3 subspaces$"):
+            FrameDocument(document.field, document.dimension, document.vectors, document.weights[:2])
 
     def test_load_frame_from_file(self, tmp_path):
         path = tmp_path / "frame.json"

@@ -28,11 +28,11 @@ from ffk.generators import (
     random_tight_uniform_fusion_frame,
 )
 from ffk.numerics import REAL
-from test_differential import projection_gap, reference_pencil, unit_weight_frame
+from test_differential import projection_gap, reference_member_bases, reference_pencil, unit_weight_frame
 
 
 def with_unit_weights(frame: FusionFrame) -> FusionFrame:
-    return FusionFrame([m.subspace.basis for m in frame.members], np.ones(frame.member_count))
+    return FusionFrame(reference_member_bases(frame), np.ones(frame.member_count))
 
 
 def forty_five_degree_lines() -> FusionFrame:
@@ -46,9 +46,9 @@ class TestCanonicalDual:
     def test_tight_frame_is_self_dual(self):
         frame = example_frame("7.3")
         dual = canonical_dual_fusion(frame)
-        for original, image in zip(frame.members, dual.members):
-            assert projection_gap(original.subspace, image.subspace) <= 1e-8
-            assert image.weight == original.weight
+        for original, image in zip(reference_member_bases(frame), reference_member_bases(dual)):
+            assert projection_gap(original, image) <= 1e-8
+        assert dual.weights.tolist() == frame.weights.tolist()
 
     def test_dual_preserves_dims_and_weights(self, rng):
         frame = random_fusion_frame(rng, n=4)
@@ -60,8 +60,8 @@ class TestCanonicalDual:
     def test_tight_double_dual_returns_to_the_frame(self, rng):
         frame = random_tight_uniform_fusion_frame(rng, n=4, layers=2)
         double_dual = canonical_dual_fusion(canonical_dual_fusion(frame))
-        for original, image in zip(frame.members, double_dual.members):
-            assert projection_gap(original.subspace, image.subspace) <= 1e-8
+        for original, image in zip(reference_member_bases(frame), reference_member_bases(double_dual)):
+            assert projection_gap(original, image) <= 1e-8
 
     def test_reconstruction_identity_holds(self, rng):
         for _ in range(15):

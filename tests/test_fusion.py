@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ffk
+from ffk import fusion
 from ffk.documents import FrameDocument
 from ffk.errors import (
     DimensionMismatch,
@@ -55,7 +56,7 @@ from ffk.generators import (
 from ffk.numerics import COMPLEX, REAL, Tolerance, sample_unit_vectors
 from ffk.systems import check_local_additivity, parseval_equivalences, redundancy_one_equivalence
 from ffk.vector_frames import VectorFrame, canonical_dual, dual_redundancy_sandwich
-from test_differential import projection_gap, reference_sampled_equivalence_gap
+from test_differential import projection, reference_member_bases, reference_sampled_equivalence_gap
 
 
 def coordinate_vector(i: int, n: int) -> np.ndarray:
@@ -67,40 +68,27 @@ def coordinate_vector(i: int, n: int) -> np.ndarray:
 def embed_blockwise(frame: FusionFrame, total: int, offset: int) -> FusionFrame:
     """Lift a frame into a larger ambient space as a block at ``offset``."""
     bases = []
-    for member in frame.members:
-        basis = member.subspace.basis
+    for basis in reference_member_bases(frame):
         lifted = np.zeros((total, basis.shape[1]), dtype=basis.dtype)
         lifted[offset : offset + basis.shape[0], :] = basis
         bases.append(lifted)
     return FusionFrame(bases, frame.weights)
 
 
-class TestSubspace:
-    def test_orthonormal_basis_accepted(self):
-        s = Subspace(np.eye(3)[:, :2])
-        assert s.dim == 2
-        assert s.ambient_dim == 3
-
-    def test_from_span_orthonormalizes(self):
-        s = Subspace.from_span(np.array([[1.0, 2.0], [1.0, 2.0], [0.0, 0.0]]))
-        assert s.dim == 1
-        p = s.projection()
-        assert np.allclose(p, p @ p, atol=1e-12)
-
-    def test_zero_span_rejected(self):
-        with pytest.raises(ZeroSubspace):
-            Subspace.from_span(np.zeros((3, 2)))
-
-    def test_non_orthonormal_basis_rejected(self):
-        with pytest.raises(Exception):
-            Subspace(np.array([[1.0], [1.0]]))
-
-    def test_equality_by_principal_angles(self, rng):
-        s = random_subspace(rng, 5, 2)
-        mixing = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        t = Subspace.from_span(s.basis @ mixing)
-        assert projection_gap(s, t) <= 1e-8
-        assert projection_gap(s, random_subspace(rng, 5, 2)) > 1e-8
+@pytest.mark.parametrize("kind", ["subspaces", "vectors"])
+def test_members_are_the_stacked_blocks_unchecked_for_the_benchmark_probe(kind, rng, monkeypatch):
+    # ``members`` has one reader, the benchmark's probe: member i's basis is
+    # block i of ``bases`` bit for bit, read-only, and no basis is checked again.
+    frame = random_fusion_frame(rng, n=5, members=4) if kind == "subspaces" else random_vector_frame(rng, n=4, count=7)
+    check, calls = fusion._orthonormal_basis, []
+    monkeypatch.setattr(fusion, "_orthonormal_basis", lambda *args: calls.append(args) or check(*args))
+    members = frame.members
+    assert calls == [] and frame.members is members and len(members) == frame.member_count
+    for member, block, weight in zip(members, reference_member_bases(frame), frame.weights.tolist()):
+        basis = member.subspace.basis
+        assert (basis.shape, basis.tobytes()) == (block.shape, block.tobytes())
+        assert np.shares_memory(basis, frame.bases) and not basis.flags.writeable
+        assert member.weight == weight
 
 
 class TestGalleryOracles:
@@ -194,17 +182,15 @@ class TestConstruction:
             build_fusion_frame([(np.array([[1.0], [0.0]]), -1.0)], 2)
 
     def test_bases_and_weights_build_the_stacked_form(self, rng):
-        Q1, Q2 = random_subspace(rng, 4, 1).basis, random_subspace(rng, 4, 3).basis
+        Q1, Q2 = random_subspace(rng, 4, 1), random_subspace(rng, 4, 3)
         frame = FusionFrame([Q1, Q2], [0.5, 2.0])
         assert frame.weights.tolist() == [0.5, 2.0]
         assert frame.dims.tolist() == [1, 3] and frame.offsets.tolist() == [0, 1, 4]
         assert frame.bases.tobytes() == np.concatenate([Q1, Q2], axis=1).tobytes()
         assert frame.is_frame and frame.field == COMPLEX
-        views = [(m.subspace.basis.tobytes(), m.weight) for m in frame.members]
-        assert views == [(Q1.tobytes(), 0.5), (Q2.tobytes(), 2.0)]
 
     def test_nonpositive_weight_rejected(self, rng):
-        bases = [random_subspace(rng, 3, 1).basis, random_subspace(rng, 3, 2).basis]
+        bases = [random_subspace(rng, 3, 1), random_subspace(rng, 3, 2)]
         for weight in (0.0, -2.0, float("nan"), float("inf")):
             with pytest.raises(NonPositiveWeight, match=r"^member 1: weight must be strictly positive"):
                 FusionFrame(bases, [1.0, weight])
@@ -227,11 +213,11 @@ class TestConstruction:
 
     def test_mixed_ambient_dimensions_rejected(self, rng):
         with pytest.raises(DimensionMismatch, match="^member 1 lives in dimension 4, expected 3$"):
-            FusionFrame([random_subspace(rng, 3, 1).basis, random_subspace(rng, 4, 1).basis], [1.0, 1.0])
+            FusionFrame([random_subspace(rng, 3, 1), random_subspace(rng, 4, 1)], [1.0, 1.0])
 
     def test_mixed_fields_rejected(self, rng):
         with pytest.raises(DimensionMismatch, match="mix real and complex"):
-            FusionFrame([random_subspace(rng, 3, 1, field).basis for field in (REAL, COMPLEX)], [1.0, 1.0])
+            FusionFrame([random_subspace(rng, 3, 1, field) for field in (REAL, COMPLEX)], [1.0, 1.0])
 
     def test_empty_family_rejected(self):
         with pytest.raises(DimensionMismatch, match="at least one member"):
@@ -298,7 +284,7 @@ class TestRedundancy:
 
     def test_redundancy_ignores_weights(self, rng):
         frame = random_fusion_frame(rng, n=4, members=5)
-        scaled = FusionFrame([m.subspace.basis for m in frame.members], 3.0 * frame.weights)
+        scaled = FusionFrame(reference_member_bases(frame), 3.0 * frame.weights)
         assert redundancy_equivalent(frame, scaled)
 
 
@@ -334,7 +320,7 @@ class TestExcessAndMinimality:
     def test_excess_invariant_under_weight_scaling(self, rng):
         frame = random_fusion_frame(rng, n=4)
         for alpha in (0.5, 3.0):
-            scaled = FusionFrame([m.subspace.basis for m in frame.members], alpha * frame.weights)
+            scaled = FusionFrame(reference_member_bases(frame), alpha * frame.weights)
             assert excess(scaled) == excess(frame)
 
     def test_excess_adds_over_orthogonal_direct_sums(self, rng):
@@ -580,7 +566,8 @@ class TestRedundancyEquivalence:
     def test_permutation_invariance(self, rng):
         frame = random_fusion_frame(rng, n=4, members=5)
         order = rng.permutation(5)
-        permuted = FusionFrame([frame.members[i].subspace.basis for i in order], frame.weights[order])
+        bases = reference_member_bases(frame)
+        permuted = FusionFrame([bases[i] for i in order], frame.weights[order])
         assert redundancy_equivalent(frame, permuted)
 
     def test_distinct_families_detected(self):
@@ -621,7 +608,7 @@ class TestProjectionDecomposition:
         assert check.trace_residual < 1e-12
 
     def test_random_projection_sums(self, rng):
-        parts = [random_subspace(rng, 5, 2).projection() for _ in range(3)]
+        parts = [projection(random_subspace(rng, 5, 2)) for _ in range(3)]
         t = sum(parts)
         check = verify_projection_decomposition(t, parts)
         assert check.is_decomposition
@@ -670,7 +657,7 @@ def test_sampled_redundancy_always_inside_range(n, members, seed):
 def test_weight_scaling_never_changes_redundancy_or_excess(n, seed, alpha):
     gen = np.random.default_rng(seed)
     frame = random_fusion_frame(gen, n=n)
-    scaled = FusionFrame([m.subspace.basis for m in frame.members], alpha * frame.weights)
+    scaled = FusionFrame(reference_member_bases(frame), alpha * frame.weights)
     assert redundancy_equivalent(frame, scaled)
     assert excess(scaled) == excess(frame)
 

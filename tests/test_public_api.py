@@ -37,11 +37,12 @@ def test_imports_are_stdlib_numpy_or_ffk():
 
 
 def test_every_function_has_a_caller():
-    """Each public module-level function of ``src/ffk`` is exported or named by the code that runs the package.
+    """Each public function of ``src/ffk``, at module level or in a class, is exported or named by the code that runs the package.
 
     A function counts as used when ``ffk.__all__`` lists it or when ``src/ffk``, ``scripts/``,
     ``perfbench/`` or ``tests/golden/make_golden.py`` names it: as a name, an attribute or an
-    imported name.  ``generators.py`` is exempt: it holds seeded constructions for tests and scripts.
+    imported name.  A method counts by its own name, wherever it is named.  ``generators.py`` is
+    exempt: it holds seeded constructions for tests and scripts.
     """
     root = Path(__file__).resolve().parents[1]
     package = root / "src" / "ffk"
@@ -60,16 +61,19 @@ def test_every_function_has_a_caller():
         if path.name == "generators.py":
             continue
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
-            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_") and node.name not in named:
-                unused.append(f"{path.name}:{node.name}")
+            if isinstance(node, ast.FunctionDef):
+                functions = [(node.name, node.name)]
+            elif isinstance(node, ast.ClassDef):
+                functions = [(f"{node.name}.{f.name}", f.name) for f in node.body if isinstance(f, ast.FunctionDef)]
+            else:
+                continue
+            unused += [f"{path.name}:{label}" for label, name in functions if not name.startswith("_") and name not in named]
     assert unused == []
 
 
 def test_every_frame_has_the_package_tolerance():
     """No constructor takes a tolerance, and every frame, derived ones included, reads ``DEFAULT_TOLERANCE``."""
-    constructors = (
-        ffk.FusionFrame, ffk.build_fusion_frame, ffk.Subspace.from_span, ffk.VectorFrame, ffk.VectorFrame.from_matrix
-    )
+    constructors = (ffk.FusionFrame, ffk.build_fusion_frame, ffk.VectorFrame, ffk.VectorFrame.from_matrix)
     assert [f.__qualname__ for f in constructors if "tol" in inspect.signature(f).parameters] == []
     assert ffk.FusionFrame.tol is ffk.VectorFrame.tol is ffk.DEFAULT_TOLERANCE
     e = np.eye(3)

@@ -30,14 +30,12 @@ from ffk.systems import (
     parseval_equivalences,
     redundancy_one_equivalence,
 )
+from test_differential import reference_member_bases
 
 
 def basis_locals(frame):
     """One exact orthonormal basis per member: the tightest local choice."""
-    return [
-        [member.subspace.basis[:, j] for j in range(member.subspace.dim)]
-        for member in frame.members
-    ]
+    return [list(basis.T) for basis in reference_member_bases(frame)]
 
 
 def overcomplete_plane_system():
@@ -120,10 +118,7 @@ class TestLocalAdditivity:
     def test_scaled_orthogonal_locals_still_additive(self, rng):
         """Orthogonality of the local family suffices; norms are irrelevant."""
         frame = random_orthogonal_decomposition(rng, 5, parts=2)
-        scaled = [
-            [3.0 * member.subspace.basis[:, j] for j in range(member.subspace.dim)]
-            for member in frame.members
-        ]
+        scaled = [list(3.0 * basis.T) for basis in reference_member_bases(frame)]
         system = build_system(frame, scaled)
         x = sample_unit_vectors(rng, 5, 1, frame.field)[0]
         check = check_local_additivity(system, x)
@@ -252,10 +247,7 @@ class TestRedundancyOneEquivalence:
 
     def test_non_parseval_locals_rejected(self, rng):
         frame = random_orthogonal_decomposition(rng, 4, parts=2)
-        scaled = [
-            [2.0 * member.subspace.basis[:, j] for j in range(member.subspace.dim)]
-            for member in frame.members
-        ]
+        scaled = [list(2.0 * basis.T) for basis in reference_member_bases(frame)]
         system = build_system(frame, scaled)
         with pytest.raises(LocalNotParseval):
             redundancy_one_equivalence(system)
@@ -269,8 +261,8 @@ class TestFlattenedOperator:
         offsets = system.local_offsets
         flat = np.concatenate(
             [
-                member.weight * system.local_synthesis[:, a:b]
-                for member, a, b in zip(frame.members, offsets[:-1], offsets[1:])
+                weight * system.local_synthesis[:, a:b]
+                for weight, a, b in zip(frame.weights.tolist(), offsets[:-1], offsets[1:])
             ],
             axis=1,
         )
