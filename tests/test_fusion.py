@@ -77,13 +77,17 @@ def embed_blockwise(frame: FusionFrame, total: int, offset: int) -> FusionFrame:
 
 @pytest.mark.parametrize("kind", ["subspaces", "vectors"])
 def test_members_are_the_stacked_blocks_unchecked_for_the_benchmark_probe(kind, rng, monkeypatch):
-    # ``members`` has one reader, the benchmark's probe: member i's basis is
-    # block i of ``bases`` bit for bit, read-only, and no basis is checked again.
+    # ``members`` has one reader, the benchmark's probe: construction builds no
+    # Subspace, the first read builds one per member, each basis is block i of
+    # ``bases`` bit for bit, read-only, and no basis is checked again.
+    built, init = [], Subspace.__init__
+    monkeypatch.setattr(Subspace, "__init__", lambda self, basis: built.append(basis) or init(self, basis))
     frame = random_fusion_frame(rng, n=5, members=4) if kind == "subspaces" else random_vector_frame(rng, n=4, count=7)
+    assert built == []
     check, calls = fusion._orthonormal_basis, []
     monkeypatch.setattr(fusion, "_orthonormal_basis", lambda *args: calls.append(args) or check(*args))
     members = frame.members
-    assert calls == [] and frame.members is members and len(members) == frame.member_count
+    assert calls == [] and frame.members is members and len(members) == len(built) == frame.member_count
     for member, block, weight in zip(members, reference_member_bases(frame), frame.weights.tolist()):
         basis = member.subspace.basis
         assert (basis.shape, basis.tobytes()) == (block.shape, block.tobytes())
