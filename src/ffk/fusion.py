@@ -49,10 +49,10 @@ from .numerics import (
 )
 
 EXHAUSTIVE_MEMBER_LIMIT = 22
-# Working-block budget: each (rows, s, s) stack of one exhaustive-search chunk (s = |J| d_max for
-# G_JJ, J a removal or a union of member groups; n for S_J), and each block of sphere weights that
-# redundancy sampling draws.  A Gram chunk holds three such arrays at once: its blocks, the flat
-# intp gather index of as many entries, and Cholesky's output, so about 2-3 times the budget.
+# Working-block budget: each (rows, s, s) stack of one exhaustive-search chunk (s = |J| d_max for G_JJ,
+# J a removal, or top w for a union of top member groups in w-wide slots; n for S_J), and each block
+# of sphere weights that redundancy sampling draws.  A Gram chunk holds three such arrays at once: its
+# blocks, the flat intp gather index of as many entries, and Cholesky's output: 2-3 times the budget.
 CHUNK_BYTES = 1 << 17
 
 
@@ -455,11 +455,14 @@ def _frames_left(frame: FusionFrame, H: np.ndarray) -> np.ndarray:
     return frame.tol.spans(low, high)
 
 
-def _padded(frame: FusionFrame, X: np.ndarray) -> np.ndarray:
-    """``X``, ``rows x m``, as a ``(rows, N, d_max)`` array: member ``i``'s columns, zero past its own ``d_i``."""
-    padded = np.zeros((len(X), frame.member_count, frame.dims.max()), X.dtype)
-    for i, block in enumerate(_column_blocks(X, frame.offsets)):
-        padded[:, i, : block.shape[1]] = block
+def _padded(frame: FusionFrame, X: np.ndarray, label: np.ndarray) -> np.ndarray:
+    """``X``, ``rows x m``, as ``(rows, g, w)``: slot ``j`` holds the columns of group ``j``'s members (``i`` in group
+    ``label[i]``), then zeros, ``w`` the largest group's dimension count; ``label = arange(N)`` gives ``w = d_max``."""
+    filled = [0] * (label.max() + 1)  # columns placed in each slot so far
+    padded = np.zeros((len(X), len(filled), int(np.bincount(label, frame.dims).max())), X.dtype)
+    for j, block in zip(label.tolist(), _column_blocks(X, frame.offsets)):
+        padded[:, j, filled[j] : filled[j] + block.shape[1]] = block
+        filled[j] += block.shape[1]
     return padded
 
 
@@ -470,25 +473,27 @@ def _range_error(frame: FusionFrame) -> float:
 
 
 def _gram_error(frame: FusionFrame) -> float:
-    """``e_2 = 16 (m n + n^2 + (w + 1)^2) eps sqrt(t/A)`` of :func:`_exhaustive_levels`; ``G`` lies within ``e_2/4``."""
-    n, m, w = frame.ambient_dim, frame.dims.sum(), frame.member_count * frame.dims.max()
+    """``e_2 = 16 (m n + n^2 + (W + 1)^2) eps sqrt(t/A)`` of :func:`_exhaustive_levels`; ``G`` lies within ``e_2/4``."""
+    n, m, W = frame.ambient_dim, frame.dims.sum(), frame.member_count * frame.dims.max()
     t_over_a = frame.operator.trace().real / frame._operator_range[0]
-    return 16 * (m * n + n * n + (w + 1) ** 2) * np.finfo(float).eps * np.sqrt(t_over_a)
+    return 16 * (m * n + n * n + (W + 1) ** 2) * np.finfo(float).eps * np.sqrt(t_over_a)
 
 
-def _gram_cutoff(frame: FusionFrame) -> np.ndarray | None:
-    """``c I - G`` of :func:`_exhaustive_levels`, ``G = Z Z*`` from :func:`_padded` ``Z*``; ``None`` if ``c <= 0``."""
+def _gram_cutoff(frame: FusionFrame) -> float:
+    """The cutoff ``c`` of :func:`_exhaustive_levels`; no Gram block is certified when ``c <= 0``."""
     A, B = frame._operator_range
-    c = 1.0 - (frame.tol.floor(B) + _range_error(frame)) / A - _gram_error(frame)
-    if c <= 0.0:
-        return None
-    Y = _padded(frame, frame._synthesis_factor[0].conj().T).reshape(frame.ambient_dim, -1)
+    return 1.0 - (frame.tol.floor(B) + _range_error(frame)) / A - _gram_error(frame)
+
+
+def _shifted_gram(frame: FusionFrame, c: float, label: np.ndarray) -> np.ndarray:
+    """``c I - G`` of :func:`_exhaustive_levels` in :func:`_padded` slots: ``G = Y* Y``, ``Y`` the padded ``Z*``."""
+    Y = _padded(frame, frame._synthesis_factor[0].conj().T, label).reshape(frame.ambient_dim, -1)
     G = symmetrize(Y.conj().T @ Y)
     return c * np.eye(len(G)) - G
 
 
 def _gram_survivors(shifted: np.ndarray, width: int, J: np.ndarray) -> np.ndarray:
-    """Which removals ``J`` (rows of member indices) their ``c I - G_JJ`` blocks of ``shifted`` certify.
+    """Which rows ``J`` of slots, removals or unions of groups, their ``c I - G_JJ`` blocks of ``shifted`` certify.
 
     One batched Cholesky certifies every row; when it declines, one batched
     ``eigvalsh`` certifies the rows it finds positive.  Either gives
@@ -506,7 +511,7 @@ def _gram_survivors(shifted: np.ndarray, width: int, J: np.ndarray) -> np.ndarra
 
 
 def _padded_columns(J: np.ndarray, width: int) -> np.ndarray:
-    """The columns of the members in each row of ``J`` in a :func:`_padded` ``rows x N d_max`` matrix, row by row."""
+    """The columns of the slots in each row of ``J`` in a :func:`_padded` ``rows x g width`` matrix, row by row."""
     return (J[:, :, None] * width + np.arange(width)).reshape(len(J), -1)
 
 
@@ -539,9 +544,11 @@ def _member_groups(dims: np.ndarray, top: int, spare: int) -> np.ndarray:
     ``spare``.  A member above that capacity is a group of its own.  Every
     member is its own group, in member order, unless the packing merges
     some, its ``top`` largest groups hold at most ``spare`` dimensions, and
-    the ``C(g, top)`` unions ``K`` of ``top`` of its ``g`` groups have
-    ``sum_K |K|^2 <= C(N, top) top^2 / 2``.  So any union of ``top``
-    groups passes the dimension test either way.
+    the ``C(g, top)`` union blocks of :func:`_top_pass`, side ``top w`` for
+    the largest group's ``w`` dimensions, have ``C(g, top) w^2 <= C(N, top)
+    d_max^2 / 2``.  So any union of ``top`` groups passes the dimension test
+    either way, and ``top w <= spare < N d_max`` unless a member above the
+    capacity makes ``w = d_max``.
     """
     N, capacity = len(dims), spare // top
     label, loads = np.empty(N, np.intp), []
@@ -549,41 +556,23 @@ def _member_groups(dims: np.ndarray, top: int, spare: int) -> np.ndarray:
         label[i] = next((j for j, load in enumerate(loads) if load + dims[i] <= capacity), len(loads))
         if label[i] == len(loads):
             loads.append(0)
-        loads[label[i]] += dims[i]
-    counts = np.bincount(label)
-    g, squares = len(counts), int(counts @ counts)
-    volume = math.comb(g - 1, top - 1) * squares + math.comb(g - 2, top - 2) * (N * N - squares)
-    if g == N or sum(sorted(loads)[-top:]) > spare or 2 * volume > math.comb(N, top) * top * top:
+        loads[label[i]] += int(dims[i])
+    g, w, d = len(loads), max(loads), int(dims.max())
+    if g == N or sum(sorted(loads)[-top:]) > spare or 2 * math.comb(g, top) * w * w > math.comb(N, top) * d * d:
         return np.arange(N)
     return label
 
 
-def _union_chunks(label: np.ndarray, k: int, rows: int):
-    """The unions of ``k`` groups (member ``i`` in group ``label[i]``) as rows of member indices.
-
-    The groups' ``k``-subsets in :func:`_subset_chunks` order and chunks,
-    one array per union size in each chunk, so with one member per group in
-    member order these are :func:`_subset_chunks`' own chunks.
-    """
-    g = label.max() + 1
-    for C in _subset_chunks(g, k, rows):
-        inside = np.zeros((len(C), g), bool)
-        inside[np.arange(len(C))[:, None], C] = True
-        union = inside[:, label]
-        sizes = union.sum(axis=1)
-        for size in range(sizes.min(), sizes.max() + 1):
-            if (same := sizes == size).any():
-                yield np.nonzero(union[same])[1].reshape(-1, size)
-
-
-def _top_pass(shifted: np.ndarray, width: int, label: np.ndarray, top: int, rows: int) -> list[np.ndarray]:
-    """:func:`_gram_survivors` on each :func:`_union_chunks` array, up to the first one it does not wholly certify."""
-    answers = []
-    for J in _union_chunks(label, top, rows):
+def _top_pass(frame: FusionFrame, c: float, label: np.ndarray, top: int) -> tuple[np.ndarray, list[np.ndarray]]:
+    """``c I - G`` in the slots of ``label``'s groups, and :func:`_gram_survivors` on each chunk of their unions of
+    ``top`` (one array, one Cholesky), up to the first chunk it does not wholly certify."""
+    shifted, g = _shifted_gram(frame, c, label), label.max() + 1
+    answers, width = [], len(shifted) // g
+    for J in _subset_chunks(g, top, max(1, CHUNK_BYTES // (top * width) ** 2 // shifted.itemsize)):
         answers.append(_gram_survivors(shifted, width, J))
         if not answers[-1].all():
             break
-    return answers
+    return shifted, answers
 
 
 def _exhaustive_levels(frame: FusionFrame, budget: int) -> tuple[int, int]:
@@ -597,18 +586,19 @@ def _exhaustive_levels(frame: FusionFrame, budget: int) -> tuple[int, int]:
     A level whose ``k`` smallest ``d_i`` already exceed that bound ends the
     search without enumerating it.
     The rest are decided on ``G = T* S^-1 T``, the projection onto the
-    range of ``T*``, formed once with ``d_max`` columns per member (a zero
+    range of ``T*``, formed with ``d_max`` columns per member, or in the
+    slots of member groups (:func:`_padded`) for the top pass below (a zero
     column of ``T`` adds a row and column of ``c I`` to ``c I - G_JJ``,
     which changes no decision).  ``S_J = S^1/2 (I - X X*) S^1/2`` with
     ``X = S^-1/2 T_J`` and ``X* X = G_JJ``, so with
     ``g = lambda_max(G_JJ) <= 1``:
     ``lambda_min(S_J) >= A (1 - g)`` and ``lambda_max(S_J) <= B``.
 
-    Errors, with ``t = tr S``, ``m = sum_i d_i``, ``w = N d_max``, LAPACK
+    Errors, with ``t = tr S``, ``m = sum_i d_i``, ``W = N d_max``, LAPACK
     backward errors ``p eps`` with ``p <= s^2`` on ``s``-square problems
     and ``p <= m n`` on the ``m x n`` QR,
     ``e_1 = 4 (n^2 + 2 m + 8) eps t`` and
-    ``e_2 = 16 (m n + n^2 + (w + 1)^2) eps sqrt(t / A)``:
+    ``e_2 = 16 (m n + n^2 + (W + 1)^2) eps sqrt(t / A)``:
 
     - The ``eigvalsh`` range of the assembled ``S_J = S - Y_J Y_J*``, and
       the computed ``(A, B)``, lie within ``e_1 / 4`` of the exact ranges of
@@ -630,9 +620,11 @@ def _exhaustive_levels(frame: FusionFrame, budget: int) -> tuple[int, int]:
       ``||dT|| <= e_2 sqrt(A) / 16``.  ``Z`` for ``Z'`` adds ``2.01 m n
       eps``, ``Y* Y`` ``n^2 eps`` and ``symmetrize`` ``sqrt(n) eps``: in all
       below ``4 (m n + n^2) eps sqrt(t / A)``, so ``e_2`` grows like
-      ``sqrt(t / A)``, not ``t / A``.
-    - A Cholesky success on ``c I - G_JJ``, of size ``s = |J| d_max <= w``
-      (``J`` a removal or a union of groups below), or a positive
+      ``sqrt(t / A)``, not ``t / A``.  In any slot layout each entry of
+      ``G`` is that inner product of two columns of ``Z*``, or an exact 0.
+    - A Cholesky success on ``c I - G_JJ``, of size ``s <= W`` (``|J|
+      d_max`` for a removal ``J``, ``top w`` for a union of ``top`` groups
+      below: :func:`_member_groups`), or a positive
       ``eigvalsh`` of it, gives ``lambda_max(G_JJ) <= c + (s + 1)^2 eps``
       (:func:`_gram_survivors`): below ``e_2 / 4``.
 
@@ -660,13 +652,17 @@ def _exhaustive_levels(frame: FusionFrame, budget: int) -> tuple[int, int]:
     interlacing (``G_JJ`` is a principal submatrix of ``G_KK``) gives
     ``lambda_max(G_JJ) <= lambda_max(G_KK)``.  So one Gram block per
     union, ``C(h, top)`` of them, can stand for the ``C(N, top)``
-    removals: they are passed to :func:`_gram_survivors` chunk by chunk
-    (:func:`_top_pass`), and the first chunk it does not wholly certify
-    ends that pass.  Groups are merged only when the unions' blocks hold
-    at most half the entries of the removals' blocks, ``sum_K |K|^2 <=
-    C(N, top) top^2 / 2``; when a merged pass ends early, the pass runs
-    again on single members, the removals themselves, so a frame that no
-    merged union certifies pays at most 1.5 times that pass.  If that pass also ends early, the
+    removals.  :func:`_top_pass` packs group ``j``'s members into slot
+    ``j`` of ``c I - G``, each slot as wide as the largest group's ``w``
+    dimensions, and decides the groups' ``top``-subsets by chunks, one
+    Cholesky each, up to the first chunk it does not wholly certify.  A
+    union's block of side ``top w <= W`` is ``c I - G_KK`` and a row of
+    ``c I`` per empty column, so ``c``, ``e_1`` and ``e_2`` stand.  Groups
+    are merged only when the unions' blocks hold at most half the entries
+    of the removals' blocks; when a merged pass ends early, the pass runs
+    again on single members, the removals themselves, in the member
+    layout, so a frame that no merged union certifies pays at most 1.5
+    times that pass.  If that pass also ends early, the
     search runs level by level from 1 as described above, reusing its
     answers when it reaches level ``top`` (so no removal is decided
     twice).  When every block of a pass is certified, every ``J' ⊂ K``
@@ -681,22 +677,23 @@ def _exhaustive_levels(frame: FusionFrame, budget: int) -> tuple[int, int]:
     can grow faster than ``lambda_min(S_J')``.
     """
     N, n, dims = frame.member_count, frame.ambient_dim, frame.dims
-    shifted, width = _gram_cutoff(frame), dims.max()
-    padded = None  # Y_J of the exact path, built when a row first needs it
+    c, width, members = _gram_cutoff(frame), dims.max(), np.arange(N)
+    shifted = padded = None  # c I - G in the member layout, Y_J of the exact path: built when a level needs them
     spare = dims.sum() - n  # removing more dimensions leaves rank S_J < n
     smallest, largest = np.cumsum(np.sort(dims)), np.cumsum(np.sort(dims)[::-1])
     top = min(budget, int((largest <= spare).sum()))
 
     def rows_of(members):  # rows per chunk of blocks of that many members
-        side = n if shifted is None else members * width
+        side = members * width if c > 0.0 else n
         return max(1, CHUNK_BYTES // (side * side * frame.synthesis.itemsize))
 
     certified = universal = 0
     first_pass = []  # level top's Gram answers on single members, when that pass ran and did not certify it
-    if shifted is not None and top >= 2:
+    if c > 0.0 and top >= 2:
         groups = _member_groups(dims, top, spare)
-        for label in (groups, np.arange(N)) if groups.max() < N - 1 else (groups,):
-            first_pass = _top_pass(shifted, width, label, top, rows_of(np.sort(np.bincount(label))[-top:].sum()))
+        for label in (groups, members) if groups.max() < N - 1 else (members,):
+            layout, first_pass = _top_pass(frame, c, label, top)
+            shifted = layout if label is members else None
             if first_pass[-1].all():
                 certified = universal = top  # every removal of top members is a subset of a certified union
                 break
@@ -705,17 +702,19 @@ def _exhaustive_levels(frame: FusionFrame, budget: int) -> tuple[int, int]:
             break  # every removal of k members fails on its dimensions
         # some removal survives; every one does, while that matters: not above top, where the k largest fail
         some, every = False, universal == k - 1 and largest[k - 1] <= spare
+        if c > 0.0 and shifted is None:
+            shifted = _shifted_gram(frame, c, members)
         chunks, known = _subset_chunks(N, k, rows_of(k)), iter(first_pass if k == top else ())
         while (every or not some) and (J := next(chunks, None)) is not None:
             alive = np.zeros(len(J), bool)
             undecided = dims[J].sum(axis=1) <= spare  # rows the dimension test does not fail
-            if shifted is not None and undecided.any():
+            if c > 0.0 and undecided.any():
                 gram = next(known, None)  # at level top every row passes the dimension test
                 alive[undecided] = _gram_survivors(shifted, width, J[undecided]) if gram is None else gram
                 undecided &= ~alive
             if undecided.any():
                 if padded is None:
-                    padded = _padded(frame, frame.synthesis).reshape(n, -1)
+                    padded = _padded(frame, frame.synthesis, members).reshape(n, -1)
                 alive[undecided] = _exact_frames_left(frame, padded, J[undecided])
             some = some or bool(alive.any())
             every = every and bool(alive.all())
@@ -818,7 +817,7 @@ def _greedy_levels(frame: FusionFrame, budget: int) -> tuple[int, int]:
     """
     tol, N, n, dims = frame.tol, frame.member_count, frame.ambient_dim, frame.dims
     eps = np.finfo(float).eps
-    blocks, width = _padded(frame, frame.synthesis), dims.max()
+    blocks, width = _padded(frame, frame.synthesis, np.arange(N)), dims.max()
     T = _column_blocks(frame.synthesis, frame.offsets)  # member i's synthesis columns T_i
 
     def less(rest, i):  # rest - T_i T_i*: member i removed
@@ -894,8 +893,9 @@ def erasure_certificate(
     ``lambda_max(G_JJ) < 1``) and, for removals that block does not
     certify, from ``S_J`` itself (:func:`_exhaustive_levels`).  Its top
     level, the largest whose removals all keep enough dimensions, is
-    first tried on the blocks of unions of member groups: a certified
-    union certifies every removal inside it, and every smaller one.
+    first tried on the blocks of unions of member groups, one ``w``-wide
+    slot of ``G`` per group, ``top w <= N d_max`` square: a certified union
+    certifies every removal inside it, and every smaller one.
     Greedy mode follows one removal path per level (:func:`_greedy_levels`).
     """
     if not frame.is_frame:

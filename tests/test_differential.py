@@ -43,6 +43,7 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -575,7 +576,7 @@ def test_exhaustive_erasure_without_a_gram_cutoff(monkeypatch):
     weak = 2.0002 * fusion.DEFAULT_TOLERANCE.rank_rel
     spans = [(U[:, [i]], 1.0) for i in range(2) for _ in range(2)] + [(U[:, [2]], np.sqrt(weak))]
     frame = fusion.build_fusion_frame(spans, 3)
-    assert frame.is_frame and fusion._gram_cutoff(frame) is None
+    assert frame.is_frame and fusion._gram_cutoff(frame) <= 0.0
     seen = spy_exact_path(monkeypatch)
     certificate = assert_exhaustive_matches(frame)
     assert sum(map(len, seen)) == 5 + 10  # every single removal and every pair; triples fail on their dimensions
@@ -695,57 +696,95 @@ def benchmark_shape_frame(seed, n, dims, field):
     return FusionFrame(*zip(*members))
 
 
-def spy_gram_levels(monkeypatch):
-    """The level ``J.shape[1]`` of each chunk that reaches :func:`fusion._gram_survivors`, one per call."""
-    levels = []
+def spy_gram_shapes(monkeypatch):
+    """``(rows, side)`` per :func:`fusion._gram_survivors` call: its chunk of ``side``-square blocks.
+
+    ``J`` holds slots of ``width`` columns, members or member groups, so a block's side is ``J.shape[1] * width``.
+    """
+    shapes = []
     gram_survivors = fusion._gram_survivors
 
     def spy(shifted, width, J):
-        levels.append(J.shape[1])
+        shapes.append((len(J), J.shape[1] * width))
         return gram_survivors(shifted, width, J)
 
     monkeypatch.setattr(fusion, "_gram_survivors", spy)
-    return levels
+    return shapes
 
 
 @pytest.mark.parametrize(
-    "n, dims, budget, field, gram_levels",
-    [(8, (2,) * 18, 5, COMPLEX, {10}), (12, (1, 2) * 8, None, REAL, set(range(6, 11)))],
+    "n, dims, budget, field, sides",
+    [(8, (2,) * 18, 5, COMPLEX, {20}), (12, (1, 2) * 8, None, REAL, {12, 14, 16, 18, 20})],
     ids=["n8-N18-b5-complex", "n12-N16-full-real"],
 )
-def test_exhaustive_erasure_matches_on_the_benchmark_shapes(n, dims, budget, field, gram_levels, monkeypatch):
+def test_exhaustive_erasure_matches_on_the_benchmark_shapes(n, dims, budget, field, sides, monkeypatch):
     # The first has sum_{i in J} d_i > n, so G_JJ is larger than S_J; the
     # second alternates lines and planes up to the dimension cutoff.  Each
     # certifies its top level (5; 6, where the six planes fill the 12 spare
     # dimensions) on the Gram blocks of unions of member groups, which
     # settles every level below it: the first packs its 18 planes in pairs
-    # (capacity 28 // 5 = 5 dimensions), so no block of level 5 itself is
-    # formed; the second packs each plane alone and the lines in pairs
-    # (capacity 2), unions of 6 to 10 members, and levels 7 to 10 go
-    # removal by removal.
-    levels = spy_gram_levels(monkeypatch)
+    # (capacity 28 // 5 = 5 dimensions), slots of 4, so its blocks are 20
+    # square and no block of level 5 itself is formed; the second packs
+    # each plane alone and the lines in pairs (capacity 2), slots of 2, so
+    # its unions are 12 square, and levels 7 to 10 go removal by removal in
+    # the member layout, d_max = 2 columns per member.
+    shapes = spy_gram_shapes(monkeypatch)
     certificate = assert_exhaustive_matches(benchmark_shape_frame(7, n, dims, field), budget)
     assert certificate.certified >= 5
-    assert set(levels) == gram_levels
+    assert {side for _, side in shapes} == sides
 
 
-def spy_gram_shapes(monkeypatch):
-    """The shape of each ``J`` that reaches :func:`fusion._gram_survivors`, one per call."""
-    shapes = []
-    gram_survivors = fusion._gram_survivors
-    monkeypatch.setattr(
-        fusion, "_gram_survivors", lambda shifted, width, J: shapes.append(J.shape) or gram_survivors(shifted, width, J)
-    )
-    return shapes
+def spy_gram_layouts(monkeypatch):
+    """The slot count ``g`` of each ``c I - G`` that :func:`fusion._shifted_gram` forms, one per call."""
+    layouts = []
+    shifted_gram = fusion._shifted_gram
+
+    def spy(frame, c, label):
+        layouts.append(label.max() + 1)
+        return shifted_gram(frame, c, label)
+
+    monkeypatch.setattr(fusion, "_shifted_gram", spy)
+    return layouts
 
 
 def test_exhaustive_erasure_top_level_on_unions_of_plane_pairs(monkeypatch):
     # 18 planes in C^8, budget 5: nine pairs, so C(9, 5) = 126 union blocks
-    # of 10 members stand for the C(18, 5) = 8568 removals of 5.
-    shapes = spy_gram_shapes(monkeypatch)
+    # of 10 members, 20 x 20, stand for the C(18, 5) = 8568 removals of 5.
+    # They certify the top level, the budget, so the search forms no Gram
+    # matrix in the member layout.
+    shapes, layouts = spy_gram_shapes(monkeypatch), spy_gram_layouts(monkeypatch)
     certificate = assert_exhaustive_matches(benchmark_shape_frame(7, 8, (2,) * 18, COMPLEX), 5)
     assert (certificate.certified, certificate.universal) == (5, 5)
-    assert {k for _, k in shapes} == {10} and sum(rows for rows, _ in shapes) == math.comb(9, 5)
+    assert {side for _, side in shapes} == {20} and sum(rows for rows, _ in shapes) == math.comb(9, 5)
+    assert layouts == [9]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 7])
+def test_exhaustive_erasure_merged_pass_on_the_full_shape_forms_blocks_no_wider_than_spare(seed, monkeypatch):
+    # The erasure benchmark's n12-N16-full shape, complex: six planes fill
+    # the 12 spare dimensions, so top = 6 and the capacity is 2.  Eight
+    # planes alone and four pairs of lines make 12 slots of 2 columns, so
+    # each of the C(12, 6) = 924 unions is one 12 x 12 block, and one
+    # Cholesky per chunk takes them.  In the member layout, one array per
+    # union size, the blocks were 12 to 20 square, in 143 calls.
+    frame = benchmark_shape_frame(seed, 12, (1, 2) * 8, COMPLEX)
+    shapes, layouts = spy_gram_shapes(monkeypatch), spy_gram_layouts(monkeypatch)
+    top_pass, merged = fusion._top_pass, []
+
+    def spy(frame, c, label, top):
+        start = len(shapes)
+        answers = top_pass(frame, c, label, top)
+        merged.append((top, label.max() + 1, shapes[start:]))
+        return answers
+
+    monkeypatch.setattr(fusion, "_top_pass", spy)
+    assert_exhaustive_matches(frame)
+    [(top, groups, calls)] = merged
+    rows = fusion.CHUNK_BYTES // (12 * 12 * frame.synthesis.itemsize)
+    assert (top, groups) == (6, 12)
+    assert {side for _, side in calls} == {12} and sum(r for r, _ in calls) == math.comb(12, 6)
+    assert len(calls) <= -(-math.comb(12, 6) // rows)
+    assert layouts == [12, 16]  # levels 7 to 10 form the member layout once
 
 
 @pytest.mark.parametrize("field", [REAL, COMPLEX])
@@ -765,34 +804,30 @@ def test_exhaustive_erasure_top_level_fails_at_its_last_removal(field, monkeypat
         spans.append((line, float(rng.uniform(0.5, 2.0))))
     frame = fusion.build_fusion_frame(spans, n)
     monkeypatch.setattr(fusion, "CHUNK_BYTES", rows * 2 * 2 * frame.synthesis.itemsize)
-    levels = spy_gram_levels(monkeypatch)
+    shapes = spy_gram_shapes(monkeypatch)
     certificate = assert_exhaustive_matches(frame)
     assert (certificate.certified, certificate.universal) == (2, 1)
     chunks = -(-math.comb(n + 2, 2) // rows)
-    assert levels[: chunks + 1] == [2] * chunks + [1]
+    assert [side for _, side in shapes[: chunks + 1]] == [2] * chunks + [1]
 
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_exhaustive_erasure_top_level_fails_at_its_first_chunk(n, monkeypatch):
     # Gallery 7.1-V holds each axis twice: the first removal of level n
     # empties axis 0, so the first pass stops after one chunk.
-    levels = spy_gram_levels(monkeypatch)
+    shapes = spy_gram_shapes(monkeypatch)
     certificate = assert_exhaustive_matches(example_frame("7.1-V", n))
     assert (certificate.certified, certificate.universal) == (n, 1)
-    assert levels[:2] == [n, 1]
+    assert [side for _, side in shapes[:2]] == [n, 1]
 
 
 def test_exhaustive_erasure_decides_each_top_level_row_once(monkeypatch):
     # Gallery 7.1-V at n = 6: the first pass declines its first level-6
     # chunk, 455 rows; the level-by-level search reuses those answers.
-    shapes = []
-    gram_survivors = fusion._gram_survivors
-    monkeypatch.setattr(
-        fusion, "_gram_survivors", lambda shifted, width, J: shapes.append(J.shape) or gram_survivors(shifted, width, J)
-    )
+    shapes = spy_gram_shapes(monkeypatch)
     certificate = assert_exhaustive_matches(example_frame("7.1-V", 6))
     assert (certificate.certified, certificate.universal) == (6, 1)
-    assert [rows for rows, k in shapes if k == 6] == [455]
+    assert [rows for rows, side in shapes if side == 6] == [455]
 
 
 @st.composite
@@ -808,7 +843,8 @@ def packings(draw):
 @given(packings())
 @example((np.ones(10, int), 3, 8))  # five pairs of lines
 @example((np.array([4] + [1] * 12), 3, 8))  # the 4-space above the capacity 2 alone, six pairs of lines
-@example((np.array([3] + [1] * 8), 2, 5))  # pairs would not halve the blocks at level 2: singletons
+@example((np.array([3] + [1] * 8), 2, 5))  # the 3-space alone and pairs of lines, all in slots of 3
+@example((np.ones(6, int), 2, 4))  # pairs would not halve the entries at level 2: singletons
 @example((np.array([2, 1, 1, 1, 1]), 2, 3))  # capacity 1
 def test_member_groups_cover_every_removal_of_top_members(packing):
     dims, top, spare = packing
@@ -820,12 +856,17 @@ def test_member_groups_cover_every_removal_of_top_members(packing):
     assert g > top
     for J in itertools.combinations(range(N), top):
         assert len(set(label[list(J)])) <= top  # so J lies in a union of top groups
-    unions = {tuple(np.flatnonzero(np.isin(label, C))) for C in itertools.combinations(range(g), top)}
-    rows = [tuple(J) for chunk in fusion._union_chunks(label, top, 3) for J in chunk.tolist()]
-    assert sorted(rows) == sorted(unions) and len(rows) == math.comb(g, top)
-    if g == N:  # one member per group, in member order: the chunks of the removals themselves
+    w, d = np.bincount(label, weights=dims).max(), dims.max()
+    assert top * w <= max(spare, top * d)  # a union's block, top slots of w columns, is no wider
+    offsets = np.cumsum(np.append(0, dims))
+    slots = fusion._padded(SimpleNamespace(dims=dims, offsets=offsets), np.arange(1.0, offsets[-1] + 1)[None], label)
+    for j in range(g):  # slot j: the columns (numbered from 1) of group j's members in member order, then zeros
+        columns = [c for i in np.flatnonzero(label == j) for c in range(offsets[i] + 1, offsets[i + 1] + 1)]
+        assert slots[0, j].tolist() == columns + [0.0] * (int(w) - len(columns))
+    if g < N:  # merged: the C(g, top) union blocks hold at most half the entries of the removals' blocks
+        assert 2 * math.comb(g, top) * (top * w) ** 2 <= math.comb(N, top) * (top * d) ** 2
+    else:  # one member per group, in member order: slot i holds member i
         assert (label == np.arange(N)).all()
-        assert rows == list(itertools.combinations(range(N), top))
     if spare // top == 1:
         assert g == N
 
@@ -835,7 +876,8 @@ def test_member_groups_cover_every_removal_of_top_members(packing):
     [
         ((2,) * 18, 5, 28, np.repeat(np.arange(9), 2)),  # 126 unions of 10 members for 8568 removals
         ((4,) + (1,) * 12, 3, 8, np.repeat(np.arange(7), 2)[1:]),  # the 4-space alone, the lines in pairs
-        ((3,) + (1,) * 8, 2, 5, np.arange(9)),  # pairs hold 132 / 144 of the entries at level 2, not half
+        ((3,) + (1,) * 8, 2, 5, np.repeat(np.arange(5), 2)[1:]),  # 10 blocks of 6 x 6 for 36: 360 / 1296 of entries
+        ((1,) * 6, 2, 4, np.arange(6)),  # three pairs: 3 blocks of 4 x 4, 48 entries, against 15 of 2 x 2, 60
         ((1,) * 12, 4, 8, np.repeat(np.arange(6), 2)),  # 15 unions of 8 lines: 960 / 7920 of the entries
     ],
 )
@@ -848,10 +890,10 @@ def spy_top_passes(monkeypatch):
     passes = []
     top_pass = fusion._top_pass
 
-    def spy(shifted, width, label, top, rows):
-        answers = top_pass(shifted, width, label, top, rows)
+    def spy(frame, c, label, top):
+        shifted, answers = top_pass(frame, c, label, top)
         passes.append((bool(label.max() < len(label) - 1), bool(answers[-1].all())))
-        return answers
+        return shifted, answers
 
     monkeypatch.setattr(fusion, "_top_pass", spy)
     return passes
@@ -948,11 +990,11 @@ def test_exhaustive_erasure_merged_union_fails_where_every_removal_survives(monk
         spans.append((line / np.linalg.norm(line), float(rng.uniform(0.5, 2.0))))
     frame = build_fusion_frame(spans, 3)
     assert (fusion._member_groups(frame.dims, 3, 9) == np.repeat(np.arange(4), 3)).all()
-    shapes, passes = spy_gram_shapes(monkeypatch), spy_top_passes(monkeypatch)
+    shapes, passes, layouts = spy_gram_shapes(monkeypatch), spy_top_passes(monkeypatch), spy_gram_layouts(monkeypatch)
     certificate = assert_exhaustive_matches(frame, 3)
     assert (certificate.certified, certificate.universal) == (3, 3)
     assert passes == [(True, False), (False, True)]
-    assert shapes == [(4, 9), (math.comb(12, 3), 3)]
+    assert shapes == [(4, 9), (math.comb(12, 3), 3)] and layouts == [4, 12]
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -971,26 +1013,64 @@ def test_exhaustive_erasure_on_merged_groups(family, seed, monkeypatch):
         n = int(rng.integers(3, 7))
         frame = random_fusion_frame(rng, n, int(rng.integers(10, 15)), 3, (REAL, COMPLEX)[seed % 2])
     budget = int(rng.choice(merged_budgets(frame)))
-    passes = spy_top_passes(monkeypatch)
+    passes, layouts = spy_top_passes(monkeypatch), spy_gram_layouts(monkeypatch)
     assert_exhaustive_matches(frame, budget)
     assert passes[0][0]  # unions of merged groups came first
-    if family == "squeezed":
-        assert passes == [(True, False), (False, False)]
+    if family == "squeezed":  # the levels reuse the member layout of the pass on single removals
+        assert passes == [(True, False), (False, False)] and layouts[1:] == [frame.member_count]
+
+
+def assert_slot_blocks_match(seed):
+    """For a mixed frame of :func:`test_exhaustive_erasure_on_merged_groups`, at its budget: is a slot part empty?
+
+    Each union's block in the slots of its groups is the member layout's ``c I - G_KK``, its members' columns
+    in slot order, and exactly ``c`` on the diagonal, coupled to nothing, per empty slot column.
+    """
+    rng = np.random.default_rng([seed, 31])
+    n = int(rng.integers(3, 7))
+    frame = random_fusion_frame(rng, n, int(rng.integers(10, 15)), 3, (REAL, COMPLEX)[seed % 2])
+    top, spare = top_level(frame, int(rng.choice(merged_budgets(frame))))
+    N, dims, d = frame.member_count, frame.dims, frame.dims.max()
+    label, c = fusion._member_groups(dims, top, spare), fusion._gram_cutoff(frame)
+    g = label.max() + 1
+    assert g < N and c > 0.0
+    slots, members = fusion._shifted_gram(frame, c, label), fusion._shifted_gram(frame, c, np.arange(N))
+    w = len(slots) // g
+    source = np.full((g, w), -1)  # the member-layout column of each slot column; -1 where the slot is empty
+    for j in range(g):
+        columns = [i * d + t for i in np.flatnonzero(label == j) for t in range(dims[i])]
+        source[j, : len(columns)] = columns
+    assert w == np.bincount(label, weights=dims).max()
+    for K in itertools.combinations(range(g), top):
+        at = np.concatenate([np.arange(j * w, (j + 1) * w) for j in K])
+        block, real = slots[np.ix_(at, at)], source[list(K)].reshape(-1)
+        empty = real < 0
+        gathered = members[np.ix_(real[~empty], real[~empty])]
+        assert np.abs(block[np.ix_(~empty, ~empty)] - gathered).max() <= fusion._gram_error(frame) / 4
+        assert (block[empty] == c * (at[empty][:, None] == at)).all()  # rows of c I, so columns too
+        assert (block[:, empty] == c * (at[:, None] == at[empty])).all()
+    return bool((source < 0).any())
+
+
+def test_slot_layout_blocks_are_the_member_layout_blocks():
+    # Seeds 0-11, real and complex in turn; 10 of the 12 leave some slot part empty.
+    assert sum(assert_slot_blocks_match(seed) for seed in range(12)) >= 10
 
 
 def reference_gram(frame):
     """``G = T* S^-1 T`` as ``Y* Y``, ``Y = L^-1 T`` for the Cholesky factor ``S = L L*``, on the padded ``T``."""
-    T = fusion._padded(frame, frame.synthesis).reshape(frame.ambient_dim, -1)
+    T = fusion._padded(frame, frame.synthesis, np.arange(frame.member_count)).reshape(frame.ambient_dim, -1)
     Y = np.linalg.solve(np.linalg.cholesky(frame.operator), T)
     return symmetrize(Y.conj().T @ Y)
 
 
 def computed_gram(frame, monkeypatch):
-    """The ``G`` that :func:`fusion._gram_cutoff` forms, caught at its ``symmetrize``."""
+    """The ``G`` that :func:`fusion._shifted_gram` forms in the member layout, caught at its ``symmetrize``."""
     seen = []
     monkeypatch.setattr(fusion, "symmetrize", lambda M: seen.append(symmetrize(M)) or seen[-1])
-    shifted = fusion._gram_cutoff(frame)
-    assert shifted is not None
+    c = fusion._gram_cutoff(frame)
+    assert c > 0.0
+    fusion._shifted_gram(frame, c, np.arange(frame.member_count))
     return seen[-1]
 
 
@@ -1017,7 +1097,7 @@ def conditioned_fusion_frame(rng, field, condition):
 def exact_gram_error(frame, G):
     """``max |G - T* S^-1 T|`` over the entries, the exact ``G`` in 40-digit arithmetic on the padded ``T``."""
     mpmath = pytest.importorskip("mpmath")
-    T = fusion._padded(frame, frame.synthesis).reshape(frame.ambient_dim, -1)
+    T = fusion._padded(frame, frame.synthesis, np.arange(frame.member_count)).reshape(frame.ambient_dim, -1)
     with mpmath.workdps(40):
         Tm = mpmath.matrix([[mpmath.mpc(complex(x)) for x in row] for row in T])
         exact = Tm.H * mpmath.inverse(Tm * Tm.H) * Tm
@@ -1207,7 +1287,7 @@ def all_exact_frame(field):
 @pytest.mark.parametrize("field", [REAL, COMPLEX])
 def test_exhaustive_erasure_exact_path_holds_no_member_stack(field):
     frame = all_exact_frame(field)
-    assert frame.member_count == 12 and fusion._gram_cutoff(frame) is None
+    assert frame.member_count == 12 and fusion._gram_cutoff(frame) <= 0.0
     stack = frame.member_count * frame.ambient_dim**2 * frame.synthesis.itemsize  # N x n x n: 1.5 or 3.0 MiB
     assert erasure_certificate(frame, 3, "exhaustive").certified == 3
     erasure_certificate(seeded_frame(0), mode="exhaustive")  # first calls of some numpy routines import modules
@@ -1221,7 +1301,7 @@ def test_exhaustive_erasure_merged_pass_holds_one_chunk_at_a_time(monkeypatch):
     assert erasure_certificate(frame, 5, "exhaustive").universal == 5  # also caches S's range and QR factor
     shapes = spy_gram_shapes(monkeypatch)
     peak = traced_peak(lambda: erasure_certificate(frame, 5, "exhaustive"))
-    assert {k for _, k in shapes} == {10} and sum(rows for rows, _ in shapes) == math.comb(11, 5)
+    assert {side for _, side in shapes} == {20} and sum(rows for rows, _ in shapes) == math.comb(11, 5)
     assert peak < 4 * fusion.CHUNK_BYTES
 
 
