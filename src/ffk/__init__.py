@@ -11,9 +11,7 @@ from .errors import FrameError
 from .numerics import DEFAULT_TOLERANCE, FrameBounds, Tolerance
 from .vector_frames import (
     VectorFrame,
-    VectorFrameReport,
     alternate_dual,
-    analyze_vector_frame,
     canonical_dual,
     check_norm_inequality,
     dual_redundancy_sandwich,
@@ -46,7 +44,6 @@ from .duality import (
 )
 from .systems import (
     FusionFrameSystem,
-    build_system,
     check_local_additivity,
     parseval_equivalences,
     redundancy_one_equivalence,
@@ -68,13 +65,10 @@ __all__ = [
     "ReportDocument",
     "Tolerance",
     "VectorFrame",
-    "VectorFrameReport",
     "alternate_dual",
     "alternate_dual_bounds",
-    "analyze_vector_frame",
     "apply_operator",
     "build_fusion_frame",
-    "build_system",
     "canonical_dual",
     "canonical_dual_fusion",
     "canonical_ratio_bounds",

@@ -29,7 +29,7 @@ from .errors import MemberCountMismatch, ParseError, SchemaVersionUnsupported
 from .fusion import AnalysisReport, ErasureCertificate, FusionFrame, _positive_weight, build_fusion_frame
 from .gallery import example_frame
 from .numerics import COMPLEX, REAL, Tolerance, _column_blocks, _read_only, quadratic_forms, sample_unit_vectors
-from .systems import FusionFrameSystem, build_system
+from .systems import FusionFrameSystem
 
 SCHEMA_VERSION = "ffk/1"
 SAMPLED_CHECK_COUNT = 64  # unit vectors per report's sampled checks
@@ -296,7 +296,7 @@ class FrameDocument:
 
     def build(self) -> tuple[FusionFrame, FusionFrameSystem | None]:
         frame = build_fusion_frame(zip([V.T for V in self.vectors], self.weights), self.dimension)
-        system = None if self.local_frames is None else build_system(frame, self.local_frames)
+        system = None if self.local_frames is None else FusionFrameSystem(frame, self.local_frames)
         return frame, system
 
 

@@ -56,6 +56,11 @@ EXHAUSTIVE_MEMBER_LIMIT = 22
 CHUNK_BYTES = 1 << 17
 
 
+def _chunk_rows(entries: int, itemsize: int) -> int:
+    """Rows per chunk of ``entries`` items of ``itemsize`` bytes each: as many as ``CHUNK_BYTES`` holds, at least one."""
+    return max(1, CHUNK_BYTES // (entries * itemsize))
+
+
 class Subspace:
     """One member's orthonormal basis: a read-only view of its block of ``FusionFrame.bases``."""
 
@@ -284,7 +289,7 @@ def redundancy_samples(frame: FusionFrame, rng: np.random.Generator, count: int)
     one-shot's rows split elsewhere (``count = 20001`` on two threads).
     """
     n, spectrum = frame.ambient_dim, frame.normalized_spectrum
-    rows = 1 << (max(1, CHUNK_BYTES // (8 * n)).bit_length() - 1)
+    rows = 1 << (_chunk_rows(n, 8).bit_length() - 1)
     values = np.empty(max(count, 0))
     starts = range(0, max(count - 1, 1), rows)  # count < 1 reaches sphere_weights, which raises before any draw
     for start, stop in zip(starts, [*starts[1:], count]):
@@ -521,7 +526,7 @@ def _exact_frames_left(frame: FusionFrame, padded: np.ndarray, J: np.ndarray) ->
     ``Y_J`` holds the columns of ``J``'s members in ``padded``, the :func:`_padded` ``T`` as ``n x N d_max``.
     """
     n, width = frame.ambient_dim, frame.dims.max()
-    rows = max(1, CHUNK_BYTES // (n * max(n, J.shape[1] * width) * padded.itemsize))
+    rows = _chunk_rows(n * max(n, J.shape[1] * width), padded.itemsize)
     left = np.empty(len(J), bool)
     for start in range(0, len(J), rows):
         Y = padded[:, _padded_columns(J[start : start + rows], width)].swapaxes(0, 1)
@@ -568,7 +573,7 @@ def _top_pass(frame: FusionFrame, c: float, label: np.ndarray, top: int) -> tupl
     ``top`` (one array, one Cholesky), up to the first chunk it does not wholly certify."""
     shifted, g = _shifted_gram(frame, c, label), label.max() + 1
     answers, width = [], len(shifted) // g
-    for J in _subset_chunks(g, top, max(1, CHUNK_BYTES // (top * width) ** 2 // shifted.itemsize)):
+    for J in _subset_chunks(g, top, _chunk_rows((top * width) ** 2, shifted.itemsize)):
         answers.append(_gram_survivors(shifted, width, J))
         if not answers[-1].all():
             break
@@ -683,10 +688,6 @@ def _exhaustive_levels(frame: FusionFrame, budget: int) -> tuple[int, int]:
     smallest, largest = np.cumsum(np.sort(dims)), np.cumsum(np.sort(dims)[::-1])
     top = min(budget, int((largest <= spare).sum()))
 
-    def rows_of(members):  # rows per chunk of blocks of that many members
-        side = members * width if c > 0.0 else n
-        return max(1, CHUNK_BYTES // (side * side * frame.synthesis.itemsize))
-
     certified = universal = 0
     first_pass = []  # level top's Gram answers on single members, when that pass ran and did not certify it
     if c > 0.0 and top >= 2:
@@ -704,7 +705,8 @@ def _exhaustive_levels(frame: FusionFrame, budget: int) -> tuple[int, int]:
         some, every = False, universal == k - 1 and largest[k - 1] <= spare
         if c > 0.0 and shifted is None:
             shifted = _shifted_gram(frame, c, members)
-        chunks, known = _subset_chunks(N, k, rows_of(k)), iter(first_pass if k == top else ())
+        rows = _chunk_rows((k * width if c > 0.0 else n) ** 2, frame.synthesis.itemsize)  # at top, _top_pass's chunks
+        chunks, known = _subset_chunks(N, k, rows), iter(first_pass if k == top else ())
         while (every or not some) and (J := next(chunks, None)) is not None:
             alive = np.zeros(len(J), bool)
             undecided = dims[J].sum(axis=1) <= spare  # rows the dimension test does not fail

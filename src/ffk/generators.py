@@ -11,7 +11,7 @@ import numpy as np
 from .errors import DimensionMismatch
 from .fusion import FusionFrame, union
 from .numerics import COMPLEX, REAL, _column_blocks, gaussian, orthonormalize
-from .systems import FusionFrameSystem, build_system
+from .systems import FusionFrameSystem
 from .vector_frames import VectorFrame
 
 
@@ -72,7 +72,7 @@ def random_tight_vector_frame(
     """A tight frame with the requested bound, by whitening a random frame."""
     base = random_vector_frame(rng, n, count)
     bound = bound if bound is not None else float(rng.uniform(0.5, 3.0))
-    return VectorFrame.from_matrix(np.sqrt(bound) * (_invsqrt_psd(base.operator) @ base.matrix))
+    return VectorFrame.from_matrix(np.sqrt(bound) * (_invsqrt_psd(base.operator) @ base.synthesis))
 
 
 def random_unitary(rng: np.random.Generator, n: int, field: str = COMPLEX) -> np.ndarray:
@@ -163,4 +163,4 @@ def random_local_vectors(
 def random_system(
     rng: np.random.Generator, frame: FusionFrame, kind: str = "orthogonal"
 ) -> FusionFrameSystem:
-    return build_system(frame, random_local_vectors(rng, frame, kind))
+    return FusionFrameSystem(frame, random_local_vectors(rng, frame, kind))

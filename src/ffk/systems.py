@@ -93,9 +93,6 @@ def _orthogonal(local: np.ndarray, tol: Tolerance) -> bool:
     return tol.negligible(np.abs(off), np.diag(gram).real.max())
 
 
-build_system = FusionFrameSystem  # the public name of the one construction path
-
-
 @dataclass(frozen=True)
 class LocalAdditivityCheck:
     """Pointwise comparison of fusion redundancy to summed local redundancies."""

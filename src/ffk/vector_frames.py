@@ -8,11 +8,11 @@ pointwise redundancy ``sum_i |<x, phi_i>|^2 / ||phi_i||^2`` at a unit
 vector ``x``, its Rayleigh quotient.  So :class:`VectorFrame` is a
 :class:`ffk.fusion.FusionFrame`, and every fusion analysis (bounds,
 redundancy range, classification, excess, erasures) applies to it
-unchanged; this module adds what only vectors have: the matrix ``Phi``,
-duals and the coefficient-norm checks.  A family that does not span
-still constructs, tagged ``is_frame`` false, and every operation that
-needs a frame refuses it with :class:`NotAFrame`.  Inner products are
-linear in the first argument: ``<x, y> = y* x``.
+unchanged; this module adds what only vectors have: their duals and the
+coefficient-norm checks.  A family that does not span still constructs,
+tagged ``is_frame`` false, and every operation here that needs a frame
+refuses it with :class:`NotAFrame`.  Inner products are linear in the
+first argument: ``<x, y> = y* x``.
 """
 
 from __future__ import annotations
@@ -22,58 +22,36 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, NotADual, NotAFrame, WrongEtaCount
-from .fusion import FusionFrame, classify, redundancy_range
-from .numerics import FrameBounds, _as_unit_vector, _as_vector_columns, _require_finite
+from .fusion import FusionFrame, redundancy_range
+from .numerics import _as_unit_vector, _as_vector_columns, _require_finite
 
 
 class VectorFrame(FusionFrame):
     """A finite family of nonzero vectors in a fixed ambient space.
 
-    Vectors are stored as the columns of ``matrix``.  Construction never
-    fails on a span deficiency: ``is_frame`` tells whether the family spans
-    the ambient space (the frame property), and the operations that need
-    a frame raise :class:`NotAFrame` when it does not.  So a family that is
-    a frame only for its own span is still a ``VectorFrame``.
+    Vectors are stored as the columns of ``synthesis``, the matrix ``Phi``.
+    Construction never fails on a span deficiency: ``is_frame`` tells
+    whether the family spans the ambient space (the frame property), and
+    the operations here that need a frame raise :class:`NotAFrame` when it
+    does not.  So a family that is a frame only for its own span is still
+    a ``VectorFrame``.
 
     As a fusion frame its ``bases`` are the unit vectors ``phi_i / ||phi_i||``,
-    its ``weights`` the norms ``||phi_i||``, every member of dimension one,
-    and its ``synthesis`` is ``matrix`` itself, so ``operator`` is
-    ``S = Phi Phi*`` and ``dual_matrix`` is ``dual_synthesis``, ``S^-1 Phi``.
-    Two canonical duals read the columns of ``dual_matrix``: the fusion frame
-    ``frame.canonical_dual`` ``{(S^-1 span phi_i, ||phi_i||)}``, and
-    :func:`canonical_dual`'s vectors ``{S^-1 phi_i}``, on the same lines.
+    its ``weights`` the norms ``||phi_i||`` and every member of dimension
+    one, so ``operator`` is ``S = Phi Phi*`` and ``dual_synthesis`` is
+    ``S^-1 Phi``.  Two canonical duals read the columns of ``dual_synthesis``:
+    the fusion frame ``frame.canonical_dual`` ``{(S^-1 span phi_i, ||phi_i||)}``,
+    and :func:`canonical_dual`'s vectors ``{S^-1 phi_i}``, on the same lines.
     """
-
-    count = FusionFrame.member_count  # member_count by its vector name
-    dual_matrix = FusionFrame.dual_synthesis  # S^-1 Phi: T = Phi
 
     def __init__(self, vectors):
         matrix, norms = _as_vector_columns(vectors)
         self._assemble(matrix / norms[None, :], norms, np.ones(len(norms), int), matrix)
-        self.matrix = self.synthesis
 
     @classmethod
     def from_matrix(cls, matrix: np.ndarray) -> "VectorFrame":
         """Build from an ``n x N`` matrix whose columns are the vectors."""
         return cls(np.asarray(matrix).T)
-
-
-@dataclass(frozen=True)
-class VectorFrameReport:
-    """Summary of a vector frame: bounds, redundancy range, and flags."""
-
-    bounds: FrameBounds
-    redundancy: tuple[float, float]
-    tight: bool
-    equal_norm: bool
-
-
-def analyze_vector_frame(frame: VectorFrame) -> VectorFrameReport:
-    """Bounds, redundancy range, tightness, and equal-norm detection: :func:`classify`'s, for a frame."""
-    if not frame.is_frame:
-        raise NotAFrame("the family does not span its ambient space")
-    r = classify(frame)
-    return VectorFrameReport(r.bounds, r.redundancy, r.tight, r.uniform_weights)
 
 
 def dual_residual(frame: VectorFrame, candidate: VectorFrame) -> float:
@@ -83,12 +61,12 @@ def dual_residual(frame: VectorFrame, candidate: VectorFrame) -> float:
     every ``x``; by linearity it suffices to test the ambient basis,
     i.e. the columns of ``I - Psi Phi*``.
     """
-    if candidate.ambient_dim != frame.ambient_dim or candidate.count != frame.count:
+    if candidate.ambient_dim != frame.ambient_dim or candidate.member_count != frame.member_count:
         raise DimensionMismatch(
-            f"candidate has shape ({candidate.ambient_dim}, {candidate.count}), "
-            f"expected ({frame.ambient_dim}, {frame.count})"
+            f"candidate has shape ({candidate.ambient_dim}, {candidate.member_count}), "
+            f"expected ({frame.ambient_dim}, {frame.member_count})"
         )
-    defect = np.eye(frame.ambient_dim) - candidate.matrix @ frame.matrix.conj().T
+    defect = np.eye(frame.ambient_dim) - candidate.synthesis @ frame.synthesis.conj().T
     return float(np.linalg.norm(defect, axis=0).max())
 
 
@@ -96,7 +74,7 @@ def canonical_dual(frame: VectorFrame) -> VectorFrame:
     """The canonical dual family S^{-1} phi_i, tagged like any :class:`VectorFrame`."""
     if not frame.is_frame:
         raise NotAFrame("only spanning families have a canonical dual")
-    return VectorFrame.from_matrix(frame.dual_matrix)
+    return VectorFrame.from_matrix(frame.dual_synthesis)
 
 
 def alternate_dual(frame: VectorFrame, eta) -> VectorFrame:
@@ -111,16 +89,16 @@ def alternate_dual(frame: VectorFrame, eta) -> VectorFrame:
     if not frame.is_frame:
         raise NotAFrame("only spanning families have duals")
     eta_list = [np.asarray(e) for e in eta]
-    if len(eta_list) != frame.count:
-        raise WrongEtaCount(f"got {len(eta_list)} perturbations for {frame.count} vectors")
+    if len(eta_list) != frame.member_count:
+        raise WrongEtaCount(f"got {len(eta_list)} perturbations for {frame.member_count} vectors")
     for i, e in enumerate(eta_list):
         if e.shape != (frame.ambient_dim,):
             raise DimensionMismatch(f"eta[{i}] has shape {e.shape}, expected ({frame.ambient_dim},)")
         _require_finite(e, f"eta[{i}]")
     H = np.stack(eta_list, axis=1)
-    if np.iscomplexobj(H) and not np.iscomplexobj(frame.matrix):
+    if np.iscomplexobj(H) and not np.iscomplexobj(frame.synthesis):
         raise DimensionMismatch("complex perturbations applied to a real frame")
-    H = H.astype(frame.matrix.dtype)
+    H = H.astype(frame.synthesis.dtype)
     Z, D = frame._synthesis_factor  # Z Z* = Phi* S^-1 Phi projects onto the range of Phi*
     return VectorFrame.from_matrix(D + H - (H @ Z) @ Z.conj().T)
 
@@ -139,8 +117,8 @@ def check_norm_inequality(frame: VectorFrame, dual: VectorFrame, x) -> tuple[flo
     v = _as_unit_vector(x, frame.ambient_dim)
     if not frame.tol.reconstructs(dual_residual(frame, dual)):
         raise NotADual("candidate fails the reconstruction identity")
-    lhs = float(np.linalg.norm(frame.dual_matrix.conj().T @ v))
-    rhs = float(np.linalg.norm(dual.matrix.conj().T @ v))
+    lhs = float(np.linalg.norm(frame.dual_synthesis.conj().T @ v))
+    rhs = float(np.linalg.norm(dual.synthesis.conj().T @ v))
     return lhs, rhs, frame.tol.within(lhs, 0.0, rhs)
 
 

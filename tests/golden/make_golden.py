@@ -1,11 +1,17 @@
 #!/usr/bin/env python3
 """Regenerate the golden CLI fixtures in this directory.
 
-Writes the input documents to ``inputs/`` and runs every golden command
-through ``ffk.cli.main`` in process, recording argv, exit code, stdout
-and stderr in ``cases.json``.  ``tests/test_golden.py`` replays the
-cases and compares the outputs structurally.  Run it against the
-sources whose outputs should become the reference:
+Writes each input document of ``inputs/`` that does not exist yet, so a
+rerun leaves ``inputs/`` byte-identical: ``scripts/cli_transcript.py``
+and CI's base-versus-head comparison read the committed canonical duals
+there, which another build of the CLI would write with other last
+digits.  Then runs every golden command through ``ffk.cli.main`` in
+process, recording argv, exit code, stdout and stderr in ``cases.json``,
+which ``tests/test_golden.py`` replays and compares structurally.  A
+rerun does rewrite ``cases.json`` with what the current CLI prints, last
+digits included; commit that only together with a decision to change
+the output schema.  Run it against the sources whose outputs should
+become the reference:
 
     PYTHONPATH=src python tests/golden/make_golden.py
 """
@@ -81,28 +87,34 @@ def _run(argv):
     return {"argv": list(argv), "exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
 
 
+def _write_new(path: str, text: str) -> None:
+    """Write an input document unless it exists."""
+    if not Path(path).exists():
+        Path(path).write_text(text, encoding="utf-8")
+
+
 def generate() -> list[dict]:
     inputs = Path("inputs")
     inputs.mkdir(exist_ok=True)
     cases = []
     for index, (name, document) in enumerate(_frames().items()):
         frame_path = str(inputs / f"{name}.json")
-        Path(frame_path).write_text(document.to_json_text(), encoding="utf-8")
+        _write_new(frame_path, document.to_json_text())
         rng = np.random.default_rng(100 + index)
         x = sample_unit_vectors(rng, document.dimension, 1, document.field)[0]
         at_path = str(inputs / f"{name}.at.json")
-        Path(at_path).write_text(canonical_json(_entries(x, document.field)), encoding="utf-8")
+        _write_new(at_path, canonical_json(_entries(x, document.field)))
         U = random_invertible(rng, document.dimension, document.field)
         operator_path = str(inputs / f"{name}.operator.json")
         rows = [_entries(row, document.field) for row in U]
-        Path(operator_path).write_text(canonical_json({"rows": rows}), encoding="utf-8")
+        _write_new(operator_path, canonical_json({"rows": rows}))
 
         cases.append(_run(["analyze", frame_path, "--seed", str(index)]))
         dual = _run(["dual", frame_path, "--canonical", "--seed", str(index), "--samples", "200"])
         cases.append(dual)
         if dual["exit"] == 0:
             dual_path = str(inputs / f"{name}.dual.json")
-            Path(dual_path).write_text(dual["stdout"], encoding="utf-8")
+            _write_new(dual_path, dual["stdout"])
             cases.append(_run(["verify-dual", frame_path, dual_path]))
         cases.append(_run(["verify-dual", frame_path, frame_path]))
         cases.append(_run(["erasure", frame_path, "--exhaustive", "--budget", "4"]))
@@ -111,7 +123,7 @@ def generate() -> list[dict]:
         cases.append(_run(["redundancy", frame_path, "--at", at_path]))
     for index, (name, document) in enumerate(_systems().items()):
         path = str(inputs / f"{name}.json")
-        Path(path).write_text(document.to_json_text(), encoding="utf-8")
+        _write_new(path, document.to_json_text())
         cases.append(_run(["system", path, "--seed", str(index), "--samples", "50"]))
         cases.append(_run(["analyze", path]))
     return cases

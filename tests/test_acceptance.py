@@ -39,11 +39,10 @@ from ffk.generators import (
     random_vector_frame,
 )
 from ffk.numerics import REAL, sample_unit_vectors
-from ffk.systems import build_system, check_local_additivity, parseval_equivalences
+from ffk.systems import FusionFrameSystem, check_local_additivity, parseval_equivalences
 from ffk.vector_frames import (
     VectorFrame,
     alternate_dual,
-    analyze_vector_frame,
     canonical_dual,
     check_norm_inequality,
     dual_redundancy_sandwich,
@@ -232,25 +231,25 @@ def test_07_vector_frame_dual_battery(scoreboard):
             bound = float(rng.uniform(0.5, 4.0))
             tight = random_tight_vector_frame(rng, bound=bound)
             dual = canonical_dual(tight)
-            assert np.abs(dual.matrix - tight.matrix / bound).max() <= 1e-10
+            assert np.abs(dual.synthesis - tight.synthesis / bound).max() <= 1e-10
 
         found = 0
         while found < 50:
             frame = random_vector_frame(rng, n=4, count=6)
-            report = analyze_vector_frame(frame)
+            report = classify(frame)
             a, b = report.bounds.lower, report.bounds.upper
             if b / a < 1.05:
                 continue
             found += 1
             for c in (1.0 / a, 1.0 / b, 2.0 / (a + b)):
-                candidate = VectorFrame.from_matrix(c * frame.matrix)
+                candidate = VectorFrame.from_matrix(c * frame.synthesis)
                 assert dual_residual(frame, candidate) > frame.tol.recon_abs
 
         for _ in range(100):
             frame = random_vector_frame(rng)
             eta = [
                 0.4 * sample_unit_vectors(rng, frame.ambient_dim, 1, frame.field)[0]
-                for _ in range(frame.count)
+                for _ in range(frame.member_count)
             ]
             dual = alternate_dual(frame, eta)
             x = sample_unit_vectors(rng, frame.ambient_dim, 1, frame.field)[0]
@@ -274,7 +273,7 @@ def test_08_system_additivity_and_parseval_consistency(scoreboard):
         slanted_frame = build_fusion_frame(
             [(np.stack([e1, e2], axis=1), 1.0), (e3[:, None], 1.0)], 3
         )
-        slanted = build_system(
+        slanted = FusionFrameSystem(
             slanted_frame, [[e1, e2, (e1 + e2) / math.sqrt(2)], [e3]]
         )
         x = np.array([1.0, 1.0, 0.0]) / math.sqrt(2)
@@ -307,8 +306,8 @@ def test_10_singleton_fusion_redundancy_matches_vector_redundancy(scoreboard):
         for _ in range(100):
             vector_frame = random_vector_frame(rng, n=int(rng.integers(2, 6)))
             spans = [
-                (vector_frame.matrix[:, i : i + 1], float(np.linalg.norm(vector_frame.matrix[:, i])))
-                for i in range(vector_frame.count)
+                (vector_frame.synthesis[:, i : i + 1], float(np.linalg.norm(vector_frame.synthesis[:, i])))
+                for i in range(vector_frame.member_count)
             ]
             fusion = build_fusion_frame(spans, vector_frame.ambient_dim)
             for x in sample_unit_vectors(rng, vector_frame.ambient_dim, 10, vector_frame.field):

@@ -13,7 +13,7 @@ from ffk.cli import main
 from ffk.documents import FrameDocument, canonical_json, emit_example
 from ffk.gallery import example_frame
 from ffk.generators import random_system
-from ffk.systems import build_system
+from ffk.systems import FusionFrameSystem
 from test_differential import near_singular_unit_weight_frame, reference_member_bases
 
 
@@ -374,7 +374,7 @@ class TestSystem:
     def test_parseval_locals_enable_equivalences(self, run, tmp_path):
         frame = example_frame("7.2", 4)
         locals_ = [list(basis.T) for basis in reference_member_bases(frame)]
-        system = build_system(frame, locals_)
+        system = FusionFrameSystem(frame, locals_)
         path = tmp_path / "system.json"
         path.write_text(
             FrameDocument.from_fusion_frame(frame, system).to_json_text(),

@@ -92,13 +92,11 @@ from ffk.numerics import (
     sphere_weights,
     symmetrize,
 )
-from ffk.systems import build_system, check_local_additivity, parseval_equivalences
+from ffk.systems import FusionFrameSystem, check_local_additivity, parseval_equivalences
 from ffk.vector_frames import (
     SandwichCheck,
     VectorFrame,
-    VectorFrameReport,
     alternate_dual,
-    analyze_vector_frame,
     canonical_dual,
     dual_redundancy_sandwich,
     dual_residual,
@@ -1087,7 +1085,7 @@ def conditioned_fusion_frame(rng, field, condition):
     ``S`` moves by at most ``0.02 / condition``, so ``B / A`` stays within 2% of ``condition``, and the
     lines are padded to the planes' two columns.
     """
-    vectors = conditioned_vector_frame(rng, field, condition).matrix
+    vectors = conditioned_vector_frame(rng, field, condition).synthesis
     n = len(vectors)
     spans = [(phi[:, None], np.linalg.norm(phi)) for phi in vectors.T]
     spans += [(random_subspace(rng, n, 2, field), math.sqrt(0.01 / condition)) for _ in range(2)]
@@ -1399,7 +1397,7 @@ def test_canonical_dual_passes_its_own_check_near_the_cutoff(seed, eta):
 def conditioned_vector_frame(rng, field, condition):
     """:func:`random_vector_frame` with its singular values replaced by a geometric run: ``B / A = condition``."""
     frame = random_vector_frame(rng, field=field)
-    U, _, Vh = np.linalg.svd(frame.matrix, full_matrices=False)
+    U, _, Vh = np.linalg.svd(frame.synthesis, full_matrices=False)
     sigma = np.geomspace(1.0, condition**-0.5, frame.ambient_dim)
     return VectorFrame.from_matrix((U * sigma) @ Vh)
 
@@ -1412,7 +1410,7 @@ def test_alternate_duals_reconstruct_up_to_the_cutoff(seed, field, decades):
     frame = conditioned_vector_frame(rng, field, 10.0**decades)
     low, high = frame._operator_range
     assert frame.is_frame and abs(math.log10(high / low) - decades) < 0.01
-    eta = list(gaussian(rng, (frame.count, frame.ambient_dim), field))
+    eta = list(gaussian(rng, (frame.member_count, frame.ambient_dim), field))
     assert frame.tol.reconstructs(dual_residual(frame, alternate_dual(frame, eta)))
 
 
@@ -1715,28 +1713,25 @@ def test_tolerance_predicates_match_the_comparisons_they_replaced(spectrum, valu
 
 
 def reference_frame_operator(frame):
-    return frame.matrix @ frame.matrix.conj().T
+    return frame.synthesis @ frame.synthesis.conj().T
 
 
 def reference_normalized_frame_operator(frame):
-    unit = frame.matrix / np.linalg.norm(frame.matrix, axis=0)[None, :]
+    unit = frame.synthesis / np.linalg.norm(frame.synthesis, axis=0)[None, :]
     return unit @ unit.conj().T
 
 
 def reference_dual_matrix(frame):
-    return solve_hermitian_positive(reference_frame_operator(frame), frame.matrix, frame.tol)
+    return solve_hermitian_positive(reference_frame_operator(frame), frame.synthesis, frame.tol)
 
 
 def reference_analysis(frame):
+    """``(bounds, redundancy, tight, equal_norm)`` of a vector frame, each from its per-call operator or norms."""
     tol = frame.tol
     low, high = hermitian_eigenrange(reference_frame_operator(frame), tol)
-    norms = np.linalg.norm(frame.matrix, axis=0)
-    return VectorFrameReport(
-        bounds=FrameBounds(low, high),
-        redundancy=hermitian_eigenrange(reference_normalized_frame_operator(frame), tol),
-        tight=tol.flat(low, high),
-        equal_norm=tol.flat(norms.min(), norms.max()),
-    )
+    norms = np.linalg.norm(frame.synthesis, axis=0)
+    redundancy = hermitian_eigenrange(reference_normalized_frame_operator(frame), tol)
+    return FrameBounds(low, high), redundancy, tol.flat(low, high), tol.flat(norms.min(), norms.max())
 
 
 def reference_sandwich(frame):
@@ -1752,9 +1747,9 @@ def reference_sandwich(frame):
 
 
 def reference_alternate_dual_matrix(frame, eta):
-    H = np.stack(eta, axis=1).astype(frame.matrix.dtype)
+    H = np.stack(eta, axis=1).astype(frame.synthesis.dtype)
     D = reference_dual_matrix(frame)
-    return D + H - H @ (frame.matrix.conj().T @ D)
+    return D + H - H @ (frame.synthesis.conj().T @ D)
 
 
 def reference_local_families(system):
@@ -1813,11 +1808,11 @@ def test_vector_frame_state_matches_the_per_call_operators(seed, field):
     operator = reference_frame_operator(frame)
     assert frame.operator.tobytes() == operator.tobytes()
     assert frame.normalized_operator.tobytes() == reference_normalized_frame_operator(frame).tobytes()
-    assert_within_conditioning(frame.dual_matrix, reference_dual_matrix(frame), frame)
+    assert_within_conditioning(frame.dual_synthesis, reference_dual_matrix(frame), frame)
     assert exact(frame._operator_range) == exact(hermitian_eigenrange(operator, frame.tol))
-    for cached in (frame.weights, frame.operator, frame.normalized_operator, frame.dual_matrix):
+    for cached in (frame.weights, frame.operator, frame.normalized_operator, frame.dual_synthesis):
         assert not cached.flags.writeable
-    assert frame.dual_matrix is frame.dual_matrix
+    assert frame.dual_synthesis is frame.dual_synthesis
 
 
 @pytest.mark.parametrize("field", [REAL, COMPLEX])
@@ -1825,15 +1820,14 @@ def test_vector_frame_state_matches_the_per_call_operators(seed, field):
 def test_vector_frame_analyses_match_the_per_call_operators(seed, field):
     rng = np.random.default_rng(seed)
     frame = random_vector_frame(rng, field=field)
-    eta = list(sample_unit_vectors(rng, frame.ambient_dim, frame.count, field) * rng.uniform(0.1, 3.0))
-    assert exact(analyze_vector_frame(frame)) == exact(reference_analysis(frame))
+    eta = list(sample_unit_vectors(rng, frame.ambient_dim, frame.member_count, field) * rng.uniform(0.1, 3.0))
     sandwich, reference = dual_redundancy_sandwich(frame), reference_sandwich(frame)
     ends = (sandwich.lower, sandwich.upper, sandwich.holds)
     assert exact(ends) == exact((reference.lower, reference.upper, reference.holds))
     for ratio, want in ((sandwich.ratio_minus, reference.ratio_minus), (sandwich.ratio_plus, reference.ratio_plus)):
         assert_within_conditioning(ratio, want, frame)
-    assert_within_conditioning(canonical_dual(frame).matrix, reference_dual_matrix(frame), frame)
-    assert_within_conditioning(alternate_dual(frame, eta).matrix, reference_alternate_dual_matrix(frame, eta), frame)
+    assert_within_conditioning(canonical_dual(frame).synthesis, reference_dual_matrix(frame), frame)
+    assert_within_conditioning(alternate_dual(frame, eta).synthesis, reference_alternate_dual_matrix(frame, eta), frame)
 
 
 @pytest.mark.parametrize("field", [REAL, COMPLEX])
@@ -1841,11 +1835,11 @@ def test_vector_frame_analyses_match_the_per_call_operators(seed, field):
 def test_fusion_analyses_of_a_vector_frame_are_its_vector_analyses(seed, field):
     """A vector frame is the fusion frame of its lines weighted by the norms: the fusion analyses apply as they stand."""
     frame = random_vector_frame(np.random.default_rng(seed), field=field)
-    report, reference = classify(frame), reference_analysis(frame)
-    assert exact((report.bounds, report.redundancy)) == exact((reference.bounds, reference.redundancy))
-    assert report.uniform_weights == reference.equal_norm
-    assert excess(frame) == frame.count - frame.ambient_dim
-    lines = build_fusion_frame([(phi[:, None], np.linalg.norm(phi)) for phi in frame.matrix.T], frame.ambient_dim)
+    report = classify(frame)  # a vector frame's weights are its norms: uniform_weights is equal_norm
+    fields = (report.bounds, report.redundancy, report.tight, report.uniform_weights)
+    assert exact(fields) == exact(reference_analysis(frame))
+    assert excess(frame) == frame.member_count - frame.ambient_dim
+    lines = build_fusion_frame([(phi[:, None], np.linalg.norm(phi)) for phi in frame.synthesis.T], frame.ambient_dim)
     assert erasure_certificate(frame, 2) == erasure_certificate(lines, 2)
 
 
@@ -1856,7 +1850,7 @@ def test_system_local_flags_match_the_per_check_tests(kind, scale):
         rng = np.random.default_rng(seed)
         frame = random_fusion_frame(rng, n=4)
         families = [[scale * v for v in vs] for vs in random_local_vectors(rng, frame, kind)]
-        system = build_system(frame, families)
+        system = FusionFrameSystem(frame, families)
         assert system.orthogonal_locals == reference_locals_orthogonal(system), seed
         try:
             parseval_equivalences(system)

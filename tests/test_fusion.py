@@ -542,7 +542,7 @@ class TestOperatorImages:
     def test_canonical_dual_lines_are_the_image_under_the_inverse_operator(self, seed):
         """``dual_redundancy_sandwich`` is ``operator_image_report`` on the frame's lines with ``U = S^-1``."""
         vectors = random_vector_frame(np.random.default_rng(seed))
-        lines = build_fusion_frame([(column[:, None], 1.0) for column in vectors.matrix.T], vectors.ambient_dim)
+        lines = build_fusion_frame([(column[:, None], 1.0) for column in vectors.synthesis.T], vectors.ambient_dim)
         report = operator_image_report(lines, np.linalg.inv(vectors.operator))
         check = dual_redundancy_sandwich(vectors)
         assert report.condition == pytest.approx(check.upper**0.5, rel=1e-9)

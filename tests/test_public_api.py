@@ -14,6 +14,28 @@ def test_every_exported_name_resolves():
     assert [name for name in ffk.__all__ if not hasattr(ffk, name)] == []
 
 
+def test_no_two_exported_names_are_one_object():
+    """Each exported thing has one public name."""
+    names = {}
+    for name in ffk.__all__:
+        names.setdefault(id(getattr(ffk, name)), []).append(name)
+    assert [aliases for aliases in names.values() if len(aliases) > 1] == []
+
+
+def test_no_vector_frame_attribute_is_a_fusion_frame_attribute_under_another_name():
+    """``VectorFrame`` reads its fusion frame's attributes by their own names: no class alias, no second array."""
+    fusion = {id(value): name for name, value in vars(ffk.FusionFrame).items()}
+    aliases = [(name, fusion.get(id(value), name)) for name, value in vars(ffk.VectorFrame).items()]
+    aliases = [pair for pair in aliases if pair[0] != pair[1]]
+    frame = ffk.VectorFrame.from_matrix(np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]]))
+    frame.dual_synthesis, frame.normalized_operator  # cached arrays too
+    arrays = {}
+    for name, value in vars(frame).items():
+        if isinstance(value, np.ndarray):
+            arrays.setdefault(id(value), []).append(name)
+    assert aliases + [tuple(names) for names in arrays.values() if len(names) > 1] == []
+
+
 def test_star_import_succeeds():
     namespace = {}
     exec("from ffk import *", namespace)
@@ -85,7 +107,7 @@ def test_every_frame_has_the_package_tolerance():
         ffk.erase(frame, [0])[0],
         ffk.canonical_dual_fusion(frame),
         ffk.apply_operator(frame, 2.0 * e),
-        ffk.build_system(frame, [[e[0], e[1]], [e[1], e[2]]]).frame,
+        ffk.FusionFrameSystem(frame, [[e[0], e[1]], [e[1], e[2]]]).frame,
         vectors,
         ffk.canonical_dual(vectors),
         ffk.alternate_dual(vectors, 0.1 * np.arange(6.0).reshape(3, 2)),

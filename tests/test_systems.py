@@ -25,7 +25,6 @@ from ffk.generators import (
 from ffk.numerics import COMPLEX, sample_unit_vectors
 from ffk.systems import (
     FusionFrameSystem,
-    build_system,
     check_local_additivity,
     parseval_equivalences,
     redundancy_one_equivalence,
@@ -47,13 +46,13 @@ def overcomplete_plane_system():
         [(np.stack([e1, e2], axis=1), 1.0), (e3[:, None], 1.0)], 3
     )
     locals_ = [[e1, e2, (e1 + e2) / math.sqrt(2)], [e3]]
-    return build_system(frame, locals_)
+    return FusionFrameSystem(frame, locals_)
 
 
 class TestConstruction:
     def test_happy_path(self):
         frame = example_frame("7.2", 3)
-        system = build_system(frame, basis_locals(frame))
+        system = FusionFrameSystem(frame, basis_locals(frame))
         assert system.local_offsets.tolist() == [0, *np.cumsum(frame.dims)]
         assert system.local_synthesis.tobytes() == frame.bases.tobytes()
         assert system.local_norms.tolist() == [1.0] * frame.ambient_dim
@@ -61,14 +60,14 @@ class TestConstruction:
     def test_wrong_local_count(self):
         frame = example_frame("7.2", 3)
         with pytest.raises(MemberCountMismatch):
-            build_system(frame, basis_locals(frame)[:-1])
+            FusionFrameSystem(frame, basis_locals(frame)[:-1])
 
     def test_local_vector_outside_subspace(self):
         frame = example_frame("7.2", 3)
         locals_ = basis_locals(frame)
         locals_[0] = [np.array([0.0, 1.0, 0.0])]  # second axis claimed for the first
         with pytest.raises(VectorOutsideSubspace):
-            build_system(frame, locals_)
+            FusionFrameSystem(frame, locals_)
 
     def test_local_family_must_span_its_subspace(self):
         e1 = np.array([1.0, 0.0, 0.0])
@@ -78,7 +77,7 @@ class TestConstruction:
             [(np.stack([e1, e2], axis=1), 1.0), (e3[:, None], 1.0)], 3
         )
         with pytest.raises(LocalNotAFrame):
-            build_system(frame, [[e1], [e3]])
+            FusionFrameSystem(frame, [[e1], [e3]])
 
     def test_local_in_wrong_ambient_dimension(self):
         frame = example_frame("7.2", 3)
@@ -89,19 +88,19 @@ class TestConstruction:
     def test_complex_local_family_in_a_real_frame_is_refused(self):
         frame = example_frame("7.2", 2)
         with pytest.raises(DimensionMismatch, match="local family 0 is complex in a real frame"):
-            build_system(frame, [[np.array([1j, 0])], [np.array([0, 1.0])]])
+            FusionFrameSystem(frame, [[np.array([1j, 0])], [np.array([0, 1.0])]])
 
     def test_real_local_family_in_a_complex_frame_takes_its_dtype(self):
         e1, e2 = np.eye(2)
         frame = build_fusion_frame([(e1[:, None] * 1j, 1.0), (e2[:, None] + 0j, 1.0)], 2)
-        system = build_system(frame, [[e1], [1j * e2]])
+        system = FusionFrameSystem(frame, [[e1], [1j * e2]])
         assert system.local_synthesis.dtype == np.complex128
         assert parseval_equivalences(system).consistent
 
     def test_zero_local_vector_names_its_family(self):
         frame = example_frame("7.2", 2)
         with pytest.raises(ZeroVector, match="^local family 1: vector 1 has numerically zero norm$"):
-            build_system(frame, [[np.array([1.0, 0.0])], [np.array([0.0, 1.0]), np.zeros(2)]])
+            FusionFrameSystem(frame, [[np.array([1.0, 0.0])], [np.array([0.0, 1.0]), np.zeros(2)]])
 
 
 class TestLocalAdditivity:
@@ -119,7 +118,7 @@ class TestLocalAdditivity:
         """Orthogonality of the local family suffices; norms are irrelevant."""
         frame = random_orthogonal_decomposition(rng, 5, parts=2)
         scaled = [list(3.0 * basis.T) for basis in reference_member_bases(frame)]
-        system = build_system(frame, scaled)
+        system = FusionFrameSystem(frame, scaled)
         x = sample_unit_vectors(rng, 5, 1, frame.field)[0]
         check = check_local_additivity(system, x)
         assert check.orthogonal_locals and check.equal
@@ -135,7 +134,7 @@ class TestLocalAdditivity:
             x = sample_unit_vectors(rng, 4, 1, frame.field)[0]
             flags = []
             for factor in (1.0, scale):
-                check = check_local_additivity(build_system(frame, [[factor * v for v in vs] for vs in locals_]), x)
+                check = check_local_additivity(FusionFrameSystem(frame, [[factor * v for v in vs] for vs in locals_]), x)
                 flags.append((check.orthogonal_locals, check.equal))
             assert flags[0] == flags[1], seed
             assert flags[0][0] == (kind == "orthogonal")
@@ -172,7 +171,7 @@ class TestLocalAdditivity:
 class TestParsevalEquivalences:
     def test_weighted_coordinate_family_is_consistently_non_parseval(self):
         frame = example_frame("7.3")
-        system = build_system(frame, basis_locals(frame))
+        system = FusionFrameSystem(frame, basis_locals(frame))
         check = parseval_equivalences(system)
         assert not check.global_parseval
         assert not check.fusion_parseval
@@ -180,7 +179,7 @@ class TestParsevalEquivalences:
 
     def test_parseval_fusion_frame_flattens_to_parseval(self, rng):
         frame = random_parseval_fusion_frame(rng, n=5, layers=2)
-        system = build_system(frame, basis_locals(frame))
+        system = FusionFrameSystem(frame, basis_locals(frame))
         check = parseval_equivalences(system)
         assert check.global_parseval
         assert check.fusion_parseval
@@ -190,7 +189,7 @@ class TestParsevalEquivalences:
         """Spectrum [1 - 8e-10, 1 + 8e-10]: within eig_rel of 1 but not flat, so not Parseval."""
         e1, e2 = np.eye(2)
         frame = build_fusion_frame([(e1[:, None], 0.9999999996), (e2[:, None], 1.0000000004)], 2)
-        check = parseval_equivalences(build_system(frame, [[e1], [e2]]))
+        check = parseval_equivalences(FusionFrameSystem(frame, [[e1], [e2]]))
         assert (check.global_parseval, check.fusion_parseval, check.consistent) == (False, False, True)
 
     def test_parseval_locals_required(self, rng):
@@ -213,7 +212,7 @@ class TestParsevalEquivalences:
     def test_no_kernel_dimension_after_construction(self, rng, monkeypatch):
         # The fusion Parseval flag needs the frame's stored spectrum only, not its excess.
         frame = random_parseval_fusion_frame(rng, n=5, layers=2)
-        system = build_system(frame, basis_locals(frame))
+        system = FusionFrameSystem(frame, basis_locals(frame))
         calls = []
         for module in (fusion, systems):
             real = module.kernel_dimension
@@ -225,7 +224,7 @@ class TestParsevalEquivalences:
 class TestRedundancyOneEquivalence:
     def test_orthonormal_fusion_basis(self, rng):
         frame = random_orthogonal_decomposition(rng, 5, parts=3)
-        system = build_system(frame, basis_locals(frame))
+        system = FusionFrameSystem(frame, basis_locals(frame))
         check = redundancy_one_equivalence(system)
         assert check.flat_parseval
         assert check.fusion_redundancy_one
@@ -233,7 +232,7 @@ class TestRedundancyOneEquivalence:
 
     def test_doubled_lines_are_consistently_overcomplete(self):
         frame = example_frame("7.1-V", 4)
-        system = build_system(frame, basis_locals(frame))
+        system = FusionFrameSystem(frame, basis_locals(frame))
         check = redundancy_one_equivalence(system)
         assert not check.flat_parseval
         assert not check.fusion_redundancy_one
@@ -241,14 +240,14 @@ class TestRedundancyOneEquivalence:
 
     def test_weighted_family_rejected(self):
         frame = example_frame("7.3")
-        system = build_system(frame, basis_locals(frame))
+        system = FusionFrameSystem(frame, basis_locals(frame))
         with pytest.raises(NotUniformWeights):
             redundancy_one_equivalence(system)
 
     def test_non_parseval_locals_rejected(self, rng):
         frame = random_orthogonal_decomposition(rng, 4, parts=2)
         scaled = [list(2.0 * basis.T) for basis in reference_member_bases(frame)]
-        system = build_system(frame, scaled)
+        system = FusionFrameSystem(frame, scaled)
         with pytest.raises(LocalNotParseval):
             redundancy_one_equivalence(system)
 

@@ -11,17 +11,17 @@ from ffk.errors import (
     NonFiniteEntries,
     NotADual,
     NotAFrame,
+    NotAFusionFrame,
     NotUnitVector,
     WrongEtaCount,
     ZeroVector,
 )
-from ffk.fusion import FusionFrame, erase, redundancy_at, redundancy_range, union
+from ffk.fusion import FusionFrame, classify, erase, frame_bounds, redundancy_at, redundancy_range, union
 from ffk.generators import random_tight_vector_frame, random_vector_frame
 from ffk.numerics import COMPLEX, REAL, sample_unit_vectors
 from ffk.vector_frames import (
     VectorFrame,
     alternate_dual,
-    analyze_vector_frame,
     canonical_dual,
     check_norm_inequality,
     dual_redundancy_sandwich,
@@ -40,20 +40,20 @@ class TestConstruction:
     def test_columns_and_counts(self):
         frame = VectorFrame(MERCEDES)
         assert frame.ambient_dim == 2
-        assert frame.count == 3
+        assert frame.member_count == 3
         assert frame.field == REAL
-        assert np.allclose(frame.matrix[:, 0], MERCEDES[0])
+        assert np.allclose(frame.synthesis[:, 0], MERCEDES[0])
 
     def test_matrix_is_read_only(self):
         frame = VectorFrame(MERCEDES)
         with pytest.raises(ValueError):
-            frame.matrix[0, 0] = 7.0
+            frame.synthesis[0, 0] = 7.0
 
     def test_from_matrix_transposes(self):
         m = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
         frame = VectorFrame.from_matrix(m)
-        assert frame.count == 3
-        assert np.allclose(frame.matrix, m)
+        assert frame.member_count == 3
+        assert np.allclose(frame.synthesis, m)
 
     def test_zero_vector_rejected(self):
         with pytest.raises(ZeroVector):
@@ -73,22 +73,25 @@ class TestConstruction:
 
     def test_is_the_fusion_frame_of_its_lines(self, rng):
         frame = random_vector_frame(rng, n=4, count=7)
-        assert isinstance(frame, FusionFrame) and frame.dims.tolist() == [1] * frame.count
+        assert isinstance(frame, FusionFrame) and frame.dims.tolist() == [1] * frame.member_count
         lines = reference_member_bases(frame)
         assert frame.tol.near(sum(projection(line) for line in lines), frame.normalized_operator)
         remaining, _ = erase(frame, [0])
-        assert remaining.member_count == frame.count - 1
-        assert union(frame, frame).member_count == 2 * frame.count
+        assert remaining.member_count == frame.member_count - 1
+        assert union(frame, frame).member_count == 2 * frame.member_count
         document = FrameDocument.from_fusion_frame(frame)
-        assert (document.field, document.dimension, len(document.vectors)) == (frame.field, 4, frame.count)
+        assert (document.field, document.dimension, len(document.vectors)) == (frame.field, 4, frame.member_count)
 
     def test_non_spanning_family_is_tagged_and_refused_by_frame_operations(self):
         frame = VectorFrame([np.array([1.0, 0.0]), np.array([2.0, 0.0])])
         assert not frame.is_frame
         assert redundancy_at(frame, np.array([0.6, 0.8])) == pytest.approx(0.72, abs=1e-12)
         assert redundancy_range(frame) == pytest.approx((0.0, 2.0), abs=1e-12)
+        report = classify(frame)
+        assert report.bessel_only and report.bounds.lower is None and not report.tight
+        with pytest.raises(NotAFusionFrame):
+            frame_bounds(frame)
         operations = [
-            analyze_vector_frame,
             canonical_dual,
             lambda f: alternate_dual(f, [np.zeros(2)] * 2),
             lambda f: check_norm_inequality(f, f, np.array([1.0, 0.0])),
@@ -129,7 +132,7 @@ class TestOperatorsAndRedundancy:
         for _ in range(20):
             frame = random_vector_frame(rng)
             for x in sample_unit_vectors(rng, frame.ambient_dim, 10, frame.field):
-                assert frame.tol.near(reference_vector_redundancy(frame.matrix, x), redundancy_at(frame, x))
+                assert frame.tol.near(reference_vector_redundancy(frame.synthesis, x), redundancy_at(frame, x))
 
     def test_redundancy_needs_unit_vector(self):
         frame = VectorFrame(MERCEDES)
@@ -140,7 +143,7 @@ class TestOperatorsAndRedundancy:
         for _ in range(20):
             frame = random_vector_frame(rng)
             low, high = redundancy_range(frame)
-            mean = frame.count / frame.ambient_dim
+            mean = frame.member_count / frame.ambient_dim
             assert low <= mean + 1e-9
             assert high >= mean - 1e-9
 
@@ -149,13 +152,13 @@ class TestOperatorsAndRedundancy:
         calls = []
         eigvalsh = np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda *a: calls.append(a) or eigvalsh(*a))
-        analyze_vector_frame(frame)
+        classify(frame)
         assert len(calls) == 1  # the normalized operator's; S's was taken at construction
 
-    def test_analyze_mercedes(self):
-        report = analyze_vector_frame(VectorFrame(MERCEDES))
+    def test_classify_mercedes(self):
+        report = classify(VectorFrame(MERCEDES))
         assert report.tight
-        assert report.equal_norm
+        assert report.uniform_weights
         assert report.bounds.lower == pytest.approx(1.5, abs=1e-12)
         assert report.bounds.upper == pytest.approx(1.5, abs=1e-12)
 
@@ -164,7 +167,7 @@ class TestCanonicalDual:
     def test_mercedes_dual_is_two_thirds_of_frame(self):
         frame = VectorFrame(MERCEDES)
         dual = canonical_dual(frame)
-        assert np.allclose(dual.matrix, frame.matrix * (2.0 / 3.0), atol=1e-12)
+        assert np.allclose(dual.synthesis, frame.synthesis * (2.0 / 3.0), atol=1e-12)
 
     def test_reconstruction_identity(self, rng):
         for _ in range(25):
@@ -182,17 +185,17 @@ class TestCanonicalDual:
         for _ in range(10):
             frame = random_tight_vector_frame(rng, bound=2.5)
             dual = canonical_dual(frame)
-            assert np.allclose(dual.matrix, frame.matrix / 2.5, atol=1e-10)
+            assert np.allclose(dual.synthesis, frame.synthesis / 2.5, atol=1e-10)
 
     def test_no_scalar_multiple_is_dual_when_not_tight(self, rng):
         for _ in range(10):
             frame = random_vector_frame(rng, n=4, count=6)
-            report = analyze_vector_frame(frame)
+            report = classify(frame)
             a, b = report.bounds.lower, report.bounds.upper
             if b / a < 1.05:
                 continue
             for c in (1.0 / a, 1.0 / b, 2.0 / (a + b)):
-                candidate = VectorFrame.from_matrix(c * frame.matrix)
+                candidate = VectorFrame.from_matrix(c * frame.synthesis)
                 assert dual_residual(frame, candidate) > 1e-6
 
     def test_both_canonical_duals_read_the_same_columns(self, rng, monkeypatch):
@@ -204,12 +207,12 @@ class TestCanonicalDual:
         lines, vectors = frame.canonical_dual, canonical_dual(frame)
         assert type(lines) is FusionFrame and type(vectors) is VectorFrame
         assert np.array_equal(lines.weights, frame.weights)
-        assert np.array_equal(vectors.matrix, frame.dual_matrix)
+        assert np.array_equal(vectors.synthesis, frame.dual_synthesis)
         for member, line in zip(reference_member_bases(lines), reference_member_bases(vectors)):
             gap = projection(member) - projection(line)
             assert np.linalg.norm(gap, 2) <= 1e-12
         assert verify_alternate_dual(frame, lines).is_dual
-        assert frame.tol.reconstructs(dual_residual(frame, alternate_dual(frame, list(frame.matrix.T))))
+        assert frame.tol.reconstructs(dual_residual(frame, alternate_dual(frame, list(frame.synthesis.T))))
         assert len(calls) == 1
 
 
@@ -218,14 +221,14 @@ class TestAlternateDual:
         frame = random_vector_frame(rng, n=3, count=5, field=COMPLEX)
         zeros = [np.zeros(3, dtype=complex)] * 5
         dual = alternate_dual(frame, zeros)
-        assert np.allclose(dual.matrix, canonical_dual(frame).matrix, atol=1e-12)
+        assert np.allclose(dual.synthesis, canonical_dual(frame).synthesis, atol=1e-12)
 
     def test_random_perturbations_stay_dual(self, rng):
         for _ in range(25):
             frame = random_vector_frame(rng)
             eta = [
                 sample_unit_vectors(rng, frame.ambient_dim, 1, frame.field)[0]
-                for _ in range(frame.count)
+                for _ in range(frame.member_count)
             ]
             dual = alternate_dual(frame, eta)
             assert dual_residual(frame, dual) <= 1e-8
@@ -247,7 +250,7 @@ class TestNormInequality:
             frame = random_vector_frame(rng)
             eta = [
                 0.5 * sample_unit_vectors(rng, frame.ambient_dim, 1, frame.field)[0]
-                for _ in range(frame.count)
+                for _ in range(frame.member_count)
             ]
             dual = alternate_dual(frame, eta)
             x = sample_unit_vectors(rng, frame.ambient_dim, 1, frame.field)[0]
@@ -275,7 +278,7 @@ class TestNormInequality:
         scale = 1e-8
         for seed in range(200):
             rng = np.random.default_rng(seed)
-            frame = VectorFrame.from_matrix(random_vector_frame(rng, 4, 6, COMPLEX).matrix * scale)
+            frame = VectorFrame.from_matrix(random_vector_frame(rng, 4, 6, COMPLEX).synthesis * scale)
             eta = [(rng.normal(size=4) + 1j * rng.normal(size=4)) * (1e-9 / scale) for _ in range(6)]
             dual = alternate_dual(frame, eta)
             x = sample_unit_vectors(rng, 4, 1, COMPLEX)[0]
@@ -283,7 +286,7 @@ class TestNormInequality:
 
     def test_one_factorization_for_many_points(self, rng, monkeypatch):
         frame = random_vector_frame(rng, n=4, count=7)
-        dual = VectorFrame.from_matrix(np.linalg.solve(frame.matrix @ frame.matrix.conj().T, frame.matrix))
+        dual = VectorFrame.from_matrix(np.linalg.solve(frame.synthesis @ frame.synthesis.conj().T, frame.synthesis))
         calls, qr = [], np.linalg.qr
         monkeypatch.setattr(np.linalg, "qr", lambda *args, **kwargs: calls.append(args) or qr(*args, **kwargs))
         for x in sample_unit_vectors(rng, 4, 10, frame.field):
@@ -361,7 +364,7 @@ def test_redundancy_range_brackets_every_sample(n, extra, seed):
 def test_alternate_duals_reconstruct(n, seed):
     gen = np.random.default_rng(seed)
     frame = random_vector_frame(gen, n=n)
-    eta = [gen.normal(size=n) for _ in range(frame.count)]
+    eta = [gen.normal(size=n) for _ in range(frame.member_count)]
     if frame.field == COMPLEX:
         eta = [e + 1j * gen.normal(size=n) for e in eta]
     dual = alternate_dual(frame, eta)
