@@ -411,7 +411,8 @@ class ErasureCertificate:
     ``mode``         "exhaustive" (every subset decided) or "greedy" (one
                      removal path per level: ``certified`` is still a sound
                      witness-backed count, but may be an undercount, and
-                     ``universal`` is only an upper-bound estimate)
+                     ``universal`` a sound upper bound, witnessed below the
+                     budget by the weakest path's failing removal)
     """
 
     budget: int
@@ -728,18 +729,19 @@ def _exhaustive_levels(frame: FusionFrame, budget: int) -> tuple[int, int]:
     return certified, universal
 
 
-def _secular_bracket(C: np.ndarray, lam: np.ndarray, delta: float) -> tuple[float, float] | None:
+def _secular_bracket(C: np.ndarray, lam: np.ndarray, delta: float, start: float) -> tuple[float, float] | None:
     """Test points ``lo < hi <= lam_1``, ``hi - lo <= delta``, with ``g(lo) < 1 <= g(hi)``, or ``None``.
 
     ``g(beta) = lambda_max(C* (lam - beta)^-1 C)``; ``hi = lam_1`` stands
     for the interlacing end.  Newton steps on ``1 - 1/g`` start from
-    ``lam_1 - max(|c_1|^2, delta)``; once a step from a point with
-    ``g >= 1`` is below ``delta``, the next test is ``delta`` below that
-    point, and a step that leaves ``(lo, hi)`` is replaced by bisection.
+    ``lam_1 - max(|c_1|^2, delta)`` or from ``start``, whichever is lower;
+    once a step from a point with ``g >= 1`` (``g < 1``) is below
+    ``delta``, the next test is ``delta`` below (above) that point, and a
+    step that leaves ``(lo, hi)`` is replaced by bisection.
     """
     Ch = C.conj().T
     lo, hi = -np.inf, lam[0]
-    x = lam[0] - max(np.vdot(C[0], C[0]).real, delta)
+    x = min(lam[0] - max(np.vdot(C[0], C[0]).real, delta), start)
     for _ in range(64):
         w, V = np.linalg.eigh((Ch / (lam - x)) @ C)
         g = w[-1]
@@ -753,6 +755,8 @@ def _secular_bracket(C: np.ndarray, lam: np.ndarray, delta: float) -> tuple[floa
         x -= g * (g - 1.0) / np.vdot(y, y).real  # Newton on 1 - 1/g
         if g >= 1.0 and hi - x < delta:
             x = hi - delta
+        elif g < 1.0 and x - lo < delta:
+            x = lo + delta
         if not lo < x < hi:
             x = hi - delta if lo == -np.inf else (lo + hi) / 2.0
     return None
@@ -766,37 +770,49 @@ def _greedy_levels(frame: FusionFrame, budget: int) -> tuple[int, int]:
     lowest index: member ``i``'s value ``x_i`` is the ``eigvalsh`` minimum
     of ``rest - T_i T_i*`` (``T_i = v_i Q_i``, its synthesis columns; ``rest
     = S - sum_{p in path} T_p T_p*``) that the full per-member loop compares.
-    Per level, ``R = U diag(lam) U*`` is the symmetrized rest (one
-    ``eigh``, shared by both paths at level 1) and ``C_i = U* T_i``; for
-    ``beta < lam_1``, ``lambda_min(R - T_i T_i*) > beta`` iff
-    ``g_i(beta) = lambda_max(C_i* (lam - beta)^-1 C_i) < 1`` (Schur
-    complement; ``g_i(beta) = 1`` is the low-rank secular equation of
-    Golub, 1973).  With ``s = max|lam|``, ``v_i^2 <= s`` and LAPACK
-    backward errors ``p(n) eps`` (``p <= n^2``), the errors are: ``eigh``,
-    ``(5p + 5n^2 + 4n) eps s`` on the matrix the test decides; the test, a
-    relative ``rho <= (2 (n+4) d + p(d)) eps`` on ``lambda_max`` (its
+    Tests read the last decomposition ``R_0 = U diag(lam) U*`` of the
+    symmetrized rest (one ``eigh``, shared by both paths at level 1), the
+    columns ``C_i = U* T_i`` and those of the picks since then, ``Z = U*
+    W``, ``W`` their synthesis columns (``rest = R_0 - W W*``, ``w``
+    columns); for ``beta < lam_1``, ``lambda_min(R_0 - W W* - T_i T_i*) >
+    beta`` iff ``g_i(beta) = lambda_max(Y_i* (lam - beta)^-1 Y_i) < 1``,
+    ``Y_i = [Z C_i]`` (Schur complement; ``g_i(beta) = 1`` is the low-rank
+    secular equation of Golub, 1973).  A level decomposes ``rest`` afresh
+    when ``w + d_max > n // 8``, so below ``n = 16`` every level does, with
+    ``w = 0``; otherwise ``r = w + d_i <= n // 8``, and ``r <= n`` always.
+    With ``s = max|lam|``, ``[W T_i][W T_i]* <= R_0`` (what is left is a
+    sum of member terms), so ``|Y_i|^2 <= s``, and LAPACK backward errors
+    ``p(n) eps`` (``p <= n^2``), the errors are: ``eigh``, ``(5p + 5n^2 +
+    4n) eps s`` on the matrix the test decides, the departure of ``U``
+    from orthogonality on all ``r`` columns of ``Y_i`` included; the test,
+    a relative ``rho <= (2 (n+4) r + p(r)) eps`` on ``lambda_max`` (its
     weights ``1/(lam_k - beta)`` are positive), as if ``lam - beta`` moved
-    by ``2.1 rho s``; forming ``rest - T_i T_i*``, ``(d^2 + sqrt(n) + 1) eps
-    s``; the exact ``eigvalsh``, ``(p + 2 sqrt(n)) eps s``.  Their sum is
-    below ``19 (n+1)^2 eps s < delta = 32 (n+1)^2 eps s``.  So
-    a test at ``beta < lam_1`` that finds ``g_i >= 1`` gives
-    ``x_i < beta + delta``, one that finds ``g_i < 1`` gives
-    ``x_i > beta - delta``, and interlacing gives ``x_i < lam_1 + delta``.
+    by ``2.1 rho s``; forming ``rest - T_i T_i*`` from ``R_0`` by ``q + 1``
+    subtractions, ``q <= w`` the picks since the decomposition, ``(r^2 +
+    (q + 1)(sqrt(n) + 1)) eps s``; the exact ``eigvalsh``, ``(p + 2
+    sqrt(n)) eps s``.  With ``r <= n`` at ``q = 0`` and ``r, q <= n/8``
+    otherwise, their sum is below ``19 (n+1)^2 eps s < delta = 32 (n+1)^2
+    eps s``.  So a test at ``beta < lam_1`` that finds ``g_i >= 1`` gives
+    ``x_i < beta + delta``, one that finds ``g_i < 1`` gives ``x_i > beta -
+    delta``, and interlacing gives ``x_i < lam_1 + delta``.
 
     Brackets: ``1/g_i`` is concave below ``lam_1`` (a minimum over unit
-    ``u`` of parallel sums of the affine ``(lam_k - beta) / |(C_i u)_k|^2``),
-    so Newton on ``1 - 1/g_i`` from ``lam_1 - |c_{i,1}|^2`` (at least
+    ``u`` of parallel sums of the affine ``(lam_k - beta) / |(Y_i u)_k|^2``),
+    so Newton on ``1 - 1/g_i`` from ``lam_1 - |y_{i,1}|^2`` (at least
     ``delta`` below ``lam_1``), where ``g_i >= 1``, descends to the root
-    from above.  Test points ``lo < hi``, ``hi - lo <= delta``, with
-    ``g_i(lo) < 1 <= g_i(hi)`` (:func:`_secular_bracket`) put ``x_i`` in
-    ``(lo - delta, hi + delta)``; if 64 tests do not close a bracket,
-    ``x_i`` is evaluated exactly.  Members are taken front-runner first
-    (the least or most weight on the bottom eigenvector, then the smallest
-    or largest ``g``).  Each front-runner is bracketed, and one batched
-    test at ``beta = bound -/+ delta``, ``bound`` the best certified end so
-    far (the largest lower or the smallest upper end), drops every member
-    it puts below (above) ``bound``, which bounds that member's ``x_i`` on
-    that side.  Once every member is bracketed or dropped, the best end's
+    from above; it starts lower at the last pick's certified upper end,
+    above ``x_i`` but for roundoff, since ``x_i <= lambda_min(rest)``.  Test
+    points ``lo < hi``, ``hi - lo <= delta``, with ``g_i(lo) < 1 <=
+    g_i(hi)`` (:func:`_secular_bracket`) put ``x_i`` in ``(lo - delta, hi
+    + delta)``; if 64 tests do not close a bracket, ``x_i`` is evaluated
+    exactly.  Members are taken front-runner first (the least or most
+    weight on ``U``'s first column, then the smallest or largest ``g``).
+    Each front-runner is bracketed, and one batched test at ``beta = bound
+    -/+ delta``, ``bound`` the best certified end so far (the largest lower
+    or the smallest upper end), drops every member it puts below (above)
+    ``bound``, which bounds that member's ``x_i`` on that side; its
+    matrices share the blocks ``Z* D Z`` and ``Z* D C_i``, ``D = (lam -
+    beta)^-1``.  Once every member is bracketed or dropped, the best end's
     member is the pick unless another interval reaches that end; then the
     members whose intervals reach it are evaluated exactly, and the best
     value wins, ties to the lowest index.  Every other member's ``x_i`` is
@@ -805,17 +821,19 @@ def _greedy_levels(frame: FusionFrame, budget: int) -> tuple[int, int]:
     Frames left: the full loop then decides ``spans`` on ``rest - T_p
     T_p*``, the next level's ``rest``, whose ``eigvalsh`` ``low`` is ``x_p``
     itself.  Its ``high`` is below ``lam_n + delta`` and, by interlacing
-    (``T_p T_p*`` has rank ``d_p <= d_max``), above ``lam_{n - d_max} -
-    delta``: the ``eigh`` and ``eigvalsh`` errors and forming it stay below
-    ``delta``.  So a certified lower end ``L > floor(lam_n + delta)`` passes
-    the pick; upper ends ``U <= floor(lam_{n - d_max} - delta)`` on every
-    member that reaches the best end stop the path there, whichever of them
-    the full loop picks; otherwise :func:`_frames_left` decides.
+    (it is ``R_0`` less ``[W T_p][W T_p]*``, of rank ``w + d_p <= w +
+    d_max``), above ``lam_{n - w - d_max} - delta``: the ``eigh`` and
+    ``eigvalsh`` errors and forming it stay below ``delta``.  So a
+    certified lower end ``L > floor(lam_n + delta)`` passes the pick; upper
+    ends ``U <= floor(lam_{n - w - d_max} - delta)`` on every member that
+    reaches the best end stop the path there, whichever of them the full
+    loop picks; otherwise :func:`_frames_left` decides.
 
-    Memory and time: each pick updates ``rest`` by one ``n x d_p`` product,
-    and each near-tie evaluation forms its ``rest - T_i T_i*`` the same way,
-    so a level forms no ``n x m`` product, and the search holds O(n^2 + N n
-    d_max) entries, never the N x n x n stack of the member terms.
+    Memory and time: each pick updates ``rest`` by one ``n x d_p`` product
+    and appends its ``d_p`` columns to ``Z``, and each near-tie evaluation
+    forms its ``rest - T_i T_i*`` the same way, so a level forms no ``n x
+    m`` product, and the search holds O(n^2 + N n d_max) entries, never the
+    N x n x n stack of the member terms.
     """
     tol, N, n, dims = frame.tol, frame.member_count, frame.ambient_dim, frame.dims
     eps = np.finfo(float).eps
@@ -825,23 +843,26 @@ def _greedy_levels(frame: FusionFrame, budget: int) -> tuple[int, int]:
     def less(rest, i):  # rest - T_i T_i*: member i removed
         return rest - T[i] @ T[i].conj().T
 
+    def decompose(rest):  # (lam, C, delta): rest = U diag(lam) U*, C[i] = U* T_i padded to width columns
+        lam, U = np.linalg.eigh(symmetrize(rest))
+        C = (U.conj().T @ blocks.reshape(n, -1)).reshape(n, N, width).swapaxes(0, 1)
+        return lam, C, 32 * (n + 1) ** 2 * eps * np.abs(lam).max()
+
     levels = [0, 0]  # certified, universal
-    first = None  # level 1's (lam, C), the same for both paths
+    first = None  # level 1's decomposition, the same for both paths
     for side, strongest in enumerate((True, False)):
         path: list[int] = []
-        rest = frame.operator
+        rest, start = frame.operator, np.inf  # start: the last pick's certified upper end
         for k in range(1, budget + 1):
             cand = np.setdiff1d(np.arange(N), path)
             if (dims[path].sum() + dims[cand] > dims.sum() - n).all():
                 break  # every removal fails on its dimensions
-            if k == 1 and first is not None:
-                lam, C = first
-            else:
-                lam, U = np.linalg.eigh(symmetrize(rest))
-                C = (U.conj().T @ blocks[:, cand].reshape(n, -1)).reshape(n, len(cand), width).swapaxes(0, 1)
-                if k == 1:
-                    first = lam, C
-            delta = 32 * (n + 1) ** 2 * eps * np.abs(lam).max()
+            if k == 1:
+                first = first or decompose(rest)
+            if k == 1 or Z.shape[1] + width > n // 8:  # a fresh eigh, but for the second path's level 1
+                lam, Cs, delta = first if k == 1 else decompose(rest)
+                Z = np.empty((n, 0), Cs.dtype)  # no pick carried yet
+            C, w = Cs[cand], Z.shape[1]
             lows = np.full(len(cand), -np.inf)  # certified: lows <= x_i <= highs
             highs = np.full(len(cand), np.inf)
             unseen = np.ones(len(cand), bool)  # neither bracketed nor dropped
@@ -850,14 +871,19 @@ def _greedy_levels(frame: FusionFrame, budget: int) -> tuple[int, int]:
                 rows = np.flatnonzero(unseen)
                 j = rows[np.argmin(score[rows]) if strongest else np.argmax(score[rows])]
                 unseen[j] = False
-                bracket = _secular_bracket(C[j], lam, delta)
+                bracket = _secular_bracket(np.hstack((Z, C[j])), lam, delta, start)
                 if bracket is not None:  # else x_i stays unbounded, so the near-tie step evaluates it
                     lows[j], highs[j] = bracket[0] - delta, bracket[1] + delta
                 bound = lows.max() if strongest else highs.min()
                 beta = bound - delta if strongest else bound + delta
                 rows = np.flatnonzero(unseen)
                 if rows.size and beta < lam[0]:
-                    G = (C[rows].conj().swapaxes(1, 2) / (lam - beta)) @ C[rows]
+                    Cr, Zd = C[rows], Z.conj().T / (lam - beta)
+                    G = np.empty((len(rows), w + width, w + width), C.dtype)
+                    G[:, :w, :w] = Zd @ Z
+                    G[:, :w, w:] = Zd @ Cr
+                    G[:, w:, :w] = G[:, :w, w:].conj().swapaxes(1, 2)
+                    G[:, w:, w:] = (Cr.conj().swapaxes(1, 2) / (lam - beta)) @ Cr
                     score[rows] = g = np.linalg.eigvalsh(G)[:, -1]
                     dropped = rows[g >= 1.0 if strongest else g < 1.0]
                     unseen[dropped] = False
@@ -865,14 +891,15 @@ def _greedy_levels(frame: FusionFrame, budget: int) -> tuple[int, int]:
                     (highs if strongest else lows)[dropped] = np.nextafter(bound, -np.inf if strongest else np.inf)
             best = np.argmax(lows) if strongest else np.argmin(highs)
             reach = np.flatnonzero(highs >= lows[best] if strongest else lows <= highs[best])
-            if width < n and (highs[reach] <= tol.floor(lam[n - 1 - width] - delta)).all():
+            if w + width < n and (highs[reach] <= tol.floor(lam[n - 1 - w - width] - delta)).all():
                 break  # whichever of them the full loop picks leaves no frame
             if len(reach) > 1:  # a near tie: the full loop's exact values decide
                 for j in reach[lows[reach] < highs[reach]]:
                     lows[j] = highs[j] = hermitian_eigenrange(less(rest, cand[j]))[0]
                 best = reach[np.argmax(lows[reach]) if strongest else np.argmin(highs[reach])]
             path.append(int(cand[best]))
-            rest = less(rest, path[-1])
+            rest, start = less(rest, path[-1]), highs[best]
+            Z = np.hstack((Z, C[best, :, : dims[path[-1]]]))
             if dims[path].sum() > dims.sum() - n:
                 break
             if lows[best] <= tol.floor(lam[-1] + delta) and not _frames_left(frame, rest[None].copy())[0]:

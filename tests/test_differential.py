@@ -423,22 +423,104 @@ def test_greedy_erasure_picks_without_exact_evaluations(seed, members, field, mo
     assert len(checks) <= 2
 
 
+def spy_bracket_widths(monkeypatch):
+    """The column counts ``w + d_max`` of the tests each bracket reads: above ``d_max`` on a carried basis."""
+    widths = []
+    bracket = fusion._secular_bracket
+    monkeypatch.setattr(fusion, "_secular_bracket", lambda C, *rest: widths.append(C.shape[1]) or bracket(C, *rest))
+    return widths
+
+
+@pytest.mark.parametrize("name", ["7.1", "7.1-V", "7.2"])
+@pytest.mark.parametrize("n", range(16, 33))
+def test_greedy_erasure_carried_levels_match_the_two_loops(name, n, monkeypatch):
+    # From n = 16 a level after a pick reuses the last eigendecomposition
+    # while w + d_max <= n // 8.  The coordinate families tie exactly at
+    # every level; 7.2 leaves no removal on its dimensions.  The
+    # library-scale frames, whose carried levels the next test counts, are
+    # in GREEDY_FRAMES.
+    frame = example_frame(name, n)
+    widths = spy_bracket_widths(monkeypatch)
+    certificate = erasure_certificate(frame, mode="greedy")
+    assert (certificate.certified, certificate.universal) == reference_greedy_levels(frame, certificate.budget)
+    assert (max(widths, default=0) > frame.dims.max()) == (certificate.certified > 0)
+
+
+def carried_near_tie_frame(eta, n=24):
+    """:func:`near_tie_frame` in R^n, reached at level 2 of the strongest path, on a carried basis.
+
+    Members: the plane, e_0 and e_1 of the near tie; a line e_2 with
+    weight 1 (member 3); lines e_2, ..., e_{n-1} with weight sqrt(3).
+    Removing member 3 leaves lambda_min = (1 + eta)^2 + 1 on e_1, every
+    other removal at most (1 + eta)^2, so the strongest path picks it at
+    level 1 and meets the near tie at level 2, with w = 1 carried column
+    and w + d_max = 3 <= n // 8.
+    """
+    axes = [[0, 1], [0], [1], [2]] + [[k] for k in range(2, n)]
+    weights = [1.0, 2.0, 1.0 + eta, 1.0] + [math.sqrt(3.0)] * (n - 2)
+    return FusionFrame([np.eye(n)[:, a] for a in axes], weights)
+
+
+@pytest.mark.parametrize("eta", NEAR_TIE_ETAS)
+def test_greedy_erasure_near_tie_on_a_carried_basis_goes_to_the_lower_index(eta, monkeypatch):
+    frame = carried_near_tie_frame(eta)
+    events = []
+    bracket, eigenrange = fusion._secular_bracket, fusion.hermitian_eigenrange
+    monkeypatch.setattr(fusion, "_secular_bracket", lambda C, *rest: events.append(C.shape[1]) or bracket(C, *rest))
+    monkeypatch.setattr(fusion, "hermitian_eigenrange", lambda M, tol=None: events.append(M[0, 0]) or eigenrange(M))
+    certificate = erasure_certificate(frame, mode="greedy")
+    assert (certificate.certified, certificate.universal) == reference_greedy_levels(frame, certificate.budget)
+    # Level 1 has no exact evaluation; level 2 brackets its members on the
+    # pick's carried column and the plane's two, then evaluates the three
+    # near-tie members exactly, in index order: the plane (leaving S_00 =
+    # 4), e_0 (leaving S_00 = 1) and e_1 (leaving S_00 = 5).
+    first = next(i for i, event in enumerate(events) if isinstance(event, float))
+    assert events[first : first + 3] == [4.0, 1.0, 5.0]
+    assert events[first - 1] == 3
+
+
+@pytest.mark.parametrize("seed, members, field", [(1, 40, REAL), (2, 48, COMPLEX)])
+def test_greedy_erasure_reuses_each_eigendecomposition(seed, members, field, monkeypatch):
+    # One n x n eigh per level decomposed the rest at every level; carried
+    # levels reuse the last one while w + d_max <= n // 8 = 8.
+    frame = library_scale_frame(seed, 64, members, field)
+    eighs = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda H: eighs.append(H.shape == (64, 64)) or eigh(H))
+    widths = spy_bracket_widths(monkeypatch)
+    certificate = erasure_certificate(frame, mode="greedy")
+    # Each path walks its certified levels and the one that fails.
+    walked = sum(min(level + 1, certificate.budget) for level in (certificate.certified, certificate.universal))
+    assert 2 * sum(eighs) <= walked
+    assert max(widths) > frame.dims.max()
+
+
 @pytest.mark.parametrize("every", [1, 2])
 @pytest.mark.parametrize("seed", range(20))
 def test_greedy_erasure_without_closed_brackets(seed, every, monkeypatch):
     # A bracket that does not close leaves that member's x_i unbounded on
     # both sides, so the near-tie step evaluates it exactly.
-    calls = itertools.count()
+    # From n = 16 the frames reach levels on a carried basis, whose
+    # brackets test more columns than d_max, and lose brackets there too.
+    calls, dropped = itertools.count(), []
     bracket = fusion._secular_bracket
-    monkeypatch.setattr(
-        fusion, "_secular_bracket", lambda C, lam, delta: None if next(calls) % every == 0 else bracket(C, lam, delta)
-    )
+
+    def unclosed(C, lam, delta, start):
+        if next(calls) % every:
+            return bracket(C, lam, delta, start)
+        dropped.append(C.shape[1])
+        return None
+
+    monkeypatch.setattr(fusion, "_secular_bracket", unclosed)
     rng = np.random.default_rng(seed)
-    n = int(rng.integers(3, 13))
-    frame = random_fusion_frame(rng, n=n, members=n + 2, max_dim=2, field=(REAL, COMPLEX)[seed % 2])
+    n = int(rng.integers(3, 33))
+    max_dim = 1 if 16 <= n < 24 else 2  # lines reach carried levels from n = 16, planes from n = 24
+    frame = random_fusion_frame(rng, n=n, members=n + 3, max_dim=max_dim, field=(REAL, COMPLEX)[seed % 2])
     budget = frame.member_count - 1
     assert fusion._greedy_levels(frame, budget) == reference_greedy_levels(frame, budget)
-    assert next(calls) > 0
+    assert dropped
+    if n >= 16:
+        assert max(dropped) > frame.dims.max()
 
 
 @pytest.mark.parametrize("seed", SEEDS)
