@@ -20,6 +20,14 @@ For each generated frame the sweep checks:
     erasure certificates bracket each other soundly: greedy certified
     <= exhaustive certified, exhaustive universal <= greedy universal,
     and weight_rule <= certified in both;
+  * on those frames, the merged and near-cutoff ones below included, and
+    on the library-shaped ones below, ``greedy_pick`` tallies the greedy
+    certificates whose ``universal`` equals the
+    weakest-path loop's of ``reference_greedy_levels`` in
+    ``tests/test_differential.py``, whose ``certified`` equals the exact
+    value (the exhaustive certificate's, or on the library-shaped frames
+    the dimension bound ``dimension_bound``), and whose ``certified`` is
+    at least the count of that function's strongest-path loop;
   * for frames with at most REFERENCE_MEMBER_LIMIT members, the
     exhaustive certificate equals that of ``reference_exhaustive_levels``
     in ``tests/test_differential.py``, one eigvalsh per removed subset;
@@ -36,12 +44,10 @@ For each generated frame the sweep checks:
     member's removal leaves lambda_min / lambda_max = ratio * rank_rel,
     ratio 0.5-3) and ``weak_lines_frame`` (2-4 weak lines whose weights
     put lambda_min / lambda_max of S at 1-3 times rank_rel);
-  * on LIBRARY_FRAMES library-shaped frames seeded from ``--seed`` (n
-    64-128, N 40-48, subspace dimensions 3 and 4, real and complex in
-    turn), the greedy certificate's levels equal those of
-    ``reference_greedy_levels`` in ``tests/test_differential.py``, the
-    per-member loop whose picks the pruned search must reproduce.  These
-    take seconds each, too slow for the test suite;
+  * ``greedy_pick`` also runs on LIBRARY_FRAMES library-shaped frames
+    seeded from ``--seed`` (n 64-128, N 40-48, subspace dimensions 3 and
+    4, real and complex in turn), where the per-member loops take seconds
+    each, too slow for the test suite;
   * on the same library-shaped frames, ``redundancy_samples`` (sphere
     weights against the spectrum of S1) keeps the law of
     ``reference_redundancy_samples`` (quadratic forms of S1 at Haar unit
@@ -114,8 +120,8 @@ def library_shaped_frame(rng: np.random.Generator, field: str) -> FusionFrame:
     return FusionFrame([random_subspace(rng, n, 3 + i % 2, field) for i in range(N)], weights)
 
 
-def erasure_brackets(frame: FusionFrame) -> tuple[bool, ErasureCertificate]:
-    """Whether the greedy and exhaustive certificates bracket each other soundly, and the exhaustive one."""
+def erasure_brackets(frame: FusionFrame) -> tuple[bool, ErasureCertificate, ErasureCertificate]:
+    """Whether the greedy and exhaustive certificates bracket each other soundly, and the two certificates."""
     greedy = erasure_certificate(frame, mode="greedy")
     exhaustive = erasure_certificate(frame, mode="exhaustive")
     sound = (
@@ -123,7 +129,7 @@ def erasure_brackets(frame: FusionFrame) -> tuple[bool, ErasureCertificate]:
         and exhaustive.universal <= greedy.universal
         and all(c.weight_rule <= c.certified for c in (greedy, exhaustive))
     )
-    return sound, exhaustive
+    return sound, greedy, exhaustive
 
 
 def check_dual(frame: FusionFrame, index, tallies: dict, failures: list) -> None:
@@ -160,6 +166,7 @@ def run_sweep(config: SweepConfig) -> dict:
     tallies = dict.fromkeys(checks, 0)
     failures = []
     small = []  # (index, frame, exhaustive certificate) of frames the exhaustive reference can afford
+    greedy_checks = []  # (index, frame, greedy certificate, exact certified) of frames greedy_pick checks
     unit_weight = []  # (index, frame with every weight 1)
     for index in range(config.count):
         n = int(rng.integers(2, MAX_DIM + 1))
@@ -190,11 +197,12 @@ def run_sweep(config: SweepConfig) -> dict:
             failures.append((index, "operator"))
 
         if frame.member_count <= EXHAUSTIVE_MEMBER_LIMIT:
-            sound, exhaustive = erasure_brackets(frame)
+            sound, greedy, exhaustive = erasure_brackets(frame)
             if sound:
                 tallies["erasure"] += 1
             else:
                 failures.append((index, "erasure"))
+            greedy_checks.append((index, frame, greedy, exhaustive.certified))
             if frame.member_count <= REFERENCE_MEMBER_LIMIT:
                 small.append((index, frame, exhaustive))
         unit = FusionFrame(_column_blocks(frame.bases, frame.offsets), np.ones(frame.member_count))
@@ -204,16 +212,18 @@ def run_sweep(config: SweepConfig) -> dict:
     for index in range(MERGED_FRAMES):
         n, members = int(merged_rng.integers(3, 7)), int(merged_rng.integers(10, 13))
         frame = random_fusion_frame(merged_rng, n, members, 3, config.field or (REAL, COMPLEX)[index % 2])
-        sound, exhaustive = erasure_brackets(frame)
+        sound, greedy, exhaustive = erasure_brackets(frame)
         if sound:
             tallies["erasure"] += 1
         else:
             failures.append((f"merged {index}", "erasure"))
         small.append((f"merged {index}", frame, exhaustive))
+        greedy_checks.append((f"merged {index}", frame, greedy, exhaustive.certified))
 
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
     import pytest
     from test_differential import (
+        dimension_bound,
         ks_distance,
         reference_exhaustive_levels,
         reference_greedy_levels,
@@ -236,12 +246,13 @@ def run_sweep(config: SweepConfig) -> dict:
             frame = weak_lines_frame(np.sqrt(near_rng.uniform(1.0, 3.0) * DEFAULT_TOLERANCE.rank_rel / copies), copies)
         check_dual(frame, f"near-cutoff {index}", tallies, failures)
         check_systems(frame, system_rng, f"near-cutoff {index}", tallies, failures)
-        sound, exhaustive = erasure_brackets(frame)
+        sound, greedy, exhaustive = erasure_brackets(frame)
         if sound:
             tallies["erasure"] += 1
         else:
             failures.append((f"near-cutoff {index}", "erasure"))
         small.append((f"near-cutoff {index}", frame, exhaustive))
+        greedy_checks.append((f"near-cutoff {index}", frame, greedy, exhaustive.certified))
 
     with pytest.MonkeyPatch.context() as patch:
         passes = spy_top_passes(patch)
@@ -273,10 +284,7 @@ def run_sweep(config: SweepConfig) -> dict:
         check_dual(frame, f"library {index}", tallies, failures)
         check_systems(frame, system_rng, f"library {index}", tallies, failures)
         greedy = erasure_certificate(frame, mode="greedy")
-        if (greedy.certified, greedy.universal) == reference_greedy_levels(frame, greedy.budget):
-            tallies["greedy_pick"] += 1
-        else:
-            failures.append((f"library {index}", "greedy_pick"))
+        greedy_checks.append((f"library {index}", frame, greedy, dimension_bound(frame, greedy.budget)))
         values = redundancy_samples(frame, np.random.default_rng([config.seed, 2, index]), SAMPLING_LAW_SAMPLES)
         reference = reference_redundancy_samples(
             frame, np.random.default_rng([config.seed, 3, index]), SAMPLING_LAW_SAMPLES
@@ -285,6 +293,12 @@ def run_sweep(config: SweepConfig) -> dict:
             tallies["sampling_law"] += 1
         else:
             failures.append((f"library {index}", "sampling_law"))
+    for index, frame, greedy, exact in greedy_checks:
+        strongest, weakest = reference_greedy_levels(frame, greedy.budget)
+        if greedy.universal == weakest and strongest <= greedy.certified == exact:
+            tallies["greedy_pick"] += 1
+        else:
+            failures.append((index, "greedy_pick"))
     return {"tallies": tallies, "reference_frames": len(small), "failures": failures}
 
 
@@ -306,7 +320,7 @@ def main() -> int:
         "erasure": config.count + NEAR_CUTOFF_FRAMES + MERGED_FRAMES,
         "exhaustive_reference": outcome["reference_frames"],
         "merged_cover": outcome["reference_frames"],
-        "greedy_pick": LIBRARY_FRAMES,
+        "greedy_pick": config.count + NEAR_CUTOFF_FRAMES + MERGED_FRAMES + LIBRARY_FRAMES,
         "sampling_law": LIBRARY_FRAMES,
     }
     for name, passed in outcome["tallies"].items():

@@ -408,11 +408,12 @@ class ErasureCertificate:
                      certifies ``certified``, "spectral" when only the
                      eigenvalue check does, "none" when nothing is
                      certified
-    ``mode``         "exhaustive" (every subset decided) or "greedy" (one
-                     removal path per level: ``certified`` is still a sound
-                     witness-backed count, but may be an undercount, and
-                     ``universal`` a sound upper bound, witnessed below the
-                     budget by the weakest path's failing removal)
+    ``mode``         "exhaustive" (every subset decided) or "greedy":
+                     ``certified`` from one spanning witness, exact when
+                     the witness reaches the dimension bound, else a sound
+                     lower bound; ``universal`` a sound upper bound from one
+                     removal path, witnessed below the budget by the
+                     weakest path's failing removal
     """
 
     budget: int
@@ -431,12 +432,8 @@ def _weight_rule_level(frame: FusionFrame, budget: int) -> int:
     Exhaustive: the reference's range of ``S_J``, ``J`` the ``k`` smallest
     weights, lies in ``[A - a_k - e_1/2, B + e_1/2]`` (it is within ``e_1/4``
     of exact, as is ``(A, B)``), and the exact ``lambda_min > 0`` passes the
-    dimension test: levels up to ``k`` have a survivor.  Greedy: ``j - 1``
-    removals leave one of the ``j`` smallest weights, whose removal keeps
-    ``lambda_min >= A - a_j`` by induction, as does the pick, which leaves
-    the largest ``lambda_min``.  In floating point each later level may lose
-    two ``eigvalsh`` errors there, which the margin covers only at level 1
-    in the worst-case model of :func:`_exhaustive_levels`.
+    dimension test: levels up to ``k`` have a survivor.  So greedy mode's
+    witness count (:func:`_witness_level`) takes it as its floor.
     """
     erased = np.cumsum(np.sort(frame.weights**2))[:budget]
     return int(_weight_rule(frame, erased).sum())  # a prefix of levels: a_k grows
@@ -762,16 +759,90 @@ def _secular_bracket(C: np.ndarray, lam: np.ndarray, delta: float, start: float)
     return None
 
 
-def _greedy_levels(frame: FusionFrame, budget: int) -> tuple[int, int]:
-    """``certified`` and ``universal`` along one removal path each.
+def _spanning_witness(kernel: np.ndarray, dims: np.ndarray, spare: int, count: int) -> np.ndarray:
+    """Up to ``count`` members in pick order, by block-pivoted Cholesky on ``kernel = I - G`` by member.
 
-    Each path extends by the member whose removal leaves the largest
-    (``certified``) or smallest (``universal``) lower bound, ties to the
-    lowest index: member ``i``'s value ``x_i`` is the ``eigvalsh`` minimum
-    of ``rest - T_i T_i*`` (``T_i = v_i Q_i``, its synthesis columns; ``rest
-    = S - sum_{p in path} T_p T_p*``) that the full per-member loop compares.
+    ``kernel`` is in the member layout of :func:`_padded`, and the search
+    overwrites it; removing ``J`` leaves a frame iff ``(I - G)_JJ`` is
+    positive definite.  Each step
+    eliminates, of the members that leave room for ``count`` removals
+    within ``spare`` dimensions (the smallest remaining ``d_i`` fill the
+    rest), the one whose Schur block has the largest ``lambda_min`` (one
+    batched ``eigvalsh``), ties to the lowest index: the pivots of
+    rank-revealing subset selection (Gu and Eisenstat, 1996).  When no such
+    block is positive definite, ``count`` drops by one.
+    """
+    N, width = len(dims), len(kernel) // len(dims)
+    blocks = kernel.reshape(N, width, N, width)  # a view: the eliminations below update it
+    picks, free = [], np.ones(N, bool)
+    while len(picks) < count:
+        smallest, need = np.sort(dims[free]), count - len(picks) - 1  # need: removals after this pick
+        room = spare - dims[picks].sum() - smallest[:need].sum()
+        cand = np.flatnonzero(free & (np.maximum(dims, smallest[need]) <= room))  # d_i and the need smallest others fit
+        low = np.linalg.eigvalsh(blocks[cand, :, cand, :])[:, 0]
+        if low.max() <= 0.0:
+            count -= 1  # no pick toward count removals leaves a frame: aim one lower
+            continue
+        picks.append(int(cand[np.argmax(low)]))
+        free[picks[-1]] = False
+        cols = slice(picks[-1] * width, (picks[-1] + 1) * width)
+        kernel -= kernel[:, cols] @ np.linalg.solve(kernel[cols, cols], kernel[cols, :])
+    return np.array(picks, np.intp)
+
+
+def _witness_level(frame: FusionFrame, budget: int) -> int:
+    """Greedy mode's ``certified``: the nested prefixes of one :func:`_spanning_witness` that leave a frame.
+
+    Dimension bound: removing more than ``hi`` members, ``hi`` the number
+    of the smallest ``d_i`` whose sum fits in ``spare = m - n``, leaves
+    ``rank S_J < n``, which the reference fails.  So a witness ``J`` of
+    ``min(budget, hi)`` members whose prefixes all leave a frame proves
+    ``certified`` exactly.  Gram certificate: one Cholesky of ``c I -
+    G_JJ``, or a positive ``eigvalsh`` when it declines
+    (:func:`_gram_survivors`, ``c`` and ``G`` those of
+    :func:`_exhaustive_levels`), gives ``lambda_max(G_JJ) <= c + (s + 1)^2
+    eps``.  Interlacing: each prefix ``J_k`` indexes a principal submatrix
+    of ``G_JJ``, so ``lambda_max(G_{J_k J_k}) <= lambda_max(G_JJ)``, and the
+    error chain of :func:`_exhaustive_levels` gives the reference's ``low >
+    rank_rel high`` on each ``S_{J_k}``: every level up to ``len(J)`` has a
+    survivor.  When ``c <= 0`` or the block is not certified,
+    :func:`_frames_left` decides the prefixes on ``S - T_J T_J*`` by
+    chunks within ``CHUNK_BYTES``, and the leading ones that pass count.
+    A shorter count is a sound lower bound, floored at the weight rule's
+    level (:func:`_weight_rule_level`).
+    """
+    n, dims, width = frame.ambient_dim, frame.dims, frame.dims.max()
+    spare = dims.sum() - n
+    count = min(budget, int((np.cumsum(np.sort(dims)) <= spare).sum()))
+    if count == 0:
+        return 0
+    c = _gram_cutoff(frame)
+    shifted = _shifted_gram(frame, c, np.arange(frame.member_count))
+    witness = _spanning_witness(shifted + (1.0 - c) * np.eye(len(shifted)), dims, spare, count)
+    level = len(witness)
+    if level and not (c > 0.0 and _gram_survivors(shifted, width, witness[None])[0]):
+        T = _column_blocks(frame.synthesis, frame.offsets)
+        Y, ends = np.hstack([T[p] for p in witness]), np.cumsum(dims[witness])
+        left, rows = np.ones(level, bool), _chunk_rows(n * n, Y.itemsize)
+        for start in range(0, level, rows):
+            H = np.stack([frame.operator - Y[:, :e] @ Y[:, :e].conj().T for e in ends[start : start + rows]])
+            left[start : start + rows] = _frames_left(frame, H)
+            if not left.all():
+                break
+        level = int(left.cumprod().sum())  # the leading prefixes that pass
+    return max(level, _weight_rule_level(frame, budget))
+
+
+def _greedy_levels(frame: FusionFrame, budget: int) -> tuple[int, int]:
+    """``certified`` from one spanning witness (:func:`_witness_level`), ``universal`` along the weakest removal path.
+
+    The path extends by the member whose removal leaves the smallest lower
+    bound, ties to the lowest index: member ``i``'s value ``x_i`` is the
+    ``eigvalsh`` minimum of ``rest - T_i T_i*`` (``T_i = v_i Q_i``, its
+    synthesis columns; ``rest = S - sum_{p in path} T_p T_p*``) that the
+    full per-member loop compares.
     Tests read the last decomposition ``R_0 = U diag(lam) U*`` of the
-    symmetrized rest (one ``eigh``, shared by both paths at level 1), the
+    symmetrized rest (one ``eigh``), the
     columns ``C_i = U* T_i`` and those of the picks since then, ``Z = U*
     W``, ``W`` their synthesis columns (``rest = R_0 - W W*``, ``w``
     columns); for ``beta < lam_1``, ``lambda_min(R_0 - W W* - T_i T_i*) >
@@ -805,18 +876,18 @@ def _greedy_levels(frame: FusionFrame, budget: int) -> tuple[int, int]:
     points ``lo < hi``, ``hi - lo <= delta``, with ``g_i(lo) < 1 <=
     g_i(hi)`` (:func:`_secular_bracket`) put ``x_i`` in ``(lo - delta, hi
     + delta)``; if 64 tests do not close a bracket, ``x_i`` is evaluated
-    exactly.  Members are taken front-runner first (the least or most
-    weight on ``U``'s first column, then the smallest or largest ``g``).
-    Each front-runner is bracketed, and one batched test at ``beta = bound
-    -/+ delta``, ``bound`` the best certified end so far (the largest lower
-    or the smallest upper end), drops every member it puts below (above)
-    ``bound``, which bounds that member's ``x_i`` on that side; its
+    exactly.  Members are taken front-runner first (the most weight on
+    ``U``'s first column, then the largest ``g``).  Each front-runner is
+    bracketed, and one batched test at ``beta = bound + delta``, ``bound``
+    the smallest certified upper end so far, drops every member it puts
+    above ``bound``, which bounds that member's ``x_i`` from below; its
     matrices share the blocks ``Z* D Z`` and ``Z* D C_i``, ``D = (lam -
-    beta)^-1``.  Once every member is bracketed or dropped, the best end's
-    member is the pick unless another interval reaches that end; then the
-    members whose intervals reach it are evaluated exactly, and the best
-    value wins, ties to the lowest index.  Every other member's ``x_i`` is
-    strictly worse, so the pick is the full loop's, bit for bit.
+    beta)^-1``.  Once every member is bracketed or dropped, the smallest
+    upper end's member is the pick unless another interval reaches that
+    end; then the members whose intervals reach it are evaluated exactly,
+    and the smallest value wins, ties to the lowest index.  Every other
+    member's ``x_i`` is strictly larger, so the pick is the full loop's,
+    bit for bit.
 
     Frames left: the full loop then decides ``spans`` on ``rest - T_p
     T_p*``, the next level's ``rest``, whose ``eigvalsh`` ``low`` is ``x_p``
@@ -826,8 +897,8 @@ def _greedy_levels(frame: FusionFrame, budget: int) -> tuple[int, int]:
     ``eigvalsh`` errors and forming it stay below ``delta``.  So a
     certified lower end ``L > floor(lam_n + delta)`` passes the pick; upper
     ends ``U <= floor(lam_{n - w - d_max} - delta)`` on every member that
-    reaches the best end stop the path there, whichever of them the full
-    loop picks; otherwise :func:`_frames_left` decides.
+    reaches the smallest upper end stop the path there, whichever of them
+    the full loop picks; otherwise :func:`_frames_left` decides.
 
     Memory and time: each pick updates ``rest`` by one ``n x d_p`` product
     and appends its ``d_p`` columns to ``Z``, and each near-tie evaluation
@@ -843,69 +914,60 @@ def _greedy_levels(frame: FusionFrame, budget: int) -> tuple[int, int]:
     def less(rest, i):  # rest - T_i T_i*: member i removed
         return rest - T[i] @ T[i].conj().T
 
-    def decompose(rest):  # (lam, C, delta): rest = U diag(lam) U*, C[i] = U* T_i padded to width columns
-        lam, U = np.linalg.eigh(symmetrize(rest))
-        C = (U.conj().T @ blocks.reshape(n, -1)).reshape(n, N, width).swapaxes(0, 1)
-        return lam, C, 32 * (n + 1) ** 2 * eps * np.abs(lam).max()
-
-    levels = [0, 0]  # certified, universal
-    first = None  # level 1's decomposition, the same for both paths
-    for side, strongest in enumerate((True, False)):
-        path: list[int] = []
-        rest, start = frame.operator, np.inf  # start: the last pick's certified upper end
-        for k in range(1, budget + 1):
-            cand = np.setdiff1d(np.arange(N), path)
-            if (dims[path].sum() + dims[cand] > dims.sum() - n).all():
-                break  # every removal fails on its dimensions
-            if k == 1:
-                first = first or decompose(rest)
-            if k == 1 or Z.shape[1] + width > n // 8:  # a fresh eigh, but for the second path's level 1
-                lam, Cs, delta = first if k == 1 else decompose(rest)
-                Z = np.empty((n, 0), Cs.dtype)  # no pick carried yet
-            C, w = Cs[cand], Z.shape[1]
-            lows = np.full(len(cand), -np.inf)  # certified: lows <= x_i <= highs
-            highs = np.full(len(cand), np.inf)
-            unseen = np.ones(len(cand), bool)  # neither bracketed nor dropped
-            score = np.linalg.norm(C[:, 0], axis=1)  # larger: likely a smaller lambda_min
-            while unseen.any():
-                rows = np.flatnonzero(unseen)
-                j = rows[np.argmin(score[rows]) if strongest else np.argmax(score[rows])]
-                unseen[j] = False
-                bracket = _secular_bracket(np.hstack((Z, C[j])), lam, delta, start)
-                if bracket is not None:  # else x_i stays unbounded, so the near-tie step evaluates it
-                    lows[j], highs[j] = bracket[0] - delta, bracket[1] + delta
-                bound = lows.max() if strongest else highs.min()
-                beta = bound - delta if strongest else bound + delta
-                rows = np.flatnonzero(unseen)
-                if rows.size and beta < lam[0]:
-                    Cr, Zd = C[rows], Z.conj().T / (lam - beta)
-                    G = np.empty((len(rows), w + width, w + width), C.dtype)
-                    G[:, :w, :w] = Zd @ Z
-                    G[:, :w, w:] = Zd @ Cr
-                    G[:, w:, :w] = G[:, :w, w:].conj().swapaxes(1, 2)
-                    G[:, w:, w:] = (Cr.conj().swapaxes(1, 2) / (lam - beta)) @ Cr
-                    score[rows] = g = np.linalg.eigvalsh(G)[:, -1]
-                    dropped = rows[g >= 1.0 if strongest else g < 1.0]
-                    unseen[dropped] = False
-                    # x_i < bound (> bound): at most the next double below (at least the next above)
-                    (highs if strongest else lows)[dropped] = np.nextafter(bound, -np.inf if strongest else np.inf)
-            best = np.argmax(lows) if strongest else np.argmin(highs)
-            reach = np.flatnonzero(highs >= lows[best] if strongest else lows <= highs[best])
-            if w + width < n and (highs[reach] <= tol.floor(lam[n - 1 - w - width] - delta)).all():
-                break  # whichever of them the full loop picks leaves no frame
-            if len(reach) > 1:  # a near tie: the full loop's exact values decide
-                for j in reach[lows[reach] < highs[reach]]:
-                    lows[j] = highs[j] = hermitian_eigenrange(less(rest, cand[j]))[0]
-                best = reach[np.argmax(lows[reach]) if strongest else np.argmin(highs[reach])]
-            path.append(int(cand[best]))
-            rest, start = less(rest, path[-1]), highs[best]
-            Z = np.hstack((Z, C[best, :, : dims[path[-1]]]))
-            if dims[path].sum() > dims.sum() - n:
-                break
-            if lows[best] <= tol.floor(lam[-1] + delta) and not _frames_left(frame, rest[None].copy())[0]:
-                break
-            levels[side] = k
-    return levels[0], levels[1]
+    universal, path = 0, []
+    rest, start = frame.operator, np.inf  # start: the last pick's certified upper end
+    for k in range(1, budget + 1):
+        cand = np.setdiff1d(np.arange(N), path)
+        if (dims[path].sum() + dims[cand] > dims.sum() - n).all():
+            break  # every removal fails on its dimensions
+        if k == 1 or Z.shape[1] + width > n // 8:  # rest = U diag(lam) U*, Cs[i] = U* T_i padded to width columns
+            lam, U = np.linalg.eigh(symmetrize(rest))
+            Cs = (U.conj().T @ blocks.reshape(n, -1)).reshape(n, N, width).swapaxes(0, 1)
+            delta = 32 * (n + 1) ** 2 * eps * np.abs(lam).max()
+            Z = np.empty((n, 0), Cs.dtype)  # no pick carried yet
+        C, w = Cs[cand], Z.shape[1]
+        lows = np.full(len(cand), -np.inf)  # certified: lows <= x_i <= highs
+        highs = np.full(len(cand), np.inf)
+        unseen = np.ones(len(cand), bool)  # neither bracketed nor dropped
+        score = np.linalg.norm(C[:, 0], axis=1)  # larger: likely a smaller lambda_min
+        while unseen.any():
+            rows = np.flatnonzero(unseen)
+            j = rows[np.argmax(score[rows])]
+            unseen[j] = False
+            bracket = _secular_bracket(np.hstack((Z, C[j])), lam, delta, start)
+            if bracket is not None:  # else x_i stays unbounded, so the near-tie step evaluates it
+                lows[j], highs[j] = bracket[0] - delta, bracket[1] + delta
+            bound = highs.min()
+            beta = bound + delta
+            rows = np.flatnonzero(unseen)
+            if rows.size and beta < lam[0]:
+                Cr, Zd = C[rows], Z.conj().T / (lam - beta)
+                G = np.empty((len(rows), w + width, w + width), C.dtype)
+                G[:, :w, :w] = Zd @ Z
+                G[:, :w, w:] = Zd @ Cr
+                G[:, w:, :w] = G[:, :w, w:].conj().swapaxes(1, 2)
+                G[:, w:, w:] = (Cr.conj().swapaxes(1, 2) / (lam - beta)) @ Cr
+                score[rows] = g = np.linalg.eigvalsh(G)[:, -1]
+                dropped = rows[g < 1.0]
+                unseen[dropped] = False
+                lows[dropped] = np.nextafter(bound, np.inf)  # x_i > bound: at least the next double above
+        best = np.argmin(highs)
+        reach = np.flatnonzero(lows <= highs[best])
+        if w + width < n and (highs[reach] <= tol.floor(lam[n - 1 - w - width] - delta)).all():
+            break  # whichever of them the full loop picks leaves no frame
+        if len(reach) > 1:  # a near tie: the full loop's exact values decide
+            for j in reach[lows[reach] < highs[reach]]:
+                lows[j] = highs[j] = hermitian_eigenrange(less(rest, cand[j]))[0]
+            best = reach[np.argmin(highs[reach])]
+        path.append(int(cand[best]))
+        rest, start = less(rest, path[-1]), highs[best]
+        Z = np.hstack((Z, C[best, :, : dims[path[-1]]]))
+        if dims[path].sum() > dims.sum() - n:
+            break
+        if lows[best] <= tol.floor(lam[-1] + delta) and not _frames_left(frame, rest[None].copy())[0]:
+            break
+        universal = k
+    return _witness_level(frame, budget), universal
 
 
 def erasure_certificate(
@@ -925,7 +987,12 @@ def erasure_certificate(
     first tried on the blocks of unions of member groups, one ``w``-wide
     slot of ``G`` per group, ``top w <= N d_max`` square: a certified union
     certifies every removal inside it, and every smaller one.
-    Greedy mode follows one removal path per level (:func:`_greedy_levels`).
+    Greedy mode decides ``certified`` on one removal of up to ``hi``
+    members, ``hi`` the most whose dimensions can go, chosen by pivoting on
+    ``I - G``: one Cholesky of ``c I - G_JJ`` certifies it and, by
+    interlacing, each of its prefixes, so it is exact when the witness
+    reaches ``hi`` (:func:`_witness_level`); ``universal`` follows the
+    weakest removal path (:func:`_greedy_levels`).
     """
     if not frame.is_frame:
         raise NotAFusionFrame("erasure robustness is defined for fusion frames only")

@@ -5,10 +5,13 @@ projections, solve once per member, run the two separate greedy
 erasure loops, decide each exhaustive erasure subset with its own
 eigvalsh, and convert document rows and render JSON one entry at a
 time; the library builds stacked operators once per frame, reads every
-``S^-1``, the Gram matrix too, from one QR factor per frame, shares one
-greedy helper, decides exhaustive subsets in chunks on blocks of one
+``S^-1``, the Gram matrix too, from one QR factor per frame, walks one
+greedy removal path and decides one spanning witness on a Gram block in
+place of the other loop, decides exhaustive subsets in chunks on blocks of one
 Gram matrix, and converts each block of document rows with one array
-call.  Redundancy samples come from sphere
+call.  Greedy ``certified`` must equal the exhaustive reference's where
+that is affordable, the dimension bound above it, and never fall below
+the strongest loop's count.  Redundancy samples come from sphere
 weights and the cached spectrum of ``S1``, not from quadratic forms of
 ``S1`` at sampled vectors; they keep the law of the reference, not its
 values.  Drawn in blocks, they equal the one-shot draw of all sphere
@@ -161,7 +164,12 @@ def reference_removals(frame):
 
 
 def reference_greedy_levels(frame, budget):
-    """The strongest-path and weakest-path loops, as two separate searches."""
+    """The strongest-path and weakest-path loops, as two separate searches.
+
+    The weakest path's count is greedy search's ``universal``.  The
+    strongest path's count is what greedy search once reported as
+    ``certified``: its spanning witness must never count fewer.
+    """
     tol = frame.tol
     N = frame.member_count
     terms, total, survives = reference_removals(frame)
@@ -248,6 +256,35 @@ def assert_exhaustive_matches(frame, budget=None):
     return certificate
 
 
+def dimension_bound(frame, budget):
+    """``min(budget, hi)``: removing more than the ``hi`` smallest members' dimensions leaves ``rank S_J < n``."""
+    spare = frame.dims.sum() - frame.ambient_dim
+    return min(budget, int((np.cumsum(np.sort(frame.dims)) <= spare).sum()))
+
+
+def assert_greedy_levels(frame, budget, levels):
+    """Greedy ``(certified, universal)`` against the references.
+
+    ``universal`` is the weakest-path loop's.  ``certified`` is the
+    exhaustive reference's where that is affordable, the dimension bound
+    above it, and never below the strongest-path loop's count.
+    """
+    certified, universal = levels
+    strongest, weakest = reference_greedy_levels(frame, budget)
+    assert universal == weakest
+    assert certified >= strongest
+    if frame.member_count <= fusion.EXHAUSTIVE_MEMBER_LIMIT:
+        assert certified == reference_exhaustive_levels(frame, budget).certified
+    else:
+        assert certified == dimension_bound(frame, budget)
+
+
+def assert_greedy_matches(frame, budget=None):
+    certificate = erasure_certificate(frame, budget, "greedy")
+    assert_greedy_levels(frame, certificate.budget, (certificate.certified, certificate.universal))
+    return certificate
+
+
 def largest_angle(Qa, Qb):
     sines = np.linalg.svd(Qb - Qa @ (Qa.conj().T @ Qb), compute_uv=False)
     return float(np.arcsin(min(1.0, sines.max())))
@@ -300,10 +337,12 @@ def near_tie_frame(eta):
     """The plane R^2, e_0 with weight 2 and e_1 with weight 1 + eta.
 
     Removing e_0 or e_1 leaves lambda_min = 1, removing the plane leaves
-    (1 + eta)^2, so the plane (member 0) wins level 1, by a tie at
-    eta = 0 and by less than the test margin for the small eta used.  The
-    test sees e_0 first; the plane must then be evaluated exactly.  The
-    path that starts with e_0 would certify 2 removals instead of 1.
+    (1 + eta)^2, so the weakest path meets a three-way near tie at level
+    1 for the small eta used: the plane (member 0) ties exactly at eta =
+    0, and otherwise loses to e_0 by less than the test margin.  Either
+    way one removal of e_0 and e_1 leaves the plane, so exactly 2
+    removals are certified; the strongest path, which starts with the
+    plane, certified 1.
     """
     return FusionFrame([np.eye(2)[:, axes] for axes in ([0, 1], [0], [1])], (1.0, 2.0, 1.0 + eta))
 
@@ -344,15 +383,13 @@ GREEDY_FRAMES = (
 
 
 @pytest.mark.parametrize("make_frame", GREEDY_FRAMES)
-def test_greedy_erasure_matches_the_two_loops(make_frame, monkeypatch):
+def test_greedy_erasure_matches_its_references(make_frame, monkeypatch):
     # Gallery coordinate families tie exactly at every level; the
     # library-scale frames run the full budget of the benchmark shapes;
     # the last four need the margin and the rule beta < lambda_1.
     if make_frame is bottom_below_margin_frame:
         monkeypatch.setattr(FusionFrame, "tol", Tolerance(rank_rel=1e-15))
-    frame = make_frame()
-    certificate = erasure_certificate(frame, mode="greedy")
-    assert (certificate.certified, certificate.universal) == reference_greedy_levels(frame, certificate.budget)
+    assert_greedy_matches(make_frame())
 
 
 def spy_exact_evaluations(monkeypatch):
@@ -363,26 +400,37 @@ def spy_exact_evaluations(monkeypatch):
     return seen
 
 
+def spy_bracket_widths(monkeypatch):
+    """The column counts ``w + d_max`` of the tests each bracket reads: above ``d_max`` on a carried basis."""
+    widths = []
+    bracket = fusion._secular_bracket
+    monkeypatch.setattr(fusion, "_secular_bracket", lambda C, *rest: widths.append(C.shape[1]) or bracket(C, *rest))
+    return widths
+
+
 @pytest.mark.parametrize("eta", NEAR_TIE_ETAS)
 def test_greedy_erasure_near_tie_goes_to_the_lower_index(eta, monkeypatch):
     frame = near_tie_frame(eta)
-    seen = spy_exact_evaluations(monkeypatch)
-    certificate = erasure_certificate(frame, mode="greedy")
-    assert certificate.certified == 1
-    # The three brackets of level 1 of the strongest path overlap, so all
-    # three members are evaluated exactly, in index order: the plane
-    # (leaving S_00 = 4), e_0 (leaving S_00 = 1) and e_1 (leaving S_00 = 5).
-    assert seen[:3] == [4.0, 1.0, 5.0]
+    seen, widths = spy_exact_evaluations(monkeypatch), spy_bracket_widths(monkeypatch)
+    certificate = assert_greedy_matches(frame)
+    assert (certificate.certified, certificate.universal) == (2, 1)
+    # The three brackets of level 1 overlap, so all three members are
+    # evaluated exactly, in index order: the plane (leaving S_00 = 4), e_0
+    # (leaving S_00 = 1) and e_1 (leaving S_00 = 5).
+    assert seen == [4.0, 1.0, 5.0]
+    # At eta = 0 the plane wins the exact tie and leaves no removal on the
+    # dimensions; otherwise e_0 wins, and level 2 brackets the plane.
+    assert len(widths) == (3 if eta == 0.0 else 4)
 
 
 @pytest.mark.parametrize("eta", (2.0**-40, 2.0**-35))
 def test_greedy_erasure_brackets_separate_a_gap_of_a_few_delta(eta, monkeypatch):
-    # The plane wins level 1 by 2 eta + eta^2, 5.7 and 180 times delta.
+    # The plane's removal leaves 2 eta + eta^2 more than the exact tie of
+    # e_0 and e_1 at 1, 5.7 and 180 times delta.
     frame = near_tie_frame(eta)
     seen = spy_exact_evaluations(monkeypatch)
-    certificate = erasure_certificate(frame, mode="greedy")
-    assert (certificate.certified, certificate.universal) == reference_greedy_levels(frame, certificate.budget)
-    # Only the weakest path's exact tie between e_0 and e_1 is evaluated.
+    assert_greedy_matches(frame)
+    # Only that exact tie is evaluated.
     assert seen == [1.0, 5.0]
 
 
@@ -394,9 +442,7 @@ def test_greedy_erasure_matches_with_weights_over_six_decades(seed):
     members = [
         (random_subspace(rng, 3, int(rng.integers(1, 4)), REAL), 10 ** rng.uniform(-3, 3)) for _ in range(8)
     ]
-    frame = FusionFrame(*zip(*members))  # bases and weights, drawn member by member
-    certificate = erasure_certificate(frame, mode="greedy")
-    assert (certificate.certified, certificate.universal) == reference_greedy_levels(frame, certificate.budget)
+    assert_greedy_matches(FusionFrame(*zip(*members)))  # bases and weights, drawn member by member
 
 
 def test_greedy_erasure_dimension_exit_before_any_eigenproblem(monkeypatch):
@@ -417,47 +463,41 @@ def test_greedy_erasure_picks_without_exact_evaluations(seed, members, field, mo
     monkeypatch.setattr(fusion, "_frames_left", lambda frame, H: checks.append(len(H)) or frames_left(frame, H))
     certificate = erasure_certificate(frame, mode="greedy")
     # Each pick comes from its level's eigh and d x d brackets, and its
-    # certified lower end decides the frames-left check.
-    assert certificate.certified > 1
+    # certified lower end decides the frames-left check; the witness's
+    # Gram certificate needs no exact decision.
+    assert certificate.universal > 1
     assert not any(exact)
-    assert len(checks) <= 2
-
-
-def spy_bracket_widths(monkeypatch):
-    """The column counts ``w + d_max`` of the tests each bracket reads: above ``d_max`` on a carried basis."""
-    widths = []
-    bracket = fusion._secular_bracket
-    monkeypatch.setattr(fusion, "_secular_bracket", lambda C, *rest: widths.append(C.shape[1]) or bracket(C, *rest))
-    return widths
+    assert len(checks) <= 1
 
 
 @pytest.mark.parametrize("name", ["7.1", "7.1-V", "7.2"])
 @pytest.mark.parametrize("n", range(16, 33))
-def test_greedy_erasure_carried_levels_match_the_two_loops(name, n, monkeypatch):
+def test_greedy_erasure_carried_levels_match_the_references(name, n, monkeypatch):
     # From n = 16 a level after a pick reuses the last eigendecomposition
     # while w + d_max <= n // 8.  The coordinate families tie exactly at
-    # every level; 7.2 leaves no removal on its dimensions.  The
-    # library-scale frames, whose carried levels the next test counts, are
-    # in GREEDY_FRAMES.
+    # every level.  The weakest path of 7.1 leaves no frame at its first
+    # pick, that of 7.1-V at its second, on a carried basis; 7.2 leaves no
+    # removal on its dimensions.  The library-scale frames, whose carried
+    # levels a later test counts, are in GREEDY_FRAMES.
     frame = example_frame(name, n)
     widths = spy_bracket_widths(monkeypatch)
-    certificate = erasure_certificate(frame, mode="greedy")
-    assert (certificate.certified, certificate.universal) == reference_greedy_levels(frame, certificate.budget)
-    assert (max(widths, default=0) > frame.dims.max()) == (certificate.certified > 0)
+    certificate = assert_greedy_matches(frame)
+    assert (max(widths, default=0) > frame.dims.max()) == (certificate.universal > 0)
 
 
 def carried_near_tie_frame(eta, n=24):
-    """:func:`near_tie_frame` in R^n, reached at level 2 of the strongest path, on a carried basis.
+    """:func:`near_tie_frame` in R^n, reached at level 2 of the weakest path, on a carried basis.
 
-    Members: the plane, e_0 and e_1 of the near tie; a line e_2 with
-    weight 1 (member 3); lines e_2, ..., e_{n-1} with weight sqrt(3).
-    Removing member 3 leaves lambda_min = (1 + eta)^2 + 1 on e_1, every
-    other removal at most (1 + eta)^2, so the strongest path picks it at
-    level 1 and meets the near tie at level 2, with w = 1 carried column
-    and w + d_max = 3 <= n // 8.
+    Members: the plane, e_0 and e_1 of the near tie; lines of weight^2 1.5
+    on e_0 (member 3) and on e_1 (member 4); two lines of weight^2 3 on
+    each of e_2, ..., e_{n-1}.  Removing member 4 leaves lambda_min = 2 +
+    2 eta + eta^2 on e_1, every other removal at least 2.5, so the weakest
+    path picks it at level 1.  At level 2, removing the plane leaves
+    (1 + eta)^2 and removing e_1 leaves 1, every other removal at least
+    2: a near tie, on w = 1 carried column with w + d_max = 3 <= n // 8.
     """
-    axes = [[0, 1], [0], [1], [2]] + [[k] for k in range(2, n)]
-    weights = [1.0, 2.0, 1.0 + eta, 1.0] + [math.sqrt(3.0)] * (n - 2)
+    axes = [[0, 1], [0], [1], [0], [1]] + [[k] for k in range(2, n) for _ in range(2)]
+    weights = [1.0, 2.0, 1.0 + eta, math.sqrt(1.5), math.sqrt(1.5)] + [math.sqrt(3.0)] * (2 * n - 4)
     return FusionFrame([np.eye(n)[:, a] for a in axes], weights)
 
 
@@ -468,14 +508,14 @@ def test_greedy_erasure_near_tie_on_a_carried_basis_goes_to_the_lower_index(eta,
     bracket, eigenrange = fusion._secular_bracket, fusion.hermitian_eigenrange
     monkeypatch.setattr(fusion, "_secular_bracket", lambda C, *rest: events.append(C.shape[1]) or bracket(C, *rest))
     monkeypatch.setattr(fusion, "hermitian_eigenrange", lambda M, tol=None: events.append(M[0, 0]) or eigenrange(M))
-    certificate = erasure_certificate(frame, mode="greedy")
-    assert (certificate.certified, certificate.universal) == reference_greedy_levels(frame, certificate.budget)
+    certificate = assert_greedy_matches(frame)
+    assert certificate.universal == 2
     # Level 1 has no exact evaluation; level 2 brackets its members on the
-    # pick's carried column and the plane's two, then evaluates the three
+    # pick's carried column and the plane's two, then evaluates the two
     # near-tie members exactly, in index order: the plane (leaving S_00 =
-    # 4), e_0 (leaving S_00 = 1) and e_1 (leaving S_00 = 5).
+    # 5.5) and e_1 (leaving S_00 = 6.5).
     first = next(i for i, event in enumerate(events) if isinstance(event, float))
-    assert events[first : first + 3] == [4.0, 1.0, 5.0]
+    assert events[first : first + 2] == [5.5, 6.5]
     assert events[first - 1] == 3
 
 
@@ -489,9 +529,8 @@ def test_greedy_erasure_reuses_each_eigendecomposition(seed, members, field, mon
     monkeypatch.setattr(np.linalg, "eigh", lambda H: eighs.append(H.shape == (64, 64)) or eigh(H))
     widths = spy_bracket_widths(monkeypatch)
     certificate = erasure_certificate(frame, mode="greedy")
-    # Each path walks its certified levels and the one that fails.
-    walked = sum(min(level + 1, certificate.budget) for level in (certificate.certified, certificate.universal))
-    assert 2 * sum(eighs) <= walked
+    # The weakest path walks its universal levels and the one that fails.
+    assert 2 * sum(eighs) <= min(certificate.universal + 1, certificate.budget)
     assert max(widths) > frame.dims.max()
 
 
@@ -501,7 +540,8 @@ def test_greedy_erasure_without_closed_brackets(seed, every, monkeypatch):
     # A bracket that does not close leaves that member's x_i unbounded on
     # both sides, so the near-tie step evaluates it exactly.
     # From n = 16 the frames reach levels on a carried basis, whose
-    # brackets test more columns than d_max, and lose brackets there too.
+    # brackets test more columns than d_max, and lose brackets there too:
+    # with 2 n members the weakest path walks far enough to pick a line.
     calls, dropped = itertools.count(), []
     bracket = fusion._secular_bracket
 
@@ -515,12 +555,135 @@ def test_greedy_erasure_without_closed_brackets(seed, every, monkeypatch):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(3, 33))
     max_dim = 1 if 16 <= n < 24 else 2  # lines reach carried levels from n = 16, planes from n = 24
-    frame = random_fusion_frame(rng, n=n, members=n + 3, max_dim=max_dim, field=(REAL, COMPLEX)[seed % 2])
+    frame = random_fusion_frame(rng, n=n, members=2 * n, max_dim=max_dim, field=(REAL, COMPLEX)[seed % 2])
     budget = frame.member_count - 1
-    assert fusion._greedy_levels(frame, budget) == reference_greedy_levels(frame, budget)
+    assert_greedy_levels(frame, budget, fusion._greedy_levels(frame, budget))
     assert dropped
     if n >= 16:
         assert max(dropped) > frame.dims.max()
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def golden_frame(path):
+    return FrameDocument.from_json_text((GOLDEN / path).read_text(encoding="utf-8")).build()[0]
+
+
+GOLDEN_CASES = json.loads((GOLDEN / "cases.json").read_text(encoding="utf-8"))
+WITNESS_FRAMES = [
+    pytest.param(functools.partial(golden_frame, path), id=Path(path).stem)
+    for path in sorted({case["argv"][1] for case in GOLDEN_CASES if "--greedy" in case["argv"]})
+    if golden_frame(path).is_frame  # the golden erasure cases' frames, not their Bessel-only families
+] + [
+    pytest.param(functools.partial(library_scale_frame, seed, n, members, field), id=f"n{n}-N{members}-{field}")
+    for seed, n, members, field in [
+        (0, 128, 48, COMPLEX), (1, 64, 40, REAL), (2, 128, 40, REAL), (3, 96, 40, COMPLEX), (2, 64, 48, COMPLEX)
+    ]
+]
+
+
+def spy_witnesses(monkeypatch):
+    """``[witness, certified]`` per :func:`fusion._spanning_witness` call: its members in pick order, and whether
+    the :func:`fusion._gram_survivors` call after it certified them."""
+    seen = []
+    witness, survivors = fusion._spanning_witness, fusion._gram_survivors
+
+    def pick(*args):
+        seen.append([witness(*args), False])
+        return seen[-1][0]
+
+    def certify(shifted, width, J):
+        left = survivors(shifted, width, J)
+        seen[-1][1] = bool(left.all())
+        return left
+
+    monkeypatch.setattr(fusion, "_spanning_witness", pick)
+    monkeypatch.setattr(fusion, "_gram_survivors", certify)
+    return seen
+
+
+@pytest.mark.parametrize("make_frame", WITNESS_FRAMES)
+def test_greedy_witness_prefixes_leave_frames(make_frame, monkeypatch):
+    # The witness reaches the dimension bound and one Cholesky certifies
+    # it; each prefix's Gram block is a principal block of the witness's,
+    # so each prefix also leaves a frame under the exact decision.
+    frame = make_frame()
+    seen = spy_witnesses(monkeypatch)
+    budget = frame.member_count - 1
+    level = fusion._witness_level(frame, budget)
+    assert level == dimension_bound(frame, budget)
+    if level == 0:
+        assert not seen  # no removal fits on its dimensions, so no witness is picked
+        return
+    [(witness, certified)] = seen
+    assert certified and len(witness) == level
+    T, rest, prefixes = _column_blocks(frame.synthesis, frame.offsets), frame.operator, []
+    for p in witness:
+        rest = rest - T[p] @ T[p].conj().T
+        prefixes.append(rest)
+    assert fusion._frames_left(frame, np.stack(prefixes)).all()
+
+
+@pytest.mark.parametrize("chunk_bytes", [fusion.CHUNK_BYTES, 1])
+def test_greedy_witness_without_a_gram_cutoff_matches_the_exhaustive_reference(chunk_bytes, monkeypatch):
+    # With c = 0 no Gram block certifies the witness: the exact decisions on
+    # its prefixes alone give certified, which must still be exact, also
+    # when each chunk holds one prefix.
+    monkeypatch.setattr(fusion, "_gram_cutoff", lambda frame: 0.0)
+    monkeypatch.setattr(fusion, "CHUNK_BYTES", chunk_bytes)
+    seen, decided = spy_witnesses(monkeypatch), spy_exact_path(monkeypatch)
+    frames = (
+        [seeded_frame(seed) for seed in range(40)]
+        + [example_frame(name, n) for name in ("7.1", "7.1-V") for n in range(2, 9)]
+        + [example_frame("7.3")]
+        + [near_tie_frame(eta) for eta in NEAR_TIE_ETAS]
+    )
+    for frame in frames:
+        seen.clear()
+        decided.clear()
+        budget = frame.member_count - 1
+        level = fusion._witness_level(frame, budget)
+        assert level == reference_exhaustive_levels(frame, budget).certified
+        assert len(seen) == (dimension_bound(frame, budget) > 0)  # a witness unless no removal fits
+        for witness, certified in seen:
+            assert not certified and len(witness) == level
+            assert [len(H) for H in decided] == ([len(witness)] if chunk_bytes > 1 else [1] * len(witness))
+
+
+@pytest.mark.parametrize("chunk_bytes", [fusion.CHUNK_BYTES, 1])
+@pytest.mark.parametrize(
+    "decisions, level",
+    [((True, True, False, True), 2), ((True, False, True, True), 1), ((False, True, True, True), 1)],
+)
+def test_greedy_witness_counts_the_leading_prefixes_that_pass(decisions, level, chunk_bytes, monkeypatch):
+    # 7.1-V at n = 4 has a witness of 4 lines, one per axis, and weight rule
+    # level 1.  Its prefixes' exact decisions are replaced: the count is the
+    # leading prefixes that pass, at least the weight rule's level, and a
+    # chunk after a failing prefix is not decided.
+    frame = example_frame("7.1-V", 4)
+    monkeypatch.setattr(fusion, "_gram_cutoff", lambda frame: 0.0)
+    monkeypatch.setattr(fusion, "CHUNK_BYTES", chunk_bytes)
+    rows = []
+
+    def decide(frame, H):
+        rows.extend(decisions[len(rows) : len(rows) + len(H)])
+        return np.array(rows[-len(H) :])
+
+    monkeypatch.setattr(fusion, "_frames_left", decide)
+    assert _weight_rule_level(frame, 7) == 1
+    assert fusion._witness_level(frame, 7) == level
+    assert len(rows) == (4 if chunk_bytes > 1 else decisions.index(False) + 1)
+
+
+@pytest.mark.parametrize("n", [2, 6, 16])
+def test_greedy_witness_of_an_orthonormal_basis_needs_no_factorization(n, monkeypatch):
+    # Example 7.2 spends every dimension (spare = 0), so hi = 0: certified
+    # is 0 before any Gram matrix, QR factor or eigenproblem.
+    frame = example_frame("7.2", n)
+    for name in ("eigh", "eigvalsh", "cholesky", "qr", "solve"):
+        monkeypatch.setattr(np.linalg, name, lambda *args, name=name: pytest.fail(f"np.linalg.{name} ran"))
+    assert fusion._witness_level(frame, frame.member_count - 1) == 0
 
 
 @pytest.mark.parametrize("seed", SEEDS)

@@ -451,13 +451,13 @@ class TestErasure:
         assert cert.universal == 0
         assert cert.rule == "none"
 
-    def test_greedy_mode_is_a_sound_undercount(self):
+    def test_greedy_mode_certifies_the_exhaustive_count(self):
+        # The witness reaches the dimension bound, so greedy certified is exact.
         frame = example_frame("7.3")
         greedy = erasure_certificate(frame, budget=2, mode="greedy")
         exhaustive = erasure_certificate(frame, budget=2, mode="exhaustive")
         assert greedy.mode == "greedy"
-        assert greedy.certified <= exhaustive.certified
-        assert greedy.certified == 2
+        assert greedy.certified == exhaustive.certified == 2
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="unknown erasure search mode"):
