@@ -33,7 +33,10 @@ For each generated frame the sweep checks:
     in ``tests/test_differential.py``, one eigvalsh per removed subset;
     ``merged_cover`` tallies those whose top level the unions of merged
     member groups certified (``spy_top_passes`` of the test module), and
-    the sweep fails if there are none;
+    the sweep fails if there are none; ``witness_short`` tallies those
+    whose spanning witness stopped short of the dimension bound ``hi``,
+    which leaves the levels above it to the survivor scan
+    (``spy_witness_levels``); it is a count and fails nothing;
   * both erasure checks also run on MERGED_FRAMES mixed-dimension frames
     seeded from ``--seed`` (n 3-6, 10-12 members of dimension 1-3, real
     and complex in turn), whose full budgets mostly pack into merged
@@ -160,7 +163,8 @@ def run_sweep(config: SweepConfig) -> dict:
     rng = np.random.default_rng(config.seed)
     checks = (
         "containment", "union_shift", "dual", "operator", "erasure",
-        "exhaustive_reference", "merged_cover", "greedy_pick", "sampling_law", "alternate_ratio", "systems",
+        "exhaustive_reference", "merged_cover", "witness_short", "greedy_pick", "sampling_law", "alternate_ratio",
+        "systems",
     )
     system_rng = np.random.default_rng([config.seed, 6])
     tallies = dict.fromkeys(checks, 0)
@@ -231,6 +235,7 @@ def run_sweep(config: SweepConfig) -> dict:
         reference_redundancy_samples,
         reference_sampled_ratio,
         spy_top_passes,
+        spy_witness_levels,
         weak_last_axis_frame,
         weak_lines_frame,
     )
@@ -255,13 +260,15 @@ def run_sweep(config: SweepConfig) -> dict:
         greedy_checks.append((f"near-cutoff {index}", frame, greedy, exhaustive.certified))
 
     with pytest.MonkeyPatch.context() as patch:
-        passes = spy_top_passes(patch)
+        passes, levels = spy_top_passes(patch), spy_witness_levels(patch)
         for index, frame, exhaustive in small:
             passes.clear()
-            again = erasure_certificate(frame, exhaustive.budget, "exhaustive")  # its top passes, seen
+            levels.clear()
+            again = erasure_certificate(frame, exhaustive.budget, "exhaustive")  # its top passes and witness, seen
             if again == exhaustive == reference_exhaustive_levels(frame, exhaustive.budget):
                 tallies["exhaustive_reference"] += 1
                 tallies["merged_cover"] += (True, True) in passes
+                tallies["witness_short"] += any(level < dimension_bound(frame, exhaustive.budget) for level in levels)
             else:
                 failures.append((index, "exhaustive_reference"))
     if not tallies["merged_cover"]:
@@ -320,6 +327,7 @@ def main() -> int:
         "erasure": config.count + NEAR_CUTOFF_FRAMES + MERGED_FRAMES,
         "exhaustive_reference": outcome["reference_frames"],
         "merged_cover": outcome["reference_frames"],
+        "witness_short": outcome["reference_frames"],
         "greedy_pick": config.count + NEAR_CUTOFF_FRAMES + MERGED_FRAMES + LIBRARY_FRAMES,
         "sampling_law": LIBRARY_FRAMES,
     }

@@ -49,9 +49,9 @@ from .numerics import (
 )
 
 EXHAUSTIVE_MEMBER_LIMIT = 22
-# Working-block budget: each (rows, s, s) stack of one exhaustive-search chunk (s = |J| d_max for G_JJ,
-# J a removal, or top w for a union of top member groups in w-wide slots; n for S_J), and each block
-# of sphere weights that redundancy sampling draws.  A Gram chunk holds three such arrays at once: its
+# Working-block budget: each (rows, s, s) stack of one erasure-search chunk (s = |J| d_max for G_JJ, J a removal,
+# or top w for a union of top member groups in w-wide slots; n for S_J, one row per witness prefix), and each
+# block of sphere weights that redundancy sampling draws.  A Gram chunk holds three such arrays at once: its
 # blocks, the flat intp gather index of as many entries, and Cholesky's output: 2-3 times the budget.
 CHUNK_BYTES = 1 << 17
 
@@ -408,9 +408,10 @@ class ErasureCertificate:
                      certifies ``certified``, "spectral" when only the
                      eigenvalue check does, "none" when nothing is
                      certified
-    ``mode``         "exhaustive" (every subset decided) or "greedy":
-                     ``certified`` from one spanning witness, exact when
-                     the witness reaches the dimension bound, else a sound
+    ``mode``         "exhaustive" (both exact; a spanning witness that a
+                     survivor scan completes gives ``certified``) or
+                     "greedy": ``certified`` from that witness alone, exact
+                     when it reaches the dimension bound, else a sound
                      lower bound; ``universal`` a sound upper bound from one
                      removal path, witnessed below the budget by the
                      weakest path's failing removal
@@ -566,28 +567,56 @@ def _member_groups(dims: np.ndarray, top: int, spare: int) -> np.ndarray:
     return label
 
 
-def _top_pass(frame: FusionFrame, c: float, label: np.ndarray, top: int) -> tuple[np.ndarray, list[np.ndarray]]:
-    """``c I - G`` in the slots of ``label``'s groups, and :func:`_gram_survivors` on each chunk of their unions of
-    ``top`` (one array, one Cholesky), up to the first chunk it does not wholly certify."""
+def _top_pass(frame: FusionFrame, c: float, label: np.ndarray, top: int) -> bool:
+    """Whether :func:`_gram_survivors` certifies every union of ``top`` of ``label``'s groups on ``c I - G`` in
+    their slots, chunk by chunk (one array, one Cholesky each), up to the first chunk it does not wholly certify."""
     shifted, g = _shifted_gram(frame, c, label), label.max() + 1
-    answers, width = [], len(shifted) // g
-    for J in _subset_chunks(g, top, _chunk_rows((top * width) ** 2, shifted.itemsize)):
-        answers.append(_gram_survivors(shifted, width, J))
-        if not answers[-1].all():
-            break
-    return shifted, answers
+    width = len(shifted) // g
+    rows = _chunk_rows((top * width) ** 2, shifted.itemsize)
+    return all(_gram_survivors(shifted, width, J).all() for J in _subset_chunks(g, top, rows))
+
+
+def _dimension_levels(frame: FusionFrame, budget: int) -> tuple[int, int, int]:
+    """``(spare, top, hi)``: ``spare = sum_i d_i - n``, and the most of the largest, and of the smallest, ``d_i``
+    whose sum fits in it, at most ``budget``.  Every removal of at most ``top`` members passes the dimension test
+    ``sum_{i in J} d_i <= spare``, and none of more than ``hi`` does: the rest has ``rank S_J < n``."""
+    dims, spare = np.sort(frame.dims), int(frame.dims.sum()) - frame.ambient_dim
+    top = min(budget, int((np.cumsum(dims[::-1]) <= spare).sum()))
+    return spare, top, min(budget, int((np.cumsum(dims) <= spare).sum()))
+
+
+def _survivors(frame: FusionFrame, c: float, spare: int, k: int, built: dict):
+    """Per chunk of the removals of ``k`` members in ``itertools.combinations`` order, which leave a frame.
+
+    The dimension test fails rows unseen, :func:`_gram_survivors` certifies rows when ``c > 0``, and
+    :func:`_exact_frames_left` decides the rest; ``built`` keeps ``c I - G`` and the padded synthesis.
+    """
+    N, n, dims = frame.member_count, frame.ambient_dim, frame.dims
+    width = dims.max()
+    for J in _subset_chunks(N, k, _chunk_rows((k * width if c > 0.0 else n) ** 2, frame.synthesis.itemsize)):
+        alive = np.zeros(len(J), bool)
+        undecided = dims[J].sum(axis=1) <= spare
+        if c > 0.0 and undecided.any():
+            if "shifted" not in built:
+                built["shifted"] = _shifted_gram(frame, c, np.arange(N))
+            alive[undecided] = _gram_survivors(built["shifted"], width, J[undecided])
+            undecided &= ~alive
+        if undecided.any():
+            if "padded" not in built:
+                built["padded"] = _padded(frame, frame.synthesis, np.arange(N)).reshape(n, -1)
+            alive[undecided] = _exact_frames_left(frame, built["padded"], J[undecided])
+        yield alive
 
 
 def _exhaustive_levels(frame: FusionFrame, budget: int) -> tuple[int, int]:
     """``certified`` and ``universal`` from every removal of up to ``budget`` members.
 
-    Each level's subsets are decided in ``itertools.combinations`` order, by
-    chunks, and a level stops once its outcome is settled; a level above
-    ``top`` (below), whose ``k`` largest ``d_i`` fail the dimension test,
-    stops at its first survivor.
-    ``sum_{i in J} d_i > sum_i d_i - n`` fails unseen (``rank S_J < n``).
-    A level whose ``k`` smallest ``d_i`` already exceed that bound ends the
-    search without enumerating it.
+    ``universal`` asks whether every removal of ``k`` members leaves a frame,
+    ``certified`` whether some removal does; each is its own search below.
+    A level's removals are decided in ``itertools.combinations`` order, by
+    chunks (:func:`_survivors`).
+    ``sum_{i in J} d_i > sum_i d_i - n`` fails unseen (``rank S_J < n``), so
+    no level above ``hi`` (:func:`_dimension_levels`) is enumerated.
     The rest are decided on ``G = T* S^-1 T``, the projection onto the
     range of ``T*``, formed with ``d_max`` columns per member, or in the
     slots of member groups (:func:`_padded`) for the top pass below (a zero
@@ -643,7 +672,7 @@ def _exhaustive_levels(frame: FusionFrame, budget: int) -> tuple[int, int]:
     :func:`_frames_left`, which also decides every row when ``c <= 0``
     (``B / A`` near ``1 / rank_rel``).
 
-    The search starts from the top: ``top`` is the largest level up to
+    ``universal`` starts from the top: ``top`` is the largest level up to
     ``budget`` whose ``top`` largest ``d_i`` pass the dimension test, so
     every removal of at most ``top`` members passes it.  When ``top >= 2``,
     :func:`_member_groups` packs the members first-fit decreasing into
@@ -665,64 +694,36 @@ def _exhaustive_levels(frame: FusionFrame, budget: int) -> tuple[int, int]:
     of the removals' blocks; when a merged pass ends early, the pass runs
     again on single members, the removals themselves, in the member
     layout, so a frame that no merged union certifies pays at most 1.5
-    times that pass.  If that pass also ends early, the
-    search runs level by level from 1 as described above, reusing its
-    answers when it reaches level ``top`` (so no removal is decided
-    twice).  When every block of a pass is certified, every ``J' ⊂ K``
-    of a certified ``K`` has ``lambda_max(G_J'J') <= g <= c + e_2 / 2``
-    (interlacing again), so the chain above holds for ``S_J'`` as for
-    ``S_K``: the reference's ``low`` exceeds ``rank_rel high``, and
-    ``J'`` survives both there and in the level-by-level search, whose
-    uncertified rows take the reference's decision.  So levels ``1`` to
-    ``top`` are universal, and the search goes on from ``top + 1``.
-    This needs Gram-certified blocks: the test ``low > rank_rel high`` on
-    ``S_J`` alone is not closed under subsets, since ``lambda_max(S_J')``
-    can grow faster than ``lambda_min(S_J')``.
-    """
-    N, n, dims = frame.member_count, frame.ambient_dim, frame.dims
-    c, width, members = _gram_cutoff(frame), dims.max(), np.arange(N)
-    shifted = padded = None  # c I - G in the member layout, Y_J of the exact path: built when a level needs them
-    spare = dims.sum() - n  # removing more dimensions leaves rank S_J < n
-    smallest, largest = np.cumsum(np.sort(dims)), np.cumsum(np.sort(dims)[::-1])
-    top = min(budget, int((largest <= spare).sum()))
+    times that pass.  When every block of a pass is certified, every
+    ``J' ⊂ K`` of a certified ``K`` has ``lambda_max(G_J'J') <= g <= c +
+    e_2 / 2`` (interlacing again), so the chain above holds for ``S_J'``
+    as for ``S_K``: the reference's ``low`` exceeds ``rank_rel high``, and
+    ``J'`` survives.  So levels ``1`` to ``top`` are universal.  This needs
+    Gram-certified blocks: the test ``low > rank_rel high`` on ``S_J``
+    alone is not closed under subsets, since ``lambda_max(S_J')`` can grow
+    faster than ``lambda_min(S_J')``.  Otherwise ``universal`` is the last
+    of the levels ``1, 2, ...`` up to ``top`` whose removals all survive,
+    each level decided up to its first chunk with a failing row.
 
-    certified = universal = 0
-    first_pass = []  # level top's Gram answers on single members, when that pass ran and did not certify it
+    ``certified`` ends at the first level without a survivor (supersets of
+    failing removals also fail); levels up to ``universal`` have one.  When
+    ``universal < hi``, so has each level up to the count of
+    :func:`_witness_level`, a prefix of its witness, and the levels above a
+    short witness are decided up to the chunk that holds their first one.
+    """
+    N, members, c = frame.member_count, np.arange(frame.member_count), _gram_cutoff(frame)
+    spare, top, hi = _dimension_levels(frame, budget)
+    built = {}  # c I - G in the member layout and the padded synthesis, for _survivors
+    universal = 0
     if c > 0.0 and top >= 2:
-        groups = _member_groups(dims, top, spare)
-        for label in (groups, members) if groups.max() < N - 1 else (members,):
-            layout, first_pass = _top_pass(frame, c, label, top)
-            shifted = layout if label is members else None
-            if first_pass[-1].all():
-                certified = universal = top  # every removal of top members is a subset of a certified union
-                break
-    for k in range(certified + 1, budget + 1):
-        if smallest[k - 1] > spare:
-            break  # every removal of k members fails on its dimensions
-        # some removal survives; every one does, while that matters: not above top, where the k largest fail
-        some, every = False, universal == k - 1 and largest[k - 1] <= spare
-        if c > 0.0 and shifted is None:
-            shifted = _shifted_gram(frame, c, members)
-        rows = _chunk_rows((k * width if c > 0.0 else n) ** 2, frame.synthesis.itemsize)  # at top, _top_pass's chunks
-        chunks, known = _subset_chunks(N, k, rows), iter(first_pass if k == top else ())
-        while (every or not some) and (J := next(chunks, None)) is not None:
-            alive = np.zeros(len(J), bool)
-            undecided = dims[J].sum(axis=1) <= spare  # rows the dimension test does not fail
-            if c > 0.0 and undecided.any():
-                gram = next(known, None)  # at level top every row passes the dimension test
-                alive[undecided] = _gram_survivors(shifted, width, J[undecided]) if gram is None else gram
-                undecided &= ~alive
-            if undecided.any():
-                if padded is None:
-                    padded = _padded(frame, frame.synthesis, members).reshape(n, -1)
-                alive[undecided] = _exact_frames_left(frame, padded, J[undecided])
-            some = some or bool(alive.any())
-            every = every and bool(alive.all())
-        if not some:
-            break  # supersets of failing removals also fail
-        certified = k
-        if every:
-            universal = k
+        groups = _member_groups(frame.dims, top, spare)
+        if _top_pass(frame, c, groups, top) or groups.max() < N - 1 and _top_pass(frame, c, members, top):
+            universal = top  # every removal of top members is a subset of a certified union
+    while universal < top and all(alive.all() for alive in _survivors(frame, c, spare, universal + 1, built)):
+        universal += 1
+    certified = max(universal, _witness_level(frame, budget)) if universal < hi else universal
+    while certified < hi and any(alive.any() for alive in _survivors(frame, c, spare, certified + 1, built)):
+        certified += 1
     return certified, universal
 
 
@@ -791,45 +792,39 @@ def _spanning_witness(kernel: np.ndarray, dims: np.ndarray, spare: int, count: i
 
 
 def _witness_level(frame: FusionFrame, budget: int) -> int:
-    """Greedy mode's ``certified``: the nested prefixes of one :func:`_spanning_witness` that leave a frame.
+    """The leading prefixes of one :func:`_spanning_witness` that leave a frame: a level count with a survivor each.
 
+    Greedy mode's ``certified``, and exhaustive mode's above ``universal``
+    (:func:`_exhaustive_levels`, which completes a short count).
     Dimension bound: removing more than ``hi`` members, ``hi`` the number
-    of the smallest ``d_i`` whose sum fits in ``spare = m - n``, leaves
-    ``rank S_J < n``, which the reference fails.  So a witness ``J`` of
-    ``min(budget, hi)`` members whose prefixes all leave a frame proves
-    ``certified`` exactly.  Gram certificate: one Cholesky of ``c I -
-    G_JJ``, or a positive ``eigvalsh`` when it declines
-    (:func:`_gram_survivors`, ``c`` and ``G`` those of
+    of the smallest ``d_i`` whose sum fits in ``spare = m - n``
+    (:func:`_dimension_levels`), leaves ``rank S_J < n``, which the
+    reference fails.  So a witness ``J`` of ``min(budget, hi)`` members
+    whose prefixes all leave a frame proves ``certified`` exactly.  Gram
+    certificate: one Cholesky of ``c I - G_JJ``, or a positive ``eigvalsh``
+    when it declines (:func:`_gram_survivors`, ``c`` and ``G`` those of
     :func:`_exhaustive_levels`), gives ``lambda_max(G_JJ) <= c + (s + 1)^2
     eps``.  Interlacing: each prefix ``J_k`` indexes a principal submatrix
     of ``G_JJ``, so ``lambda_max(G_{J_k J_k}) <= lambda_max(G_JJ)``, and the
     error chain of :func:`_exhaustive_levels` gives the reference's ``low >
     rank_rel high`` on each ``S_{J_k}``: every level up to ``len(J)`` has a
     survivor.  When ``c <= 0`` or the block is not certified,
-    :func:`_frames_left` decides the prefixes on ``S - T_J T_J*`` by
-    chunks within ``CHUNK_BYTES``, and the leading ones that pass count.
-    A shorter count is a sound lower bound, floored at the weight rule's
-    level (:func:`_weight_rule_level`).
+    :func:`_exact_frames_left` decides the prefixes one by one, as the
+    exhaustive search decides a removal, up to the first that fails; the
+    leading ones that pass count.  A shorter count is a sound lower bound,
+    floored at the weight rule's level (:func:`_weight_rule_level`).
     """
-    n, dims, width = frame.ambient_dim, frame.dims, frame.dims.max()
-    spare = dims.sum() - n
-    count = min(budget, int((np.cumsum(np.sort(dims)) <= spare).sum()))
+    spare, _, count = _dimension_levels(frame, budget)
     if count == 0:
         return 0
-    c = _gram_cutoff(frame)
-    shifted = _shifted_gram(frame, c, np.arange(frame.member_count))
-    witness = _spanning_witness(shifted + (1.0 - c) * np.eye(len(shifted)), dims, spare, count)
+    c, members = _gram_cutoff(frame), np.arange(frame.member_count)
+    shifted = _shifted_gram(frame, c, members)
+    witness = _spanning_witness(shifted + (1.0 - c) * np.eye(len(shifted)), frame.dims, spare, count)
     level = len(witness)
-    if level and not (c > 0.0 and _gram_survivors(shifted, width, witness[None])[0]):
-        T = _column_blocks(frame.synthesis, frame.offsets)
-        Y, ends = np.hstack([T[p] for p in witness]), np.cumsum(dims[witness])
-        left, rows = np.ones(level, bool), _chunk_rows(n * n, Y.itemsize)
-        for start in range(0, level, rows):
-            H = np.stack([frame.operator - Y[:, :e] @ Y[:, :e].conj().T for e in ends[start : start + rows]])
-            left[start : start + rows] = _frames_left(frame, H)
-            if not left.all():
-                break
-        level = int(left.cumprod().sum())  # the leading prefixes that pass
+    if level and not (c > 0.0 and _gram_survivors(shifted, frame.dims.max(), witness[None])[0]):
+        padded = _padded(frame, frame.synthesis, members).reshape(frame.ambient_dim, -1)
+        left = (_exact_frames_left(frame, padded, witness[None, : k + 1])[0] for k in range(level))
+        level = next((k for k, alive in enumerate(left) if not alive), level)  # the leading prefixes that pass
     return max(level, _weight_rule_level(frame, budget))
 
 
@@ -978,19 +973,20 @@ def erasure_certificate(
     Removing the members ``J`` leaves a fusion frame iff ``S_J = S - T_J
     T_J*``, from the frame's ``S`` and synthesis columns ``T_J`` (``T_J T_J*
     = sum_{i in J} v_i^2 P_i``), passes ``Tolerance.spans`` on its range.
-    Exhaustive mode (at most 22 members) decides every
-    subset with that same outcome, from the block ``G_JJ`` of the Gram
+    Exhaustive mode (at most 22 members) gives both counts exactly, with
+    that same outcome per removal, from the block ``G_JJ`` of the Gram
     matrix ``G = T* S^-1 T`` (``S_J`` is invertible iff
     ``lambda_max(G_JJ) < 1``) and, for removals that block does not
     certify, from ``S_J`` itself (:func:`_exhaustive_levels`).  Its top
     level, the largest whose removals all keep enough dimensions, is
     first tried on the blocks of unions of member groups, one ``w``-wide
     slot of ``G`` per group, ``top w <= N d_max`` square: a certified union
-    certifies every removal inside it, and every smaller one.
-    Greedy mode decides ``certified`` on one removal of up to ``hi``
-    members, ``hi`` the most whose dimensions can go, chosen by pivoting on
-    ``I - G``: one Cholesky of ``c I - G_JJ`` certifies it and, by
-    interlacing, each of its prefixes, so it is exact when the witness
+    certifies every removal inside it, and every smaller one.  Its
+    ``certified`` completes the spanning witness below by a level scan.
+    Greedy mode decides ``certified`` on that witness alone: one removal of
+    up to ``hi`` members, ``hi`` the most whose dimensions can go, chosen by
+    pivoting on ``I - G``; one Cholesky of ``c I - G_JJ`` certifies it and,
+    by interlacing, each of its prefixes, so it is exact when the witness
     reaches ``hi`` (:func:`_witness_level`); ``universal`` follows the
     weakest removal path (:func:`_greedy_levels`).
     """

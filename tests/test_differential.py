@@ -629,7 +629,8 @@ def test_greedy_witness_prefixes_leave_frames(make_frame, monkeypatch):
 def test_greedy_witness_without_a_gram_cutoff_matches_the_exhaustive_reference(chunk_bytes, monkeypatch):
     # With c = 0 no Gram block certifies the witness: the exact decisions on
     # its prefixes alone give certified, which must still be exact, also
-    # when each chunk holds one prefix.
+    # when each chunk holds one row.  Each prefix is one removal, decided
+    # on its own.
     monkeypatch.setattr(fusion, "_gram_cutoff", lambda frame: 0.0)
     monkeypatch.setattr(fusion, "CHUNK_BYTES", chunk_bytes)
     seen, decided = spy_witnesses(monkeypatch), spy_exact_path(monkeypatch)
@@ -648,7 +649,7 @@ def test_greedy_witness_without_a_gram_cutoff_matches_the_exhaustive_reference(c
         assert len(seen) == (dimension_bound(frame, budget) > 0)  # a witness unless no removal fits
         for witness, certified in seen:
             assert not certified and len(witness) == level
-            assert [len(H) for H in decided] == ([len(witness)] if chunk_bytes > 1 else [1] * len(witness))
+            assert [len(H) for H in decided] == [1] * len(witness)
 
 
 @pytest.mark.parametrize("chunk_bytes", [fusion.CHUNK_BYTES, 1])
@@ -659,8 +660,8 @@ def test_greedy_witness_without_a_gram_cutoff_matches_the_exhaustive_reference(c
 def test_greedy_witness_counts_the_leading_prefixes_that_pass(decisions, level, chunk_bytes, monkeypatch):
     # 7.1-V at n = 4 has a witness of 4 lines, one per axis, and weight rule
     # level 1.  Its prefixes' exact decisions are replaced: the count is the
-    # leading prefixes that pass, at least the weight rule's level, and a
-    # chunk after a failing prefix is not decided.
+    # leading prefixes that pass, at least the weight rule's level, and no
+    # prefix after a failing one is decided, whatever the chunk size.
     frame = example_frame("7.1-V", 4)
     monkeypatch.setattr(fusion, "_gram_cutoff", lambda frame: 0.0)
     monkeypatch.setattr(fusion, "CHUNK_BYTES", chunk_bytes)
@@ -673,7 +674,7 @@ def test_greedy_witness_counts_the_leading_prefixes_that_pass(decisions, level, 
     monkeypatch.setattr(fusion, "_frames_left", decide)
     assert _weight_rule_level(frame, 7) == 1
     assert fusion._witness_level(frame, 7) == level
-    assert len(rows) == (4 if chunk_bytes > 1 else decisions.index(False) + 1)
+    assert len(rows) == decisions.index(False) + 1
 
 
 @pytest.mark.parametrize("n", [2, 6, 16])
@@ -814,7 +815,9 @@ def test_exhaustive_erasure_exact_path_in_several_chunks(rows, field, monkeypatc
 def test_exhaustive_erasure_without_a_gram_cutoff(monkeypatch):
     # Two axes held twice and the third by a weak line alone: B / A within
     # 0.01% of 1 / rank_rel leaves no cutoff c > 0, so the exact path
-    # decides every removal the dimension test leaves.
+    # decides every removal that is looked at: the five single removals,
+    # of which removing the weak line fails, then the witness's two
+    # prefixes, which reach hi = 2; triples fail on their dimensions.
     U = random_unitary(np.random.default_rng(3), 3, REAL)
     weak = 2.0002 * fusion.DEFAULT_TOLERANCE.rank_rel
     spans = [(U[:, [i]], 1.0) for i in range(2) for _ in range(2)] + [(U[:, [2]], np.sqrt(weak))]
@@ -822,8 +825,9 @@ def test_exhaustive_erasure_without_a_gram_cutoff(monkeypatch):
     assert frame.is_frame and fusion._gram_cutoff(frame) <= 0.0
     seen = spy_exact_path(monkeypatch)
     certificate = assert_exhaustive_matches(frame)
-    assert sum(map(len, seen)) == 5 + 10  # every single removal and every pair; triples fail on their dimensions
     assert (certificate.certified, certificate.universal) == (2, 0)
+    assert [len(H) for H in seen] == [5, 1, 1]
+    assert [len(J) for J in removals_of(frame, [H[0] for H in seen[1:]])] == [1, 2]
 
 
 def squeezed_frame(seed, count=None):
@@ -917,9 +921,11 @@ def test_weight_rule_needs_the_spans_cutoff(mode, monkeypatch):
     assert (certificate.certified, certificate.universal, certificate.weight_rule, certificate.rule) == (0, 0, 0, "none")
     if mode == "exhaustive":
         assert certificate == reference_exhaustive_levels(frame, certificate.budget)
-        # No Gram block certifies a removal; the four single removals fail
-        # on the exact path, and then so do all their supersets.
-        assert [len(H) for H in seen] == [4]
+        # No Gram block certifies a removal.  The four single removals fail
+        # on the exact path in the universal scan, the witness's first
+        # prefix fails there too, and the survivor scan decides the four
+        # again; no superset is decided.
+        assert [len(H) for H in seen] == [4, 1, 4]
     else:
         assert (certificate.certified, certificate.universal) == reference_greedy_levels(frame, certificate.budget)
 
@@ -957,7 +963,7 @@ def spy_gram_shapes(monkeypatch):
 
 @pytest.mark.parametrize(
     "n, dims, budget, field, sides",
-    [(8, (2,) * 18, 5, COMPLEX, {20}), (12, (1, 2) * 8, None, REAL, {12, 14, 16, 18, 20})],
+    [(8, (2,) * 18, 5, COMPLEX, {20}), (12, (1, 2) * 8, None, REAL, {12, 20})],
     ids=["n8-N18-b5-complex", "n12-N16-full-real"],
 )
 def test_exhaustive_erasure_matches_on_the_benchmark_shapes(n, dims, budget, field, sides, monkeypatch):
@@ -969,8 +975,9 @@ def test_exhaustive_erasure_matches_on_the_benchmark_shapes(n, dims, budget, fie
     # (capacity 28 // 5 = 5 dimensions), slots of 4, so its blocks are 20
     # square and no block of level 5 itself is formed; the second packs
     # each plane alone and the lines in pairs (capacity 2), slots of 2, so
-    # its unions are 12 square, and levels 7 to 10 go removal by removal in
-    # the member layout, d_max = 2 columns per member.
+    # its unions are 12 square, and the spanning witness of its hi = 10
+    # lines certifies levels 7 to 10 on one 20-square block of the member
+    # layout, d_max = 2 columns per member.
     shapes = spy_gram_shapes(monkeypatch)
     certificate = assert_exhaustive_matches(benchmark_shape_frame(7, n, dims, field), budget)
     assert certificate.certified >= 5
@@ -1016,9 +1023,9 @@ def test_exhaustive_erasure_merged_pass_on_the_full_shape_forms_blocks_no_wider_
 
     def spy(frame, c, label, top):
         start = len(shapes)
-        answers = top_pass(frame, c, label, top)
+        certified = top_pass(frame, c, label, top)
         merged.append((top, label.max() + 1, shapes[start:]))
-        return answers
+        return certified
 
     monkeypatch.setattr(fusion, "_top_pass", spy)
     assert_exhaustive_matches(frame)
@@ -1027,7 +1034,7 @@ def test_exhaustive_erasure_merged_pass_on_the_full_shape_forms_blocks_no_wider_
     assert (top, groups) == (6, 12)
     assert {side for _, side in calls} == {12} and sum(r for r, _ in calls) == math.comb(12, 6)
     assert len(calls) <= -(-math.comb(12, 6) // rows)
-    assert layouts == [12, 16]  # levels 7 to 10 form the member layout once
+    assert layouts == [12, 16]  # the witness of levels 7 to 10 forms the member layout once
 
 
 @pytest.mark.parametrize("field", [REAL, COMPLEX])
@@ -1066,11 +1073,13 @@ def test_exhaustive_erasure_top_level_fails_at_its_first_chunk(n, monkeypatch):
 
 def test_exhaustive_erasure_decides_each_top_level_row_once(monkeypatch):
     # Gallery 7.1-V at n = 6: the first pass declines its first level-6
-    # chunk, 455 rows; the level-by-level search reuses those answers.
+    # chunk, 455 rows.  The universal scan stops at level 2, and the
+    # witness, one 6-square block, certifies levels 2 to 6, so no level-6
+    # removal is decided again.
     shapes = spy_gram_shapes(monkeypatch)
     certificate = assert_exhaustive_matches(example_frame("7.1-V", 6))
     assert (certificate.certified, certificate.universal) == (6, 1)
-    assert [rows for rows, side in shapes if side == 6] == [455]
+    assert shapes == [(455, 6), (12, 1), (66, 2), (1, 6)]
 
 
 @st.composite
@@ -1134,9 +1143,8 @@ def spy_top_passes(monkeypatch):
     top_pass = fusion._top_pass
 
     def spy(frame, c, label, top):
-        shifted, answers = top_pass(frame, c, label, top)
-        passes.append((bool(label.max() < len(label) - 1), bool(answers[-1].all())))
-        return shifted, answers
+        passes.append((bool(label.max() < len(label) - 1), top_pass(frame, c, label, top)))
+        return passes[-1][1]
 
     monkeypatch.setattr(fusion, "_top_pass", spy)
     return passes
@@ -1170,7 +1178,7 @@ def test_exhaustive_erasure_matches_on_the_erasure_benchmark_shapes(index, seed,
 
 
 def top_level(frame, budget):
-    """``top`` and ``spare`` as :func:`fusion._exhaustive_levels` computes them."""
+    """``top`` and ``spare``: the reference for :func:`fusion._dimension_levels`."""
     spare = int(frame.dims.sum()) - frame.ambient_dim
     return min(budget, int((np.cumsum(np.sort(frame.dims)[::-1]) <= spare).sum())), spare
 
@@ -1191,22 +1199,84 @@ def spy_level_chunks(monkeypatch):
 
 
 @pytest.mark.parametrize("seed", [0, 1])
-def test_exhaustive_erasure_levels_above_top_stop_at_their_first_survivor(seed, monkeypatch):
-    # The erasure benchmark's n12-N16 shape: above its top level the k
-    # largest dimensions exceed the spare ones, so some removal of k fails
-    # unseen, and a level is settled by its first survivor in
-    # combinations order.  The search takes chunks up to the one holding it.
+def test_exhaustive_erasure_levels_above_top_come_from_the_witness(seed, monkeypatch):
+    # The erasure benchmark's n12-N16 shape: the merged pass certifies its
+    # top level, 6, and the spanning witness reaches hi = 10, so no level
+    # is enumerated removal by removal: the one _subset_chunks call is the
+    # top pass's, over the 12 groups.
     n, N, pattern, budget = ERASURE_SHAPES[6]
     frame = erasure_shape_frame(seed, 6, n, N, pattern)
-    calls = spy_level_chunks(monkeypatch)
+    calls, levels = spy_level_chunks(monkeypatch), spy_witness_levels(monkeypatch)
     certificate = assert_exhaustive_matches(frame, budget)
     top, _ = top_level(frame, certificate.budget)
-    _, _, survives = reference_removals(frame)
-    above = [(k, chunks) for k, chunks in calls if k > top]
-    assert [k for k, _ in above] == list(range(top + 1, certificate.certified + 1))
-    for k, chunks in above:
-        first = next(i for i, J in enumerate(itertools.combinations(range(N), k)) if survives(J))
-        assert len(chunks) == first // len(chunks[0]) + 1
+    assert (top, certificate.universal, certificate.certified) == (6, 6, dimension_bound(frame, certificate.budget))
+    assert [k for k, _ in calls] == [top] and levels == [certificate.certified]
+
+
+def spy_witness_levels(monkeypatch):
+    """The count :func:`fusion._witness_level` returns, one per call."""
+    levels = []
+    witness_level = fusion._witness_level
+
+    def spy(frame, budget):
+        levels.append(witness_level(frame, budget))
+        return levels[-1]
+
+    monkeypatch.setattr(fusion, "_witness_level", spy)
+    return levels
+
+
+def short_witness_frame():
+    """Coordinate subspaces of R^4 on which the spanning witness stops at 2 members of ``hi = 3``.
+
+    Members ``{e1}, {e1, e3}, {e0, e1}, {e0}, {e2, e3}`` with weights 0.8, 1.9, 0.8, 1.8 and 0.8: removing
+    ``{e1}``, ``{e1, e3}`` and ``{e0}`` leaves a frame, but the pivots start elsewhere.
+    """
+    e = np.eye(4)
+    return FusionFrame([e[:, a] for a in ([1], [1, 3], [0, 1], [0], [2, 3])], [0.8, 1.9, 0.8, 1.8, 0.8])
+
+
+def test_exhaustive_erasure_completes_a_short_witness(monkeypatch):
+    # top = 2: the top pass fails, and so does level 1, since removing
+    # {e2, e3} empties two axes.  The witness reaches level 2 of hi = 3,
+    # so the survivor scan decides level 3, where it finds the survivor.
+    # Greedy mode has only the witness, and undercounts.
+    frame = short_witness_frame()
+    calls, levels = spy_level_chunks(monkeypatch), spy_witness_levels(monkeypatch)
+    certificate = assert_exhaustive_matches(frame)
+    assert (certificate.certified, certificate.universal) == (3, 0) == (dimension_bound(frame, 4), 0)
+    assert levels == [2] and [k for k, _ in calls] == [2, 1, 3]
+    assert erasure_certificate(frame, mode="greedy").certified == 2
+
+
+def test_exhaustive_erasure_of_doubled_axes_scans_up_to_level_2(monkeypatch):
+    # Gallery 7.1-V at n = 8 holds each axis twice.  The top pass at level 8
+    # declines its first chunk; level 1 is universal and the first pair
+    # empties an axis, so the universal scan stops at level 2.  The witness
+    # of hi = 8 lines certifies the rest: no chunk of levels 3 to 7 is
+    # enumerated, nor of level 8 after the top pass.
+    calls, levels = spy_level_chunks(monkeypatch), spy_witness_levels(monkeypatch)
+    certificate = assert_exhaustive_matches(example_frame("7.1-V", 8))
+    assert (certificate.certified, certificate.universal) == (8, 1)
+    assert levels == [8] and [k for k, _ in calls] == [8, 1, 2]
+
+
+DIMENSION_FRAMES = [
+    pytest.param(functools.partial(example_frame, name, n), id=f"{name}-n{n}")
+    for name in ("7.1", "7.1-V", "7.2")
+    for n in (2, 5, 8)
+] + [
+    pytest.param(lambda seed=seed: random_fusion_frame(np.random.default_rng([seed, 37]), 5, 12, 3), id=f"mixed-{seed}")
+    for seed in range(6)
+]
+
+
+@pytest.mark.parametrize("make_frame", DIMENSION_FRAMES)
+def test_dimension_levels_match_the_references(make_frame):
+    frame = make_frame()
+    for budget in range(frame.member_count):
+        top, spare = top_level(frame, budget)
+        assert fusion._dimension_levels(frame, budget) == (spare, top, dimension_bound(frame, budget))
 
 
 def merged_budgets(frame):
@@ -1259,8 +1329,8 @@ def test_exhaustive_erasure_on_merged_groups(family, seed, monkeypatch):
     passes, layouts = spy_top_passes(monkeypatch), spy_gram_layouts(monkeypatch)
     assert_exhaustive_matches(frame, budget)
     assert passes[0][0]  # unions of merged groups came first
-    if family == "squeezed":  # the levels reuse the member layout of the pass on single removals
-        assert passes == [(True, False), (False, False)] and layouts[1:] == [frame.member_count]
+    if family == "squeezed":  # after the merged pass, only the member layout is formed
+        assert passes == [(True, False), (False, False)] and set(layouts[1:]) == {frame.member_count}
 
 
 def assert_slot_blocks_match(seed):
