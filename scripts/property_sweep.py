@@ -32,11 +32,11 @@ For each generated frame the sweep checks:
     exhaustive certificate equals that of ``reference_exhaustive_levels``
     in ``tests/test_differential.py``, one eigvalsh per removed subset;
     ``merged_cover`` tallies those whose top level the unions of merged
-    member groups certified (``spy_top_passes`` of the test module), and
-    the sweep fails if there are none; ``witness_short`` tallies those
-    whose spanning witness stopped short of the dimension bound ``hi``,
-    which leaves the levels above it to the survivor scan
-    (``spy_witness_levels``); it is a count and fails nothing;
+    member groups certified (``top_passes`` of the test module, on the
+    search's record), and the sweep fails if there are none;
+    ``witness_short`` tallies those whose spanning witness stopped short
+    of the dimension bound ``hi``, which leaves the levels above it to the
+    survivor scan (``witness_levels``); it is a count and fails nothing;
   * both erasure checks also run on MERGED_FRAMES mixed-dimension frames
     seeded from ``--seed`` (n 3-6, 10-12 members of dimension 1-3, real
     and complex in turn), whose full budgets mostly pack into merged
@@ -77,16 +77,8 @@ from pathlib import Path
 import numpy as np
 
 from ffk.duality import alternate_dual_bounds, canonical_dual_fusion, verify_alternate_dual
-from ffk.fusion import (
-    EXHAUSTIVE_MEMBER_LIMIT,
-    ErasureCertificate,
-    FusionFrame,
-    erasure_certificate,
-    operator_image_report,
-    redundancy_range,
-    redundancy_samples,
-    union,
-)
+from ffk.erasure import EXHAUSTIVE_MEMBER_LIMIT, ErasureCertificate, _search, erasure_certificate
+from ffk.fusion import FusionFrame, operator_image_report, redundancy_range, redundancy_samples, union
 from ffk.generators import (
     random_fusion_frame,
     random_invertible,
@@ -225,7 +217,6 @@ def run_sweep(config: SweepConfig) -> dict:
         greedy_checks.append((f"merged {index}", frame, greedy, exhaustive.certified))
 
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
-    import pytest
     from test_differential import (
         dimension_bound,
         ks_distance,
@@ -234,10 +225,10 @@ def run_sweep(config: SweepConfig) -> dict:
         reference_pencil,
         reference_redundancy_samples,
         reference_sampled_ratio,
-        spy_top_passes,
-        spy_witness_levels,
+        top_passes,
         weak_last_axis_frame,
         weak_lines_frame,
+        witness_levels,
     )
 
     near_rng = np.random.default_rng([config.seed, 4])
@@ -259,18 +250,15 @@ def run_sweep(config: SweepConfig) -> dict:
         small.append((f"near-cutoff {index}", frame, exhaustive))
         greedy_checks.append((f"near-cutoff {index}", frame, greedy, exhaustive.certified))
 
-    with pytest.MonkeyPatch.context() as patch:
-        passes, levels = spy_top_passes(patch), spy_witness_levels(patch)
-        for index, frame, exhaustive in small:
-            passes.clear()
-            levels.clear()
-            again = erasure_certificate(frame, exhaustive.budget, "exhaustive")  # its top passes and witness, seen
-            if again == exhaustive == reference_exhaustive_levels(frame, exhaustive.budget):
-                tallies["exhaustive_reference"] += 1
-                tallies["merged_cover"] += (True, True) in passes
-                tallies["witness_short"] += any(level < dimension_bound(frame, exhaustive.budget) for level in levels)
-            else:
-                failures.append((index, "exhaustive_reference"))
+    for index, frame, exhaustive in small:
+        again, record = _search(frame, exhaustive.budget, "exhaustive")  # its top passes and witness, recorded
+        if again == exhaustive == reference_exhaustive_levels(frame, exhaustive.budget):
+            tallies["exhaustive_reference"] += 1
+            tallies["merged_cover"] += (True, True) in top_passes(frame, record)
+            short = [level < dimension_bound(frame, again.budget) for level in witness_levels(record)]
+            tallies["witness_short"] += any(short)
+        else:
+            failures.append((index, "exhaustive_reference"))
     if not tallies["merged_cover"]:
         failures.append(("all", "merged_cover"))
 

@@ -16,15 +16,14 @@ from .vector_frames import (
     check_norm_inequality,
     dual_redundancy_sandwich,
 )
+from .erasure import ErasureCertificate, erasure_certificate
 from .fusion import (
     AnalysisReport,
-    ErasureCertificate,
     FusionFrame,
     apply_operator,
     build_fusion_frame,
     classify,
     erase,
-    erasure_certificate,
     excess,
     frame_bounds,
     fusion_frame_operator,

@@ -28,13 +28,9 @@ from .documents import (
     sampled_consistency_checks,
 )
 from .duality import canonical_dual_fusion, canonical_ratio_bounds, verify_alternate_dual
+from .erasure import erasure_certificate
 from .errors import FrameError, LocalNotParseval, NotUniformWeights, ParseError
-from .fusion import (
-    classify,
-    erasure_certificate,
-    operator_image_report,
-    redundancy_at,
-)
+from .fusion import classify, operator_image_report, redundancy_at
 from .numerics import sample_unit_vectors
 from .systems import (
     check_local_additivity,

@@ -25,8 +25,9 @@ from itertools import chain
 import numpy as np
 
 from . import __version__
+from .erasure import ErasureCertificate
 from .errors import MemberCountMismatch, ParseError, SchemaVersionUnsupported
-from .fusion import AnalysisReport, ErasureCertificate, FusionFrame, _positive_weight, build_fusion_frame
+from .fusion import AnalysisReport, FusionFrame, _positive_weight, build_fusion_frame
 from .gallery import example_frame
 from .numerics import COMPLEX, REAL, Tolerance, _column_blocks, _read_only, quadratic_forms, sample_unit_vectors
 from .systems import FusionFrameSystem

@@ -331,6 +331,18 @@ def sphere_weights(
     return W
 
 
+# Working-block budget: each (rows, s, s) stack of one erasure-search chunk (s = |J| d_max for G_JJ, J a removal,
+# or top w for a union of top member groups in w-wide slots; n for S_J, one row per witness prefix), and each
+# block of sphere weights that redundancy sampling draws.  A Gram chunk holds three such arrays at once: its
+# blocks, the flat intp gather index of as many entries, and Cholesky's output: 2-3 times the budget.
+CHUNK_BYTES = 1 << 17
+
+
+def _chunk_rows(entries: int, itemsize: int) -> int:
+    """Rows per chunk of ``entries`` items of ``itemsize`` bytes: as many as ``CHUNK_BYTES`` holds, at least one."""
+    return max(1, CHUNK_BYTES // (entries * itemsize))
+
+
 QUADRATIC_FORM_BLOCK_ROWS = 2048
 
 

@@ -12,13 +12,13 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
+from ffk.erasure import erasure_certificate
 from ffk.fusion import (
     FusionFrame,
     apply_operator,
     build_fusion_frame,
     classify,
     erase,
-    erasure_certificate,
     excess,
     frame_bounds,
     operator_image_report,

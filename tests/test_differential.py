@@ -53,18 +53,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ffk import fusion
+from ffk import erasure, fusion, numerics
 from ffk.cli import main
 from ffk.documents import FrameDocument, _expect_list, _parse_entry, _parse_rows, canonical_json
 from ffk.duality import alternate_dual_bounds, canonical_dual_fusion, verify_alternate_dual
+from ffk.erasure import ErasureCertificate, _search, _weight_rule_level, erasure_certificate
 from ffk.errors import DimensionMismatch, LocalNotParseval, NotADual, ParseError
 from ffk.fusion import (
-    ErasureCertificate,
     FusionFrame,
-    _weight_rule_level,
     build_fusion_frame,
     classify,
-    erasure_certificate,
     excess,
     redundancy_at,
     redundancy_equivalent,
@@ -250,10 +248,18 @@ def reference_exhaustive_levels(frame, budget):
     )
 
 
+def events(record, kind):
+    """The events of ``kind`` in a search's record, without the kind: their one value, or a tuple of several."""
+    return [event[1] if len(event) == 2 else event[1:] for event in record if event[0] == kind]
+
+
 def assert_exhaustive_matches(frame, budget=None):
-    certificate = erasure_certificate(frame, budget, "exhaustive")
+    """The exhaustive certificate, equal to the reference's, and its record, in which no removal is decided twice."""
+    certificate, record = _search(frame, budget, "exhaustive")
     assert certificate == reference_exhaustive_levels(frame, certificate.budget)
-    return certificate
+    decided = [(k, row) for k, start, rows in events(record, "chunk") for row in range(start, start + rows)]
+    assert len(decided) == len(set(decided))
+    return certificate, record
 
 
 def dimension_bound(frame, budget):
@@ -273,16 +279,16 @@ def assert_greedy_levels(frame, budget, levels):
     strongest, weakest = reference_greedy_levels(frame, budget)
     assert universal == weakest
     assert certified >= strongest
-    if frame.member_count <= fusion.EXHAUSTIVE_MEMBER_LIMIT:
+    if frame.member_count <= erasure.EXHAUSTIVE_MEMBER_LIMIT:
         assert certified == reference_exhaustive_levels(frame, budget).certified
     else:
         assert certified == dimension_bound(frame, budget)
 
 
 def assert_greedy_matches(frame, budget=None):
-    certificate = erasure_certificate(frame, budget, "greedy")
+    certificate, record = _search(frame, budget, "greedy")
     assert_greedy_levels(frame, certificate.budget, (certificate.certified, certificate.universal))
-    return certificate
+    return certificate, record
 
 
 def largest_angle(Qa, Qb):
@@ -392,46 +398,26 @@ def test_greedy_erasure_matches_its_references(make_frame, monkeypatch):
     assert_greedy_matches(make_frame())
 
 
-def spy_exact_evaluations(monkeypatch):
-    """The ``[0, 0]`` entries of the n x n operators the greedy search evaluates exactly."""
-    seen = []
-    eigenrange = fusion.hermitian_eigenrange
-    monkeypatch.setattr(fusion, "hermitian_eigenrange", lambda M, tol=None: seen.append(M[0, 0]) or eigenrange(M))
-    return seen
-
-
-def spy_bracket_widths(monkeypatch):
-    """The column counts ``w + d_max`` of the tests each bracket reads: above ``d_max`` on a carried basis."""
-    widths = []
-    bracket = fusion._secular_bracket
-    monkeypatch.setattr(fusion, "_secular_bracket", lambda C, *rest: widths.append(C.shape[1]) or bracket(C, *rest))
-    return widths
-
-
 @pytest.mark.parametrize("eta", NEAR_TIE_ETAS)
-def test_greedy_erasure_near_tie_goes_to_the_lower_index(eta, monkeypatch):
+def test_greedy_erasure_near_tie_goes_to_the_lower_index(eta):
     frame = near_tie_frame(eta)
-    seen, widths = spy_exact_evaluations(monkeypatch), spy_bracket_widths(monkeypatch)
-    certificate = assert_greedy_matches(frame)
+    certificate, record = assert_greedy_matches(frame)
     assert (certificate.certified, certificate.universal) == (2, 1)
     # The three brackets of level 1 overlap, so all three members are
-    # evaluated exactly, in index order: the plane (leaving S_00 = 4), e_0
-    # (leaving S_00 = 1) and e_1 (leaving S_00 = 5).
-    assert seen == [4.0, 1.0, 5.0]
+    # evaluated exactly, in index order: the plane (member 0), e_0 and e_1.
+    assert events(record, "near-tie") == [0, 1, 2]
     # At eta = 0 the plane wins the exact tie and leaves no removal on the
     # dimensions; otherwise e_0 wins, and level 2 brackets the plane.
-    assert len(widths) == (3 if eta == 0.0 else 4)
+    assert len(events(record, "bracket")) == (3 if eta == 0.0 else 4)
 
 
 @pytest.mark.parametrize("eta", (2.0**-40, 2.0**-35))
-def test_greedy_erasure_brackets_separate_a_gap_of_a_few_delta(eta, monkeypatch):
+def test_greedy_erasure_brackets_separate_a_gap_of_a_few_delta(eta):
     # The plane's removal leaves 2 eta + eta^2 more than the exact tie of
     # e_0 and e_1 at 1, 5.7 and 180 times delta.
-    frame = near_tie_frame(eta)
-    seen = spy_exact_evaluations(monkeypatch)
-    assert_greedy_matches(frame)
-    # Only that exact tie is evaluated.
-    assert seen == [1.0, 5.0]
+    _, record = assert_greedy_matches(near_tie_frame(eta))
+    # Only that exact tie, members 1 and 2, is evaluated.
+    assert events(record, "near-tie") == [1, 2]
 
 
 @pytest.mark.parametrize("seed", (28, 96, 126, 137, 235))
@@ -457,22 +443,20 @@ def test_greedy_erasure_dimension_exit_before_any_eigenproblem(monkeypatch):
 @pytest.mark.parametrize("seed, members, field", [(1, 40, REAL), (2, 48, COMPLEX)])
 def test_greedy_erasure_picks_without_exact_evaluations(seed, members, field, monkeypatch):
     frame = library_scale_frame(seed, 64, members, field)
-    exact, checks = [], []
-    eigvalsh, frames_left = np.linalg.eigvalsh, fusion._frames_left
+    exact, eigvalsh = [], np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda H: exact.append(H.shape == (64, 64)) or eigvalsh(H))
-    monkeypatch.setattr(fusion, "_frames_left", lambda frame, H: checks.append(len(H)) or frames_left(frame, H))
-    certificate = erasure_certificate(frame, mode="greedy")
+    certificate, record = _search(frame, None, "greedy")
     # Each pick comes from its level's eigh and d x d brackets, and its
     # certified lower end decides the frames-left check; the witness's
     # Gram certificate needs no exact decision.
     assert certificate.universal > 1
     assert not any(exact)
-    assert len(checks) <= 1
+    assert len(events(record, "exact")) <= 1
 
 
 @pytest.mark.parametrize("name", ["7.1", "7.1-V", "7.2"])
 @pytest.mark.parametrize("n", range(16, 33))
-def test_greedy_erasure_carried_levels_match_the_references(name, n, monkeypatch):
+def test_greedy_erasure_carried_levels_match_the_references(name, n):
     # From n = 16 a level after a pick reuses the last eigendecomposition
     # while w + d_max <= n // 8.  The coordinate families tie exactly at
     # every level.  The weakest path of 7.1 leaves no frame at its first
@@ -480,9 +464,8 @@ def test_greedy_erasure_carried_levels_match_the_references(name, n, monkeypatch
     # removal on its dimensions.  The library-scale frames, whose carried
     # levels a later test counts, are in GREEDY_FRAMES.
     frame = example_frame(name, n)
-    widths = spy_bracket_widths(monkeypatch)
-    certificate = assert_greedy_matches(frame)
-    assert (max(widths, default=0) > frame.dims.max()) == (certificate.universal > 0)
+    certificate, record = assert_greedy_matches(frame)
+    assert (max(events(record, "bracket"), default=0) > frame.dims.max()) == (certificate.universal > 0)
 
 
 def carried_near_tie_frame(eta, n=24):
@@ -502,21 +485,15 @@ def carried_near_tie_frame(eta, n=24):
 
 
 @pytest.mark.parametrize("eta", NEAR_TIE_ETAS)
-def test_greedy_erasure_near_tie_on_a_carried_basis_goes_to_the_lower_index(eta, monkeypatch):
-    frame = carried_near_tie_frame(eta)
-    events = []
-    bracket, eigenrange = fusion._secular_bracket, fusion.hermitian_eigenrange
-    monkeypatch.setattr(fusion, "_secular_bracket", lambda C, *rest: events.append(C.shape[1]) or bracket(C, *rest))
-    monkeypatch.setattr(fusion, "hermitian_eigenrange", lambda M, tol=None: events.append(M[0, 0]) or eigenrange(M))
-    certificate = assert_greedy_matches(frame)
+def test_greedy_erasure_near_tie_on_a_carried_basis_goes_to_the_lower_index(eta):
+    certificate, record = assert_greedy_matches(carried_near_tie_frame(eta))
     assert certificate.universal == 2
     # Level 1 has no exact evaluation; level 2 brackets its members on the
     # pick's carried column and the plane's two, then evaluates the two
-    # near-tie members exactly, in index order: the plane (leaving S_00 =
-    # 5.5) and e_1 (leaving S_00 = 6.5).
-    first = next(i for i, event in enumerate(events) if isinstance(event, float))
-    assert events[first : first + 2] == [5.5, 6.5]
-    assert events[first - 1] == 3
+    # near-tie members exactly, in index order: the plane (member 0) and e_1.
+    steps = [event for event in record if event[0] in ("bracket", "near-tie")]
+    first = next(i for i, event in enumerate(steps) if event[0] == "near-tie")
+    assert steps[first - 1 : first + 2] == [("bracket", 3), ("near-tie", 0), ("near-tie", 2)]
 
 
 @pytest.mark.parametrize("seed, members, field", [(1, 40, REAL), (2, 48, COMPLEX)])
@@ -527,11 +504,10 @@ def test_greedy_erasure_reuses_each_eigendecomposition(seed, members, field, mon
     eighs = []
     eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda H: eighs.append(H.shape == (64, 64)) or eigh(H))
-    widths = spy_bracket_widths(monkeypatch)
-    certificate = erasure_certificate(frame, mode="greedy")
+    certificate, record = _search(frame, None, "greedy")
     # The weakest path walks its universal levels and the one that fails.
     assert 2 * sum(eighs) <= min(certificate.universal + 1, certificate.budget)
-    assert max(widths) > frame.dims.max()
+    assert max(events(record, "bracket")) > frame.dims.max()
 
 
 @pytest.mark.parametrize("every", [1, 2])
@@ -543,7 +519,7 @@ def test_greedy_erasure_without_closed_brackets(seed, every, monkeypatch):
     # brackets test more columns than d_max, and lose brackets there too:
     # with 2 n members the weakest path walks far enough to pick a line.
     calls, dropped = itertools.count(), []
-    bracket = fusion._secular_bracket
+    bracket = erasure._secular_bracket
 
     def unclosed(C, lam, delta, start):
         if next(calls) % every:
@@ -551,13 +527,13 @@ def test_greedy_erasure_without_closed_brackets(seed, every, monkeypatch):
         dropped.append(C.shape[1])
         return None
 
-    monkeypatch.setattr(fusion, "_secular_bracket", unclosed)
+    monkeypatch.setattr(erasure, "_secular_bracket", unclosed)
     rng = np.random.default_rng(seed)
     n = int(rng.integers(3, 33))
     max_dim = 1 if 16 <= n < 24 else 2  # lines reach carried levels from n = 16, planes from n = 24
     frame = random_fusion_frame(rng, n=n, members=2 * n, max_dim=max_dim, field=(REAL, COMPLEX)[seed % 2])
-    budget = frame.member_count - 1
-    assert_greedy_levels(frame, budget, fusion._greedy_levels(frame, budget))
+    certificate = erasure_certificate(frame, mode="greedy")
+    assert_greedy_levels(frame, certificate.budget, (certificate.certified, certificate.universal))
     assert dropped
     if n >= 16:
         assert max(dropped) > frame.dims.max()
@@ -583,57 +559,42 @@ WITNESS_FRAMES = [
 ]
 
 
-def spy_witnesses(monkeypatch):
-    """``[witness, certified]`` per :func:`fusion._spanning_witness` call: its members in pick order, and whether
-    the :func:`fusion._gram_survivors` call after it certified them."""
-    seen = []
-    witness, survivors = fusion._spanning_witness, fusion._gram_survivors
-
-    def pick(*args):
-        seen.append([witness(*args), False])
-        return seen[-1][0]
-
-    def certify(shifted, width, J):
-        left = survivors(shifted, width, J)
-        seen[-1][1] = bool(left.all())
-        return left
-
-    monkeypatch.setattr(fusion, "_spanning_witness", pick)
-    monkeypatch.setattr(fusion, "_gram_survivors", certify)
-    return seen
+def witness_search(frame, budget):
+    """The witness count of a search state on ``frame`` and ``budget``, alone, and that state's record."""
+    search = erasure._Search(frame, budget)
+    return erasure._witness_level(search), search.events
 
 
 @pytest.mark.parametrize("make_frame", WITNESS_FRAMES)
-def test_greedy_witness_prefixes_leave_frames(make_frame, monkeypatch):
+def test_greedy_witness_prefixes_leave_frames(make_frame):
     # The witness reaches the dimension bound and one Cholesky certifies
     # it; each prefix's Gram block is a principal block of the witness's,
     # so each prefix also leaves a frame under the exact decision.
     frame = make_frame()
-    seen = spy_witnesses(monkeypatch)
     budget = frame.member_count - 1
-    level = fusion._witness_level(frame, budget)
+    level, record = witness_search(frame, budget)
     assert level == dimension_bound(frame, budget)
     if level == 0:
-        assert not seen  # no removal fits on its dimensions, so no witness is picked
+        assert not events(record, "witness")  # no removal fits on its dimensions, so no witness is picked
         return
-    [(witness, certified)] = seen
-    assert certified and len(witness) == level
+    [(witness, _)] = events(record, "witness")
+    assert len(witness) == level and events(record, "gram") == [(1, level * frame.dims.max())]
+    assert not events(record, "exact")  # the one Gram block certified the witness
     T, rest, prefixes = _column_blocks(frame.synthesis, frame.offsets), frame.operator, []
     for p in witness:
         rest = rest - T[p] @ T[p].conj().T
         prefixes.append(rest)
-    assert fusion._frames_left(frame, np.stack(prefixes)).all()
+    assert erasure._frames_left(frame, np.stack(prefixes)).all()
 
 
-@pytest.mark.parametrize("chunk_bytes", [fusion.CHUNK_BYTES, 1])
+@pytest.mark.parametrize("chunk_bytes", [numerics.CHUNK_BYTES, 1])
 def test_greedy_witness_without_a_gram_cutoff_matches_the_exhaustive_reference(chunk_bytes, monkeypatch):
     # With c = 0 no Gram block certifies the witness: the exact decisions on
     # its prefixes alone give certified, which must still be exact, also
     # when each chunk holds one row.  Each prefix is one removal, decided
     # on its own.
-    monkeypatch.setattr(fusion, "_gram_cutoff", lambda frame: 0.0)
-    monkeypatch.setattr(fusion, "CHUNK_BYTES", chunk_bytes)
-    seen, decided = spy_witnesses(monkeypatch), spy_exact_path(monkeypatch)
+    monkeypatch.setattr(erasure, "_gram_cutoff", lambda frame: 0.0)
+    monkeypatch.setattr(numerics, "CHUNK_BYTES", chunk_bytes)
     frames = (
         [seeded_frame(seed) for seed in range(40)]
         + [example_frame(name, n) for name in ("7.1", "7.1-V") for n in range(2, 9)]
@@ -641,18 +602,17 @@ def test_greedy_witness_without_a_gram_cutoff_matches_the_exhaustive_reference(c
         + [near_tie_frame(eta) for eta in NEAR_TIE_ETAS]
     )
     for frame in frames:
-        seen.clear()
-        decided.clear()
         budget = frame.member_count - 1
-        level = fusion._witness_level(frame, budget)
+        level, record = witness_search(frame, budget)
         assert level == reference_exhaustive_levels(frame, budget).certified
-        assert len(seen) == (dimension_bound(frame, budget) > 0)  # a witness unless no removal fits
-        for witness, certified in seen:
-            assert not certified and len(witness) == level
-            assert [len(H) for H in decided] == [1] * len(witness)
+        witnesses = events(record, "witness")
+        assert len(witnesses) == (dimension_bound(frame, budget) > 0)  # a witness unless no removal fits
+        for witness, _ in witnesses:
+            assert not events(record, "gram") and len(witness) == level
+            assert [rows for _, rows in events(record, "exact")] == [1] * len(witness)
 
 
-@pytest.mark.parametrize("chunk_bytes", [fusion.CHUNK_BYTES, 1])
+@pytest.mark.parametrize("chunk_bytes", [numerics.CHUNK_BYTES, 1])
 @pytest.mark.parametrize(
     "decisions, level",
     [((True, True, False, True), 2), ((True, False, True, True), 1), ((False, True, True, True), 1)],
@@ -663,17 +623,17 @@ def test_greedy_witness_counts_the_leading_prefixes_that_pass(decisions, level, 
     # leading prefixes that pass, at least the weight rule's level, and no
     # prefix after a failing one is decided, whatever the chunk size.
     frame = example_frame("7.1-V", 4)
-    monkeypatch.setattr(fusion, "_gram_cutoff", lambda frame: 0.0)
-    monkeypatch.setattr(fusion, "CHUNK_BYTES", chunk_bytes)
+    monkeypatch.setattr(erasure, "_gram_cutoff", lambda frame: 0.0)
+    monkeypatch.setattr(numerics, "CHUNK_BYTES", chunk_bytes)
     rows = []
 
     def decide(frame, H):
         rows.extend(decisions[len(rows) : len(rows) + len(H)])
         return np.array(rows[-len(H) :])
 
-    monkeypatch.setattr(fusion, "_frames_left", decide)
+    monkeypatch.setattr(erasure, "_frames_left", decide)
     assert _weight_rule_level(frame, 7) == 1
-    assert fusion._witness_level(frame, 7) == level
+    assert witness_search(frame, 7)[0] == level
     assert len(rows) == decisions.index(False) + 1
 
 
@@ -684,7 +644,7 @@ def test_greedy_witness_of_an_orthonormal_basis_needs_no_factorization(n, monkey
     frame = example_frame("7.2", n)
     for name in ("eigh", "eigvalsh", "cholesky", "qr", "solve"):
         monkeypatch.setattr(np.linalg, name, lambda *args, name=name: pytest.fail(f"np.linalg.{name} ran"))
-    assert fusion._witness_level(frame, frame.member_count - 1) == 0
+    assert witness_search(frame, frame.member_count - 1)[0] == 0
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -710,7 +670,7 @@ def test_exhaustive_erasure_first_failure_inside_a_later_chunk():
     # is decided in chunks of (k d_max)^2-square Gram blocks; put the pair
     # in the middle of the second chunk of C(22, 2) pairs.
     n, N, d = 16, 22, 8
-    rows = fusion.CHUNK_BYTES // ((2 * d) ** 2 * 8)
+    rows = numerics.CHUNK_BYTES // ((2 * d) ** 2 * 8)
     assert 2 * rows < N * (N - 1) // 2, "the level must span several chunks"
     pair = next(itertools.islice(itertools.combinations(range(N), 2), rows + rows // 2, None))
     rng = np.random.default_rng(5)
@@ -723,7 +683,7 @@ def test_exhaustive_erasure_first_failure_inside_a_later_chunk():
         bases.append(basis)
         weights.append(float(rng.uniform(0.5, 2.0)))
     frame = FusionFrame(bases, weights)
-    certificate = assert_exhaustive_matches(frame, budget=4)
+    certificate, _ = assert_exhaustive_matches(frame, budget=4)
     assert (certificate.certified, certificate.universal) == (4, 1)
 
 
@@ -741,16 +701,8 @@ def weak_last_axis_frame(rng, n, ratio, field=REAL, heavy=(1.0, 1.0)):
     return fusion.build_fusion_frame(spans + [(U[:, [-1]], np.sqrt(weak)), (U[:, [-1]], 1.0)], n)
 
 
-def spy_exact_path(monkeypatch):
-    """The n x n stacks that reach :func:`fusion._frames_left`, one per call, copied before it overwrites them."""
-    seen = []
-    frames_left = fusion._frames_left
-    monkeypatch.setattr(fusion, "_frames_left", lambda frame, H: seen.append(H.copy()) or frames_left(frame, H))
-    return seen
-
-
 @pytest.mark.parametrize("n, ratio", [(3, 0.5), (3, 3.0), (2, 0.75), (2, 1.5)])
-def test_exhaustive_erasure_near_the_cutoff(n, ratio, monkeypatch):
+def test_exhaustive_erasure_near_the_cutoff(n, ratio):
     # Every line is held twice, the last by a weak and a strong member.
     # Removing the strong one leaves lambda_min / lambda_max = ratio *
     # rank_rel, so level 1 is universal iff ratio > 1.  Above 1 the Gram
@@ -758,41 +710,38 @@ def test_exhaustive_erasure_near_the_cutoff(n, ratio, monkeypatch):
     # is left uncertified and the exact n x n path decides it (at n = 2 a
     # shift below rank_rel * tr would certify ratio 0.75).
     frame = weak_last_axis_frame(np.random.default_rng(11), n, ratio)
-    seen = spy_exact_path(monkeypatch)
-    certificate = assert_exhaustive_matches(frame)
+    certificate, _ = assert_exhaustive_matches(frame)
     assert certificate.universal == (1 if ratio > 1 else 0)
-    seen.clear()
-    assert fusion._exhaustive_levels(frame, 1) == ((1, 1) if ratio > 1 else (1, 0))
-    assert bool(seen) == (ratio < 1)
+    certificate, record = _search(frame, 1, "exhaustive")
+    assert (certificate.certified, certificate.universal) == ((1, 1) if ratio > 1 else (1, 0))
+    assert bool(events(record, "exact")) == (ratio < 1)
 
 
 @pytest.mark.parametrize("seed", range(12))
-def test_exhaustive_erasure_just_inside_the_gram_certificate(seed, monkeypatch):
+def test_exhaustive_erasure_just_inside_the_gram_certificate(seed):
     # ratio 1.1-1.5, just above the Gram cutoff c: every single removal
     # survives and is certified on its Gram block, so level 1 decides no
     # n x n operator.
     rng = np.random.default_rng(seed)
     field = (REAL, COMPLEX)[seed % 2]
     frame = weak_last_axis_frame(rng, int(rng.integers(2, 6)), rng.uniform(1.1, 1.5), field, (1.0, 2.0))
-    seen = spy_exact_path(monkeypatch)
-    certificate = assert_exhaustive_matches(frame)
+    certificate, _ = assert_exhaustive_matches(frame)
     assert certificate.universal == 1 and certificate.certified >= 2
-    seen.clear()
-    assert fusion._exhaustive_levels(frame, 1) == (1, 1)
-    assert not seen
+    certificate, record = _search(frame, 1, "exhaustive")
+    assert (certificate.certified, certificate.universal) == (1, 1)
+    assert not events(record, "exact")
 
 
 @pytest.mark.parametrize("seed", range(12))
-def test_exhaustive_erasure_below_the_gram_certificate(seed, monkeypatch):
+def test_exhaustive_erasure_below_the_gram_certificate(seed):
     # ratio 0.6-0.95: removing the strong member but not the weak one is
     # left uncertified by its Gram block and reaches the exact path.
     rng = np.random.default_rng(100 + seed)
     field = (REAL, COMPLEX)[seed % 2]
     frame = weak_last_axis_frame(rng, int(rng.integers(2, 6)), rng.uniform(0.6, 0.95), field, (1.0, 2.0))
-    seen = spy_exact_path(monkeypatch)
-    certificate = assert_exhaustive_matches(frame)
+    certificate, record = assert_exhaustive_matches(frame)
     assert certificate.universal == 0 and certificate.certified >= 2
-    assert seen
+    assert events(record, "exact")
 
 
 @pytest.mark.parametrize("field", [REAL, COMPLEX])
@@ -805,14 +754,13 @@ def test_exhaustive_erasure_exact_path_in_several_chunks(rows, field, monkeypatc
     n = 5
     U = random_unitary(np.random.default_rng(17), n, field)
     frame = fusion.build_fusion_frame([(U[:, [i]], 1.0 + i / 4) for i in range(n)] + [(U[:, [-1]], 0.5)], n)
-    monkeypatch.setattr(fusion, "CHUNK_BYTES", rows * n * n * frame.synthesis.itemsize)
-    seen = spy_exact_path(monkeypatch)
-    certificate = assert_exhaustive_matches(frame)
+    monkeypatch.setattr(numerics, "CHUNK_BYTES", rows * n * n * frame.synthesis.itemsize)
+    certificate, record = assert_exhaustive_matches(frame)
     assert (certificate.certified, certificate.universal) == (1, 0)
-    assert [len(H) for H in seen] == [rows] * (4 // rows) + [4 % rows] * (4 % rows > 0)
+    assert [count for _, count in events(record, "exact")] == [rows] * (4 // rows) + [4 % rows] * (4 % rows > 0)
 
 
-def test_exhaustive_erasure_without_a_gram_cutoff(monkeypatch):
+def test_exhaustive_erasure_without_a_gram_cutoff():
     # Two axes held twice and the third by a weak line alone: B / A within
     # 0.01% of 1 / rank_rel leaves no cutoff c > 0, so the exact path
     # decides every removal that is looked at: the five single removals,
@@ -822,12 +770,10 @@ def test_exhaustive_erasure_without_a_gram_cutoff(monkeypatch):
     weak = 2.0002 * fusion.DEFAULT_TOLERANCE.rank_rel
     spans = [(U[:, [i]], 1.0) for i in range(2) for _ in range(2)] + [(U[:, [2]], np.sqrt(weak))]
     frame = fusion.build_fusion_frame(spans, 3)
-    assert frame.is_frame and fusion._gram_cutoff(frame) <= 0.0
-    seen = spy_exact_path(monkeypatch)
-    certificate = assert_exhaustive_matches(frame)
+    assert frame.is_frame and erasure._gram_cutoff(frame) <= 0.0
+    certificate, record = assert_exhaustive_matches(frame)
     assert (certificate.certified, certificate.universal) == (2, 0)
-    assert [len(H) for H in seen] == [5, 1, 1]
-    assert [len(J) for J in removals_of(frame, [H[0] for H in seen[1:]])] == [1, 2]
+    assert events(record, "exact") == [(1, 5), (1, 1), (2, 1)]
 
 
 def squeezed_frame(seed, count=None):
@@ -854,9 +800,9 @@ def squeezed_frame(seed, count=None):
 
 
 def spy_exact_decisions(monkeypatch):
-    """Each operator :func:`fusion._frames_left` decides, copied before it is overwritten, with its decision."""
+    """Each operator :func:`erasure._frames_left` decides, copied before it is overwritten, with its decision."""
     seen = []
-    frames_left = fusion._frames_left
+    frames_left = erasure._frames_left
 
     def spy(frame, H):
         operators = H.copy()
@@ -864,7 +810,7 @@ def spy_exact_decisions(monkeypatch):
         seen.extend(zip(operators, left))
         return left
 
-    monkeypatch.setattr(fusion, "_frames_left", spy)
+    monkeypatch.setattr(erasure, "_frames_left", spy)
     return seen
 
 
@@ -911,21 +857,20 @@ def weak_lines_frame(weight, copies=3):
 
 
 @pytest.mark.parametrize("mode", ["exhaustive", "greedy"])
-def test_weight_rule_needs_the_spans_cutoff(mode, monkeypatch):
+def test_weight_rule_needs_the_spans_cutoff(mode):
     # S = diag(1, 1.2675e-10) is a frame, but each removal leaves
     # lambda_min / lambda_max <= 8.5e-11 < rank_rel; the three weak lines
     # erase a_1 = 4.2e-11 and a_2 = 8.5e-11, both below A.
     frame = weak_lines_frame(6.5e-6)
-    seen = spy_exact_path(monkeypatch)
-    certificate = erasure_certificate(frame, mode=mode)
+    certificate, record = assert_exhaustive_matches(frame) if mode == "exhaustive" else _search(frame, None, mode)
     assert (certificate.certified, certificate.universal, certificate.weight_rule, certificate.rule) == (0, 0, 0, "none")
     if mode == "exhaustive":
-        assert certificate == reference_exhaustive_levels(frame, certificate.budget)
         # No Gram block certifies a removal.  The four single removals fail
-        # on the exact path in the universal scan, the witness's first
-        # prefix fails there too, and the survivor scan decides the four
-        # again; no superset is decided.
-        assert [len(H) for H in seen] == [4, 1, 4]
+        # on the exact path in the universal scan and the witness's first
+        # prefix fails there too; the survivor scan of level 1 goes on from
+        # the universal scan's one chunk, which held no survivor, so it
+        # decides nothing again, and no superset is decided.
+        assert [rows for _, rows in events(record, "exact")] == [4, 1]
     else:
         assert (certificate.certified, certificate.universal) == reference_greedy_levels(frame, certificate.budget)
 
@@ -945,28 +890,12 @@ def benchmark_shape_frame(seed, n, dims, field):
     return FusionFrame(*zip(*members))
 
 
-def spy_gram_shapes(monkeypatch):
-    """``(rows, side)`` per :func:`fusion._gram_survivors` call: its chunk of ``side``-square blocks.
-
-    ``J`` holds slots of ``width`` columns, members or member groups, so a block's side is ``J.shape[1] * width``.
-    """
-    shapes = []
-    gram_survivors = fusion._gram_survivors
-
-    def spy(shifted, width, J):
-        shapes.append((len(J), J.shape[1] * width))
-        return gram_survivors(shifted, width, J)
-
-    monkeypatch.setattr(fusion, "_gram_survivors", spy)
-    return shapes
-
-
 @pytest.mark.parametrize(
     "n, dims, budget, field, sides",
     [(8, (2,) * 18, 5, COMPLEX, {20}), (12, (1, 2) * 8, None, REAL, {12, 20})],
     ids=["n8-N18-b5-complex", "n12-N16-full-real"],
 )
-def test_exhaustive_erasure_matches_on_the_benchmark_shapes(n, dims, budget, field, sides, monkeypatch):
+def test_exhaustive_erasure_matches_on_the_benchmark_shapes(n, dims, budget, field, sides):
     # The first has sum_{i in J} d_i > n, so G_JJ is larger than S_J; the
     # second alternates lines and planes up to the dimension cutoff.  Each
     # certifies its top level (5; 6, where the six planes fill the 12 spare
@@ -978,39 +907,25 @@ def test_exhaustive_erasure_matches_on_the_benchmark_shapes(n, dims, budget, fie
     # its unions are 12 square, and the spanning witness of its hi = 10
     # lines certifies levels 7 to 10 on one 20-square block of the member
     # layout, d_max = 2 columns per member.
-    shapes = spy_gram_shapes(monkeypatch)
-    certificate = assert_exhaustive_matches(benchmark_shape_frame(7, n, dims, field), budget)
+    certificate, record = assert_exhaustive_matches(benchmark_shape_frame(7, n, dims, field), budget)
     assert certificate.certified >= 5
-    assert {side for _, side in shapes} == sides
+    assert {side for _, side in events(record, "gram")} == sides
 
 
-def spy_gram_layouts(monkeypatch):
-    """The slot count ``g`` of each ``c I - G`` that :func:`fusion._shifted_gram` forms, one per call."""
-    layouts = []
-    shifted_gram = fusion._shifted_gram
-
-    def spy(frame, c, label):
-        layouts.append(label.max() + 1)
-        return shifted_gram(frame, c, label)
-
-    monkeypatch.setattr(fusion, "_shifted_gram", spy)
-    return layouts
-
-
-def test_exhaustive_erasure_top_level_on_unions_of_plane_pairs(monkeypatch):
+def test_exhaustive_erasure_top_level_on_unions_of_plane_pairs():
     # 18 planes in C^8, budget 5: nine pairs, so C(9, 5) = 126 union blocks
     # of 10 members, 20 x 20, stand for the C(18, 5) = 8568 removals of 5.
     # They certify the top level, the budget, so the search forms no Gram
     # matrix in the member layout.
-    shapes, layouts = spy_gram_shapes(monkeypatch), spy_gram_layouts(monkeypatch)
-    certificate = assert_exhaustive_matches(benchmark_shape_frame(7, 8, (2,) * 18, COMPLEX), 5)
+    certificate, record = assert_exhaustive_matches(benchmark_shape_frame(7, 8, (2,) * 18, COMPLEX), 5)
+    shapes = events(record, "gram")
     assert (certificate.certified, certificate.universal) == (5, 5)
     assert {side for _, side in shapes} == {20} and sum(rows for rows, _ in shapes) == math.comb(9, 5)
-    assert layouts == [9]
+    assert events(record, "layout") == [9]
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 7])
-def test_exhaustive_erasure_merged_pass_on_the_full_shape_forms_blocks_no_wider_than_spare(seed, monkeypatch):
+def test_exhaustive_erasure_merged_pass_on_the_full_shape_forms_blocks_no_wider_than_spare(seed):
     # The erasure benchmark's n12-N16-full shape, complex: six planes fill
     # the 12 spare dimensions, so top = 6 and the capacity is 2.  Eight
     # planes alone and four pairs of lines make 12 slots of 2 columns, so
@@ -1018,23 +933,14 @@ def test_exhaustive_erasure_merged_pass_on_the_full_shape_forms_blocks_no_wider_
     # Cholesky per chunk takes them.  In the member layout, one array per
     # union size, the blocks were 12 to 20 square, in 143 calls.
     frame = benchmark_shape_frame(seed, 12, (1, 2) * 8, COMPLEX)
-    shapes, layouts = spy_gram_shapes(monkeypatch), spy_gram_layouts(monkeypatch)
-    top_pass, merged = fusion._top_pass, []
-
-    def spy(frame, c, label, top):
-        start = len(shapes)
-        certified = top_pass(frame, c, label, top)
-        merged.append((top, label.max() + 1, shapes[start:]))
-        return certified
-
-    monkeypatch.setattr(fusion, "_top_pass", spy)
-    assert_exhaustive_matches(frame)
-    [(top, groups, calls)] = merged
-    rows = fusion.CHUNK_BYTES // (12 * 12 * frame.synthesis.itemsize)
+    _, record = assert_exhaustive_matches(frame)
+    [(top, groups, _)] = events(record, "top")
+    calls = events(record[: next(i for i, event in enumerate(record) if event[0] == "top")], "gram")  # the pass's
+    rows = numerics.CHUNK_BYTES // (12 * 12 * frame.synthesis.itemsize)
     assert (top, groups) == (6, 12)
     assert {side for _, side in calls} == {12} and sum(r for r, _ in calls) == math.comb(12, 6)
     assert len(calls) <= -(-math.comb(12, 6) // rows)
-    assert layouts == [12, 16]  # the witness of levels 7 to 10 forms the member layout once
+    assert events(record, "layout") == [12, 16]  # the witness of levels 7 to 10 forms the member layout once
 
 
 @pytest.mark.parametrize("field", [REAL, COMPLEX])
@@ -1053,33 +959,30 @@ def test_exhaustive_erasure_top_level_fails_at_its_last_removal(field, monkeypat
             line[0] = 0.0
         spans.append((line, float(rng.uniform(0.5, 2.0))))
     frame = fusion.build_fusion_frame(spans, n)
-    monkeypatch.setattr(fusion, "CHUNK_BYTES", rows * 2 * 2 * frame.synthesis.itemsize)
-    shapes = spy_gram_shapes(monkeypatch)
-    certificate = assert_exhaustive_matches(frame)
+    monkeypatch.setattr(numerics, "CHUNK_BYTES", rows * 2 * 2 * frame.synthesis.itemsize)
+    certificate, record = assert_exhaustive_matches(frame)
     assert (certificate.certified, certificate.universal) == (2, 1)
     chunks = -(-math.comb(n + 2, 2) // rows)
-    assert [side for _, side in shapes[: chunks + 1]] == [2] * chunks + [1]
+    assert [side for _, side in events(record, "gram")[: chunks + 1]] == [2] * chunks + [1]
 
 
 @pytest.mark.parametrize("n", range(2, 9))
-def test_exhaustive_erasure_top_level_fails_at_its_first_chunk(n, monkeypatch):
+def test_exhaustive_erasure_top_level_fails_at_its_first_chunk(n):
     # Gallery 7.1-V holds each axis twice: the first removal of level n
     # empties axis 0, so the first pass stops after one chunk.
-    shapes = spy_gram_shapes(monkeypatch)
-    certificate = assert_exhaustive_matches(example_frame("7.1-V", n))
+    certificate, record = assert_exhaustive_matches(example_frame("7.1-V", n))
     assert (certificate.certified, certificate.universal) == (n, 1)
-    assert [side for _, side in shapes[:2]] == [n, 1]
+    assert [side for _, side in events(record, "gram")[:2]] == [n, 1]
 
 
-def test_exhaustive_erasure_decides_each_top_level_row_once(monkeypatch):
+def test_exhaustive_erasure_decides_each_top_level_row_once():
     # Gallery 7.1-V at n = 6: the first pass declines its first level-6
     # chunk, 455 rows.  The universal scan stops at level 2, and the
     # witness, one 6-square block, certifies levels 2 to 6, so no level-6
     # removal is decided again.
-    shapes = spy_gram_shapes(monkeypatch)
-    certificate = assert_exhaustive_matches(example_frame("7.1-V", 6))
+    certificate, record = assert_exhaustive_matches(example_frame("7.1-V", 6))
     assert (certificate.certified, certificate.universal) == (6, 1)
-    assert shapes == [(455, 6), (12, 1), (66, 2), (1, 6)]
+    assert events(record, "gram") == [(455, 6), (12, 1), (66, 2), (1, 6)]
 
 
 @st.composite
@@ -1101,7 +1004,7 @@ def packings(draw):
 def test_member_groups_cover_every_removal_of_top_members(packing):
     dims, top, spare = packing
     N = len(dims)
-    label = fusion._member_groups(dims, top, spare)
+    label = erasure._member_groups(dims, top, spare)
     g = label.max() + 1
     assert label.shape == (N,) and np.bincount(label).min() >= 1  # the groups partition the members
     assert np.sort(np.bincount(label, weights=dims))[::-1][:top].sum() <= spare  # so does every union of top
@@ -1111,7 +1014,7 @@ def test_member_groups_cover_every_removal_of_top_members(packing):
     w, d = np.bincount(label, weights=dims).max(), dims.max()
     assert top * w <= max(spare, top * d)  # a union's block, top slots of w columns, is no wider
     offsets = np.cumsum(np.append(0, dims))
-    slots = fusion._padded(SimpleNamespace(dims=dims, offsets=offsets), np.arange(1.0, offsets[-1] + 1)[None], label)
+    slots = erasure._padded(SimpleNamespace(dims=dims, offsets=offsets), np.arange(1.0, offsets[-1] + 1)[None], label)
     for j in range(g):  # slot j: the columns (numbered from 1) of group j's members in member order, then zeros
         columns = [c for i in np.flatnonzero(label == j) for c in range(offsets[i] + 1, offsets[i + 1] + 1)]
         assert slots[0, j].tolist() == columns + [0.0] * (int(w) - len(columns))
@@ -1134,20 +1037,22 @@ def test_member_groups_cover_every_removal_of_top_members(packing):
     ],
 )
 def test_member_groups_merge_only_to_halve_the_blocks(dims, top, spare, label):
-    assert (fusion._member_groups(np.array(dims), top, spare) == label).all()
+    assert (erasure._member_groups(np.array(dims), top, spare) == label).all()
 
 
-def spy_top_passes(monkeypatch):
-    """Per :func:`fusion._top_pass` call: whether its groups merge members, and whether it certified every union."""
-    passes = []
-    top_pass = fusion._top_pass
+def top_passes(frame, record):
+    """Per top pass in a search's record: whether its groups merge members, and whether it certified every union."""
+    return [(groups < frame.member_count, certified) for _, groups, certified in events(record, "top")]
 
-    def spy(frame, c, label, top):
-        passes.append((bool(label.max() < len(label) - 1), top_pass(frame, c, label, top)))
-        return passes[-1][1]
 
-    monkeypatch.setattr(fusion, "_top_pass", spy)
-    return passes
+def scanned_levels(record):
+    """The levels a search enumerated, in order: each top pass's, then each level scan's, once per level."""
+    return [top for top, _, _ in events(record, "top")] + list(dict.fromkeys(k for k, _, _ in events(record, "chunk")))
+
+
+def witness_levels(record):
+    """The count of each spanning witness in a search's record."""
+    return [level for _, level in events(record, "witness")]
 
 
 def erasure_shape_frame(seed, index, n, N, pattern):
@@ -1168,62 +1073,32 @@ ERASURE_SHAPES = (  # (n, N, dimension pattern, budget) of the erasure benchmark
 
 @pytest.mark.parametrize("seed", [0, 1])
 @pytest.mark.parametrize("index", range(len(ERASURE_SHAPES)))
-def test_exhaustive_erasure_matches_on_the_erasure_benchmark_shapes(index, seed, monkeypatch):
+def test_exhaustive_erasure_matches_on_the_erasure_benchmark_shapes(index, seed):
     # Each packs its top level into merged groups, whose unions certify it.
     n, N, pattern, budget = ERASURE_SHAPES[index]
     frame = erasure_shape_frame(seed, index, n, N, pattern)
-    passes = spy_top_passes(monkeypatch)
-    assert_exhaustive_matches(frame, budget)
-    assert passes == [(True, True)]
+    _, record = assert_exhaustive_matches(frame, budget)
+    assert top_passes(frame, record) == [(True, True)]
 
 
 def top_level(frame, budget):
-    """``top`` and ``spare``: the reference for :func:`fusion._dimension_levels`."""
+    """``top`` and ``spare``: the reference for those of :class:`erasure._Search`."""
     spare = int(frame.dims.sum()) - frame.ambient_dim
     return min(budget, int((np.cumsum(np.sort(frame.dims)[::-1]) <= spare).sum())), spare
 
 
-def spy_level_chunks(monkeypatch):
-    """``(k, chunks)`` per :func:`fusion._subset_chunks` call: the chunks of ``k``-subsets the search took from it."""
-    calls = []
-    subset_chunks = fusion._subset_chunks
-
-    def spy(N, k, rows):
-        calls.append((k, chunks := []))
-        for J in subset_chunks(N, k, rows):
-            chunks.append(J)
-            yield J
-
-    monkeypatch.setattr(fusion, "_subset_chunks", spy)
-    return calls
-
-
 @pytest.mark.parametrize("seed", [0, 1])
-def test_exhaustive_erasure_levels_above_top_come_from_the_witness(seed, monkeypatch):
+def test_exhaustive_erasure_levels_above_top_come_from_the_witness(seed):
     # The erasure benchmark's n12-N16 shape: the merged pass certifies its
     # top level, 6, and the spanning witness reaches hi = 10, so no level
-    # is enumerated removal by removal: the one _subset_chunks call is the
-    # top pass's, over the 12 groups.
+    # is enumerated removal by removal: the one enumeration is the top
+    # pass's, over the 12 groups.
     n, N, pattern, budget = ERASURE_SHAPES[6]
     frame = erasure_shape_frame(seed, 6, n, N, pattern)
-    calls, levels = spy_level_chunks(monkeypatch), spy_witness_levels(monkeypatch)
-    certificate = assert_exhaustive_matches(frame, budget)
+    certificate, record = assert_exhaustive_matches(frame, budget)
     top, _ = top_level(frame, certificate.budget)
     assert (top, certificate.universal, certificate.certified) == (6, 6, dimension_bound(frame, certificate.budget))
-    assert [k for k, _ in calls] == [top] and levels == [certificate.certified]
-
-
-def spy_witness_levels(monkeypatch):
-    """The count :func:`fusion._witness_level` returns, one per call."""
-    levels = []
-    witness_level = fusion._witness_level
-
-    def spy(frame, budget):
-        levels.append(witness_level(frame, budget))
-        return levels[-1]
-
-    monkeypatch.setattr(fusion, "_witness_level", spy)
-    return levels
+    assert scanned_levels(record) == [top] and witness_levels(record) == [certificate.certified]
 
 
 def short_witness_frame():
@@ -1236,29 +1111,27 @@ def short_witness_frame():
     return FusionFrame([e[:, a] for a in ([1], [1, 3], [0, 1], [0], [2, 3])], [0.8, 1.9, 0.8, 1.8, 0.8])
 
 
-def test_exhaustive_erasure_completes_a_short_witness(monkeypatch):
+def test_exhaustive_erasure_completes_a_short_witness():
     # top = 2: the top pass fails, and so does level 1, since removing
     # {e2, e3} empties two axes.  The witness reaches level 2 of hi = 3,
     # so the survivor scan decides level 3, where it finds the survivor.
     # Greedy mode has only the witness, and undercounts.
     frame = short_witness_frame()
-    calls, levels = spy_level_chunks(monkeypatch), spy_witness_levels(monkeypatch)
-    certificate = assert_exhaustive_matches(frame)
+    certificate, record = assert_exhaustive_matches(frame)
     assert (certificate.certified, certificate.universal) == (3, 0) == (dimension_bound(frame, 4), 0)
-    assert levels == [2] and [k for k, _ in calls] == [2, 1, 3]
+    assert witness_levels(record) == [2] and scanned_levels(record) == [2, 1, 3]
     assert erasure_certificate(frame, mode="greedy").certified == 2
 
 
-def test_exhaustive_erasure_of_doubled_axes_scans_up_to_level_2(monkeypatch):
+def test_exhaustive_erasure_of_doubled_axes_scans_up_to_level_2():
     # Gallery 7.1-V at n = 8 holds each axis twice.  The top pass at level 8
     # declines its first chunk; level 1 is universal and the first pair
     # empties an axis, so the universal scan stops at level 2.  The witness
     # of hi = 8 lines certifies the rest: no chunk of levels 3 to 7 is
     # enumerated, nor of level 8 after the top pass.
-    calls, levels = spy_level_chunks(monkeypatch), spy_witness_levels(monkeypatch)
-    certificate = assert_exhaustive_matches(example_frame("7.1-V", 8))
+    certificate, record = assert_exhaustive_matches(example_frame("7.1-V", 8))
     assert (certificate.certified, certificate.universal) == (8, 1)
-    assert levels == [8] and [k for k, _ in calls] == [8, 1, 2]
+    assert witness_levels(record) == [8] and scanned_levels(record) == [8, 1, 2]
 
 
 DIMENSION_FRAMES = [
@@ -1276,19 +1149,20 @@ def test_dimension_levels_match_the_references(make_frame):
     frame = make_frame()
     for budget in range(frame.member_count):
         top, spare = top_level(frame, budget)
-        assert fusion._dimension_levels(frame, budget) == (spare, top, dimension_bound(frame, budget))
+        search = erasure._Search(frame, budget)
+        assert (search.spare, search.top, search.hi) == (spare, top, dimension_bound(frame, budget))
 
 
 def merged_budgets(frame):
-    """The budgets whose top level :func:`fusion._member_groups` packs into merged groups."""
+    """The budgets whose top level :func:`erasure._member_groups` packs into merged groups."""
     return [
         budget
         for budget, (top, spare) in ((b, top_level(frame, b)) for b in range(2, frame.member_count))
-        if top >= 2 and fusion._member_groups(frame.dims, top, spare).max() < frame.member_count - 1
+        if top >= 2 and erasure._member_groups(frame.dims, top, spare).max() < frame.member_count - 1
     ]
 
 
-def test_exhaustive_erasure_merged_union_fails_where_every_removal_survives(monkeypatch):
+def test_exhaustive_erasure_merged_union_fails_where_every_removal_survives():
     # Twelve lines in R^3, budget 3: members 0-3 alone hold e_0, the rest
     # lie in its complement.  Capacity 9 // 3 = 3 packs (0, 1, 2), (3, 4,
     # 5), (6, 7, 8), (9, 10, 11); the first union, members 0-8, empties
@@ -1302,17 +1176,16 @@ def test_exhaustive_erasure_merged_union_fails_where_every_removal_survives(monk
             line[0] = 0.0
         spans.append((line / np.linalg.norm(line), float(rng.uniform(0.5, 2.0))))
     frame = build_fusion_frame(spans, 3)
-    assert (fusion._member_groups(frame.dims, 3, 9) == np.repeat(np.arange(4), 3)).all()
-    shapes, passes, layouts = spy_gram_shapes(monkeypatch), spy_top_passes(monkeypatch), spy_gram_layouts(monkeypatch)
-    certificate = assert_exhaustive_matches(frame, 3)
+    assert (erasure._member_groups(frame.dims, 3, 9) == np.repeat(np.arange(4), 3)).all()
+    certificate, record = assert_exhaustive_matches(frame, 3)
     assert (certificate.certified, certificate.universal) == (3, 3)
-    assert passes == [(True, False), (False, True)]
-    assert shapes == [(4, 9), (math.comb(12, 3), 3)] and layouts == [4, 12]
+    assert top_passes(frame, record) == [(True, False), (False, True)]
+    assert events(record, "gram") == [(4, 9), (math.comb(12, 3), 3)] and events(record, "layout") == [4, 12]
 
 
 @pytest.mark.parametrize("seed", range(12))
 @pytest.mark.parametrize("family", ["squeezed", "mixed"])
-def test_exhaustive_erasure_on_merged_groups(family, seed, monkeypatch):
+def test_exhaustive_erasure_on_merged_groups(family, seed):
     # Squeezed frames with 6-10 subspaces of the complement: a union or a
     # removal that holds the plane leaves u to the weak line, so both the
     # merged pass and the pass on single removals end early, and the
@@ -1326,11 +1199,11 @@ def test_exhaustive_erasure_on_merged_groups(family, seed, monkeypatch):
         n = int(rng.integers(3, 7))
         frame = random_fusion_frame(rng, n, int(rng.integers(10, 15)), 3, (REAL, COMPLEX)[seed % 2])
     budget = int(rng.choice(merged_budgets(frame)))
-    passes, layouts = spy_top_passes(monkeypatch), spy_gram_layouts(monkeypatch)
-    assert_exhaustive_matches(frame, budget)
+    _, record = assert_exhaustive_matches(frame, budget)
+    passes, layouts = top_passes(frame, record), events(record, "layout")
     assert passes[0][0]  # unions of merged groups came first
-    if family == "squeezed":  # after the merged pass, only the member layout is formed
-        assert passes == [(True, False), (False, False)] and set(layouts[1:]) == {frame.member_count}
+    if family == "squeezed":  # after the merged pass, the member layout is formed once
+        assert passes == [(True, False), (False, False)] and layouts[1:] == [frame.member_count]
 
 
 def assert_slot_blocks_match(seed):
@@ -1342,12 +1215,12 @@ def assert_slot_blocks_match(seed):
     rng = np.random.default_rng([seed, 31])
     n = int(rng.integers(3, 7))
     frame = random_fusion_frame(rng, n, int(rng.integers(10, 15)), 3, (REAL, COMPLEX)[seed % 2])
-    top, spare = top_level(frame, int(rng.choice(merged_budgets(frame))))
-    N, dims, d = frame.member_count, frame.dims, frame.dims.max()
-    label, c = fusion._member_groups(dims, top, spare), fusion._gram_cutoff(frame)
+    search = erasure._Search(frame, int(rng.choice(merged_budgets(frame))))
+    N, dims, d, top, c = frame.member_count, frame.dims, frame.dims.max(), search.top, search.c
+    label = erasure._member_groups(dims, top, search.spare)
     g = label.max() + 1
     assert g < N and c > 0.0
-    slots, members = fusion._shifted_gram(frame, c, label), fusion._shifted_gram(frame, c, np.arange(N))
+    slots, members = erasure._shifted_gram(search, label), search.shifted
     w = len(slots) // g
     source = np.full((g, w), -1)  # the member-layout column of each slot column; -1 where the slot is empty
     for j in range(g):
@@ -1359,7 +1232,7 @@ def assert_slot_blocks_match(seed):
         block, real = slots[np.ix_(at, at)], source[list(K)].reshape(-1)
         empty = real < 0
         gathered = members[np.ix_(real[~empty], real[~empty])]
-        assert np.abs(block[np.ix_(~empty, ~empty)] - gathered).max() <= fusion._gram_error(frame) / 4
+        assert np.abs(block[np.ix_(~empty, ~empty)] - gathered).max() <= erasure._gram_error(frame) / 4
         assert (block[empty] == c * (at[empty][:, None] == at)).all()  # rows of c I, so columns too
         assert (block[:, empty] == c * (at[:, None] == at[empty])).all()
     return bool((source < 0).any())
@@ -1372,18 +1245,17 @@ def test_slot_layout_blocks_are_the_member_layout_blocks():
 
 def reference_gram(frame):
     """``G = T* S^-1 T`` as ``Y* Y``, ``Y = L^-1 T`` for the Cholesky factor ``S = L L*``, on the padded ``T``."""
-    T = fusion._padded(frame, frame.synthesis, np.arange(frame.member_count)).reshape(frame.ambient_dim, -1)
+    T = erasure._Search(frame, 0).padded
     Y = np.linalg.solve(np.linalg.cholesky(frame.operator), T)
     return symmetrize(Y.conj().T @ Y)
 
 
 def computed_gram(frame, monkeypatch):
-    """The ``G`` that :func:`fusion._shifted_gram` forms in the member layout, caught at its ``symmetrize``."""
-    seen = []
-    monkeypatch.setattr(fusion, "symmetrize", lambda M: seen.append(symmetrize(M)) or seen[-1])
-    c = fusion._gram_cutoff(frame)
-    assert c > 0.0
-    fusion._shifted_gram(frame, c, np.arange(frame.member_count))
+    """The ``G`` that :func:`erasure._shifted_gram` forms in the member layout, caught at its ``symmetrize``."""
+    seen, search = [], erasure._Search(frame, 0)
+    monkeypatch.setattr(erasure, "symmetrize", lambda M: seen.append(symmetrize(M)) or seen[-1])
+    assert search.c > 0.0
+    search.shifted
     return seen[-1]
 
 
@@ -1410,7 +1282,7 @@ def conditioned_fusion_frame(rng, field, condition):
 def exact_gram_error(frame, G):
     """``max |G - T* S^-1 T|`` over the entries, the exact ``G`` in 40-digit arithmetic on the padded ``T``."""
     mpmath = pytest.importorskip("mpmath")
-    T = fusion._padded(frame, frame.synthesis, np.arange(frame.member_count)).reshape(frame.ambient_dim, -1)
+    T = erasure._Search(frame, 0).padded
     with mpmath.workdps(40):
         Tm = mpmath.matrix([[mpmath.mpc(complex(x)) for x in row] for row in T])
         exact = Tm.H * mpmath.inverse(Tm * Tm.H) * Tm
@@ -1426,7 +1298,7 @@ def test_gram_matrix_is_within_its_derived_error(seed, field, decades, monkeypat
     frame = conditioned_fusion_frame(np.random.default_rng([seed, decades]), field, 10.0**decades)
     low, high = frame._operator_range
     assert frame.dims.max() == 2 and abs(math.log10(high / low) - decades) < 0.01
-    assert exact_gram_error(frame, computed_gram(frame, monkeypatch)) <= fusion._gram_error(frame) / 4
+    assert exact_gram_error(frame, computed_gram(frame, monkeypatch)) <= erasure._gram_error(frame) / 4
 
 
 @pytest.mark.parametrize("rows", [1, 2047, 2048, 2049])
@@ -1519,7 +1391,7 @@ def reference_one_shot_samples(frame, rng, count):
 
 def sample_block_rows(n):
     """Rows per block of ``redundancy_samples``: the largest power of two with ``8 n rows <= CHUNK_BYTES``."""
-    return 1 << (max(1, fusion.CHUNK_BYTES // (8 * n)).bit_length() - 1)
+    return 1 << (max(1, numerics.CHUNK_BYTES // (8 * n)).bit_length() - 1)
 
 
 BLOCKED_SAMPLES_SCRIPT = """
@@ -1600,22 +1472,22 @@ def all_exact_frame(field):
 @pytest.mark.parametrize("field", [REAL, COMPLEX])
 def test_exhaustive_erasure_exact_path_holds_no_member_stack(field):
     frame = all_exact_frame(field)
-    assert frame.member_count == 12 and fusion._gram_cutoff(frame) <= 0.0
+    assert frame.member_count == 12 and erasure._gram_cutoff(frame) <= 0.0
     stack = frame.member_count * frame.ambient_dim**2 * frame.synthesis.itemsize  # N x n x n: 1.5 or 3.0 MiB
     assert erasure_certificate(frame, 3, "exhaustive").certified == 3
     erasure_certificate(seeded_frame(0), mode="exhaustive")  # first calls of some numpy routines import modules
     assert traced_peak(lambda: erasure_certificate(frame, 3, "exhaustive")) < stack
 
 
-def test_exhaustive_erasure_merged_pass_holds_one_chunk_at_a_time(monkeypatch):
+def test_exhaustive_erasure_merged_pass_holds_one_chunk_at_a_time():
     # 22 planes in C^16, budget 5: 462 union blocks of 20 x 20, 2.8 MiB at
     # once; by chunks, the Cholesky stacks stay within CHUNK_BYTES.
     frame = benchmark_shape_frame(1, 16, (2,) * 22, COMPLEX)
-    assert erasure_certificate(frame, 5, "exhaustive").universal == 5  # also caches S's range and QR factor
-    shapes = spy_gram_shapes(monkeypatch)
-    peak = traced_peak(lambda: erasure_certificate(frame, 5, "exhaustive"))
+    certificate, record = _search(frame, 5, "exhaustive")  # also caches S's range and QR factor
+    shapes = events(record, "gram")
+    assert certificate.universal == 5
     assert {side for _, side in shapes} == {20} and sum(rows for rows, _ in shapes) == math.comb(11, 5)
-    assert peak < 4 * fusion.CHUNK_BYTES
+    assert traced_peak(lambda: erasure_certificate(frame, 5, "exhaustive")) < 4 * numerics.CHUNK_BYTES
 
 
 def unit_weight_frame(seed):

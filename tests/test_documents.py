@@ -17,6 +17,7 @@ from ffk.documents import (
     load_vector,
     sampled_consistency_checks,
 )
+from ffk.erasure import erasure_certificate
 from ffk.errors import (
     MemberCountMismatch,
     NonPositiveWeight,
@@ -26,7 +27,6 @@ from ffk.errors import (
 from ffk.fusion import (
     FusionFrame,
     classify,
-    erasure_certificate,
     fusion_frame_operator,
 )
 from ffk.gallery import example_frame

@@ -9,6 +9,7 @@ from ffk.duality import (
     canonical_ratio_bounds,
     verify_alternate_dual,
 )
+from ffk.erasure import erasure_certificate
 from ffk.errors import (
     NotADual,
     NotAFusionFrame,
@@ -18,7 +19,6 @@ from ffk.errors import (
 from ffk.fusion import (
     FusionFrame,
     build_fusion_frame,
-    erasure_certificate,
     frame_bounds,
 )
 from ffk.gallery import example_frame

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 import ffk
 from ffk import fusion
 from ffk.documents import FrameDocument
+from ffk.erasure import erasure_certificate
 from ffk.errors import (
     DimensionMismatch,
     EmptyRemainder,
@@ -29,7 +30,6 @@ from ffk.fusion import (
     build_fusion_frame,
     classify,
     erase,
-    erasure_certificate,
     excess,
     frame_bounds,
     fusion_frame_operator,

@@ -58,6 +58,21 @@ def test_imports_are_stdlib_numpy_or_ffk():
     assert stray == []
 
 
+def test_erasure_module_imports_only_numerics_and_errors_at_run_time():
+    """``ffk.erasure`` reads ``FusionFrame`` only in annotations, so ``ffk.fusion`` can import it without a cycle."""
+    tree = ast.parse((Path(ffk.__file__).parent / "erasure.py").read_text(encoding="utf-8"))
+    guarded = [node for node in tree.body if isinstance(node, ast.If) and ast.unparse(node.test) == "TYPE_CHECKING"]
+    skipped = {id(inner) for node in guarded for inner in ast.walk(node)}
+    modules = set()
+    for node in (node for node in ast.walk(tree) if id(node) not in skipped):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.split(".")[0] == "ffk"):
+            modules.add("." * node.level + (node.module or ""))
+        elif isinstance(node, ast.Import):
+            modules |= {alias.name for alias in node.names if alias.name.split(".")[0] == "ffk"}
+    assert modules == {".numerics", ".errors"}
+    assert ffk.fusion.erasure_certificate is ffk.erasure.erasure_certificate  # perfbench imports it from ffk.fusion
+
+
 def test_every_function_has_a_caller():
     """Each public function of ``src/ffk``, at module level or in a class, is exported or named by the code that runs the package.
 
